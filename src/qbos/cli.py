@@ -63,6 +63,10 @@ class SweepConfig:
             raise ValueError("shots and runs must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.pairs is not None and self.pairs < 1:
+            raise ValueError("pairs must be >= 1")
+        if self.min_separation < 1:
+            raise ValueError("min-separation must be >= 1")
         if self.formula_variant not in ("paper", "corrected"):
             raise ValueError(f"unknown formula variant {self.formula_variant!r}")
         known = {s.label for s in game.CANONICAL_STRATEGIES}

@@ -192,25 +192,28 @@ class CalibrationSnapshot:
     edges: tuple[EdgeCalibration, ...]
 
     def __post_init__(self):
-        ids = [q.id for q in self.qubits]
-        if len(set(ids)) != len(ids):
+        # lookup tables; plain attributes, so equality, repr and JSON ignore them
+        by_id = {q.id: q for q in self.qubits}
+        if len(by_id) != len(self.qubits):
             raise ValueError("duplicate qubit calibration entries")
-        pairs = [e.pair for e in self.edges]
-        if len(set(pairs)) != len(pairs):
+        by_pair = {e.pair: e for e in self.edges}
+        if len(by_pair) != len(self.edges):
             raise ValueError("duplicate edge calibration entries")
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_by_pair", by_pair)
 
     def qubit(self, index: int) -> QubitCalibration:
-        for q in self.qubits:
-            if q.id == index:
-                return q
-        raise KeyError(f"no calibration for qubit {index}")
+        try:
+            return self._by_id[index]
+        except KeyError:
+            raise KeyError(f"no calibration for qubit {index}") from None
 
     def edge(self, pair) -> EdgeCalibration:
         key = (min(pair), max(pair))
-        for e in self.edges:
-            if e.pair == key:
-                return e
-        raise KeyError(f"no calibration for edge {key}")
+        try:
+            return self._by_pair[key]
+        except KeyError:
+            raise KeyError(f"no calibration for edge {key}") from None
 
     def pair(self, edge) -> PairCalibration:
         a, b = min(edge), max(edge)

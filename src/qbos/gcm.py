@@ -7,6 +7,17 @@ interfere.  Selection is greedy by calibration-derived score with a
 swap-based local search; optimality is not claimed, but on small instances
 the result is checked against exhaustive search in the test suite.
 
+Separation is decided once per graph, as array operations: a boolean
+qubit x qubit ``near`` matrix (closer than the separation) grows from the
+identity one hop at a time over a padded neighbour table, and from it one
+boolean edge x edge conflict matrix is gathered.  Greedy passes OR the rows of
+chosen edges into a blocked mask; the swap search keeps a per-edge count of
+conflicts with the chosen set.  The matrix costs E*E bytes (0.45 MB for the
+672 edges of a 575-qubit heavy-hex device).  The conflict relation is exactly
+"some endpoints closer than the separation", so plans equal those of pairwise
+distance checks.  ``verify_separation`` is an independent BFS check that does
+not use these matrices.
+
 Plans serialize as JSON
 ``{"min_separation": s, "assignments": [{"circuit": i, "pair": [a, b]}]}``.
 """
@@ -15,6 +26,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+
+import numpy as np
 
 from .device import CalibrationSnapshot, CouplingGraph
 
@@ -104,20 +117,32 @@ def score_pair(edge, calib: CalibrationSnapshot, weights=DEFAULT_WEIGHTS) -> Pai
     return PairScore(key, score)
 
 
-def _distance_matrix(graph: CouplingGraph) -> list[list[int]]:
-    return [graph.distances_from(q) for q in range(graph.num_qubits)]
+def _near(graph: CouplingGraph, min_separation: int) -> np.ndarray:
+    """Boolean qubit x qubit matrix: True where two qubits are closer than
+    ``max(min_separation, 1)`` hops.  Qubits in different components are
+    never near."""
+    n = graph.num_qubits
+    adj = graph.adjacency()
+    # neighbour table padded with the qubit itself, so padding adds nothing
+    width = max(1, max(len(nbrs) for nbrs in adj))
+    nbrs = np.array([nb + [q] * (width - len(nb)) for q, nb in enumerate(adj)],
+                    dtype=np.intp)
+    near = np.eye(n, dtype=bool)
+    for _ in range(max(min_separation, 1) - 1):
+        grown = near[:, nbrs].any(axis=2)  # within r of a neighbour: within r+1
+        if np.array_equal(grown, near):
+            break  # every component is covered already
+        near = grown
+    return near
 
 
-def _pair_distance(dist, e1, e2) -> int:
-    ds = [dist[a][b] for a in e1 for b in e2]
-    if any(d < 0 for d in ds):
-        return 10**9  # different components never interfere
-    return min(ds)
-
-
-def _compatible(dist, e1, e2, min_separation: int) -> bool:
-    # distance 0 means a shared qubit, which is never allowed
-    return _pair_distance(dist, e1, e2) >= max(min_separation, 1)
+def _conflict_matrix(near: np.ndarray, edges) -> np.ndarray:
+    """Boolean edge x edge matrix over ``edges``, in their order: True where two
+    edges have endpoints that are ``near``, so also where they share a qubit.
+    Every edge conflicts with itself."""
+    a, b = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    rows = near[a] | near[b]  # edge x qubit: qubits too close to the edge
+    return rows[:, a] | rows[:, b]
 
 
 def select_pairs(
@@ -137,59 +162,67 @@ def select_pairs(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    dist = _distance_matrix(graph)
     ranked = sorted(
         (score_pair(e, calib, weights) for e in graph.edges),
         key=lambda ps: (ps.score, ps.edge),
     )
+    # rows and columns follow ``ranked``, so a position in it is also an index
+    conflict = _conflict_matrix(_near(graph, min_separation), [ps.edge for ps in ranked])
 
-    def greedy(order) -> list[PairScore]:
-        chosen: list[PairScore] = []
-        for ps in order:
+    def greedy(order) -> list[int]:
+        chosen: list[int] = []
+        blocked = np.zeros(len(ranked), dtype=bool)
+        for r in order:
             if len(chosen) == k:
                 break
-            if all(_compatible(dist, ps.edge, c.edge, min_separation) for c in chosen):
-                chosen.append(ps)
+            if not blocked[r]:
+                chosen.append(r)
+                blocked |= conflict[r]
         return chosen
 
     # the pure score order can paint itself into a corner, so also restart
     # from each edge as a forced first pick (small graphs) and from plain
     # lexicographic order, keeping the largest then cheapest selection
-    orders = [ranked, sorted(ranked, key=lambda ps: ps.edge)]
+    positions = list(range(len(ranked)))
+    orders = [positions, sorted(positions, key=lambda r: ranked[r].edge)]
     if len(ranked) <= MULTI_START_EDGE_LIMIT:
-        for i in range(len(ranked)):
-            orders.append([ranked[i]] + ranked[:i] + ranked[i + 1:])
+        for r in positions:
+            orders.append([r] + positions[:r] + positions[r + 1:])
 
-    def preference(sel: list[PairScore]):
-        return (-len(sel), sum(ps.score for ps in sel),
-                tuple(sorted(ps.edge for ps in sel)))
+    def preference(sel: list[int]):
+        return (-len(sel), sum(ranked[r].score for r in sel),
+                tuple(sorted(ranked[r].edge for r in sel)))
 
     chosen = min((greedy(order) for order in orders), key=preference)
     if len(chosen) < k:
         raise InfeasibleMappingError(k, len(chosen))
 
-    # local search: swap any chosen pair for a cheaper unused edge
+    # local search: swap any chosen pair for a cheaper unused edge.
+    # clashes[e] counts the chosen edges that conflict with edge e; a candidate
+    # fits the rest when its only clash, if any, is the pair it replaces.
+    # Chosen edges clash with themselves, so they never qualify.
+    clashes = conflict[chosen].sum(axis=0)
+    scores = np.array([ps.score for ps in ranked])
     improved = True
     while improved:
         improved = False
-        order = sorted(range(k), key=lambda i: (-chosen[i].score, chosen[i].edge))
+        order = sorted(range(k), key=lambda i: (-ranked[chosen[i]].score,
+                                                ranked[chosen[i]].edge))
         for idx in order:
-            current = chosen[idx]
-            rest = chosen[:idx] + chosen[idx + 1:]
-            for ps in ranked:
-                if ps.score >= current.score:
-                    break  # ranked is ascending; nothing cheaper remains
-                if any(ps.edge == c.edge for c in rest):
-                    continue
-                if all(_compatible(dist, ps.edge, c.edge, min_separation) for c in rest):
-                    chosen[idx] = ps
-                    improved = True
-                    break
-            if improved:
+            cur = chosen[idx]
+            # ranked is ascending, so exactly the positions before this bound
+            # score less than the current pair
+            cheaper = int(np.searchsorted(scores, ranked[cur].score, side="left"))
+            fits = clashes[:cheaper] == conflict[cur, :cheaper]
+            if fits.any():
+                r = int(fits.argmax())
+                clashes -= conflict[cur]
+                clashes += conflict[r]
+                chosen[idx] = r
+                improved = True
                 break
 
-    ordered = sorted(chosen, key=lambda ps: (ps.score, ps.edge))
-    return MappingPlan(tuple(ps.edge for ps in ordered), min_separation)
+    return MappingPlan(tuple(ranked[r].edge for r in sorted(chosen)), min_separation)
 
 
 def verify_separation(plan: MappingPlan, graph: CouplingGraph) -> tuple[bool, str | None]:
@@ -221,12 +254,13 @@ def verify_separation(plan: MappingPlan, graph: CouplingGraph) -> tuple[bool, st
         return seen
 
     radius = plan.min_separation - 1  # anything reachable this close is too close
+    within = {q: bfs_within(q, radius) for pair in plan.assignments for q in pair}
     for i, pi in enumerate(plan.assignments):
         for j, pj in enumerate(plan.assignments):
             if j <= i:
                 continue
             for a in pi:
-                near = bfs_within(a, radius)
+                near = within[a]
                 for b in pj:
                     if b in near:
                         return False, (
@@ -267,9 +301,8 @@ def refine_mapping(
         return plan
     worst.sort(key=lambda i: (-feedback[i], i))
 
-    dist = _distance_matrix(graph)
+    near = _near(graph, plan.min_separation)
     assignments = list(plan.assignments)
-    used = set(assignments)
     candidates = sorted(
         (score_pair(e, calib, weights) for e in graph.edges),
         key=lambda ps: (ps.score, ps.edge),
@@ -277,16 +310,16 @@ def refine_mapping(
     changed = False
     for i in worst:
         current = score_pair(assignments[i], calib, weights)
-        others = [p for j, p in enumerate(assignments) if j != i]
+        # qubits too close to the other circuits; a used edge is always blocked
+        blocked = np.zeros(graph.num_qubits, dtype=bool)
+        for j, (a, b) in enumerate(assignments):
+            if j != i:
+                blocked |= near[a] | near[b]
         for ps in candidates:
             if ps.score >= current.score:
                 break
-            if ps.edge in used:
-                continue
-            if all(_compatible(dist, ps.edge, o, plan.min_separation) for o in others):
-                used.discard(assignments[i])
+            if not (blocked[ps.edge[0]] or blocked[ps.edge[1]]):
                 assignments[i] = ps.edge
-                used.add(ps.edge)
                 changed = True
                 break
     if not changed:

@@ -217,6 +217,25 @@ def test_map_relaxed_separation(tmp_path, capsys):
     assert ok
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("map", "--synth", "--pairs", "0"),
+        ("map", "--synth", "--pairs", "-3"),
+        ("map", "--synth", "--min-separation", "0"),
+        ("sweep", "--synth", "--min-separation", "0"),
+    ],
+    ids=["map-pairs-0", "map-pairs-negative", "map-separation-0", "sweep-separation-0"],
+)
+def test_bad_mapping_sizes_exit_config(tmp_path, capsys, argv):
+    code = run_cli(*argv, "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_map_with_files(tmp_path, capsys):
     from qbos.device import heavy_hex_graph, synth_calibration
     g = heavy_hex_graph(2)

@@ -174,3 +174,16 @@ def test_calibration_validation():
             {"timestamp": "t", "qubits": [{"id": 0, "readout_error": 2.0,
                                            "t1_us": 1.0, "t2_us": 1.0}], "edges": []}
         )
+
+
+def test_calibration_lookup_misses_raise_key_error():
+    g = CouplingGraph(3, ((0, 1), (1, 2)))
+    cal = synth_calibration(g, seed=0)
+    assert cal.qubit(2).id == 2
+    assert cal.edge((2, 1)).pair == (1, 2)
+    with pytest.raises(KeyError, match=r"^'no calibration for qubit 7'$"):
+        cal.qubit(7)
+    with pytest.raises(KeyError, match=r"^'no calibration for edge \(0, 2\)'$"):
+        cal.edge((2, 0))
+    with pytest.raises(KeyError, match=r"^'no calibration for edge \(0, 2\)'$"):
+        cal.pair((0, 2))

@@ -4,6 +4,8 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbos.device import (
     CalibrationSnapshot,
@@ -15,6 +17,8 @@ from qbos.device import (
 )
 from qbos.gcm import (
     InfeasibleMappingError,
+    _conflict_matrix,
+    _near,
     MappingPlan,
     load_plan,
     packed_plan,
@@ -64,21 +68,49 @@ def floyd_warshall(graph):
     return d
 
 
+def separated(d, e1, e2, min_sep):
+    """Oracle separation test on Floyd-Warshall distances ``d``."""
+    return min(d[a][b] for a in e1 for b in e2) >= max(min_sep, 1)
+
+
 def exhaustive_optimum(graph, calib, k, min_sep, weights=(1.0, 0.5, 0.1)):
     """Minimum total score over every feasible k-subset of edges, or None."""
     d = floyd_warshall(graph)
     scores = {e: score_pair(e, calib, weights).score for e in graph.edges}
 
-    def separated(e1, e2):
-        return min(d[a][b] for a in e1 for b in e2) >= max(min_sep, 1)
-
     best = None
     for subset in itertools.combinations(sorted(graph.edges), k):
-        if all(separated(e1, e2) for e1, e2 in itertools.combinations(subset, 2)):
+        if all(separated(d, e1, e2, min_sep)
+               for e1, e2 in itertools.combinations(subset, 2)):
             total = sum(scores[e] for e in subset)
             if best is None or total < best:
                 best = total
     return best
+
+
+# --- conflict matrix against the oracle -----------------------------------------
+
+@pytest.mark.parametrize(
+    "graph_factory",
+    [
+        lambda: path_graph(7),
+        lambda: CouplingGraph(8, tuple((i, (i + 1) % 8) for i in range(8))),
+        lambda: CouplingGraph(9, ((0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (7, 8))),
+        lambda: heavy_hex_graph(2),
+        lambda: heavy_hex_graph(3),
+    ],
+    ids=["path", "ring", "two-components", "heavy-hex-2", "heavy-hex-3"],
+)
+def test_conflict_matrix_matches_floyd_warshall(graph_factory):
+    g = graph_factory()
+    d = floyd_warshall(g)
+    for min_sep in range(5):
+        conflict = _conflict_matrix(_near(g, min_sep), g.edges)
+        assert conflict.shape == (len(g.edges), len(g.edges))
+        for i, e1 in enumerate(g.edges):
+            for j, e2 in enumerate(g.edges):
+                assert conflict[i, j] == (not separated(d, e1, e2, min_sep)), (
+                    min_sep, e1, e2)
 
 
 # --- scoring -------------------------------------------------------------------
@@ -294,3 +326,50 @@ def test_packed_plan_is_adjacent():
         MappingPlan(plan.assignments, min_separation=2), g
     )
     assert not ok  # crowded on purpose
+
+
+# --- properties on random small graphs -------------------------------------------------
+
+@st.composite
+def small_instances(draw):
+    if draw(st.booleans()):
+        graph = heavy_hex_graph(2)
+    else:
+        n = draw(st.integers(2, 9))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12, unique=True))
+        graph = CouplingGraph(n, tuple(edges))
+    calib = synth_calibration(graph, seed=draw(st.integers(0, 10**6)))
+    k = draw(st.integers(1, 12))
+    min_sep = draw(st.integers(1, 3))
+    return graph, calib, k, min_sep
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_instances(), st.data())
+def test_plans_separated_and_locally_minimal(instance, data):
+    g, cal, k, min_sep = instance
+    try:
+        plan = select_pairs(g, cal, k=k, min_separation=min_sep)
+    except InfeasibleMappingError as err:
+        # the largest feasible count is where the swap search has most to do
+        k = err.achievable
+        plan = select_pairs(g, cal, k=k, min_separation=min_sep)
+    assert len(plan.assignments) == k
+    assert verify_separation(plan, g) == (True, None)
+
+    # single-swap local minimality, judged with oracle distances
+    d = floyd_warshall(g)
+    scores = {e: score_pair(e, cal).score for e in g.edges}
+    chosen = set(plan.assignments)
+    for current in chosen:
+        rest = chosen - {current}
+        for e in g.edges:
+            if e in chosen or scores[e] >= scores[current]:
+                continue
+            assert not all(separated(d, e, o, min_sep) for o in rest), (current, e)
+
+    feedback = {i: data.draw(st.floats(0.0, 1.0)) for i in range(k)}
+    refined = refine_mapping(plan, feedback, cal, g)
+    assert verify_separation(refined, g) == (True, None)
+    assert plan_score(refined, cal) <= plan_score(plan, cal)
