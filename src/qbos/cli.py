@@ -2,9 +2,10 @@
 
 Configuration precedence: command-line flags override values from an
 optional JSON --config file, which override built-in defaults.  Every
-command is deterministic given (config, seed); sweeps may fan out over
-worker threads but always assemble rows in canonical order, so repeated
-invocations produce byte-identical artifacts.
+command is deterministic given (config, seed): a sweep samples each
+(strategy, circuit, run) cell from its own derived seed on one thread and
+writes rows in canonical order, so repeated invocations produce
+byte-identical artifacts.
 
 Exit codes: 0 success, 2 config/matrix error, 3 I/O error, 4 mapping
 infeasible, 5 validation schema error.
@@ -17,11 +18,10 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 from . import device, game, gcm, noise, stats
-from .statevec import derive_seed, sample_counts
+from .statevec import derive_seed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,6 +36,25 @@ CSV_COLUMNS = (
 )
 
 HEAVY_HEX_DISTANCE_127 = 6
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# SweepConfig field annotation -> (check, description); bool is an int subclass
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "int | None": (lambda v: v is None or _is_int(v), "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string"),
+    "tuple[str, ...]": (
+        lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v),
+        "a list of strings",
+    ),
+}
 
 
 @dataclass
@@ -57,12 +76,25 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            check, expected = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if not check(value):
+                raise ValueError(
+                    f"{f.name.replace('_', '-')} must be {expected}, got {value!r}"
+                )
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ValueError(
+                f"noise-scale must be a finite number >= 0, got {self.noise_scale!r}"
+            )
         if self.gamma_steps < 2:
             raise ValueError("gamma-steps must be >= 2")
         if self.shots < 1 or self.runs < 1:
             raise ValueError("shots and runs must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.pairs is not None and self.pairs < 1:
             raise ValueError("pairs must be >= 1")
         if self.min_separation < 1:
@@ -189,65 +221,44 @@ def cmd_equilibrium(args) -> int:
 
 # --- sweep ----------------------------------------------------------------------
 
-def _sweep_rows(cfg: SweepConfig, calib, plan):
-    """All CSV rows of a sweep, computed cell-per-cell and sorted canonically.
+def _sweep_rows(cfg: SweepConfig, calib, plan) -> list[tuple[str, ...]]:
+    """All CSV rows of a sweep in canonical (strategy, circuit, run) order.
 
-    Each (strategy, circuit, run) cell has its own derived seed, so the
-    thread pool size cannot change any sampled value.
+    Strategy s samples cell (i, run) from derive_seed(derive_seed(seed, s),
+    i, run), s being its canonical index, so every cell's counts are fixed
+    by the config alone.
     """
     grid = game.default_gamma_grid(cfg.gamma_steps)
     model = noise.NoiseModel(scale=cfg.noise_scale)
-    graph = calib.graph()
-    flags = noise.crosstalk_flags(plan, graph)
-    matrix = game.PayoffMatrix.battle_of_sexes()
+    flags = noise.crosstalk_flags(plan, calib.graph())
+    wa, wb = game.PayoffMatrix.battle_of_sexes().outcome_weights()
     canonical = {s.label: idx for idx, s in enumerate(game.CANONICAL_STRATEGIES)}
+    gammas = [repr(g) for g in grid]
+    run_labels = [str(run) for run in range(cfg.runs)]
 
-    jobs = []
-    for label in cfg.strategies:
+    rows = []
+    for label in sorted(set(cfg.strategies), key=canonical.__getitem__):
         strategy = game.Strategy.parse(label)
-        strat_idx = canonical[label]
-        spec = game.GameSpec(
-            gamma_grid=grid, strategy_a=strategy, strategy_b=strategy
+        spec = game.GameSpec(gamma_grid=grid, strategy_a=strategy, strategy_b=strategy)
+        counts = noise.job_counts(
+            plan, spec, calib, model, cfg.shots, cfg.runs,
+            derive_seed(cfg.seed, canonical[label]), flags,
         )
+        freqs = counts / cfg.shots
+        # a strategy listed twice gets each of its rows twice, as it always has
+        repeat = cfg.strategies.count(label)
         for i, gamma in enumerate(grid):
-            ops = game.build_ewl_circuit(gamma, spec.phi, strategy, strategy)
-            pc = calib.pair(plan.assignments[i])
-            dist = noise.noisy_distribution(ops, pc, model, flags[i])
             ana = game.analytical_payoffs(strategy, gamma, cfg.formula_variant)
-            for run in range(cfg.runs):
-                jobs.append((label, strat_idx, gamma, i, run, dist, ana))
-
-    def sample(job):
-        label, strat_idx, gamma, i, run, dist, ana = job
-        counts = sample_counts(
-            dist, cfg.shots, derive_seed(derive_seed(cfg.seed, strat_idx), i, run)
-        )
-        freqs = counts.frequencies()
-        ea, eb, _ = stats.payoffs_from_counts(counts, matrix)
-        return (
-            (strat_idx, i, run),
-            {
-                "strategy": label,
-                "gamma": repr(gamma),
-                "run": str(run),
-                "p00": repr(float(freqs[0])),
-                "p01": repr(float(freqs[1])),
-                "p10": repr(float(freqs[2])),
-                "p11": repr(float(freqs[3])),
-                "ea": repr(ea),
-                "eb": repr(eb),
-                "ea_analytic": repr(ana[0]),
-                "eb_analytic": repr(ana[1]),
-            },
-        )
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            keyed = list(pool.map(sample, jobs))
-    else:
-        keyed = [sample(job) for job in jobs]
-    keyed.sort(key=lambda kv: kv[0])
-    return [row for _, row in keyed]
+            ana_a, ana_b = repr(ana[0]), repr(ana[1])
+            for run, f in zip(run_labels, freqs[i]):
+                p00, p01, p10, p11 = f.tolist()
+                row = (
+                    label, gammas[i], run,
+                    repr(p00), repr(p01), repr(p10), repr(p11),
+                    repr(float(f @ wa)), repr(float(f @ wb)), ana_a, ana_b,
+                )
+                rows.extend([row] * repeat)
+    return rows
 
 
 def _svg_plot(path, label, grid, ana_a, ana_b, estimates) -> None:
@@ -363,8 +374,8 @@ def cmd_sweep(args) -> int:
     rows = _sweep_rows(cfg, calib, plan)
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
+            writer = csv.writer(fh)
+            writer.writerow(CSV_COLUMNS)
             writer.writerows(rows)
     except OSError as err:
         print(f"error: cannot write {out}: {err}", file=sys.stderr)
@@ -373,21 +384,19 @@ def cmd_sweep(args) -> int:
     if cfg.svg:
         grid = game.default_gamma_grid(cfg.gamma_steps)
         stem = out[:-4] if out.endswith(".csv") else out
+        cells: dict[tuple[str, str], tuple[list, list]] = {}
+        for row in rows:
+            eas, ebs = cells.setdefault((row[0], row[1]), ([], []))
+            eas.append(float(row[7]))
+            ebs.append(float(row[8]))
         for label in cfg.strategies:
             strategy = game.Strategy.parse(label)
             ana = [
                 game.analytical_payoffs(strategy, g, cfg.formula_variant) for g in grid
             ]
             estimates = []
-            for i, g in enumerate(grid):
-                eas = [
-                    float(r["ea"]) for r in rows
-                    if r["strategy"] == label and float(r["gamma"]) == g
-                ]
-                ebs = [
-                    float(r["eb"]) for r in rows
-                    if r["strategy"] == label and float(r["gamma"]) == g
-                ]
+            for g in grid:
+                eas, ebs = cells[label, repr(g)]
                 if cfg.runs >= 2:
                     estimates.append(
                         (stats.aggregate_runs(eas), stats.aggregate_runs(ebs))
@@ -573,7 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--formula-variant", dest="formula_variant",
                       choices=("paper", "corrected"), default=None)
     p_sw.add_argument("--workers", type=int, default=None,
-                      help="thread fan-out over (strategy, gamma, run) cells")
+                      help="accepted for compatibility (must be >= 1); sampling "
+                           "runs in one thread, which is faster")
     _add_device_flags(p_sw)
     p_sw.set_defaults(func=cmd_sweep)
 

@@ -120,6 +120,8 @@ class Strategy:
                 return cls("RY", math.pi)
             pm = re.fullmatch(r"pi\s*/\s*(\d+)", expr)
             if pm:
+                if int(pm.group(1)) == 0:
+                    raise ValueError(f"strategy {text!r} divides by zero")
                 return cls("RY", math.pi / int(pm.group(1)))
             return cls("RY", float(expr))
         raise ValueError(f"cannot parse strategy {text!r}")

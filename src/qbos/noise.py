@@ -13,10 +13,16 @@ Error channels, matching the dominant NISQ error sources:
 A global scale factor multiplies every error probability (clamped to 1),
 so scale 0 reproduces the ideal simulator exactly and large scales drive
 the state to the maximally mixed limit.
+
+The circuits of a sweep job evolve together as one (G, 4, 4) stack of
+density matrices with stacked matrix products, which give the same bits as
+evolving each circuit alone; job_counts then samples every (circuit, run)
+cell.  Both simulate_job and the CLI sweep run on it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +30,14 @@ import numpy as np
 from .device import CalibrationSnapshot, CouplingGraph, PairCalibration
 from .game import GameSpec, build_ewl_circuit
 from .gcm import MappingPlan
-from .statevec import CircuitOp, ShotCounts, derive_seed, gate_library, sample_counts
+from .statevec import (
+    OUTCOME_LABELS,
+    CircuitOp,
+    ShotCounts,
+    derive_seed,
+    gate_matrix,
+    sample_cells,
+)
 
 CROSSTALK_DISTANCE = 2          # pairs closer than this interfere
 DEFAULT_CROSSTALK_PENALTY = 0.05  # no published figure exists; tunable
@@ -82,11 +95,17 @@ class RunResult:
     run_index: int
 
 
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of 2x2 factors, elementwise the same products, over stacks of them."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (4, 4))
+
+
 def _embed_1q(matrix: np.ndarray, qubit: int) -> np.ndarray:
     # basis index = 2*q1 + q0, so the qubit-0 factor sits on the right of kron
     if qubit == 0:
-        return np.kron(np.eye(2), matrix)
-    return np.kron(matrix, np.eye(2))
+        return _kron2(np.eye(2), matrix)
+    return _kron2(matrix, np.eye(2))
 
 
 def _cnot_matrix(control: int, target: int) -> np.ndarray:
@@ -98,35 +117,113 @@ def _cnot_matrix(control: int, target: int) -> np.ndarray:
 
 
 def _partial_trace(rho: np.ndarray, qubit: int) -> np.ndarray:
-    r = rho.reshape(2, 2, 2, 2)  # (q1, q0, q1', q0')
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))  # (..., q1, q0, q1', q0')
     if qubit == 0:
-        return np.einsum("abcb->ac", r)
-    return np.einsum("abac->bc", r)
+        return np.einsum("...abcb->...ac", r)
+    return np.einsum("...abac->...bc", r)
 
 
-def depolarize_1q(rho: np.ndarray, qubit: int, p: float) -> np.ndarray:
-    """Replace one qubit's state by I/2 with probability p."""
-    if p == 0.0:
+def _mix(rho: np.ndarray, p, mixed) -> np.ndarray:
+    """(1-p) rho + p mixed per matrix; a matrix whose p is 0 keeps its exact bits."""
+    p = np.asarray(p, dtype=float)
+    if not p.any():
+        return rho
+    pp = p[..., None, None]
+    out = (1.0 - pp) * rho + pp * mixed
+    return np.where(pp == 0.0, rho, out) if not p.all() else out
+
+
+def depolarize_1q(rho: np.ndarray, qubit: int, p) -> np.ndarray:
+    """Replace one qubit's state by I/2 with probability p.
+
+    rho is one 4x4 density matrix, with p a scalar, or a (G, 4, 4) stack,
+    with p a scalar or one probability per matrix.
+    """
+    if not np.any(p):
         return rho
     reduced = _partial_trace(rho, qubit)
     if qubit == 0:
-        mixed = np.kron(reduced, np.eye(2) / 2.0)
+        mixed = _kron2(reduced, np.eye(2) / 2.0)
     else:
-        mixed = np.kron(np.eye(2) / 2.0, reduced)
-    return (1.0 - p) * rho + p * mixed
+        mixed = _kron2(np.eye(2) / 2.0, reduced)
+    return _mix(rho, p, mixed)
 
 
-def depolarize_2q(rho: np.ndarray, p: float) -> np.ndarray:
-    """Mix towards I/4 with probability p."""
-    if p == 0.0:
-        return rho
-    return (1.0 - p) * rho + p * np.eye(4) / 4.0
+def depolarize_2q(rho: np.ndarray, p) -> np.ndarray:
+    """Mix towards I/4 with probability p; rho and p as for depolarize_1q."""
+    return _mix(rho, p, np.eye(4) / 4.0)
 
 
-def confusion_matrix(readout_error: float) -> np.ndarray:
-    """Symmetric per-qubit readout confusion (column-stochastic)."""
-    r = readout_error
-    return np.array([[1.0 - r, r], [r, 1.0 - r]])
+def confusion_matrix(readout_error) -> np.ndarray:
+    """Symmetric per-qubit readout confusion (column-stochastic).
+
+    An array of errors gives a stack of matrices, one per error.
+    """
+    r = np.asarray(readout_error, dtype=float)
+    return np.stack([np.stack([1.0 - r, r], -1), np.stack([r, 1.0 - r], -1)], -2)
+
+
+def noisy_distributions(
+    circuits: Sequence[Sequence[CircuitOp]],
+    pair_calibs: Sequence[PairCalibration],
+    model: NoiseModel,
+    crosstalk_active: Sequence[bool],
+) -> np.ndarray:
+    """Evolve G mapped circuits together as a (G, 4, 4) density-matrix stack.
+
+    The circuits must share one gate layout (the same gate names on the same
+    qubits at every position); only angles may differ.  Circuit g runs on the
+    pair calibrated by pair_calibs[g], with the extra crosstalk channel when
+    crosstalk_active[g] is true.  Each distinct gate matrix is built once.
+
+    Returns a (G, 4) array of outcome distributions after readout
+    confusion; each row sums to 1 within 1e-9 and equals the ideal
+    distribution exactly when scale is 0.
+    """
+    circuits = [list(ops) for ops in circuits]
+    g = len(circuits)
+    if len(pair_calibs) != g or len(crosstalk_active) != g:
+        raise ValueError(
+            f"{g} circuits, {len(pair_calibs)} pair calibrations and "
+            f"{len(crosstalk_active)} crosstalk flags"
+        )
+    if g == 0:
+        return np.zeros((0, 4))
+    layout = [(op.name, op.qubits) for op in circuits[0]]
+    if any([(op.name, op.qubits) for op in ops] != layout for ops in circuits[1:]):
+        raise ValueError("circuits must share one gate layout; only angles may differ")
+
+    resolved = [model.resolved(pc) for pc in pair_calibs]
+    p1 = np.array([r[0] for r in resolved])
+    p2 = np.array([r[1] for r in resolved])
+    p_xt = np.array([r[2] if flag else 0.0 for r, flag in zip(resolved, crosstalk_active)])
+    ro_a = np.array([r[3][0] for r in resolved])
+    ro_b = np.array([r[3][1] for r in resolved])
+
+    rho = np.zeros((g, 4, 4), dtype=complex)
+    rho[:, 0, 0] = 1.0
+    for step, (name, qubits) in enumerate(layout):
+        if name == "measure":
+            continue
+        if name == "cnot":
+            u = _cnot_matrix(*qubits)
+        else:
+            angles = [ops[step].angle for ops in circuits]
+            built = {}
+            for a in angles:
+                if a not in built:
+                    built[a] = gate_matrix(name, a)
+            u = _embed_1q(np.stack([built[a] for a in angles]), qubits[0])
+        rho = u @ rho @ np.swapaxes(u.conj(), -1, -2)
+        if name == "cnot":
+            rho = depolarize_2q(rho, p2)
+            rho = depolarize_2q(rho, p_xt)
+        else:
+            rho = depolarize_1q(rho, qubits[0], p1)
+    probs = np.diagonal(rho, axis1=-2, axis2=-1).real.copy()
+    readout = _kron2(confusion_matrix(ro_b), confusion_matrix(ro_a))
+    probs = (readout @ probs[:, :, None])[:, :, 0]
+    return np.clip(probs, 0.0, None)
 
 
 def noisy_distribution(
@@ -135,30 +232,11 @@ def noisy_distribution(
     model: NoiseModel,
     crosstalk_active: bool = False,
 ) -> np.ndarray:
-    """Evolve the mapped circuit's 4x4 density matrix through the channels.
+    """The 4-outcome distribution of one mapped circuit.
 
-    Returns the 4-outcome distribution after readout confusion; it sums to 1
-    within 1e-9 and equals the ideal distribution exactly when scale is 0.
+    The one-circuit case of noisy_distributions.
     """
-    p1, p2, p_xt, (ro_a, ro_b) = model.resolved(pair_calib)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
-    for op in ops:
-        if op.name == "measure":
-            continue
-        if op.name == "cnot":
-            u = _cnot_matrix(*op.qubits)
-            rho = u @ rho @ u.conj().T
-            rho = depolarize_2q(rho, p2)
-            if crosstalk_active:
-                rho = depolarize_2q(rho, p_xt)
-        else:
-            u = _embed_1q(gate_library(op.name, op.angle).matrix, op.qubits[0])
-            rho = u @ rho @ u.conj().T
-            rho = depolarize_1q(rho, op.qubits[0], p1)
-    probs = np.real(np.diag(rho)).copy()
-    probs = np.kron(confusion_matrix(ro_b), confusion_matrix(ro_a)) @ probs
-    return np.clip(probs, 0.0, None)
+    return noisy_distributions([ops], [pair_calib], model, [crosstalk_active])[0]
 
 
 def crosstalk_flags(plan: MappingPlan, graph: CouplingGraph) -> list[bool]:
@@ -179,6 +257,42 @@ def crosstalk_flags(plan: MappingPlan, graph: CouplingGraph) -> list[bool]:
     return flags
 
 
+def job_counts(
+    plan: MappingPlan,
+    spec: GameSpec,
+    calib: CalibrationSnapshot,
+    model: NoiseModel,
+    shots: int,
+    runs: int,
+    seed: int,
+    flags: list[bool],
+) -> np.ndarray:
+    """Shot counts of every (circuit, run) cell of a mapped sweep job.
+
+    Circuit i runs the gamma_grid[i] circuit on the plan's i-th pair; the
+    result has shape (len(gamma_grid), runs, 4) in outcome-label order.
+    Cell (i, run) draws from derive_seed(seed, i, run), so its counts do not
+    depend on which other cells are sampled.  flags are the plan's crosstalk
+    flags (crosstalk_flags).
+    """
+    if len(plan.assignments) != len(spec.gamma_grid):
+        raise ValueError(
+            f"plan has {len(plan.assignments)} pairs but the gamma grid has "
+            f"{len(spec.gamma_grid)} points"
+        )
+    circuits = [
+        build_ewl_circuit(gamma, spec.phi, spec.strategy_a, spec.strategy_b)
+        for gamma in spec.gamma_grid
+    ]
+    pair_calibs = [calib.pair(pair) for pair in plan.assignments]
+    distributions = noisy_distributions(circuits, pair_calibs, model, flags)
+    seeds = [
+        [derive_seed(seed, i, run) for run in range(runs)]
+        for i in range(len(circuits))
+    ]
+    return sample_cells(distributions, shots, seeds)
+
+
 def simulate_job(
     plan: MappingPlan,
     spec: GameSpec,
@@ -188,27 +302,16 @@ def simulate_job(
     runs: int,
     seed: int,
 ) -> list[RunResult]:
-    """Sample every (circuit, run) cell of a mapped sweep job.
-
-    Circuit i runs the gamma_grid[i] circuit on the plan's i-th pair.  Each
-    cell draws from a seed derived from (seed, circuit, run), so any
-    parallel or reordered execution of the cells reproduces these counts.
-    """
-    if len(plan.assignments) != len(spec.gamma_grid):
-        raise ValueError(
-            f"plan has {len(plan.assignments)} pairs but the gamma grid has "
-            f"{len(spec.gamma_grid)} points"
+    """job_counts as RunResults, run by run and circuit by circuit within a run."""
+    flags = crosstalk_flags(plan, calib.graph())
+    counts = job_counts(plan, spec, calib, model, shots, runs, seed, flags)
+    return [
+        RunResult(
+            i,
+            gamma,
+            ShotCounts(dict(zip(OUTCOME_LABELS, counts[i, run].tolist())), shots),
+            run,
         )
-    graph = calib.graph()
-    flags = crosstalk_flags(plan, graph)
-    distributions = []
-    for i, gamma in enumerate(spec.gamma_grid):
-        ops = build_ewl_circuit(gamma, spec.phi, spec.strategy_a, spec.strategy_b)
-        pc = calib.pair(plan.assignments[i])
-        distributions.append(noisy_distribution(ops, pc, model, flags[i]))
-    results = []
-    for run in range(runs):
-        for i, gamma in enumerate(spec.gamma_grid):
-            counts = sample_counts(distributions[i], shots, derive_seed(seed, i, run))
-            results.append(RunResult(i, gamma, counts, run))
-    return results
+        for run in range(runs)
+        for i, gamma in enumerate(spec.gamma_grid)
+    ]

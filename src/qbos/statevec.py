@@ -22,6 +22,8 @@ UNITARY_TOL = 1e-12
 
 OUTCOME_LABELS = ("00", "01", "10", "11")
 
+_WORD = 2**64 - 1  # a Philox key is two 64-bit words, low word first
+
 
 @dataclass(frozen=True)
 class Gate1Q:
@@ -41,11 +43,12 @@ class Gate1Q:
         object.__setattr__(self, "matrix", m)
 
 
-def gate_library(kind: str, angle: float | None = None) -> Gate1Q:
-    """Return a standard gate: 'identity', 'hadamard', 'ry' or 'rz'.
+def gate_matrix(kind: str, angle: float | None = None) -> np.ndarray:
+    """The 2x2 complex matrix of 'identity', 'hadamard', 'ry' or 'rz'.
 
     An angle (radians) is required for 'ry' and 'rz' and must be absent
-    otherwise.
+    otherwise.  Unlike gate_library the result is not checked for
+    unitarity, which makes it cheap enough to build per circuit.
     """
     if kind in ("ry", "rz"):
         if angle is None:
@@ -54,15 +57,20 @@ def gate_library(kind: str, angle: float | None = None) -> Gate1Q:
         raise ValueError(f"gate '{kind}' takes no angle")
 
     if kind == "identity":
-        return Gate1Q(np.eye(2, dtype=complex))
+        return np.eye(2, dtype=complex)
     if kind == "hadamard":
-        return Gate1Q(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2))
+        return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     if kind == "ry":
         c, s = math.cos(angle / 2), math.sin(angle / 2)
-        return Gate1Q(np.array([[c, -s], [s, c]], dtype=complex))
+        return np.array([[c, -s], [s, c]], dtype=complex)
     if kind == "rz":
-        return Gate1Q(np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)]))
+        return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
     raise ValueError(f"unknown gate kind {kind!r}")
+
+
+def gate_library(kind: str, angle: float | None = None) -> Gate1Q:
+    """gate_matrix(kind, angle) as a unitarity-checked Gate1Q."""
+    return Gate1Q(gate_matrix(kind, angle))
 
 
 @dataclass(frozen=True)
@@ -163,24 +171,72 @@ def derive_seed(*parts: int) -> int:
     return int(state[0]) ^ (int(state[1]) << 64)
 
 
-def sample_counts(probs, shots: int, seed: int) -> ShotCounts:
-    """Draw multinomial shot counts from a 4-outcome distribution.
-
-    Deterministic for a fixed seed (counter-based Philox generator).
-    """
-    p = np.asarray(probs, dtype=float)
-    if p.shape != (4,):
-        raise ValueError(f"expected a 4-outcome distribution, got shape {p.shape}")
+def _normalized(p: np.ndarray) -> np.ndarray:
     if np.any(p < -1e-12):
         raise ValueError("probabilities must be non-negative")
     total = float(p.sum())
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"probabilities sum to {total!r}, must be 1 within {NORM_TOL}")
+    clipped = np.clip(p, 0.0, None)
+    return clipped / clipped.sum()  # guard float drift
+
+
+def sample_cells(probs, shots: int, seeds) -> np.ndarray:
+    """Multinomial shot counts for a grid of (distribution, seed) cells.
+
+    probs is a (G, 4) array of outcome distributions and seeds holds G
+    equal-length rows of integer seeds.  The result has shape (G, R, 4):
+    cell (g, r) is exactly Generator(Philox(key=seeds[g][r])).multinomial(
+    shots, probs[g]), the key being the seed's low 128 bits.
+
+    Every cell is drawn from one Philox/Generator pair whose state is reset
+    before the draw to that of a freshly keyed Philox (counter 0, the key,
+    an empty buffer, no cached 32-bit half).  Constructing a Philox costs
+    several draws, as it gathers OS entropy for a seed sequence that a keyed
+    generator never uses.
+    """
+    p = np.asarray(probs, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 4:
+        raise ValueError(f"expected 4-outcome distributions, got shape {p.shape}")
+    if len(seeds) != len(p):
+        raise ValueError(f"{len(p)} distributions but {len(seeds)} seed rows")
+    runs = len(seeds[0]) if len(seeds) else 0
+    if any(len(row) != runs for row in seeds):
+        raise ValueError("every distribution needs the same number of seeds")
+    dists = [_normalized(row) for row in p]
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    p = np.clip(p, 0.0, None) / np.clip(p, 0.0, None).sum()  # guard float drift
-    rng = np.random.Generator(np.random.Philox(key=seed & (2**128 - 1)))
-    drawn = rng.multinomial(shots, p)
+
+    bitgen = np.random.Philox()
+    gen = np.random.Generator(bitgen)
+    key = [0, 0]
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    out = np.empty((len(dists), runs, 4), dtype=np.int64)
+    for g, (dist, row) in enumerate(zip(dists, seeds)):
+        for r, seed in enumerate(row):
+            key[0] = seed & _WORD
+            key[1] = (seed >> 64) & _WORD
+            bitgen.state = fresh
+            out[g, r] = gen.multinomial(shots, dist)
+    return out
+
+
+def sample_counts(probs, shots: int, seed: int) -> ShotCounts:
+    """Draw multinomial shot counts from one 4-outcome distribution.
+
+    The one-cell case of sample_cells; deterministic for a fixed seed.
+    """
+    p = np.asarray(probs, dtype=float)
+    if p.shape != (4,):
+        raise ValueError(f"expected a 4-outcome distribution, got shape {p.shape}")
+    drawn = sample_cells(p[None, :], shots, [[seed]])[0, 0]
     return ShotCounts({lbl: int(c) for lbl, c in zip(OUTCOME_LABELS, drawn)}, shots)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtrit
 
 from .game import GameSpec, PayoffMatrix, Strategy, analytical_payoffs, expected_payoffs
 from .noise import RunResult
@@ -65,7 +65,7 @@ def aggregate_runs(values: Sequence[float], confidence: float = 0.95) -> PayoffE
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     var = float(arr.var(ddof=1))
-    t_crit = float(sps.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+    t_crit = float(stdtrit(n - 1, 0.5 + confidence / 2.0))  # Student-t quantile
     half = t_crit * math.sqrt(var / n)
     return PayoffEstimate(mean, var, half, n)
 

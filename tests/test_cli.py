@@ -236,6 +236,43 @@ def test_bad_mapping_sizes_exit_config(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("map", "--synth"), {"pairs": "5"}),
+        (("sweep", "--synth"), {"shots": "abc"}),
+        (("sweep", "--synth"), {"runs": True}),
+        (("sweep",), {"synth": "yes"}),
+        (("sweep", "--synth"), {"strategies": [1, 2]}),
+        (("sweep", "--synth", "--noise-scale", "nan"), None),
+        (("sweep", "--synth", "--noise-scale", "inf"), None),
+        (("sweep", "--synth", "--strategies", "RY(pi/0)"), None),
+        (("sweep", "--coupling-map", "graph.json", "--calibration", "cal.json",
+          "--seed", "-1"), None),
+    ],
+    ids=["map-pairs-str", "sweep-shots-str", "sweep-runs-bool", "sweep-synth-str",
+         "sweep-strategies-ints", "noise-scale-nan", "noise-scale-inf", "ry-pi-over-0",
+         "negative-seed-with-files"],
+)
+def test_bad_config_values_exit_config(tmp_path, capsys, monkeypatch, argv, config):
+    monkeypatch.chdir(tmp_path)
+    if "graph.json" in argv:
+        from qbos.device import heavy_hex_graph, synth_calibration
+        g = heavy_hex_graph(2)
+        g.save("graph.json")
+        synth_calibration(g, seed=1).save("cal.json")
+    extra = ()
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        extra = ("--config", str(tmp_path / "cfg.json"))
+    code = run_cli(*argv, *extra, "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_map_with_files(tmp_path, capsys):
     from qbos.device import heavy_hex_graph, synth_calibration
     g = heavy_hex_graph(2)

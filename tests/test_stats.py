@@ -272,6 +272,19 @@ def test_build_report_flags_missing_cells():
         build_validation_report({"I": results}, spec)
 
 
+def test_t_quantile_equals_scipy_t_ppf():
+    # aggregate_runs takes its quantile from scipy.special.stdtrit, which
+    # imports far faster than scipy.stats; the half-widths agree bit for bit
+    from scipy import stats as sps
+    rng = np.random.default_rng(7)
+    for n in range(2, 202):
+        values = rng.normal(1.0, 0.5, size=n).tolist()
+        for confidence in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+            est = aggregate_runs(values, confidence)
+            t_crit = float(sps.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+            assert est.ci_half_width == t_crit * math.sqrt(est.sample_variance / n)
+
+
 def test_report_text_table():
     gammas = default_gamma_grid(5)
     report = report_from_payoff_series({"H": exact_series("H", gammas)})
