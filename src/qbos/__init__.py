@@ -1,5 +1,5 @@
-"""Quantum Battle of the Sexes: exact simulation, noise-aware qubit-pair
-mapping, noisy shot sampling and statistical validation."""
+"""Quantum Battle of the Sexes: density-matrix simulation, noise-aware
+qubit-pair mapping, noisy shot sampling and statistical validation."""
 
 from .device import (
     CalibrationSnapshot,
@@ -25,7 +25,6 @@ from .game import (
     classical_mixed_equilibrium,
     default_gamma_grid,
     expected_payoffs,
-    ideal_outcome_distribution,
 )
 from .gcm import (
     InfeasibleMappingError,
@@ -37,19 +36,14 @@ from .gcm import (
     select_pairs,
     verify_separation,
 )
-from .noise import NoiseModel, RunResult, noisy_distribution, simulate_job
-from .statevec import (
-    CircuitOp,
-    Gate1Q,
-    ShotCounts,
-    StateVector,
-    apply_1q,
-    apply_cnot,
-    gate_library,
-    probabilities,
-    run_circuit,
-    sample_counts,
+from .noise import (
+    NoiseModel,
+    RunResult,
+    ideal_outcome_distribution,
+    noisy_distribution,
+    simulate_job,
 )
+from .statevec import CircuitOp, ShotCounts, sample_counts
 from .stats import (
     PayoffEstimate,
     ValidationReport,

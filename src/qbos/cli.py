@@ -20,6 +20,8 @@ import math
 import sys
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from . import device, game, gcm, noise, stats
 from .statevec import derive_seed
 
@@ -36,6 +38,11 @@ CSV_COLUMNS = (
 )
 
 HEAVY_HEX_DISTANCE_127 = 6
+
+
+class CommandError(Exception):
+    """CommandError(code, message) ends a command: main prints
+    "error: <message>" and returns code."""
 
 
 def _is_int(value) -> bool:
@@ -158,6 +165,29 @@ def parse_matrix(spec_text: str) -> game.PayoffMatrix:
     return game.PayoffMatrix(tuple(cells))
 
 
+def _config_and_device(args):
+    """The resolved config, coupling graph and calibration of sweep and map."""
+    try:
+        file_values = load_config_file(args.config) if args.config else {}
+        cfg = SweepConfig.resolve(file_values, _cli_values(args))
+    except (OSError, ValueError) as err:
+        raise CommandError(EXIT_CONFIG, err)
+    try:
+        graph, calib = _resolve_device(cfg)
+    except OSError as err:
+        raise CommandError(EXIT_IO, err)
+    except ValueError as err:
+        raise CommandError(EXIT_CONFIG, err)
+    return cfg, graph, calib
+
+
+def _select_pairs(graph, calib, k: int, cfg: SweepConfig):
+    try:
+        return gcm.select_pairs(graph, calib, k=k, min_separation=cfg.min_separation)
+    except gcm.InfeasibleMappingError as err:
+        raise CommandError(EXIT_INFEASIBLE, err)
+
+
 def _resolve_device(cfg: SweepConfig):
     """Graph and calibration from files, or synthesized with --synth."""
     if cfg.coupling_map:
@@ -181,14 +211,11 @@ def _resolve_device(cfg: SweepConfig):
 
 def cmd_equilibrium(args) -> int:
     try:
-        matrix = parse_matrix(args.matrix)
-        eq = game.classical_mixed_equilibrium(matrix)
+        eq = game.classical_mixed_equilibrium(parse_matrix(args.matrix))
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+        raise CommandError(EXIT_IO, err)
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise CommandError(EXIT_CONFIG, err)
     quantum_equal = 2.5
     try:
         advantage = game.advantage_percent(quantum_equal, eq.e_a)
@@ -348,28 +375,8 @@ def _svg_plot(path, label, grid, ana_a, ana_b, estimates) -> None:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        file_values = load_config_file(args.config) if args.config else {}
-        cfg = SweepConfig.resolve(file_values, _cli_values(args))
-    except (OSError, ValueError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        graph, calib = _resolve_device(cfg)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        plan = gcm.select_pairs(
-            graph, calib, k=cfg.gamma_steps, min_separation=cfg.min_separation
-        )
-    except gcm.InfeasibleMappingError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-
+    cfg, graph, calib = _config_and_device(args)
+    plan = _select_pairs(graph, calib, cfg.gamma_steps, cfg)
     out = cfg.out or "sweep.csv"
     rows = _sweep_rows(cfg, calib, plan)
     try:
@@ -378,8 +385,7 @@ def cmd_sweep(args) -> int:
             writer.writerow(CSV_COLUMNS)
             writer.writerows(rows)
     except OSError as err:
-        print(f"error: cannot write {out}: {err}", file=sys.stderr)
-        return EXIT_IO
+        raise CommandError(EXIT_IO, f"cannot write {out}: {err}")
 
     if cfg.svg:
         grid = game.default_gamma_grid(cfg.gamma_steps)
@@ -411,8 +417,7 @@ def cmd_sweep(args) -> int:
                 _svg_plot(f"{stem}_{safe}.svg", label, grid,
                           [a for a, _ in ana], [b for _, b in ana], estimates)
             except OSError as err:
-                print(f"error: cannot write SVG: {err}", file=sys.stderr)
-                return EXIT_IO
+                raise CommandError(EXIT_IO, f"cannot write SVG: {err}")
     print(f"wrote {len(rows)} rows to {out}")
     return EXIT_OK
 
@@ -420,33 +425,15 @@ def cmd_sweep(args) -> int:
 # --- map -------------------------------------------------------------------------
 
 def cmd_map(args) -> int:
-    try:
-        file_values = load_config_file(args.config) if args.config else {}
-        cfg = SweepConfig.resolve(file_values, _cli_values(args))
-    except (OSError, ValueError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        graph, calib = _resolve_device(cfg)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg, graph, calib = _config_and_device(args)
     k = cfg.pairs if cfg.pairs is not None else cfg.gamma_steps
-    try:
-        plan = gcm.select_pairs(graph, calib, k=k, min_separation=cfg.min_separation)
-    except gcm.InfeasibleMappingError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    plan = _select_pairs(graph, calib, k, cfg)
     ok, violation = gcm.verify_separation(plan, graph)
     out = cfg.out or "mapping_plan.json"
     try:
         plan.save(out)
     except OSError as err:
-        print(f"error: cannot write {out}: {err}", file=sys.stderr)
-        return EXIT_IO
+        raise CommandError(EXIT_IO, f"cannot write {out}: {err}")
     print(f"selected {k} pairs on {graph.num_qubits} qubits -> {out}")
     print(f"total score: {gcm.plan_score(plan, calib):.6f}")
     print(f"separation check: {'OK' if ok else f'FAIL ({violation})'}")
@@ -455,42 +442,78 @@ def cmd_map(args) -> int:
 
 # --- validate ----------------------------------------------------------------------
 
-def cmd_validate(args) -> int:
+NUMERIC_COLUMNS = ("gamma", "p00", "p01", "p10", "p11", "ea", "eb")
+ROW_TOL = 1e-9
+
+
+def _check_rows(values) -> None:
+    """Reject the first non-finite value, unnormalized row, or ea/eb that the
+    row's p00..p11 do not give under the Battle of the Sexes matrix."""
+
+    def fail(n, message):
+        raise CommandError(EXIT_SCHEMA, f"results row {n + 1}: {message}")
+
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        n, c = bad[0]
+        fail(n, f"{NUMERIC_COLUMNS[c]} = {float(values[n, c])!r} is not finite")
+    probs, paid = values[:, 1:5], values[:, 5:7]
+    total = probs.sum(axis=1)
+    bad = np.flatnonzero(np.abs(total - 1.0) > ROW_TOL)
+    if len(bad):
+        fail(bad[0], f"p00..p11 sum to {float(total[bad[0]])!r}, not 1 within {ROW_TOL}")
+    wa, wb = game.PayoffMatrix.battle_of_sexes().outcome_weights()
+    derived = np.stack([probs @ wa, probs @ wb], axis=1)
+    bad = np.argwhere(np.abs(derived - paid) > ROW_TOL)
+    if len(bad):
+        n, c = bad[0]
+        fail(n, f"{NUMERIC_COLUMNS[5 + c]} = {float(paid[n, c])!r} but p00..p11 give "
+                f"{float(derived[n, c])!r}")
+
+
+def _read_results(path) -> dict[str, dict[float, dict[int, tuple[float, float]]]]:
+    """(ea, eb) per strategy, gamma and run of a sweep CSV whose rows pass the checks."""
     try:
-        with open(args.results, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            rows = list(reader)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [row for row in reader if row]
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+        raise CommandError(EXIT_IO, err)
     missing = [c for c in CSV_COLUMNS if c not in header]
     extra = [c for c in header if c not in CSV_COLUMNS]
     if missing or extra:
-        print(
-            f"error: bad columns: missing {missing or 'none'}, unexpected "
-            f"{extra or 'none'}",
-            file=sys.stderr,
-        )
-        return EXIT_SCHEMA
+        raise CommandError(EXIT_SCHEMA, f"bad columns: missing {missing or 'none'}, "
+                                        f"unexpected {extra or 'none'}")
+    if not rows:
+        raise CommandError(EXIT_SCHEMA, "results file holds no rows")
+
+    col = {name: header.index(name) for name in CSV_COLUMNS}
+    try:
+        for n, row in enumerate(rows, 1):
+            if len(row) != len(header):
+                raise ValueError(f"row {n} has {len(row)} fields, expected {len(header)}")
+        values = np.array([[row[col[c]] for c in NUMERIC_COLUMNS] for row in rows],
+                          dtype=float)
+        runs = [int(row[col["run"]]) for row in rows]
+    except ValueError as err:
+        raise CommandError(EXIT_SCHEMA, f"unreadable results row: {err}")
+    _check_rows(values)
 
     series: dict[str, dict[float, dict[int, tuple[float, float]]]] = {}
-    try:
-        for row in rows:
-            label = row["strategy"]
-            gamma = float(row["gamma"])
-            run = int(row["run"])
-            cell = series.setdefault(label, {}).setdefault(gamma, {})
-            if run in cell:
-                raise ValueError(f"duplicate cell ({label}, {gamma}, run {run})")
-            cell[run] = (float(row["ea"]), float(row["eb"]))
-    except (ValueError, KeyError) as err:
-        print(f"error: unreadable results row: {err}", file=sys.stderr)
-        return EXIT_SCHEMA
+    labels = [row[col["strategy"]] for row in rows]
+    gammas, eas, ebs = values[:, [0, 5, 6]].T.tolist()
+    for label, gamma, run, ea, eb in zip(labels, gammas, runs, eas, ebs):
+        cell = series.setdefault(label, {}).setdefault(gamma, {})
+        if run in cell:
+            raise CommandError(EXIT_SCHEMA, f"unreadable results row: duplicate cell "
+                                            f"({label}, {gamma}, run {run})")
+        cell[run] = (ea, eb)
+    return series
 
-    if not series:
-        print("error: results file holds no rows", file=sys.stderr)
-        return EXIT_SCHEMA
+
+def cmd_validate(args) -> int:
+    series = _read_results(args.results)
     all_runs = sorted({r for per in series.values() for cell in per.values() for r in cell})
     all_gammas = sorted({g for per in series.values() for g in per})
     missing_cells = [
@@ -501,11 +524,9 @@ def cmd_validate(args) -> int:
         if r not in per.get(g, {})
     ]
     if missing_cells:
-        print(f"error: missing cells {missing_cells[:10]}", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise CommandError(EXIT_SCHEMA, f"missing cells {missing_cells[:10]}")
     if len(all_runs) < 2:
-        print("error: validation needs at least 2 runs per cell", file=sys.stderr)
-        return EXIT_SCHEMA
+        raise CommandError(EXIT_SCHEMA, "validation needs at least 2 runs per cell")
 
     ordered = {
         label: {g: [per[g][r] for r in all_runs] for g in all_gammas}
@@ -515,16 +536,14 @@ def cmd_validate(args) -> int:
         report = stats.report_from_payoff_series(
             ordered, variant=args.formula_variant, rmse_method=args.rmse_method
         )
-    except (stats.SchemaError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SCHEMA
+    except ValueError as err:  # stats.SchemaError included
+        raise CommandError(EXIT_SCHEMA, err)
     print(report.to_text())
     if args.out:
         try:
             report.save(args.out)
         except OSError as err:
-            print(f"error: cannot write {args.out}: {err}", file=sys.stderr)
-            return EXIT_IO
+            raise CommandError(EXIT_IO, f"cannot write {args.out}: {err}")
     return EXIT_OK
 
 
@@ -604,9 +623,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except CommandError as err:
+        code, message = err.args
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

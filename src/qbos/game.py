@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import statevec
-from .statevec import CircuitOp, probabilities, run_circuit
+from .statevec import CircuitOp
 
 GAMMA_POINTS_DEFAULT = 31
 
@@ -226,30 +225,6 @@ def build_ewl_circuit(gamma: float, phi: float, sa: Strategy, sb: Strategy) -> l
         CircuitOp("measure", (0,)),
         CircuitOp("measure", (1,)),
     ]
-
-
-def entangled_state(gamma: float, imag_phase: bool = False) -> statevec.StateVector:
-    """The prepared two-qubit state, optionally with the +i phase on |11>.
-
-    The circuit produces real amplitudes cos(gamma/2)|00> + sin(gamma/2)|11>;
-    the imag_phase form cos|00> + i sin|11> is available for comparison but
-    is not used by any validation path (the closed-form payoff curves match
-    the real-amplitude state only).
-    """
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = math.cos(gamma / 2)
-    amps[3] = (1j if imag_phase else 1.0) * math.sin(gamma / 2)
-    return statevec.StateVector(amps)
-
-
-def ideal_outcome_distribution(spec: GameSpec, gamma: float) -> tuple[float, float, float, float]:
-    """Exact outcome probabilities (p00, p01, p10, p11) from the statevector engine."""
-    lo, hi = spec.gamma_grid[0], spec.gamma_grid[-1]
-    if not lo - 1e-12 <= gamma <= hi + 1e-12:
-        raise ValueError(f"gamma = {gamma!r} outside grid range [{lo}, {hi}]")
-    ops = build_ewl_circuit(gamma, spec.phi, spec.strategy_a, spec.strategy_b)
-    probs = probabilities(run_circuit(ops, num_qubits=2))
-    return tuple(float(p) for p in probs)
 
 
 def expected_payoffs(probs, payoff: PayoffMatrix) -> tuple[float, float]:

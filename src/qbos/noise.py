@@ -11,8 +11,8 @@ Error channels, matching the dominant NISQ error sources:
   graph distance 2.
 
 A global scale factor multiplies every error probability (clamped to 1),
-so scale 0 reproduces the ideal simulator exactly and large scales drive
-the state to the maximally mixed limit.
+so scale 0 is the ideal circuit (ideal_outcome_distribution) and large
+scales drive the state to the maximally mixed limit.
 
 The circuits of a sweep job evolve together as one (G, 4, 4) stack of
 density matrices with stacked matrix products, which give the same bits as
@@ -22,6 +22,7 @@ cell.  Both simulate_job and the CLI sweep run on it.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .device import CalibrationSnapshot, CouplingGraph, PairCalibration
 from .game import GameSpec, build_ewl_circuit
-from .gcm import MappingPlan
+from .gcm import MappingPlan, _conflict_matrix, _near
 from .statevec import (
     OUTCOME_LABELS,
     CircuitOp,
@@ -42,6 +43,9 @@ from .statevec import (
 CROSSTALK_DISTANCE = 2          # pairs closer than this interfere
 DEFAULT_CROSSTALK_PENALTY = 0.05  # no published figure exists; tunable
 ONE_QUBIT_ERROR_FRACTION = 0.1  # p_dep_1q default = fraction of the edge error
+
+# an error-free pair; at scale 0 every pair behaves like it anyway
+_IDEAL_PAIR = PairCalibration(0.0, (0.0, 0.0), (math.inf, math.inf), (math.inf, math.inf))
 
 
 @dataclass(frozen=True)
@@ -105,10 +109,14 @@ def _embed_1q(matrix: np.ndarray, qubit: int) -> np.ndarray:
     # basis index = 2*q1 + q0, so the qubit-0 factor sits on the right of kron
     if qubit == 0:
         return _kron2(np.eye(2), matrix)
-    return _kron2(matrix, np.eye(2))
+    if qubit == 1:
+        return _kron2(matrix, np.eye(2))
+    raise IndexError(f"qubit {qubit} out of range for a 2-qubit circuit")
 
 
 def _cnot_matrix(control: int, target: int) -> np.ndarray:
+    if control == target:
+        raise ValueError("control and target must differ")
     m = np.zeros((4, 4))
     for col in range(4):
         row = col ^ (1 << target) if (col >> control) & 1 else col
@@ -239,22 +247,25 @@ def noisy_distribution(
     return noisy_distributions([ops], [pair_calib], model, [crosstalk_active])[0]
 
 
+def ideal_outcome_distribution(spec: GameSpec, gamma: float) -> tuple[float, float, float, float]:
+    """Exact outcome probabilities (p00, p01, p10, p11) of the game circuit.
+
+    The scale-0 case of noisy_distributions on an error-free pair.
+    """
+    lo, hi = spec.gamma_grid[0], spec.gamma_grid[-1]
+    if not lo - 1e-12 <= gamma <= hi + 1e-12:
+        raise ValueError(f"gamma = {gamma!r} outside grid range [{lo}, {hi}]")
+    ops = build_ewl_circuit(gamma, spec.phi, spec.strategy_a, spec.strategy_b)
+    probs = noisy_distribution(ops, _IDEAL_PAIR, NoiseModel(scale=0.0))
+    return tuple(float(p) for p in probs)
+
+
 def crosstalk_flags(plan: MappingPlan, graph: CouplingGraph) -> list[bool]:
     """Per-circuit flag: does any other active pair sit closer than distance 2?"""
-    dist = {
-        q: graph.distances_from(q) for pair in plan.assignments for q in pair
-    }
-    flags = []
-    for i, pair in enumerate(plan.assignments):
-        near = any(
-            0 <= dist[q][o] < CROSSTALK_DISTANCE
-            for j, other in enumerate(plan.assignments)
-            if j != i
-            for q in pair
-            for o in other
-        )
-        flags.append(near)
-    return flags
+    # the mapper's conflict relation at the crosstalk distance, minus self-conflict
+    conflict = _conflict_matrix(_near(graph, CROSSTALK_DISTANCE), plan.assignments)
+    np.fill_diagonal(conflict, False)
+    return conflict.any(axis=1).tolist()
 
 
 def job_counts(

@@ -1,12 +1,12 @@
-"""Dense statevector simulation of few-qubit circuits with shot sampling.
+"""Gate matrices, circuit instructions, seeds and seeded shot sampling.
+
+The two-qubit circuits themselves are evolved by the density-matrix core in
+``noise``; this module holds what that core and the sweeps build on.
 
 Basis convention: qubit 0 is the least-significant bit of the basis index,
 so for two qubits the amplitude order is |q1 q0> = |00>, |01>, |10>, |11>
 with index i = q1*2 + q0.  Outcome labels are the binary form of the index
 (qubit 1 first, qubit 0 second).
-
-All operations are pure: they return new values and never mutate their
-inputs, so states and gates can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -16,39 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_QUBITS = 12
 NORM_TOL = 1e-9
-UNITARY_TOL = 1e-12
 
 OUTCOME_LABELS = ("00", "01", "10", "11")
 
 _WORD = 2**64 - 1  # a Philox key is two 64-bit words, low word first
 
 
-@dataclass(frozen=True)
-class Gate1Q:
-    """A single-qubit gate; the matrix is checked for unitarity on construction."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)  # private copy, frozen below
-        if m.shape != (2, 2):
-            raise ValueError(f"Gate1Q matrix must be 2x2, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("Gate1Q matrix has non-finite entries")
-        if not np.allclose(m @ m.conj().T, np.eye(2), atol=UNITARY_TOL, rtol=0.0):
-            raise ValueError("Gate1Q matrix is not unitary within 1e-12")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
 def gate_matrix(kind: str, angle: float | None = None) -> np.ndarray:
     """The 2x2 complex matrix of 'identity', 'hadamard', 'ry' or 'rz'.
 
     An angle (radians) is required for 'ry' and 'rz' and must be absent
-    otherwise.  Unlike gate_library the result is not checked for
-    unitarity, which makes it cheap enough to build per circuit.
+    otherwise.
     """
     if kind in ("ry", "rz"):
         if angle is None:
@@ -66,75 +45,6 @@ def gate_matrix(kind: str, angle: float | None = None) -> np.ndarray:
     if kind == "rz":
         return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
     raise ValueError(f"unknown gate kind {kind!r}")
-
-
-def gate_library(kind: str, angle: float | None = None) -> Gate1Q:
-    """gate_matrix(kind, angle) as a unitarity-checked Gate1Q."""
-    return Gate1Q(gate_matrix(kind, angle))
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Complex amplitudes of an n-qubit register (unit norm, n <= 12)."""
-
-    amps: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.amps, dtype=complex).reshape(-1)  # private copy, frozen below
-        n = int(a.size).bit_length() - 1
-        if a.size != 2**n or not (1 <= n <= MAX_QUBITS):
-            raise ValueError(
-                f"amplitude vector length {a.size} is not 2^n for n in 1..{MAX_QUBITS}"
-            )
-        if not np.all(np.isfinite(a)):
-            raise ValueError("amplitudes must be finite")
-        norm2 = float(np.sum(np.abs(a) ** 2))
-        if abs(norm2 - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm^2 = {norm2!r}, must be 1 within {NORM_TOL}")
-        a.setflags(write=False)
-        object.__setattr__(self, "amps", a)
-
-    @property
-    def num_qubits(self) -> int:
-        return int(self.amps.size).bit_length() - 1
-
-    @classmethod
-    def zero(cls, num_qubits: int) -> "StateVector":
-        """The all-|0> computational basis state."""
-        amps = np.zeros(2**num_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(amps)
-
-
-def apply_1q(state: StateVector, gate: Gate1Q, qubit: int) -> StateVector:
-    """Apply a single-qubit gate to the given qubit of the register."""
-    n = state.num_qubits
-    if not 0 <= qubit < n:
-        raise IndexError(f"qubit {qubit} out of range for {n}-qubit state")
-    # reshape to one axis per qubit; C order puts qubit n-1 on axis 0
-    psi = state.amps.reshape([2] * n)
-    axis = n - 1 - qubit
-    out = np.tensordot(gate.matrix, psi, axes=([1], [axis]))
-    out = np.moveaxis(out, 0, axis)
-    return StateVector(np.ascontiguousarray(out).reshape(-1))
-
-
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
-    """Apply CNOT: flip the target bit of basis states whose control bit is 1."""
-    n = state.num_qubits
-    if control == target:
-        raise ValueError("control and target must differ")
-    for q in (control, target):
-        if not 0 <= q < n:
-            raise IndexError(f"qubit {q} out of range for {n}-qubit state")
-    idx = np.arange(state.amps.size)
-    src = np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
-    return StateVector(state.amps[src])
-
-
-def probabilities(state: StateVector) -> np.ndarray:
-    """Measurement probabilities |amp|^2 in basis-index order."""
-    return np.abs(state.amps) ** 2
 
 
 @dataclass(frozen=True)
@@ -252,15 +162,3 @@ class CircuitOp:
     qubits: tuple[int, ...]
     angle: float | None = None
 
-
-def run_circuit(ops, num_qubits: int = 2) -> StateVector:
-    """Execute a CircuitOp list on |0...0>; 'measure' markers are ignored."""
-    state = StateVector.zero(num_qubits)
-    for op in ops:
-        if op.name == "measure":
-            continue
-        if op.name == "cnot":
-            state = apply_cnot(state, *op.qubits)
-        else:
-            state = apply_1q(state, gate_library(op.name, op.angle), op.qubits[0])
-    return state

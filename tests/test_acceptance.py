@@ -24,8 +24,8 @@ from qbos.game import (
     analytical_payoffs,
     classical_mixed_equilibrium,
     expected_payoffs,
-    ideal_outcome_distribution,
 )
+from qbos.noise import ideal_outcome_distribution
 from qbos.statevec import derive_seed
 
 BOS = PayoffMatrix.battle_of_sexes()

@@ -338,6 +338,50 @@ def test_validate_bad_columns(tmp_path, capsys):
     assert "columns" in capsys.readouterr().err
 
 
+def tamper(path, row, column, edit):
+    """Replace one cell of a results CSV by edit(old text); row 0 is the first data row."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index(column)
+    rows[row + 1][col] = edit(rows[row + 1][col])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+@pytest.mark.parametrize(
+    "column, edit, message",
+    [
+        ("gamma", lambda v: "nan", "gamma = nan is not finite"),
+        ("p01", lambda v: "inf", "p01 = inf is not finite"),
+        ("ea", lambda v: "-inf", "ea = -inf is not finite"),
+        ("eb", lambda v: "nan", "eb = nan is not finite"),
+        ("p00", lambda v: repr(float(v) + 1e-6), "p00..p11 sum to"),
+        ("ea", lambda v: repr(float(v) + 1e-6), "but p00..p11 give"),
+        ("eb", lambda v: repr(float(v) - 1e-6), "but p00..p11 give"),
+    ],
+    ids=["gamma-nan", "p01-inf", "ea-neg-inf", "eb-nan", "p00-unnormalized",
+         "ea-tampered", "eb-tampered"],
+)
+def test_validate_rejects_bad_rows(tmp_path, capsys, column, edit, message):
+    res = sweep_fixture(tmp_path)
+    tamper(res, 4, column, edit)
+    capsys.readouterr()
+    assert run_cli("validate", str(res)) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: results row 5: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+def test_validate_short_row(tmp_path, capsys):
+    res = sweep_fixture(tmp_path)
+    with open(res, "a") as fh:
+        fh.write("I,0.0,9,1.0\n")
+    assert run_cli("validate", str(res)) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable results row: ") and err.count("\n") == 1
+
+
 def test_validate_missing_file(tmp_path):
     assert run_cli("validate", str(tmp_path / "absent.csv")) == EXIT_IO
 

@@ -19,11 +19,9 @@ from qbos.game import (
     build_ewl_circuit,
     classical_mixed_equilibrium,
     default_gamma_grid,
-    entangled_state,
     expected_payoffs,
-    ideal_outcome_distribution,
 )
-from qbos.statevec import run_circuit
+from qbos.noise import ideal_outcome_distribution
 
 BOS = PayoffMatrix.battle_of_sexes()
 
@@ -103,19 +101,6 @@ def test_hadamard_pair_at_gamma_half_pi():
 def test_distribution_at_gamma_pi_3():
     dist = ideal_outcome_distribution(symmetric_spec(STRATEGY_I), math.pi / 3)
     np.testing.assert_allclose(dist, [0.75, 0, 0, 0.25], atol=1e-12)
-
-
-def test_entangled_state_matches_circuit():
-    for gamma in (0.0, 0.4, math.pi / 2, 2.7, math.pi):
-        ops = build_ewl_circuit(gamma, 0.0, STRATEGY_I, STRATEGY_I)
-        sim = run_circuit(ops)
-        np.testing.assert_allclose(sim.amps, entangled_state(gamma).amps, atol=1e-12)
-
-
-def test_imag_phase_state_variant():
-    s = entangled_state(math.pi / 2, imag_phase=True)
-    assert abs(s.amps[3].imag - math.sin(math.pi / 4)) < 1e-12
-    assert abs(s.amps[3].real) < 1e-12
 
 
 # --- payoff mapping ---------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Golden output digests and bit-identity properties of the batched core.
 
-The SHA-256 values below are byte-identity gates: they were taken from the
-per-circuit, per-cell implementation that the batched density-matrix
-evolution and the reset-state sampler replaced.  A change that moves one of
-them changes what a sweep writes for a fixed seed.
+The SHA-256 values below are byte-identity gates: the sweep and job digests
+were taken from the per-circuit, per-cell implementation that the batched
+density-matrix evolution and the reset-state sampler replaced, and the map
+digests pin the plans ``qbos map --synth`` writes for seeds 0..9.  A change
+that moves one of them changes what a sweep or a map writes for a fixed seed.
 
 The digests hold for Python 3.11, numpy 2.4.6 and scipy 1.17.1 on x86-64,
 the versions CI installs.  Another numpy or BLAS build may move the last
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbos import cli, device, game, gcm, noise
 from qbos.noise import NoiseModel, noisy_distributions
-from qbos.statevec import derive_seed, gate_library, sample_cells
+from qbos.statevec import derive_seed, gate_matrix, sample_cells
 
 
 def sha256(data: bytes) -> str:
@@ -69,6 +70,30 @@ def test_sweep_svg_digests(tmp_path, flags, digests):
     run_sweep(tmp_path, *flags, "--svg")
     written = {p.name: sha256(p.read_bytes()) for p in tmp_path.glob("*.svg")}
     assert written == digests
+
+
+# --- map plans ---------------------------------------------------------------------
+
+MAP_PLAN_DIGESTS = [
+    "1a88f5ca0a4800406ce59b8efcd0ee2e9c3985775be5055f2248b4c28e733c7c",
+    "b92685f8d072975bfcde1e9868bc1c0f0d6da5d3a7bd6a408f8b448b779acaa7",
+    "077cd9ee2accfa59b72c115b1008db6fb802a942a223f48453dac5872986094e",
+    "e6198f00be67af5948abe2b1fc3c911fe6b5f07329f799047542205a05887ae2",
+    "4ecb4887f3c04ed23f07a12fbd44e6e390b1e3a8bebb6336eca0d1488c2f1c5a",
+    "a3da82c805de104ad959da7321779bb741fc67371d1f1362a5ba63e65545febd",
+    "49d7290f8b7b2fc5d5244f0a108fdf58bd60cd221eb3845fddee9e04e7a68673",
+    "05faa6c8d3c534482d41e0ec959e0743370173aed6560b4aa5dd8d398b9c8780",
+    "cbbf3f3fcb31e85992a9235761a63623f3256dbe9bea4b648581003173fa5af2",
+    "633c946b7a67c53c8a1c93296bc2d1f403cb71922917d3f30f6e00e2ebf96d2b",
+]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_map_plan_digest(tmp_path, seed):
+    out = tmp_path / "plan.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["map", "--synth", "--seed", str(seed), "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == MAP_PLAN_DIGESTS[seed]
 
 
 # --- simulate_job --------------------------------------------------------------------
@@ -142,7 +167,7 @@ def reference_distribution(ops, pair_calib, model, crosstalk_active):
             if crosstalk_active:
                 rho = depolarize_2q(rho, p_xt)
         else:
-            u = embed(gate_library(op.name, op.angle).matrix, op.qubits[0])
+            u = embed(gate_matrix(op.name, op.angle), op.qubits[0])
             rho = u @ rho @ u.conj().T
             rho = depolarize_1q(rho, op.qubits[0], p1)
     probs = np.real(np.diag(rho)).copy()

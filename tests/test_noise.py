@@ -1,23 +1,27 @@
 """Noise channel tests: trace/positivity, limits, a hand-computed fixture."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qbos.device import heavy_hex_graph, synth_calibration
+from qbos.device import CouplingGraph, heavy_hex_graph, synth_calibration
 from qbos.game import (
+    CANONICAL_STRATEGIES,
     GameSpec,
     STRATEGY_H,
     STRATEGY_I,
+    _closed_form_distribution,
     build_ewl_circuit,
     expected_payoffs,
-    ideal_outcome_distribution,
     PayoffMatrix,
     analytical_payoffs,
 )
 from qbos.gcm import MappingPlan, packed_plan, select_pairs
 from qbos.noise import (
+    CROSSTALK_DISTANCE,
     NoiseModel,
     confusion_matrix,
     crosstalk_flags,
@@ -84,14 +88,15 @@ def test_model_rejects_bad_probabilities():
 # --- distribution limits -----------------------------------------------------------
 
 def test_zero_scale_equals_ideal():
+    # a calibrated pair with crosstalk on, against the hand-derived distributions
     model = NoiseModel(scale=0.0)
     pc = pair_calib()
-    spec = spec_for(STRATEGY_H)
-    for gamma in (0.0, 0.9, math.pi / 2, math.pi):
-        ops = build_ewl_circuit(gamma, 0.0, STRATEGY_H, STRATEGY_H)
-        noisy = noisy_distribution(ops, pc, model, crosstalk_active=True)
-        ideal = ideal_outcome_distribution(spec, gamma)
-        np.testing.assert_allclose(noisy, ideal, atol=1e-12)
+    for strategy in CANONICAL_STRATEGIES:
+        for gamma in (0.0, 0.9, math.pi / 2, math.pi):
+            ops = build_ewl_circuit(gamma, 0.0, strategy, strategy)
+            noisy = noisy_distribution(ops, pc, model, crosstalk_active=True)
+            ideal = _closed_form_distribution(strategy, gamma)
+            np.testing.assert_allclose(noisy, ideal, atol=1e-12)
 
 
 def test_saturated_depolarizing_is_uniform():
@@ -131,10 +136,10 @@ def test_density_matrix_stays_physical_through_channels():
     rho[0, 0] = 1.0
     rng = np.random.default_rng(5)
     from qbos.noise import _cnot_matrix, _embed_1q
-    from qbos.statevec import gate_library
+    from qbos.statevec import gate_matrix
     for _ in range(50):
         angle = rng.uniform(0, 2 * math.pi)
-        u = _embed_1q(gate_library("ry", angle).matrix, int(rng.integers(2)))
+        u = _embed_1q(gate_matrix("ry", angle), int(rng.integers(2)))
         rho = u @ rho @ u.conj().T
         rho = depolarize_1q(rho, int(rng.integers(2)), float(rng.uniform(0, 0.2)))
         u = _cnot_matrix(0, 1)
@@ -161,12 +166,58 @@ def test_packed_plan_triggers_crosstalk():
 
 
 def test_crosstalk_flag_detects_adjacency():
-    from qbos.device import CouplingGraph
     g = CouplingGraph(7, tuple((i, i + 1) for i in range(6)))
     plan = MappingPlan(((0, 1), (2, 3)), min_separation=1)
     assert crosstalk_flags(plan, g) == [True, True]
     plan2 = MappingPlan(((0, 1), (3, 4)), min_separation=2)
     assert crosstalk_flags(plan2, g) == [False, False]
+
+
+def bfs_crosstalk_flags(assignments, graph):
+    """Oracle: one BFS per plan qubit, then every qubit pair of every two circuits."""
+    dist = {q: graph.distances_from(q) for pair in assignments for q in pair}
+    return [
+        any(
+            0 <= dist[q][o] < CROSSTALK_DISTANCE
+            for j, other in enumerate(assignments)
+            if j != i
+            for q in pair
+            for o in other
+        )
+        for i, pair in enumerate(assignments)
+    ]
+
+
+HEAVY_HEX = {d: heavy_hex_graph(d) for d in (2, 3, 6)}
+
+
+@st.composite
+def plans_on_graphs(draw):
+    """A graph and up to 12 of its edges; nearby, repeated and shared-qubit edges occur."""
+    which = draw(st.sampled_from(["small", 2, 3, 6]))
+    if which == "small":
+        n = draw(st.integers(2, 9))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12, unique=True))
+        graph = CouplingGraph(n, tuple(edges))
+    else:
+        graph = HEAVY_HEX[which]
+    # edges are sorted, so a window of them lies close together on the device
+    lo = draw(st.integers(0, len(graph.edges) - 1))
+    window = graph.edges[lo:lo + 16]
+    return graph, tuple(draw(st.lists(st.sampled_from(window), max_size=12)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(plans_on_graphs())
+def test_crosstalk_flags_match_bfs(instance):
+    graph, assignments = instance
+    qubits = [q for pair in assignments for q in pair]
+    if len(set(qubits)) == len(qubits):
+        plan = MappingPlan(assignments)
+    else:  # overlapping pairs are no valid MappingPlan, but the flags still apply
+        plan = SimpleNamespace(assignments=assignments)
+    assert crosstalk_flags(plan, graph) == bfs_crosstalk_flags(assignments, graph)
 
 
 # --- job simulation ------------------------------------------------------------------
