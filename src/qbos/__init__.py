@@ -24,7 +24,6 @@ from .game import (
     build_ewl_circuit,
     classical_mixed_equilibrium,
     default_gamma_grid,
-    expected_payoffs,
 )
 from .gcm import (
     InfeasibleMappingError,
@@ -49,6 +48,7 @@ from .stats import (
     ValidationReport,
     aggregate_runs,
     build_validation_report,
+    payoff_table,
     payoffs_from_counts,
     propagate_count_error,
     relative_error_percent,

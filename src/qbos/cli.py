@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields
 
@@ -38,6 +39,8 @@ CSV_COLUMNS = (
 )
 
 HEAVY_HEX_DISTANCE_127 = 6
+
+BOS = game.PayoffMatrix.battle_of_sexes()
 
 
 class CommandError(Exception):
@@ -113,6 +116,8 @@ class SweepConfig:
         unknown = [label for label in parsed if label not in known]
         if unknown:
             raise ValueError(f"strategies outside the evaluated set: {unknown}")
+        if len(set(parsed)) != len(parsed):
+            raise ValueError(f"strategies listed more than once: {list(parsed)}")
         self.strategies = parsed
 
     @classmethod
@@ -248,8 +253,10 @@ def cmd_equilibrium(args) -> int:
 
 # --- sweep ----------------------------------------------------------------------
 
-def _sweep_rows(cfg: SweepConfig, calib, plan) -> list[tuple[str, ...]]:
-    """All CSV rows of a sweep in canonical (strategy, circuit, run) order.
+def _sweep_rows(cfg: SweepConfig, calib, plan) -> tuple[list[str], np.ndarray, list]:
+    """The strategies in canonical order, their (strategy, circuit, run, 2)
+    payoffs and all CSV rows of a sweep in canonical (strategy, circuit, run)
+    order.
 
     Strategy s samples cell (i, run) from derive_seed(derive_seed(seed, s),
     i, run), s being its canonical index, so every cell's counts are fixed
@@ -258,13 +265,14 @@ def _sweep_rows(cfg: SweepConfig, calib, plan) -> list[tuple[str, ...]]:
     grid = game.default_gamma_grid(cfg.gamma_steps)
     model = noise.NoiseModel(scale=cfg.noise_scale)
     flags = noise.crosstalk_flags(plan, calib.graph())
-    wa, wb = game.PayoffMatrix.battle_of_sexes().outcome_weights()
     canonical = {s.label: idx for idx, s in enumerate(game.CANONICAL_STRATEGIES)}
+    labels = sorted(cfg.strategies, key=canonical.__getitem__)
     gammas = [repr(g) for g in grid]
     run_labels = [str(run) for run in range(cfg.runs)]
 
+    payoffs = []
     rows = []
-    for label in sorted(set(cfg.strategies), key=canonical.__getitem__):
+    for label in labels:
         strategy = game.Strategy.parse(label)
         spec = game.GameSpec(gamma_grid=grid, strategy_a=strategy, strategy_b=strategy)
         counts = noise.job_counts(
@@ -272,20 +280,15 @@ def _sweep_rows(cfg: SweepConfig, calib, plan) -> list[tuple[str, ...]]:
             derive_seed(cfg.seed, canonical[label]), flags,
         )
         freqs = counts / cfg.shots
-        # a strategy listed twice gets each of its rows twice, as it always has
-        repeat = cfg.strategies.count(label)
+        payoffs.append(stats.payoff_table(freqs, BOS))
+        # p00, p01, p10, p11, ea, eb of every (circuit, run) cell
+        values = np.concatenate([freqs, payoffs[-1]], axis=-1).tolist()
         for i, gamma in enumerate(grid):
             ana = game.analytical_payoffs(strategy, gamma, cfg.formula_variant)
             ana_a, ana_b = repr(ana[0]), repr(ana[1])
-            for run, f in zip(run_labels, freqs[i]):
-                p00, p01, p10, p11 = f.tolist()
-                row = (
-                    label, gammas[i], run,
-                    repr(p00), repr(p01), repr(p10), repr(p11),
-                    repr(float(f @ wa)), repr(float(f @ wb)), ana_a, ana_b,
-                )
-                rows.extend([row] * repeat)
-    return rows
+            rows.extend((label, gammas[i], run, *map(repr, cell), ana_a, ana_b)
+                        for run, cell in zip(run_labels, values[i]))
+    return labels, np.array(payoffs), rows
 
 
 def _svg_plot(path, label, grid, ana_a, ana_b, estimates) -> None:
@@ -378,7 +381,7 @@ def cmd_sweep(args) -> int:
     cfg, graph, calib = _config_and_device(args)
     plan = _select_pairs(graph, calib, cfg.gamma_steps, cfg)
     out = cfg.out or "sweep.csv"
-    rows = _sweep_rows(cfg, calib, plan)
+    labels, payoffs, rows = _sweep_rows(cfg, calib, plan)
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -390,32 +393,26 @@ def cmd_sweep(args) -> int:
     if cfg.svg:
         grid = game.default_gamma_grid(cfg.gamma_steps)
         stem = out[:-4] if out.endswith(".csv") else out
-        cells: dict[tuple[str, str], tuple[list, list]] = {}
-        for row in rows:
-            eas, ebs = cells.setdefault((row[0], row[1]), ([], []))
-            eas.append(float(row[7]))
-            ebs.append(float(row[8]))
-        for label in cfg.strategies:
+        if cfg.runs >= 2:
+            s, g, r = np.indices(payoffs.shape[:3]).reshape(3, -1)
+            report = stats.report_from_cells(
+                [labels[i] for i in s], g, r, payoffs.reshape(-1, 2), grid,
+                cfg.formula_variant, BOS, "rmse_of_means",
+            )
+            estimates = [[(ge.alice, ge.bob) for ge in sv.per_gamma]
+                         for sv in report.strategies]
+        else:  # the one run's values, without a confidence bar
+            estimates = [[tuple(stats.PayoffEstimate(v, 0.0, 0.0, 1) for v in cell)
+                          for cell in cells[:, 0].tolist()] for cells in payoffs]
+        for label, per_gamma in zip(labels, estimates):
             strategy = game.Strategy.parse(label)
             ana = [
                 game.analytical_payoffs(strategy, g, cfg.formula_variant) for g in grid
             ]
-            estimates = []
-            for g in grid:
-                eas, ebs = cells[label, repr(g)]
-                if cfg.runs >= 2:
-                    estimates.append(
-                        (stats.aggregate_runs(eas), stats.aggregate_runs(ebs))
-                    )
-                else:
-                    estimates.append((
-                        stats.PayoffEstimate(eas[0], 0.0, 0.0, 1),
-                        stats.PayoffEstimate(ebs[0], 0.0, 0.0, 1),
-                    ))
             safe = label.replace("(", "_").replace(")", "").replace("/", "_")
             try:
                 _svg_plot(f"{stem}_{safe}.svg", label, grid,
-                          [a for a, _ in ana], [b for _, b in ana], estimates)
+                          [a for a, _ in ana], [b for _, b in ana], per_gamma)
             except OSError as err:
                 raise CommandError(EXIT_IO, f"cannot write SVG: {err}")
     print(f"wrote {len(rows)} rows to {out}")
@@ -447,8 +444,9 @@ ROW_TOL = 1e-9
 
 
 def _check_rows(values) -> None:
-    """Reject the first non-finite value, unnormalized row, or ea/eb that the
-    row's p00..p11 do not give under the Battle of the Sexes matrix."""
+    """Reject the first non-finite value, unnormalized row, probability
+    outside [0, 1], or ea/eb that the row's p00..p11 do not give under the
+    Battle of the Sexes matrix."""
 
     def fail(n, message):
         raise CommandError(EXIT_SCHEMA, f"results row {n + 1}: {message}")
@@ -462,8 +460,11 @@ def _check_rows(values) -> None:
     bad = np.flatnonzero(np.abs(total - 1.0) > ROW_TOL)
     if len(bad):
         fail(bad[0], f"p00..p11 sum to {float(total[bad[0]])!r}, not 1 within {ROW_TOL}")
-    wa, wb = game.PayoffMatrix.battle_of_sexes().outcome_weights()
-    derived = np.stack([probs @ wa, probs @ wb], axis=1)
+    bad = np.argwhere((probs < -ROW_TOL) | (probs > 1.0 + ROW_TOL))
+    if len(bad):
+        n, c = bad[0]
+        fail(n, f"{NUMERIC_COLUMNS[1 + c]} = {float(probs[n, c])!r} is outside [0, 1]")
+    derived = stats.payoff_table(probs, BOS)
     bad = np.argwhere(np.abs(derived - paid) > ROW_TOL)
     if len(bad):
         n, c = bad[0]
@@ -471,10 +472,9 @@ def _check_rows(values) -> None:
                 f"{float(derived[n, c])!r}")
 
 
-def _read_results(path) -> dict[str, dict[float, dict[int, tuple[float, float]]]]:
-    """(ea, eb) per strategy, gamma and run of a sweep CSV whose rows pass the checks."""
+def cmd_validate(args) -> int:
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(args.results, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             rows = [row for row in reader if row]
@@ -489,52 +489,22 @@ def _read_results(path) -> dict[str, dict[float, dict[int, tuple[float, float]]]
         raise CommandError(EXIT_SCHEMA, "results file holds no rows")
 
     col = {name: header.index(name) for name in CSV_COLUMNS}
+    numeric = operator.itemgetter(*(col[c] for c in NUMERIC_COLUMNS))
     try:
         for n, row in enumerate(rows, 1):
             if len(row) != len(header):
                 raise ValueError(f"row {n} has {len(row)} fields, expected {len(header)}")
-        values = np.array([[row[col[c]] for c in NUMERIC_COLUMNS] for row in rows],
-                          dtype=float)
+        values = np.array([numeric(row) for row in rows], dtype=float)
         runs = [int(row[col["run"]]) for row in rows]
     except ValueError as err:
         raise CommandError(EXIT_SCHEMA, f"unreadable results row: {err}")
     _check_rows(values)
 
-    series: dict[str, dict[float, dict[int, tuple[float, float]]]] = {}
-    labels = [row[col["strategy"]] for row in rows]
-    gammas, eas, ebs = values[:, [0, 5, 6]].T.tolist()
-    for label, gamma, run, ea, eb in zip(labels, gammas, runs, eas, ebs):
-        cell = series.setdefault(label, {}).setdefault(gamma, {})
-        if run in cell:
-            raise CommandError(EXIT_SCHEMA, f"unreadable results row: duplicate cell "
-                                            f"({label}, {gamma}, run {run})")
-        cell[run] = (ea, eb)
-    return series
-
-
-def cmd_validate(args) -> int:
-    series = _read_results(args.results)
-    all_runs = sorted({r for per in series.values() for cell in per.values() for r in cell})
-    all_gammas = sorted({g for per in series.values() for g in per})
-    missing_cells = [
-        (label, g, r)
-        for label, per in series.items()
-        for g in all_gammas
-        for r in all_runs
-        if r not in per.get(g, {})
-    ]
-    if missing_cells:
-        raise CommandError(EXIT_SCHEMA, f"missing cells {missing_cells[:10]}")
-    if len(all_runs) < 2:
-        raise CommandError(EXIT_SCHEMA, "validation needs at least 2 runs per cell")
-
-    ordered = {
-        label: {g: [per[g][r] for r in all_runs] for g in all_gammas}
-        for label, per in series.items()
-    }
+    gammas, gamma_index = np.unique(values[:, 0], return_inverse=True)
     try:
-        report = stats.report_from_payoff_series(
-            ordered, variant=args.formula_variant, rmse_method=args.rmse_method
+        report = stats.report_from_cells(
+            [row[col["strategy"]] for row in rows], gamma_index, runs, values[:, 5:7],
+            gammas.tolist(), args.formula_variant, BOS, args.rmse_method,
         )
     except ValueError as err:  # stats.SchemaError included
         raise CommandError(EXIT_SCHEMA, err)

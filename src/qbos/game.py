@@ -121,7 +121,12 @@ class Strategy:
             if pm:
                 if int(pm.group(1)) == 0:
                     raise ValueError(f"strategy {text!r} divides by zero")
-                return cls("RY", math.pi / int(pm.group(1)))
+                try:
+                    return cls("RY", math.pi / int(pm.group(1)))
+                except OverflowError:  # the divisor does not fit in a float
+                    raise ValueError(
+                        f"strategy {text!r} divides by more than the largest float"
+                    ) from None
             return cls("RY", float(expr))
         raise ValueError(f"cannot parse strategy {text!r}")
 
@@ -225,17 +230,6 @@ def build_ewl_circuit(gamma: float, phi: float, sa: Strategy, sb: Strategy) -> l
         CircuitOp("measure", (0,)),
         CircuitOp("measure", (1,)),
     ]
-
-
-def expected_payoffs(probs, payoff: PayoffMatrix) -> tuple[float, float]:
-    """Expected (alice, bob) payoff of a 4-outcome distribution."""
-    p = np.asarray(probs, dtype=float)
-    if p.shape != (4,):
-        raise ValueError("expected a 4-outcome distribution")
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ValueError("distribution must sum to 1")
-    wa, wb = payoff.outcome_weights()
-    return float(p @ wa), float(p @ wb)
 
 
 # Exact amplitude constants for the RY(pi/4) curves; the published decimals

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import stdtrit
 
-from .game import GameSpec, PayoffMatrix, Strategy, analytical_payoffs, expected_payoffs
+from .game import GameSpec, PayoffMatrix, Strategy, analytical_payoffs
 from .noise import RunResult
 from .statevec import ShotCounts
 
@@ -44,6 +44,20 @@ class PayoffEstimate:
             raise ValueError("variance and half-width must be >= 0")
 
 
+def payoff_table(freqs, payoff: PayoffMatrix) -> np.ndarray:
+    """(e_a, e_b) of every cell of a (..., 4) outcome-frequency array, shape (..., 2).
+
+    Each cell is its own 1-D dot product with the payoff weights: one stacked
+    (N, 4) @ (4,) product sums in another order and changes last bits.
+    """
+    f = np.asarray(freqs, dtype=float)
+    if f.shape[-1:] != (4,):
+        raise ValueError(f"expected 4 outcome frequencies per cell, got shape {f.shape}")
+    wa, wb = payoff.outcome_weights()
+    cells = [(cell.dot(wa), cell.dot(wb)) for cell in f.reshape(-1, 4)]
+    return np.array(cells, dtype=float).reshape(f.shape[:-1] + (2,))
+
+
 def payoffs_from_counts(
     counts: ShotCounts, payoff: PayoffMatrix
 ) -> tuple[float, float, float]:
@@ -51,7 +65,7 @@ def payoffs_from_counts(
     if counts.total_shots < 1:
         raise ValueError("need at least one shot")
     freqs = counts.frequencies()
-    e_a, e_b = expected_payoffs(freqs, payoff)
+    e_a, e_b = payoff_table(freqs, payoff).tolist()
     return e_a, e_b, float(freqs[1] + freqs[2])
 
 
@@ -140,24 +154,7 @@ class ValidationReport:
                     "strategy": sv.strategy,
                     "rmse_a": sv.rmse_a,
                     "rmse_b": sv.rmse_b,
-                    "per_gamma": [
-                        {
-                            "gamma": ge.gamma,
-                            "alice": {
-                                "mean": ge.alice.mean,
-                                "sample_variance": ge.alice.sample_variance,
-                                "ci_half_width": ge.alice.ci_half_width,
-                                "n": ge.alice.n,
-                            },
-                            "bob": {
-                                "mean": ge.bob.mean,
-                                "sample_variance": ge.bob.sample_variance,
-                                "ci_half_width": ge.bob.ci_half_width,
-                                "n": ge.bob.n,
-                            },
-                        }
-                        for ge in sv.per_gamma
-                    ],
+                    "per_gamma": [asdict(ge) for ge in sv.per_gamma],
                 }
                 for sv in self.strategies
             ],
@@ -188,50 +185,65 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def report_from_payoff_series(
-    series: Mapping[str, Mapping[float, Sequence[tuple[float, float]]]],
-    variant: str = "corrected",
-    payoff: PayoffMatrix | None = None,
-    rmse_method: str = "rmse_of_means",
+def report_from_cells(
+    labels: Sequence[str],
+    gamma_index: Sequence[int],
+    runs: Sequence[int],
+    payoffs,
+    gammas: Sequence[float],
+    variant: str,
+    payoff: PayoffMatrix,
+    rmse_method: str,
 ) -> ValidationReport:
-    """Build a report from per-(strategy, gamma) lists of per-run payoffs.
+    """Build a report from one (e_a, e_b) row of payoffs per (strategy, gamma, run) cell.
 
-    rmse_method 'rmse_of_means' (default) compares the across-run mean curve
-    with the reference; 'mean_of_rmses' averages the per-run RMSEs instead.
+    Cell n is strategy labels[n] at gammas[gamma_index[n]] in run runs[n].
+    Strategies keep the order they first appear in; runs are sorted.  Every
+    strategy must hold every (gamma, run) cell of the union of runs exactly
+    once; missing or duplicate cells raise SchemaError listing them.
+
+    rmse_method 'rmse_of_means' compares the across-run mean curve with the
+    reference; 'mean_of_rmses' averages the per-run RMSEs instead.
     """
     if rmse_method not in ("rmse_of_means", "mean_of_rmses"):
         raise ValueError(f"unknown rmse_method {rmse_method!r}")
+    if len(labels) == 0:
+        raise SchemaError("no cells")
+    strategies = list(dict.fromkeys(labels))
+    position = {label: s for s, label in enumerate(strategies)}
+    run_values, run_index = np.unique(np.asarray(runs), return_inverse=True)
+    run_values = run_values.tolist()
+    shape = (len(strategies), len(gammas), len(run_values))
+    flat = np.ravel_multi_index(
+        ([position[label] for label in labels], gamma_index, run_index), shape
+    )
+    found = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+    problems = [
+        f"{kind} cells {[(strategies[s], gammas[g], run_values[r]) for s, g, r in where[:10]]}"
+        for kind, where in (("missing", np.argwhere(found == 0)),
+                            ("duplicate", np.argwhere(found > 1)))
+        if len(where)
+    ]
+    if problems:
+        raise SchemaError("; ".join(problems))
+    table = np.empty(shape + (2,))
+    table.reshape(-1, 2)[flat] = payoffs
+
     validations = []
     all_rmses = []
-    for label in series:
+    for label, cells in zip(strategies, table):
         strategy = Strategy.parse(label)
-        gammas = sorted(series[label])
-        refs = [analytical_payoffs(strategy, g, variant, payoff) for g in gammas]
-        runs_per_gamma = [series[label][g] for g in gammas]
-        n_runs = {len(runs) for runs in runs_per_gamma}
-        if len(n_runs) != 1:
-            raise SchemaError(f"strategy {label}: uneven run counts {sorted(n_runs)}")
+        refs = np.array([analytical_payoffs(strategy, g, variant, payoff) for g in gammas])
         per_gamma = tuple(
-            GammaEstimate(
-                g,
-                aggregate_runs([ea for ea, _ in runs]),
-                aggregate_runs([eb for _, eb in runs]),
-            )
-            for g, runs in zip(gammas, runs_per_gamma)
+            GammaEstimate(g, aggregate_runs(runs_ab[:, 0]), aggregate_runs(runs_ab[:, 1]))
+            for g, runs_ab in zip(gammas, cells)
         )
         if rmse_method == "rmse_of_means":
-            rmse_a = rmse([ge.alice.mean for ge in per_gamma], [r[0] for r in refs])
-            rmse_b = rmse([ge.bob.mean for ge in per_gamma], [r[1] for r in refs])
+            rmse_a = rmse([ge.alice.mean for ge in per_gamma], refs[:, 0])
+            rmse_b = rmse([ge.bob.mean for ge in per_gamma], refs[:, 1])
         else:
-            n = next(iter(n_runs))
-            rmse_a = float(np.mean([
-                rmse([runs[r][0] for runs in runs_per_gamma], [ref[0] for ref in refs])
-                for r in range(n)
-            ]))
-            rmse_b = float(np.mean([
-                rmse([runs[r][1] for runs in runs_per_gamma], [ref[1] for ref in refs])
-                for r in range(n)
-            ]))
+            rmse_a = float(np.mean([rmse(cells[:, r, 0], refs[:, 0]) for r in range(shape[2])]))
+            rmse_b = float(np.mean([rmse(cells[:, r, 1], refs[:, 1]) for r in range(shape[2])]))
         validations.append(StrategyValidation(label, rmse_a, rmse_b, per_gamma))
         all_rmses.extend((rmse_a, rmse_b))
     best = relative_error_percent(min(all_rmses), PAYOFF_SCALE_MAX)
@@ -247,28 +259,16 @@ def build_validation_report(
 ) -> ValidationReport:
     """Aggregate raw RunResults (per strategy label) into a validation report.
 
-    Every (gamma grid point, run) cell must be present for each strategy;
-    missing cells raise SchemaError listing them.
+    RunResult.circuit_index indexes spec.gamma_grid.  Every (gamma grid
+    point, run) cell must be present once for each strategy; missing or
+    duplicate cells raise SchemaError listing them.
     """
-    series: dict[str, dict[float, list[tuple[float, float]]]] = {}
-    for label, run_results in results.items():
-        run_results = list(run_results)
-        runs = sorted({r.run_index for r in run_results})
-        cells = {(r.circuit_index, r.run_index): r for r in run_results}
-        missing = [
-            (i, run)
-            for i in range(len(spec.gamma_grid))
-            for run in runs
-            if (i, run) not in cells
-        ]
-        if missing:
-            raise SchemaError(f"strategy {label}: missing cells {missing[:10]}")
-        per_gamma: dict[float, list[tuple[float, float]]] = {}
-        for i, gamma in enumerate(spec.gamma_grid):
-            per_run = []
-            for run in runs:
-                ea, eb, _ = payoffs_from_counts(cells[(i, run)].counts, spec.payoff)
-                per_run.append((ea, eb))
-            per_gamma[gamma] = per_run
-        series[label] = per_gamma
-    return report_from_payoff_series(series, variant, spec.payoff, rmse_method)
+    cells = [(label, r) for label, run_results in results.items() for r in run_results]
+    freqs = np.array([r.counts.frequencies() for _, r in cells]).reshape(-1, 4)
+    return report_from_cells(
+        [label for label, _ in cells],
+        [r.circuit_index for _, r in cells],
+        [r.run_index for _, r in cells],
+        payoff_table(freqs, spec.payoff),
+        spec.gamma_grid, variant, spec.payoff, rmse_method,
+    )

@@ -23,9 +23,9 @@ from qbos.game import (
     advantage_percent,
     analytical_payoffs,
     classical_mixed_equilibrium,
-    expected_payoffs,
 )
 from qbos.noise import ideal_outcome_distribution
+from qbos.stats import payoff_table
 from qbos.statevec import derive_seed
 
 BOS = PayoffMatrix.battle_of_sexes()
@@ -63,7 +63,7 @@ def test_criterion_01_analytic_simulator_agreement():
     for strategy in (STRATEGY_I, STRATEGY_RY_PI_4, STRATEGY_RY_PI):
         spec = symmetric_spec(strategy)
         for gamma in spec.gamma_grid:
-            sim = expected_payoffs(ideal_outcome_distribution(spec, gamma), BOS)
+            sim = payoff_table(ideal_outcome_distribution(spec, gamma), BOS)
             ana = analytical_payoffs(strategy, gamma, "paper")
             worst = max(worst, abs(sim[0] - ana[0]), abs(sim[1] - ana[1]))
     elapsed = time.perf_counter() - t0
@@ -78,7 +78,7 @@ def test_criterion_02_hadamard_curve_resolution():
     for gamma in GameSpec().gamma_grid:
         c, s = math.cos(gamma / 2), math.sin(gamma / 2)
         want = 1.25 * (c + s) ** 2
-        sim = expected_payoffs(
+        sim = payoff_table(
             ideal_outcome_distribution(symmetric_spec(STRATEGY_H), gamma), BOS
         )
         worst = max(worst, abs(sim[0] - want), abs(sim[1] - want))
@@ -91,7 +91,7 @@ def test_criterion_02_hadamard_curve_resolution():
 
 def test_criterion_03_equal_payoff_point():
     for strategy in CANONICAL_STRATEGIES:
-        sim = expected_payoffs(
+        sim = payoff_table(
             ideal_outcome_distribution(symmetric_spec(strategy), math.pi / 2), BOS
         )
         assert abs(sim[0] - sim[1]) <= 1e-9

@@ -1,10 +1,15 @@
 """End-to-end CLI tests: artifacts, exit codes, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qbos.cli import (
     CSV_COLUMNS,
@@ -249,10 +254,12 @@ def test_bad_mapping_sizes_exit_config(tmp_path, capsys, argv):
         (("sweep", "--synth", "--strategies", "RY(pi/0)"), None),
         (("sweep", "--coupling-map", "graph.json", "--calibration", "cal.json",
           "--seed", "-1"), None),
+        (("sweep", "--synth", "--strategies", "H,I,H"), None),
+        (("sweep", "--synth", "--strategies", "RY(pi/" + "9" * 400 + ")"), None),
     ],
     ids=["map-pairs-str", "sweep-shots-str", "sweep-runs-bool", "sweep-synth-str",
          "sweep-strategies-ints", "noise-scale-nan", "noise-scale-inf", "ry-pi-over-0",
-         "negative-seed-with-files"],
+         "negative-seed-with-files", "sweep-strategies-repeated", "ry-pi-over-huge"],
 )
 def test_bad_config_values_exit_config(tmp_path, capsys, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -349,22 +356,27 @@ def tamper(path, row, column, edit):
 
 
 @pytest.mark.parametrize(
-    "column, edit, message",
+    "edits, message",
     [
-        ("gamma", lambda v: "nan", "gamma = nan is not finite"),
-        ("p01", lambda v: "inf", "p01 = inf is not finite"),
-        ("ea", lambda v: "-inf", "ea = -inf is not finite"),
-        ("eb", lambda v: "nan", "eb = nan is not finite"),
-        ("p00", lambda v: repr(float(v) + 1e-6), "p00..p11 sum to"),
-        ("ea", lambda v: repr(float(v) + 1e-6), "but p00..p11 give"),
-        ("eb", lambda v: repr(float(v) - 1e-6), "but p00..p11 give"),
+        ({"gamma": lambda v: "nan"}, "gamma = nan is not finite"),
+        ({"p01": lambda v: "inf"}, "p01 = inf is not finite"),
+        ({"ea": lambda v: "-inf"}, "ea = -inf is not finite"),
+        ({"eb": lambda v: "nan"}, "eb = nan is not finite"),
+        ({"p00": lambda v: repr(float(v) + 1e-6)}, "p00..p11 sum to"),
+        ({"ea": lambda v: repr(float(v) + 1e-6)}, "but p00..p11 give"),
+        ({"eb": lambda v: repr(float(v) - 1e-6)}, "but p00..p11 give"),
+        # p01 and p10 carry no payoff, so moving mass between them keeps the
+        # sum and ea/eb while p01 goes negative
+        ({"p01": lambda v: repr(float(v) - 0.5), "p10": lambda v: repr(float(v) + 0.5)},
+         "p01 = -0.5 is outside [0, 1]"),
     ],
     ids=["gamma-nan", "p01-inf", "ea-neg-inf", "eb-nan", "p00-unnormalized",
-         "ea-tampered", "eb-tampered"],
+         "ea-tampered", "eb-tampered", "p01-negative"],
 )
-def test_validate_rejects_bad_rows(tmp_path, capsys, column, edit, message):
+def test_validate_rejects_bad_rows(tmp_path, capsys, edits, message):
     res = sweep_fixture(tmp_path)
-    tamper(res, 4, column, edit)
+    for column, edit in edits.items():
+        tamper(res, 4, column, edit)
     capsys.readouterr()
     assert run_cli("validate", str(res)) == EXIT_SCHEMA
     captured = capsys.readouterr()
@@ -390,3 +402,69 @@ def test_validate_rmse_method_flag(tmp_path, capsys):
     res = sweep_fixture(tmp_path, noise_scale="1.0", steps="5", runs="3")
     assert run_cli("validate", str(res), "--rmse-method", "mean_of_rmses") == EXIT_OK
     assert "RMSE" in capsys.readouterr().out
+
+
+# --- validate on mutated results files ---------------------------------------------------
+
+@pytest.fixture(scope="module")
+def valid_rows(tmp_path_factory):
+    """Header and data rows of a valid 3-run, 5-angle sweep CSV."""
+    out = tmp_path_factory.mktemp("valid") / "res.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli("sweep", "--synth", "--gamma-steps", "5", "--runs", "3",
+                       "--shots", "256", "--seed", "4", "--out", str(out)) == EXIT_OK
+    with open(out, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+cell_texts = st.one_of(
+    st.sampled_from(["", "nan", "-inf", "1e400", "-0.0", "0", "1", "2", "-1", "I", "H",
+                     "RY(pi)", "RY(pi/4)", "RY(pi/0)", "ry(7)", "X", "run", "ea"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-2**70, 2**70).map(str),
+    st.text(alphabet="0123456789.-+eEnaifRYpI()/, \"", max_size=12),
+)
+
+
+@st.composite
+def mutations(draw):
+    """(kind, row, column, text); "relabel" renames every row of row's strategy."""
+    kind = draw(st.sampled_from(["delete", "duplicate", "edit", "relabel"]))
+    row, column = draw(st.integers(0, 10_000)), draw(st.integers(0, 10_000))
+    return kind, row, column, draw(cell_texts) if kind in ("edit", "relabel") else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(mutations(), min_size=1, max_size=4))
+# a run label past int64 once broke the report's cell listing
+@example(changes=[("edit", 1, 2, "9" * 400)])
+# so did a strategy whose divisor overflows a float
+@example(changes=[("relabel", 1, 0, "RY(pi/" + "9" * 400 + ")")])
+def test_validate_mutated_csv_exits_0_or_5(valid_rows, changes):
+    rows = [list(row) for row in valid_rows]
+    for kind, r, c, text in changes:
+        if not rows:
+            break
+        r %= len(rows)
+        if kind == "delete":
+            del rows[r]
+        elif kind == "duplicate":
+            rows.insert(r, list(rows[r]))
+        elif kind == "relabel" and rows[r]:
+            old = rows[r][0]
+            rows = [[text, *row[1:]] if row and row[0] == old else row for row in rows]
+        elif rows[r]:
+            rows[r][c % len(rows[r])] = text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "res.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli("validate", str(path))
+    assert code in (EXIT_OK, EXIT_SCHEMA)
+    if code == EXIT_SCHEMA:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == "" and "RMSE" in out.getvalue()

@@ -19,9 +19,9 @@ from qbos.game import (
     build_ewl_circuit,
     classical_mixed_equilibrium,
     default_gamma_grid,
-    expected_payoffs,
 )
 from qbos.noise import ideal_outcome_distribution
+from qbos.stats import payoff_table
 
 BOS = PayoffMatrix.battle_of_sexes()
 
@@ -106,10 +106,10 @@ def test_distribution_at_gamma_pi_3():
 # --- payoff mapping ---------------------------------------------------------------
 
 def test_expected_payoffs_pure_outcomes():
-    assert expected_payoffs([1, 0, 0, 0], BOS) == (3.0, 2.0)
-    assert expected_payoffs([0, 0, 0, 1], BOS) == (2.0, 3.0)
-    assert expected_payoffs([0, 0.5, 0.5, 0], BOS) == (0.0, 0.0)
-    assert expected_payoffs([0.5, 0, 0, 0.5], BOS) == (2.5, 2.5)
+    assert tuple(payoff_table([1, 0, 0, 0], BOS)) == (3.0, 2.0)
+    assert tuple(payoff_table([0, 0, 0, 1], BOS)) == (2.0, 3.0)
+    assert tuple(payoff_table([0, 0.5, 0.5, 0], BOS)) == (0.0, 0.0)
+    assert tuple(payoff_table([0.5, 0, 0, 0.5], BOS)) == (2.5, 2.5)
 
 
 def test_outcome_label_convention():
@@ -119,15 +119,15 @@ def test_outcome_label_convention():
     dist = ideal_outcome_distribution(spec, 0.0)
     np.testing.assert_allclose(dist, [0, 0, 1, 0], atol=1e-12)
     lopsided = PayoffMatrix((((3.0, 2.0), (7.0, 5.0)), ((0.0, 0.0), (2.0, 3.0))))
-    assert expected_payoffs(dist, lopsided) == (7.0, 5.0)
+    assert tuple(payoff_table(dist, lopsided)) == (7.0, 5.0)
 
 
 def test_role_swap_symmetry():
     swapped = BOS.swapped_roles()
     for gamma in default_gamma_grid(7):
         dist = ideal_outcome_distribution(symmetric_spec(STRATEGY_RY_PI_4), gamma)
-        ea, eb = expected_payoffs(dist, BOS)
-        ea2, eb2 = expected_payoffs(dist, swapped)
+        ea, eb = payoff_table(dist, BOS)
+        ea2, eb2 = payoff_table(dist, swapped)
         assert (ea2, eb2) == (eb, ea)
 
 
@@ -166,7 +166,7 @@ def test_paper_curves_match_simulator(strategy):
     spec = symmetric_spec(strategy)
     for gamma in spec.gamma_grid:
         dist = ideal_outcome_distribution(spec, gamma)
-        sim = expected_payoffs(dist, BOS)
+        sim = payoff_table(dist, BOS)
         ana = analytical_payoffs(strategy, gamma, "paper")
         assert abs(sim[0] - ana[0]) <= 1e-9
         assert abs(sim[1] - ana[1]) <= 1e-9
@@ -177,7 +177,7 @@ def test_corrected_curves_match_simulator(strategy):
     spec = symmetric_spec(strategy)
     for gamma in spec.gamma_grid:
         dist = ideal_outcome_distribution(spec, gamma)
-        sim = expected_payoffs(dist, BOS)
+        sim = payoff_table(dist, BOS)
         ana = analytical_payoffs(strategy, gamma, "corrected")
         assert abs(sim[0] - ana[0]) <= 1e-9
         assert abs(sim[1] - ana[1]) <= 1e-9
@@ -222,7 +222,7 @@ def test_corrected_variant_with_custom_matrix():
                  strategy_a=STRATEGY_H, strategy_b=STRATEGY_H),
         1.1,
     )
-    sim = expected_payoffs(dist, PayoffMatrix.identity_coordination())
+    sim = payoff_table(dist, PayoffMatrix.identity_coordination())
     ana = analytical_payoffs(STRATEGY_H, 1.1, "corrected", PayoffMatrix.identity_coordination())
     assert abs(sim[0] - ana[0]) <= 1e-9 and abs(sim[1] - ana[1]) <= 1e-9
 
@@ -255,6 +255,13 @@ def test_strategy_parse_round_trip():
     assert Strategy.parse("ry(pi/4)") == STRATEGY_RY_PI_4
     with pytest.raises(ValueError):
         Strategy.parse("X")
+
+
+def test_strategy_parse_divisor_limit():
+    # RY(pi/N) holds for every N that converts to a float, and no larger
+    assert Strategy.parse("RY(pi/" + "15" + "0" * 307 + ")").angle == math.pi / 1.5e308
+    with pytest.raises(ValueError, match="largest float"):
+        Strategy.parse("RY(pi/" + "2" + "0" * 308 + ")")
 
 
 def test_strategy_angle_range_enforced():

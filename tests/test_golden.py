@@ -3,8 +3,11 @@
 The SHA-256 values below are byte-identity gates: the sweep and job digests
 were taken from the per-circuit, per-cell implementation that the batched
 density-matrix evolution and the reset-state sampler replaced, and the map
-digests pin the plans ``qbos map --synth`` writes for seeds 0..9.  A change
-that moves one of them changes what a sweep or a map writes for a fixed seed.
+digests pin the plans ``qbos map --synth`` writes for seeds 0..9.  The
+report digests were taken from the nested-dict report builders that the
+cell-table builder ``stats.report_from_cells`` replaced.  A change that moves
+one of them changes what a sweep, a map or a validation report writes for a
+fixed seed.
 
 The digests hold for Python 3.11, numpy 2.4.6 and scipy 1.17.1 on x86-64,
 the versions CI installs.  Another numpy or BLAS build may move the last
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbos import cli, device, game, gcm, noise
+from qbos import cli, device, game, gcm, noise, stats
 from qbos.noise import NoiseModel, noisy_distributions
 from qbos.statevec import derive_seed, gate_matrix, sample_cells
 
@@ -72,6 +75,57 @@ def test_sweep_svg_digests(tmp_path, flags, digests):
     assert written == digests
 
 
+# --- validate reports ----------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def sweep_csvs(tmp_path_factory):
+    """The seed-7 default sweep and the seed-5, 3-run, 100-shot sweep."""
+    out = tmp_path_factory.mktemp("sweeps")
+    csvs = {}
+    for name, flags in (("seed7", ("--seed", "7")),
+                        ("seed5-runs3", ("--seed", "5", "--runs", "3", "--shots", "100"))):
+        csvs[name] = out / f"{name}.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["sweep", "--synth", *flags, "--out", str(csvs[name])]) == 0
+    return csvs
+
+
+# (stdout, --out JSON) digests of qbos validate
+@pytest.mark.parametrize("sweep, variant, method, digests", [
+    ("seed7", "corrected", "rmse_of_means",
+     ("8019286718f3b7fc978d27df0808abd11d5cb0ff86a3a8d3079752e55f7b0f3f",
+      "c511b072d5c10b24c1dc31451d73190407bfd19f3bd7644fbeb5a98388f3dd3e")),
+    ("seed7", "corrected", "mean_of_rmses",
+     ("401d65e651d05980508522272afd16175ebae27fec964ec3c91725958adb047a",
+      "71da4f3859c1ea2ea098385b8049a0ca5c5361a8dab48f0b1c7c7c006207cc79")),
+    ("seed7", "paper", "rmse_of_means",
+     ("bbe28b13c2af7ea7534095ecbbf14b0adadbb77e33a002623d8e25c17913ab56",
+      "8a1f97d9edd1c25801cd8d5b1ceb881f577e78fcad91a7b337203a2452486296")),
+    ("seed7", "paper", "mean_of_rmses",
+     ("4503c13af826523c508ace51764a12b485949fe1040d3ceb93cae1a76991fb7a",
+      "8176f53797c6bf093374f165ebd36e6e42900ed85c530077b1cab166e22f5274")),
+    ("seed5-runs3", "corrected", "rmse_of_means",
+     ("1ab20b11fbc4ae3df6e3cab0d65e3f02c529746e2e367171e4fba2731bf1ba01",
+      "13ec1d9a26af1316975e654c3d0353704e7dcb7be3129226022fd138da08bc81")),
+    ("seed5-runs3", "corrected", "mean_of_rmses",
+     ("bf6cebfe61f631fbc7e8b0c819f1fe31b3d08bde230de52b607a92b04b45bc3d",
+      "6da34996fda6010dc98fb9a02e26350db90ff083437bab8946306edf29f08d71")),
+    ("seed5-runs3", "paper", "rmse_of_means",
+     ("e8dd9a21571bb4037585447b82379efa5908eb1536ec3606308248a176f408c0",
+      "a3add1c0e4bebd8c530d4efe658fc7b27f52944220df6487a3c73aad296e7862")),
+    ("seed5-runs3", "paper", "mean_of_rmses",
+     ("23813c7fc0fb29060444dc73f6514346682af29c5c63457c9a501ca1aa50d0af",
+      "4c6591a66c37f242948e2d5e1b2f86bea5eb41ea14f3abfb35faa1896a096c57")),
+])
+def test_validate_report_digests(tmp_path, sweep_csvs, sweep, variant, method, digests):
+    report = tmp_path / "report.json"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["validate", str(sweep_csvs[sweep]), "--formula-variant", variant,
+                         "--rmse-method", method, "--out", str(report)]) == 0
+    assert (sha256(stdout.getvalue().encode()), sha256(report.read_bytes())) == digests
+
+
 # --- map plans ---------------------------------------------------------------------
 
 MAP_PLAN_DIGESTS = [
@@ -105,21 +159,41 @@ def job_setup():
     return calib, gcm.select_pairs(graph, calib, k=31)
 
 
+def job_results(job_setup, scale):
+    """simulate_job's RunResults per strategy label, 256 shots and 3 runs each."""
+    calib, plan = job_setup
+    model = NoiseModel(scale=scale)
+    return {
+        strategy.label: noise.simulate_job(
+            plan, game.GameSpec(strategy_a=strategy, strategy_b=strategy),
+            calib, model, 256, 3, derive_seed(13, idx))
+        for idx, strategy in enumerate(game.CANONICAL_STRATEGIES)
+    }
+
+
 @pytest.mark.parametrize("scale, digest", [
     (0.0, "7b5877d37441c2df5a803e080ec2637cdc0a01ff6f9769c9e1490fc8e9e6ce34"),
     (1.0, "8afa4257b80661127c88fb4eecbdd4007ec56e92c49cf462ebce5d2154bcb2a3"),
     (2.0, "5afd504d654ad7cd7d5c0589c51f24405b189d6179958fd9011416980d870d4c"),
 ])
 def test_simulate_job_counts_digest(job_setup, scale, digest):
-    calib, plan = job_setup
-    model = NoiseModel(scale=scale)
-    cells = []
-    for idx, strategy in enumerate(game.CANONICAL_STRATEGIES):
-        spec = game.GameSpec(strategy_a=strategy, strategy_b=strategy)
-        for r in noise.simulate_job(plan, spec, calib, model, 256, 3, derive_seed(13, idx)):
-            cells.append([strategy.label, r.circuit_index, r.run_index, r.gamma,
-                          [r.counts.counts.get(lbl, 0) for lbl in ("00", "01", "10", "11")]])
+    cells = [
+        [label, r.circuit_index, r.run_index, r.gamma,
+         [r.counts.counts.get(lbl, 0) for lbl in ("00", "01", "10", "11")]]
+        for label, results in job_results(job_setup, scale).items()
+        for r in results
+    ]
     assert sha256(json.dumps(cells).encode()) == digest
+
+
+@pytest.mark.parametrize("scale, digest", [
+    (0.0, "9127c1331abc1fe98323495ca6555aee5f06ff2ceb797012a62a3821e48b24f5"),
+    (1.0, "fc8cfe8f35e64e70cdbd034d1e8858250a1f0afd82f724360447ce64263179e4"),
+    (2.0, "fcac3cf35de50e8fba392472b64c493a84e40d021353004f8b2006345cc3b139"),
+])
+def test_build_validation_report_digest(job_setup, scale, digest):
+    report = stats.build_validation_report(job_results(job_setup, scale), game.GameSpec())
+    assert sha256(json.dumps(report.to_json()).encode()) == digest
 
 
 # --- stacked evolution equals the per-circuit loop, bit for bit ----------------------

@@ -15,7 +15,6 @@ from qbos.game import (
     STRATEGY_I,
     _closed_form_distribution,
     build_ewl_circuit,
-    expected_payoffs,
     PayoffMatrix,
     analytical_payoffs,
 )
@@ -30,6 +29,7 @@ from qbos.noise import (
     noisy_distribution,
     simulate_job,
 )
+from qbos.stats import payoff_table
 
 BOS = PayoffMatrix.battle_of_sexes()
 
@@ -129,6 +129,23 @@ def test_distribution_normalized_and_nonnegative():
         dist = noisy_distribution(ops, pair_calib(), model, crosstalk_active=True)
         assert abs(dist.sum() - 1.0) <= 1e-9
         assert np.all(dist >= 0.0)
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p1=unit, p2=unit, ro=st.tuples(unit, unit), xt=unit, flag=st.booleans(),
+    gamma=st.floats(0.0, math.pi), strategy=st.sampled_from(CANONICAL_STRATEGIES),
+)
+def test_distribution_valid_for_every_parameter(p1, p2, ro, xt, flag, gamma, strategy):
+    model = NoiseModel(p_dep_1q=p1, p_dep_2q=p2, readout_errors=ro, crosstalk_penalty=xt)
+    ops = build_ewl_circuit(gamma, 0.0, strategy, strategy)
+    dist = noisy_distribution(ops, pair_calib(), model, crosstalk_active=flag)
+    assert dist.shape == (4,)
+    assert np.all(dist >= 0.0)
+    assert abs(dist.sum() - 1.0) <= 1e-9
 
 
 def test_density_matrix_stays_physical_through_channels():
@@ -263,7 +280,7 @@ def rmse_vs_analytic(results, spec, strategy):
     for i, gamma in enumerate(spec.gamma_grid):
         eas, ebs = [], []
         for r in by_circuit[i]:
-            ea, eb = expected_payoffs(r.counts.frequencies(), BOS)
+            ea, eb = payoff_table(r.counts.frequencies(), BOS)
             eas.append(ea)
             ebs.append(eb)
         ref_a, ref_b = analytical_payoffs(strategy, gamma, "corrected")

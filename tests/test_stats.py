@@ -14,10 +14,11 @@ from qbos.stats import (
     SchemaError,
     aggregate_runs,
     build_validation_report,
+    payoff_table,
     payoffs_from_counts,
     propagate_count_error,
     relative_error_percent,
-    report_from_payoff_series,
+    report_from_cells,
     rmse,
 )
 
@@ -181,10 +182,24 @@ def exact_series(strategy_label, gammas, runs=5):
     }
 
 
+def report_from_series(series, variant="corrected", rmse_method="rmse_of_means"):
+    """report_from_cells over {label: {gamma: [(ea, eb) per run]}}."""
+    gammas = sorted({g for per in series.values() for g in per})
+    cells = [
+        (label, gammas.index(g), run, ea_eb)
+        for label, per in series.items()
+        for g, per_run in per.items()
+        for run, ea_eb in enumerate(per_run)
+    ]
+    labels, gamma_index, runs, payoffs = zip(*cells)
+    return report_from_cells(labels, gamma_index, runs, payoffs, gammas, variant, BOS,
+                             rmse_method)
+
+
 def test_report_on_exact_fixture_is_all_zero():
     gammas = default_gamma_grid(11)
     series = {"I": exact_series("I", gammas), "H": exact_series("H", gammas)}
-    report = report_from_payoff_series(series, variant="corrected")
+    report = report_from_series(series, variant="corrected")
     for sv in report.strategies:
         # the across-run mean of a constant series can move by one ulp
         assert sv.rmse_a <= 1e-12 and sv.rmse_b <= 1e-12
@@ -200,7 +215,7 @@ def test_report_relative_error_denominators():
         g: [(ea + 0.12, eb + 0.12) for ea, eb in exact_series("I", gammas)[g]]
         for g in gammas
     }}
-    report = report_from_payoff_series(series, variant="corrected")
+    report = report_from_series(series, variant="corrected")
     sv = report.strategies[0]
     assert sv.rmse_a == pytest.approx(0.12, abs=1e-9)
     assert report.best_relative_error_pct == pytest.approx(
@@ -219,8 +234,8 @@ def test_rmse_method_option():
         g: [(ea + 0.2, eb + 0.2), (base[g][1][0] - 0.2, base[g][1][1] - 0.2)]
         for g, ((ea, eb), _) in ((g, base[g]) for g in gammas)
     }}
-    means_report = report_from_payoff_series(series, rmse_method="rmse_of_means")
-    runs_report = report_from_payoff_series(series, rmse_method="mean_of_rmses")
+    means_report = report_from_series(series, rmse_method="rmse_of_means")
+    runs_report = report_from_series(series, rmse_method="mean_of_rmses")
     assert means_report.strategies[0].rmse_a == pytest.approx(0.0, abs=1e-12)
     assert runs_report.strategies[0].rmse_a == pytest.approx(0.2, abs=1e-12)
 
@@ -272,6 +287,34 @@ def test_build_report_flags_missing_cells():
         build_validation_report({"I": results}, spec)
 
 
+def test_build_report_rejects_no_cells():
+    with pytest.raises(SchemaError, match="no cells"):
+        build_validation_report({}, GameSpec())
+
+
+def test_build_report_flags_duplicate_cells():
+    gammas = default_gamma_grid(2)
+    spec = GameSpec(gamma_grid=gammas)
+    results = [RunResult(i, g, make_counts(c00=10), run)
+               for run in range(2) for i, g in enumerate(gammas)]
+    results.append(RunResult(1, gammas[1], make_counts(c11=10), 0))
+    with pytest.raises(SchemaError, match=r"duplicate cells \[\('I', 3.14\d*, 0\)\]"):
+        build_validation_report({"I": results}, spec)
+
+
+def test_payoff_table_is_the_per_cell_product():
+    rng = np.random.default_rng(3)
+    freqs = rng.multinomial(100, [0.4, 0.1, 0.2, 0.3], size=(5, 3)) / 100
+    wa, wb = BOS.outcome_weights()
+    table = payoff_table(freqs, BOS)
+    assert table.shape == (5, 3, 2)
+    for g in range(5):
+        for r in range(3):
+            assert table[g, r].tolist() == [float(freqs[g, r] @ wa), float(freqs[g, r] @ wb)]
+    with pytest.raises(ValueError, match="4 outcome frequencies"):
+        payoff_table(np.ones((2, 3)), BOS)
+
+
 def test_t_quantile_equals_scipy_t_ppf():
     # aggregate_runs takes its quantile from scipy.special.stdtrit, which
     # imports far faster than scipy.stats; the half-widths agree bit for bit
@@ -287,7 +330,7 @@ def test_t_quantile_equals_scipy_t_ppf():
 
 def test_report_text_table():
     gammas = default_gamma_grid(5)
-    report = report_from_payoff_series({"H": exact_series("H", gammas)})
+    report = report_from_series({"H": exact_series("H", gammas)})
     text = report.to_text()
     assert "RMSE" in text and "H" in text and "relative error" in text
 
@@ -295,7 +338,7 @@ def test_report_text_table():
 def test_report_json_round_trip(tmp_path):
     import json
     gammas = default_gamma_grid(4)
-    report = report_from_payoff_series({"I": exact_series("I", gammas)})
+    report = report_from_series({"I": exact_series("I", gammas)})
     path = tmp_path / "report.json"
     report.save(path)
     doc = json.loads(path.read_text())
