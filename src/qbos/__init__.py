@@ -42,14 +42,13 @@ from .noise import (
     noisy_distribution,
     simulate_job,
 )
-from .statevec import CircuitOp, ShotCounts, sample_counts
+from .statevec import CircuitOp, ShotCounts
 from .stats import (
     PayoffEstimate,
     ValidationReport,
     aggregate_runs,
     build_validation_report,
     payoff_table,
-    payoffs_from_counts,
     propagate_count_error,
     relative_error_percent,
     rmse,

@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import device, game, gcm, noise, stats
+from .device import _is_int, _is_number
 from .statevec import derive_seed
 
 EXIT_OK = 0
@@ -48,15 +49,11 @@ class CommandError(Exception):
     "error: <message>" and returns code."""
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # SweepConfig field annotation -> (check, description); bool is an int subclass
 _FIELD_TYPES = {
     "int": (_is_int, "an integer"),
     "int | None": (lambda v: v is None or _is_int(v), "an integer"),
-    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "float": (_is_number, "a number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string"),
@@ -163,9 +160,11 @@ def parse_matrix(spec_text: str) -> game.PayoffMatrix:
         for j in (0, 1):
             try:
                 cell = doc[i][j]
-                row.append((float(cell[0]), float(cell[1])))
-            except (LookupError, TypeError, ValueError) as err:
+            except (LookupError, TypeError) as err:
                 raise ValueError(f"matrix cell ({i},{j}) is malformed: {err}") from err
+            if not (isinstance(cell, list) and len(cell) == 2 and all(map(_is_number, cell))):
+                raise ValueError(f"matrix cell ({i},{j}) must be two numbers, got {cell!r}")
+            row.append((float(cell[0]), float(cell[1])))
         cells.append(tuple(row))
     return game.PayoffMatrix(tuple(cells))
 
@@ -208,7 +207,7 @@ def _resolve_device(cfg: SweepConfig):
     else:
         raise ValueError("no calibration: pass --calibration PATH or --synth")
     if not calib.covers(graph):
-        raise ValueError("calibration does not cover every edge of the coupling map")
+        raise ValueError("calibration does not cover every qubit and edge of the coupling map")
     return graph, calib
 
 
@@ -253,7 +252,7 @@ def cmd_equilibrium(args) -> int:
 
 # --- sweep ----------------------------------------------------------------------
 
-def _sweep_rows(cfg: SweepConfig, calib, plan) -> tuple[list[str], np.ndarray, list]:
+def _sweep_rows(cfg: SweepConfig, graph, calib, plan) -> tuple[list[str], np.ndarray, list]:
     """The strategies in canonical order, their (strategy, circuit, run, 2)
     payoffs and all CSV rows of a sweep in canonical (strategy, circuit, run)
     order.
@@ -264,7 +263,7 @@ def _sweep_rows(cfg: SweepConfig, calib, plan) -> tuple[list[str], np.ndarray, l
     """
     grid = game.default_gamma_grid(cfg.gamma_steps)
     model = noise.NoiseModel(scale=cfg.noise_scale)
-    flags = noise.crosstalk_flags(plan, calib.graph())
+    flags = noise.crosstalk_flags(plan, graph)
     canonical = {s.label: idx for idx, s in enumerate(game.CANONICAL_STRATEGIES)}
     labels = sorted(cfg.strategies, key=canonical.__getitem__)
     gammas = [repr(g) for g in grid]
@@ -381,7 +380,7 @@ def cmd_sweep(args) -> int:
     cfg, graph, calib = _config_and_device(args)
     plan = _select_pairs(graph, calib, cfg.gamma_steps, cfg)
     out = cfg.out or "sweep.csv"
-    labels, payoffs, rows = _sweep_rows(cfg, calib, plan)
+    labels, payoffs, rows = _sweep_rows(cfg, graph, calib, plan)
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -444,9 +443,9 @@ ROW_TOL = 1e-9
 
 
 def _check_rows(values) -> None:
-    """Reject the first non-finite value, unnormalized row, probability
-    outside [0, 1], or ea/eb that the row's p00..p11 do not give under the
-    Battle of the Sexes matrix."""
+    """Reject the first non-finite value, gamma outside [0, pi], unnormalized
+    row, probability outside [0, 1], or ea/eb that the row's p00..p11 do not
+    give under the Battle of the Sexes matrix."""
 
     def fail(n, message):
         raise CommandError(EXIT_SCHEMA, f"results row {n + 1}: {message}")
@@ -455,6 +454,10 @@ def _check_rows(values) -> None:
     if len(bad):
         n, c = bad[0]
         fail(n, f"{NUMERIC_COLUMNS[c]} = {float(values[n, c])!r} is not finite")
+    gamma = values[:, 0]
+    bad = np.flatnonzero((gamma < -game.GAMMA_SLACK) | (gamma > math.pi + game.GAMMA_SLACK))
+    if len(bad):
+        fail(bad[0], f"gamma = {float(gamma[bad[0]])!r} is outside [0, pi]")
     probs, paid = values[:, 1:5], values[:, 5:7]
     total = probs.sum(axis=1)
     bad = np.flatnonzero(np.abs(total - 1.0) > ROW_TOL)
@@ -520,17 +523,11 @@ def cmd_validate(args) -> int:
 # --- wiring -----------------------------------------------------------------------
 
 def _cli_values(args) -> dict:
-    keys = (
-        "gamma_steps", "shots", "runs", "seed", "strategies", "noise_scale",
-        "coupling_map", "calibration", "synth", "pairs", "min_separation",
-        "out", "svg", "formula_variant", "workers",
-    )
     values = {}
-    for key in keys:
-        if hasattr(args, key):
-            v = getattr(args, key)
-            if v is not None and v is not False:
-                values[key] = v
+    for f in fields(SweepConfig):
+        v = getattr(args, f.name, None)
+        if v is not None and v is not False:
+            values[f.name] = v
     return values
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import datetime
 import json
 import math
-from collections import deque
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,26 +62,6 @@ class CouplingGraph:
             adj[b].append(a)
         return adj
 
-    def distances_from(self, start: int) -> list[int]:
-        """BFS hop distances from one qubit; unreachable nodes get -1."""
-        adj = self.adjacency()
-        dist = [-1] * self.num_qubits
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        return dist
-
-    def is_connected(self) -> bool:
-        return all(d >= 0 for d in self.distances_from(0))
-
-    def max_degree(self) -> int:
-        return max(len(nbrs) for nbrs in self.adjacency())
-
     def to_json(self) -> dict:
         return {"num_qubits": self.num_qubits, "edges": [list(e) for e in self.edges]}
 
@@ -89,6 +69,15 @@ class CouplingGraph:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json(), fh, indent=1)
             fh.write("\n")
+
+    @classmethod
+    def from_json(cls, doc) -> "CouplingGraph":
+        """Parse a coupling-map document; a ValueError names the first bad field."""
+        edges = _field(doc, "edges", "a list")
+        for i, e in enumerate(edges):
+            if not _FIELD_CHECKS["two integer qubit ids"](e):
+                raise ValueError(f"edges[{i}] must be two integer qubit ids, got {e!r}")
+        return cls(_field(doc, "num_qubits", "an integer"), tuple(map(tuple, edges)))
 
 
 def heavy_hex_graph(distance: int) -> CouplingGraph:
@@ -136,17 +125,53 @@ def heavy_hex_graph(distance: int) -> CouplingGraph:
     return CouplingGraph(counter, tuple(edges))
 
 
-def load_coupling_map(path) -> CouplingGraph:
-    """Load and validate a coupling-map JSON file."""
+def _is_int(value) -> bool:
+    """An int; a bool is not, although bool is an int subclass."""
+    return type(value) is int
+
+
+def _is_number(value) -> bool:
+    """An int or float that converts to a float without overflow; not a bool."""
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
+# what a device-file field must hold -> its check
+_FIELD_CHECKS = {
+    "an integer": _is_int,
+    "a number": _is_number,
+    "a string": lambda v: type(v) is str,
+    "a list": lambda v: type(v) is list,
+    "two integer qubit ids": lambda v: (type(v) is list and len(v) == 2
+                                        and type(v[0]) is int and type(v[1]) is int),
+}
+
+
+def _field(entry, key, expected: str, where: str = ""):
+    """entry[key] if it holds what `expected` names; else a ValueError naming
+    the field, as in ``edges[2].pair``.  A missing field, or one of an entry
+    that is no JSON object, reads as None."""
+    value = entry.get(key) if isinstance(entry, dict) else None
+    if not _FIELD_CHECKS[expected](value):
+        raise ValueError(f"{where}{key} must be {expected}, got {value!r}")
+    return value
+
+
+def _load(path, parse):
+    """parse(the JSON document in path), with the path in every ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise ValueError(f"{path}: line {err.lineno}: {err.msg}") from err
     try:
-        return CouplingGraph(int(doc["num_qubits"]), tuple(tuple(e) for e in doc["edges"]))
-    except (KeyError, TypeError, IndexError) as err:
-        raise ValueError(f"{path}: malformed coupling map ({err!r})") from err
+        return parse(doc)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
+def load_coupling_map(path) -> CouplingGraph:
+    """Load and validate a coupling-map JSON file."""
+    return _load(path, CouplingGraph.from_json)
 
 
 @dataclass(frozen=True)
@@ -159,7 +184,7 @@ class QubitCalibration:
     def __post_init__(self):
         if not 0.0 <= self.readout_error <= 1.0:
             raise ValueError(f"qubit {self.id}: readout_error outside [0,1]")
-        if self.t1_us <= 0 or self.t2_us <= 0:
+        if not (self.t1_us > 0 and self.t2_us > 0):  # NaN fails too
             raise ValueError(f"qubit {self.id}: coherence times must be positive")
 
 
@@ -182,7 +207,6 @@ class PairCalibration:
     two_qubit_error: float
     readout_errors: tuple[float, float]
     t1_us: tuple[float, float]
-    t2_us: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -223,12 +247,12 @@ class CalibrationSnapshot:
             two_qubit_error=ec.two_qubit_error,
             readout_errors=(qa.readout_error, qb.readout_error),
             t1_us=(qa.t1_us, qb.t1_us),
-            t2_us=(qa.t2_us, qb.t2_us),
         )
 
     def covers(self, graph: CouplingGraph) -> bool:
-        have = {e.pair for e in self.edges}
-        return all(e in have for e in graph.edges) and len(self.qubits) >= graph.num_qubits
+        """Whether every qubit and edge of graph has calibration figures."""
+        return (all(q in self._by_id for q in range(graph.num_qubits))
+                and all(e in self._by_pair for e in graph.edges))
 
     def graph(self) -> CouplingGraph:
         """The coupling graph implied by the calibrated edges."""
@@ -255,30 +279,25 @@ class CalibrationSnapshot:
             fh.write("\n")
 
     @classmethod
-    def from_json(cls, doc: dict) -> "CalibrationSnapshot":
-        qubits = tuple(
-            QubitCalibration(int(q["id"]), float(q["readout_error"]),
-                             float(q["t1_us"]), float(q["t2_us"]))
-            for q in doc["qubits"]
-        )
-        edges = tuple(
-            EdgeCalibration((int(e["pair"][0]), int(e["pair"][1])),
-                            float(e["two_qubit_error"]))
-            for e in doc["edges"]
-        )
-        return cls(str(doc["timestamp"]), qubits, edges)
+    def from_json(cls, doc) -> "CalibrationSnapshot":
+        """Parse a calibration document; a ValueError names the first bad field."""
+        qubits, edges = [], []
+        for i, q in enumerate(_field(doc, "qubits", "a list")):
+            where = f"qubits[{i}]."
+            qubits.append(QubitCalibration(_field(q, "id", "an integer", where),
+                                           float(_field(q, "readout_error", "a number", where)),
+                                           float(_field(q, "t1_us", "a number", where)),
+                                           float(_field(q, "t2_us", "a number", where))))
+        for i, e in enumerate(_field(doc, "edges", "a list")):
+            where = f"edges[{i}]."
+            edges.append(EdgeCalibration(tuple(_field(e, "pair", "two integer qubit ids", where)),
+                                         float(_field(e, "two_qubit_error", "a number", where))))
+        return cls(_field(doc, "timestamp", "a string"), tuple(qubits), tuple(edges))
 
 
 def load_calibration(path) -> CalibrationSnapshot:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: line {err.lineno}: {err.msg}") from err
-    try:
-        return CalibrationSnapshot.from_json(doc)
-    except (KeyError, TypeError, IndexError) as err:
-        raise ValueError(f"{path}: malformed calibration ({err!r})") from err
+    """Load and validate a calibration JSON file."""
+    return _load(path, CalibrationSnapshot.from_json)
 
 
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:

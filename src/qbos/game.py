@@ -30,6 +30,7 @@ import numpy as np
 from .statevec import CircuitOp
 
 GAMMA_POINTS_DEFAULT = 31
+GAMMA_SLACK = 1e-12  # float slack of the [0, pi] range check on gamma
 
 
 @dataclass(frozen=True)
@@ -59,13 +60,6 @@ class PayoffMatrix:
 
     def bob(self, row: int, col: int) -> float:
         return self.cells[row][col][1]
-
-    def swapped_roles(self) -> "PayoffMatrix":
-        """Swap the two players' payoffs in every cell and mirror the grid."""
-        c = self.cells
-        return PayoffMatrix(tuple(
-            tuple((c[j][i][1], c[j][i][0]) for j in (0, 1)) for i in (0, 1)
-        ))
 
     def outcome_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-outcome payoff weights in label order 00, 01, 10, 11.
@@ -167,7 +161,7 @@ class GameSpec:
     def __post_init__(self):
         g = tuple(float(x) for x in self.gamma_grid)
         object.__setattr__(self, "gamma_grid", g)
-        if len(g) < 1 or g[0] < -1e-12 or g[-1] > math.pi + 1e-12:
+        if len(g) < 1 or g[0] < -GAMMA_SLACK or g[-1] > math.pi + GAMMA_SLACK:
             raise ValueError("gamma values must lie in [0, pi]")
         if any(b <= a for a, b in zip(g, g[1:])):
             raise ValueError("gamma grid must be strictly increasing")
@@ -219,7 +213,7 @@ def classical_mixed_equilibrium(payoff: PayoffMatrix) -> MixedEquilibrium:
 
 def build_ewl_circuit(gamma: float, phi: float, sa: Strategy, sb: Strategy) -> list[CircuitOp]:
     """Entangle with Ry(gamma), Rz(phi), CNOT; then apply both strategies and measure."""
-    if not -1e-12 <= gamma <= math.pi + 1e-12:
+    if not -GAMMA_SLACK <= gamma <= math.pi + GAMMA_SLACK:
         raise ValueError(f"gamma = {gamma!r} outside [0, pi]")
     return [
         CircuitOp("ry", (0,), gamma),

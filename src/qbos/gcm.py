@@ -31,7 +31,8 @@ import numpy as np
 
 from .device import CalibrationSnapshot, CouplingGraph
 
-DEFAULT_WEIGHTS = (1.0, 0.5, 0.1)  # two-qubit error, readout sum, inverse-T1 (us)
+# score weights of the two-qubit error, the readout-error sum and the inverse-T1 sum (1/us)
+W_2Q, W_RO, W_COH = 1.0, 0.5, 0.1
 DEFAULT_MIN_SEPARATION = 2
 MULTI_START_EDGE_LIMIT = 60  # below this, restart greedy from every forced first edge
 
@@ -104,14 +105,13 @@ def load_plan(path) -> MappingPlan:
         return MappingPlan.from_json(json.load(fh))
 
 
-def score_pair(edge, calib: CalibrationSnapshot, weights=DEFAULT_WEIGHTS) -> PairScore:
+def score_pair(edge, calib: CalibrationSnapshot) -> PairScore:
     """Weighted cost of running a circuit on one edge (lower is better)."""
-    w_2q, w_ro, w_coh = weights
     pc = calib.pair(edge)
     score = (
-        w_2q * pc.two_qubit_error
-        + w_ro * (pc.readout_errors[0] + pc.readout_errors[1])
-        + w_coh * (1.0 / pc.t1_us[0] + 1.0 / pc.t1_us[1])
+        W_2Q * pc.two_qubit_error
+        + W_RO * (pc.readout_errors[0] + pc.readout_errors[1])
+        + W_COH * (1.0 / pc.t1_us[0] + 1.0 / pc.t1_us[1])
     )
     key = (min(edge), max(edge))
     return PairScore(key, score)
@@ -150,7 +150,6 @@ def select_pairs(
     calib: CalibrationSnapshot,
     k: int,
     min_separation: int = DEFAULT_MIN_SEPARATION,
-    weights=DEFAULT_WEIGHTS,
 ) -> MappingPlan:
     """Choose k separated edges minimizing total score.
 
@@ -163,7 +162,7 @@ def select_pairs(
     if k < 1:
         raise ValueError("k must be >= 1")
     ranked = sorted(
-        (score_pair(e, calib, weights) for e in graph.edges),
+        (score_pair(e, calib) for e in graph.edges),
         key=lambda ps: (ps.score, ps.edge),
     )
     # rows and columns follow ``ranked``, so a position in it is also an index
@@ -270,8 +269,8 @@ def verify_separation(plan: MappingPlan, graph: CouplingGraph) -> tuple[bool, st
     return True, None
 
 
-def plan_score(plan: MappingPlan, calib: CalibrationSnapshot, weights=DEFAULT_WEIGHTS) -> float:
-    return sum(score_pair(e, calib, weights).score for e in plan.assignments)
+def plan_score(plan: MappingPlan, calib: CalibrationSnapshot) -> float:
+    return sum(score_pair(e, calib).score for e in plan.assignments)
 
 
 def refine_mapping(
@@ -279,7 +278,6 @@ def refine_mapping(
     feedback: dict[int, float],
     calib: CalibrationSnapshot,
     graph: CouplingGraph,
-    weights=DEFAULT_WEIGHTS,
 ) -> MappingPlan:
     """Reassign the worst-feedback circuits to better unused edges.
 
@@ -304,12 +302,12 @@ def refine_mapping(
     near = _near(graph, plan.min_separation)
     assignments = list(plan.assignments)
     candidates = sorted(
-        (score_pair(e, calib, weights) for e in graph.edges),
+        (score_pair(e, calib) for e in graph.edges),
         key=lambda ps: (ps.score, ps.edge),
     )
     changed = False
     for i in worst:
-        current = score_pair(assignments[i], calib, weights)
+        current = score_pair(assignments[i], calib)
         # qubits too close to the other circuits; a used edge is always blocked
         blocked = np.zeros(graph.num_qubits, dtype=bool)
         for j, (a, b) in enumerate(assignments):

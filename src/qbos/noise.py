@@ -45,7 +45,7 @@ DEFAULT_CROSSTALK_PENALTY = 0.05  # no published figure exists; tunable
 ONE_QUBIT_ERROR_FRACTION = 0.1  # p_dep_1q default = fraction of the edge error
 
 # an error-free pair; at scale 0 every pair behaves like it anyway
-_IDEAL_PAIR = PairCalibration(0.0, (0.0, 0.0), (math.inf, math.inf), (math.inf, math.inf))
+_IDEAL_PAIR = PairCalibration(0.0, (0.0, 0.0), (math.inf, math.inf))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Gate matrices, circuit instructions, seeds and seeded shot sampling.
+"""Gate matrices, circuit instructions, seeds and batched seeded shot sampling.
 
 The two-qubit circuits themselves are evolved by the density-matrix core in
 ``noise``; this module holds what that core and the sweeps build on.
@@ -74,8 +74,8 @@ class ShotCounts:
 def derive_seed(*parts: int) -> int:
     """Mix integer tags (e.g. master seed, circuit index, run index) into one seed.
 
-    The mixing is deterministic and independent of execution order, which is
-    what makes parallel and serial sweeps sample identical shots.
+    The mixing is deterministic and independent of execution order, so a
+    cell's shots do not depend on which other cells are sampled.
     """
     state = np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(2, np.uint64)
     return int(state[0]) ^ (int(state[1]) << 64)
@@ -136,18 +136,6 @@ def sample_cells(probs, shots: int, seeds) -> np.ndarray:
             bitgen.state = fresh
             out[g, r] = gen.multinomial(shots, dist)
     return out
-
-
-def sample_counts(probs, shots: int, seed: int) -> ShotCounts:
-    """Draw multinomial shot counts from one 4-outcome distribution.
-
-    The one-cell case of sample_cells; deterministic for a fixed seed.
-    """
-    p = np.asarray(probs, dtype=float)
-    if p.shape != (4,):
-        raise ValueError(f"expected a 4-outcome distribution, got shape {p.shape}")
-    drawn = sample_cells(p[None, :], shots, [[seed]])[0, 0]
-    return ShotCounts({lbl: int(c) for lbl, c in zip(OUTCOME_LABELS, drawn)}, shots)
 
 
 @dataclass(frozen=True)

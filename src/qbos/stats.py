@@ -58,17 +58,6 @@ def payoff_table(freqs, payoff: PayoffMatrix) -> np.ndarray:
     return np.array(cells, dtype=float).reshape(f.shape[:-1] + (2,))
 
 
-def payoffs_from_counts(
-    counts: ShotCounts, payoff: PayoffMatrix
-) -> tuple[float, float, float]:
-    """(e_a, e_b, miscoordination rate) from raw shot counts."""
-    if counts.total_shots < 1:
-        raise ValueError("need at least one shot")
-    freqs = counts.frequencies()
-    e_a, e_b = payoff_table(freqs, payoff).tolist()
-    return e_a, e_b, float(freqs[1] + freqs[2])
-
-
 def aggregate_runs(values: Sequence[float], confidence: float = 0.95) -> PayoffEstimate:
     """Mean, unbiased variance and Student-t CI half-width of repeated runs."""
     n = len(values)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,17 @@ def test_equilibrium_malformed_matrix(tmp_path, capsys):
     path.write_text(json.dumps([[[3, 2], ["x", 0]], [[0, 0], [2, 3]]]))
     assert run_cli("equilibrium", "--matrix", str(path)) == EXIT_CONFIG
     assert "cell" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", [[3, True], ["3", 2], [3, 2, 1], [3, 10**400]],
+                         ids=["bool", "string", "three-values", "huge-int"])
+def test_equilibrium_matrix_cells_must_be_two_numbers(tmp_path, capsys, cell):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([[cell, [0, 0]], [[0, 0], [2, 3]]]))
+    assert run_cli("equilibrium", "--matrix", str(path)) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: matrix cell (0,0) must be two numbers, got ")
 
 
 # --- sweep -----------------------------------------------------------------------------
@@ -256,10 +268,12 @@ def test_bad_mapping_sizes_exit_config(tmp_path, capsys, argv):
           "--seed", "-1"), None),
         (("sweep", "--synth", "--strategies", "H,I,H"), None),
         (("sweep", "--synth", "--strategies", "RY(pi/" + "9" * 400 + ")"), None),
+        (("sweep", "--synth"), {"noise_scale": 10**400}),
     ],
     ids=["map-pairs-str", "sweep-shots-str", "sweep-runs-bool", "sweep-synth-str",
          "sweep-strategies-ints", "noise-scale-nan", "noise-scale-inf", "ry-pi-over-0",
-         "negative-seed-with-files", "sweep-strategies-repeated", "ry-pi-over-huge"],
+         "negative-seed-with-files", "sweep-strategies-repeated", "ry-pi-over-huge",
+         "noise-scale-huge-int"],
 )
 def test_bad_config_values_exit_config(tmp_path, capsys, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -369,9 +383,11 @@ def tamper(path, row, column, edit):
         # sum and ea/eb while p01 goes negative
         ({"p01": lambda v: repr(float(v) - 0.5), "p10": lambda v: repr(float(v) + 0.5)},
          "p01 = -0.5 is outside [0, 1]"),
+        ({"gamma": lambda v: "1e308"}, "gamma = 1e+308 is outside [0, pi]"),
+        ({"gamma": lambda v: "-0.001"}, "gamma = -0.001 is outside [0, pi]"),
     ],
     ids=["gamma-nan", "p01-inf", "ea-neg-inf", "eb-nan", "p00-unnormalized",
-         "ea-tampered", "eb-tampered", "p01-negative"],
+         "ea-tampered", "eb-tampered", "p01-negative", "gamma-huge", "gamma-negative"],
 )
 def test_validate_rejects_bad_rows(tmp_path, capsys, edits, message):
     res = sweep_fixture(tmp_path)
@@ -468,3 +484,277 @@ def test_validate_mutated_csv_exits_0_or_5(valid_rows, changes):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     else:
         assert err.getvalue() == "" and "RMSE" in out.getvalue()
+
+
+# --- malformed input files --------------------------------------------------------------
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6), st.floats(),
+              st.text(max_size=6)),
+    lambda kids: st.one_of(st.lists(kids, max_size=3),
+                           st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=6,
+)
+not_int = json_values.filter(lambda v: type(v) is not int)
+not_number = json_values.filter(lambda v: type(v) not in (int, float))
+not_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+huge_int = st.just(10**400)  # a JSON integer that no float holds
+
+
+def is_matrix_cell(v):
+    return (type(v) is list and len(v) == 2
+            and all(type(x) in (int, float) and math.isfinite(x) for x in v))
+
+
+def matrix_doc():
+    return [[[3, 2], [0, 0]], [[0, 0], [2, 3]]]
+
+
+def cmap_doc():
+    return {"num_qubits": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
+
+
+def cal_doc():
+    from qbos.device import CouplingGraph, synth_calibration
+    return synth_calibration(CouplingGraph(4, ((0, 1), (1, 2), (2, 3))), seed=3).to_json()
+
+
+def config_doc():
+    return {"synth": True, "gamma_steps": 2, "shots": 1, "runs": 1}
+
+
+@st.composite
+def bad_pairs(draw, others):
+    """A value for a qubit pair that is no pair of ints, a self-loop, out of
+    range on the 4-qubit path, or a repeat of one of others."""
+    return draw(st.one_of(
+        json_values.filter(lambda v: not (type(v) is list and len(v) == 2)),
+        st.tuples(json_values, json_values).map(list).filter(
+            lambda v: not all(type(q) is int for q in v)),
+        st.integers(0, 3).map(lambda q: [q, q]),
+        st.tuples(st.integers(), st.integers()).map(list).filter(
+            lambda v: not all(0 <= q < 4 for q in v)),
+        st.sampled_from(others).map(lambda p: [p[1], p[0]]),
+    ))
+
+
+@st.composite
+def malformed_matrix(draw):
+    doc = matrix_doc()
+    i, j, k = draw(st.integers(0, 1)), draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    where = draw(st.sampled_from(["doc", "row", "cell", "value"]))
+    if where == "doc":
+        # at most 6 leaves, so never the 8 numbers of a 2x2 matrix
+        return draw(json_values)
+    if where == "row":
+        doc[i] = draw(json_values.filter(
+            lambda v: not (type(v) is list and len(v) >= 2 and all(map(is_matrix_cell, v[:2])))))
+    elif where == "cell":
+        doc[i][j] = draw(json_values.filter(lambda v: not is_matrix_cell(v)))
+    else:
+        doc[i][j][k] = draw(st.one_of(not_number, not_finite, huge_int))
+    return doc
+
+
+@st.composite
+def malformed_coupling_map(draw):
+    doc = cmap_doc()
+    where = draw(st.sampled_from(["doc", "drop", "num_qubits", "edges", "edge"]))
+    if where == "doc":
+        return draw(json_values)  # keys of at most 4 characters
+    if where == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif where == "num_qubits":
+        doc["num_qubits"] = draw(st.one_of(not_int, st.integers(max_value=3)))
+    elif where == "edges":
+        doc["edges"] = draw(json_values.filter(lambda v: type(v) is not list))
+    else:
+        i = draw(st.integers(0, 2))
+        doc["edges"][i] = draw(bad_pairs([e for n, e in enumerate(doc["edges"]) if n != i]))
+    return doc
+
+
+@st.composite
+def malformed_calibration(draw):
+    doc = cal_doc()
+    bad_error = st.one_of(not_number, huge_int,
+                          st.floats().filter(lambda v: not 0.0 <= v <= 1.0))
+    # an infinite coherence time is valid: it is the error-free limit
+    bad_time = st.one_of(not_number, huge_int, st.floats(max_value=0.0),
+                         st.sampled_from([math.nan, -math.inf]))
+    field_values = {
+        "id": st.one_of(not_int, st.integers().filter(lambda q: not 0 <= q < 4)),
+        "readout_error": bad_error, "t1_us": bad_time, "t2_us": bad_time,
+        "two_qubit_error": bad_error,
+    }
+    where = draw(st.sampled_from(["doc", "drop", "timestamp", "list", "entry",
+                                  "drop-field", "field"]))
+    if where == "doc":
+        return draw(json_values)
+    if where == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+        return doc
+    if where == "timestamp":
+        doc["timestamp"] = draw(json_values.filter(lambda v: type(v) is not str))
+        return doc
+    name = draw(st.sampled_from(["qubits", "edges"]))
+    if where == "list":
+        doc[name] = draw(json_values.filter(lambda v: type(v) is not list))
+        return doc
+    entries = doc[name]
+    i = draw(st.integers(0, len(entries) - 1))
+    if where == "entry":
+        entries[i] = draw(json_values.filter(lambda v: type(v) is not dict))
+        return doc
+    key = draw(st.sampled_from(sorted(entries[i])))
+    if where == "drop-field":
+        del entries[i][key]
+    elif key == "pair":
+        entries[i][key] = draw(bad_pairs([e["pair"] for n, e in enumerate(entries) if n != i]))
+    else:
+        entries[i][key] = draw(field_values[key])
+    return doc
+
+
+@st.composite
+def malformed_config(draw):
+    doc = config_doc()
+    names = [f.name for f in fields(SweepConfig)]
+    not_bool = json_values.filter(lambda v: v is not None and type(v) is not bool)
+    not_str = json_values.filter(lambda v: v is not None and type(v) is not str)
+    at_most = lambda n: st.one_of(not_int.filter(lambda v: v is not None),
+                                  st.integers(max_value=n))
+    values = {
+        "gamma_steps": at_most(1), "shots": at_most(0), "runs": at_most(0),
+        "seed": at_most(-1), "pairs": at_most(0), "min_separation": at_most(0),
+        "workers": at_most(0),
+        "noise_scale": st.one_of(not_number.filter(lambda v: v is not None), not_finite,
+                                 huge_int, st.floats(max_value=-1e-300)),
+        "synth": not_bool, "svg": not_bool,
+        "formula_variant": st.one_of(
+            not_str, st.text(max_size=9).filter(lambda v: v not in ("paper", "corrected"))),
+        "coupling_map": st.one_of(not_str, st.just("no-such-dir/graph.json")),
+        "calibration": st.one_of(not_str, st.just("no-such-dir/cal.json")),
+        "strategies": st.one_of(
+            json_values.filter(lambda v: v is not None and type(v) not in (str, list)),
+            st.lists(not_str, min_size=1, max_size=3),
+            st.lists(st.sampled_from(["X", "RY(pi/0)", "ry(7)", " ", "H"]),
+                     min_size=1, max_size=3).filter(lambda v: v != ["H"]),
+        ),
+    }
+    where = draw(st.sampled_from(["doc", "unknown-key", "value"]))
+    if where == "doc":
+        return draw(json_values)  # keys of at most 4 characters, so unknown
+    if where == "unknown-key":
+        key = draw(st.text(min_size=1, max_size=8).filter(
+            lambda k: k.replace("-", "_") not in names))
+        doc[key] = draw(json_values)
+    else:
+        # --out is given on the command line and overrides the file's value
+        key = draw(st.sampled_from(sorted(values)))
+        doc[key] = draw(values[key])
+    return doc
+
+
+MALFORMED = {
+    "config": (malformed_config(), config_doc),
+    "matrix": (malformed_matrix(), matrix_doc),
+    "coupling-map": (malformed_coupling_map(), cmap_doc),
+    "calibration": (malformed_calibration(), cal_doc),
+}
+
+
+@st.composite
+def malformed_files(draw, kind):
+    """("doc", a malformed document), ("text", a cut JSON text) or ("missing", None)."""
+    strategy, base = MALFORMED[kind]
+    how = draw(st.sampled_from(["doc", "doc", "doc", "text", "missing"]))
+    if how == "text":
+        text = json.dumps(base())
+        return how, text[:draw(st.integers(0, len(text) - 1))]
+    return how, draw(strategy) if how == "doc" else None
+
+
+def run_on_file(kind, how, content, tmp):
+    """Run the command that reads a kind of file on content; (code, stdout, stderr)."""
+    path = tmp / "input.json"
+    if how == "doc":
+        path.write_text(json.dumps(content))
+    elif how == "text":
+        path.write_text(content)
+    cmap, cal = tmp / "g.json", tmp / "c.json"
+    cmap.write_text(json.dumps(cmap_doc()))
+    cal.write_text(json.dumps(cal_doc()))
+    out = str(tmp / "out")
+    argv = {
+        "config": ("sweep", "--config", str(path), "--out", out),
+        "matrix": ("equilibrium", "--matrix", str(path)),
+        "coupling-map": ("map", "--coupling-map", str(path), "--calibration", str(cal),
+                         "--pairs", "1", "--out", out),
+        "calibration": ("map", "--coupling-map", str(cmap), "--calibration", str(path),
+                        "--pairs", "1", "--out", out),
+    }[kind]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run_cli(*argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_unmutated_input_files_are_valid(tmp_path, kind):
+    code, _, err = run_on_file(kind, "doc", MALFORMED[kind][1](), tmp_path)
+    assert (code, err) == (EXIT_OK, "")
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_malformed_input_file_exits_2_or_3(kind, data):
+    how, content = data.draw(malformed_files(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = run_on_file(kind, how, content, Path(tmp))
+        assert not (Path(tmp) / "out").exists()
+    assert code in (EXIT_CONFIG, EXIT_IO), err
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "which, edit, message",
+    [
+        ("coupling-map", lambda d: d.update(num_qubits=1.5),
+         "num_qubits must be an integer, got 1.5"),
+        ("coupling-map", lambda d: d.update(num_qubits=True),
+         "num_qubits must be an integer, got True"),
+        ("coupling-map", lambda d: d["edges"].__setitem__(2, [2, "3"]),
+         "edges[2] must be two integer qubit ids, got [2, '3']"),
+        ("coupling-map", lambda d: d["edges"].__setitem__(2, [2, 3.7]),
+         "edges[2] must be two integer qubit ids, got [2, 3.7]"),
+        ("coupling-map", lambda d: d["edges"].__setitem__(2, [2, True]),
+         "edges[2] must be two integer qubit ids, got [2, True]"),
+        ("coupling-map", lambda d: d.pop("edges"), "edges must be a list, got None"),
+        ("calibration", lambda d: d["qubits"][2].update(id=2.5),
+         "qubits[2].id must be an integer, got 2.5"),
+        ("calibration", lambda d: d["edges"][1].update(pair=[1]),
+         "edges[1].pair must be two integer qubit ids, got [1]"),
+        ("calibration", lambda d: d["qubits"][1].pop("t1_us"),
+         "qubits[1].t1_us must be a number, got None"),
+        ("calibration", lambda d: d["qubits"][1].update(readout_error="0.02"),
+         "qubits[1].readout_error must be a number, got '0.02'"),
+        ("calibration", lambda d: d["qubits"][0].update(t1_us=math.nan),
+         "qubit 0: coherence times must be positive"),
+        ("calibration", lambda d: d["qubits"][3].update(id=9),
+         "calibration does not cover every qubit and edge"),
+        ("calibration", lambda d: d.update(timestamp=5), "timestamp must be a string, got 5"),
+    ],
+    ids=["num-qubits-float", "num-qubits-bool", "edge-id-string", "edge-id-float",
+         "edge-id-bool", "edges-missing", "qubit-id-float", "pair-short", "t1-missing",
+         "readout-string", "t1-nan", "qubit-id-uncovered", "timestamp-int"],
+)
+def test_map_rejects_malformed_device_files(tmp_path, which, edit, message):
+    doc = cmap_doc() if which == "coupling-map" else cal_doc()
+    edit(doc)
+    code, out, err = run_on_file(which, "doc", doc, tmp_path)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

@@ -15,6 +15,16 @@ from qbos.device import (
     synth_calibration,
 )
 
+from graph_oracles import bfs_distances
+
+
+def is_connected(graph) -> bool:
+    return all(d >= 0 for d in bfs_distances(graph, 0))
+
+
+def max_degree(graph) -> int:
+    return max(len(nbrs) for nbrs in graph.adjacency())
+
 
 # --- graph validation ------------------------------------------------------------
 
@@ -22,7 +32,7 @@ def test_path_graph_from_edges():
     g = CouplingGraph(3, ((0, 1), (1, 2)))
     assert g.num_qubits == 3
     assert g.edges == ((0, 1), (1, 2))
-    assert g.is_connected()
+    assert is_connected(g)
 
 
 def test_self_loop_rejected():
@@ -42,8 +52,8 @@ def test_out_of_range_edge_rejected():
 
 def test_bfs_distances():
     g = CouplingGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
-    assert g.distances_from(0) == [0, 1, 2, 3, 4]
-    assert g.distances_from(2) == [2, 1, 0, 1, 2]
+    assert bfs_distances(g, 0) == [0, 1, 2, 3, 4]
+    assert bfs_distances(g, 2) == [2, 1, 0, 1, 2]
 
 
 # --- heavy-hex generator ------------------------------------------------------------
@@ -51,15 +61,15 @@ def test_bfs_distances():
 def test_smallest_heavy_hex():
     g = heavy_hex_graph(1)
     assert g.num_qubits >= 2
-    assert g.is_connected()
-    assert g.max_degree() <= 3
+    assert is_connected(g)
+    assert max_degree(g) <= 3
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_heavy_hex_structure(d):
     g = heavy_hex_graph(d)
-    assert g.is_connected()
-    assert g.max_degree() <= 3
+    assert is_connected(g)
+    assert max_degree(g) <= 3
     assert len(set(g.edges)) == len(g.edges)
 
 
@@ -67,8 +77,8 @@ def test_heavy_hex_127_parameterization():
     g = heavy_hex_graph(6)
     assert g.num_qubits == 127
     assert len(g.edges) == 144
-    assert g.max_degree() == 3
-    assert g.is_connected()
+    assert max_degree(g) == 3
+    assert is_connected(g)
 
 
 def test_heavy_hex_invalid_distance():

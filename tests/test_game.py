@@ -123,7 +123,11 @@ def test_outcome_label_convention():
 
 
 def test_role_swap_symmetry():
-    swapped = BOS.swapped_roles()
+    # each player's payoffs swapped, the grid mirrored: Alice plays Bob's part
+    c = BOS.cells
+    swapped = PayoffMatrix(tuple(
+        tuple((c[j][i][1], c[j][i][0]) for j in (0, 1)) for i in (0, 1)
+    ))
     for gamma in default_gamma_grid(7):
         dist = ideal_outcome_distribution(symmetric_spec(STRATEGY_RY_PI_4), gamma)
         ea, eb = payoff_table(dist, BOS)

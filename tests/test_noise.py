@@ -31,6 +31,8 @@ from qbos.noise import (
 )
 from qbos.stats import payoff_table
 
+from graph_oracles import bfs_distances
+
 BOS = PayoffMatrix.battle_of_sexes()
 
 
@@ -192,7 +194,7 @@ def test_crosstalk_flag_detects_adjacency():
 
 def bfs_crosstalk_flags(assignments, graph):
     """Oracle: one BFS per plan qubit, then every qubit pair of every two circuits."""
-    dist = {q: graph.distances_from(q) for pair in assignments for q in pair}
+    dist = {q: bfs_distances(graph, q) for pair in assignments for q in pair}
     return [
         any(
             0 <= dist[q][o] < CROSSTALK_DISTANCE

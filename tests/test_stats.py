@@ -15,7 +15,6 @@ from qbos.stats import (
     aggregate_runs,
     build_validation_report,
     payoff_table,
-    payoffs_from_counts,
     propagate_count_error,
     relative_error_percent,
     report_from_cells,
@@ -33,24 +32,28 @@ def make_counts(c00=0, c01=0, c10=0, c11=0):
 # --- payoffs from counts -------------------------------------------------------
 
 def test_balanced_counts():
-    ea, eb, mis = payoffs_from_counts(make_counts(c00=1024, c11=1024), BOS)
-    assert (ea, eb, mis) == (2.5, 2.5, 0.0)
+    freqs = make_counts(c00=1024, c11=1024).frequencies()
+    ea, eb = payoff_table(freqs, BOS).tolist()
+    assert (ea, eb, freqs[1] + freqs[2]) == (2.5, 2.5, 0.0)
 
 
 def test_all_miscoordination():
-    ea, eb, mis = payoffs_from_counts(make_counts(c01=2048), BOS)
-    assert (ea, eb, mis) == (0.0, 0.0, 1.0)
+    freqs = make_counts(c01=2048).frequencies()
+    ea, eb = payoff_table(freqs, BOS).tolist()
+    assert (ea, eb, freqs[1] + freqs[2]) == (0.0, 0.0, 1.0)
 
 
 def test_pure_00():
-    ea, eb, mis = payoffs_from_counts(make_counts(c00=2048), BOS)
-    assert (ea, eb, mis) == (3.0, 2.0, 0.0)
+    freqs = make_counts(c00=2048).frequencies()
+    ea, eb = payoff_table(freqs, BOS).tolist()
+    assert (ea, eb, freqs[1] + freqs[2]) == (3.0, 2.0, 0.0)
 
 
 def test_exact_distribution_matches_expected_payoffs():
     # pseudo-counts proportional to an exact distribution reproduce it
-    counts = make_counts(c00=600, c01=100, c10=100, c11=200)
-    ea, eb, mis = payoffs_from_counts(counts, BOS)
+    freqs = make_counts(c00=600, c01=100, c10=100, c11=200).frequencies()
+    ea, eb = payoff_table(freqs, BOS).tolist()
+    mis = freqs[1] + freqs[2]
     assert abs(ea - (3 * 0.6 + 2 * 0.2)) < 1e-12
     assert abs(eb - (2 * 0.6 + 3 * 0.2)) < 1e-12
     assert abs(mis - 0.2) < 1e-12
