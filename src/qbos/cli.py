@@ -108,6 +108,8 @@ class SweepConfig:
             raise ValueError("min-separation must be >= 1")
         if self.formula_variant not in ("paper", "corrected"):
             raise ValueError(f"unknown formula variant {self.formula_variant!r}")
+        if not self.strategies:
+            raise ValueError("strategies must name at least one strategy")
         known = {s.label for s in game.CANONICAL_STRATEGIES}
         parsed = tuple(game.Strategy.parse(label).label for label in self.strategies)
         unknown = [label for label in parsed if label not in known]
@@ -259,7 +261,9 @@ def _sweep_rows(cfg: SweepConfig, graph, calib, plan) -> tuple[list[str], np.nda
 
     Strategy s samples cell (i, run) from derive_seed(derive_seed(seed, s),
     i, run), s being its canonical index, so every cell's counts are fixed
-    by the config alone.
+    by the config alone.  The per-strategy seed is one derive_seed call;
+    noise.job_counts derives the seeds of all its cells in one vectorised
+    pass that reproduces SeedSequence bit for bit.
     """
     grid = game.default_gamma_grid(cfg.gamma_steps)
     model = noise.NoiseModel(scale=cfg.noise_scale)

@@ -35,7 +35,7 @@ from .statevec import (
     OUTCOME_LABELS,
     CircuitOp,
     ShotCounts,
-    derive_seed,
+    derive_seeds,
     gate_matrix,
     sample_cells,
 )
@@ -283,8 +283,9 @@ def job_counts(
     Circuit i runs the gamma_grid[i] circuit on the plan's i-th pair; the
     result has shape (len(gamma_grid), runs, 4) in outcome-label order.
     Cell (i, run) draws from derive_seed(seed, i, run), so its counts do not
-    depend on which other cells are sampled.  flags are the plan's crosstalk
-    flags (crosstalk_flags).
+    depend on which other cells are sampled; derive_seeds gives the seeds of
+    all cells in one vectorised pass that reproduces SeedSequence bit for
+    bit.  flags are the plan's crosstalk flags (crosstalk_flags).
     """
     if len(plan.assignments) != len(spec.gamma_grid):
         raise ValueError(
@@ -297,11 +298,7 @@ def job_counts(
     ]
     pair_calibs = [calib.pair(pair) for pair in plan.assignments]
     distributions = noisy_distributions(circuits, pair_calibs, model, flags)
-    seeds = [
-        [derive_seed(seed, i, run) for run in range(runs)]
-        for i in range(len(circuits))
-    ]
-    return sample_cells(distributions, shots, seeds)
+    return sample_cells(distributions, shots, derive_seeds(seed, len(circuits), runs))
 
 
 def simulate_job(

@@ -3,6 +3,11 @@
 The two-qubit circuits themselves are evolved by the density-matrix core in
 ``noise``; this module holds what that core and the sweeps build on.
 
+derive_seed mixes integer tags through numpy's SeedSequence.  derive_seeds
+gives the seeds of every (circuit, run) cell of a job in one vectorised pass
+over arrays of cells that reproduces SeedSequence bit for bit; derive_seed
+stays its per-cell reference.
+
 Basis convention: qubit 0 is the least-significant bit of the basis index,
 so for two qubits the amplitude order is |q1 q0> = |00>, |01>, |10>, |11>
 with index i = q1*2 + q0.  Outcome labels are the binary form of the index
@@ -21,6 +26,13 @@ NORM_TOL = 1e-9
 OUTCOME_LABELS = ("00", "01", "10", "11")
 
 _WORD = 2**64 - 1  # a Philox key is two 64-bit words, low word first
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 def gate_matrix(kind: str, angle: float | None = None) -> np.ndarray:
@@ -79,6 +91,75 @@ def derive_seed(*parts: int) -> int:
     """
     state = np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(2, np.uint64)
     return int(state[0]) ^ (int(state[1]) << 64)
+
+
+def _words(n: int) -> list[int]:
+    """SeedSequence's split of an int: 32-bit words, low word first; 0 is [0]."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+class _HashMix:
+    """SeedSequence's hashmix over uint32 arrays, with its evolving constant."""
+
+    def __init__(self, init: int, mult: int):
+        self.const = init
+        self.mult = mult
+
+    def __call__(self, value: np.ndarray) -> np.ndarray:
+        value = value ^ self.const
+        self.const = (self.const * self.mult) & _MASK32
+        value = value * self.const
+        return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool word x with hashed word y."""
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ (result >> 16)
+
+
+def derive_seeds(seed: int, circuits: int, runs: int) -> list[list[int]]:
+    """derive_seed(seed, i, run) for every cell of a circuits x runs grid.
+
+    Returns [[derive_seed(seed, i, run) for run in range(runs)] for i in
+    range(circuits)], computed in one pass over all cells.  The cells share
+    one entropy word layout (the words of seed, one word for i, one for run),
+    so the SeedSequence hash (O'Neill's seed_seq, pool size 4) runs on uint32
+    arrays with one element per cell, bit for bit as numpy runs it on one
+    cell.  Its hash constants evolve the same way for every cell and stay
+    Python ints; uint32 array arithmetic wraps modulo 2**32 as the C code
+    does.  circuits and runs must each fit one word.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    for name, count in (("circuits", circuits), ("runs", runs)):
+        if not 0 <= count < 2**32:
+            raise ValueError(f"{name} = {count} outside [0, 2**32)")
+    cells = np.indices((circuits, runs), dtype=np.uint32).reshape(2, -1)
+    entropy = [np.full(cells.shape[1], w, dtype=np.uint32) for w in _words(seed)]
+    entropy += list(cells)
+    zeros = np.zeros(cells.shape[1], dtype=np.uint32)
+
+    hashmix = _HashMix(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[k] if k < len(entropy) else zeros) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):  # late words reach earlier ones
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    # generate_state(2, uint64): four output words, low word first
+    output = _HashMix(_INIT_B, _MULT_B)
+    w0, w1, w2, w3 = (output(word).astype(np.uint64) for word in pool)
+    low, high = (w0 | w1 << np.uint64(32)).tolist(), (w2 | w3 << np.uint64(32)).tolist()
+    flat = [lo | hi << 64 for lo, hi in zip(low, high)]
+    return [flat[i * runs:(i + 1) * runs] for i in range(circuits)]
 
 
 def _normalized(p: np.ndarray) -> np.ndarray:

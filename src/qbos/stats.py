@@ -11,13 +11,13 @@ a blunt convention, but kept because the report mirrors it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .game import GameSpec, PayoffMatrix, Strategy, analytical_payoffs
 from .noise import RunResult
@@ -58,6 +58,15 @@ def payoff_table(freqs, payoff: PayoffMatrix) -> np.ndarray:
     return np.array(cells, dtype=float).reshape(f.shape[:-1] + (2,))
 
 
+@functools.cache
+def _t_quantile(df: int, p: float) -> float:
+    """Student-t quantile.  scipy loads on the first call, so only building a
+    report imports it; the cache keeps later calls off the ufunc."""
+    from scipy.special import stdtrit
+
+    return float(stdtrit(df, p))
+
+
 def aggregate_runs(values: Sequence[float], confidence: float = 0.95) -> PayoffEstimate:
     """Mean, unbiased variance and Student-t CI half-width of repeated runs."""
     n = len(values)
@@ -68,7 +77,7 @@ def aggregate_runs(values: Sequence[float], confidence: float = 0.95) -> PayoffE
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     var = float(arr.var(ddof=1))
-    t_crit = float(stdtrit(n - 1, 0.5 + confidence / 2.0))  # Student-t quantile
+    t_crit = _t_quantile(n - 1, 0.5 + confidence / 2.0)
     half = t_crit * math.sqrt(var / n)
     return PayoffEstimate(mean, var, half, n)
 

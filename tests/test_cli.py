@@ -269,11 +269,14 @@ def test_bad_mapping_sizes_exit_config(tmp_path, capsys, argv):
         (("sweep", "--synth", "--strategies", "H,I,H"), None),
         (("sweep", "--synth", "--strategies", "RY(pi/" + "9" * 400 + ")"), None),
         (("sweep", "--synth"), {"noise_scale": 10**400}),
+        (("sweep", "--synth", "--strategies", ","), None),
+        (("sweep", "--synth"), {"strategies": []}),
     ],
     ids=["map-pairs-str", "sweep-shots-str", "sweep-runs-bool", "sweep-synth-str",
          "sweep-strategies-ints", "noise-scale-nan", "noise-scale-inf", "ry-pi-over-0",
          "negative-seed-with-files", "sweep-strategies-repeated", "ry-pi-over-huge",
-         "noise-scale-huge-int"],
+         "noise-scale-huge-int", "sweep-strategies-empty-flag",
+         "sweep-strategies-empty-list"],
 )
 def test_bad_config_values_exit_config(tmp_path, capsys, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)

@@ -5,13 +5,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qbos import statevec
 from qbos.device import PairCalibration
 from qbos.noise import NoiseModel, _cnot_matrix, _embed_1q, noisy_distribution
 from qbos.statevec import (
     CircuitOp,
     ShotCounts,
     derive_seed,
+    derive_seeds,
     gate_matrix,
     sample_cells,
 )
@@ -240,6 +243,43 @@ def test_derive_seed_distinct_and_stable():
     s3 = derive_seed(7, 1, 0)
     assert len({s1, s2, s3}) == 3
     assert derive_seed(7, 0, 0) == s1
+
+
+# seeds of 1 to 6 words; with the two index words after them, a 1-word seed
+# leaves the 4-word pool zero-padded, a 2-word seed fills it, and longer seeds
+# fold every word beyond the 4th into it
+SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 - 1, 2**160]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.one_of(
+        st.sampled_from(SEED_EDGES),
+        st.integers(0, 2**192 - 1),
+        # the per-strategy seeds of a sweep
+        st.builds(derive_seed, st.integers(0, 2**63), st.integers(0, 3)),
+    ),
+    circuits=st.integers(1, 40),
+    runs=st.integers(1, 60),
+)
+def test_derive_seeds_equals_per_cell_derive_seed(seed, circuits, runs):
+    expected = [[derive_seed(seed, i, run) for run in range(runs)] for i in range(circuits)]
+    assert derive_seeds(seed, circuits, runs) == expected
+
+
+def test_derive_seeds_empty_grids():
+    assert derive_seeds(3, 0, 5) == []
+    assert derive_seeds(3, 2, 0) == [[], []]
+
+
+def test_derive_seeds_rejects_counts_beyond_one_word(monkeypatch):
+    # with numpy unbound, any array the function built would raise AttributeError
+    monkeypatch.setattr(statevec, "np", None)
+    for circuits, runs in ((2**32, 1), (1, 2**32), (2**40, 2**40), (-1, 1)):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\*\*32\)"):
+            derive_seeds(5, circuits, runs)
+    with pytest.raises(ValueError, match="seed"):
+        derive_seeds(-1, 1, 1)
 
 
 # --- circuit runner -----------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Statistics tests: frozen t-table values, coverage and resampling oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qbos
 from qbos.game import GameSpec, PayoffMatrix, STRATEGY_I, default_gamma_grid
 from qbos.noise import RunResult
 from qbos.statevec import ShotCounts
@@ -329,6 +334,24 @@ def test_t_quantile_equals_scipy_t_ppf():
             est = aggregate_runs(values, confidence)
             t_crit = float(sps.t.ppf(0.5 + confidence / 2.0, df=n - 1))
             assert est.ci_half_width == t_crit * math.sqrt(est.sample_variance / n)
+
+
+def test_scipy_loads_only_when_a_report_is_built():
+    # a fresh interpreter, since this one has scipy loaded already
+    script = (
+        "import sys, qbos\n"
+        "from qbos import cli\n"
+        "assert 'scipy' not in sys.modules\n"
+        "assert cli.main(['equilibrium']) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
+        "qbos.aggregate_runs([1.0, 2.0])\n"
+        "assert 'scipy' in sys.modules\n"
+    )
+    path = [str(Path(qbos.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_report_text_table():
