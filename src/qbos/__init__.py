@@ -28,9 +28,7 @@ from .game import (
 from .gcm import (
     InfeasibleMappingError,
     MappingPlan,
-    PairScore,
     packed_plan,
-    refine_mapping,
     score_pair,
     select_pairs,
     verify_separation,

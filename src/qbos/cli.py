@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import device, game, gcm, noise, stats
-from .device import _is_int, _is_number
+from .device import _is_int, _is_number, _load
 from .statevec import derive_seed
 
 EXIT_OK = 0
@@ -96,8 +96,11 @@ class SweepConfig:
             )
         if self.gamma_steps < 2:
             raise ValueError("gamma-steps must be >= 2")
-        if self.shots < 1 or self.runs < 1:
-            raise ValueError("shots and runs must be >= 1")
+        # numpy samples int64 shot counts; a run index is one 32-bit seed word
+        if not 1 <= self.shots < 2**63:
+            raise ValueError(f"shots must be in [1, 2**63), got {self.shots}")
+        if not 1 <= self.runs < 2**32:
+            raise ValueError(f"runs must be in [1, 2**32), got {self.runs}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.seed < 0:
@@ -137,12 +140,14 @@ class SweepConfig:
         return cls(**merged)
 
 
-def load_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+def _config_object(doc) -> dict:
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
     return doc
+
+
+def load_config_file(path) -> dict:
+    return _load(path, _config_object)
 
 
 def parse_matrix(spec_text: str) -> game.PayoffMatrix:
@@ -154,8 +159,10 @@ def parse_matrix(spec_text: str) -> game.PayoffMatrix:
     }
     if spec_text in presets:
         return presets[spec_text]()
-    with open(spec_text, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    return _load(spec_text, _matrix_from_json)
+
+
+def _matrix_from_json(doc) -> game.PayoffMatrix:
     cells = []
     for i in (0, 1):
         row = []

@@ -19,7 +19,8 @@ distance checks.  ``verify_separation`` is an independent BFS check that does
 not use these matrices.
 
 Plans serialize as JSON
-``{"min_separation": s, "assignments": [{"circuit": i, "pair": [a, b]}]}``.
+``{"min_separation": s, "assignments": [{"circuit": i, "pair": [a, b]}]}``;
+``load_plan`` checks each field as the device-file loaders do.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import CalibrationSnapshot, CouplingGraph
+from .device import CalibrationSnapshot, CouplingGraph, _field, _load
 
 # score weights of the two-qubit error, the readout-error sum and the inverse-T1 sum (1/us)
 W_2Q, W_RO, W_COH = 1.0, 0.5, 0.1
@@ -46,16 +47,6 @@ class InfeasibleMappingError(ValueError):
         )
         self.requested = requested
         self.achievable = achievable
-
-
-@dataclass(frozen=True)
-class PairScore:
-    edge: tuple[int, int]
-    score: float
-
-    def __post_init__(self):
-        if not self.score >= 0.0:
-            raise ValueError(f"score for edge {self.edge} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -92,29 +83,33 @@ class MappingPlan:
             fh.write("\n")
 
     @classmethod
-    def from_json(cls, doc: dict) -> "MappingPlan":
-        entries = sorted(doc["assignments"], key=lambda e: int(e["circuit"]))
-        if [int(e["circuit"]) for e in entries] != list(range(len(entries))):
+    def from_json(cls, doc) -> "MappingPlan":
+        """Parse a plan document; a ValueError names the first bad field."""
+        entries = []
+        for i, e in enumerate(_field(doc, "assignments", "a list")):
+            where = f"assignments[{i}]."
+            entries.append((_field(e, "circuit", "an integer", where),
+                            tuple(_field(e, "pair", "two integer qubit ids", where))))
+        entries.sort()
+        if [circuit for circuit, _ in entries] != list(range(len(entries))):
             raise ValueError("assignment circuit indices must be 0..k-1")
-        pairs = tuple((int(e["pair"][0]), int(e["pair"][1])) for e in entries)
-        return cls(pairs, int(doc["min_separation"]))
+        return cls(tuple(pair for _, pair in entries),
+                   _field(doc, "min_separation", "an integer"))
 
 
 def load_plan(path) -> MappingPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        return MappingPlan.from_json(json.load(fh))
+    """Load and validate a plan JSON file."""
+    return _load(path, MappingPlan.from_json)
 
 
-def score_pair(edge, calib: CalibrationSnapshot) -> PairScore:
+def score_pair(edge, calib: CalibrationSnapshot) -> float:
     """Weighted cost of running a circuit on one edge (lower is better)."""
     pc = calib.pair(edge)
-    score = (
+    return (
         W_2Q * pc.two_qubit_error
         + W_RO * (pc.readout_errors[0] + pc.readout_errors[1])
         + W_COH * (1.0 / pc.t1_us[0] + 1.0 / pc.t1_us[1])
     )
-    key = (min(edge), max(edge))
-    return PairScore(key, score)
 
 
 def _near(graph: CouplingGraph, min_separation: int) -> np.ndarray:
@@ -161,16 +156,15 @@ def select_pairs(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ranked = sorted(
-        (score_pair(e, calib) for e in graph.edges),
-        key=lambda ps: (ps.score, ps.edge),
-    )
-    # rows and columns follow ``ranked``, so a position in it is also an index
-    conflict = _conflict_matrix(_near(graph, min_separation), [ps.edge for ps in ranked])
+    ranked = sorted((score_pair(e, calib), e) for e in graph.edges)
+    scores = [score for score, _ in ranked]
+    edges = [e for _, e in ranked]
+    # rows and columns follow the ranking, so a rank is also an index
+    conflict = _conflict_matrix(_near(graph, min_separation), edges)
 
     def greedy(order) -> list[int]:
         chosen: list[int] = []
-        blocked = np.zeros(len(ranked), dtype=bool)
+        blocked = np.zeros(len(edges), dtype=bool)
         for r in order:
             if len(chosen) == k:
                 break
@@ -182,15 +176,15 @@ def select_pairs(
     # the pure score order can paint itself into a corner, so also restart
     # from each edge as a forced first pick (small graphs) and from plain
     # lexicographic order, keeping the largest then cheapest selection
-    positions = list(range(len(ranked)))
-    orders = [positions, sorted(positions, key=lambda r: ranked[r].edge)]
-    if len(ranked) <= MULTI_START_EDGE_LIMIT:
+    positions = list(range(len(edges)))
+    orders = [positions, sorted(positions, key=edges.__getitem__)]
+    if len(edges) <= MULTI_START_EDGE_LIMIT:
         for r in positions:
             orders.append([r] + positions[:r] + positions[r + 1:])
 
     def preference(sel: list[int]):
-        return (-len(sel), sum(ranked[r].score for r in sel),
-                tuple(sorted(ranked[r].edge for r in sel)))
+        return (-len(sel), sum(scores[r] for r in sel),
+                tuple(sorted(edges[r] for r in sel)))
 
     chosen = min((greedy(order) for order in orders), key=preference)
     if len(chosen) < k:
@@ -201,17 +195,16 @@ def select_pairs(
     # fits the rest when its only clash, if any, is the pair it replaces.
     # Chosen edges clash with themselves, so they never qualify.
     clashes = conflict[chosen].sum(axis=0)
-    scores = np.array([ps.score for ps in ranked])
+    ascending = np.array(scores)
     improved = True
     while improved:
         improved = False
-        order = sorted(range(k), key=lambda i: (-ranked[chosen[i]].score,
-                                                ranked[chosen[i]].edge))
+        order = sorted(range(k), key=lambda i: (-scores[chosen[i]], edges[chosen[i]]))
         for idx in order:
             cur = chosen[idx]
-            # ranked is ascending, so exactly the positions before this bound
-            # score less than the current pair
-            cheaper = int(np.searchsorted(scores, ranked[cur].score, side="left"))
+            # scores ascend, so exactly the ranks before this bound score
+            # less than the current pair
+            cheaper = int(np.searchsorted(ascending, scores[cur], side="left"))
             fits = clashes[:cheaper] == conflict[cur, :cheaper]
             if fits.any():
                 r = int(fits.argmax())
@@ -221,7 +214,7 @@ def select_pairs(
                 improved = True
                 break
 
-    return MappingPlan(tuple(ranked[r].edge for r in sorted(chosen)), min_separation)
+    return MappingPlan(tuple(edges[r] for r in sorted(chosen)), min_separation)
 
 
 def verify_separation(plan: MappingPlan, graph: CouplingGraph) -> tuple[bool, str | None]:
@@ -270,59 +263,7 @@ def verify_separation(plan: MappingPlan, graph: CouplingGraph) -> tuple[bool, st
 
 
 def plan_score(plan: MappingPlan, calib: CalibrationSnapshot) -> float:
-    return sum(score_pair(e, calib).score for e in plan.assignments)
-
-
-def refine_mapping(
-    plan: MappingPlan,
-    feedback: dict[int, float],
-    calib: CalibrationSnapshot,
-    graph: CouplingGraph,
-) -> MappingPlan:
-    """Reassign the worst-feedback circuits to better unused edges.
-
-    Circuits whose observed error strictly exceeds the 90th percentile of the
-    feedback values are candidates; each moves to the cheapest unused edge
-    that keeps the whole plan feasible, and only if that edge scores strictly
-    better than its current one.  With uniform feedback, or when no improving
-    move exists, the plan is returned unchanged.
-    """
-    k = len(plan.assignments)
-    missing = [i for i in range(k) if i not in feedback]
-    if missing:
-        raise ValueError(f"feedback missing for circuits {missing}")
-
-    values = sorted(feedback.values())
-    threshold = values[min(k - 1, int(0.9 * (k - 1)))] if k > 1 else values[0]
-    worst = [i for i in range(k) if feedback[i] > threshold]
-    if not worst:
-        return plan
-    worst.sort(key=lambda i: (-feedback[i], i))
-
-    near = _near(graph, plan.min_separation)
-    assignments = list(plan.assignments)
-    candidates = sorted(
-        (score_pair(e, calib) for e in graph.edges),
-        key=lambda ps: (ps.score, ps.edge),
-    )
-    changed = False
-    for i in worst:
-        current = score_pair(assignments[i], calib)
-        # qubits too close to the other circuits; a used edge is always blocked
-        blocked = np.zeros(graph.num_qubits, dtype=bool)
-        for j, (a, b) in enumerate(assignments):
-            if j != i:
-                blocked |= near[a] | near[b]
-        for ps in candidates:
-            if ps.score >= current.score:
-                break
-            if not (blocked[ps.edge[0]] or blocked[ps.edge[1]]):
-                assignments[i] = ps.edge
-                changed = True
-                break
-    if not changed:
-        return plan
-    return MappingPlan(tuple(assignments), plan.min_separation)
+    return sum(score_pair(e, calib) for e in plan.assignments)
 
 
 def packed_plan(graph: CouplingGraph, k: int) -> MappingPlan:

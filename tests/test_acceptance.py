@@ -139,7 +139,7 @@ def test_criterion_06_small_instance_optimality():
 
     def optimum(graph, cal, k):
         d = floyd_warshall(graph)
-        scores = {e: gcm.score_pair(e, cal).score for e in graph.edges}
+        scores = {e: gcm.score_pair(e, cal) for e in graph.edges}
         best = None
         for subset in itertools.combinations(sorted(graph.edges), k):
             if all(

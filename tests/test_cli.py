@@ -56,6 +56,13 @@ def test_config_rejects_unknown_strategy():
         SweepConfig.resolve({}, {"strategies": "I,X"})
 
 
+def test_config_bounds_runs_to_one_seed_word():
+    # only the config is built: a sweep would first make one label per run
+    assert SweepConfig(runs=2**32 - 1).runs == 2**32 - 1
+    with pytest.raises(ValueError, match=r"runs must be in \[1, 2\*\*32\), got 4294967296"):
+        SweepConfig(runs=2**32)
+
+
 def test_parse_matrix_presets_and_files(tmp_path):
     assert parse_matrix("bos").alice(0, 0) == 3.0
     assert parse_matrix("identity-coordination").alice(0, 0) == 1.0
@@ -102,7 +109,7 @@ def test_equilibrium_matrix_cells_must_be_two_numbers(tmp_path, capsys, cell):
     assert run_cli("equilibrium", "--matrix", str(path)) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith("error: matrix cell (0,0) must be two numbers, got ")
+    assert captured.err.startswith(f"error: {path}: matrix cell (0,0) must be two numbers, got ")
 
 
 # --- sweep -----------------------------------------------------------------------------
@@ -271,12 +278,14 @@ def test_bad_mapping_sizes_exit_config(tmp_path, capsys, argv):
         (("sweep", "--synth"), {"noise_scale": 10**400}),
         (("sweep", "--synth", "--strategies", ","), None),
         (("sweep", "--synth"), {"strategies": []}),
+        (("sweep", "--synth", "--gamma-steps", "2", "--runs", "1", "--strategies", "I",
+          "--shots", str(2**63)), None),
     ],
     ids=["map-pairs-str", "sweep-shots-str", "sweep-runs-bool", "sweep-synth-str",
          "sweep-strategies-ints", "noise-scale-nan", "noise-scale-inf", "ry-pi-over-0",
          "negative-seed-with-files", "sweep-strategies-repeated", "ry-pi-over-huge",
          "noise-scale-huge-int", "sweep-strategies-empty-flag",
-         "sweep-strategies-empty-list"],
+         "sweep-strategies-empty-list", "shots-beyond-int64"],
 )
 def test_bad_config_values_exit_config(tmp_path, capsys, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -720,6 +729,8 @@ def test_malformed_input_file_exits_2_or_3(kind, data):
     assert code in (EXIT_CONFIG, EXIT_IO), err
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if how == "text":  # the decoder's message names the cut file
+        assert err.startswith(f"error: {Path(tmp) / 'input.json'}: line "), err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Pair-selection tests, including an exhaustive oracle on small graphs."""
 
 import itertools
+import json
 import time
 
 import pytest
@@ -24,7 +25,6 @@ from qbos.gcm import (
     load_plan,
     packed_plan,
     plan_score,
-    refine_mapping,
     score_pair,
     select_pairs,
     verify_separation,
@@ -77,7 +77,7 @@ def separated(d, e1, e2, min_sep):
 def exhaustive_optimum(graph, calib, k, min_sep):
     """Minimum total score over every feasible k-subset of edges, or None."""
     d = floyd_warshall(graph)
-    scores = {e: score_pair(e, calib).score for e in graph.edges}
+    scores = {e: score_pair(e, calib) for e in graph.edges}
 
     best = None
     for subset in itertools.combinations(sorted(graph.edges), k):
@@ -120,14 +120,14 @@ def test_score_zero_in_ideal_limit():
     g = path_graph(2)
     qubits = (QubitCalibration(0, 0.0, 1e12, 1e12), QubitCalibration(1, 0.0, 1e12, 1e12))
     cal = CalibrationSnapshot("t", qubits, (EdgeCalibration((0, 1), 0.0),))
-    assert score_pair((0, 1), cal).score < 1e-9
+    assert score_pair((0, 1), cal) < 1e-9
 
 
 def test_score_linear_in_two_qubit_error():
     g = path_graph(3)
     cal1 = custom_calibration(g, {(0, 1): 0.01, (1, 2): 0.01})
     cal2 = custom_calibration(g, {(0, 1): 0.02, (1, 2): 0.01})
-    assert score_pair((0, 1), cal2).score - score_pair((0, 1), cal1).score == pytest.approx(
+    assert score_pair((0, 1), cal2) - score_pair((0, 1), cal1) == pytest.approx(
         W_2Q * (0.02 - 0.01)
     )
 
@@ -135,7 +135,7 @@ def test_score_linear_in_two_qubit_error():
 def test_score_orders_by_readout():
     g = CouplingGraph(4, ((0, 1), (2, 3)))
     cal = custom_calibration(g, {}, readouts={0: 0.01, 1: 0.01, 2: 0.04, 3: 0.04})
-    assert score_pair((0, 1), cal).score < score_pair((2, 3), cal).score
+    assert score_pair((0, 1), cal) < score_pair((2, 3), cal)
 
 
 def test_score_missing_edge_raises():
@@ -265,47 +265,6 @@ def test_plan_rejects_qubit_reuse():
         MappingPlan(((0, 1), (1, 2)))
 
 
-# --- refinement --------------------------------------------------------------------
-
-def test_uniform_feedback_keeps_plan():
-    g = heavy_hex_graph(2)
-    cal = synth_calibration(g, seed=3, profile="realistic")
-    plan = select_pairs(g, cal, k=3)
-    feedback = {i: 0.1 for i in range(3)}
-    assert refine_mapping(plan, feedback, cal, g) == plan
-
-
-def test_outlier_circuit_is_reassigned():
-    g = path_graph(10)
-    # circuit on (6,7) is noisy and a strictly better unused edge (0,1) exists
-    errors = {(0, 1): 1e-3, (3, 4): 5e-3, (6, 7): 5e-3}
-    cal = custom_calibration(g, errors)
-    plan = MappingPlan(((3, 4), (6, 7)), min_separation=2)
-    feedback = {0: 0.05, 1: 0.5}
-    refined = refine_mapping(plan, feedback, cal, g)
-    assert refined.assignments[0] == (3, 4)
-    assert refined.assignments[1] == (0, 1)
-    assert plan_score(refined, cal) <= plan_score(plan, cal)
-
-
-def test_refinement_never_increases_score():
-    g = heavy_hex_graph(3)
-    cal = synth_calibration(g, seed=8, profile="realistic")
-    plan = select_pairs(g, cal, k=6)
-    feedback = {i: 0.1 + (0.9 if i == 2 else 0.0) for i in range(6)}
-    refined = refine_mapping(plan, feedback, cal, g)
-    assert plan_score(refined, cal) <= plan_score(plan, cal)
-    assert verify_separation(refined, g)[0]
-
-
-def test_refinement_requires_full_feedback():
-    g = path_graph(6)
-    cal = flat_calibration(g)
-    plan = MappingPlan(((0, 1), (3, 4)), min_separation=2)
-    with pytest.raises(ValueError, match="missing"):
-        refine_mapping(plan, {0: 0.1}, cal, g)
-
-
 # --- serialization -------------------------------------------------------------------
 
 def test_plan_round_trip(tmp_path):
@@ -315,6 +274,38 @@ def test_plan_round_trip(tmp_path):
     path = tmp_path / "plan.json"
     plan.save(path)
     assert load_plan(path) == plan
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(min_separation=2.9), "min_separation must be an integer, got 2.9"),
+        (lambda d: d.pop("min_separation"), "min_separation must be an integer, got None"),
+        (lambda d: d.pop("assignments"), "assignments must be a list, got None"),
+        (lambda d: d["assignments"][0].update(pair=[1.7, 2]),
+         "assignments[0].pair must be two integer qubit ids, got [1.7, 2]"),
+        (lambda d: d["assignments"][1].update(pair=["5", "6"]),
+         "assignments[1].pair must be two integer qubit ids, got ['5', '6']"),
+        (lambda d: d["assignments"][1].update(pair=[5]),
+         "assignments[1].pair must be two integer qubit ids, got [5]"),
+        (lambda d: d["assignments"][0].pop("pair"),
+         "assignments[0].pair must be two integer qubit ids, got None"),
+        (lambda d: d["assignments"][1].update(circuit=True),
+         "assignments[1].circuit must be an integer, got True"),
+        (lambda d: d["assignments"].__setitem__(0, [0, [1, 2]]),
+         "assignments[0].circuit must be an integer, got None"),
+    ],
+    ids=["separation-float", "separation-missing", "assignments-missing", "pair-float",
+         "pair-strings", "pair-short", "pair-missing", "circuit-bool", "entry-not-object"],
+)
+def test_load_plan_names_the_bad_field(tmp_path, edit, message):
+    doc = MappingPlan(((1, 2), (5, 6))).to_json()
+    edit(doc)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        load_plan(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_packed_plan_is_adjacent():
@@ -346,8 +337,8 @@ def small_instances(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(small_instances(), st.data())
-def test_plans_separated_and_locally_minimal(instance, data):
+@given(small_instances())
+def test_plans_separated_and_locally_minimal(instance):
     g, cal, k, min_sep = instance
     try:
         plan = select_pairs(g, cal, k=k, min_separation=min_sep)
@@ -360,7 +351,7 @@ def test_plans_separated_and_locally_minimal(instance, data):
 
     # single-swap local minimality, judged with oracle distances
     d = floyd_warshall(g)
-    scores = {e: score_pair(e, cal).score for e in g.edges}
+    scores = {e: score_pair(e, cal) for e in g.edges}
     chosen = set(plan.assignments)
     for current in chosen:
         rest = chosen - {current}
@@ -368,8 +359,3 @@ def test_plans_separated_and_locally_minimal(instance, data):
             if e in chosen or scores[e] >= scores[current]:
                 continue
             assert not all(separated(d, e, o, min_sep) for o in rest), (current, e)
-
-    feedback = {i: data.draw(st.floats(0.0, 1.0)) for i in range(k)}
-    refined = refine_mapping(plan, feedback, cal, g)
-    assert verify_separation(refined, g) == (True, None)
-    assert plan_score(refined, cal) <= plan_score(plan, cal)
