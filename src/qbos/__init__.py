@@ -36,8 +36,6 @@ from .gcm import (
 from .noise import (
     NoiseModel,
     RunResult,
-    ideal_outcome_distribution,
-    noisy_distribution,
     simulate_job,
 )
 from .statevec import CircuitOp, ShotCounts

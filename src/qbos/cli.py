@@ -80,7 +80,6 @@ class SweepConfig:
     out: str | None = None
     svg: bool = False
     formula_variant: str = "corrected"
-    workers: int = 1
 
     def __post_init__(self):
         for f in fields(self):
@@ -101,8 +100,6 @@ class SweepConfig:
             raise ValueError(f"shots must be in [1, 2**63), got {self.shots}")
         if not 1 <= self.runs < 2**32:
             raise ValueError(f"runs must be in [1, 2**32), got {self.runs}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.pairs is not None and self.pairs < 1:
@@ -224,12 +221,15 @@ def _resolve_device(cfg: SweepConfig):
 
 def cmd_equilibrium(args) -> int:
     try:
-        eq = game.classical_mixed_equilibrium(parse_matrix(args.matrix))
+        matrix = parse_matrix(args.matrix)
+        eq = game.classical_mixed_equilibrium(matrix)
     except OSError as err:
         raise CommandError(EXIT_IO, err)
     except ValueError as err:
         raise CommandError(EXIT_CONFIG, err)
-    quantum_equal = 2.5
+    # the maximally entangled state under identity strategies gives |00> and
+    # |11> with probability 1/2 each
+    quantum_equal = (matrix.alice(0, 0) + matrix.alice(1, 1)) / 2
     try:
         advantage = game.advantage_percent(quantum_equal, eq.e_a)
     except ValueError:
@@ -403,18 +403,13 @@ def cmd_sweep(args) -> int:
     if cfg.svg:
         grid = game.default_gamma_grid(cfg.gamma_steps)
         stem = out[:-4] if out.endswith(".csv") else out
-        if cfg.runs >= 2:
-            s, g, r = np.indices(payoffs.shape[:3]).reshape(3, -1)
-            report = stats.report_from_cells(
-                [labels[i] for i in s], g, r, payoffs.reshape(-1, 2), grid,
-                cfg.formula_variant, BOS, "rmse_of_means",
-            )
-            estimates = [[(ge.alice, ge.bob) for ge in sv.per_gamma]
-                         for sv in report.strategies]
-        else:  # the one run's values, without a confidence bar
-            estimates = [[tuple(stats.PayoffEstimate(v, 0.0, 0.0, 1) for v in cell)
-                          for cell in cells[:, 0].tolist()] for cells in payoffs]
-        for label, per_gamma in zip(labels, estimates):
+        for label, cells in zip(labels, payoffs):
+            if cfg.runs >= 2:  # cells[g] holds the (ea, eb) of every run at grid[g]
+                per_gamma = [(stats.aggregate_runs(runs_ab[:, 0]),
+                              stats.aggregate_runs(runs_ab[:, 1])) for runs_ab in cells]
+            else:  # the one run's values, without a confidence bar
+                per_gamma = [tuple(stats.PayoffEstimate(v, 0.0, 0.0, 1) for v in cell)
+                             for cell in cells[:, 0].tolist()]
             strategy = game.Strategy.parse(label)
             ana = [
                 game.analytical_payoffs(strategy, g, cfg.formula_variant) for g in grid
@@ -494,6 +489,8 @@ def cmd_validate(args) -> int:
             rows = [row for row in reader if row]
     except OSError as err:
         raise CommandError(EXIT_IO, err)
+    except UnicodeDecodeError as err:
+        raise CommandError(EXIT_SCHEMA, f"{args.results}: {err}")
     missing = [c for c in CSV_COLUMNS if c not in header]
     extra = [c for c in header if c not in CSV_COLUMNS]
     if missing or extra:
@@ -578,9 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also write one SVG plot per strategy")
     p_sw.add_argument("--formula-variant", dest="formula_variant",
                       choices=("paper", "corrected"), default=None)
-    p_sw.add_argument("--workers", type=int, default=None,
-                      help="accepted for compatibility (must be >= 1); sampling "
-                           "runs in one thread, which is faster")
     _add_device_flags(p_sw)
     p_sw.set_defaults(func=cmd_sweep)
 

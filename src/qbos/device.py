@@ -163,6 +163,8 @@ def _load(path, parse):
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise ValueError(f"{path}: line {err.lineno}: {err.msg}") from err
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: {err}") from err
     try:
         return parse(doc)
     except ValueError as err:

@@ -11,8 +11,8 @@ Error channels, matching the dominant NISQ error sources:
   graph distance 2.
 
 A global scale factor multiplies every error probability (clamped to 1),
-so scale 0 is the ideal circuit (ideal_outcome_distribution) and large
-scales drive the state to the maximally mixed limit.
+so scale 0 gives the ideal circuit's exact distribution and large scales
+drive the state to the maximally mixed limit.
 
 The circuits of a sweep job evolve together as one (G, 4, 4) stack of
 density matrices with stacked matrix products, which give the same bits as
@@ -22,7 +22,6 @@ cell.  Both simulate_job and the CLI sweep run on it.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -43,9 +42,6 @@ from .statevec import (
 CROSSTALK_DISTANCE = 2          # pairs closer than this interfere
 DEFAULT_CROSSTALK_PENALTY = 0.05  # no published figure exists; tunable
 ONE_QUBIT_ERROR_FRACTION = 0.1  # p_dep_1q default = fraction of the edge error
-
-# an error-free pair; at scale 0 every pair behaves like it anyway
-_IDEAL_PAIR = PairCalibration(0.0, (0.0, 0.0), (math.inf, math.inf))
 
 
 @dataclass(frozen=True)
@@ -232,32 +228,6 @@ def noisy_distributions(
     readout = _kron2(confusion_matrix(ro_b), confusion_matrix(ro_a))
     probs = (readout @ probs[:, :, None])[:, :, 0]
     return np.clip(probs, 0.0, None)
-
-
-def noisy_distribution(
-    ops: list[CircuitOp],
-    pair_calib: PairCalibration,
-    model: NoiseModel,
-    crosstalk_active: bool = False,
-) -> np.ndarray:
-    """The 4-outcome distribution of one mapped circuit.
-
-    The one-circuit case of noisy_distributions.
-    """
-    return noisy_distributions([ops], [pair_calib], model, [crosstalk_active])[0]
-
-
-def ideal_outcome_distribution(spec: GameSpec, gamma: float) -> tuple[float, float, float, float]:
-    """Exact outcome probabilities (p00, p01, p10, p11) of the game circuit.
-
-    The scale-0 case of noisy_distributions on an error-free pair.
-    """
-    lo, hi = spec.gamma_grid[0], spec.gamma_grid[-1]
-    if not lo - 1e-12 <= gamma <= hi + 1e-12:
-        raise ValueError(f"gamma = {gamma!r} outside grid range [{lo}, {hi}]")
-    ops = build_ewl_circuit(gamma, spec.phi, spec.strategy_a, spec.strategy_b)
-    probs = noisy_distribution(ops, _IDEAL_PAIR, NoiseModel(scale=0.0))
-    return tuple(float(p) for p in probs)
 
 
 def crosstalk_flags(plan: MappingPlan, graph: CouplingGraph) -> list[bool]:

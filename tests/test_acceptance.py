@@ -22,13 +22,17 @@ from qbos.game import (
     STRATEGY_RY_PI_4,
     advantage_percent,
     analytical_payoffs,
+    build_ewl_circuit,
     classical_mixed_equilibrium,
 )
-from qbos.noise import ideal_outcome_distribution
+from qbos.device import PairCalibration
+from qbos.noise import NoiseModel, noisy_distributions
 from qbos.stats import payoff_table
 from qbos.statevec import derive_seed
 
 BOS = PayoffMatrix.battle_of_sexes()
+# at scale 0 every pair behaves like this error-free one
+IDEAL_PAIR = PairCalibration(0.0, (0.0, 0.0), (math.inf, math.inf))
 
 # noise scale tuned once against the uniform calibration profile so that the
 # strategy-H Alice RMSE lands at ~0.118; frozen here
@@ -47,6 +51,12 @@ def symmetric_spec(strategy):
     return GameSpec(strategy_a=strategy, strategy_b=strategy)
 
 
+def ideal(spec, gamma):
+    """The game circuit's outcome distribution: the core at noise scale 0."""
+    ops = build_ewl_circuit(gamma, spec.phi, spec.strategy_a, spec.strategy_b)
+    return noisy_distributions([ops], [IDEAL_PAIR], NoiseModel(scale=0.0), [False])[0]
+
+
 def run_full_job(plan, cal, model, sample_seed):
     results = {}
     for idx, strategy in enumerate(CANONICAL_STRATEGIES):
@@ -63,7 +73,7 @@ def test_criterion_01_analytic_simulator_agreement():
     for strategy in (STRATEGY_I, STRATEGY_RY_PI_4, STRATEGY_RY_PI):
         spec = symmetric_spec(strategy)
         for gamma in spec.gamma_grid:
-            sim = payoff_table(ideal_outcome_distribution(spec, gamma), BOS)
+            sim = payoff_table(ideal(spec, gamma), BOS)
             ana = analytical_payoffs(strategy, gamma, "paper")
             worst = max(worst, abs(sim[0] - ana[0]), abs(sim[1] - ana[1]))
     elapsed = time.perf_counter() - t0
@@ -79,7 +89,7 @@ def test_criterion_02_hadamard_curve_resolution():
         c, s = math.cos(gamma / 2), math.sin(gamma / 2)
         want = 1.25 * (c + s) ** 2
         sim = payoff_table(
-            ideal_outcome_distribution(symmetric_spec(STRATEGY_H), gamma), BOS
+            ideal(symmetric_spec(STRATEGY_H), gamma), BOS
         )
         worst = max(worst, abs(sim[0] - want), abs(sim[1] - want))
     assert worst <= 1e-9
@@ -92,7 +102,7 @@ def test_criterion_02_hadamard_curve_resolution():
 def test_criterion_03_equal_payoff_point():
     for strategy in CANONICAL_STRATEGIES:
         sim = payoff_table(
-            ideal_outcome_distribution(symmetric_spec(strategy), math.pi / 2), BOS
+            ideal(symmetric_spec(strategy), math.pi / 2), BOS
         )
         assert abs(sim[0] - sim[1]) <= 1e-9
         assert abs(sim[0] - 2.5) <= 1e-9
@@ -263,11 +273,13 @@ def test_criterion_10_byte_identical_sweeps(tmp_path):
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
     assert cli_main(args + ["--out", str(paths[0])]) == 0
     assert cli_main(args + ["--out", str(paths[1])]) == 0
-    assert cli_main(args + ["--out", str(paths[2]), "--workers", "8"]) == 0
+    config = tmp_path / "sweep.json"
+    config.write_text('{"synth": true, "seed": 99}')
+    assert cli_main(["sweep", "--config", str(config), "--out", str(paths[2])]) == 0
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
     with open(paths[0], newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 31 * 5 * 4
-    ok(10, f"three sweep invocations (serial x2, 8 threads) byte-identical; "
+    ok(10, f"three sweep invocations (flags x2, config file) byte-identical; "
            f"{len(rows)} rows")

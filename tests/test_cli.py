@@ -92,6 +92,9 @@ def test_equilibrium_identity_preset(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["p_alice"] == pytest.approx(0.5)
     assert doc["q_bob"] == pytest.approx(0.5)
+    # |00> and |11> equally likely, each paying 1 against the classical 0.5
+    assert doc["quantum_equal_payoff"] == 1.0
+    assert doc["advantage_percent"] == 100.0
 
 
 def test_equilibrium_malformed_matrix(tmp_path, capsys):
@@ -152,13 +155,16 @@ def test_sweep_zero_noise_matches_analytic(tmp_path):
         assert abs(float(row["eb"]) - float(row["eb_analytic"])) <= bound
 
 
-def test_sweep_byte_identical_reruns_and_parallel(tmp_path):
+def test_sweep_byte_identical_reruns_and_config(tmp_path):
     a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
     args = ["sweep", "--synth", "--gamma-steps", "6", "--runs", "3",
             "--shots", "256", "--seed", "13"]
     assert run_cli(*args, "--out", str(a)) == EXIT_OK
     assert run_cli(*args, "--out", str(b)) == EXIT_OK
-    assert run_cli(*args, "--out", str(c), "--workers", "4") == EXIT_OK
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": True, "gamma_steps": 6, "runs": 3,
+                               "shots": 256, "seed": 13}))
+    assert run_cli("sweep", "--config", str(cfg), "--out", str(c)) == EXIT_OK
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
@@ -422,6 +428,16 @@ def test_validate_short_row(tmp_path, capsys):
     assert err.startswith("error: unreadable results row: ") and err.count("\n") == 1
 
 
+def test_validate_non_utf8_file(tmp_path, capsys):
+    res = tmp_path / "bin.csv"
+    res.write_bytes(b"\xff")
+    assert run_cli("validate", str(res)) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {res}: 'utf-8' codec can't decode")
+    assert captured.err.count("\n") == 1
+
+
 def test_validate_missing_file(tmp_path):
     assert run_cli("validate", str(tmp_path / "absent.csv")) == EXIT_IO
 
@@ -639,7 +655,6 @@ def malformed_config(draw):
     values = {
         "gamma_steps": at_most(1), "shots": at_most(0), "runs": at_most(0),
         "seed": at_most(-1), "pairs": at_most(0), "min_separation": at_most(0),
-        "workers": at_most(0),
         "noise_scale": st.one_of(not_number.filter(lambda v: v is not None), not_finite,
                                  huge_int, st.floats(max_value=-1e-300)),
         "synth": not_bool, "svg": not_bool,
@@ -678,12 +693,15 @@ MALFORMED = {
 
 @st.composite
 def malformed_files(draw, kind):
-    """("doc", a malformed document), ("text", a cut JSON text) or ("missing", None)."""
+    """("doc", a malformed document), ("text", a cut JSON text), ("bytes", a
+    JSON text behind a UTF-16 byte-order mark, not UTF-8) or ("missing", None)."""
     strategy, base = MALFORMED[kind]
-    how = draw(st.sampled_from(["doc", "doc", "doc", "text", "missing"]))
+    how = draw(st.sampled_from(["doc", "doc", "doc", "text", "bytes", "missing"]))
     if how == "text":
         text = json.dumps(base())
         return how, text[:draw(st.integers(0, len(text) - 1))]
+    if how == "bytes":
+        return how, b"\xff\xfe" + json.dumps(base()).encode()
     return how, draw(strategy) if how == "doc" else None
 
 
@@ -694,6 +712,8 @@ def run_on_file(kind, how, content, tmp):
         path.write_text(json.dumps(content))
     elif how == "text":
         path.write_text(content)
+    elif how == "bytes":
+        path.write_bytes(content)
     cmap, cal = tmp / "g.json", tmp / "c.json"
     cmap.write_text(json.dumps(cmap_doc()))
     cal.write_text(json.dumps(cal_doc()))
@@ -731,6 +751,8 @@ def test_malformed_input_file_exits_2_or_3(kind, data):
     assert err.startswith("error: ") and err.count("\n") == 1
     if how == "text":  # the decoder's message names the cut file
         assert err.startswith(f"error: {Path(tmp) / 'input.json'}: line "), err
+    if how == "bytes":
+        assert err.startswith(f"error: {Path(tmp) / 'input.json'}: 'utf-8' codec "), err
 
 
 @pytest.mark.parametrize(

@@ -20,14 +20,23 @@ from qbos.game import (
     classical_mixed_equilibrium,
     default_gamma_grid,
 )
-from qbos.noise import ideal_outcome_distribution
+from qbos.device import PairCalibration
+from qbos.noise import NoiseModel, noisy_distributions
 from qbos.stats import payoff_table
 
 BOS = PayoffMatrix.battle_of_sexes()
+# at scale 0 every pair behaves like this error-free one
+IDEAL_PAIR = PairCalibration(0.0, (0.0, 0.0), (math.inf, math.inf))
 
 
 def symmetric_spec(strategy, **kw):
     return GameSpec(strategy_a=strategy, strategy_b=strategy, **kw)
+
+
+def ideal(spec, gamma):
+    """The game circuit's outcome distribution: the core at noise scale 0."""
+    ops = build_ewl_circuit(gamma, spec.phi, spec.strategy_a, spec.strategy_b)
+    return noisy_distributions([ops], [IDEAL_PAIR], NoiseModel(scale=0.0), [False])[0]
 
 
 # --- classical equilibrium -----------------------------------------------------
@@ -79,27 +88,27 @@ def test_circuit_sequence_shape():
 
 
 def test_gamma_zero_yields_00():
-    dist = ideal_outcome_distribution(symmetric_spec(STRATEGY_I), 0.0)
+    dist = ideal(symmetric_spec(STRATEGY_I), 0.0)
     np.testing.assert_allclose(dist, [1, 0, 0, 0], atol=1e-12)
 
 
 def test_gamma_pi_yields_11():
-    dist = ideal_outcome_distribution(symmetric_spec(STRATEGY_I), math.pi)
+    dist = ideal(symmetric_spec(STRATEGY_I), math.pi)
     np.testing.assert_allclose(dist, [0, 0, 0, 1], atol=1e-12)
 
 
 def test_double_flip_at_gamma_zero():
-    dist = ideal_outcome_distribution(symmetric_spec(STRATEGY_RY_PI), 0.0)
+    dist = ideal(symmetric_spec(STRATEGY_RY_PI), 0.0)
     np.testing.assert_allclose(dist, [0, 0, 0, 1], atol=1e-12)
 
 
 def test_hadamard_pair_at_gamma_half_pi():
-    dist = ideal_outcome_distribution(symmetric_spec(STRATEGY_H), math.pi / 2)
+    dist = ideal(symmetric_spec(STRATEGY_H), math.pi / 2)
     np.testing.assert_allclose(dist, [0.5, 0, 0, 0.5], atol=1e-12)
 
 
 def test_distribution_at_gamma_pi_3():
-    dist = ideal_outcome_distribution(symmetric_spec(STRATEGY_I), math.pi / 3)
+    dist = ideal(symmetric_spec(STRATEGY_I), math.pi / 3)
     np.testing.assert_allclose(dist, [0.75, 0, 0, 0.25], atol=1e-12)
 
 
@@ -116,7 +125,7 @@ def test_outcome_label_convention():
     # sa = I, sb = RY(pi) at gamma = 0 leaves Alice (qubit 0) at 0, flips Bob
     # (qubit 1) to 1: label "10", i.e. matrix cell row 0 / column 1.
     spec = GameSpec(strategy_a=STRATEGY_I, strategy_b=STRATEGY_RY_PI)
-    dist = ideal_outcome_distribution(spec, 0.0)
+    dist = ideal(spec, 0.0)
     np.testing.assert_allclose(dist, [0, 0, 1, 0], atol=1e-12)
     lopsided = PayoffMatrix((((3.0, 2.0), (7.0, 5.0)), ((0.0, 0.0), (2.0, 3.0))))
     assert tuple(payoff_table(dist, lopsided)) == (7.0, 5.0)
@@ -129,7 +138,7 @@ def test_role_swap_symmetry():
         tuple((c[j][i][1], c[j][i][0]) for j in (0, 1)) for i in (0, 1)
     ))
     for gamma in default_gamma_grid(7):
-        dist = ideal_outcome_distribution(symmetric_spec(STRATEGY_RY_PI_4), gamma)
+        dist = ideal(symmetric_spec(STRATEGY_RY_PI_4), gamma)
         ea, eb = payoff_table(dist, BOS)
         ea2, eb2 = payoff_table(dist, swapped)
         assert (ea2, eb2) == (eb, ea)
@@ -169,7 +178,7 @@ def test_ry_pi_mirrors_identity():
 def test_paper_curves_match_simulator(strategy):
     spec = symmetric_spec(strategy)
     for gamma in spec.gamma_grid:
-        dist = ideal_outcome_distribution(spec, gamma)
+        dist = ideal(spec, gamma)
         sim = payoff_table(dist, BOS)
         ana = analytical_payoffs(strategy, gamma, "paper")
         assert abs(sim[0] - ana[0]) <= 1e-9
@@ -180,7 +189,7 @@ def test_paper_curves_match_simulator(strategy):
 def test_corrected_curves_match_simulator(strategy):
     spec = symmetric_spec(strategy)
     for gamma in spec.gamma_grid:
-        dist = ideal_outcome_distribution(spec, gamma)
+        dist = ideal(spec, gamma)
         sim = payoff_table(dist, BOS)
         ana = analytical_payoffs(strategy, gamma, "corrected")
         assert abs(sim[0] - ana[0]) <= 1e-9
@@ -221,7 +230,7 @@ def test_paper_variant_rejects_uncatalogued_angle():
 
 
 def test_corrected_variant_with_custom_matrix():
-    dist = ideal_outcome_distribution(
+    dist = ideal(
         GameSpec(payoff=PayoffMatrix.identity_coordination(),
                  strategy_a=STRATEGY_H, strategy_b=STRATEGY_H),
         1.1,
@@ -282,9 +291,3 @@ def test_gamma_grid_validation():
         GameSpec(gamma_grid=(0.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         GameSpec(gamma_grid=(0.0, 4.0))
-
-
-def test_out_of_grid_gamma_rejected():
-    spec = GameSpec(gamma_grid=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        ideal_outcome_distribution(spec, 2.0)

@@ -308,6 +308,14 @@ def test_load_plan_names_the_bad_field(tmp_path, edit, message):
     assert str(exc.value) == f"{path}: {message}"
 
 
+def test_load_plan_names_a_non_utf8_file(tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(MappingPlan(((1, 2),)).to_json()).encode())
+    with pytest.raises(ValueError) as exc:
+        load_plan(path)
+    assert str(exc.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_packed_plan_is_adjacent():
     g = heavy_hex_graph(6)
     plan = packed_plan(g, 31)

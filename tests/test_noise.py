@@ -26,7 +26,7 @@ from qbos.noise import (
     crosstalk_flags,
     depolarize_1q,
     depolarize_2q,
-    noisy_distribution,
+    noisy_distributions,
     simulate_job,
 )
 from qbos.stats import payoff_table
@@ -50,6 +50,11 @@ def fixture_calibration():
 def pair_calib():
     g, cal = fixture_calibration()
     return cal.pair(g.edges[0])
+
+
+def one_circuit(ops, pc, model, crosstalk_active=False):
+    """The outcome distribution of one mapped circuit on the batched core."""
+    return noisy_distributions([ops], [pc], model, [crosstalk_active])[0]
 
 
 # --- channel algebra ------------------------------------------------------------
@@ -96,7 +101,7 @@ def test_zero_scale_equals_ideal():
     for strategy in CANONICAL_STRATEGIES:
         for gamma in (0.0, 0.9, math.pi / 2, math.pi):
             ops = build_ewl_circuit(gamma, 0.0, strategy, strategy)
-            noisy = noisy_distribution(ops, pc, model, crosstalk_active=True)
+            noisy = one_circuit(ops, pc, model, crosstalk_active=True)
             ideal = _closed_form_distribution(strategy, gamma)
             np.testing.assert_allclose(noisy, ideal, atol=1e-12)
 
@@ -104,14 +109,14 @@ def test_zero_scale_equals_ideal():
 def test_saturated_depolarizing_is_uniform():
     model = NoiseModel(scale=1.0, p_dep_1q=0.0, p_dep_2q=1.0, readout_errors=(0.0, 0.0))
     ops = build_ewl_circuit(1.0, 0.0, STRATEGY_I, STRATEGY_I)
-    dist = noisy_distribution(ops, pair_calib(), model)
+    dist = one_circuit(ops, pair_calib(), model)
     np.testing.assert_allclose(dist, [0.25] * 4, atol=1e-12)
 
 
 def test_huge_scale_clamps_to_uniform():
     model = NoiseModel(scale=1e9)
     ops = build_ewl_circuit(0.7, 0.0, STRATEGY_I, STRATEGY_I)
-    dist = noisy_distribution(ops, pair_calib(), model)
+    dist = one_circuit(ops, pair_calib(), model)
     np.testing.assert_allclose(dist, [0.25] * 4, atol=1e-9)
 
 
@@ -120,7 +125,7 @@ def test_hand_computed_two_qubit_depolarizing():
     # p00 = p11 = 0.5*0.9 + 0.25*0.1 = 0.475, p01 = p10 = 0.025
     model = NoiseModel(scale=1.0, p_dep_1q=0.0, p_dep_2q=0.1, readout_errors=(0.0, 0.0))
     ops = build_ewl_circuit(math.pi / 2, 0.0, STRATEGY_I, STRATEGY_I)
-    dist = noisy_distribution(ops, pair_calib(), model)
+    dist = one_circuit(ops, pair_calib(), model)
     np.testing.assert_allclose(dist, [0.475, 0.025, 0.025, 0.475], atol=1e-12)
 
 
@@ -128,7 +133,7 @@ def test_distribution_normalized_and_nonnegative():
     model = NoiseModel(scale=2.5)
     for gamma in (0.0, 1.1, 2.2, math.pi):
         ops = build_ewl_circuit(gamma, 0.0, STRATEGY_H, STRATEGY_H)
-        dist = noisy_distribution(ops, pair_calib(), model, crosstalk_active=True)
+        dist = one_circuit(ops, pair_calib(), model, crosstalk_active=True)
         assert abs(dist.sum() - 1.0) <= 1e-9
         assert np.all(dist >= 0.0)
 
@@ -144,7 +149,7 @@ unit = st.floats(0.0, 1.0)
 def test_distribution_valid_for_every_parameter(p1, p2, ro, xt, flag, gamma, strategy):
     model = NoiseModel(p_dep_1q=p1, p_dep_2q=p2, readout_errors=ro, crosstalk_penalty=xt)
     ops = build_ewl_circuit(gamma, 0.0, strategy, strategy)
-    dist = noisy_distribution(ops, pair_calib(), model, crosstalk_active=flag)
+    dist = one_circuit(ops, pair_calib(), model, crosstalk_active=flag)
     assert dist.shape == (4,)
     assert np.all(dist >= 0.0)
     assert abs(dist.sum() - 1.0) <= 1e-9

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbos import statevec
 from qbos.device import PairCalibration
-from qbos.noise import NoiseModel, _cnot_matrix, _embed_1q, noisy_distribution
+from qbos.noise import NoiseModel, _cnot_matrix, _embed_1q, noisy_distributions
 from qbos.statevec import (
     CircuitOp,
     ShotCounts,
@@ -26,7 +26,7 @@ ZERO = np.array([1, 0, 0, 0], dtype=complex)  # |00>
 def ideal(ops):
     """Outcome distribution of a 2-qubit circuit on the core at noise scale 0."""
     pair = PairCalibration(0.1, (0.1, 0.1), (50.0, 50.0))
-    return noisy_distribution(ops, pair, NoiseModel(scale=0.0))
+    return noisy_distributions([ops], [pair], NoiseModel(scale=0.0), [False])[0]
 
 
 # --- independent oracle: dense 2^n x 2^n matrices built by kron -------------
