@@ -483,7 +483,7 @@ def _check_rows(values) -> None:
 
 def cmd_validate(args) -> int:
     try:
-        with open(args.results, "r", encoding="utf-8", newline="") as fh:
+        with open(args.results, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             rows = [row for row in reader if row]
@@ -496,6 +496,9 @@ def cmd_validate(args) -> int:
     if missing or extra:
         raise CommandError(EXIT_SCHEMA, f"bad columns: missing {missing or 'none'}, "
                                         f"unexpected {extra or 'none'}")
+    repeated = [c for c in dict.fromkeys(header) if header.count(c) > 1]
+    if repeated:
+        raise CommandError(EXIT_SCHEMA, f"bad columns: repeated {repeated}")
     if not rows:
         raise CommandError(EXIT_SCHEMA, "results file holds no rows")
 

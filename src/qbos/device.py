@@ -66,9 +66,7 @@ class CouplingGraph:
         return {"num_qubits": self.num_qubits, "edges": [list(e) for e in self.edges]}
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
+        _save(path, self.to_json())
 
     @classmethod
     def from_json(cls, doc) -> "CouplingGraph":
@@ -157,8 +155,9 @@ def _field(entry, key, expected: str, where: str = ""):
 
 
 def _load(path, parse):
-    """parse(the JSON document in path), with the path in every ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """parse(the JSON document in path), with the path in every ValueError.
+    A leading UTF-8 byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as err:
@@ -169,6 +168,13 @@ def _load(path, parse):
         return parse(doc)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
+
+
+def _save(path, doc) -> None:
+    """Write doc as indented JSON with a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def load_coupling_map(path) -> CouplingGraph:
@@ -276,9 +282,7 @@ class CalibrationSnapshot:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
+        _save(path, self.to_json())
 
     @classmethod
     def from_json(cls, doc) -> "CalibrationSnapshot":

@@ -6,10 +6,10 @@ on (TV, TV) and (0,0) on the miscoordinated outcomes.
 
 The quantized game prepares a partially entangled two-qubit state
 cos(gamma/2)|00> + sin(gamma/2)|11> with an Ry(gamma), Rz(phi), CNOT
-sequence, lets each player apply a local single-qubit strategy gate, and
-maps computational-basis measurement outcomes to payoffs.  Alice owns
-qubit 0, Bob qubit 1; outcome labels are written qubit-1-first, so label
-"01" means Bob read 0 and Alice read 1.
+sequence (sweep jobs run phi = 0), lets each player apply a local
+single-qubit strategy gate, and maps computational-basis measurement
+outcomes to payoffs.  Alice owns qubit 0, Bob qubit 1; outcome labels are
+written qubit-1-first, so label "01" means Bob read 0 and Alice read 1.
 
 Two families of closed-form payoff curves are provided.  The 'corrected'
 variant is the exact amplitude algebra of the circuit above.  The 'paper'
@@ -156,7 +156,6 @@ class GameSpec:
     gamma_grid: tuple[float, ...] = field(default_factory=default_gamma_grid)
     strategy_a: Strategy = STRATEGY_I
     strategy_b: Strategy = STRATEGY_I
-    phi: float = 0.0
 
     def __post_init__(self):
         g = tuple(float(x) for x in self.gamma_grid)

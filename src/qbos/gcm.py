@@ -25,12 +25,11 @@ Plans serialize as JSON
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .device import CalibrationSnapshot, CouplingGraph, _field, _load
+from .device import CalibrationSnapshot, CouplingGraph, _field, _load, _save
 
 # score weights of the two-qubit error, the readout-error sum and the inverse-T1 sum (1/us)
 W_2Q, W_RO, W_COH = 1.0, 0.5, 0.1
@@ -78,9 +77,7 @@ class MappingPlan:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
+        _save(path, self.to_json())
 
     @classmethod
     def from_json(cls, doc) -> "MappingPlan":

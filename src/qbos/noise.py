@@ -3,12 +3,14 @@
 Error channels, matching the dominant NISQ error sources:
 
 * depolarizing after every gate: rho -> (1-p) rho + p * I/4 for two-qubit
-  gates, with the single-qubit analogue (replace the target qubit's state
-  by I/2) after one-qubit gates;
-* symmetric readout confusion applied to the final outcome distribution;
-* a crosstalk penalty, an extra two-qubit depolarizing channel applied
-  after entangling gates whenever another active pair sits closer than
-  graph distance 2.
+  gates, with p the pair's calibrated two-qubit error, and the
+  single-qubit analogue (replace the target qubit's state by I/2) after
+  one-qubit gates, with p one tenth of that error;
+* symmetric readout confusion with each qubit's calibrated readout error,
+  applied to the final outcome distribution;
+* a crosstalk penalty of 0.05, an extra two-qubit depolarizing channel
+  applied after entangling gates whenever another active pair sits closer
+  than graph distance 2.
 
 A global scale factor multiplies every error probability (clamped to 1),
 so scale 0 gives the ideal circuit's exact distribution and large scales
@@ -40,50 +42,30 @@ from .statevec import (
 )
 
 CROSSTALK_DISTANCE = 2          # pairs closer than this interfere
-DEFAULT_CROSSTALK_PENALTY = 0.05  # no published figure exists; tunable
-ONE_QUBIT_ERROR_FRACTION = 0.1  # p_dep_1q default = fraction of the edge error
+CROSSTALK_PENALTY = 0.05        # no published figure exists
+ONE_QUBIT_ERROR_FRACTION = 0.1  # one-qubit error as a fraction of the edge error
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Error-strength configuration; per-pair figures default from calibration."""
+    """Error strength: every per-pair figure comes from calibration, times scale."""
 
     scale: float = 1.0
-    p_dep_1q: float | None = None
-    p_dep_2q: float | None = None
-    readout_errors: tuple[float, float] | None = None
-    crosstalk_penalty: float = DEFAULT_CROSSTALK_PENALTY
 
     def __post_init__(self):
         if not self.scale >= 0.0:
             raise ValueError("scale must be >= 0")
-        for name in ("p_dep_1q", "p_dep_2q", "crosstalk_penalty"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} = {v!r} outside [0, 1]")
-        if self.readout_errors is not None:
-            if any(not 0.0 <= r <= 1.0 for r in self.readout_errors):
-                raise ValueError("readout errors outside [0, 1]")
 
     def resolved(self, pair_calib: PairCalibration):
         """Effective (p_1q, p_2q, p_crosstalk, (ro_a, ro_b)) after scaling."""
-        p2_base = self.p_dep_2q if self.p_dep_2q is not None else pair_calib.two_qubit_error
-        p1_base = (
-            self.p_dep_1q
-            if self.p_dep_1q is not None
-            else ONE_QUBIT_ERROR_FRACTION * pair_calib.two_qubit_error
-        )
-        ro_base = (
-            self.readout_errors
-            if self.readout_errors is not None
-            else pair_calib.readout_errors
-        )
+        p2 = pair_calib.two_qubit_error
+        ro_a, ro_b = pair_calib.readout_errors
         clamp = lambda p: min(1.0, self.scale * p)
         return (
-            clamp(p1_base),
-            clamp(p2_base),
-            clamp(self.crosstalk_penalty),
-            (clamp(ro_base[0]), clamp(ro_base[1])),
+            clamp(ONE_QUBIT_ERROR_FRACTION * p2),
+            clamp(p2),
+            clamp(CROSSTALK_PENALTY),
+            (clamp(ro_a), clamp(ro_b)),
         )
 
 
@@ -263,7 +245,7 @@ def job_counts(
             f"{len(spec.gamma_grid)} points"
         )
     circuits = [
-        build_ewl_circuit(gamma, spec.phi, spec.strategy_a, spec.strategy_b)
+        build_ewl_circuit(gamma, 0.0, spec.strategy_a, spec.strategy_b)
         for gamma in spec.gamma_grid
     ]
     pair_calibs = [calib.pair(pair) for pair in plan.assignments]

@@ -2,23 +2,24 @@
 
 Aggregation follows the experiment protocol: payoffs are derived per run
 from shot counts, averaged across the repeated runs at each entanglement
-angle (95% Student-t confidence half-widths, n-1 degrees of freedom), and
-RMSE against the closed-form reference curves is computed on those per-angle
-run means.  Best/worst relative errors divide the smallest RMSE entry by
-the payoff-scale maximum (3) and the largest by the scale minimum (1.2) --
-a blunt convention, but kept because the report mirrors it.
+angle (Student-t confidence half-widths at the fixed level CONFIDENCE =
+0.95, n-1 degrees of freedom), and RMSE against the closed-form reference
+curves is computed on those per-angle run means.  Best/worst relative
+errors divide the smallest RMSE entry by the payoff-scale maximum (3) and
+the largest by the scale minimum (1.2) -- a blunt convention, but kept
+because the report mirrors it.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .device import _save
 from .game import GameSpec, PayoffMatrix, Strategy, analytical_payoffs
 from .noise import RunResult
 from .statevec import ShotCounts
@@ -26,6 +27,7 @@ from .statevec import ShotCounts
 # fixed denominators for the best/worst relative-error convention
 PAYOFF_SCALE_MAX = 3.0
 PAYOFF_SCALE_MIN = 1.2
+CONFIDENCE = 0.95  # two-sided level of every run-mean interval
 
 
 class SchemaError(ValueError):
@@ -47,15 +49,14 @@ class PayoffEstimate:
 def payoff_table(freqs, payoff: PayoffMatrix) -> np.ndarray:
     """(e_a, e_b) of every cell of a (..., 4) outcome-frequency array, shape (..., 2).
 
-    Each cell is its own 1-D dot product with the payoff weights: one stacked
-    (N, 4) @ (4,) product sums in another order and changes last bits.
+    np.vecdot takes each cell's 1-D dot product with the payoff weights, the
+    same bits as a per-cell ndarray.dot; a stacked f @ w, einsum or an
+    explicit sum rounds in another order and changes last bits.
     """
     f = np.asarray(freqs, dtype=float)
     if f.shape[-1:] != (4,):
         raise ValueError(f"expected 4 outcome frequencies per cell, got shape {f.shape}")
-    wa, wb = payoff.outcome_weights()
-    cells = [(cell.dot(wa), cell.dot(wb)) for cell in f.reshape(-1, 4)]
-    return np.array(cells, dtype=float).reshape(f.shape[:-1] + (2,))
+    return np.vecdot(f[..., None, :], np.stack(payoff.outcome_weights()))
 
 
 @functools.cache
@@ -67,17 +68,15 @@ def _t_quantile(df: int, p: float) -> float:
     return float(stdtrit(df, p))
 
 
-def aggregate_runs(values: Sequence[float], confidence: float = 0.95) -> PayoffEstimate:
+def aggregate_runs(values: Sequence[float]) -> PayoffEstimate:
     """Mean, unbiased variance and Student-t CI half-width of repeated runs."""
     n = len(values)
     if n < 2:
         raise ValueError("confidence interval needs at least 2 runs")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     var = float(arr.var(ddof=1))
-    t_crit = _t_quantile(n - 1, 0.5 + confidence / 2.0)
+    t_crit = _t_quantile(n - 1, 0.5 + CONFIDENCE / 2.0)
     half = t_crit * math.sqrt(var / n)
     return PayoffEstimate(mean, var, half, n)
 
@@ -159,9 +158,7 @@ class ValidationReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
+        _save(path, self.to_json())
 
     def to_text(self) -> str:
         """RMSE summary table plus the relative-error extremes."""

@@ -377,6 +377,29 @@ def test_validate_bad_columns(tmp_path, capsys):
     assert "columns" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_repeated_column(tmp_path, capsys):
+    res = sweep_fixture(tmp_path)
+    with open(res, newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index("gamma")
+    with open(res, "w", newline="") as fh:
+        csv.writer(fh).writerows(row + [row[col]] for row in rows)
+    capsys.readouterr()
+    assert run_cli("validate", str(res)) == EXIT_SCHEMA
+    assert capsys.readouterr() == ("", "error: bad columns: repeated ['gamma']\n")
+
+
+def test_validate_accepts_a_utf8_bom(tmp_path, capsys):
+    res = sweep_fixture(tmp_path)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + res.read_bytes())
+    capsys.readouterr()
+    assert run_cli("validate", str(res)) == EXIT_OK
+    plain = capsys.readouterr()
+    assert run_cli("validate", str(bom)) == EXIT_OK
+    assert capsys.readouterr() == plain
+
+
 def tamper(path, row, column, edit):
     """Replace one cell of a results CSV by edit(old text); row 0 is the first data row."""
     with open(path, newline="") as fh:
@@ -753,6 +776,24 @@ def test_malformed_input_file_exits_2_or_3(kind, data):
         assert err.startswith(f"error: {Path(tmp) / 'input.json'}: line "), err
     if how == "bytes":
         assert err.startswith(f"error: {Path(tmp) / 'input.json'}: 'utf-8' codec "), err
+
+
+@pytest.mark.parametrize("kind", ["config", "matrix", "coupling-map", "calibration", "plan"])
+def test_json_loaders_skip_a_utf8_bom(tmp_path, kind):
+    from qbos.cli import load_config_file
+    from qbos.device import load_calibration, load_coupling_map
+    from qbos.gcm import MappingPlan, load_plan
+    doc, load = {
+        "config": (config_doc(), load_config_file),
+        "matrix": (matrix_doc(), parse_matrix),
+        "coupling-map": (cmap_doc(), load_coupling_map),
+        "calibration": (cal_doc(), load_calibration),
+        "plan": (MappingPlan(((1, 2), (5, 6))).to_json(), load_plan),
+    }[kind]
+    plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+    plain.write_text(json.dumps(doc))
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load(str(bom)) == load(str(plain))
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,7 @@ def symmetric_spec(strategy, **kw):
 
 def ideal(spec, gamma):
     """The game circuit's outcome distribution: the core at noise scale 0."""
-    ops = build_ewl_circuit(gamma, spec.phi, spec.strategy_a, spec.strategy_b)
+    ops = build_ewl_circuit(gamma, 0.0, spec.strategy_a, spec.strategy_b)
     return noisy_distributions([ops], [IDEAL_PAIR], NoiseModel(scale=0.0), [False])[0]
 
 

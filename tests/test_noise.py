@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbos.device import CouplingGraph, heavy_hex_graph, synth_calibration
+from qbos.device import CouplingGraph, PairCalibration, heavy_hex_graph, synth_calibration
 from qbos.game import (
     CANONICAL_STRATEGIES,
     GameSpec,
@@ -21,6 +21,7 @@ from qbos.game import (
 from qbos.gcm import MappingPlan, packed_plan, select_pairs
 from qbos.noise import (
     CROSSTALK_DISTANCE,
+    CROSSTALK_PENALTY,
     NoiseModel,
     confusion_matrix,
     crosstalk_flags,
@@ -85,11 +86,7 @@ def test_confusion_matrix_is_column_stochastic():
 
 def test_model_rejects_bad_probabilities():
     with pytest.raises(ValueError):
-        NoiseModel(p_dep_2q=1.5)
-    with pytest.raises(ValueError):
         NoiseModel(scale=-1.0)
-    with pytest.raises(ValueError):
-        NoiseModel(readout_errors=(0.5, 2.0))
 
 
 # --- distribution limits -----------------------------------------------------------
@@ -107,9 +104,9 @@ def test_zero_scale_equals_ideal():
 
 
 def test_saturated_depolarizing_is_uniform():
-    model = NoiseModel(scale=1.0, p_dep_1q=0.0, p_dep_2q=1.0, readout_errors=(0.0, 0.0))
+    pc = PairCalibration(two_qubit_error=1.0, readout_errors=(0.0, 0.0), t1_us=(286.0, 286.0))
     ops = build_ewl_circuit(1.0, 0.0, STRATEGY_I, STRATEGY_I)
-    dist = one_circuit(ops, pair_calib(), model)
+    dist = one_circuit(ops, pc, NoiseModel(scale=1.0))
     np.testing.assert_allclose(dist, [0.25] * 4, atol=1e-12)
 
 
@@ -121,12 +118,18 @@ def test_huge_scale_clamps_to_uniform():
 
 
 def test_hand_computed_two_qubit_depolarizing():
-    # strategy I at gamma = pi/2, only two-qubit depolarizing p = 0.1:
-    # p00 = p11 = 0.5*0.9 + 0.25*0.1 = 0.475, p01 = p10 = 0.025
-    model = NoiseModel(scale=1.0, p_dep_1q=0.0, p_dep_2q=0.1, readout_errors=(0.0, 0.0))
+    # strategy I at gamma = pi/2 on an edge with two-qubit error 0.1, so
+    # one-qubit error 0.01, and no readout error.  The two one-qubit channels
+    # before the CNOT leave the populations at 0.5/0.5; after it the
+    # two-qubit channel gives p00 = 0.5*0.9 + 0.25*0.1 = 0.475; the strategy
+    # gates' channels on qubit 0, then qubit 1, each take p00 to
+    # 0.99 p00 + 0.01 (p00 + p01) / 2:
+    # 0.47275, then p00 = p11 = 0.4705225 and p01 = p10 = 0.0294775
+    pc = PairCalibration(two_qubit_error=0.1, readout_errors=(0.0, 0.0), t1_us=(286.0, 286.0))
     ops = build_ewl_circuit(math.pi / 2, 0.0, STRATEGY_I, STRATEGY_I)
-    dist = one_circuit(ops, pair_calib(), model)
-    np.testing.assert_allclose(dist, [0.475, 0.025, 0.025, 0.475], atol=1e-12)
+    dist = one_circuit(ops, pc, NoiseModel(scale=1.0))
+    np.testing.assert_allclose(dist, [0.4705225, 0.0294775, 0.0294775, 0.4705225],
+                               rtol=0, atol=1e-15)
 
 
 def test_distribution_normalized_and_nonnegative():
@@ -143,13 +146,15 @@ unit = st.floats(0.0, 1.0)
 
 @settings(max_examples=100, deadline=None)
 @given(
-    p1=unit, p2=unit, ro=st.tuples(unit, unit), xt=unit, flag=st.booleans(),
-    gamma=st.floats(0.0, math.pi), strategy=st.sampled_from(CANONICAL_STRATEGIES),
+    p2=unit, ro=st.tuples(unit, unit), scale=st.floats(0.0, 1.0 / CROSSTALK_PENALTY),
+    flag=st.booleans(), gamma=st.floats(0.0, math.pi),
+    strategy=st.sampled_from(CANONICAL_STRATEGIES),
 )
-def test_distribution_valid_for_every_parameter(p1, p2, ro, xt, flag, gamma, strategy):
-    model = NoiseModel(p_dep_1q=p1, p_dep_2q=p2, readout_errors=ro, crosstalk_penalty=xt)
+def test_distribution_valid_for_every_parameter(p2, ro, scale, flag, gamma, strategy):
+    # up to scale 1 / CROSSTALK_PENALTY, where every channel has saturated
+    pc = PairCalibration(two_qubit_error=p2, readout_errors=ro, t1_us=(286.0, 286.0))
     ops = build_ewl_circuit(gamma, 0.0, strategy, strategy)
-    dist = one_circuit(ops, pair_calib(), model, crosstalk_active=flag)
+    dist = one_circuit(ops, pc, NoiseModel(scale=scale), crosstalk_active=flag)
     assert dist.shape == (4,)
     assert np.all(dist >= 0.0)
     assert abs(dist.sum() - 1.0) <= 1e-9

@@ -17,6 +17,8 @@ from qbos.stats import (
     PAYOFF_SCALE_MAX,
     PAYOFF_SCALE_MIN,
     SchemaError,
+    CONFIDENCE,
+    _t_quantile,
     aggregate_runs,
     build_validation_report,
     payoff_table,
@@ -264,29 +266,6 @@ def test_build_report_from_run_results():
     assert all(ge.alice.n == 3 for ge in sv.per_gamma)
 
 
-def test_tuned_noise_reproduces_table_magnitudes():
-    # a noise mix tuned once to sit at realistic hardware error levels puts
-    # every per-strategy RMSE entry inside [0.10, 0.15]
-    from qbos import device, gcm, noise
-    from qbos.game import CANONICAL_STRATEGIES
-    from qbos.statevec import derive_seed
-
-    graph = device.heavy_hex_graph(6)
-    cal = device.synth_calibration(graph, seed=0, profile="uniform")
-    plan = gcm.select_pairs(graph, cal, k=31, min_separation=2)
-    model = noise.NoiseModel(p_dep_1q=0.025, p_dep_2q=0.004,
-                             readout_errors=(0.01, 0.01))
-    results = {}
-    for idx, strategy in enumerate(CANONICAL_STRATEGIES):
-        spec = GameSpec(strategy_a=strategy, strategy_b=strategy)
-        results[strategy.label] = noise.simulate_job(
-            plan, spec, cal, model, 2048, 5, derive_seed(11, idx)
-        )
-    report = build_validation_report(results, GameSpec(), variant="corrected")
-    entries = [v for sv in report.strategies for v in (sv.rmse_a, sv.rmse_b)]
-    assert all(0.10 <= v <= 0.15 for v in entries)
-
-
 def test_build_report_flags_missing_cells():
     gammas = default_gamma_grid(3)
     spec = GameSpec(gamma_grid=gammas)
@@ -319,21 +298,33 @@ def test_payoff_table_is_the_per_cell_product():
     for g in range(5):
         for r in range(3):
             assert table[g, r].tolist() == [float(freqs[g, r] @ wa), float(freqs[g, r] @ wb)]
+    # four non-zero, non-dyadic weights per player over 1,240 cells: a stacked
+    # f @ w or a left-to-right sum rounds differently in some of them
+    matrix = PayoffMatrix((((2.7, 1.3), (0.1, 0.7)), ((0.3, 0.9), (1.9, 2.3))))
+    wa, wb = matrix.outcome_weights()
+    freqs = rng.multinomial(8192, [0.4, 0.1, 0.2, 0.3], size=(31, 40)) / 8192
+    table = payoff_table(freqs, matrix)
+    assert table.shape == (31, 40, 2)
+    expected = [[[cell.dot(wa), cell.dot(wb)] for cell in row] for row in freqs]
+    assert table.tolist() == expected
     with pytest.raises(ValueError, match="4 outcome frequencies"):
         payoff_table(np.ones((2, 3)), BOS)
 
 
 def test_t_quantile_equals_scipy_t_ppf():
     # aggregate_runs takes its quantile from scipy.special.stdtrit, which
-    # imports far faster than scipy.stats; the half-widths agree bit for bit
+    # imports far faster than scipy.stats; the quantiles and the half-widths
+    # agree bit for bit
     from scipy import stats as sps
     rng = np.random.default_rng(7)
+    assert CONFIDENCE == 0.95
     for n in range(2, 202):
+        for c in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+            assert _t_quantile(n - 1, 0.5 + c / 2.0) == float(sps.t.ppf(0.5 + c / 2.0, df=n - 1))
         values = rng.normal(1.0, 0.5, size=n).tolist()
-        for confidence in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
-            est = aggregate_runs(values, confidence)
-            t_crit = float(sps.t.ppf(0.5 + confidence / 2.0, df=n - 1))
-            assert est.ci_half_width == t_crit * math.sqrt(est.sample_variance / n)
+        est = aggregate_runs(values)
+        t_crit = float(sps.t.ppf(0.5 + 0.95 / 2.0, df=n - 1))
+        assert est.ci_half_width == t_crit * math.sqrt(est.sample_variance / n)
 
 
 def test_scipy_loads_only_when_a_report_is_built():
