@@ -12,9 +12,10 @@ Error channels, matching the dominant NISQ error sources:
   applied after entangling gates whenever another active pair sits closer
   than graph distance 2.
 
-A global scale factor multiplies every error probability (clamped to 1),
-so scale 0 gives the ideal circuit's exact distribution and large scales
-drive the state to the maximally mixed limit.
+A global, finite scale factor multiplies every error probability (clamped
+to 1), so scale 0 gives the ideal circuit's exact distribution and large
+scales drive the state to the maximally mixed limit; NoiseModel.resolved
+gives a job's scaled probabilities as one per-circuit array per channel.
 
 The circuits of a sweep job evolve together as one (G, 4, 4) stack of
 density matrices with stacked matrix products, which give the same bits as
@@ -53,19 +54,18 @@ class NoiseModel:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale >= 0.0:
-            raise ValueError("scale must be >= 0")
+        if not 0.0 <= self.scale < float("inf"):
+            raise ValueError("scale must be finite and >= 0")
 
-    def resolved(self, pair_calib: PairCalibration):
-        """Effective (p_1q, p_2q, p_crosstalk, (ro_a, ro_b)) after scaling."""
-        p2 = pair_calib.two_qubit_error
-        ro_a, ro_b = pair_calib.readout_errors
-        clamp = lambda p: min(1.0, self.scale * p)
-        return (
-            clamp(ONE_QUBIT_ERROR_FRACTION * p2),
-            clamp(p2),
-            clamp(CROSSTALK_PENALTY),
-            (clamp(ro_a), clamp(ro_b)),
+    def resolved(self, pair_calibs: Sequence[PairCalibration], crosstalk_active: Sequence[bool]):
+        """Per-circuit arrays (p_1q, p_2q, p_crosstalk, ro_a, ro_b), each np.minimum(1.0,
+        scale * x); p_crosstalk is 0 where crosstalk_active is false."""
+        p2 = np.array([pc.two_qubit_error for pc in pair_calibs], dtype=float)
+        ro = np.array([pc.readout_errors for pc in pair_calibs], dtype=float).reshape(-1, 2)
+        xt = CROSSTALK_PENALTY * np.asarray(crosstalk_active, dtype=float)
+        return tuple(
+            np.minimum(1.0, self.scale * x)
+            for x in (ONE_QUBIT_ERROR_FRACTION * p2, p2, xt, ro[:, 0], ro[:, 1])
         )
 
 
@@ -179,12 +179,7 @@ def noisy_distributions(
     if any([(op.name, op.qubits) for op in ops] != layout for ops in circuits[1:]):
         raise ValueError("circuits must share one gate layout; only angles may differ")
 
-    resolved = [model.resolved(pc) for pc in pair_calibs]
-    p1 = np.array([r[0] for r in resolved])
-    p2 = np.array([r[1] for r in resolved])
-    p_xt = np.array([r[2] if flag else 0.0 for r, flag in zip(resolved, crosstalk_active)])
-    ro_a = np.array([r[3][0] for r in resolved])
-    ro_b = np.array([r[3][1] for r in resolved])
+    p1, p2, p_xt, ro_a, ro_b = model.resolved(pair_calibs, crosstalk_active)
 
     rho = np.zeros((g, 4, 4), dtype=complex)
     rho[:, 0, 0] = 1.0
@@ -235,8 +230,8 @@ def job_counts(
     Circuit i runs the gamma_grid[i] circuit on the plan's i-th pair; the
     result has shape (len(gamma_grid), runs, 4) in outcome-label order.
     Cell (i, run) draws from derive_seed(seed, i, run), so its counts do not
-    depend on which other cells are sampled; derive_seeds gives the seeds of
-    all cells in one vectorised pass that reproduces SeedSequence bit for
+    depend on which other cells are sampled; derive_seeds gives the key words
+    of all cells in one vectorised pass that reproduces SeedSequence bit for
     bit.  flags are the plan's crosstalk flags (crosstalk_flags).
     """
     if len(plan.assignments) != len(spec.gamma_grid):

@@ -3,10 +3,10 @@
 The two-qubit circuits themselves are evolved by the density-matrix core in
 ``noise``; this module holds what that core and the sweeps build on.
 
-derive_seed mixes integer tags through numpy's SeedSequence.  derive_seeds
-gives the seeds of every (circuit, run) cell of a job in one vectorised pass
-over arrays of cells that reproduces SeedSequence bit for bit; derive_seed
-stays its per-cell reference.
+derive_seed mixes integer tags through numpy's SeedSequence into one int.
+derive_seeds gives the Philox key words of every (circuit, run) cell of a job
+as one uint64 array, reproducing SeedSequence bit for bit in one vectorised
+pass; derive_seed stays its per-cell reference.
 
 Basis convention: qubit 0 is the least-significant bit of the basis index,
 so for two qubits the amplitude order is |q1 q0> = |00>, |01>, |10>, |11>
@@ -24,8 +24,6 @@ import numpy as np
 NORM_TOL = 1e-9
 
 OUTCOME_LABELS = ("00", "01", "10", "11")
-
-_WORD = 2**64 - 1  # a Philox key is two 64-bit words, low word first
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _POOL_SIZE = 4
@@ -121,13 +119,13 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> 16)
 
 
-def derive_seeds(seed: int, circuits: int, runs: int) -> list[list[int]]:
-    """derive_seed(seed, i, run) for every cell of a circuits x runs grid.
+def derive_seeds(seed: int, circuits: int, runs: int) -> np.ndarray:
+    """The Philox key words of derive_seed(seed, i, run) for a circuits x runs grid.
 
-    Returns [[derive_seed(seed, i, run) for run in range(runs)] for i in
-    range(circuits)], computed in one pass over all cells.  The cells share
-    one entropy word layout (the words of seed, one word for i, one for run),
-    so the SeedSequence hash (O'Neill's seed_seq, pool size 4) runs on uint32
+    Cell (i, run) of the (circuits, runs, 2) uint64 result holds the low and
+    high 64-bit words of derive_seed(seed, i, run).  The cells share one
+    entropy word layout (the words of seed, one word for i, one for run), so
+    the SeedSequence hash (O'Neill's seed_seq, pool size 4) runs on uint32
     arrays with one element per cell, bit for bit as numpy runs it on one
     cell.  Its hash constants evolve the same way for every cell and stay
     Python ints; uint32 array arithmetic wraps modulo 2**32 as the C code
@@ -157,28 +155,18 @@ def derive_seeds(seed: int, circuits: int, runs: int) -> list[list[int]]:
     # generate_state(2, uint64): four output words, low word first
     output = _HashMix(_INIT_B, _MULT_B)
     w0, w1, w2, w3 = (output(word).astype(np.uint64) for word in pool)
-    low, high = (w0 | w1 << np.uint64(32)).tolist(), (w2 | w3 << np.uint64(32)).tolist()
-    flat = [lo | hi << 64 for lo, hi in zip(low, high)]
-    return [flat[i * runs:(i + 1) * runs] for i in range(circuits)]
+    words = np.stack([w0 | w1 << np.uint64(32), w2 | w3 << np.uint64(32)], axis=-1)
+    return words.reshape(circuits, runs, 2)
 
 
-def _normalized(p: np.ndarray) -> np.ndarray:
-    if np.any(p < -1e-12):
-        raise ValueError("probabilities must be non-negative")
-    total = float(p.sum())
-    if abs(total - 1.0) > NORM_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, must be 1 within {NORM_TOL}")
-    clipped = np.clip(p, 0.0, None)
-    return clipped / clipped.sum()  # guard float drift
+def sample_cells(probs, shots: int, keys) -> np.ndarray:
+    """Multinomial shot counts for a grid of (distribution, key) cells.
 
-
-def sample_cells(probs, shots: int, seeds) -> np.ndarray:
-    """Multinomial shot counts for a grid of (distribution, seed) cells.
-
-    probs is a (G, 4) array of outcome distributions and seeds holds G
-    equal-length rows of integer seeds.  The result has shape (G, R, 4):
-    cell (g, r) is exactly Generator(Philox(key=seeds[g][r])).multinomial(
-    shots, probs[g]), the key being the seed's low 128 bits.
+    probs is a (G, 4) array of outcome distributions and keys a (G, R, 2)
+    array of Philox key words, low word first, as derive_seeds gives them.
+    The result has shape (G, R, 4): cell (g, r) is exactly
+    Generator(Philox(key=lo | hi << 64)).multinomial(shots, probs[g]) for
+    (lo, hi) = keys[g, r].  Rows are clipped at 0 and rescaled to sum to 1.
 
     Every cell is drawn from one Philox/Generator pair whose state is reset
     before the draw to that of a freshly keyed Philox (counter 0, the key,
@@ -189,31 +177,34 @@ def sample_cells(probs, shots: int, seeds) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 2 or p.shape[1] != 4:
         raise ValueError(f"expected 4-outcome distributions, got shape {p.shape}")
-    if len(seeds) != len(p):
-        raise ValueError(f"{len(p)} distributions but {len(seeds)} seed rows")
-    runs = len(seeds[0]) if len(seeds) else 0
-    if any(len(row) != runs for row in seeds):
-        raise ValueError("every distribution needs the same number of seeds")
-    dists = [_normalized(row) for row in p]
+    keys = np.asarray(keys, dtype=np.uint64)
+    if keys.ndim != 3 or keys.shape[0] != len(p) or keys.shape[2] != 2:
+        raise ValueError(f"expected ({len(p)}, runs, 2) key words, got shape {keys.shape}")
+    sums = p.sum(axis=1)
+    negative = np.any(p < -1e-12, axis=1)
+    for g in np.flatnonzero(negative | (np.abs(sums - 1.0) > NORM_TOL))[:1]:  # first bad row
+        if negative[g]:
+            raise ValueError("probabilities must be non-negative")
+        raise ValueError(f"probabilities sum to {float(sums[g])!r}, must be 1 within {NORM_TOL}")
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    clipped = np.clip(p, 0.0, None)
+    dists = clipped / clipped.sum(axis=1, keepdims=True)  # guard float drift
 
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
-    key = [0, 0]
     fresh = {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "state": {"counter": [0, 0, 0, 0], "key": None},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
-    out = np.empty((len(dists), runs, 4), dtype=np.int64)
-    for g, (dist, row) in enumerate(zip(dists, seeds)):
-        for r, seed in enumerate(row):
-            key[0] = seed & _WORD
-            key[1] = (seed >> 64) & _WORD
+    out = np.empty(keys.shape[:2] + (4,), dtype=np.int64)
+    for g, (dist, row) in enumerate(zip(dists, keys.tolist())):
+        for r, key in enumerate(row):
+            fresh["state"]["key"] = key
             bitgen.state = fresh
             out[g, r] = gen.multinomial(shots, dist)
     return out

@@ -22,7 +22,6 @@ import numpy as np
 from .device import _save
 from .game import GameSpec, PayoffMatrix, Strategy, analytical_payoffs
 from .noise import RunResult
-from .statevec import ShotCounts
 
 # fixed denominators for the best/worst relative-error convention
 PAYOFF_SCALE_MAX = 3.0
@@ -98,23 +97,23 @@ def relative_error_percent(rmse_value: float, reference_payoff: float) -> float:
     return 100.0 * rmse_value / reference_payoff
 
 
-def propagate_count_error(
-    counts: ShotCounts, payoff: PayoffMatrix
-) -> tuple[float, float, float]:
+def propagate_count_error(freqs, shots, payoff: PayoffMatrix):
     """Multinomial delta-method variances of (e_a, e_b, miscoordination).
 
-    With outcome frequencies f and payoff weights w, the variance of the
-    frequency-weighted payoff is (sum f w^2 - (sum f w)^2) / shots.
+    freqs is a (..., 4) frequency array of shots shots (an int or an array
+    shaped like freqs[..., 0]).  With payoff weights w each variance is
+    (sum f w^2 - (sum f w)^2) / shots per cell, summed as in payoff_table and
+    squared as a product, so a stack gives every cell its own call's bits.
     """
-    if counts.total_shots < 1:
+    if np.any(np.asarray(shots) < 1):
         raise ValueError("need at least one shot")
-    freqs = counts.frequencies()
+    f = np.asarray(freqs, dtype=float)
     wa, wb = payoff.outcome_weights()
     wm = np.array([0.0, 1.0, 1.0, 0.0])
 
     def var(w):
-        mean = float(freqs @ w)
-        return (float(freqs @ (w**2)) - mean**2) / counts.total_shots
+        mean = np.vecdot(f, w)
+        return (np.vecdot(f, w * w) - mean * mean) / shots
 
     return var(wa), var(wb), var(wm)
 
@@ -136,26 +135,13 @@ class StrategyValidation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    strategies: tuple[StrategyValidation, ...]
+    variant: str
     best_relative_error_pct: float
     worst_relative_error_pct: float
-    variant: str
+    strategies: tuple[StrategyValidation, ...]
 
     def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "best_relative_error_pct": self.best_relative_error_pct,
-            "worst_relative_error_pct": self.worst_relative_error_pct,
-            "strategies": [
-                {
-                    "strategy": sv.strategy,
-                    "rmse_a": sv.rmse_a,
-                    "rmse_b": sv.rmse_b,
-                    "per_gamma": [asdict(ge) for ge in sv.per_gamma],
-                }
-                for sv in self.strategies
-            ],
-        }
+        return asdict(self)
 
     def save(self, path) -> None:
         _save(path, self.to_json())
@@ -243,7 +229,7 @@ def report_from_cells(
         all_rmses.extend((rmse_a, rmse_b))
     best = relative_error_percent(min(all_rmses), PAYOFF_SCALE_MAX)
     worst = relative_error_percent(max(all_rmses), PAYOFF_SCALE_MIN)
-    return ValidationReport(tuple(validations), best, worst, variant)
+    return ValidationReport(variant, best, worst, tuple(validations))
 
 
 def build_validation_report(

@@ -247,11 +247,9 @@ def test_criterion_09_statistical_machinery():
     assert abs(coverage - 0.95) <= 0.01
 
     # delta-method variance against 10,000 multinomial resamples
-    counts_fixture = {"00": 1126, "01": 102, "10": 205, "11": 615}
-    from qbos.statevec import ShotCounts
-    counts = ShotCounts(counts_fixture, 2048)
-    va, vb, vm = stats.propagate_count_error(counts, BOS)
-    draws = rng.multinomial(2048, counts.frequencies(), size=10_000) / 2048
+    freqs = np.array([1126, 102, 205, 615]) / 2048  # counts of 00, 01, 10, 11
+    va, vb, vm = stats.propagate_count_error(freqs, 2048, BOS)
+    draws = rng.multinomial(2048, freqs, size=10_000) / 2048
     wa, wb = BOS.outcome_weights()
     for model_var, emp_var in (
         (va, float(np.var(draws @ wa, ddof=1))),

@@ -198,8 +198,9 @@ def test_build_validation_report_digest(job_setup, scale, digest):
 
 # --- stacked evolution equals the per-circuit loop, bit for bit ----------------------
 
-def reference_distribution(ops, pair_calib, model, crosstalk_active):
-    """One circuit, one 4x4 density matrix at a time: the unbatched evolution."""
+def reference_distribution(ops, pair_calib, scale, crosstalk_active):
+    """One circuit, one 4x4 density matrix at a time: the unbatched evolution,
+    with every probability scaled and clamped from the pair's calibration."""
 
     def embed(matrix, qubit):
         return np.kron(np.eye(2), matrix) if qubit == 0 else np.kron(matrix, np.eye(2))
@@ -228,7 +229,11 @@ def reference_distribution(ops, pair_calib, model, crosstalk_active):
     def confusion(r):
         return np.array([[1.0 - r, r], [r, 1.0 - r]])
 
-    p1, p2, p_xt, (ro_a, ro_b) = model.resolved(pair_calib)
+    clamp = lambda p: min(1.0, scale * p)
+    p2 = pair_calib.two_qubit_error
+    p1, p2, p_xt = (clamp(noise.ONE_QUBIT_ERROR_FRACTION * p2), clamp(p2),
+                    clamp(noise.CROSSTALK_PENALTY))
+    ro_a, ro_b = map(clamp, pair_calib.readout_errors)
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
     for op in ops:
@@ -267,10 +272,9 @@ def test_stacked_evolution_matches_per_circuit_loop(scale, strategy, cal_seed, s
     grid = game.default_gamma_grid(steps)
     circuits = [game.build_ewl_circuit(g, phi, strategy, strategy) for g in grid]
     pair_calibs = [calib.pair(GRAPH.edges[i % len(GRAPH.edges)]) for i in range(steps)]
-    model = NoiseModel(scale=scale)
-    stacked = noisy_distributions(circuits, pair_calibs, model, flags[:steps])
+    stacked = noisy_distributions(circuits, pair_calibs, NoiseModel(scale=scale), flags[:steps])
     for g, ops in enumerate(circuits):
-        ref = reference_distribution(ops, pair_calibs[g], model, flags[g])
+        ref = reference_distribution(ops, pair_calibs[g], scale, flags[g])
         assert stacked[g].tobytes() == ref.tobytes()
 
 
@@ -297,7 +301,8 @@ def test_sampler_matches_fresh_philox(weights, runs, shots, data):
     probs = np.array([np.array(w) / sum(w) for w in weights])
     seeds = [data.draw(st.lists(st.integers(0, 2**128 - 1), min_size=runs, max_size=runs))
              for _ in weights]
-    drawn = sample_cells(probs, shots, seeds)
+    keys = np.array([[[key % 2**64, key >> 64] for key in row] for row in seeds], dtype=np.uint64)
+    drawn = sample_cells(probs, shots, keys)
     assert drawn.shape == (len(weights), runs, 4)
     for g, row in enumerate(seeds):
         p = np.clip(probs[g], 0.0, None) / np.clip(probs[g], 0.0, None).sum()

@@ -30,7 +30,7 @@ from qbos.noise import (
     noisy_distributions,
     simulate_job,
 )
-from qbos.stats import payoff_table
+from qbos.stats import payoff_table, rmse
 
 from graph_oracles import bfs_distances
 
@@ -87,6 +87,29 @@ def test_confusion_matrix_is_column_stochastic():
 def test_model_rejects_bad_probabilities():
     with pytest.raises(ValueError):
         NoiseModel(scale=-1.0)
+
+
+@pytest.mark.parametrize("scale", [float("inf"), float("nan")])
+def test_model_rejects_non_finite_scale(scale):
+    # at scale inf a zero-error pair's probability would be inf * 0.0 = nan
+    with pytest.raises(ValueError, match="finite"):
+        NoiseModel(scale=scale)
+
+
+def test_resolved_gives_one_clamped_array_per_channel():
+    pcs = [PairCalibration(0.02, (0.01, 0.4), (50.0, 50.0)),
+           PairCalibration(0.0, (0.0, 0.0), (50.0, 50.0))]
+    scale = 3.0
+    resolved = NoiseModel(scale=scale).resolved(pcs, [True, False])
+    clamp = lambda p: min(1.0, scale * p)
+    expected = [
+        [clamp(0.1 * 0.02), 0.0],
+        [clamp(0.02), 0.0],
+        [clamp(CROSSTALK_PENALTY), 0.0],
+        [clamp(0.01), 0.0],
+        [1.0, 0.0],
+    ]
+    assert [a.tolist() for a in resolved] == expected
 
 
 # --- distribution limits -----------------------------------------------------------
@@ -328,6 +351,37 @@ def test_rmse_nondecreasing_in_scale():
             totals.append(sum(rmse_vs_analytic(results, spec, STRATEGY_H)))
         means.append(np.mean(totals))
     assert all(b >= a for a, b in zip(means, means[1:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cal_seed=st.integers(0, 2**16),
+    profile=st.sampled_from(["uniform", "realistic"]),
+    packed=st.booleans(),
+    scales=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=2).map(sorted),
+)
+def test_exact_rmse_monotone_in_noise_scale(cal_seed, profile, packed, scales):
+    # exact distributions, no shots: every strategy's per-player RMSE against
+    # the corrected curves grows with the scale.  It may fall once a scaled
+    # readout error passes 0.5 and its confusion starts to undo bit flips;
+    # synthetic readout errors are at most 0.05, so that needs a scale above 10
+    g = heavy_hex_graph(6)
+    cal = synth_calibration(g, seed=cal_seed, profile=profile)
+    plan = packed_plan(g, 31) if packed else select_pairs(g, cal, k=31, min_separation=2)
+    flags = crosstalk_flags(plan, g)
+    pair_calibs = [cal.pair(pair) for pair in plan.assignments]
+    grid = spec_for(STRATEGY_I).gamma_grid
+    for strategy in CANONICAL_STRATEGIES:
+        circuits = [build_ewl_circuit(gamma, 0.0, strategy, strategy) for gamma in grid]
+        refs = np.array([analytical_payoffs(strategy, gamma, "corrected") for gamma in grid])
+        low, high = (
+            payoff_table(noisy_distributions(circuits, pair_calibs, NoiseModel(scale=s), flags), BOS)
+            for s in scales
+        )
+        for player in (0, 1):
+            assert rmse(low[:, player], refs[:, player]) <= (
+                rmse(high[:, player], refs[:, player]) + 1e-12
+            )
 
 
 def test_packed_plan_noisier_than_separated_plan():

@@ -193,8 +193,9 @@ def test_probabilities_of_entangled_state_gamma_pi_3():
 # --- sampling ---------------------------------------------------------------------
 
 def sample_one(probs, shots, seed):
-    """The counts (00, 01, 10, 11) of one cell of sample_cells."""
-    return sample_cells(np.asarray(probs, dtype=float)[None], shots, [[seed]])[0, 0]
+    """The counts (00, 01, 10, 11) of one cell of sample_cells, keyed by a one-word seed."""
+    keys = np.array([[[seed, 0]]], dtype=np.uint64)
+    return sample_cells(np.asarray(probs, dtype=float)[None], shots, keys)[0, 0]
 
 
 def test_sample_degenerate_distribution():
@@ -226,8 +227,26 @@ def test_sampling_law_of_large_numbers():
 
 
 def test_sample_rejects_unnormalized():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sum to 2.0"):
         sample_one([0.5, 0.5, 0.5, 0.5], 10, seed=1)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0.5, 0.5, 0.0, 0.0], [1.5, -0.5, 0.0, 0.0]], "non-negative"),
+    ([[0.5, 0.5, 0.5, 0.0], [1.5, -0.5, 0.0, 0.0]], "sum to 1.5"),
+    ([[1.0, 0.0, 0.0, 0.0], [0.25] * 4, [0.0, 0.0, 0.0, 0.5]], "sum to 0.5"),
+], ids=["negative-row-1", "bad-sum-row-0-first", "bad-sum-row-2"])
+def test_sample_cells_names_the_first_bad_row(rows, message):
+    keys = np.zeros((len(rows), 2, 2), dtype=np.uint64)
+    with pytest.raises(ValueError, match=message):
+        sample_cells(np.array(rows), 10, keys)
+
+
+def test_sample_cells_rejects_misshapen_keys():
+    probs = np.full((2, 4), 0.25)
+    for shape in ((1, 3, 2), (2, 3), (2, 3, 1)):
+        with pytest.raises(ValueError, match="key words"):
+            sample_cells(probs, 10, np.zeros(shape, dtype=np.uint64))
 
 
 def test_shot_counts_invariants():
@@ -264,12 +283,14 @@ SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 - 1, 2**16
 )
 def test_derive_seeds_equals_per_cell_derive_seed(seed, circuits, runs):
     expected = [[derive_seed(seed, i, run) for run in range(runs)] for i in range(circuits)]
-    assert derive_seeds(seed, circuits, runs) == expected
+    keys = derive_seeds(seed, circuits, runs)
+    assert keys.shape == (circuits, runs, 2) and keys.dtype == np.uint64
+    assert [[lo | hi << 64 for lo, hi in row] for row in keys.tolist()] == expected
 
 
 def test_derive_seeds_empty_grids():
-    assert derive_seeds(3, 0, 5) == []
-    assert derive_seeds(3, 2, 0) == [[], []]
+    assert derive_seeds(3, 0, 5).shape == (0, 5, 2)
+    assert derive_seeds(3, 2, 0).shape == (2, 0, 2)
 
 
 def test_derive_seeds_rejects_counts_beyond_one_word(monkeypatch):

@@ -143,14 +143,20 @@ def test_relative_error_requires_positive_reference():
 
 # --- error propagation ---------------------------------------------------------------
 
+def count_error(*counts):
+    """propagate_count_error of (n00, n01, n10, n11) counts, as frequencies and shots."""
+    counts = np.array(counts)
+    return propagate_count_error(counts / counts.sum(), counts.sum(), BOS)
+
+
 def test_degenerate_counts_have_zero_variance():
-    va, vb, vm = propagate_count_error(make_counts(c00=4096), BOS)
+    va, vb, vm = count_error(4096, 0, 0, 0)
     assert va == vb == vm == 0.0
 
 
 def test_delta_method_hand_value():
     # {00:1024, 11:1024}: var_e_a = (0.5*9 + 0.5*4 - 2.5^2)/2048
-    va, vb, vm = propagate_count_error(make_counts(c00=1024, c11=1024), BOS)
+    va, vb, vm = count_error(1024, 0, 0, 1024)
     assert abs(va - 0.25 / 2048) < 1e-15
     assert abs(vb - 0.25 / 2048) < 1e-15
     assert abs(vm - (0.5 - 0.25) / 2048 * 0.0) < 1e-15 or vm >= 0  # mis rate 0 here
@@ -158,19 +164,36 @@ def test_delta_method_hand_value():
 
 
 def test_variance_scales_inversely_with_shots():
-    va1, _, _ = propagate_count_error(make_counts(c00=512, c11=512), BOS)
-    va2, _, _ = propagate_count_error(make_counts(c00=2048, c11=2048), BOS)
+    va1, _, _ = count_error(512, 0, 0, 512)
+    va2, _, _ = count_error(2048, 0, 0, 2048)
     assert va1 == pytest.approx(4 * va2)
+
+
+def test_count_error_over_a_stack_equals_per_cell_calls():
+    rng = np.random.default_rng(5)
+    shots = rng.integers(1, 5000, size=(2, 3))
+    freqs = rng.dirichlet(np.ones(4), size=(2, 3))
+    stacked = propagate_count_error(freqs, shots, BOS)
+    assert [v.shape for v in stacked] == [(2, 3)] * 3
+    for index in np.ndindex(2, 3):
+        cell = propagate_count_error(freqs[index], shots[index], BOS)
+        assert [v[index] for v in stacked] == list(cell)
+
+
+def test_count_error_needs_a_shot():
+    with pytest.raises(ValueError, match="shot"):
+        propagate_count_error(np.full((2, 4), 0.25), np.array([5, 0]), BOS)
 
 
 def test_delta_method_matches_resampling():
     # empirical variance over 10,000 multinomial resamples within 5%
     probs = np.array([0.55, 0.05, 0.1, 0.3])
     shots = 2048
-    counts = make_counts(*(np.round(probs * shots).astype(int)))
-    va, vb, vm = propagate_count_error(counts, BOS)
+    counts = np.round(probs * shots).astype(int)
+    freqs = counts / counts.sum()
+    va, vb, vm = propagate_count_error(freqs, counts.sum(), BOS)
     rng = np.random.default_rng(777)
-    draws = rng.multinomial(shots, counts.frequencies(), size=10_000) / shots
+    draws = rng.multinomial(shots, freqs, size=10_000) / shots
     wa, wb = BOS.outcome_weights()
     emp_a = float(np.var(draws @ wa, ddof=1))
     emp_b = float(np.var(draws @ wb, ddof=1))
