@@ -7,6 +7,12 @@ command is deterministic given (config, seed): a sweep samples each
 writes rows in canonical order, so repeated invocations produce
 byte-identical artifacts.
 
+The sweep CSV is UTF-8 with CRLF line ends, the last line included, and no
+quoted field: labels are the canonical strategy labels, and every float is
+written as its Python repr.  These are the bytes csv.writer writes with its
+defaults; the sweep builds them as one text from the count arrays and
+writes it with one call.
+
 Exit codes: 0 success, 2 config/matrix error, 3 I/O error, 4 mapping
 infeasible, 5 validation schema error.
 """
@@ -261,27 +267,32 @@ def cmd_equilibrium(args) -> int:
 
 # --- sweep ----------------------------------------------------------------------
 
-def _sweep_rows(cfg: SweepConfig, graph, calib, plan) -> tuple[list[str], np.ndarray, list]:
+def _sweep_rows(cfg: SweepConfig, graph, calib, plan) -> tuple[list[str], np.ndarray, list[str]]:
     """The strategies in canonical order, their (strategy, circuit, run, 2)
-    payoffs and all CSV rows of a sweep in canonical (strategy, circuit, run)
-    order.
+    payoffs and the CSV line of every row of a sweep, without its line end,
+    in canonical (strategy, circuit, run) order.
 
     Strategy s samples cell (i, run) from derive_seed(derive_seed(seed, s),
     i, run), s being its canonical index, so every cell's counts are fixed
     by the config alone.  The per-strategy seed is one derive_seed call;
     noise.job_counts derives the seeds of all its cells in one vectorised
     pass that reproduces SeedSequence bit for bit.
+
+    Fields are reprs, as the module docstring says.  counts / shots divides
+    elementwise, so every cell holding a count gets the same frequency bits,
+    and each distinct count's repr is taken once.
     """
     grid = game.default_gamma_grid(cfg.gamma_steps)
     model = noise.NoiseModel(scale=cfg.noise_scale)
     flags = noise.crosstalk_flags(plan, graph)
     canonical = {s.label: idx for idx, s in enumerate(game.CANONICAL_STRATEGIES)}
     labels = sorted(cfg.strategies, key=canonical.__getitem__)
-    gammas = [repr(g) for g in grid]
-    run_labels = [str(run) for run in range(cfg.runs)]
+    cells = len(grid) * cfg.runs
+    # "gamma,run" of every (circuit, run) cell, the same for each strategy
+    gamma_runs = [f"{gamma!r},{run}" for gamma in grid for run in range(cfg.runs)]
 
     payoffs = []
-    rows = []
+    lines = []
     for label in labels:
         strategy = game.Strategy.parse(label)
         spec = game.GameSpec(gamma_grid=grid, strategy_a=strategy, strategy_b=strategy)
@@ -289,16 +300,18 @@ def _sweep_rows(cfg: SweepConfig, graph, calib, plan) -> tuple[list[str], np.nda
             plan, spec, calib, model, cfg.shots, cfg.runs,
             derive_seed(cfg.seed, canonical[label]), flags,
         )
-        freqs = counts / cfg.shots
-        payoffs.append(stats.payoff_table(freqs, BOS))
-        # p00, p01, p10, p11, ea, eb of every (circuit, run) cell
-        values = np.concatenate([freqs, payoffs[-1]], axis=-1).tolist()
-        for i, gamma in enumerate(grid):
-            ana = game.analytical_payoffs(strategy, gamma, cfg.formula_variant)
-            ana_a, ana_b = repr(ana[0]), repr(ana[1])
-            rows.extend((label, gammas[i], run, *map(repr, cell), ana_a, ana_b)
-                        for run, cell in zip(run_labels, values[i]))
-    return labels, np.array(payoffs), rows
+        payoffs.append(stats.payoff_table(counts / cfg.shots, BOS))
+        distinct, index = np.unique(counts, return_inverse=True)
+        texts = np.array([repr(f) for f in (distinct / cfg.shots).tolist()], dtype=object)
+        p00, p01, p10, p11 = texts[index.reshape(cells, 4).T].tolist()
+        paid = list(map(repr, payoffs[-1].reshape(-1).tolist()))
+        tails = []
+        for gamma in grid:
+            ana_a, ana_b = game.analytical_payoffs(strategy, gamma, cfg.formula_variant)
+            tails += [f"{ana_a!r},{ana_b!r}"] * cfg.runs
+        lines += map(",".join, zip([label] * cells, gamma_runs, p00, p01, p10, p11,
+                                   paid[0::2], paid[1::2], tails))
+    return labels, np.array(payoffs), lines
 
 
 def _svg_plot(path, label, grid, ana_a, ana_b, estimates) -> None:
@@ -391,12 +404,11 @@ def cmd_sweep(args) -> int:
     cfg, graph, calib = _config_and_device(args)
     plan = _select_pairs(graph, calib, cfg.gamma_steps, cfg)
     out = cfg.out or "sweep.csv"
-    labels, payoffs, rows = _sweep_rows(cfg, graph, calib, plan)
+    labels, payoffs, lines = _sweep_rows(cfg, graph, calib, plan)
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(rows)
+            # "\r\n" ends every line, as csv.writer's default terminator does
+            fh.write("\r\n".join([",".join(CSV_COLUMNS), *lines, ""]))
     except OSError as err:
         raise CommandError(EXIT_IO, f"cannot write {out}: {err}")
 
@@ -420,7 +432,7 @@ def cmd_sweep(args) -> int:
                           [a for a, _ in ana], [b for _, b in ana], per_gamma)
             except OSError as err:
                 raise CommandError(EXIT_IO, f"cannot write SVG: {err}")
-    print(f"wrote {len(rows)} rows to {out}")
+    print(f"wrote {len(lines)} rows to {out}")
     return EXIT_OK
 
 
@@ -521,7 +533,7 @@ def cmd_validate(args) -> int:
             gammas.tolist(), args.formula_variant, BOS, args.rmse_method,
         )
     except ValueError as err:  # stats.SchemaError included
-        raise CommandError(EXIT_SCHEMA, err)
+        raise CommandError(EXIT_SCHEMA, f"{args.results}: {err}")
     print(report.to_text())
     if args.out:
         try:

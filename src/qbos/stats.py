@@ -67,17 +67,26 @@ def _t_quantile(df: int, p: float) -> float:
     return float(stdtrit(df, p))
 
 
+def _run_statistics(series: np.ndarray):
+    """Means, unbiased variances and Student-t CI half-widths over the last
+    axis, the runs, of a float array holding at least 2 runs.
+
+    A reduction over a contiguous last axis sums each series as a 1-D
+    reduction does, so every series gets the bits of its own call.
+    """
+    n = series.shape[-1]
+    var = series.var(axis=-1, ddof=1)
+    half = _t_quantile(n - 1, 0.5 + CONFIDENCE / 2.0) * np.sqrt(var / n)
+    return series.mean(axis=-1), var, half
+
+
 def aggregate_runs(values: Sequence[float]) -> PayoffEstimate:
     """Mean, unbiased variance and Student-t CI half-width of repeated runs."""
     n = len(values)
     if n < 2:
         raise ValueError("confidence interval needs at least 2 runs")
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    var = float(arr.var(ddof=1))
-    t_crit = _t_quantile(n - 1, 0.5 + CONFIDENCE / 2.0)
-    half = t_crit * math.sqrt(var / n)
-    return PayoffEstimate(mean, var, half, n)
+    mean, var, half = _run_statistics(np.asarray(values, dtype=float))
+    return PayoffEstimate(float(mean), float(var), float(half), n)
 
 
 def rmse(observed: Sequence[float], reference: Sequence[float]) -> float:
@@ -181,7 +190,8 @@ def report_from_cells(
     Cell n is strategy labels[n] at gammas[gamma_index[n]] in run runs[n].
     Strategies keep the order they first appear in; runs are sorted.  Every
     strategy must hold every (gamma, run) cell of the union of runs exactly
-    once; missing or duplicate cells raise SchemaError listing them.
+    once; missing or duplicate cells raise SchemaError listing them, and so
+    does a table of fewer than 2 runs per cell.
 
     rmse_method 'rmse_of_means' compares the across-run mean curve with the
     reference; 'mean_of_rmses' averages the per-run RMSEs instead.
@@ -207,24 +217,31 @@ def report_from_cells(
     ]
     if problems:
         raise SchemaError("; ".join(problems))
+    n = shape[2]  # runs per cell
+    if n < 2:
+        raise SchemaError(f"the results hold {n} run per (strategy, gamma) cell; "
+                          "validation needs at least 2 runs")
     table = np.empty(shape + (2,))
     table.reshape(-1, 2)[flat] = payoffs
+    # (strategy, gamma, player, run), contiguous along the runs
+    means, variances, halves = _run_statistics(np.ascontiguousarray(table.transpose(0, 1, 3, 2)))
 
     validations = []
     all_rmses = []
-    for label, cells in zip(strategies, table):
+    for label, cells, mean, var, half in zip(strategies, table, means, variances, halves):
         strategy = Strategy.parse(label)
         refs = np.array([analytical_payoffs(strategy, g, variant, payoff) for g in gammas])
         per_gamma = tuple(
-            GammaEstimate(g, aggregate_runs(runs_ab[:, 0]), aggregate_runs(runs_ab[:, 1]))
-            for g, runs_ab in zip(gammas, cells)
+            GammaEstimate(g, PayoffEstimate(ma, va, ha, n), PayoffEstimate(mb, vb, hb, n))
+            for g, (ma, mb), (va, vb), (ha, hb)
+            in zip(gammas, mean.tolist(), var.tolist(), half.tolist())
         )
         if rmse_method == "rmse_of_means":
-            rmse_a = rmse([ge.alice.mean for ge in per_gamma], refs[:, 0])
-            rmse_b = rmse([ge.bob.mean for ge in per_gamma], refs[:, 1])
+            rmse_a = rmse(mean[:, 0], refs[:, 0])
+            rmse_b = rmse(mean[:, 1], refs[:, 1])
         else:
-            rmse_a = float(np.mean([rmse(cells[:, r, 0], refs[:, 0]) for r in range(shape[2])]))
-            rmse_b = float(np.mean([rmse(cells[:, r, 1], refs[:, 1]) for r in range(shape[2])]))
+            rmse_a = float(np.mean([rmse(cells[:, r, 0], refs[:, 0]) for r in range(n)]))
+            rmse_b = float(np.mean([rmse(cells[:, r, 1], refs[:, 1]) for r in range(n)]))
         validations.append(StrategyValidation(label, rmse_a, rmse_b, per_gamma))
         all_rmses.extend((rmse_a, rmse_b))
     best = relative_error_percent(min(all_rmses), PAYOFF_SCALE_MAX)

@@ -168,6 +168,50 @@ def test_sweep_byte_identical_reruns_and_config(tmp_path):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    runs=st.integers(1, 4),
+    shots=st.integers(1, 5000),
+    steps=st.integers(2, 9),
+    strategies=st.lists(st.sampled_from(["I", "H", "RY(pi/4)", "RY(pi)"]),
+                        min_size=1, max_size=4, unique=True),
+    noise_scale=st.sampled_from(["0", "1"]),
+    variant=st.sampled_from(["paper", "corrected"]),
+)
+def test_sweep_csv_is_what_csv_writer_writes(seed, runs, shots, steps, strategies,
+                                             noise_scale, variant):
+    # the sweep assembles its text itself; csv.writer re-writing the parsed
+    # rows must give the same bytes: UTF-8, CRLF line ends, nothing quoted
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "sweep.csv"
+        assert run_cli(
+            "sweep", "--synth", "--seed", str(seed), "--runs", str(runs),
+            "--shots", str(shots), "--gamma-steps", str(steps),
+            "--strategies", ",".join(strategies), "--noise-scale", noise_scale,
+            "--formula-variant", variant, "--out", str(out),
+        ) == EXIT_OK
+        data = out.read_bytes()
+    rewritten = io.StringIO(newline="")
+    csv.writer(rewritten).writerows(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+    assert rewritten.getvalue().encode("utf-8") == data
+    assert data.count(b"\r\n") == 1 + steps * runs * len(strategies)
+
+
+@given(st.lists(st.text(alphabet='IHRYrypi(/4) ,"\r\n\t', max_size=12), min_size=1, max_size=4))
+@example(["I", "H", "RY(pi/4)", "RY(pi)"])
+@example([" ry( PI / 4 )\r\n", "h\n"])
+def test_sweep_config_admits_only_labels_needing_no_csv_quotes(texts):
+    # the sweep writes each label unquoted, so no admitted label may hold a
+    # character csv.writer would quote
+    try:
+        cfg = SweepConfig(strategies=tuple(texts))
+    except ValueError:
+        return
+    for label in cfg.strategies:
+        assert not set(label) & set(',"\r\n'), label
+
+
 def test_sweep_seed_changes_output(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     base = ["sweep", "--synth", "--gamma-steps", "4", "--runs", "2",
@@ -368,6 +412,16 @@ def test_validate_truncated_csv(tmp_path, capsys):
     code = run_cli("validate", str(tmp_path / "cut.csv"))
     assert code == EXIT_SCHEMA
     assert "missing" in capsys.readouterr().err
+
+
+def test_validate_names_a_one_run_file(tmp_path, capsys):
+    # a file qbos itself wrote with --runs 1 has no run-to-run spread
+    res = sweep_fixture(tmp_path, runs="1")
+    capsys.readouterr()
+    assert run_cli("validate", str(res)) == EXIT_SCHEMA
+    assert capsys.readouterr() == (
+        "", f"error: {res}: the results hold 1 run per (strategy, gamma) cell; "
+            "validation needs at least 2 runs\n")
 
 
 def test_validate_bad_columns(tmp_path, capsys):

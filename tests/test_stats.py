@@ -273,6 +273,31 @@ def test_rmse_method_option():
     assert runs_report.strategies[0].rmse_a == pytest.approx(0.2, abs=1e-12)
 
 
+@pytest.mark.parametrize("runs", [2, 3, 5, 8, 9, 17, 50, 129, 300])
+def test_report_estimates_equal_per_series_aggregates(runs):
+    # the report aggregates every (strategy, gamma, player) series in one
+    # pass; aggregate_runs on each series alone is the reference, bit for bit
+    gammas = default_gamma_grid(4)
+    rng = np.random.default_rng(runs)
+    series = {label: {g: [tuple(ab) for ab in rng.uniform(0, 3, size=(runs, 2)).tolist()]
+                      for g in gammas}
+              for label in ("I", "H", "RY(pi)")}
+    report = report_from_series(series)
+    for sv in report.strategies:
+        for ge in sv.per_gamma:
+            per_run = series[sv.strategy][ge.gamma]
+            assert ge.alice == aggregate_runs([a for a, _ in per_run])
+            assert ge.bob == aggregate_runs([b for _, b in per_run])
+
+
+def test_report_needs_two_runs_per_cell():
+    gammas = default_gamma_grid(3)
+    series = {"I": {g: [(1.0, 2.0)] for g in gammas}}
+    with pytest.raises(SchemaError, match=r"^the results hold 1 run per \(strategy, gamma\) "
+                                          r"cell; validation needs at least 2 runs$"):
+        report_from_series(series)
+
+
 def test_build_report_from_run_results():
     gammas = default_gamma_grid(3)
     spec = GameSpec(strategy_a=STRATEGY_I, strategy_b=STRATEGY_I, gamma_grid=gammas)
