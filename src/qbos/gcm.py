@@ -15,8 +15,9 @@ chosen edges into a blocked mask; the swap search keeps a per-edge count of
 conflicts with the chosen set.  The matrix costs E*E bytes (0.45 MB for the
 672 edges of a 575-qubit heavy-hex device).  The conflict relation is exactly
 "some endpoints closer than the separation", so plans equal those of pairwise
-distance checks.  ``verify_separation`` is an independent BFS check that does
-not use these matrices.
+distance checks.  ``verify_separation`` is an independent check that does not
+use these matrices: it walks one BFS ball per plan qubit and looks each ball
+member up in a qubit -> circuit owner map.
 
 Plans serialize as JSON
 ``{"min_separation": s, "assignments": [{"circuit": i, "pair": [a, b]}]}``;
@@ -99,14 +100,19 @@ def load_plan(path) -> MappingPlan:
     return _load(path, MappingPlan.from_json)
 
 
+def edge_scores(edges, calib: CalibrationSnapshot) -> np.ndarray:
+    """Weighted cost of running a circuit on each edge (lower is better), in one
+    array pass: W_2Q * e2q + W_RO * (ro_a + ro_b) + W_COH * (1/t1_a + 1/t1_b)."""
+    e2q = np.array([calib.edge(e).two_qubit_error for e in edges], dtype=float)
+    ends = [calib.qubit(q) for e in edges for q in e]
+    ro = np.array([c.readout_error for c in ends], dtype=float).reshape(-1, 2).T
+    t1 = np.array([c.t1_us for c in ends], dtype=float).reshape(-1, 2).T
+    return W_2Q * e2q + W_RO * (ro[0] + ro[1]) + W_COH * (1.0 / t1[0] + 1.0 / t1[1])
+
+
 def score_pair(edge, calib: CalibrationSnapshot) -> float:
     """Weighted cost of running a circuit on one edge (lower is better)."""
-    pc = calib.pair(edge)
-    return (
-        W_2Q * pc.two_qubit_error
-        + W_RO * (pc.readout_errors[0] + pc.readout_errors[1])
-        + W_COH * (1.0 / pc.t1_us[0] + 1.0 / pc.t1_us[1])
-    )
+    return float(edge_scores([edge], calib)[0])
 
 
 def _near(graph: CouplingGraph, min_separation: int) -> np.ndarray:
@@ -121,7 +127,7 @@ def _near(graph: CouplingGraph, min_separation: int) -> np.ndarray:
                     dtype=np.intp)
     near = np.eye(n, dtype=bool)
     for _ in range(max(min_separation, 1) - 1):
-        grown = near[:, nbrs].any(axis=2)  # within r of a neighbour: within r+1
+        grown = near | near[:, nbrs].any(axis=2)  # within r, or r from a neighbour
         if np.array_equal(grown, near):
             break  # every component is covered already
         near = grown
@@ -153,7 +159,7 @@ def select_pairs(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ranked = sorted((score_pair(e, calib), e) for e in graph.edges)
+    ranked = sorted(zip(edge_scores(graph.edges, calib).tolist(), graph.edges))
     scores = [score for score, _ in ranked]
     edges = [e for _, e in ranked]
     # rows and columns follow the ranking, so a rank is also an index
@@ -215,18 +221,20 @@ def select_pairs(
 
 
 def verify_separation(plan: MappingPlan, graph: CouplingGraph) -> tuple[bool, str | None]:
-    """Exhaustively re-check the plan's separation with independent BFS walks.
+    """Exhaustively re-check the plan's separation with independent BFS walks:
+    one ball per plan qubit, looked up in a map of which circuit owns a qubit.
 
     Returns (True, None) or (False, description of the first violation).
     """
     from collections import deque
 
     adj = graph.adjacency()
+    coupled = set(graph.edges)
     for pair in plan.assignments:
         for q in pair:
             if not 0 <= q < graph.num_qubits:
                 return False, f"qubit {q} outside the graph"
-        if tuple(sorted(pair)) not in graph.edges:
+        if tuple(sorted(pair)) not in coupled:
             return False, f"pair {pair} is not a coupled edge"
 
     def bfs_within(start: int, radius: int) -> dict[int, int]:
@@ -243,24 +251,25 @@ def verify_separation(plan: MappingPlan, graph: CouplingGraph) -> tuple[bool, st
         return seen
 
     radius = plan.min_separation - 1  # anything reachable this close is too close
-    within = {q: bfs_within(q, radius) for pair in plan.assignments for q in pair}
-    for i, pi in enumerate(plan.assignments):
-        for j, pj in enumerate(plan.assignments):
-            if j <= i:
-                continue
-            for a in pi:
-                near = within[a]
-                for b in pj:
-                    if b in near:
-                        return False, (
-                            f"circuits {i} and {j}: qubits {a} and {b} are "
-                            f"{near[b]} apart (< {plan.min_separation})"
-                        )
+    owner = {q: (i, pos) for i, pair in enumerate(plan.assignments)
+             for pos, q in enumerate(pair)}
+    for i, pair in enumerate(plan.assignments):
+        balls = [bfs_within(a, radius) for a in pair]
+        clashes = [(owner[b][0], pos_a, owner[b][1], b)
+                   for pos_a, ball in enumerate(balls) for b in ball
+                   if owner.get(b, (-1,))[0] > i]
+        if clashes:
+            j, pos_a, _, b = min(clashes)
+            return False, (
+                f"circuits {i} and {j}: qubits {pair[pos_a]} and {b} are "
+                f"{balls[pos_a][b]} apart (< {plan.min_separation})"
+            )
     return True, None
 
 
 def plan_score(plan: MappingPlan, calib: CalibrationSnapshot) -> float:
-    return sum(score_pair(e, calib) for e in plan.assignments)
+    # the sequential Python sum, not numpy's pairwise one
+    return sum(edge_scores(plan.assignments, calib).tolist())
 
 
 def packed_plan(graph: CouplingGraph, k: int) -> MappingPlan:

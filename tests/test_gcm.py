@@ -3,11 +3,13 @@
 import itertools
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, assume, find, given, settings
 from hypothesis import strategies as st
 
+from graph_oracles import bfs_distances
 from qbos.device import (
     CalibrationSnapshot,
     CouplingGraph,
@@ -18,10 +20,13 @@ from qbos.device import (
 )
 from qbos.gcm import (
     W_2Q,
+    W_COH,
+    W_RO,
     InfeasibleMappingError,
     _conflict_matrix,
     _near,
     MappingPlan,
+    edge_scores,
     load_plan,
     packed_plan,
     plan_score,
@@ -51,6 +56,12 @@ def custom_calibration(graph, edge_errors, readouts=None, t1=300.0):
 
 def path_graph(n):
     return CouplingGraph(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+def grid_graph(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return CouplingGraph(rows * cols, tuple(edges))
 
 
 # --- independent oracle: exhaustive subset search with Floyd-Warshall distances ----
@@ -91,7 +102,7 @@ def exhaustive_optimum(graph, calib, k, min_sep):
 
 # --- conflict matrix against the oracle -----------------------------------------
 
-@pytest.mark.parametrize(
+ORACLE_GRAPHS = pytest.mark.parametrize(
     "graph_factory",
     [
         lambda: path_graph(7),
@@ -99,9 +110,13 @@ def exhaustive_optimum(graph, calib, k, min_sep):
         lambda: CouplingGraph(9, ((0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (7, 8))),
         lambda: heavy_hex_graph(2),
         lambda: heavy_hex_graph(3),
+        lambda: grid_graph(6, 6),
     ],
-    ids=["path", "ring", "two-components", "heavy-hex-2", "heavy-hex-3"],
+    ids=["path", "ring", "two-components", "heavy-hex-2", "heavy-hex-3", "grid-6x6"],
 )
+
+
+@ORACLE_GRAPHS
 def test_conflict_matrix_matches_floyd_warshall(graph_factory):
     g = graph_factory()
     d = floyd_warshall(g)
@@ -112,6 +127,20 @@ def test_conflict_matrix_matches_floyd_warshall(graph_factory):
             for j, e2 in enumerate(g.edges):
                 assert conflict[i, j] == (not separated(d, e1, e2, min_sep)), (
                     min_sep, e1, e2)
+
+
+@ORACLE_GRAPHS
+@pytest.mark.parametrize("min_sep", range(6))
+def test_near_matches_floyd_warshall(graph_factory, min_sep):
+    # every cell, the diagonal of full-degree qubits included, not only the
+    # cells the edge conflict matrix happens to read
+    g = graph_factory()
+    d = floyd_warshall(g)
+    near = _near(g, min_sep)
+    assert near.shape == (g.num_qubits, g.num_qubits)
+    for p in range(g.num_qubits):
+        for q in range(g.num_qubits):
+            assert near[p, q] == (d[p][q] < max(min_sep, 1)), (p, q)
 
 
 # --- scoring -------------------------------------------------------------------
@@ -143,6 +172,32 @@ def test_score_missing_edge_raises():
     cal = flat_calibration(g)
     with pytest.raises(KeyError):
         score_pair((0, 2), cal)
+    with pytest.raises(KeyError):
+        edge_scores([(0, 1), (0, 2)], cal)
+
+
+def scalar_score(pc):
+    """The per-edge score formula, one PairCalibration at a time."""
+    return (
+        W_2Q * pc.two_qubit_error
+        + W_RO * (pc.readout_errors[0] + pc.readout_errors[1])
+        + W_COH * (1.0 / pc.t1_us[0] + 1.0 / pc.t1_us[1])
+    )
+
+
+@pytest.mark.parametrize("profile", ["realistic", "uniform"])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_edge_scores_bit_identical_to_scalar_formula(profile, seed):
+    g = heavy_hex_graph(6)
+    cal = synth_calibration(g, seed=seed, profile=profile)
+    expected = [scalar_score(cal.pair(e)) for e in g.edges]
+    assert edge_scores(g.edges, cal).tolist() == expected
+    assert [score_pair(e, cal) for e in g.edges] == expected
+    assert [score_pair((b, a), cal) for a, b in g.edges] == expected
+    # a sequential sum of 31 terms, which numpy's pairwise summation would regroup
+    plan = packed_plan(g, 31)
+    by_edge = dict(zip(g.edges, expected))
+    assert plan_score(plan, cal) == sum(by_edge[e] for e in plan.assignments)
 
 
 # --- selection -----------------------------------------------------------------
@@ -258,6 +313,84 @@ def test_verify_single_pair_always_ok():
     g = path_graph(3)
     plan = MappingPlan(((0, 1),), min_separation=2)
     assert verify_separation(plan, g) == (True, None)
+
+
+def pairwise_verify_separation(plan, graph):
+    """The separation check as a loop over every pair of circuits: the oracle
+    of ``verify_separation``, message text included."""
+    for pair in plan.assignments:
+        for q in pair:
+            if not 0 <= q < graph.num_qubits:
+                return False, f"qubit {q} outside the graph"
+        if tuple(sorted(pair)) not in graph.edges:
+            return False, f"pair {pair} is not a coupled edge"
+    dist = {q: bfs_distances(graph, q) for pair in plan.assignments for q in pair}
+    for i, pi in enumerate(plan.assignments):
+        for j, pj in enumerate(plan.assignments):
+            if j <= i:
+                continue
+            for a in pi:
+                for b in pj:
+                    if 0 <= dist[a][b] < plan.min_separation:
+                        return False, (
+                            f"circuits {i} and {j}: qubits {a} and {b} are "
+                            f"{dist[a][b]} apart (< {plan.min_separation})"
+                        )
+    return True, None
+
+
+@st.composite
+def separation_cases(draw):
+    """A graph and a plan of 2-12 disjoint edges, in either qubit order, that
+    may hold one uncoupled pair or one qubit outside the graph."""
+    if draw(st.booleans()):
+        graph = heavy_hex_graph(draw(st.integers(1, 3)))
+    else:
+        n = draw(st.integers(4, 12))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        graph = CouplingGraph(n, tuple(draw(st.lists(st.sampled_from(pairs), min_size=2,
+                                                      max_size=20, unique=True))))
+    k = draw(st.integers(2, 12))
+    used, assignments = set(), []
+    for a, b in draw(st.permutations(graph.edges)):
+        if len(assignments) < k and a not in used and b not in used:
+            used.update((a, b))
+            assignments.append((b, a) if draw(st.booleans()) else (a, b))
+    assume(len(assignments) >= 2)
+    n = graph.num_qubits
+    free = [q for q in range(n) if q not in used]
+    extra = draw(st.sampled_from(["none", "uncoupled", "outside"]))
+    uncoupled = [(a, b) for a, b in itertools.combinations(free, 2)
+                 if (a, b) not in graph.edges]
+    if extra == "uncoupled" and uncoupled:
+        assignments.insert(draw(st.integers(0, len(assignments))),
+                           draw(st.sampled_from(uncoupled)))
+    elif extra == "outside":
+        outside = (draw(st.sampled_from(free)) if free else n + 1, n + draw(st.integers(2, 5)))
+        assignments.insert(draw(st.integers(0, len(assignments))), outside)
+    plan = SimpleNamespace(assignments=tuple(assignments),
+                           min_separation=draw(st.integers(1, 4)))
+    return graph, plan
+
+
+@settings(max_examples=300, deadline=None)
+@given(separation_cases())
+def test_verify_separation_matches_pairwise_oracle(case):
+    graph, plan = case
+    assert verify_separation(plan, graph) == pairwise_verify_separation(plan, graph)
+
+
+@pytest.mark.parametrize("outcome", ["ok", "circuits", "not a coupled edge", "outside"])
+def test_separation_cases_reach_every_outcome(outcome):
+    # the property above sees passing plans, violations and both input faults
+    def reaches(case):
+        ok, message = pairwise_verify_separation(case[1], case[0])
+        return ok if outcome == "ok" else not ok and outcome in message
+
+    graph, plan = find(separation_cases(), reaches,
+                       settings=settings(max_examples=500, database=None,
+                                         phases=[Phase.generate]))
+    assert len(plan.assignments) >= 2
 
 
 def test_plan_rejects_qubit_reuse():

@@ -3,7 +3,8 @@
 The SHA-256 values below are byte-identity gates: the sweep and job digests
 were taken from the per-circuit, per-cell implementation that the batched
 density-matrix evolution and the reset-state sampler replaced, and the map
-digests pin the plans ``qbos map --synth`` writes for seeds 0..9.  The
+digests pin the plans ``qbos map --synth`` writes for seeds 0..9 and the
+100-pair plans ``qbos map`` writes from files for a 575-qubit device.  The
 report digests were taken from the nested-dict report builders that the
 cell-table builder ``stats.report_from_cells`` replaced.  A change that moves
 one of them changes what a sweep, a map or a validation report writes for a
@@ -148,6 +149,43 @@ def test_map_plan_digest(tmp_path, seed):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["map", "--synth", "--seed", str(seed), "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == MAP_PLAN_DIGESTS[seed]
+
+
+# 100 pairs on heavy_hex_graph(14), 575 qubits and 672 edges, read from files:
+# calibration seed -> (plan digest, stdout with the plan path as {out})
+MAP_LARGE_GOLDEN = {
+    0: ("cafdd76b81928efd68171253d72285f6eb36b53dba4a5244aca767f3b3559ee7",
+        "selected 100 pairs on 575 qubits -> {out}\ntotal score: 1.720045\n"
+        "separation check: OK\n"),
+    1: ("ac1a64a37c06e4ae9499468a22063337970e7470ede473fd25b99c5b5d1faef7",
+        "selected 100 pairs on 575 qubits -> {out}\ntotal score: 1.728598\n"
+        "separation check: OK\n"),
+    2: ("03225d9a7cb8fde2d143b825d80cfa71c2cbb93a5868a728342e2a2460d567d0",
+        "selected 100 pairs on 575 qubits -> {out}\ntotal score: 1.822357\n"
+        "separation check: OK\n"),
+}
+
+
+@pytest.fixture(scope="module")
+def large_device(tmp_path_factory):
+    out = tmp_path_factory.mktemp("device575")
+    graph = device.heavy_hex_graph(14)
+    graph.save(out / "graph.json")
+    for seed in MAP_LARGE_GOLDEN:
+        device.synth_calibration(graph, seed=seed).save(out / f"cal-{seed}.json")
+    return out
+
+
+@pytest.mark.parametrize("seed", sorted(MAP_LARGE_GOLDEN))
+def test_map_large_plan_and_stdout(tmp_path, large_device, seed):
+    out = tmp_path / "plan.json"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["map", "--coupling-map", str(large_device / "graph.json"),
+                         "--calibration", str(large_device / f"cal-{seed}.json"),
+                         "--pairs", "100", "--out", str(out)]) == 0
+    digest, text = MAP_LARGE_GOLDEN[seed]
+    assert (sha256(out.read_bytes()), stdout.getvalue()) == (digest, text.format(out=out))
 
 
 # --- simulate_job --------------------------------------------------------------------
