@@ -272,46 +272,45 @@ def _sweep_rows(cfg: SweepConfig, graph, calib, plan) -> tuple[list[str], np.nda
     payoffs and the CSV line of every row of a sweep, without its line end,
     in canonical (strategy, circuit, run) order.
 
+    One noise.job_counts call evolves and samples every strategy's cells.
     Strategy s samples cell (i, run) from derive_seed(derive_seed(seed, s),
     i, run), s being its canonical index, so every cell's counts are fixed
-    by the config alone.  The per-strategy seed is one derive_seed call;
-    noise.job_counts derives the seeds of all its cells in one vectorised
-    pass that reproduces SeedSequence bit for bit.
+    by the config alone and a strategy's rows do not depend on which other
+    strategies the sweep holds.
 
     Fields are reprs, as the module docstring says.  counts / shots divides
-    elementwise, so every cell holding a count gets the same frequency bits,
-    and each distinct count's repr is taken once.
+    elementwise, so every cell holding a count gets the same frequency bits.
+    The six float columns p00..p11, ea and eb of all strategies share one
+    repr table: each distinct float, told apart by its bits so that -0.0 and
+    0.0 stay apart, is formatted once.
     """
     grid = game.default_gamma_grid(cfg.gamma_steps)
     model = noise.NoiseModel(scale=cfg.noise_scale)
     flags = noise.crosstalk_flags(plan, graph)
     canonical = {s.label: idx for idx, s in enumerate(game.CANONICAL_STRATEGIES)}
     labels = sorted(cfg.strategies, key=canonical.__getitem__)
-    cells = len(grid) * cfg.runs
+    strategies = [game.Strategy.parse(label) for label in labels]
+    specs = [game.GameSpec(gamma_grid=grid, strategy_a=s, strategy_b=s) for s in strategies]
+    seeds = [derive_seed(cfg.seed, canonical[label]) for label in labels]
+    counts = noise.job_counts(plan, specs, calib, model, cfg.shots, cfg.runs, seeds, flags)
+    freqs = counts / cfg.shots
+    payoffs = stats.payoff_table(freqs, BOS)
+
+    floats = np.concatenate([freqs, payoffs], axis=-1).reshape(-1, 6)
+    distinct, index = np.unique(floats.view(np.uint64), return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    columns = texts[index.reshape(-1, 6).T].tolist()  # p00, p01, p10, p11, ea, eb
+
     # "gamma,run" of every (circuit, run) cell, the same for each strategy
     gamma_runs = [f"{gamma!r},{run}" for gamma in grid for run in range(cfg.runs)]
-
-    payoffs = []
-    lines = []
-    for label in labels:
-        strategy = game.Strategy.parse(label)
-        spec = game.GameSpec(gamma_grid=grid, strategy_a=strategy, strategy_b=strategy)
-        counts = noise.job_counts(
-            plan, spec, calib, model, cfg.shots, cfg.runs,
-            derive_seed(cfg.seed, canonical[label]), flags,
-        )
-        payoffs.append(stats.payoff_table(counts / cfg.shots, BOS))
-        distinct, index = np.unique(counts, return_inverse=True)
-        texts = np.array([repr(f) for f in (distinct / cfg.shots).tolist()], dtype=object)
-        p00, p01, p10, p11 = texts[index.reshape(cells, 4).T].tolist()
-        paid = list(map(repr, payoffs[-1].reshape(-1).tolist()))
-        tails = []
+    heads, tails = [], []
+    for label, strategy in zip(labels, strategies):
+        heads += [f"{label},{gamma_run}" for gamma_run in gamma_runs]
         for gamma in grid:
             ana_a, ana_b = game.analytical_payoffs(strategy, gamma, cfg.formula_variant)
             tails += [f"{ana_a!r},{ana_b!r}"] * cfg.runs
-        lines += map(",".join, zip([label] * cells, gamma_runs, p00, p01, p10, p11,
-                                   paid[0::2], paid[1::2], tails))
-    return labels, np.array(payoffs), lines
+    lines = list(map(",".join, zip(heads, *columns, tails)))
+    return labels, payoffs, lines
 
 
 def _svg_plot(path, label, grid, ana_a, ana_b, estimates) -> None:
@@ -501,7 +500,7 @@ def cmd_validate(args) -> int:
             rows = [row for row in reader if row]
     except OSError as err:
         raise CommandError(EXIT_IO, err)
-    except UnicodeDecodeError as err:
+    except (UnicodeDecodeError, csv.Error) as err:  # csv.Error: a field past the size limit
         raise CommandError(EXIT_SCHEMA, f"{args.results}: {err}")
     missing = [c for c in CSV_COLUMNS if c not in header]
     extra = [c for c in header if c not in CSV_COLUMNS]

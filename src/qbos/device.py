@@ -162,7 +162,7 @@ def _load(path, parse):
             doc = json.load(fh)
         except json.JSONDecodeError as err:
             raise ValueError(f"{path}: line {err.lineno}: {err.msg}") from err
-        except UnicodeDecodeError as err:
+        except (UnicodeDecodeError, RecursionError) as err:  # RecursionError: nested too deeply
             raise ValueError(f"{path}: {err}") from err
     try:
         return parse(doc)

@@ -17,16 +17,20 @@ to 1), so scale 0 gives the ideal circuit's exact distribution and large
 scales drive the state to the maximally mixed limit; NoiseModel.resolved
 gives a job's scaled probabilities as one per-circuit array per channel.
 
-The circuits of a sweep job evolve together as one (G, 4, 4) stack of
-density matrices with stacked matrix products, which give the same bits as
-evolving each circuit alone; job_counts then samples every (circuit, run)
-cell.  Both simulate_job and the CLI sweep run on it.
+All circuits of a sweep, every strategy's circuit at every gamma, evolve
+together as one (S*G, 4, 4) stack of density matrices with stacked matrix
+products, which give the same bits as evolving each circuit alone; the
+strategies share the stack because their circuits differ only in the kind
+and angle of one-qubit gates.  job_counts then samples every (strategy,
+circuit, run) cell in one call.  Both simulate_job and the CLI sweep run on
+it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -45,6 +49,12 @@ from .statevec import (
 CROSSTALK_DISTANCE = 2          # pairs closer than this interfere
 CROSSTALK_PENALTY = 0.05        # no published figure exists
 ONE_QUBIT_ERROR_FRACTION = 0.1  # one-qubit error as a fraction of the edge error
+
+# steps every circuit of a stack must hold at the same position
+_FIXED_STEPS = frozenset({"cnot", "measure"})
+_LAYOUT_ERROR = ("circuits must share one gate layout: the same qubits at every step and "
+                 "CNOTs and measurements at the same positions")
+_name, _qubits, _kind_angle = attrgetter("name"), attrgetter("qubits"), attrgetter("name", "angle")
 
 
 @dataclass(frozen=True)
@@ -157,10 +167,14 @@ def noisy_distributions(
 ) -> np.ndarray:
     """Evolve G mapped circuits together as a (G, 4, 4) density-matrix stack.
 
-    The circuits must share one gate layout (the same gate names on the same
-    qubits at every position); only angles may differ.  Circuit g runs on the
-    pair calibrated by pair_calibs[g], with the extra crosstalk channel when
-    crosstalk_active[g] is true.  Each distinct gate matrix is built once.
+    The circuits must share one gate layout: the same number of steps, the
+    same qubits at every step and every CNOT and measurement at the same
+    position.  A one-qubit step may differ per circuit in its gate kind and
+    angle, as the strategy gates of a multi-strategy sweep do.  Circuit g
+    runs on the pair calibrated by pair_calibs[g], with the extra crosstalk
+    channel when crosstalk_active[g] is true.  Each distinct (kind, angle)
+    gate matrix is built once; identity gates are applied and depolarized
+    like any other, so every circuit gets the bits it gets alone.
 
     Returns a (G, 4) array of outcome distributions after readout
     confusion; each row sums to 1 within 1e-9 and equals the ideal
@@ -175,26 +189,29 @@ def noisy_distributions(
         )
     if g == 0:
         return np.zeros((0, 4))
-    layout = [(op.name, op.qubits) for op in circuits[0]]
-    if any([(op.name, op.qubits) for op in ops] != layout for ops in circuits[1:]):
-        raise ValueError("circuits must share one gate layout; only angles may differ")
+    if len(set(map(len, circuits))) != 1:
+        raise ValueError(_LAYOUT_ERROR)
 
     p1, p2, p_xt, ro_a, ro_b = model.resolved(pair_calibs, crosstalk_active)
 
     rho = np.zeros((g, 4, 4), dtype=complex)
     rho[:, 0, 0] = 1.0
-    for step, (name, qubits) in enumerate(layout):
+    for step in zip(*circuits):
+        name, qubits = step[0].name, step[0].qubits
+        names = set(map(_name, step))
+        if len(set(map(_qubits, step))) != 1 or (len(names) > 1 and names & _FIXED_STEPS):
+            raise ValueError(_LAYOUT_ERROR)
         if name == "measure":
             continue
         if name == "cnot":
             u = _cnot_matrix(*qubits)
         else:
-            angles = [ops[step].angle for ops in circuits]
+            keys = list(map(_kind_angle, step))
             built = {}
-            for a in angles:
-                if a not in built:
-                    built[a] = gate_matrix(name, a)
-            u = _embed_1q(np.stack([built[a] for a in angles]), qubits[0])
+            for key in keys:
+                if key not in built:
+                    built[key] = gate_matrix(*key)
+            u = _embed_1q(np.stack([built[key] for key in keys]), qubits[0])
         rho = u @ rho @ np.swapaxes(u.conj(), -1, -2)
         if name == "cnot":
             rho = depolarize_2q(rho, p2)
@@ -217,35 +234,47 @@ def crosstalk_flags(plan: MappingPlan, graph: CouplingGraph) -> list[bool]:
 
 def job_counts(
     plan: MappingPlan,
-    spec: GameSpec,
+    specs: Sequence[GameSpec],
     calib: CalibrationSnapshot,
     model: NoiseModel,
     shots: int,
     runs: int,
-    seed: int,
+    seeds: Sequence[int],
     flags: list[bool],
 ) -> np.ndarray:
-    """Shot counts of every (circuit, run) cell of a mapped sweep job.
+    """Shot counts of every (strategy, circuit, run) cell of a mapped sweep.
 
-    Circuit i runs the gamma_grid[i] circuit on the plan's i-th pair; the
-    result has shape (len(gamma_grid), runs, 4) in outcome-label order.
-    Cell (i, run) draws from derive_seed(seed, i, run), so its counts do not
-    depend on which other cells are sampled; derive_seeds gives the key words
-    of all cells in one vectorised pass that reproduces SeedSequence bit for
-    bit.  flags are the plan's crosstalk flags (crosstalk_flags).
+    The specs share one gamma grid, and circuit i of every spec runs the
+    gamma_grid[i] circuit on the plan's i-th pair; the result has shape
+    (len(specs), len(gamma_grid), runs, 4) in outcome-label order.  All
+    circuits evolve in one noisy_distributions stack and all cells are drawn
+    in one sample_cells call.  Cell (s, i, run) draws from
+    derive_seed(seeds[s], i, run), so its counts do not depend on which other
+    cells, or which other specs, are sampled; derive_seeds gives the key words
+    of a spec's cells in one vectorised pass that reproduces SeedSequence bit
+    for bit.  flags are the plan's crosstalk flags (crosstalk_flags).
     """
-    if len(plan.assignments) != len(spec.gamma_grid):
+    if not specs:
+        raise ValueError("a job needs at least one spec")
+    if len(seeds) != len(specs):
+        raise ValueError(f"{len(specs)} specs but {len(seeds)} seeds; need one seed per spec")
+    grid = specs[0].gamma_grid
+    if any(spec.gamma_grid != grid for spec in specs):
+        raise ValueError("the specs of one job must share one gamma grid")
+    if len(plan.assignments) != len(grid):
         raise ValueError(
             f"plan has {len(plan.assignments)} pairs but the gamma grid has "
-            f"{len(spec.gamma_grid)} points"
+            f"{len(grid)} points"
         )
     circuits = [
         build_ewl_circuit(gamma, 0.0, spec.strategy_a, spec.strategy_b)
-        for gamma in spec.gamma_grid
+        for spec in specs
+        for gamma in grid
     ]
-    pair_calibs = [calib.pair(pair) for pair in plan.assignments]
-    distributions = noisy_distributions(circuits, pair_calibs, model, flags)
-    return sample_cells(distributions, shots, derive_seeds(seed, len(circuits), runs))
+    pair_calibs = [calib.pair(pair) for pair in plan.assignments] * len(specs)
+    distributions = noisy_distributions(circuits, pair_calibs, model, list(flags) * len(specs))
+    keys = np.concatenate([derive_seeds(seed, len(grid), runs) for seed in seeds])
+    return sample_cells(distributions, shots, keys).reshape(len(specs), len(grid), runs, 4)
 
 
 def simulate_job(
@@ -259,7 +288,7 @@ def simulate_job(
 ) -> list[RunResult]:
     """job_counts as RunResults, run by run and circuit by circuit within a run."""
     flags = crosstalk_flags(plan, calib.graph())
-    counts = job_counts(plan, spec, calib, model, shots, runs, seed, flags)
+    counts = job_counts(plan, [spec], calib, model, shots, runs, [seed], flags)[0]
     return [
         RunResult(
             i,

@@ -168,13 +168,16 @@ def test_sweep_byte_identical_reruns_and_config(tmp_path):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
+LABELS = ["I", "H", "RY(pi/4)", "RY(pi)"]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
     runs=st.integers(1, 4),
     shots=st.integers(1, 5000),
     steps=st.integers(2, 9),
-    strategies=st.lists(st.sampled_from(["I", "H", "RY(pi/4)", "RY(pi)"]),
+    strategies=st.lists(st.sampled_from(LABELS),
                         min_size=1, max_size=4, unique=True),
     noise_scale=st.sampled_from(["0", "1"]),
     variant=st.sampled_from(["paper", "corrected"]),
@@ -196,6 +199,30 @@ def test_sweep_csv_is_what_csv_writer_writes(seed, runs, shots, steps, strategie
     csv.writer(rewritten).writerows(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
     assert rewritten.getvalue().encode("utf-8") == data
     assert data.count(b"\r\n") == 1 + steps * runs * len(strategies)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    runs=st.integers(1, 3),
+    shots=st.integers(1, 5000),
+    steps=st.integers(2, 9),
+    strategies=st.lists(st.sampled_from(LABELS), min_size=1, max_size=4, unique=True),
+)
+def test_strategy_subset_rows_match_the_full_sweep(seed, runs, shots, steps, strategies):
+    # all strategies are sampled in one stacked job; a strategy's rows must not
+    # depend on which other strategies share it
+    common = ("sweep", "--synth", "--seed", str(seed), "--runs", str(runs),
+              "--shots", str(shots), "--gamma-steps", str(steps))
+    with tempfile.TemporaryDirectory() as tmp:
+        full, part = Path(tmp) / "full.csv", Path(tmp) / "part.csv"
+        assert run_cli(*common, "--out", str(full)) == EXIT_OK
+        assert run_cli(*common, "--strategies", ",".join(strategies),
+                       "--out", str(part)) == EXIT_OK
+        header, *rows, end = full.read_bytes().split(b"\r\n")
+        kept = [row for row in rows if row.split(b",", 1)[0].decode() in strategies]
+        assert part.read_bytes().split(b"\r\n") == [header, *kept, end]
+    assert len(kept) == steps * runs * len(strategies)
 
 
 @given(st.lists(st.text(alphabet='IHRYrypi(/4) ,"\r\n\t', max_size=12), min_size=1, max_size=4))
@@ -512,6 +539,19 @@ def test_validate_non_utf8_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {res}: 'utf-8' codec can't decode")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("row", [-1, 4], ids=["header", "data-row"])
+def test_validate_oversized_field(tmp_path, capsys, row):
+    # csv reads fields of at most 131,072 characters
+    res = sweep_fixture(tmp_path)
+    tamper(res, row, "strategy", lambda v: "x" * 200_000)
+    capsys.readouterr()
+    assert run_cli("validate", str(res)) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {res}: field larger than field limit")
     assert captured.err.count("\n") == 1
 
 
@@ -848,6 +888,27 @@ def test_json_loaders_skip_a_utf8_bom(tmp_path, kind):
     plain.write_text(json.dumps(doc))
     bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     assert load(str(bom)) == load(str(plain))
+
+
+@pytest.mark.parametrize("kind", ["config", "matrix", "coupling-map", "calibration", "plan"])
+def test_deeply_nested_json_is_a_config_error(tmp_path, kind):
+    # json's decoder recurses per level; a loader names the file instead of crashing
+    from qbos.cli import load_config_file
+    from qbos.device import load_calibration, load_coupling_map
+    from qbos.gcm import load_plan
+    nested = "[" * 200_000 + "]" * 200_000
+    path = tmp_path / "input.json"
+    path.write_text(nested)
+    load = {"config": load_config_file, "matrix": parse_matrix,
+            "coupling-map": load_coupling_map, "calibration": load_calibration,
+            "plan": load_plan}[kind]
+    with pytest.raises(ValueError) as raised:
+        load(str(path))
+    assert str(raised.value).startswith(f"{path}: ")
+    if kind in MALFORMED:
+        code, out, err = run_on_file(kind, "text", nested, tmp_path)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbos import cli, device, game, gcm, noise, stats
 from qbos.noise import NoiseModel, noisy_distributions
-from qbos.statevec import derive_seed, gate_matrix, sample_cells
+from qbos.statevec import CircuitOp, derive_seed, gate_matrix, sample_cells
 
 
 def sha256(data: bytes) -> str:
@@ -298,17 +298,18 @@ GRAPH = device.heavy_hex_graph(2)
 @settings(max_examples=60, deadline=None)
 @given(
     scale=st.floats(0.0, 3.0),
-    strategy=st.sampled_from(game.CANONICAL_STRATEGIES),
+    strategies=st.lists(st.sampled_from(game.CANONICAL_STRATEGIES), min_size=31, max_size=31),
     cal_seed=st.integers(0, 2**16),
     steps=st.integers(2, 31),
     flags=st.lists(st.booleans(), min_size=31, max_size=31),
     phi=st.sampled_from([0.0, 0.3, math.pi / 2]),
 )
-def test_stacked_evolution_matches_per_circuit_loop(scale, strategy, cal_seed, steps,
+def test_stacked_evolution_matches_per_circuit_loop(scale, strategies, cal_seed, steps,
                                                     flags, phi):
+    # each circuit draws its strategy, so one stack mixes the one-qubit gate kinds
     calib = device.synth_calibration(GRAPH, seed=cal_seed, profile="realistic")
     grid = game.default_gamma_grid(steps)
-    circuits = [game.build_ewl_circuit(g, phi, strategy, strategy) for g in grid]
+    circuits = [game.build_ewl_circuit(g, phi, s, s) for g, s in zip(grid, strategies)]
     pair_calibs = [calib.pair(GRAPH.edges[i % len(GRAPH.edges)]) for i in range(steps)]
     stacked = noisy_distributions(circuits, pair_calibs, NoiseModel(scale=scale), flags[:steps])
     for g, ops in enumerate(circuits):
@@ -317,11 +318,20 @@ def test_stacked_evolution_matches_per_circuit_loop(scale, strategy, cal_seed, s
 
 
 def test_noisy_distributions_reject_mixed_layouts():
+    # gate kinds and angles may differ per circuit; qubits, step counts and the
+    # positions of CNOTs and measurements may not
     pc = device.synth_calibration(GRAPH, seed=0).pair(GRAPH.edges[0])
-    a = game.build_ewl_circuit(0.5, 0.0, game.STRATEGY_I, game.STRATEGY_I)
-    b = game.build_ewl_circuit(0.5, 0.0, game.STRATEGY_H, game.STRATEGY_H)
-    with pytest.raises(ValueError, match="layout"):
-        noisy_distributions([a, b], [pc, pc], NoiseModel(), [False, False])
+    base = game.build_ewl_circuit(0.5, 0.0, game.STRATEGY_I, game.STRATEGY_I)
+    cnot_at = [op.name for op in base].index("cnot")
+    other_cnot = base[:cnot_at] + [CircuitOp("cnot", (1, 0))] + base[cnot_at + 1:]
+    shorter = base[:-1]
+    gate_for_cnot = base[:cnot_at] + [CircuitOp("hadamard", (0,))] + base[cnot_at + 1:]
+    mixed = game.build_ewl_circuit(0.5, 0.0, game.STRATEGY_H, game.STRATEGY_RY_PI)
+    assert noisy_distributions([base, mixed], [pc, pc], NoiseModel(), [False, False]).shape == (2, 4)
+    for other in (other_cnot, shorter, gate_for_cnot):
+        for pair in ([base, other], [other, base]):
+            with pytest.raises(ValueError, match="layout"):
+                noisy_distributions(pair, [pc, pc], NoiseModel(), [False, False])
 
 
 # --- reset-state sampler equals a freshly keyed Philox per cell ----------------------

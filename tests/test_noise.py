@@ -27,6 +27,7 @@ from qbos.noise import (
     crosstalk_flags,
     depolarize_1q,
     depolarize_2q,
+    job_counts,
     noisy_distributions,
     simulate_job,
 )
@@ -292,6 +293,37 @@ def test_simulate_job_rejects_grid_mismatch():
     plan = select_pairs(g, cal, k=5, min_separation=2)
     with pytest.raises(ValueError, match="gamma grid"):
         simulate_job(plan, spec_for(STRATEGY_I), cal, NoiseModel(), 100, 2, 0)
+
+
+def test_job_counts_draws_each_spec_as_its_own_job():
+    # one stacked job gives every spec the counts it gets alone with its seed
+    g = heavy_hex_graph(6)
+    cal = synth_calibration(g, seed=4, profile="realistic")
+    plan = select_pairs(g, cal, k=9, min_separation=2)
+    flags = crosstalk_flags(plan, g)
+    specs = [spec_for(s, steps=9) for s in CANONICAL_STRATEGIES]
+    seeds = [5, 17, 5, 2**70]
+    stacked = job_counts(plan, specs, cal, NoiseModel(), 300, 2, seeds, flags)
+    assert stacked.shape == (4, 9, 2, 4)
+    for s, (spec, seed) in enumerate(zip(specs, seeds)):
+        alone = job_counts(plan, [spec], cal, NoiseModel(), 300, 2, [seed], flags)
+        np.testing.assert_array_equal(stacked[s], alone[0])
+
+
+def test_job_counts_rejects_mismatched_specs_and_seeds():
+    g = heavy_hex_graph(6)
+    cal = synth_calibration(g, seed=2)
+    plan = select_pairs(g, cal, k=5, min_separation=2)
+    flags = crosstalk_flags(plan, g)
+    five = spec_for(STRATEGY_I, steps=5)
+    with pytest.raises(ValueError, match="at least one spec"):
+        job_counts(plan, [], cal, NoiseModel(), 100, 2, [], flags)
+    with pytest.raises(ValueError, match="one seed per spec"):
+        job_counts(plan, [five, five], cal, NoiseModel(), 100, 2, [0], flags)
+    other = GameSpec(strategy_a=STRATEGY_H, strategy_b=STRATEGY_H,
+                     gamma_grid=(0.0, 0.5, 1.0, 1.5, 2.0))
+    with pytest.raises(ValueError, match="share one gamma grid"):
+        job_counts(plan, [five, other], cal, NoiseModel(), 100, 2, [0, 1], flags)
 
 
 def test_simulate_job_deterministic():
