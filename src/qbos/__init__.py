@@ -20,6 +20,7 @@ from .game import (
     PayoffMatrix,
     Strategy,
     advantage_percent,
+    analytical_curves,
     analytical_payoffs,
     build_ewl_circuit,
     classical_mixed_equilibrium,

@@ -23,7 +23,6 @@ import argparse
 import csv
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass, fields
 
@@ -306,21 +305,20 @@ def _sweep_rows(cfg: SweepConfig, graph, calib, plan) -> tuple[list[str], np.nda
     heads, tails = [], []
     for label, strategy in zip(labels, strategies):
         heads += [f"{label},{gamma_run}" for gamma_run in gamma_runs]
-        for gamma in grid:
-            ana_a, ana_b = game.analytical_payoffs(strategy, gamma, cfg.formula_variant)
+        for ana_a, ana_b in game.analytical_curves(strategy, grid, cfg.formula_variant).tolist():
             tails += [f"{ana_a!r},{ana_b!r}"] * cfg.runs
     lines = list(map(",".join, zip(heads, *columns, tails)))
     return labels, payoffs, lines
 
 
-def _svg_plot(path, label, grid, ana_a, ana_b, estimates) -> None:
-    """Static SVG: analytic curves plus run means with CI bars."""
+def _svg_plot(path, label, grid, curves, means, halves) -> None:
+    """Static SVG: analytic curves plus run means with CI bars; curves, means
+    and CI half-widths hold one (alice, bob) pair per gamma."""
     width, height = 640, 420
     ml, mr, mt, mb = 60, 20, 40, 50
-    values = list(ana_a) + list(ana_b)
-    for est_a, est_b in estimates:
-        values += [est_a.mean - est_a.ci_half_width, est_a.mean + est_a.ci_half_width]
-        values += [est_b.mean - est_b.ci_half_width, est_b.mean + est_b.ci_half_width]
+    values = [v for pair in curves for v in pair]
+    values += [v for pair_m, pair_h in zip(means, halves)
+               for m, h in zip(pair_m, pair_h) for v in (m - h, m + h)]
     lo = min(0.0, min(values)) - 0.1
     hi = max(values) + 0.1
 
@@ -372,19 +370,16 @@ def _svg_plot(path, label, grid, ana_a, ana_b, estimates) -> None:
                 f'font-size="10">{tick:.2g}</text>'
             )
         v += 0.5
-    parts.append(polyline(ana_a, "#1f77b4"))
-    parts.append(polyline(ana_b, "#ff7f0e", dash=' stroke-dasharray="5,3"'))
-    for g, (est_a, est_b) in zip(grid, estimates):
-        for est, color, dx in ((est_a, "#1f77b4", -2), (est_b, "#ff7f0e", 2)):
+    parts.append(polyline([a for a, _ in curves], "#1f77b4"))
+    parts.append(polyline([b for _, b in curves], "#ff7f0e", dash=' stroke-dasharray="5,3"'))
+    for g, pair_m, pair_h in zip(grid, means, halves):
+        for m, h, color, dx in zip(pair_m, pair_h, ("#1f77b4", "#ff7f0e"), (-2, 2)):
             cx = x(g) + dx
             parts.append(
-                f'<line x1="{cx:.2f}" y1="{y(est.mean - est.ci_half_width):.2f}" '
-                f'x2="{cx:.2f}" y2="{y(est.mean + est.ci_half_width):.2f}" '
+                f'<line x1="{cx:.2f}" y1="{y(m - h):.2f}" x2="{cx:.2f}" y2="{y(m + h):.2f}" '
                 f'stroke="{color}" stroke-width="1"/>'
             )
-            parts.append(
-                f'<circle cx="{cx:.2f}" cy="{y(est.mean):.2f}" r="2.5" fill="{color}"/>'
-            )
+            parts.append(f'<circle cx="{cx:.2f}" cy="{y(m):.2f}" r="2.5" fill="{color}"/>')
     parts.append(
         f'<text x="{width - mr - 10}" y="{mt + 12}" text-anchor="end" font-size="11" '
         f'fill="#1f77b4">E_A (solid: analytic, dots: runs)</text>'
@@ -415,20 +410,18 @@ def cmd_sweep(args) -> int:
         grid = game.default_gamma_grid(cfg.gamma_steps)
         stem = out[:-4] if out.endswith(".csv") else out
         for label, cells in zip(labels, payoffs):
-            if cfg.runs >= 2:  # cells[g] holds the (ea, eb) of every run at grid[g]
-                per_gamma = [(stats.aggregate_runs(runs_ab[:, 0]),
-                              stats.aggregate_runs(runs_ab[:, 1])) for runs_ab in cells]
+            # the (gamma, player, run) series of the strategy, contiguous along the runs
+            series = np.ascontiguousarray(cells.transpose(0, 2, 1))
+            if cfg.runs >= 2:
+                means, _, halves = stats._run_statistics(series)
             else:  # the one run's values, without a confidence bar
-                per_gamma = [tuple(stats.PayoffEstimate(v, 0.0, 0.0, 1) for v in cell)
-                             for cell in cells[:, 0].tolist()]
-            strategy = game.Strategy.parse(label)
-            ana = [
-                game.analytical_payoffs(strategy, g, cfg.formula_variant) for g in grid
-            ]
+                means, halves = series[..., 0], np.zeros(series.shape[:2])
+            curves = game.analytical_curves(game.Strategy.parse(label), grid,
+                                            cfg.formula_variant)
             safe = label.replace("(", "_").replace(")", "").replace("/", "_")
             try:
                 _svg_plot(f"{stem}_{safe}.svg", label, grid,
-                          [a for a, _ in ana], [b for _, b in ana], per_gamma)
+                          curves.tolist(), means.tolist(), halves.tolist())
             except OSError as err:
                 raise CommandError(EXIT_IO, f"cannot write SVG: {err}")
     print(f"wrote {len(lines)} rows to {out}")
@@ -513,14 +506,14 @@ def cmd_validate(args) -> int:
     if not rows:
         raise CommandError(EXIT_SCHEMA, "results file holds no rows")
 
-    col = {name: header.index(name) for name in CSV_COLUMNS}
-    numeric = operator.itemgetter(*(col[c] for c in NUMERIC_COLUMNS))
+    if set(map(len, rows)) != {len(header)}:
+        n, row = next((n, row) for n, row in enumerate(rows, 1) if len(row) != len(header))
+        raise CommandError(EXIT_SCHEMA, f"unreadable results row: row {n} has {len(row)} "
+                                        f"fields, expected {len(header)}")
+    columns = dict(zip(header, zip(*rows)))
     try:
-        for n, row in enumerate(rows, 1):
-            if len(row) != len(header):
-                raise ValueError(f"row {n} has {len(row)} fields, expected {len(header)}")
-        values = np.array([numeric(row) for row in rows], dtype=float)
-        runs = [int(row[col["run"]]) for row in rows]
+        values = np.array([columns[c] for c in NUMERIC_COLUMNS], dtype=float).T
+        runs = list(map(int, columns["run"]))
     except ValueError as err:
         raise CommandError(EXIT_SCHEMA, f"unreadable results row: {err}")
     _check_rows(values)
@@ -528,7 +521,7 @@ def cmd_validate(args) -> int:
     gammas, gamma_index = np.unique(values[:, 0], return_inverse=True)
     try:
         report = stats.report_from_cells(
-            [row[col["strategy"]] for row in rows], gamma_index, runs, values[:, 5:7],
+            columns["strategy"], gamma_index, runs, values[:, 5:7],
             gammas.tolist(), args.formula_variant, BOS, args.rmse_method,
         )
     except ValueError as err:  # stats.SchemaError included

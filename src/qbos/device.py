@@ -306,10 +306,6 @@ def load_calibration(path) -> CalibrationSnapshot:
     return _load(path, CalibrationSnapshot.from_json)
 
 
-def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
-
-
 def synth_calibration(graph: CouplingGraph, seed: int, profile: str = "realistic") -> CalibrationSnapshot:
     """Synthesize a deterministic calibration snapshot for a coupling graph.
 
@@ -333,14 +329,14 @@ def synth_calibration(graph: CouplingGraph, seed: int, profile: str = "realistic
         return CalibrationSnapshot(stamp, qubits, edges)
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, graph.num_qubits)))
-    qubits = []
-    for i in range(graph.num_qubits):
-        readout = _log_uniform(rng, *READOUT_ERROR_RANGE)
-        t1 = float(rng.uniform(*T1_RANGE_US))
-        t2 = t1 * float(rng.uniform(0.5, 1.2))  # t2 <= 2*t1 by construction
-        qubits.append(QubitCalibration(i, readout, t1, t2))
-    edges = tuple(
-        EdgeCalibration(e, _log_uniform(rng, *TWO_QUBIT_ERROR_RANGE))
-        for e in graph.edges
+    # one row per qubit: log readout error, T1 and the T2/T1 factor, drawn in
+    # the order of one scalar draw each; math.exp keeps the bits np.exp may move
+    low, high = zip(map(math.log, READOUT_ERROR_RANGE), T1_RANGE_US, (0.5, 1.2))
+    qubits = tuple(
+        QubitCalibration(i, math.exp(log_readout), t1, t1 * factor)  # t2 <= 2*t1
+        for i, (log_readout, t1, factor)
+        in enumerate(rng.uniform(low, high, size=(graph.num_qubits, 3)).tolist())
     )
-    return CalibrationSnapshot(stamp, tuple(qubits), edges)
+    log_errors = rng.uniform(*map(math.log, TWO_QUBIT_ERROR_RANGE), size=len(graph.edges))
+    edges = tuple(map(EdgeCalibration, graph.edges, map(math.exp, log_errors.tolist())))
+    return CalibrationSnapshot(stamp, qubits, edges)

@@ -248,46 +248,59 @@ def _closed_form_distribution(strategy: Strategy, gamma: float) -> np.ndarray:
     return np.array([p00, p01, p01, p11])
 
 
-def analytical_payoffs(
-    strategy: Strategy,
-    gamma: float,
-    variant: str = "corrected",
-    payoff: PayoffMatrix | None = None,
-) -> tuple[float, float]:
-    """Closed-form (e_a, e_b) when both players use the same strategy.
+def analytical_payoffs(strategy: Strategy, gamma: float, variant: str = "corrected",
+                       payoff: PayoffMatrix | None = None) -> tuple[float, float]:
+    """Closed-form (e_a, e_b) at one gamma; see analytical_curves."""
+    ea, eb = analytical_curves(strategy, (gamma,), variant, payoff)[0].tolist()
+    return ea, eb
+
+
+def analytical_curves(strategy: Strategy, gammas, variant: str = "corrected",
+                      payoff: PayoffMatrix | None = None) -> np.ndarray:
+    """Closed-form (e_a, e_b) at every gamma, shape (len(gammas), 2), when
+    both players use the same strategy.
 
     variant='corrected' evaluates the exact circuit algebra against the given
-    payoff matrix.  variant='paper' reproduces the legacy published curves for
-    the default matrix verbatim, including the over-3 Hadamard curve for
-    Alice; it does not accept a custom matrix.
+    payoff matrix, with the np.vecdot of stats.payoff_table, so every row has
+    the bits of its own distribution's dot product.  variant='paper'
+    reproduces the legacy published curves for the default matrix verbatim,
+    including the over-3 Hadamard curve for Alice; it does not accept a
+    custom matrix.
     """
     if strategy.kind == "RY" and not 0.0 <= strategy.angle < 2 * math.pi:
         raise ValueError(f"unsupported strategy angle {strategy.angle!r}")
     if variant not in ("paper", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
-    c, s = math.cos(gamma / 2), math.sin(gamma / 2)
 
     if variant == "paper":
         if payoff is not None and payoff != PayoffMatrix.battle_of_sexes():
             raise ValueError("the 'paper' variant is defined for the default matrix only")
-        if strategy.kind == "I":
-            return 3 * c * c + 2 * s * s, 2 * c * c + 3 * s * s
-        if strategy.kind == "H":
-            return 1.25 * (c + 2 * s) ** 2, 1.25 * (c + s) ** 2
-        if abs(strategy.angle - math.pi) < 1e-12:
-            return 2 * c * c + 3 * s * s, 3 * c * c + 2 * s * s
-        if abs(strategy.angle - math.pi / 4) < 1e-12:
+        curve = _paper_curve(strategy)
+        return np.array([curve(math.cos(g / 2), math.sin(g / 2)) for g in gammas]).reshape(-1, 2)
+
+    matrix = payoff if payoff is not None else PayoffMatrix.battle_of_sexes()
+    dists = np.array([_closed_form_distribution(strategy, g) for g in gammas]).reshape(-1, 1, 4)
+    return np.vecdot(dists, np.stack(matrix.outcome_weights()))
+
+
+def _paper_curve(strategy: Strategy):
+    """The published (e_a, e_b) formula of a strategy, as a function of
+    c = cos(gamma/2) and s = sin(gamma/2)."""
+    if strategy.kind == "I":
+        return lambda c, s: (3 * c * c + 2 * s * s, 2 * c * c + 3 * s * s)
+    if strategy.kind == "H":
+        return lambda c, s: (1.25 * (c + 2 * s) ** 2, 1.25 * (c + s) ** 2)
+    if abs(strategy.angle - math.pi) < 1e-12:
+        return lambda c, s: (2 * c * c + 3 * s * s, 3 * c * c + 2 * s * s)
+    if abs(strategy.angle - math.pi / 4) < 1e-12:
+        def ry_pi_4(c, s):
             p00 = (_RY4_COS2 * c + _RY4_SIN2 * s) ** 2
             p11 = (_RY4_COS2 * s + _RY4_SIN2 * c) ** 2
             return 3 * p00 + 2 * p11, 2 * p00 + 3 * p11
-        raise ValueError(
-            f"no published curve for strategy {strategy.label}; use variant='corrected'"
-        )
-
-    matrix = payoff if payoff is not None else PayoffMatrix.battle_of_sexes()
-    dist = _closed_form_distribution(strategy, gamma)
-    wa, wb = matrix.outcome_weights()
-    return float(dist @ wa), float(dist @ wb)
+        return ry_pi_4
+    raise ValueError(
+        f"no published curve for strategy {strategy.label}; use variant='corrected'"
+    )
 
 
 def advantage_percent(e_quantum: float, e_classical: float) -> float:

@@ -20,8 +20,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .device import _save
-from .game import GameSpec, PayoffMatrix, Strategy, analytical_payoffs
+from .game import GameSpec, PayoffMatrix, Strategy, analytical_curves
 from .noise import RunResult
+from .statevec import OUTCOME_LABELS
 
 # fixed denominators for the best/worst relative-error convention
 PAYOFF_SCALE_MAX = 3.0
@@ -229,8 +230,7 @@ def report_from_cells(
     validations = []
     all_rmses = []
     for label, cells, mean, var, half in zip(strategies, table, means, variances, halves):
-        strategy = Strategy.parse(label)
-        refs = np.array([analytical_payoffs(strategy, g, variant, payoff) for g in gammas])
+        refs = analytical_curves(Strategy.parse(label), gammas, variant, payoff)
         per_gamma = tuple(
             GammaEstimate(g, PayoffEstimate(ma, va, ha, n), PayoffEstimate(mb, vb, hb, n))
             for g, (ma, mb), (va, vb), (ha, hb)
@@ -262,11 +262,15 @@ def build_validation_report(
     duplicate cells raise SchemaError listing them.
     """
     cells = [(label, r) for label, run_results in results.items() for r in run_results]
-    freqs = np.array([r.counts.frequencies() for _, r in cells]).reshape(-1, 4)
+    # counts / shots is one correctly rounded division per frequency, the bits
+    # of ShotCounts.frequencies() for counts below 2**53
+    counts = np.array([[r.counts.counts.get(lbl, 0) for lbl in OUTCOME_LABELS]
+                       for _, r in cells]).reshape(-1, 4)
+    shots = np.array([r.counts.total_shots for _, r in cells]).reshape(-1, 1)
     return report_from_cells(
         [label for label, _ in cells],
         [r.circuit_index for _, r in cells],
         [r.run_index for _, r in cells],
-        payoff_table(freqs, spec.payoff),
+        payoff_table(counts / shots, spec.payoff),
         spec.gamma_grid, variant, spec.payoff, rmse_method,
     )

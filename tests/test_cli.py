@@ -481,6 +481,21 @@ def test_validate_accepts_a_utf8_bom(tmp_path, capsys):
     assert capsys.readouterr() == plain
 
 
+def test_validate_reads_columns_in_any_order(tmp_path, capsys):
+    res = sweep_fixture(tmp_path)
+    with open(res, newline="") as fh:
+        rows = list(csv.reader(fh))
+    order = [10, 3, 0, 9, 1, 8, 2, 7, 4, 6, 5]
+    permuted = tmp_path / "permuted.csv"
+    with open(permuted, "w", newline="") as fh:
+        csv.writer(fh).writerows([row[i] for i in order] for row in rows)
+    capsys.readouterr()
+    assert run_cli("validate", str(res)) == EXIT_OK
+    plain = capsys.readouterr()
+    assert run_cli("validate", str(permuted)) == EXIT_OK
+    assert capsys.readouterr() == plain
+
+
 def tamper(path, row, column, edit):
     """Replace one cell of a results CSV by edit(old text); row 0 is the first data row."""
     with open(path, newline="") as fh:

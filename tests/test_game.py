@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qbos.game import (
     CANONICAL_STRATEGIES,
@@ -14,7 +15,9 @@ from qbos.game import (
     STRATEGY_I,
     STRATEGY_RY_PI,
     STRATEGY_RY_PI_4,
+    _closed_form_distribution,
     advantage_percent,
+    analytical_curves,
     analytical_payoffs,
     build_ewl_circuit,
     classical_mixed_equilibrium,
@@ -238,6 +241,83 @@ def test_corrected_variant_with_custom_matrix():
     sim = payoff_table(dist, PayoffMatrix.identity_coordination())
     ana = analytical_payoffs(STRATEGY_H, 1.1, "corrected", PayoffMatrix.identity_coordination())
     assert abs(sim[0] - ana[0]) <= 1e-9 and abs(sim[1] - ana[1]) <= 1e-9
+
+
+def oracle_curves(strategy, gammas, variant, payoff):
+    """One gamma at a time, the scalar formulas the curve table replaced."""
+    rows = []
+    for g in gammas:
+        c, s = math.cos(g / 2), math.sin(g / 2)
+        if variant == "corrected":
+            dist = _closed_form_distribution(strategy, g)
+            wa, wb = (payoff or BOS).outcome_weights()
+            rows.append((float(dist @ wa), float(dist @ wb)))
+        elif strategy == STRATEGY_I:
+            rows.append((3 * c * c + 2 * s * s, 2 * c * c + 3 * s * s))
+        elif strategy == STRATEGY_H:
+            rows.append((1.25 * (c + 2 * s) ** 2, 1.25 * (c + s) ** 2))
+        elif strategy == STRATEGY_RY_PI:
+            rows.append((2 * c * c + 3 * s * s, 3 * c * c + 2 * s * s))
+        else:
+            k, m = math.cos(math.pi / 8) ** 2, math.sin(math.pi / 8) ** 2
+            p00, p11 = (k * c + m * s) ** 2, (k * s + m * c) ** 2
+            rows.append((3 * p00 + 2 * p11, 2 * p00 + 3 * p11))
+    return np.array(rows, dtype=float).reshape(-1, 2)
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+matrices = st.lists(finite, min_size=8, max_size=8).map(
+    lambda v: PayoffMatrix((((v[0], v[1]), (v[2], v[3])), ((v[4], v[5]), (v[6], v[7])))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gammas=st.lists(st.floats(0.0, math.pi), unique=True, max_size=40).map(sorted),
+    strategy=st.one_of(
+        st.sampled_from(CANONICAL_STRATEGIES),
+        st.floats(0.0, 2 * math.pi, exclude_max=True).map(lambda a: Strategy("RY", a))),
+    payoff=st.one_of(st.none(), matrices),
+    paper=st.booleans(),
+)
+def test_curve_table_matches_the_scalar_formulas(gammas, strategy, payoff, paper):
+    # paper curves exist for the canonical strategies and the default matrix only
+    if paper and strategy in CANONICAL_STRATEGIES:
+        variant, payoff = "paper", None
+    else:
+        variant = "corrected"
+    table = analytical_curves(strategy, gammas, variant, payoff)
+    want = oracle_curves(strategy, gammas, variant, payoff)
+    assert table.shape == (len(gammas), 2)
+    assert table.tobytes() == want.tobytes()
+    for g, row in zip(gammas, want.tolist()):
+        assert analytical_payoffs(strategy, g, variant, payoff) == tuple(row)
+
+
+@pytest.mark.parametrize("variant", ["paper", "corrected"])
+def test_curve_table_of_no_gamma(variant):
+    assert analytical_curves(STRATEGY_H, [], variant).shape == (0, 2)
+
+
+def test_curve_table_argument_errors():
+    bad_angle = object.__new__(Strategy)  # past Strategy's own angle check
+    object.__setattr__(bad_angle, "kind", "RY")
+    object.__setattr__(bad_angle, "angle", 7.0)
+    cases = [
+        ((bad_angle, "corrected", None), "unsupported strategy angle 7.0"),
+        ((STRATEGY_I, "published", None), "unknown variant 'published'"),
+        ((STRATEGY_I, "paper", PayoffMatrix.identity_coordination()),
+         "the 'paper' variant is defined for the default matrix only"),
+        ((Strategy("RY", 0.3), "paper", None),
+         "no published curve for strategy RY(0.3); use variant='corrected'"),
+    ]
+    for (strategy, variant, payoff), message in cases:
+        for gammas in ([], [0.5], default_gamma_grid(5)):
+            with pytest.raises(ValueError) as err:
+                analytical_curves(strategy, gammas, variant, payoff)
+            assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            analytical_payoffs(strategy, 0.5, variant, payoff)
+        assert str(err.value) == message
 
 
 # --- advantage --------------------------------------------------------------------

@@ -6,9 +6,11 @@ density-matrix evolution and the reset-state sampler replaced, and the map
 digests pin the plans ``qbos map --synth`` writes for seeds 0..9 and the
 100-pair plans ``qbos map`` writes from files for a 575-qubit device.  The
 report digests were taken from the nested-dict report builders that the
-cell-table builder ``stats.report_from_cells`` replaced.  A change that moves
-one of them changes what a sweep, a map or a validation report writes for a
-fixed seed.
+cell-table builder ``stats.report_from_cells`` replaced.  The calibration
+digests were taken from the per-qubit scalar draws that the array draws of
+``device.synth_calibration`` replaced; they pin ``t2_us`` too, which no sweep
+or plan digest reads.  A change that moves one of them changes what a sweep,
+a map, a validation report or a synthesized device holds for a fixed seed.
 
 The digests hold for Python 3.11, numpy 2.4.6 and scipy 1.17.1 on x86-64,
 the versions CI installs.  Another numpy or BLAS build may move the last
@@ -186,6 +188,36 @@ def test_map_large_plan_and_stdout(tmp_path, large_device, seed):
                          "--pairs", "100", "--out", str(out)]) == 0
     digest, text = MAP_LARGE_GOLDEN[seed]
     assert (sha256(out.read_bytes()), stdout.getvalue()) == (digest, text.format(out=out))
+
+
+# --- synthetic calibrations -----------------------------------------------------------
+
+# heavy-hex distance -> digests of the realistic calibration JSON for seeds 0..4
+CALIBRATION_DIGESTS = {
+    2: ["892ad37275c5d8c6519791b2c2da622f5596825ffc9a5a8e66fa8eb4268a5c99",
+        "c462cc0b1d30ace6e72b0cc78df0866d534f888b3faac04c16fc309a1a3c1511",
+        "8679ba174ba3e7596385be88c5f1f9e7d814150b2bfa9cb9ed2881bb7cb8adc4",
+        "dd466d7754b56d06ad74e7a7ea9ae14febf87d3bfff209c05b9c0db8a2beea66",
+        "2f7bd93db1646e769de2bb3e6fc4e75226bed82c23076aebdbc25b5ff799f999"],
+    6: ["7df1ea18ccacbb76fbaeba1af4949cb0d917affc1b229c9aab3024c50a564dea",
+        "6800366dd9ad8360deb1b1024e803f3f1ecfe1cb234cfe273ba5d515d577957f",
+        "2c0517bed5d18f0be3576eb5b2da040214f10ca81fdbc42031c32c7db958ce38",
+        "4a30d0ba11459b86ce9f70421f17375ee907dde4d59d39843363c2a977fc609c",
+        "633985fcdae33bd98f3e53f1597126cf7bd6588f17b56873c4acbd430fe107b8"],
+    14: ["57238b3272c8f71d23a26e611a1c0334564569add0be6da01ccd895e43f3e4c7",
+         "aff08d56b15dd945fdfd570c9aada2780907d0e7b457e6b58509c0581f510e17",
+         "31492b1989b9de264a3b0c918528d980aa0bb2f3613bcd44f7278c629f493ab7",
+         "f948e715c6e9b05b38bec7682913f6b7cdc813b6b75f02fba45e96a6adc8846a",
+         "d8187bc6cb8f2271543ba455dfc67a90cbb114047beba724813d04639e507583"],
+}
+
+
+@pytest.mark.parametrize("distance", sorted(CALIBRATION_DIGESTS))
+def test_synth_calibration_digest(distance):
+    graph = device.heavy_hex_graph(distance)
+    written = [sha256(json.dumps(device.synth_calibration(graph, seed=seed).to_json()).encode())
+               for seed in range(5)]
+    assert written == CALIBRATION_DIGESTS[distance]
 
 
 # --- simulate_job --------------------------------------------------------------------

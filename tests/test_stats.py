@@ -314,6 +314,29 @@ def test_build_report_from_run_results():
     assert all(ge.alice.n == 3 for ge in sv.per_gamma)
 
 
+def test_build_report_from_sparse_counts():
+    # ShotCounts may leave out zero-count labels; the report reads them as 0
+    gammas = default_gamma_grid(4)
+    spec = GameSpec(gamma_grid=gammas)
+    rng = np.random.default_rng(5)
+    sparse, explicit = [], []
+    for run in range(3):
+        for i, g in enumerate(gammas):
+            drawn = dict(zip(("00", "01", "10", "11"), rng.integers(0, 9, 4).tolist()))
+            drawn["00"] += 1  # at least one shot
+            if (i + run) % 2:
+                drawn["01"] = drawn["10"] = 0
+            total = sum(drawn.values())
+            nonzero = {label: v for label, v in drawn.items() if v}
+            sparse.append(RunResult(i, g, ShotCounts(nonzero, total), run))
+            explicit.append(RunResult(i, g, ShotCounts(drawn, total), run))
+    sparse[0] = RunResult(0, gammas[0], ShotCounts({"00": 7, "11": 1}, 8), 0)
+    explicit[0] = RunResult(0, gammas[0], make_counts(c00=7, c11=1), 0)
+    for variant in ("corrected", "paper"):
+        assert (build_validation_report({"I": sparse, "H": sparse}, spec, variant)
+                == build_validation_report({"I": explicit, "H": explicit}, spec, variant))
+
+
 def test_build_report_flags_missing_cells():
     gammas = default_gamma_grid(3)
     spec = GameSpec(gamma_grid=gammas)
