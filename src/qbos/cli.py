@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -450,6 +452,40 @@ def cmd_map(args) -> int:
 
 NUMERIC_COLUMNS = ("gamma", "p00", "p01", "p10", "p11", "ea", "eb")
 ROW_TOL = 1e-9
+PLAIN_RUN = re.compile(r"0|[1-9][0-9]*")  # a run index as the sweep writes it
+
+
+def _plain_body(data: bytes) -> bool:
+    """Whether the bytes after the header line are ASCII and hold no blank, '_'
+    or quote.  A valid header line is ASCII and holds no line break."""
+    data = data.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
+    start = re.match(rb"[^\r\n]*", data).end()
+    return data.isascii() and all(data.find(c, start) < 0 for c in b' \t\v\f_"')
+
+
+def _check_fields(columns, plain_body: bool) -> None:
+    """Reject the first field that is not ASCII or holds a blank or '_', and the
+    first run that is not a plain decimal int: int() and float() read them, the
+    sweep never writes them.  Unless the body is plain (_plain_body) and every
+    distinct run text passes, each column's joined text is checked, and only the
+    fields of the columns that fail are scanned one by one."""
+
+    def blank(text):  # not ASCII, or holding a blank or '_'
+        return not text.isascii() or any(c in text for c in " \t\v\f\r\n_")
+
+    if plain_body and all(map(PLAIN_RUN.fullmatch, set(columns["run"]))):
+        return
+    suspect = [column for column, texts in columns.items() if blank("".join(texts))
+               or column == "run" and not all(map(PLAIN_RUN.fullmatch, set(texts)))]
+    for n, row in enumerate(zip(*map(columns.get, suspect)), 1):
+        for column, field in zip(suspect, row):
+            if blank(field):
+                reason = "holds a blank, '_' or a non-ASCII character"
+            elif column == "run" and not PLAIN_RUN.fullmatch(field):
+                reason = "is not a plain decimal int"
+            else:
+                continue
+            raise CommandError(EXIT_SCHEMA, f"results row {n}: {column} = {field!r} {reason}")
 
 
 def _check_rows(values) -> None:
@@ -487,14 +523,17 @@ def _check_rows(values) -> None:
 
 def cmd_validate(args) -> int:
     try:
-        with open(args.results, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            rows = [row for row in reader if row]
+        with open(args.results, "rb") as fh:
+            data = fh.read()
+        plain_body = _plain_body(data)
+        reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+        header = next(reader, [])
+        rows = [row for row in reader if row]
     except OSError as err:
         raise CommandError(EXIT_IO, err)
     except (UnicodeDecodeError, csv.Error) as err:  # csv.Error: a field past the size limit
         raise CommandError(EXIT_SCHEMA, f"{args.results}: {err}")
+    del data, reader  # the rows hold every field
     missing = [c for c in CSV_COLUMNS if c not in header]
     extra = [c for c in header if c not in CSV_COLUMNS]
     if missing or extra:
@@ -511,9 +550,12 @@ def cmd_validate(args) -> int:
         raise CommandError(EXIT_SCHEMA, f"unreadable results row: row {n} has {len(row)} "
                                         f"fields, expected {len(header)}")
     columns = dict(zip(header, zip(*rows)))
+    del rows  # the columns hold every field
+    _check_fields(columns, plain_body)
     try:
         values = np.array([columns[c] for c in NUMERIC_COLUMNS], dtype=float).T
-        runs = list(map(int, columns["run"]))
+        run_of = {text: int(text) for text in set(columns["run"])}  # few distinct texts
+        runs = list(map(run_of.__getitem__, columns["run"]))
     except ValueError as err:
         raise CommandError(EXIT_SCHEMA, f"unreadable results row: {err}")
     _check_rows(values)

@@ -522,9 +522,20 @@ def tamper(path, row, column, edit):
          "p01 = -0.5 is outside [0, 1]"),
         ({"gamma": lambda v: "1e308"}, "gamma = 1e+308 is outside [0, pi]"),
         ({"gamma": lambda v: "-0.001"}, "gamma = -0.001 is outside [0, pi]"),
+        # number text that int() or float() reads but the sweep never writes
+        ({"run": lambda v: v + "_0"}, "run = '1_0' holds a blank, '_' or a non-ASCII character"),
+        ({"gamma": lambda v: " 0.1 "}, "gamma = ' 0.1 ' holds a blank, '_' or a non-ASCII"),
+        ({"run": lambda v: "+3"}, "run = '+3' is not a plain decimal int"),
+        ({"run": lambda v: "03"}, "run = '03' is not a plain decimal int"),
+        ({"p00": lambda v: "\uff11"}, "p00 = '\uff11' holds a blank, '_' or a non-ASCII"),
+        ({"gamma": lambda v: "0.5\n"}, "gamma = '0.5\\n' holds a blank, '_' or a non-ASCII"),
+        # the first bad field of the row, in the file's column order
+        ({"run": lambda v: "+3", "p11": lambda v: v + " "}, "run = '+3' is not a plain"),
     ],
     ids=["gamma-nan", "p01-inf", "ea-neg-inf", "eb-nan", "p00-unnormalized",
-         "ea-tampered", "eb-tampered", "p01-negative", "gamma-huge", "gamma-negative"],
+         "ea-tampered", "eb-tampered", "p01-negative", "gamma-huge", "gamma-negative",
+         "run-underscore", "gamma-blanks", "run-plus-sign", "run-leading-zero",
+         "p00-fullwidth-digit", "gamma-quoted-line-break", "run-before-p11"],
 )
 def test_validate_rejects_bad_rows(tmp_path, capsys, edits, message):
     res = sweep_fixture(tmp_path)
@@ -536,6 +547,21 @@ def test_validate_rejects_bad_rows(tmp_path, capsys, edits, message):
     assert captured.out == ""
     assert captured.err.startswith("error: results row 5: ") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r"], ids=["lf", "cr"])
+def test_validate_reads_other_line_ends_and_quoted_fields(tmp_path, capsys, line_end):
+    res = sweep_fixture(tmp_path)
+    with open(res, newline="") as fh:
+        rows = list(csv.reader(fh))
+    other = tmp_path / "other.csv"
+    with open(other, "w", newline="") as fh:
+        csv.writer(fh, lineterminator=line_end, quoting=csv.QUOTE_ALL).writerows(rows)
+    capsys.readouterr()
+    assert run_cli("validate", str(res)) == EXIT_OK
+    plain = capsys.readouterr()
+    assert run_cli("validate", str(other)) == EXIT_OK
+    assert capsys.readouterr() == plain
 
 
 def test_validate_short_row(tmp_path, capsys):

@@ -18,6 +18,7 @@ from qbos.stats import (
     PAYOFF_SCALE_MIN,
     SchemaError,
     CONFIDENCE,
+    _T975,
     _t_quantile,
     aggregate_runs,
     build_validation_report,
@@ -398,8 +399,18 @@ def test_t_quantile_equals_scipy_t_ppf():
         assert est.ci_half_width == t_crit * math.sqrt(est.sample_variance / n)
 
 
-def test_scipy_loads_only_when_a_report_is_built():
-    # a fresh interpreter, since this one has scipy loaded already
+def test_t975_table_holds_the_scipy_quantiles():
+    from scipy.special import stdtrit
+    assert 0.5 + CONFIDENCE / 2.0 == 0.975
+    assert len(_T975) == 128
+    for df in range(1, 129):
+        assert _T975[df - 1] == float(stdtrit(df, 0.975))
+        assert _t_quantile(df, 0.975) == _T975[df - 1]
+
+
+def test_scipy_loads_only_when_a_report_is_built(tmp_path):
+    # only reports of more than 129 runs load scipy; a fresh interpreter,
+    # since this one has scipy loaded already
     script = (
         "import sys, qbos\n"
         "from qbos import cli\n"
@@ -407,11 +418,19 @@ def test_scipy_loads_only_when_a_report_is_built():
         "assert cli.main(['equilibrium']) == 0\n"
         "assert 'scipy' not in sys.modules\n"
         "qbos.aggregate_runs([1.0, 2.0])\n"
+        "qbos.aggregate_runs([float(i) for i in range(129)])\n"
+        "for runs in ('5', '129'):\n"
+        "    out = sys.argv[1] + runs + '.csv'\n"
+        "    assert cli.main(['sweep', '--synth', '--svg', '--gamma-steps', '3', '--runs', runs,\n"
+        "                     '--shots', '16', '--out', out]) == 0\n"
+        "    assert cli.main(['validate', out]) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
+        "qbos.aggregate_runs([float(i) for i in range(130)])\n"
         "assert 'scipy' in sys.modules\n"
     )
     path = [str(Path(qbos.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sweep")], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
