@@ -25,12 +25,12 @@ from .game import (
     build_ewl_circuit,
     classical_mixed_equilibrium,
     default_gamma_grid,
+    payoff_table,
 )
 from .gcm import (
     InfeasibleMappingError,
     MappingPlan,
     packed_plan,
-    score_pair,
     select_pairs,
     verify_separation,
 )
@@ -45,7 +45,6 @@ from .stats import (
     ValidationReport,
     aggregate_runs,
     build_validation_report,
-    payoff_table,
     propagate_count_error,
     relative_error_percent,
     rmse,

@@ -241,16 +241,19 @@ def cmd_equilibrium(args) -> int:
         advantage = game.advantage_percent(quantum_equal, eq.e_a)
     except ValueError:
         advantage = None
+    doc = {
+        "p_alice": eq.p_alice,
+        "q_bob": eq.q_bob,
+        "e_a": eq.e_a,
+        "e_b": eq.e_b,
+        "coordination_prob": eq.coordination_prob,
+        "quantum_equal_payoff": quantum_equal,
+        "advantage_percent": advantage,
+    }
+    for name, value in doc.items():  # finite cells can overflow; JSON has no inf or nan
+        if value is not None and not math.isfinite(value):
+            raise CommandError(EXIT_CONFIG, f"the matrix gives {name} = {value!r}, not finite")
     if args.json:
-        doc = {
-            "p_alice": eq.p_alice,
-            "q_bob": eq.q_bob,
-            "e_a": eq.e_a,
-            "e_b": eq.e_b,
-            "coordination_prob": eq.coordination_prob,
-            "quantum_equal_payoff": quantum_equal,
-            "advantage_percent": advantage,
-        }
         print(json.dumps(doc, indent=1))
     else:
         print(f"p_alice             = {eq.p_alice:.6g}")
@@ -268,16 +271,16 @@ def cmd_equilibrium(args) -> int:
 
 # --- sweep ----------------------------------------------------------------------
 
-def _sweep_rows(cfg: SweepConfig, graph, calib, plan) -> tuple[list[str], np.ndarray, list[str]]:
+def _sweep_rows(cfg: SweepConfig, graph, calib, plan):
     """The strategies in canonical order, their (strategy, circuit, run, 2)
-    payoffs and the CSV line of every row of a sweep, without its line end,
-    in canonical (strategy, circuit, run) order.
+    payoffs and (circuit, 2) analytic curves, and the CSV line of every row of
+    a sweep, without its line end, in canonical (strategy, circuit, run) order.
 
-    One noise.job_counts call evolves and samples every strategy's cells.
-    Strategy s samples cell (i, run) from derive_seed(derive_seed(seed, s),
-    i, run), s being its canonical index, so every cell's counts are fixed
-    by the config alone and a strategy's rows do not depend on which other
-    strategies the sweep holds.
+    One noise.job_counts call evolves and samples every strategy's cells, with
+    the crosstalk flags it derives from graph.  Strategy s samples cell (i,
+    run) from derive_seed(derive_seed(seed, s), i, run), s being its canonical
+    index, so every cell's counts are fixed by the config alone and a
+    strategy's rows do not depend on which other strategies the sweep holds.
 
     Fields are reprs, as the module docstring says.  counts / shots divides
     elementwise, so every cell holding a count gets the same frequency bits.
@@ -287,15 +290,14 @@ def _sweep_rows(cfg: SweepConfig, graph, calib, plan) -> tuple[list[str], np.nda
     """
     grid = game.default_gamma_grid(cfg.gamma_steps)
     model = noise.NoiseModel(scale=cfg.noise_scale)
-    flags = noise.crosstalk_flags(plan, graph)
     canonical = {s.label: idx for idx, s in enumerate(game.CANONICAL_STRATEGIES)}
     labels = sorted(cfg.strategies, key=canonical.__getitem__)
     strategies = [game.Strategy.parse(label) for label in labels]
     specs = [game.GameSpec(gamma_grid=grid, strategy_a=s, strategy_b=s) for s in strategies]
     seeds = [derive_seed(cfg.seed, canonical[label]) for label in labels]
-    counts = noise.job_counts(plan, specs, calib, model, cfg.shots, cfg.runs, seeds, flags)
+    counts = noise.job_counts(plan, specs, calib, model, cfg.shots, cfg.runs, seeds, graph)
     freqs = counts / cfg.shots
-    payoffs = stats.payoff_table(freqs, BOS)
+    payoffs = game.payoff_table(freqs, BOS)
 
     floats = np.concatenate([freqs, payoffs], axis=-1).reshape(-1, 6)
     distinct, index = np.unique(floats.view(np.uint64), return_inverse=True)
@@ -304,13 +306,14 @@ def _sweep_rows(cfg: SweepConfig, graph, calib, plan) -> tuple[list[str], np.nda
 
     # "gamma,run" of every (circuit, run) cell, the same for each strategy
     gamma_runs = [f"{gamma!r},{run}" for gamma in grid for run in range(cfg.runs)]
+    curves = [game.analytical_curves(s, grid, cfg.formula_variant) for s in strategies]
     heads, tails = [], []
-    for label, strategy in zip(labels, strategies):
+    for label, curve in zip(labels, curves):
         heads += [f"{label},{gamma_run}" for gamma_run in gamma_runs]
-        for ana_a, ana_b in game.analytical_curves(strategy, grid, cfg.formula_variant).tolist():
+        for ana_a, ana_b in curve.tolist():
             tails += [f"{ana_a!r},{ana_b!r}"] * cfg.runs
     lines = list(map(",".join, zip(heads, *columns, tails)))
-    return labels, payoffs, lines
+    return labels, payoffs, curves, lines
 
 
 def _svg_plot(path, label, grid, curves, means, halves) -> None:
@@ -400,7 +403,7 @@ def cmd_sweep(args) -> int:
     cfg, graph, calib = _config_and_device(args)
     plan = _select_pairs(graph, calib, cfg.gamma_steps, cfg)
     out = cfg.out or "sweep.csv"
-    labels, payoffs, lines = _sweep_rows(cfg, graph, calib, plan)
+    labels, payoffs, curves, lines = _sweep_rows(cfg, graph, calib, plan)
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             # "\r\n" ends every line, as csv.writer's default terminator does
@@ -411,19 +414,17 @@ def cmd_sweep(args) -> int:
     if cfg.svg:
         grid = game.default_gamma_grid(cfg.gamma_steps)
         stem = out[:-4] if out.endswith(".csv") else out
-        for label, cells in zip(labels, payoffs):
+        for label, cells, curve in zip(labels, payoffs, curves):
             # the (gamma, player, run) series of the strategy, contiguous along the runs
             series = np.ascontiguousarray(cells.transpose(0, 2, 1))
             if cfg.runs >= 2:
                 means, _, halves = stats._run_statistics(series)
             else:  # the one run's values, without a confidence bar
                 means, halves = series[..., 0], np.zeros(series.shape[:2])
-            curves = game.analytical_curves(game.Strategy.parse(label), grid,
-                                            cfg.formula_variant)
             safe = label.replace("(", "_").replace(")", "").replace("/", "_")
             try:
                 _svg_plot(f"{stem}_{safe}.svg", label, grid,
-                          curves.tolist(), means.tolist(), halves.tolist())
+                          curve.tolist(), means.tolist(), halves.tolist())
             except OSError as err:
                 raise CommandError(EXIT_IO, f"cannot write SVG: {err}")
     print(f"wrote {len(lines)} rows to {out}")
@@ -453,6 +454,7 @@ def cmd_map(args) -> int:
 NUMERIC_COLUMNS = ("gamma", "p00", "p01", "p10", "p11", "ea", "eb")
 ROW_TOL = 1e-9
 PLAIN_RUN = re.compile(r"0|[1-9][0-9]*")  # a run index as the sweep writes it
+BLANKS = "".join(filter(str.isspace, map(chr, range(128))))  # \t-\r, \x1c-\x1f and space
 
 
 def _plain_body(data: bytes) -> bool:
@@ -460,7 +462,8 @@ def _plain_body(data: bytes) -> bool:
     or quote.  A valid header line is ASCII and holds no line break."""
     data = data.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
     start = re.match(rb"[^\r\n]*", data).end()
-    return data.isascii() and all(data.find(c, start) < 0 for c in b' \t\v\f_"')
+    marks = (BLANKS + '_"').encode().translate(None, b"\r\n")  # line breaks end rows
+    return data.isascii() and all(data.find(c, start) < 0 for c in marks)
 
 
 def _check_fields(columns, plain_body: bool) -> None:
@@ -471,7 +474,7 @@ def _check_fields(columns, plain_body: bool) -> None:
     fields of the columns that fail are scanned one by one."""
 
     def blank(text):  # not ASCII, or holding a blank or '_'
-        return not text.isascii() or any(c in text for c in " \t\v\f\r\n_")
+        return not text.isascii() or any(c in text for c in BLANKS + "_")
 
     if plain_body and all(map(PLAIN_RUN.fullmatch, set(columns["run"]))):
         return
@@ -513,7 +516,7 @@ def _check_rows(values) -> None:
     if len(bad):
         n, c = bad[0]
         fail(n, f"{NUMERIC_COLUMNS[1 + c]} = {float(probs[n, c])!r} is outside [0, 1]")
-    derived = stats.payoff_table(probs, BOS)
+    derived = game.payoff_table(probs, BOS)
     bad = np.argwhere(np.abs(derived - paid) > ROW_TOL)
     if len(bad):
         n, c = bad[0]

@@ -214,7 +214,6 @@ class PairCalibration:
 
     two_qubit_error: float
     readout_errors: tuple[float, float]
-    t1_us: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -254,7 +253,6 @@ class CalibrationSnapshot:
         return PairCalibration(
             two_qubit_error=ec.two_qubit_error,
             readout_errors=(qa.readout_error, qb.readout_error),
-            t1_us=(qa.t1_us, qb.t1_us),
         )
 
     def covers(self, graph: CouplingGraph) -> bool:

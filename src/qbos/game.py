@@ -73,6 +73,19 @@ class PayoffMatrix:
         return wa, wb
 
 
+def payoff_table(freqs, payoff: PayoffMatrix) -> np.ndarray:
+    """(e_a, e_b) of every cell of a (..., 4) outcome-frequency array, shape (..., 2).
+
+    np.vecdot takes each cell's 1-D dot product with the payoff weights, the
+    same bits as a per-cell ndarray.dot; a stacked f @ w, einsum or an
+    explicit sum rounds in another order and changes last bits.
+    """
+    f = np.asarray(freqs, dtype=float)
+    if f.shape[-1:] != (4,):
+        raise ValueError(f"expected 4 outcome frequencies per cell, got shape {f.shape}")
+    return np.vecdot(f[..., None, :], np.stack(payoff.outcome_weights()))
+
+
 @dataclass(frozen=True)
 class Strategy:
     """A local single-qubit strategy: identity, Hadamard, or an Ry rotation."""
@@ -261,11 +274,10 @@ def analytical_curves(strategy: Strategy, gammas, variant: str = "corrected",
     both players use the same strategy.
 
     variant='corrected' evaluates the exact circuit algebra against the given
-    payoff matrix, with the np.vecdot of stats.payoff_table, so every row has
-    the bits of its own distribution's dot product.  variant='paper'
-    reproduces the legacy published curves for the default matrix verbatim,
-    including the over-3 Hadamard curve for Alice; it does not accept a
-    custom matrix.
+    payoff matrix through payoff_table, so every row has the bits of its own
+    distribution's dot product.  variant='paper' reproduces the legacy
+    published curves for the default matrix verbatim, including the over-3
+    Hadamard curve for Alice; it does not accept a custom matrix.
     """
     if strategy.kind == "RY" and not 0.0 <= strategy.angle < 2 * math.pi:
         raise ValueError(f"unsupported strategy angle {strategy.angle!r}")
@@ -279,20 +291,20 @@ def analytical_curves(strategy: Strategy, gammas, variant: str = "corrected",
         return np.array([curve(math.cos(g / 2), math.sin(g / 2)) for g in gammas]).reshape(-1, 2)
 
     matrix = payoff if payoff is not None else PayoffMatrix.battle_of_sexes()
-    dists = np.array([_closed_form_distribution(strategy, g) for g in gammas]).reshape(-1, 1, 4)
-    return np.vecdot(dists, np.stack(matrix.outcome_weights()))
+    dists = np.array([_closed_form_distribution(strategy, g) for g in gammas]).reshape(-1, 4)
+    return payoff_table(dists, matrix)
 
 
 def _paper_curve(strategy: Strategy):
     """The published (e_a, e_b) formula of a strategy, as a function of
     c = cos(gamma/2) and s = sin(gamma/2)."""
-    if strategy.kind == "I":
+    if strategy.label == "I":
         return lambda c, s: (3 * c * c + 2 * s * s, 2 * c * c + 3 * s * s)
-    if strategy.kind == "H":
+    if strategy.label == "H":
         return lambda c, s: (1.25 * (c + 2 * s) ** 2, 1.25 * (c + s) ** 2)
-    if abs(strategy.angle - math.pi) < 1e-12:
+    if strategy.label == "RY(pi)":
         return lambda c, s: (2 * c * c + 3 * s * s, 3 * c * c + 2 * s * s)
-    if abs(strategy.angle - math.pi / 4) < 1e-12:
+    if strategy.label == "RY(pi/4)":
         def ry_pi_4(c, s):
             p00 = (_RY4_COS2 * c + _RY4_SIN2 * s) ** 2
             p11 = (_RY4_COS2 * s + _RY4_SIN2 * c) ** 2

@@ -17,7 +17,8 @@ conflicts with the chosen set.  The matrix costs E*E bytes (0.45 MB for the
 "some endpoints closer than the separation", so plans equal those of pairwise
 distance checks.  ``verify_separation`` is an independent check that does not
 use these matrices: it walks one BFS ball per plan qubit and looks each ball
-member up in a qubit -> circuit owner map.
+member up in a qubit -> circuit owner map.  ``packed_plan``, the crowded
+baseline, is the same greedy pass at separation 1, in edge order.
 
 Plans serialize as JSON
 ``{"min_separation": s, "assignments": [{"circuit": i, "pair": [a, b]}]}``;
@@ -110,11 +111,6 @@ def edge_scores(edges, calib: CalibrationSnapshot) -> np.ndarray:
     return W_2Q * e2q + W_RO * (ro[0] + ro[1]) + W_COH * (1.0 / t1[0] + 1.0 / t1[1])
 
 
-def score_pair(edge, calib: CalibrationSnapshot) -> float:
-    """Weighted cost of running a circuit on one edge (lower is better)."""
-    return float(edge_scores([edge], calib)[0])
-
-
 def _near(graph: CouplingGraph, min_separation: int) -> np.ndarray:
     """Boolean qubit x qubit matrix: True where two qubits are closer than
     ``max(min_separation, 1)`` hops.  Qubits in different components are
@@ -143,6 +139,19 @@ def _conflict_matrix(near: np.ndarray, edges) -> np.ndarray:
     return rows[:, a] | rows[:, b]
 
 
+def _greedy(conflict: np.ndarray, order, k: int) -> list[int]:
+    """Up to k edge indices, taken in order unless they conflict with one taken."""
+    chosen: list[int] = []
+    blocked = np.zeros(len(conflict), dtype=bool)
+    for r in order:
+        if len(chosen) == k:
+            break
+        if not blocked[r]:
+            chosen.append(r)
+            blocked |= conflict[r]
+    return chosen
+
+
 def select_pairs(
     graph: CouplingGraph,
     calib: CalibrationSnapshot,
@@ -165,17 +174,6 @@ def select_pairs(
     # rows and columns follow the ranking, so a rank is also an index
     conflict = _conflict_matrix(_near(graph, min_separation), edges)
 
-    def greedy(order) -> list[int]:
-        chosen: list[int] = []
-        blocked = np.zeros(len(edges), dtype=bool)
-        for r in order:
-            if len(chosen) == k:
-                break
-            if not blocked[r]:
-                chosen.append(r)
-                blocked |= conflict[r]
-        return chosen
-
     # the pure score order can paint itself into a corner, so also restart
     # from each edge as a forced first pick (small graphs) and from plain
     # lexicographic order, keeping the largest then cheapest selection
@@ -189,7 +187,7 @@ def select_pairs(
         return (-len(sel), sum(scores[r] for r in sel),
                 tuple(sorted(edges[r] for r in sel)))
 
-    chosen = min((greedy(order) for order in orders), key=preference)
+    chosen = min((_greedy(conflict, order, k) for order in orders), key=preference)
     if len(chosen) < k:
         raise InfeasibleMappingError(k, len(chosen))
 
@@ -275,22 +273,14 @@ def plan_score(plan: MappingPlan, calib: CalibrationSnapshot) -> float:
 def packed_plan(graph: CouplingGraph, k: int) -> MappingPlan:
     """A deliberately crowded baseline: disjoint pairs with no idle spacing.
 
-    Greedy in lexicographic edge order, requiring only that qubits are not
-    reused; neighbouring circuits typically sit directly next to each other.
-    Useful as the no-separation reference when measuring what the separated
-    mapping buys.
+    The greedy pass of select_pairs at separation 1, where two edges conflict
+    only when they share a qubit, in lexicographic edge order; neighbouring
+    circuits typically sit directly next to each other.  Useful as the
+    no-separation reference when measuring what the separated mapping buys.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    chosen: list[tuple[int, int]] = []
-    used: set[int] = set()
-    for a, b in sorted(graph.edges):
-        if len(chosen) == k:
-            break
-        if a in used or b in used:
-            continue
-        chosen.append((a, b))
-        used.update((a, b))
+    chosen = _greedy(_conflict_matrix(_near(graph, 1), graph.edges), range(len(graph.edges)), k)
     if len(chosen) < k:
         raise InfeasibleMappingError(k, len(chosen))
-    return MappingPlan(tuple(chosen), min_separation=1)
+    return MappingPlan(tuple(graph.edges[r] for r in chosen), min_separation=1)

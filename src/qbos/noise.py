@@ -240,7 +240,7 @@ def job_counts(
     shots: int,
     runs: int,
     seeds: Sequence[int],
-    flags: list[bool],
+    graph: CouplingGraph,
 ) -> np.ndarray:
     """Shot counts of every (strategy, circuit, run) cell of a mapped sweep.
 
@@ -252,7 +252,8 @@ def job_counts(
     derive_seed(seeds[s], i, run), so its counts do not depend on which other
     cells, or which other specs, are sampled; derive_seeds gives the key words
     of a spec's cells in one vectorised pass that reproduces SeedSequence bit
-    for bit.  flags are the plan's crosstalk flags (crosstalk_flags).
+    for bit.  Each circuit's crosstalk channel follows crosstalk_flags(plan,
+    graph), graph being the device's coupling graph.
     """
     if not specs:
         raise ValueError("a job needs at least one spec")
@@ -272,7 +273,8 @@ def job_counts(
         for gamma in grid
     ]
     pair_calibs = [calib.pair(pair) for pair in plan.assignments] * len(specs)
-    distributions = noisy_distributions(circuits, pair_calibs, model, list(flags) * len(specs))
+    flags = crosstalk_flags(plan, graph) * len(specs)
+    distributions = noisy_distributions(circuits, pair_calibs, model, flags)
     keys = np.concatenate([derive_seeds(seed, len(grid), runs) for seed in seeds])
     return sample_cells(distributions, shots, keys).reshape(len(specs), len(grid), runs, 4)
 
@@ -287,8 +289,7 @@ def simulate_job(
     seed: int,
 ) -> list[RunResult]:
     """job_counts as RunResults, run by run and circuit by circuit within a run."""
-    flags = crosstalk_flags(plan, calib.graph())
-    counts = job_counts(plan, [spec], calib, model, shots, runs, [seed], flags)[0]
+    counts = job_counts(plan, [spec], calib, model, shots, runs, [seed], calib.graph())[0]
     return [
         RunResult(
             i,

@@ -73,13 +73,6 @@ class ShotCounts:
         if sum(self.counts.values()) != self.total_shots:
             raise ValueError("counts must sum to total_shots")
 
-    def frequency(self, label: str) -> float:
-        return self.counts.get(label, 0) / self.total_shots
-
-    def frequencies(self) -> np.ndarray:
-        """Frequencies in label order 00, 01, 10, 11."""
-        return np.array([self.frequency(lbl) for lbl in OUTCOME_LABELS])
-
 
 def derive_seed(*parts: int) -> int:
     """Mix integer tags (e.g. master seed, circuit index, run index) into one seed.

@@ -12,7 +12,6 @@ because the report mirrors it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
@@ -20,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .device import _save
-from .game import GameSpec, PayoffMatrix, Strategy, analytical_curves
+from .game import GameSpec, PayoffMatrix, Strategy, analytical_curves, payoff_table
 from .noise import RunResult
 from .statevec import OUTCOME_LABELS
 
@@ -46,20 +45,7 @@ class PayoffEstimate:
             raise ValueError("variance and half-width must be >= 0")
 
 
-def payoff_table(freqs, payoff: PayoffMatrix) -> np.ndarray:
-    """(e_a, e_b) of every cell of a (..., 4) outcome-frequency array, shape (..., 2).
-
-    np.vecdot takes each cell's 1-D dot product with the payoff weights, the
-    same bits as a per-cell ndarray.dot; a stacked f @ w, einsum or an
-    explicit sum rounds in another order and changes last bits.
-    """
-    f = np.asarray(freqs, dtype=float)
-    if f.shape[-1:] != (4,):
-        raise ValueError(f"expected 4 outcome frequencies per cell, got shape {f.shape}")
-    return np.vecdot(f[..., None, :], np.stack(payoff.outcome_weights()))
-
-
-# float(scipy.special.stdtrit(df, 0.975)) for df = 1..128 under scipy 1.17.1, as reprs
+# float(scipy.special.stdtrit(df, 0.5 + CONFIDENCE / 2)) for df = 1..128, scipy 1.17.1, reprs
 _T975 = (
     12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
     2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
@@ -96,16 +82,15 @@ _T975 = (
 )
 
 
-@functools.cache
-def _t_quantile(df: int, p: float) -> float:
-    """Student-t quantile, the bits of scipy.special.stdtrit.  The interval
-    quantile of up to 129 runs is read from _T975; any other loads scipy on its
-    first call, and the cache keeps later calls off the ufunc."""
-    if p == 0.975 and 1 <= df <= len(_T975):
+def _t_quantile(df: int) -> float:
+    """Two-sided CONFIDENCE quantile of Student's t with df degrees of freedom,
+    the bits of scipy.special.stdtrit.  Reports of up to 129 runs read it from
+    _T975; larger ones load scipy.  Uncached: a report makes one call."""
+    if 1 <= df <= len(_T975):
         return _T975[df - 1]
     from scipy.special import stdtrit
 
-    return float(stdtrit(df, p))
+    return float(stdtrit(df, 0.5 + CONFIDENCE / 2.0))
 
 
 def _run_statistics(series: np.ndarray):
@@ -117,7 +102,7 @@ def _run_statistics(series: np.ndarray):
     """
     n = series.shape[-1]
     var = series.var(axis=-1, ddof=1)
-    half = _t_quantile(n - 1, 0.5 + CONFIDENCE / 2.0) * np.sqrt(var / n)
+    half = _t_quantile(n - 1) * np.sqrt(var / n)
     return series.mean(axis=-1), var, half
 
 
@@ -302,8 +287,7 @@ def build_validation_report(
     duplicate cells raise SchemaError listing them.
     """
     cells = [(label, r) for label, run_results in results.items() for r in run_results]
-    # counts / shots is one correctly rounded division per frequency, the bits
-    # of ShotCounts.frequencies() for counts below 2**53
+    # counts / shots: one correctly rounded division per frequency
     counts = np.array([[r.counts.counts.get(lbl, 0) for lbl in OUTCOME_LABELS]
                        for _, r in cells]).reshape(-1, 4)
     shots = np.array([r.counts.total_shots for _, r in cells]).reshape(-1, 1)

@@ -32,7 +32,7 @@ from qbos.statevec import derive_seed
 
 BOS = PayoffMatrix.battle_of_sexes()
 # at scale 0 every pair behaves like this error-free one
-IDEAL_PAIR = PairCalibration(0.0, (0.0, 0.0), (math.inf, math.inf))
+IDEAL_PAIR = PairCalibration(0.0, (0.0, 0.0))
 
 # noise scale tuned once against the uniform calibration profile so that the
 # strategy-H Alice RMSE lands at ~0.118; frozen here
@@ -149,7 +149,7 @@ def test_criterion_06_small_instance_optimality():
 
     def optimum(graph, cal, k):
         d = floyd_warshall(graph)
-        scores = {e: gcm.score_pair(e, cal) for e in graph.edges}
+        scores = dict(zip(graph.edges, gcm.edge_scores(graph.edges, cal).tolist()))
         best = None
         for subset in itertools.combinations(sorted(graph.edges), k):
             if all(

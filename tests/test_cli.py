@@ -115,6 +115,18 @@ def test_equilibrium_matrix_cells_must_be_two_numbers(tmp_path, capsys, cell):
     assert captured.err.startswith(f"error: {path}: matrix cell (0,0) must be two numbers, got ")
 
 
+@pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+def test_equilibrium_refuses_an_overflowing_matrix(tmp_path, capsys, mode):
+    # finite cells whose equal quantum payoff (1e308 + 1e308) / 2 overflows:
+    # JSON has no Infinity, and "exceeds e_a by inf%" reports nothing
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([[[1e308, 2], [9e307, 0]], [[9e307, 0], [1e308, 3]]]))
+    assert run_cli("equilibrium", "--matrix", str(path), *mode) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err == "error: the matrix gives quantum_equal_payoff = inf, not finite\n"
+
+
 # --- sweep -----------------------------------------------------------------------------
 
 def test_sweep_row_count_and_schema(tmp_path, capsys):
@@ -547,6 +559,26 @@ def test_validate_rejects_bad_rows(tmp_path, capsys, edits, message):
     assert captured.out == ""
     assert captured.err.startswith("error: results row 5: ") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+@pytest.mark.parametrize("separator", ["\x1c", "\x1f"], ids=["file-separator", "unit-separator"])
+def test_validate_rejects_ascii_separators_in_a_label(tmp_path, capsys, separator):
+    # str.isspace() accepts \x1c-\x1f and Strategy.parse strips them, so every H
+    # label rewritten as H + separator would read as a series of its own
+    res = sweep_fixture(tmp_path)
+    with open(res, newline="") as fh:
+        rows = list(csv.reader(fh))
+    first = next(n for n, row in enumerate(rows) if row[0] == "H")
+    for row in rows[first:]:
+        row[0] = row[0].replace("H", "H" + separator)
+    with open(res, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    assert run_cli("validate", str(res)) == EXIT_SCHEMA
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err == (f"error: results row {first}: strategy = {'H' + separator!r} "
+                            "holds a blank, '_' or a non-ASCII character\n")
 
 
 @pytest.mark.parametrize("line_end", ["\n", "\r"], ids=["lf", "cr"])

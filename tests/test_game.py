@@ -29,7 +29,7 @@ from qbos.stats import payoff_table
 
 BOS = PayoffMatrix.battle_of_sexes()
 # at scale 0 every pair behaves like this error-free one
-IDEAL_PAIR = PairCalibration(0.0, (0.0, 0.0), (math.inf, math.inf))
+IDEAL_PAIR = PairCalibration(0.0, (0.0, 0.0))
 
 
 def symmetric_spec(strategy, **kw):

@@ -30,7 +30,6 @@ from qbos.gcm import (
     load_plan,
     packed_plan,
     plan_score,
-    score_pair,
     select_pairs,
     verify_separation,
 )
@@ -88,7 +87,7 @@ def separated(d, e1, e2, min_sep):
 def exhaustive_optimum(graph, calib, k, min_sep):
     """Minimum total score over every feasible k-subset of edges, or None."""
     d = floyd_warshall(graph)
-    scores = {e: score_pair(e, calib) for e in graph.edges}
+    scores = dict(zip(graph.edges, edge_scores(graph.edges, calib).tolist()))
 
     best = None
     for subset in itertools.combinations(sorted(graph.edges), k):
@@ -149,14 +148,14 @@ def test_score_zero_in_ideal_limit():
     g = path_graph(2)
     qubits = (QubitCalibration(0, 0.0, 1e12, 1e12), QubitCalibration(1, 0.0, 1e12, 1e12))
     cal = CalibrationSnapshot("t", qubits, (EdgeCalibration((0, 1), 0.0),))
-    assert score_pair((0, 1), cal) < 1e-9
+    assert edge_scores([(0, 1)], cal)[0] < 1e-9
 
 
 def test_score_linear_in_two_qubit_error():
     g = path_graph(3)
     cal1 = custom_calibration(g, {(0, 1): 0.01, (1, 2): 0.01})
     cal2 = custom_calibration(g, {(0, 1): 0.02, (1, 2): 0.01})
-    assert score_pair((0, 1), cal2) - score_pair((0, 1), cal1) == pytest.approx(
+    assert edge_scores([(0, 1)], cal2)[0] - edge_scores([(0, 1)], cal1)[0] == pytest.approx(
         W_2Q * (0.02 - 0.01)
     )
 
@@ -164,24 +163,26 @@ def test_score_linear_in_two_qubit_error():
 def test_score_orders_by_readout():
     g = CouplingGraph(4, ((0, 1), (2, 3)))
     cal = custom_calibration(g, {}, readouts={0: 0.01, 1: 0.01, 2: 0.04, 3: 0.04})
-    assert score_pair((0, 1), cal) < score_pair((2, 3), cal)
+    assert edge_scores([(0, 1)], cal)[0] < edge_scores([(2, 3)], cal)[0]
 
 
 def test_score_missing_edge_raises():
     g = path_graph(3)
     cal = flat_calibration(g)
     with pytest.raises(KeyError):
-        score_pair((0, 2), cal)
+        edge_scores([(0, 2)], cal)
     with pytest.raises(KeyError):
         edge_scores([(0, 1), (0, 2)], cal)
 
 
-def scalar_score(pc):
-    """The per-edge score formula, one PairCalibration at a time."""
+def scalar_score(cal, edge):
+    """The per-edge score formula, one edge at a time."""
+    pc = cal.pair(edge)
+    t1 = [cal.qubit(q).t1_us for q in sorted(edge)]
     return (
         W_2Q * pc.two_qubit_error
         + W_RO * (pc.readout_errors[0] + pc.readout_errors[1])
-        + W_COH * (1.0 / pc.t1_us[0] + 1.0 / pc.t1_us[1])
+        + W_COH * (1.0 / t1[0] + 1.0 / t1[1])
     )
 
 
@@ -190,10 +191,10 @@ def scalar_score(pc):
 def test_edge_scores_bit_identical_to_scalar_formula(profile, seed):
     g = heavy_hex_graph(6)
     cal = synth_calibration(g, seed=seed, profile=profile)
-    expected = [scalar_score(cal.pair(e)) for e in g.edges]
+    expected = [scalar_score(cal, e) for e in g.edges]
     assert edge_scores(g.edges, cal).tolist() == expected
-    assert [score_pair(e, cal) for e in g.edges] == expected
-    assert [score_pair((b, a), cal) for a, b in g.edges] == expected
+    assert [float(edge_scores([e], cal)[0]) for e in g.edges] == expected
+    assert [float(edge_scores([(b, a)], cal)[0]) for a, b in g.edges] == expected
     # a sequential sum of 31 terms, which numpy's pairwise summation would regroup
     plan = packed_plan(g, 31)
     by_edge = dict(zip(g.edges, expected))
@@ -460,6 +461,54 @@ def test_packed_plan_is_adjacent():
     assert not ok  # crowded on purpose
 
 
+def lexicographic_packed(graph, k):
+    """Oracle for packed_plan: a set-based walk over the edges in lexicographic
+    order that takes every edge whose qubits are still unused."""
+    chosen, used = [], set()
+    for a, b in sorted(graph.edges):
+        if len(chosen) == k:
+            break
+        if a in used or b in used:
+            continue
+        chosen.append((a, b))
+        used.update((a, b))
+    if len(chosen) < k:
+        raise InfeasibleMappingError(k, len(chosen))
+    return MappingPlan(tuple(chosen), min_separation=1)
+
+
+@st.composite
+def packed_cases(draw):
+    """A heavy-hex graph or a random small one, which may hold isolated qubits
+    or no edge at all, and k from 1 to one past the achievable pair count."""
+    if draw(st.booleans()):
+        graph = heavy_hex_graph(draw(st.integers(1, 3)))
+    else:
+        n = draw(st.integers(1, 10))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        graph = CouplingGraph(n, tuple(edges))
+    try:  # n // 2 + 1 disjoint pairs never fit on n qubits
+        lexicographic_packed(graph, graph.num_qubits // 2 + 1)
+    except InfeasibleMappingError as err:
+        achievable = err.achievable
+    return graph, draw(st.integers(1, achievable + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_cases())
+def test_packed_plan_matches_lexicographic_oracle(case):
+    graph, k = case
+    try:
+        expected = lexicographic_packed(graph, k)
+    except InfeasibleMappingError as err:
+        with pytest.raises(InfeasibleMappingError) as exc:
+            packed_plan(graph, k)
+        assert (exc.value.requested, exc.value.achievable) == (err.requested, err.achievable)
+    else:
+        assert packed_plan(graph, k) == expected
+
+
 # --- properties on random small graphs -------------------------------------------------
 
 @st.composite
@@ -492,7 +541,7 @@ def test_plans_separated_and_locally_minimal(instance):
 
     # single-swap local minimality, judged with oracle distances
     d = floyd_warshall(g)
-    scores = {e: score_pair(e, cal) for e in g.edges}
+    scores = dict(zip(g.edges, edge_scores(g.edges, cal).tolist()))
     chosen = set(plan.assignments)
     for current in chosen:
         rest = chosen - {current}

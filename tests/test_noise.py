@@ -31,6 +31,7 @@ from qbos.noise import (
     noisy_distributions,
     simulate_job,
 )
+from qbos.statevec import OUTCOME_LABELS
 from qbos.stats import payoff_table, rmse
 
 from graph_oracles import bfs_distances
@@ -98,8 +99,7 @@ def test_model_rejects_non_finite_scale(scale):
 
 
 def test_resolved_gives_one_clamped_array_per_channel():
-    pcs = [PairCalibration(0.02, (0.01, 0.4), (50.0, 50.0)),
-           PairCalibration(0.0, (0.0, 0.0), (50.0, 50.0))]
+    pcs = [PairCalibration(0.02, (0.01, 0.4)), PairCalibration(0.0, (0.0, 0.0))]
     scale = 3.0
     resolved = NoiseModel(scale=scale).resolved(pcs, [True, False])
     clamp = lambda p: min(1.0, scale * p)
@@ -128,7 +128,7 @@ def test_zero_scale_equals_ideal():
 
 
 def test_saturated_depolarizing_is_uniform():
-    pc = PairCalibration(two_qubit_error=1.0, readout_errors=(0.0, 0.0), t1_us=(286.0, 286.0))
+    pc = PairCalibration(two_qubit_error=1.0, readout_errors=(0.0, 0.0))
     ops = build_ewl_circuit(1.0, 0.0, STRATEGY_I, STRATEGY_I)
     dist = one_circuit(ops, pc, NoiseModel(scale=1.0))
     np.testing.assert_allclose(dist, [0.25] * 4, atol=1e-12)
@@ -149,7 +149,7 @@ def test_hand_computed_two_qubit_depolarizing():
     # gates' channels on qubit 0, then qubit 1, each take p00 to
     # 0.99 p00 + 0.01 (p00 + p01) / 2:
     # 0.47275, then p00 = p11 = 0.4705225 and p01 = p10 = 0.0294775
-    pc = PairCalibration(two_qubit_error=0.1, readout_errors=(0.0, 0.0), t1_us=(286.0, 286.0))
+    pc = PairCalibration(two_qubit_error=0.1, readout_errors=(0.0, 0.0))
     ops = build_ewl_circuit(math.pi / 2, 0.0, STRATEGY_I, STRATEGY_I)
     dist = one_circuit(ops, pc, NoiseModel(scale=1.0))
     np.testing.assert_allclose(dist, [0.4705225, 0.0294775, 0.0294775, 0.4705225],
@@ -176,7 +176,7 @@ unit = st.floats(0.0, 1.0)
 )
 def test_distribution_valid_for_every_parameter(p2, ro, scale, flag, gamma, strategy):
     # up to scale 1 / CROSSTALK_PENALTY, where every channel has saturated
-    pc = PairCalibration(two_qubit_error=p2, readout_errors=ro, t1_us=(286.0, 286.0))
+    pc = PairCalibration(two_qubit_error=p2, readout_errors=ro)
     ops = build_ewl_circuit(gamma, 0.0, strategy, strategy)
     dist = one_circuit(ops, pc, NoiseModel(scale=scale), crosstalk_active=flag)
     assert dist.shape == (4,)
@@ -300,13 +300,12 @@ def test_job_counts_draws_each_spec_as_its_own_job():
     g = heavy_hex_graph(6)
     cal = synth_calibration(g, seed=4, profile="realistic")
     plan = select_pairs(g, cal, k=9, min_separation=2)
-    flags = crosstalk_flags(plan, g)
     specs = [spec_for(s, steps=9) for s in CANONICAL_STRATEGIES]
     seeds = [5, 17, 5, 2**70]
-    stacked = job_counts(plan, specs, cal, NoiseModel(), 300, 2, seeds, flags)
+    stacked = job_counts(plan, specs, cal, NoiseModel(), 300, 2, seeds, g)
     assert stacked.shape == (4, 9, 2, 4)
     for s, (spec, seed) in enumerate(zip(specs, seeds)):
-        alone = job_counts(plan, [spec], cal, NoiseModel(), 300, 2, [seed], flags)
+        alone = job_counts(plan, [spec], cal, NoiseModel(), 300, 2, [seed], g)
         np.testing.assert_array_equal(stacked[s], alone[0])
 
 
@@ -314,16 +313,15 @@ def test_job_counts_rejects_mismatched_specs_and_seeds():
     g = heavy_hex_graph(6)
     cal = synth_calibration(g, seed=2)
     plan = select_pairs(g, cal, k=5, min_separation=2)
-    flags = crosstalk_flags(plan, g)
     five = spec_for(STRATEGY_I, steps=5)
     with pytest.raises(ValueError, match="at least one spec"):
-        job_counts(plan, [], cal, NoiseModel(), 100, 2, [], flags)
+        job_counts(plan, [], cal, NoiseModel(), 100, 2, [], g)
     with pytest.raises(ValueError, match="one seed per spec"):
-        job_counts(plan, [five, five], cal, NoiseModel(), 100, 2, [0], flags)
+        job_counts(plan, [five, five], cal, NoiseModel(), 100, 2, [0], g)
     other = GameSpec(strategy_a=STRATEGY_H, strategy_b=STRATEGY_H,
                      gamma_grid=(0.0, 0.5, 1.0, 1.5, 2.0))
     with pytest.raises(ValueError, match="share one gamma grid"):
-        job_counts(plan, [five, other], cal, NoiseModel(), 100, 2, [0, 1], flags)
+        job_counts(plan, [five, other], cal, NoiseModel(), 100, 2, [0, 1], g)
 
 
 def test_simulate_job_deterministic():
@@ -347,7 +345,8 @@ def rmse_vs_analytic(results, spec, strategy):
     for i, gamma in enumerate(spec.gamma_grid):
         eas, ebs = [], []
         for r in by_circuit[i]:
-            ea, eb = payoff_table(r.counts.frequencies(), BOS)
+            counts = [r.counts.counts[lbl] for lbl in OUTCOME_LABELS]
+            ea, eb = payoff_table(np.array(counts) / r.counts.total_shots, BOS)
             eas.append(ea)
             ebs.append(eb)
         ref_a, ref_b = analytical_payoffs(strategy, gamma, "corrected")

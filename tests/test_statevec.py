@@ -25,7 +25,7 @@ ZERO = np.array([1, 0, 0, 0], dtype=complex)  # |00>
 
 def ideal(ops):
     """Outcome distribution of a 2-qubit circuit on the core at noise scale 0."""
-    pair = PairCalibration(0.1, (0.1, 0.1), (50.0, 50.0))
+    pair = PairCalibration(0.1, (0.1, 0.1))
     return noisy_distributions([ops], [pair], NoiseModel(scale=0.0), [False])[0]
 
 
