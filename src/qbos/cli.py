@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -457,26 +458,49 @@ PLAIN_RUN = re.compile(r"0|[1-9][0-9]*")  # a run index as the sweep writes it
 BLANKS = "".join(filter(str.isspace, map(chr, range(128))))  # \t-\r, \x1c-\x1f and space
 
 
-def _plain_body(data: bytes) -> bool:
-    """Whether the bytes after the header line are ASCII and hold no blank, '_'
-    or quote.  A valid header line is ASCII and holds no line break."""
+def _plain_columns(data: bytes):
+    """The header and the columns (name -> field texts, blank rows dropped) of
+    a plain results file, or None for any other file.
+
+    A file is plain when, after an optional UTF-8 byte-order mark, it is ASCII,
+    holds no quote, NUL or blank but its line breaks, holds no '_' after its
+    header line, has no line longer than csv.field_size_limit(), and every
+    non-empty line after the header holds len(header) - 1 commas.  csv.reader
+    reads the same header and fields from such a file (an empty first line is
+    the header []), so the sweep's own files, which are plain, are split at
+    their line breaks and commas once instead.
+    """
     data = data.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
-    start = re.match(rb"[^\r\n]*", data).end()
-    marks = (BLANKS + '_"').encode().translate(None, b"\r\n")  # line breaks end rows
-    return data.isascii() and all(data.find(c, start) < 0 for c in marks)
+    start = re.match(rb"[^\r\n]*", data).end()  # the header line
+    marks = (BLANKS + '"\0').encode().translate(None, b"\r\n")  # line breaks end rows
+    if not data.isascii() or any(data.find(c) >= 0 for c in marks) or data.find(b"_", start) >= 0:
+        return None
+    lines = data.decode("ascii").splitlines() or [""]
+    header = lines[0].split(",") if lines[0] else []
+    body = list(filter(None, lines[1:]))
+    if (max(map(len, lines)) > csv.field_size_limit()
+            or set(map(str.count, body, itertools.repeat(","))) - {len(header) - 1}):
+        return None
+    if not body:
+        return header, {}
+    joined = ",".join(body)
+    del lines, body  # dropped before the split: joined holds every line
+    flat = joined.split(",")
+    del joined
+    return header, {name: flat[i::len(header)] for i, name in enumerate(header)}
 
 
-def _check_fields(columns, plain_body: bool) -> None:
+def _check_fields(columns, plain: bool) -> None:
     """Reject the first field that is not ASCII or holds a blank or '_', and the
     first run that is not a plain decimal int: int() and float() read them, the
-    sweep never writes them.  Unless the body is plain (_plain_body) and every
-    distinct run text passes, each column's joined text is checked, and only the
-    fields of the columns that fail are scanned one by one."""
+    sweep never writes them.  Unless the file is plain (_plain_columns) and
+    every distinct run text passes, each column's joined text is checked, and
+    only the fields of the columns that fail are scanned one by one."""
 
     def blank(text):  # not ASCII, or holding a blank or '_'
         return not text.isascii() or any(c in text for c in BLANKS + "_")
 
-    if plain_body and all(map(PLAIN_RUN.fullmatch, set(columns["run"]))):
+    if plain and all(map(PLAIN_RUN.fullmatch, set(columns["run"]))):
         return
     suspect = [column for column, texts in columns.items() if blank("".join(texts))
                or column == "run" and not all(map(PLAIN_RUN.fullmatch, set(texts)))]
@@ -528,15 +552,24 @@ def cmd_validate(args) -> int:
     try:
         with open(args.results, "rb") as fh:
             data = fh.read()
-        plain_body = _plain_body(data)
-        reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
-        header = next(reader, [])
-        rows = [row for row in reader if row]
     except OSError as err:
         raise CommandError(EXIT_IO, err)
-    except (UnicodeDecodeError, csv.Error) as err:  # csv.Error: a field past the size limit
-        raise CommandError(EXIT_SCHEMA, f"{args.results}: {err}")
-    del data, reader  # the rows hold every field
+    # a plain file, as the sweep writes it, is split at its commas; any other
+    # goes through csv.reader, which gives the same header and fields
+    split = _plain_columns(data)
+    plain = split is not None
+    if plain:
+        header, columns = split
+    else:
+        try:
+            reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig",
+                                                 newline=""))
+            header = next(reader, [])
+            rows = [row for row in reader if row]
+        except (UnicodeDecodeError, csv.Error) as err:  # csv.Error: a field past the size limit
+            raise CommandError(EXIT_SCHEMA, f"{args.results}: {err}")
+        del reader
+    del data, split  # the rows or columns hold every field
     missing = [c for c in CSV_COLUMNS if c not in header]
     extra = [c for c in header if c not in CSV_COLUMNS]
     if missing or extra:
@@ -545,18 +578,23 @@ def cmd_validate(args) -> int:
     repeated = [c for c in dict.fromkeys(header) if header.count(c) > 1]
     if repeated:
         raise CommandError(EXIT_SCHEMA, f"bad columns: repeated {repeated}")
-    if not rows:
+    if not (columns if plain else rows):
         raise CommandError(EXIT_SCHEMA, "results file holds no rows")
 
-    if set(map(len, rows)) != {len(header)}:
-        n, row = next((n, row) for n, row in enumerate(rows, 1) if len(row) != len(header))
-        raise CommandError(EXIT_SCHEMA, f"unreadable results row: row {n} has {len(row)} "
-                                        f"fields, expected {len(header)}")
-    columns = dict(zip(header, zip(*rows)))
-    del rows  # the columns hold every field
-    _check_fields(columns, plain_body)
+    if not plain:  # a plain file's rows all hold len(header) fields
+        if set(map(len, rows)) != {len(header)}:
+            n, row = next((n, row) for n, row in enumerate(rows, 1) if len(row) != len(header))
+            raise CommandError(EXIT_SCHEMA, f"unreadable results row: row {n} has {len(row)} "
+                                            f"fields, expected {len(header)}")
+        columns = dict(zip(header, zip(*rows)))
+        del rows  # the columns hold every field
+    _check_fields(columns, plain)
+    n = len(columns["run"])
     try:
-        values = np.array([columns[c] for c in NUMERIC_COLUMNS], dtype=float).T
+        # float() of every field, column by column: the first unreadable text raises
+        texts = itertools.chain.from_iterable(map(columns.get, NUMERIC_COLUMNS))
+        values = np.fromiter(map(float, texts), float, count=len(NUMERIC_COLUMNS) * n)
+        values = values.reshape(len(NUMERIC_COLUMNS), n).T
         run_of = {text: int(text) for text in set(columns["run"])}  # few distinct texts
         runs = list(map(run_of.__getitem__, columns["run"]))
     except ValueError as err:
@@ -571,12 +609,12 @@ def cmd_validate(args) -> int:
         )
     except ValueError as err:  # stats.SchemaError included
         raise CommandError(EXIT_SCHEMA, f"{args.results}: {err}")
-    print(report.to_text())
-    if args.out:
+    if args.out:  # written first, so that exit 3 prints no report
         try:
             report.save(args.out)
         except OSError as err:
             raise CommandError(EXIT_IO, f"cannot write {args.out}: {err}")
+    print(report.to_text())
     return EXIT_OK
 
 

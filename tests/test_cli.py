@@ -20,6 +20,7 @@ from qbos.cli import (
     EXIT_OK,
     EXIT_SCHEMA,
     SweepConfig,
+    _plain_columns,
     main,
     parse_matrix,
 )
@@ -636,6 +637,128 @@ def test_validate_rmse_method_flag(tmp_path, capsys):
     res = sweep_fixture(tmp_path, noise_scale="1.0", steps="5", runs="3")
     assert run_cli("validate", str(res), "--rmse-method", "mean_of_rmses") == EXIT_OK
     assert "RMSE" in capsys.readouterr().out
+
+
+def test_validate_writes_no_report_when_out_fails(tmp_path, capsys):
+    # the JSON is written first: exit 3 leaves stdout empty, as in sweep and map
+    res = sweep_fixture(tmp_path)
+    out = tmp_path / "absent" / "report.json"
+    capsys.readouterr()
+    assert run_cli("validate", str(res), "--out", str(out)) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
+def pad_first_row(data):
+    """Two fields of the first data row padded to 70,000 characters each: every
+    field stays within csv's 131,072-character limit, the line does not."""
+    rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
+    for column in ("gamma", "ea_analytic"):
+        rows[1][rows[0].index(column)] += "0" * 70_000
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue().encode()
+
+
+MISSING_ALL = f"error: bad columns: missing {list(CSV_COLUMNS)}, unexpected none\n"
+
+
+# files at the edge of the plain path that validate splits without csv; an
+# empty message means the file validates as the sweep's own file does
+@pytest.mark.parametrize(
+    "edit, code, message",
+    [
+        (lambda d: b"", EXIT_SCHEMA, MISSING_ALL),
+        (lambda d: d.split(b"\r\n")[0] + b"\r\n", EXIT_SCHEMA,
+         "error: results file holds no rows\n"),
+        # an empty first line is the header [], as csv reads it
+        (lambda d: b"\r\n" + d, EXIT_SCHEMA, MISSING_ALL),
+        (lambda d: d.replace(b"\r\n", b"\r"), EXIT_OK, ""),
+        (lambda d: b"\xef\xbb\xbf\r\n" + d, EXIT_SCHEMA, MISSING_ALL),
+        (lambda d: b'"strategy"' + d.removeprefix(b"strategy"), EXIT_OK, ""),
+        (lambda d: d + b"I,0.0,9,1.0\r\n", EXIT_SCHEMA,
+         "error: unreadable results row: row 85 has 4 fields, expected 11\n"),
+        (lambda d: d.replace(b"\r\nI,0.0,", b"\r\nI,0.0\x00,", 1), EXIT_SCHEMA,
+         "error: unreadable results row: could not convert string to float: '0.0\\x00'\n"),
+        # float() reads 0_0.0 as 0.0; a '_' after the header line is never plain
+        (lambda d: d.replace(b"\r\nI,0.0,", b"\r\nI,0_0.0,", 1), EXIT_SCHEMA,
+         "error: results row 1: gamma = '0_0.0' holds a blank, '_' or a non-ASCII "
+         "character\n"),
+        (pad_first_row, EXIT_OK, ""),
+    ],
+    ids=["empty", "header-only", "leading-blank-line", "lone-cr", "bom-then-crlf",
+         "quoted-header", "ragged-row", "nul-in-field", "underscore-in-field",
+         "long-line-of-short-fields"],
+)
+def test_validate_plain_path_boundary(tmp_path, capsys, edit, code, message):
+    res = sweep_fixture(tmp_path)  # 4 strategies x 7 angles x 3 runs = 84 rows
+    other = tmp_path / "other.csv"
+    other.write_bytes(edit(res.read_bytes()))
+    capsys.readouterr()
+    assert run_cli("validate", str(res)) == EXIT_OK
+    plain = capsys.readouterr().out
+    assert run_cli("validate", str(other)) == code
+    assert capsys.readouterr() == ("" if message else plain, message)
+
+
+# --- the plain-file reader against csv ---------------------------------------------------
+
+def csv_columns(data):
+    """csv.reader's header and columns of a results file, blank rows dropped, or
+    None when csv cannot read it."""
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    try:
+        reader = csv.reader(text)
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+    except (UnicodeDecodeError, csv.Error):
+        return None
+    return header, dict(zip(header, zip(*rows)))
+
+
+SWEEP_ALPHABET = "0123456789.-+eEnaifIHRYpi()/"
+ODD_TEXTS = ['"', "\r", "\n", "\r\n", " ", "\x1c", "\x00", "_", ",", "\u00e9",
+             "9" * 131_073]  # one character past csv's field size limit
+
+
+@st.composite
+def results_bytes(draw):
+    """(bytes, plain): a file of equal-length rows in the sweep's alphabet with
+    any line ends, blank lines and a byte-order mark, then with texts from
+    ODD_TEXTS inserted or characters deleted; plain when nothing was."""
+    width = draw(st.integers(0, 4))
+    names = st.text(SWEEP_ALPHABET + "_", min_size=1, max_size=4)
+    fields = st.text(SWEEP_ALPHABET, max_size=4)
+    lines = [",".join(draw(st.lists(names, min_size=width, max_size=width)))]
+    for _ in range(draw(st.integers(0, 4))):
+        blank = draw(st.booleans()) and draw(st.booleans())
+        lines.append("" if blank else ",".join(draw(st.lists(fields, min_size=width,
+                                                             max_size=width))))
+    ends = draw(st.lists(st.sampled_from(["\r\n", "\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(map(str.__add__, lines, ends))
+    if not draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    edits = draw(st.lists(st.tuples(st.integers(0, len(text)),
+                                    st.sampled_from(ODD_TEXTS + [None])), max_size=2))
+    for at, odd in edits:
+        text = text[:at] + (odd or "") + text[at + (odd is None):]
+    bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
+    return bom + text.encode(), not edits
+
+
+@settings(max_examples=300, deadline=None)
+@given(results_bytes())
+def test_plain_columns_reads_as_csv_or_declines(sample):
+    data, plain = sample
+    got = _plain_columns(data)
+    if got is None:
+        assert not plain, "a file of the sweep's alphabet declined"
+    else:
+        header, columns = got  # columns of lists, where csv's are of tuples
+        assert (header, {name: tuple(v) for name, v in columns.items()}) == csv_columns(data)
 
 
 # --- validate on mutated results files ---------------------------------------------------
