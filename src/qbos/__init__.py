@@ -22,7 +22,6 @@ from .game import (
     advantage_percent,
     analytical_curves,
     analytical_payoffs,
-    build_ewl_circuit,
     classical_mixed_equilibrium,
     default_gamma_grid,
     payoff_table,
@@ -39,7 +38,7 @@ from .noise import (
     RunResult,
     simulate_job,
 )
-from .statevec import CircuitOp, ShotCounts
+from .statevec import ShotCounts
 from .stats import (
     PayoffEstimate,
     ValidationReport,

@@ -188,11 +188,8 @@ def _config_and_device(args):
     try:
         file_values = load_config_file(args.config) if args.config else {}
         cfg = SweepConfig.resolve(file_values, _cli_values(args))
-    except (OSError, ValueError) as err:
-        raise CommandError(EXIT_CONFIG, err)
-    try:
         graph, calib = _resolve_device(cfg)
-    except OSError as err:
+    except OSError as err:  # an unreadable file, whichever option named it
         raise CommandError(EXIT_IO, err)
     except ValueError as err:
         raise CommandError(EXIT_CONFIG, err)

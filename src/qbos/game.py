@@ -4,12 +4,14 @@ The classical game is a 2x2 bimatrix coordination game.  Alice chooses a
 row, Bob a column; the default matrix pays (3,2) on (Opera, Opera), (2,3)
 on (TV, TV) and (0,0) on the miscoordinated outcomes.
 
-The quantized game prepares a partially entangled two-qubit state
-cos(gamma/2)|00> + sin(gamma/2)|11> with an Ry(gamma), Rz(phi), CNOT
-sequence (sweep jobs run phi = 0), lets each player apply a local
-single-qubit strategy gate, and maps computational-basis measurement
-outcomes to payoffs.  Alice owns qubit 0, Bob qubit 1; outcome labels are
-written qubit-1-first, so label "01" means Bob read 0 and Alice read 1.
+The quantized game is the EWL circuit (Eisert, Wilkens & Lewenstein, PRL 83,
+3077, 1999): an Ry(gamma), Rz(0), CNOT sequence prepares the partially
+entangled two-qubit state cos(gamma/2)|00> + sin(gamma/2)|11>, each player
+applies a local single-qubit strategy gate (Strategy.gate), and
+computational-basis measurement outcomes map to payoffs;
+noise.noisy_distributions evolves it.  Alice owns qubit 0, Bob qubit 1;
+outcome labels are written qubit-1-first, so label "01" means Bob read 0
+and Alice read 1.
 
 Two families of closed-form payoff curves are provided.  The 'corrected'
 variant is the exact amplitude algebra of the circuit above.  The 'paper'
@@ -26,8 +28,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .statevec import CircuitOp
 
 GAMMA_POINTS_DEFAULT = 31
 GAMMA_SLACK = 1e-12  # float slack of the [0, pi] range check on gamma
@@ -137,12 +137,10 @@ class Strategy:
             return cls("RY", float(expr))
         raise ValueError(f"cannot parse strategy {text!r}")
 
-    def gate_op(self, qubit: int) -> CircuitOp:
-        if self.kind == "I":
-            return CircuitOp("identity", (qubit,))
-        if self.kind == "H":
-            return CircuitOp("hadamard", (qubit,))
-        return CircuitOp("ry", (qubit,), self.angle)
+    @property
+    def gate(self) -> tuple[str, float | None]:
+        """The (kind, angle) of this strategy's statevec.gate_matrix."""
+        return {"I": "identity", "H": "hadamard", "RY": "ry"}[self.kind], self.angle
 
 
 STRATEGY_I = Strategy("I")
@@ -221,21 +219,6 @@ def classical_mixed_equilibrium(payoff: PayoffMatrix) -> MixedEquilibrium:
     e_b = sum(probs[i][j] * b[i][j] for i in (0, 1) for j in (0, 1))
     coordination = p * q + (1 - p) * (1 - q)
     return MixedEquilibrium(p, q, e_a, e_b, coordination)
-
-
-def build_ewl_circuit(gamma: float, phi: float, sa: Strategy, sb: Strategy) -> list[CircuitOp]:
-    """Entangle with Ry(gamma), Rz(phi), CNOT; then apply both strategies and measure."""
-    if not -GAMMA_SLACK <= gamma <= math.pi + GAMMA_SLACK:
-        raise ValueError(f"gamma = {gamma!r} outside [0, pi]")
-    return [
-        CircuitOp("ry", (0,), gamma),
-        CircuitOp("rz", (0,), phi),
-        CircuitOp("cnot", (0, 1)),
-        sa.gate_op(0),
-        sb.gate_op(1),
-        CircuitOp("measure", (0,)),
-        CircuitOp("measure", (1,)),
-    ]
 
 
 # Exact amplitude constants for the RY(pi/4) curves; the published decimals

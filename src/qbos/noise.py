@@ -1,4 +1,8 @@
-"""Noisy execution of mapped two-qubit circuits via 4x4 density matrices.
+"""Noisy execution of mapped EWL game circuits via 4x4 density matrices.
+
+Every circuit is the EWL sequence of game.py, Ry(gamma), Rz(0), CNOT, then
+strategy_a on qubit 0 and strategy_b on qubit 1, so a circuit is given by
+its (gamma, strategy_a, strategy_b) triple.
 
 Error channels, matching the dominant NISQ error sources:
 
@@ -20,8 +24,8 @@ gives a job's scaled probabilities as one per-circuit array per channel.
 All circuits of a sweep, every strategy's circuit at every gamma, evolve
 together as one (S*G, 4, 4) stack of density matrices with stacked matrix
 products, which give the same bits as evolving each circuit alone; the
-strategies share the stack because their circuits differ only in the kind
-and angle of one-qubit gates.  job_counts then samples every (strategy,
+strategies share the stack because their circuits differ only in the gamma
+and the strategy gates.  job_counts then samples every (strategy,
 circuit, run) cell in one call.  Both simulate_job and the CLI sweep run on
 it.
 """
@@ -30,31 +34,17 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
 from .device import CalibrationSnapshot, CouplingGraph, PairCalibration
-from .game import GameSpec, build_ewl_circuit
+from .game import GAMMA_SLACK, GameSpec, Strategy
 from .gcm import MappingPlan, _conflict_matrix, _near
-from .statevec import (
-    OUTCOME_LABELS,
-    CircuitOp,
-    ShotCounts,
-    derive_seeds,
-    gate_matrix,
-    sample_cells,
-)
+from .statevec import OUTCOME_LABELS, ShotCounts, derive_seeds, gate_matrix, sample_cells
 
 CROSSTALK_DISTANCE = 2          # pairs closer than this interfere
 CROSSTALK_PENALTY = 0.05        # no published figure exists
 ONE_QUBIT_ERROR_FRACTION = 0.1  # one-qubit error as a fraction of the edge error
-
-# steps every circuit of a stack must hold at the same position
-_FIXED_STEPS = frozenset({"cnot", "measure"})
-_LAYOUT_ERROR = ("circuits must share one gate layout: the same qubits at every step and "
-                 "CNOTs and measurements at the same positions")
-_name, _qubits, _kind_angle = attrgetter("name"), attrgetter("qubits"), attrgetter("name", "angle")
 
 
 @dataclass(frozen=True)
@@ -160,28 +150,26 @@ def confusion_matrix(readout_error) -> np.ndarray:
 
 
 def noisy_distributions(
-    circuits: Sequence[Sequence[CircuitOp]],
+    games: Sequence[tuple[float, Strategy, Strategy]],
     pair_calibs: Sequence[PairCalibration],
     model: NoiseModel,
     crosstalk_active: Sequence[bool],
 ) -> np.ndarray:
-    """Evolve G mapped circuits together as a (G, 4, 4) density-matrix stack.
+    """Evolve G mapped EWL circuits together as a (G, 4, 4) density-matrix stack.
 
-    The circuits must share one gate layout: the same number of steps, the
-    same qubits at every step and every CNOT and measurement at the same
-    position.  A one-qubit step may differ per circuit in its gate kind and
-    angle, as the strategy gates of a multi-strategy sweep do.  Circuit g
-    runs on the pair calibrated by pair_calibs[g], with the extra crosstalk
-    channel when crosstalk_active[g] is true.  Each distinct (kind, angle)
-    gate matrix is built once; identity gates are applied and depolarized
-    like any other, so every circuit gets the bits it gets alone.
+    Circuit g plays games[g] = (gamma, strategy_a, strategy_b), with gamma in
+    [0, pi], on the pair calibrated by pair_calibs[g], with the extra
+    crosstalk channel when crosstalk_active[g] is true.  Each step applies one
+    stacked gate and its depolarizing channel to every circuit; each distinct
+    (kind, angle) gate matrix of a step is built once, and identity gates are
+    applied and depolarized like any other, so every circuit gets the bits it
+    gets alone.
 
     Returns a (G, 4) array of outcome distributions after readout
     confusion; each row sums to 1 within 1e-9 and equals the ideal
     distribution exactly when scale is 0.
     """
-    circuits = [list(ops) for ops in circuits]
-    g = len(circuits)
+    g = len(games)
     if len(pair_calibs) != g or len(crosstalk_active) != g:
         raise ValueError(
             f"{g} circuits, {len(pair_calibs)} pair calibrations and "
@@ -189,35 +177,29 @@ def noisy_distributions(
         )
     if g == 0:
         return np.zeros((0, 4))
-    if len(set(map(len, circuits))) != 1:
-        raise ValueError(_LAYOUT_ERROR)
+    for gamma, _, _ in games:
+        if not -GAMMA_SLACK <= gamma <= np.pi + GAMMA_SLACK:
+            raise ValueError(f"gamma = {gamma!r} outside [0, pi]")
 
     p1, p2, p_xt, ro_a, ro_b = model.resolved(pair_calibs, crosstalk_active)
 
+    def evolve(rho, u):
+        return u @ rho @ np.swapaxes(u.conj(), -1, -2)
+
+    def one_qubit_step(rho, qubit, keys):
+        built = {key: gate_matrix(*key) for key in dict.fromkeys(keys)}
+        u = _embed_1q(np.stack([built[key] for key in keys]), qubit)
+        return depolarize_1q(evolve(rho, u), qubit, p1)
+
     rho = np.zeros((g, 4, 4), dtype=complex)
     rho[:, 0, 0] = 1.0
-    for step in zip(*circuits):
-        name, qubits = step[0].name, step[0].qubits
-        names = set(map(_name, step))
-        if len(set(map(_qubits, step))) != 1 or (len(names) > 1 and names & _FIXED_STEPS):
-            raise ValueError(_LAYOUT_ERROR)
-        if name == "measure":
-            continue
-        if name == "cnot":
-            u = _cnot_matrix(*qubits)
-        else:
-            keys = list(map(_kind_angle, step))
-            built = {}
-            for key in keys:
-                if key not in built:
-                    built[key] = gate_matrix(*key)
-            u = _embed_1q(np.stack([built[key] for key in keys]), qubits[0])
-        rho = u @ rho @ np.swapaxes(u.conj(), -1, -2)
-        if name == "cnot":
-            rho = depolarize_2q(rho, p2)
-            rho = depolarize_2q(rho, p_xt)
-        else:
-            rho = depolarize_1q(rho, qubits[0], p1)
+    rho = one_qubit_step(rho, 0, [("ry", gamma) for gamma, _, _ in games])
+    # Rz(0) is a real step: its product and its channel set the output bits
+    rho = one_qubit_step(rho, 0, [("rz", 0.0)] * g)
+    rho = depolarize_2q(evolve(rho, _cnot_matrix(0, 1)), p2)
+    rho = depolarize_2q(rho, p_xt)
+    rho = one_qubit_step(rho, 0, [strategy_a.gate for _, strategy_a, _ in games])
+    rho = one_qubit_step(rho, 1, [strategy_b.gate for _, _, strategy_b in games])
     probs = np.diagonal(rho, axis1=-2, axis2=-1).real.copy()
     readout = _kron2(confusion_matrix(ro_b), confusion_matrix(ro_a))
     probs = (readout @ probs[:, :, None])[:, :, 0]
@@ -244,8 +226,8 @@ def job_counts(
 ) -> np.ndarray:
     """Shot counts of every (strategy, circuit, run) cell of a mapped sweep.
 
-    The specs share one gamma grid, and circuit i of every spec runs the
-    gamma_grid[i] circuit on the plan's i-th pair; the result has shape
+    The specs share one gamma grid, and circuit i of every spec plays its
+    strategies at gamma_grid[i] on the plan's i-th pair; the result has shape
     (len(specs), len(gamma_grid), runs, 4) in outcome-label order.  All
     circuits evolve in one noisy_distributions stack and all cells are drawn
     in one sample_cells call.  Cell (s, i, run) draws from
@@ -267,14 +249,10 @@ def job_counts(
             f"plan has {len(plan.assignments)} pairs but the gamma grid has "
             f"{len(grid)} points"
         )
-    circuits = [
-        build_ewl_circuit(gamma, 0.0, spec.strategy_a, spec.strategy_b)
-        for spec in specs
-        for gamma in grid
-    ]
+    games = [(gamma, spec.strategy_a, spec.strategy_b) for spec in specs for gamma in grid]
     pair_calibs = [calib.pair(pair) for pair in plan.assignments] * len(specs)
     flags = crosstalk_flags(plan, graph) * len(specs)
-    distributions = noisy_distributions(circuits, pair_calibs, model, flags)
+    distributions = noisy_distributions(games, pair_calibs, model, flags)
     keys = np.concatenate([derive_seeds(seed, len(grid), runs) for seed in seeds])
     return sample_cells(distributions, shots, keys).reshape(len(specs), len(grid), runs, 4)
 

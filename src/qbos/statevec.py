@@ -1,6 +1,6 @@
-"""Gate matrices, circuit instructions, seeds and batched seeded shot sampling.
+"""Gate matrices, seeds and batched seeded shot sampling.
 
-The two-qubit circuits themselves are evolved by the density-matrix core in
+The EWL game circuits themselves are evolved by the density-matrix core in
 ``noise``; this module holds what that core and the sweeps build on.
 
 derive_seed mixes integer tags through numpy's SeedSequence into one int.
@@ -201,17 +201,3 @@ def sample_cells(probs, shots: int, keys) -> np.ndarray:
             bitgen.state = fresh
             out[g, r] = gen.multinomial(shots, dist)
     return out
-
-
-@dataclass(frozen=True)
-class CircuitOp:
-    """One instruction of a gate-list circuit.
-
-    name is one of 'identity', 'hadamard', 'ry', 'rz', 'cnot', 'measure';
-    for 'cnot' qubits are (control, target).
-    """
-
-    name: str
-    qubits: tuple[int, ...]
-    angle: float | None = None
-

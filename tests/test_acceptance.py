@@ -22,7 +22,6 @@ from qbos.game import (
     STRATEGY_RY_PI_4,
     advantage_percent,
     analytical_payoffs,
-    build_ewl_circuit,
     classical_mixed_equilibrium,
 )
 from qbos.device import PairCalibration
@@ -53,8 +52,8 @@ def symmetric_spec(strategy):
 
 def ideal(spec, gamma):
     """The game circuit's outcome distribution: the core at noise scale 0."""
-    ops = build_ewl_circuit(gamma, 0.0, spec.strategy_a, spec.strategy_b)
-    return noisy_distributions([ops], [IDEAL_PAIR], NoiseModel(scale=0.0), [False])[0]
+    circuit = (gamma, spec.strategy_a, spec.strategy_b)
+    return noisy_distributions([circuit], [IDEAL_PAIR], NoiseModel(scale=0.0), [False])[0]
 
 
 def run_full_job(plan, cal, model, sample_seed):

@@ -1060,12 +1060,26 @@ def test_malformed_input_file_exits_2_or_3(kind, data):
         code, out, err = run_on_file(kind, how, content, Path(tmp))
         assert not (Path(tmp) / "out").exists()
     assert code in (EXIT_CONFIG, EXIT_IO), err
+    if how == "missing":
+        assert code == EXIT_IO, err
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     if how == "text":  # the decoder's message names the cut file
         assert err.startswith(f"error: {Path(tmp) / 'input.json'}: line "), err
     if how == "bytes":
         assert err.startswith(f"error: {Path(tmp) / 'input.json'}: 'utf-8' codec "), err
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+@pytest.mark.parametrize("unreadable", ["missing", "directory"])
+def test_unreadable_input_file_exits_3(tmp_path, kind, unreadable):
+    # a file that cannot be opened is an I/O error, whichever option names it
+    if unreadable == "directory":
+        (tmp_path / "input.json").mkdir()
+    code, out, err = run_on_file(kind, "missing", None, tmp_path)
+    assert (code, out) == (EXIT_IO, "")
+    assert err.startswith("error: [Errno ") and str(tmp_path / "input.json") in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("kind", ["config", "matrix", "coupling-map", "calibration", "plan"])

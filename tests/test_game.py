@@ -19,7 +19,6 @@ from qbos.game import (
     advantage_percent,
     analytical_curves,
     analytical_payoffs,
-    build_ewl_circuit,
     classical_mixed_equilibrium,
     default_gamma_grid,
 )
@@ -38,8 +37,8 @@ def symmetric_spec(strategy, **kw):
 
 def ideal(spec, gamma):
     """The game circuit's outcome distribution: the core at noise scale 0."""
-    ops = build_ewl_circuit(gamma, 0.0, spec.strategy_a, spec.strategy_b)
-    return noisy_distributions([ops], [IDEAL_PAIR], NoiseModel(scale=0.0), [False])[0]
+    circuit = (gamma, spec.strategy_a, spec.strategy_b)
+    return noisy_distributions([circuit], [IDEAL_PAIR], NoiseModel(scale=0.0), [False])[0]
 
 
 # --- classical equilibrium -----------------------------------------------------
@@ -79,16 +78,7 @@ def test_no_interior_equilibrium():
         classical_mixed_equilibrium(dominant)
 
 
-# --- circuit construction -------------------------------------------------------
-
-def test_circuit_sequence_shape():
-    ops = build_ewl_circuit(math.pi / 2, 0.0, STRATEGY_H, STRATEGY_H)
-    names = [op.name for op in ops]
-    assert names == ["ry", "rz", "cnot", "hadamard", "hadamard", "measure", "measure"]
-    assert ops[0].qubits == (0,) and ops[0].angle == math.pi / 2
-    assert ops[2].qubits == (0, 1)
-    assert ops[3].qubits == (0,) and ops[4].qubits == (1,)
-
+# --- the game circuit -----------------------------------------------------------
 
 def test_gamma_zero_yields_00():
     dist = ideal(symmetric_spec(STRATEGY_I), 0.0)

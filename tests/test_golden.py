@@ -12,6 +12,11 @@ digests were taken from the per-qubit scalar draws that the array draws of
 or plan digest reads.  A change that moves one of them changes what a sweep,
 a map, a validation report or a synthesized device holds for a fixed seed.
 
+The stacked-evolution property compares, byte for byte, each row of one
+``noise.noisy_distributions`` stack with the same EWL circuit evolved alone,
+each player drawing any strategy, Ry at any angle included, so one stack
+holds asymmetric pairs.
+
 The digests hold for Python 3.11, numpy 2.4.6 and scipy 1.17.1 on x86-64,
 the versions CI installs.  Another numpy or BLAS build may move the last
 bits of a distribution and, rarely, a drawn count.
@@ -25,11 +30,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qbos import cli, device, game, gcm, noise, stats
 from qbos.noise import NoiseModel, noisy_distributions
-from qbos.statevec import CircuitOp, derive_seed, gate_matrix, sample_cells
+from qbos.statevec import derive_seed, gate_matrix, sample_cells
 
 
 def sha256(data: bytes) -> str:
@@ -268,18 +273,18 @@ def test_build_validation_report_digest(job_setup, scale, digest):
 
 # --- stacked evolution equals the per-circuit loop, bit for bit ----------------------
 
-def reference_distribution(ops, pair_calib, scale, crosstalk_active):
-    """One circuit, one 4x4 density matrix at a time: the unbatched evolution,
-    with every probability scaled and clamped from the pair's calibration."""
+def reference_distribution(gamma, strategy_a, strategy_b, pair_calib, scale, crosstalk_active):
+    """One EWL circuit, one 4x4 density matrix at a time: the unbatched
+    evolution, with every probability scaled and clamped from the pair's
+    calibration and each strategy's gate mapped here, not by Strategy.gate."""
 
     def embed(matrix, qubit):
         return np.kron(np.eye(2), matrix) if qubit == 0 else np.kron(matrix, np.eye(2))
 
-    def cnot(control, target):
-        m = np.zeros((4, 4))
-        for col in range(4):
-            m[col ^ (1 << target) if (col >> control) & 1 else col, col] = 1.0
-        return m
+    def strategy_gate(strategy):
+        if strategy.kind == "RY":
+            return gate_matrix("ry", strategy.angle)
+        return gate_matrix("identity" if strategy.kind == "I" else "hadamard")
 
     def depolarize_1q(rho, qubit, p):
         if p == 0.0:
@@ -304,66 +309,55 @@ def reference_distribution(ops, pair_calib, scale, crosstalk_active):
     p1, p2, p_xt = (clamp(noise.ONE_QUBIT_ERROR_FRACTION * p2), clamp(p2),
                     clamp(noise.CROSSTALK_PENALTY))
     ro_a, ro_b = map(clamp, pair_calib.readout_errors)
+
+    def one_qubit(rho, gate, qubit):
+        u = embed(gate, qubit)
+        return depolarize_1q(u @ rho @ u.conj().T, qubit, p1)
+
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    for op in ops:
-        if op.name == "measure":
-            continue
-        if op.name == "cnot":
-            u = cnot(*op.qubits)
-            rho = u @ rho @ u.conj().T
-            rho = depolarize_2q(rho, p2)
-            if crosstalk_active:
-                rho = depolarize_2q(rho, p_xt)
-        else:
-            u = embed(gate_matrix(op.name, op.angle), op.qubits[0])
-            rho = u @ rho @ u.conj().T
-            rho = depolarize_1q(rho, op.qubits[0], p1)
+    rho = one_qubit(rho, gate_matrix("ry", gamma), 0)
+    rho = one_qubit(rho, gate_matrix("rz", 0.0), 0)
+    cnot = np.eye(4)[[0, 3, 2, 1]]  # control qubit 0, target qubit 1
+    rho = depolarize_2q(cnot @ rho @ cnot.conj().T, p2)
+    if crosstalk_active:
+        rho = depolarize_2q(rho, p_xt)
+    rho = one_qubit(rho, strategy_gate(strategy_a), 0)
+    rho = one_qubit(rho, strategy_gate(strategy_b), 1)
     probs = np.real(np.diag(rho)).copy()
     probs = np.kron(confusion(ro_b), confusion(ro_a)) @ probs
     return np.clip(probs, 0.0, None)
 
 
 GRAPH = device.heavy_hex_graph(2)
+# the canonical strategies and Ry at any angle of [0, 2 pi)
+STRATEGIES = st.one_of(
+    st.sampled_from(game.CANONICAL_STRATEGIES),
+    st.floats(0.0, 2 * math.pi, exclude_max=True).map(lambda a: game.Strategy("RY", a)),
+)
+# asymmetric pairs and Ry angles outside the canonical set, in one stack
+MIXED_PLAYERS = [(game.STRATEGY_H, game.Strategy("RY", 0.3)),
+                 (game.Strategy("RY", 5.0), game.STRATEGY_I)] * 15 + [(game.STRATEGY_I,) * 2]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     scale=st.floats(0.0, 3.0),
-    strategies=st.lists(st.sampled_from(game.CANONICAL_STRATEGIES), min_size=31, max_size=31),
+    players=st.lists(st.tuples(STRATEGIES, STRATEGIES), min_size=31, max_size=31),
     cal_seed=st.integers(0, 2**16),
     steps=st.integers(2, 31),
     flags=st.lists(st.booleans(), min_size=31, max_size=31),
-    phi=st.sampled_from([0.0, 0.3, math.pi / 2]),
 )
-def test_stacked_evolution_matches_per_circuit_loop(scale, strategies, cal_seed, steps,
-                                                    flags, phi):
-    # each circuit draws its strategy, so one stack mixes the one-qubit gate kinds
+@example(scale=1.0, players=MIXED_PLAYERS, cal_seed=0, steps=31, flags=[True, False] * 15 + [True])
+def test_stacked_evolution_matches_per_circuit_loop(scale, players, cal_seed, steps, flags):
+    # each player of each circuit draws a strategy, so one stack mixes asymmetric pairs
     calib = device.synth_calibration(GRAPH, seed=cal_seed, profile="realistic")
-    grid = game.default_gamma_grid(steps)
-    circuits = [game.build_ewl_circuit(g, phi, s, s) for g, s in zip(grid, strategies)]
+    games = [(g, sa, sb) for g, (sa, sb) in zip(game.default_gamma_grid(steps), players)]
     pair_calibs = [calib.pair(GRAPH.edges[i % len(GRAPH.edges)]) for i in range(steps)]
-    stacked = noisy_distributions(circuits, pair_calibs, NoiseModel(scale=scale), flags[:steps])
-    for g, ops in enumerate(circuits):
-        ref = reference_distribution(ops, pair_calibs[g], scale, flags[g])
+    stacked = noisy_distributions(games, pair_calibs, NoiseModel(scale=scale), flags[:steps])
+    for g, (gamma, sa, sb) in enumerate(games):
+        ref = reference_distribution(gamma, sa, sb, pair_calibs[g], scale, flags[g])
         assert stacked[g].tobytes() == ref.tobytes()
-
-
-def test_noisy_distributions_reject_mixed_layouts():
-    # gate kinds and angles may differ per circuit; qubits, step counts and the
-    # positions of CNOTs and measurements may not
-    pc = device.synth_calibration(GRAPH, seed=0).pair(GRAPH.edges[0])
-    base = game.build_ewl_circuit(0.5, 0.0, game.STRATEGY_I, game.STRATEGY_I)
-    cnot_at = [op.name for op in base].index("cnot")
-    other_cnot = base[:cnot_at] + [CircuitOp("cnot", (1, 0))] + base[cnot_at + 1:]
-    shorter = base[:-1]
-    gate_for_cnot = base[:cnot_at] + [CircuitOp("hadamard", (0,))] + base[cnot_at + 1:]
-    mixed = game.build_ewl_circuit(0.5, 0.0, game.STRATEGY_H, game.STRATEGY_RY_PI)
-    assert noisy_distributions([base, mixed], [pc, pc], NoiseModel(), [False, False]).shape == (2, 4)
-    for other in (other_cnot, shorter, gate_for_cnot):
-        for pair in ([base, other], [other, base]):
-            with pytest.raises(ValueError, match="layout"):
-                noisy_distributions(pair, [pc, pc], NoiseModel(), [False, False])
 
 
 # --- reset-state sampler equals a freshly keyed Philox per cell ----------------------

@@ -14,7 +14,6 @@ from qbos.game import (
     STRATEGY_H,
     STRATEGY_I,
     _closed_form_distribution,
-    build_ewl_circuit,
     PayoffMatrix,
     analytical_payoffs,
 )
@@ -55,9 +54,10 @@ def pair_calib():
     return cal.pair(g.edges[0])
 
 
-def one_circuit(ops, pc, model, crosstalk_active=False):
-    """The outcome distribution of one mapped circuit on the batched core."""
-    return noisy_distributions([ops], [pc], model, [crosstalk_active])[0]
+def one_circuit(circuit, pc, model, crosstalk_active=False):
+    """The outcome distribution of one mapped (gamma, strategy_a, strategy_b)
+    circuit on the batched core."""
+    return noisy_distributions([circuit], [pc], model, [crosstalk_active])[0]
 
 
 # --- channel algebra ------------------------------------------------------------
@@ -121,23 +121,29 @@ def test_zero_scale_equals_ideal():
     pc = pair_calib()
     for strategy in CANONICAL_STRATEGIES:
         for gamma in (0.0, 0.9, math.pi / 2, math.pi):
-            ops = build_ewl_circuit(gamma, 0.0, strategy, strategy)
-            noisy = one_circuit(ops, pc, model, crosstalk_active=True)
+            circuit = (gamma, strategy, strategy)
+            noisy = one_circuit(circuit, pc, model, crosstalk_active=True)
             ideal = _closed_form_distribution(strategy, gamma)
             np.testing.assert_allclose(noisy, ideal, atol=1e-12)
 
 
+@pytest.mark.parametrize("gamma", [-0.001, math.pi + 1e-9, float("nan")])
+def test_gamma_outside_zero_to_pi_is_rejected(gamma):
+    with pytest.raises(ValueError, match=r"outside \[0, pi\]"):
+        one_circuit((gamma, STRATEGY_I, STRATEGY_I), pair_calib(), NoiseModel())
+
+
 def test_saturated_depolarizing_is_uniform():
     pc = PairCalibration(two_qubit_error=1.0, readout_errors=(0.0, 0.0))
-    ops = build_ewl_circuit(1.0, 0.0, STRATEGY_I, STRATEGY_I)
-    dist = one_circuit(ops, pc, NoiseModel(scale=1.0))
+    circuit = (1.0, STRATEGY_I, STRATEGY_I)
+    dist = one_circuit(circuit, pc, NoiseModel(scale=1.0))
     np.testing.assert_allclose(dist, [0.25] * 4, atol=1e-12)
 
 
 def test_huge_scale_clamps_to_uniform():
     model = NoiseModel(scale=1e9)
-    ops = build_ewl_circuit(0.7, 0.0, STRATEGY_I, STRATEGY_I)
-    dist = one_circuit(ops, pair_calib(), model)
+    circuit = (0.7, STRATEGY_I, STRATEGY_I)
+    dist = one_circuit(circuit, pair_calib(), model)
     np.testing.assert_allclose(dist, [0.25] * 4, atol=1e-9)
 
 
@@ -150,8 +156,8 @@ def test_hand_computed_two_qubit_depolarizing():
     # 0.99 p00 + 0.01 (p00 + p01) / 2:
     # 0.47275, then p00 = p11 = 0.4705225 and p01 = p10 = 0.0294775
     pc = PairCalibration(two_qubit_error=0.1, readout_errors=(0.0, 0.0))
-    ops = build_ewl_circuit(math.pi / 2, 0.0, STRATEGY_I, STRATEGY_I)
-    dist = one_circuit(ops, pc, NoiseModel(scale=1.0))
+    circuit = (math.pi / 2, STRATEGY_I, STRATEGY_I)
+    dist = one_circuit(circuit, pc, NoiseModel(scale=1.0))
     np.testing.assert_allclose(dist, [0.4705225, 0.0294775, 0.0294775, 0.4705225],
                                rtol=0, atol=1e-15)
 
@@ -159,8 +165,8 @@ def test_hand_computed_two_qubit_depolarizing():
 def test_distribution_normalized_and_nonnegative():
     model = NoiseModel(scale=2.5)
     for gamma in (0.0, 1.1, 2.2, math.pi):
-        ops = build_ewl_circuit(gamma, 0.0, STRATEGY_H, STRATEGY_H)
-        dist = one_circuit(ops, pair_calib(), model, crosstalk_active=True)
+        circuit = (gamma, STRATEGY_H, STRATEGY_H)
+        dist = one_circuit(circuit, pair_calib(), model, crosstalk_active=True)
         assert abs(dist.sum() - 1.0) <= 1e-9
         assert np.all(dist >= 0.0)
 
@@ -177,8 +183,8 @@ unit = st.floats(0.0, 1.0)
 def test_distribution_valid_for_every_parameter(p2, ro, scale, flag, gamma, strategy):
     # up to scale 1 / CROSSTALK_PENALTY, where every channel has saturated
     pc = PairCalibration(two_qubit_error=p2, readout_errors=ro)
-    ops = build_ewl_circuit(gamma, 0.0, strategy, strategy)
-    dist = one_circuit(ops, pc, NoiseModel(scale=scale), crosstalk_active=flag)
+    circuit = (gamma, strategy, strategy)
+    dist = one_circuit(circuit, pc, NoiseModel(scale=scale), crosstalk_active=flag)
     assert dist.shape == (4,)
     assert np.all(dist >= 0.0)
     assert abs(dist.sum() - 1.0) <= 1e-9
@@ -403,7 +409,7 @@ def test_exact_rmse_monotone_in_noise_scale(cal_seed, profile, packed, scales):
     pair_calibs = [cal.pair(pair) for pair in plan.assignments]
     grid = spec_for(STRATEGY_I).gamma_grid
     for strategy in CANONICAL_STRATEGIES:
-        circuits = [build_ewl_circuit(gamma, 0.0, strategy, strategy) for gamma in grid]
+        circuits = [(gamma, strategy, strategy) for gamma in grid]
         refs = np.array([analytical_payoffs(strategy, gamma, "corrected") for gamma in grid])
         low, high = (
             payoff_table(noisy_distributions(circuits, pair_calibs, NoiseModel(scale=s), flags), BOS)

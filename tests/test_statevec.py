@@ -1,4 +1,4 @@
-"""Gates and the 2-qubit core checked against explicit full-matrix multiplication."""
+"""Gates and the EWL core checked against explicit full-matrix multiplication."""
 
 import math
 import random
@@ -9,24 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 from qbos import statevec
 from qbos.device import PairCalibration
+from qbos.game import STRATEGY_H, STRATEGY_I, Strategy
 from qbos.noise import NoiseModel, _cnot_matrix, _embed_1q, noisy_distributions
-from qbos.statevec import (
-    CircuitOp,
-    ShotCounts,
-    derive_seed,
-    derive_seeds,
-    gate_matrix,
-    sample_cells,
-)
+from qbos.statevec import ShotCounts, derive_seed, derive_seeds, gate_matrix, sample_cells
 
 S2 = 1.0 / math.sqrt(2.0)
 ZERO = np.array([1, 0, 0, 0], dtype=complex)  # |00>
 
 
-def ideal(ops):
-    """Outcome distribution of a 2-qubit circuit on the core at noise scale 0."""
+def ideal(games):
+    """Outcome distributions of (gamma, strategy_a, strategy_b) EWL circuits
+    on the core at noise scale 0, one row per circuit."""
     pair = PairCalibration(0.1, (0.1, 0.1))
-    return noisy_distributions([ops], [pair], NoiseModel(scale=0.0), [False])[0]
+    return noisy_distributions(games, [pair] * len(games), NoiseModel(scale=0.0),
+                               [False] * len(games))
 
 
 # --- independent oracle: dense 2^n x 2^n matrices built by kron -------------
@@ -105,8 +101,6 @@ def test_ry_half_twice_equals_ry_pi():
 def test_apply_1q_out_of_range():
     with pytest.raises(IndexError):
         _embed_1q(gate_matrix("hadamard"), 2)
-    with pytest.raises(IndexError):
-        ideal([CircuitOp("hadamard", (2,))])
 
 
 # --- cnot ----------------------------------------------------------------------
@@ -140,52 +134,58 @@ def test_cnot_equal_indices_rejected():
 
 # --- brute-force equivalence and norm preservation ------------------------------
 
-def random_circuit(rng, n_gates):
-    """Random 2-qubit gate list and its kron-oracle amplitudes."""
-    ops = []
-    vec = ZERO.copy()
-    for _ in range(n_gates):
-        if rng.random() < 0.7:
-            kind = rng.choice(["hadamard", "ry", "rz", "identity"])
-            angle = rng.uniform(0, 2 * math.pi) if kind in ("ry", "rz") else None
-            q = rng.randrange(2)
-            ops.append(CircuitOp(kind, (q,), angle))
-            vec = full_1q_matrix(gate_matrix(kind, angle), q, 2) @ vec
-        else:
-            c = rng.randrange(2)
-            ops.append(CircuitOp("cnot", (c, 1 - c)))
-            vec = full_cnot_matrix(c, 1 - c, 2) @ vec
-    return ops, vec
+def strategy_matrix(strategy):
+    """A strategy's 2x2 gate, mapped here without Strategy.gate."""
+    if strategy.kind == "I":
+        return gate_matrix("identity")
+    if strategy.kind == "H":
+        return gate_matrix("hadamard")
+    return gate_matrix("ry", strategy.angle)
+
+
+def random_game(rng):
+    """A random EWL circuit, each player's strategy drawn on its own, and its
+    kron-oracle amplitudes."""
+    gamma = rng.uniform(0, math.pi)
+    sa, sb = (rng.choice([STRATEGY_I, STRATEGY_H, Strategy("RY", rng.uniform(0, 2 * math.pi))])
+              for _ in range(2))
+    vec = full_1q_matrix(gate_matrix("ry", gamma), 0, 2) @ ZERO
+    vec = full_1q_matrix(gate_matrix("rz", 0.0), 0, 2) @ vec
+    vec = full_cnot_matrix(0, 1, 2) @ vec
+    vec = full_1q_matrix(strategy_matrix(sa), 0, 2) @ vec
+    vec = full_1q_matrix(strategy_matrix(sb), 1, 2) @ vec
+    return (gamma, sa, sb), vec
 
 
 @pytest.mark.parametrize("n", [2])
 def test_random_sequences_match_dense_oracle(n):
     rng = random.Random(1234 + n)
-    for _ in range(20):
-        ops, vec = random_circuit(rng, 40)
-        np.testing.assert_allclose(ideal(ops), np.abs(vec) ** 2, atol=1e-10)
+    games, vecs = zip(*(random_game(rng) for _ in range(40)))
+    assert any(sa != sb for _, sa, sb in games)  # the stack holds asymmetric pairs
+    np.testing.assert_allclose(ideal(list(games)), np.abs(vecs) ** 2, atol=1e-10)
 
 
 def test_norm_preserved_over_100_gates():
-    ops, _ = random_circuit(random.Random(99), 100)
-    assert abs(ideal(ops).sum() - 1.0) <= 1e-9
+    rng = random.Random(99)
+    dists = ideal([random_game(rng)[0] for _ in range(100)])
+    assert np.all(np.abs(dists.sum(axis=1) - 1.0) <= 1e-9)
 
 
 # --- probabilities ---------------------------------------------------------------
 
 def test_probabilities_of_zero_state():
-    np.testing.assert_array_equal(ideal([]), [1.0, 0.0, 0.0, 0.0])
+    # Ry(0), Rz(0), CNOT and identities leave |00>
+    np.testing.assert_array_equal(ideal([(0.0, STRATEGY_I, STRATEGY_I)])[0], [1.0, 0.0, 0.0, 0.0])
 
 
 def test_probabilities_of_bell_state():
-    ops = [CircuitOp("hadamard", (0,)), CircuitOp("cnot", (0, 1))]
-    np.testing.assert_allclose(ideal(ops), [0.5, 0, 0, 0.5], atol=1e-12)
+    np.testing.assert_allclose(ideal([(math.pi / 2, STRATEGY_I, STRATEGY_I)])[0],
+                               [0.5, 0, 0, 0.5], atol=1e-12)
 
 
 def test_probabilities_of_entangled_state_gamma_pi_3():
     # cos(g/2)|00> + sin(g/2)|11> at g = pi/3 -> cos^2(pi/6) = 0.75
-    ops = [CircuitOp("ry", (0,), math.pi / 3), CircuitOp("cnot", (0, 1))]
-    p = ideal(ops)
+    p = ideal([(math.pi / 3, STRATEGY_I, STRATEGY_I)])[0]
     np.testing.assert_allclose(p, [0.75, 0, 0, 0.25], atol=1e-12)
     assert abs(p.sum() - 1.0) <= 1e-9
 
@@ -301,15 +301,3 @@ def test_derive_seeds_rejects_counts_beyond_one_word(monkeypatch):
             derive_seeds(5, circuits, runs)
     with pytest.raises(ValueError, match="seed"):
         derive_seeds(-1, 1, 1)
-
-
-# --- circuit runner -----------------------------------------------------------------
-
-def test_run_circuit_ignores_measure_markers():
-    ops = [
-        CircuitOp("hadamard", (0,)),
-        CircuitOp("cnot", (0, 1)),
-        CircuitOp("measure", (0,)),
-        CircuitOp("measure", (1,)),
-    ]
-    np.testing.assert_allclose(ideal(ops), [0.5, 0, 0, 0.5], atol=1e-12)
