@@ -14,7 +14,9 @@ defaults; the sweep builds them as one text from the count arrays and
 writes it with one call.
 
 Exit codes: 0 success, 2 config/matrix error, 3 I/O error, 4 mapping
-infeasible, 5 validation schema error.
+infeasible, 5 validation schema error.  Commands raise CommandError for 2, 5
+and a failed write; main maps every other OSError to 3 and
+gcm.InfeasibleMappingError to 4.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import device, game, gcm, noise, stats
-from .device import _is_int, _is_number, _load
+from .device import _FIELD_CHECKS, _is_number, _load
 from .statevec import derive_seed
 
 EXIT_OK = 0
@@ -57,19 +59,9 @@ class CommandError(Exception):
     "error: <message>" and returns code."""
 
 
-# SweepConfig field annotation -> (check, description); bool is an int subclass
-_FIELD_TYPES = {
-    "int": (_is_int, "an integer"),
-    "int | None": (lambda v: v is None or _is_int(v), "an integer"),
-    "float": (_is_number, "a number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "str | None": (lambda v: v is None or isinstance(v, str), "a string"),
-    "tuple[str, ...]": (
-        lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v),
-        "a list of strings",
-    ),
-}
+# SweepConfig field annotation, " | None" stripped -> its _FIELD_CHECKS description
+_FIELD_TYPES = {"int": "an integer", "float": "a number", "bool": "true or false",
+                "str": "a string", "tuple[str, ...]": "a list of strings"}
 
 
 @dataclass
@@ -91,9 +83,10 @@ class SweepConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            check, expected = _FIELD_TYPES[f.type]
+            expected = _FIELD_TYPES[f.type.removesuffix(" | None")]
             value = getattr(self, f.name)
-            if not check(value):
+            optional = f.type.endswith(" | None")
+            if not (optional and value is None or _FIELD_CHECKS[expected](value)):
                 raise ValueError(
                     f"{f.name.replace('_', '-')} must be {expected}, got {value!r}"
                 )
@@ -189,18 +182,9 @@ def _config_and_device(args):
         file_values = load_config_file(args.config) if args.config else {}
         cfg = SweepConfig.resolve(file_values, _cli_values(args))
         graph, calib = _resolve_device(cfg)
-    except OSError as err:  # an unreadable file, whichever option named it
-        raise CommandError(EXIT_IO, err)
     except ValueError as err:
         raise CommandError(EXIT_CONFIG, err)
     return cfg, graph, calib
-
-
-def _select_pairs(graph, calib, k: int, cfg: SweepConfig):
-    try:
-        return gcm.select_pairs(graph, calib, k=k, min_separation=cfg.min_separation)
-    except gcm.InfeasibleMappingError as err:
-        raise CommandError(EXIT_INFEASIBLE, err)
 
 
 def _resolve_device(cfg: SweepConfig):
@@ -228,8 +212,6 @@ def cmd_equilibrium(args) -> int:
     try:
         matrix = parse_matrix(args.matrix)
         eq = game.classical_mixed_equilibrium(matrix)
-    except OSError as err:
-        raise CommandError(EXIT_IO, err)
     except ValueError as err:
         raise CommandError(EXIT_CONFIG, err)
     # the maximally entangled state under identity strategies gives |00> and
@@ -399,7 +381,7 @@ def _svg_plot(path, label, grid, curves, means, halves) -> None:
 
 def cmd_sweep(args) -> int:
     cfg, graph, calib = _config_and_device(args)
-    plan = _select_pairs(graph, calib, cfg.gamma_steps, cfg)
+    plan = gcm.select_pairs(graph, calib, cfg.gamma_steps, cfg.min_separation)
     out = cfg.out or "sweep.csv"
     labels, payoffs, curves, lines = _sweep_rows(cfg, graph, calib, plan)
     try:
@@ -434,7 +416,7 @@ def cmd_sweep(args) -> int:
 def cmd_map(args) -> int:
     cfg, graph, calib = _config_and_device(args)
     k = cfg.pairs if cfg.pairs is not None else cfg.gamma_steps
-    plan = _select_pairs(graph, calib, k, cfg)
+    plan = gcm.select_pairs(graph, calib, k, cfg.min_separation)
     ok, violation = gcm.verify_separation(plan, graph)
     out = cfg.out or "mapping_plan.json"
     try:
@@ -546,11 +528,8 @@ def _check_rows(values) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.results, "rb") as fh:
-            data = fh.read()
-    except OSError as err:
-        raise CommandError(EXIT_IO, err)
+    with open(args.results, "rb") as fh:
+        data = fh.read()
     # a plain file, as the sweep writes it, is split at its commas; any other
     # goes through csv.reader, which gives the same header and fields
     split = _plain_columns(data)
@@ -687,8 +666,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except CommandError as err:
         code, message = err.args
-        print(f"error: {message}", file=sys.stderr)
-        return code
+    except gcm.InfeasibleMappingError as err:
+        code, message = EXIT_INFEASIBLE, err
+    except OSError as err:  # an unreadable file, whichever option named it
+        code, message = EXIT_IO, err
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

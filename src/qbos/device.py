@@ -133,11 +133,14 @@ def _is_number(value) -> bool:
     return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
-# what a device-file field must hold -> its check
+# what a device-file or config field must hold -> its check
 _FIELD_CHECKS = {
     "an integer": _is_int,
     "a number": _is_number,
+    "true or false": lambda v: type(v) is bool,
     "a string": lambda v: type(v) is str,
+    "a list of strings": lambda v: (type(v) in (list, tuple)
+                                    and all(type(s) is str for s in v)),
     "a list": lambda v: type(v) is list,
     "two integer qubit ids": lambda v: (type(v) is list and len(v) == 2
                                         and type(v[0]) is int and type(v[1]) is int),

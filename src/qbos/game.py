@@ -7,11 +7,11 @@ on (TV, TV) and (0,0) on the miscoordinated outcomes.
 The quantized game is the EWL circuit (Eisert, Wilkens & Lewenstein, PRL 83,
 3077, 1999): an Ry(gamma), Rz(0), CNOT sequence prepares the partially
 entangled two-qubit state cos(gamma/2)|00> + sin(gamma/2)|11>, each player
-applies a local single-qubit strategy gate (Strategy.gate), and
-computational-basis measurement outcomes map to payoffs;
-noise.noisy_distributions evolves it.  Alice owns qubit 0, Bob qubit 1;
-outcome labels are written qubit-1-first, so label "01" means Bob read 0
-and Alice read 1.
+applies a local single-qubit strategy gate (statevec.gate_matrix of the
+strategy's kind and angle), and computational-basis measurement outcomes
+map to payoffs; noise.noisy_distributions evolves it.  Alice owns qubit 0,
+Bob qubit 1; outcome labels are written qubit-1-first, so label "01" means
+Bob read 0 and Alice read 1.
 
 Two families of closed-form payoff curves are provided.  The 'corrected'
 variant is the exact amplitude algebra of the circuit above.  The 'paper'
@@ -110,7 +110,7 @@ class Strategy:
             return "RY(pi/4)"
         if abs(self.angle - math.pi) < 1e-12:
             return "RY(pi)"
-        return f"RY({self.angle:.6g})"
+        return f"RY({self.angle!r})"  # repr: parse gives the angle back exactly
 
     @classmethod
     def parse(cls, text: str) -> "Strategy":
@@ -136,11 +136,6 @@ class Strategy:
                     ) from None
             return cls("RY", float(expr))
         raise ValueError(f"cannot parse strategy {text!r}")
-
-    @property
-    def gate(self) -> tuple[str, float | None]:
-        """The (kind, angle) of this strategy's statevec.gate_matrix."""
-        return {"I": "identity", "H": "hadamard", "RY": "ry"}[self.kind], self.angle
 
 
 STRATEGY_I = Strategy("I")
@@ -262,8 +257,6 @@ def analytical_curves(strategy: Strategy, gammas, variant: str = "corrected",
     published curves for the default matrix verbatim, including the over-3
     Hadamard curve for Alice; it does not accept a custom matrix.
     """
-    if strategy.kind == "RY" and not 0.0 <= strategy.angle < 2 * math.pi:
-        raise ValueError(f"unsupported strategy angle {strategy.angle!r}")
     if variant not in ("paper", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
 

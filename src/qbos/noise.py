@@ -87,19 +87,11 @@ def _embed_1q(matrix: np.ndarray, qubit: int) -> np.ndarray:
     # basis index = 2*q1 + q0, so the qubit-0 factor sits on the right of kron
     if qubit == 0:
         return _kron2(np.eye(2), matrix)
-    if qubit == 1:
-        return _kron2(matrix, np.eye(2))
-    raise IndexError(f"qubit {qubit} out of range for a 2-qubit circuit")
+    return _kron2(matrix, np.eye(2))
 
 
-def _cnot_matrix(control: int, target: int) -> np.ndarray:
-    if control == target:
-        raise ValueError("control and target must differ")
-    m = np.zeros((4, 4))
-    for col in range(4):
-        row = col ^ (1 << target) if (col >> control) & 1 else col
-        m[row, col] = 1.0
-    return m
+# the EWL circuit's CNOT, control qubit 0 and target qubit 1: |q1 q0> = |01> <-> |11>
+_CNOT = np.eye(4)[[0, 3, 2, 1]]
 
 
 def _partial_trace(rho: np.ndarray, qubit: int) -> np.ndarray:
@@ -160,10 +152,11 @@ def noisy_distributions(
     Circuit g plays games[g] = (gamma, strategy_a, strategy_b), with gamma in
     [0, pi], on the pair calibrated by pair_calibs[g], with the extra
     crosstalk channel when crosstalk_active[g] is true.  Each step applies one
-    stacked gate and its depolarizing channel to every circuit; each distinct
-    (kind, angle) gate matrix of a step is built once, and identity gates are
-    applied and depolarized like any other, so every circuit gets the bits it
-    gets alone.
+    stacked gate and its depolarizing channel to every circuit.  Steps key
+    their gates as statevec.gate_matrix takes them: ("RY", gamma), ("RZ", 0.0)
+    and each strategy's (kind, angle).  Each distinct key of a step is built
+    once, and identity gates are applied and depolarized like any other, so
+    every circuit gets the bits it gets alone.
 
     Returns a (G, 4) array of outcome distributions after readout
     confusion; each row sums to 1 within 1e-9 and equals the ideal
@@ -193,13 +186,13 @@ def noisy_distributions(
 
     rho = np.zeros((g, 4, 4), dtype=complex)
     rho[:, 0, 0] = 1.0
-    rho = one_qubit_step(rho, 0, [("ry", gamma) for gamma, _, _ in games])
+    rho = one_qubit_step(rho, 0, [("RY", gamma) for gamma, _, _ in games])
     # Rz(0) is a real step: its product and its channel set the output bits
-    rho = one_qubit_step(rho, 0, [("rz", 0.0)] * g)
-    rho = depolarize_2q(evolve(rho, _cnot_matrix(0, 1)), p2)
+    rho = one_qubit_step(rho, 0, [("RZ", 0.0)] * g)
+    rho = depolarize_2q(evolve(rho, _CNOT), p2)
     rho = depolarize_2q(rho, p_xt)
-    rho = one_qubit_step(rho, 0, [strategy_a.gate for _, strategy_a, _ in games])
-    rho = one_qubit_step(rho, 1, [strategy_b.gate for _, _, strategy_b in games])
+    rho = one_qubit_step(rho, 0, [(sa.kind, sa.angle) for _, sa, _ in games])
+    rho = one_qubit_step(rho, 1, [(sb.kind, sb.angle) for _, _, sb in games])
     probs = np.diagonal(rho, axis1=-2, axis2=-1).real.copy()
     readout = _kron2(confusion_matrix(ro_b), confusion_matrix(ro_a))
     probs = (readout @ probs[:, :, None])[:, :, 0]

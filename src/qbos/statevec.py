@@ -34,25 +34,16 @@ _MASK32 = 0xFFFFFFFF
 
 
 def gate_matrix(kind: str, angle: float | None = None) -> np.ndarray:
-    """The 2x2 complex matrix of 'identity', 'hadamard', 'ry' or 'rz'.
-
-    An angle (radians) is required for 'ry' and 'rz' and must be absent
-    otherwise.
-    """
-    if kind in ("ry", "rz"):
-        if angle is None:
-            raise ValueError(f"gate '{kind}' requires an angle")
-    elif angle is not None:
-        raise ValueError(f"gate '{kind}' takes no angle")
-
-    if kind == "identity":
+    """The 2x2 complex matrix of a Strategy kind, 'I', 'H' or 'RY', or of
+    'RZ'; 'RY' and 'RZ' rotate by angle (radians)."""
+    if kind == "I":
         return np.eye(2, dtype=complex)
-    if kind == "hadamard":
+    if kind == "H":
         return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    if kind == "ry":
+    if kind == "RY":
         c, s = math.cos(angle / 2), math.sin(angle / 2)
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if kind == "rz":
+    if kind == "RZ":
         return np.diag([np.exp(-0.5j * angle), np.exp(0.5j * angle)])
     raise ValueError(f"unknown gate kind {kind!r}")
 

@@ -318,6 +318,16 @@ def test_map_infeasible_k(tmp_path, capsys):
     assert "achievable" in capsys.readouterr().err
 
 
+def test_sweep_infeasible_grid_exits_infeasible(tmp_path, capsys):
+    # 80 circuits need 80 separated pairs; the 127-qubit device holds fewer
+    out = tmp_path / "x.csv"
+    assert run_cli("sweep", "--synth", "--gamma-steps", "80", "--out", str(out)) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and "achievable" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_map_relaxed_separation(tmp_path, capsys):
     out = tmp_path / "plan1.json"
     code = run_cli("map", "--synth", "--pairs", "40", "--min-separation", "1",
@@ -631,6 +641,14 @@ def test_validate_oversized_field(tmp_path, capsys, row):
 
 def test_validate_missing_file(tmp_path):
     assert run_cli("validate", str(tmp_path / "absent.csv")) == EXIT_IO
+
+
+def test_validate_directory_exits_io(tmp_path, capsys):
+    assert run_cli("validate", str(tmp_path)) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno ") and str(tmp_path) in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_validate_rmse_method_flag(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qbos.game import (
     CANONICAL_STRATEGIES,
@@ -289,11 +289,7 @@ def test_curve_table_of_no_gamma(variant):
 
 
 def test_curve_table_argument_errors():
-    bad_angle = object.__new__(Strategy)  # past Strategy's own angle check
-    object.__setattr__(bad_angle, "kind", "RY")
-    object.__setattr__(bad_angle, "angle", 7.0)
     cases = [
-        ((bad_angle, "corrected", None), "unsupported strategy angle 7.0"),
         ((STRATEGY_I, "published", None), "unknown variant 'published'"),
         ((STRATEGY_I, "paper", PayoffMatrix.identity_coordination()),
          "the 'paper' variant is defined for the default matrix only"),
@@ -332,12 +328,18 @@ def test_default_gamma_grid():
     assert all(b > a for a, b in zip(grid, grid[1:]))
 
 
-def test_strategy_parse_round_trip():
+@settings(max_examples=200, deadline=None)
+@given(theta=st.floats(0.0, 2 * math.pi, exclude_max=True))
+@example(theta=math.pi / 3)  # its label once read back 2.4e-6 rad off
+def test_strategy_parse_round_trip(theta):
     for s in CANONICAL_STRATEGIES:
         assert Strategy.parse(s.label) == s
     assert Strategy.parse("ry(pi/4)") == STRATEGY_RY_PI_4
     with pytest.raises(ValueError):
         Strategy.parse("X")
+    # any other angle's label gives the angle back exactly
+    assume(abs(theta - math.pi / 4) > 1e-12 and abs(theta - math.pi) > 1e-12)
+    assert Strategy.parse(Strategy("RY", theta).label) == Strategy("RY", theta)
 
 
 def test_strategy_parse_divisor_limit():

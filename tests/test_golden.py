@@ -276,15 +276,10 @@ def test_build_validation_report_digest(job_setup, scale, digest):
 def reference_distribution(gamma, strategy_a, strategy_b, pair_calib, scale, crosstalk_active):
     """One EWL circuit, one 4x4 density matrix at a time: the unbatched
     evolution, with every probability scaled and clamped from the pair's
-    calibration and each strategy's gate mapped here, not by Strategy.gate."""
+    calibration."""
 
     def embed(matrix, qubit):
         return np.kron(np.eye(2), matrix) if qubit == 0 else np.kron(matrix, np.eye(2))
-
-    def strategy_gate(strategy):
-        if strategy.kind == "RY":
-            return gate_matrix("ry", strategy.angle)
-        return gate_matrix("identity" if strategy.kind == "I" else "hadamard")
 
     def depolarize_1q(rho, qubit, p):
         if p == 0.0:
@@ -316,14 +311,14 @@ def reference_distribution(gamma, strategy_a, strategy_b, pair_calib, scale, cro
 
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    rho = one_qubit(rho, gate_matrix("ry", gamma), 0)
-    rho = one_qubit(rho, gate_matrix("rz", 0.0), 0)
+    rho = one_qubit(rho, gate_matrix("RY", gamma), 0)
+    rho = one_qubit(rho, gate_matrix("RZ", 0.0), 0)
     cnot = np.eye(4)[[0, 3, 2, 1]]  # control qubit 0, target qubit 1
     rho = depolarize_2q(cnot @ rho @ cnot.conj().T, p2)
     if crosstalk_active:
         rho = depolarize_2q(rho, p_xt)
-    rho = one_qubit(rho, strategy_gate(strategy_a), 0)
-    rho = one_qubit(rho, strategy_gate(strategy_b), 1)
+    rho = one_qubit(rho, gate_matrix(strategy_a.kind, strategy_a.angle), 0)
+    rho = one_qubit(rho, gate_matrix(strategy_b.kind, strategy_b.angle), 1)
     probs = np.real(np.diag(rho)).copy()
     probs = np.kron(confusion(ro_b), confusion(ro_a)) @ probs
     return np.clip(probs, 0.0, None)

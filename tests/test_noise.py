@@ -194,15 +194,14 @@ def test_density_matrix_stays_physical_through_channels():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
     rng = np.random.default_rng(5)
-    from qbos.noise import _cnot_matrix, _embed_1q
+    from qbos.noise import _CNOT, _embed_1q
     from qbos.statevec import gate_matrix
     for _ in range(50):
         angle = rng.uniform(0, 2 * math.pi)
-        u = _embed_1q(gate_matrix("ry", angle), int(rng.integers(2)))
+        u = _embed_1q(gate_matrix("RY", angle), int(rng.integers(2)))
         rho = u @ rho @ u.conj().T
         rho = depolarize_1q(rho, int(rng.integers(2)), float(rng.uniform(0, 0.2)))
-        u = _cnot_matrix(0, 1)
-        rho = u @ rho @ u.conj().T
+        rho = _CNOT @ rho @ _CNOT.T
         rho = depolarize_2q(rho, float(rng.uniform(0, 0.2)))
         assert abs(np.trace(rho).real - 1.0) < 1e-10
         assert np.linalg.eigvalsh(rho).min() >= -1e-10

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qbos import statevec
 from qbos.device import PairCalibration
 from qbos.game import STRATEGY_H, STRATEGY_I, Strategy
-from qbos.noise import NoiseModel, _cnot_matrix, _embed_1q, noisy_distributions
+from qbos.noise import _CNOT, NoiseModel, _embed_1q, noisy_distributions
 from qbos.statevec import ShotCounts, derive_seed, derive_seeds, gate_matrix, sample_cells
 
 S2 = 1.0 / math.sqrt(2.0)
@@ -48,16 +48,20 @@ def full_cnot_matrix(control: int, target: int, n: int) -> np.ndarray:
 # --- gate library ------------------------------------------------------------
 
 def test_identity_gate():
-    np.testing.assert_array_equal(gate_matrix("identity"), np.eye(2))
+    np.testing.assert_array_equal(gate_matrix("I"), np.eye(2))
+
+
+def test_hadamard_gate():
+    np.testing.assert_allclose(gate_matrix("H"), np.array([[S2, S2], [S2, -S2]]), atol=1e-15)
 
 
 def test_ry_pi_is_bit_flip_up_to_sign():
-    m = gate_matrix("ry", math.pi)
+    m = gate_matrix("RY", math.pi)
     np.testing.assert_allclose(m, np.array([[0, -1], [1, 0]]), atol=1e-15)
 
 
 def test_ry_pi_over_4_entries():
-    m = gate_matrix("ry", math.pi / 4)
+    m = gate_matrix("RY", math.pi / 4)
     assert abs(m[0, 0] - math.cos(math.pi / 8)) < 1e-15
     assert abs(m[1, 0] - math.sin(math.pi / 8)) < 1e-15
     assert abs(math.cos(math.pi / 8) - 0.92388) < 1e-5
@@ -66,82 +70,63 @@ def test_ry_pi_over_4_entries():
 
 def test_rz_matrix():
     np.testing.assert_allclose(
-        gate_matrix("rz", 0.7), np.diag([np.exp(-0.35j), np.exp(0.35j)]), atol=1e-15
+        gate_matrix("RZ", 0.7), np.diag([np.exp(-0.35j), np.exp(0.35j)]), atol=1e-15
     )
 
 
-@pytest.mark.parametrize("kind,angle", [("ry", None), ("rz", None), ("identity", 0.3), ("hadamard", 1.0)])
-def test_gate_library_angle_mismatch(kind, angle):
-    with pytest.raises(ValueError):
-        gate_matrix(kind, angle)
+@pytest.mark.parametrize("kind", ["identity", "hadamard", "ry", "rz"])
+def test_gate_matrix_takes_strategy_kinds_only(kind):
+    # one vocabulary: the gates are named by Strategy kinds, plus 'RZ'
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        gate_matrix(kind, 0.5)
 
 
 # --- 1q application ------------------------------------------------------------
 
 def test_hadamard_on_zero():
-    out = _embed_1q(gate_matrix("hadamard"), 0) @ ZERO
+    out = _embed_1q(gate_matrix("H"), 0) @ ZERO
     np.testing.assert_allclose(out, [S2, S2, 0, 0], atol=1e-15)
 
 
 def test_identity_leaves_state():
-    s = _embed_1q(gate_matrix("hadamard"), 1) @ ZERO
-    t = _embed_1q(gate_matrix("identity"), 0) @ s
+    s = _embed_1q(gate_matrix("H"), 1) @ ZERO
+    t = _embed_1q(gate_matrix("I"), 0) @ s
     np.testing.assert_array_equal(s, t)
 
 
 def test_ry_half_twice_equals_ry_pi():
-    half = gate_matrix("ry", math.pi / 2)
+    half = gate_matrix("RY", math.pi / 2)
     full = half @ half  # matrix product oracle
     s1 = _embed_1q(half, 0) @ (_embed_1q(half, 0) @ ZERO)
     s2 = _embed_1q(full, 0) @ ZERO
     np.testing.assert_allclose(s1, s2, atol=1e-12)
-    np.testing.assert_allclose(full, gate_matrix("ry", math.pi), atol=1e-12)
-
-
-def test_apply_1q_out_of_range():
-    with pytest.raises(IndexError):
-        _embed_1q(gate_matrix("hadamard"), 2)
+    np.testing.assert_allclose(full, gate_matrix("RY", math.pi), atol=1e-12)
 
 
 # --- cnot ----------------------------------------------------------------------
 
 def test_cnot_truth_table():
-    # |10> means qubit1=1, qubit0=0 -> index 2; control=1 flips target 0 -> |11>
-    amps = np.zeros(4, dtype=complex)
-    amps[2] = 1.0
-    out = _cnot_matrix(control=1, target=0) @ amps
-    np.testing.assert_array_equal(np.abs(out) ** 2, [0, 0, 0, 1])
+    # control qubit 0, target qubit 1: |q1 q0> = |01> (index 1) <-> |11> (index 3)
+    for index, flipped in enumerate([0, 3, 2, 1]):
+        out = _CNOT @ np.eye(4)[index]
+        np.testing.assert_array_equal(out, np.eye(4)[flipped])
 
 
 def test_cnot_on_00_is_identity():
-    np.testing.assert_array_equal(_cnot_matrix(0, 1) @ ZERO, ZERO)
+    np.testing.assert_array_equal(_CNOT @ ZERO, ZERO)
 
 
 def test_cnot_builds_bell_state():
-    # (|00> + |10>)/sqrt2: qubit1 in superposition, control=1, target=0
+    # (|00> + |01>)/sqrt2: qubit 0 in superposition, control 0, target 1
     amps = np.zeros(4, dtype=complex)
-    amps[0] = amps[2] = S2
-    out = _cnot_matrix(control=1, target=0) @ amps
-    oracle = full_cnot_matrix(1, 0, 2) @ amps
+    amps[0] = amps[1] = S2
+    out = _CNOT @ amps
+    oracle = full_cnot_matrix(0, 1, 2) @ amps
     np.testing.assert_allclose(out, oracle, atol=1e-12)
     np.testing.assert_allclose(out, [S2, 0, 0, S2], atol=1e-12)
 
 
-def test_cnot_equal_indices_rejected():
-    with pytest.raises(ValueError):
-        _cnot_matrix(1, 1)
-
-
 # --- brute-force equivalence and norm preservation ------------------------------
-
-def strategy_matrix(strategy):
-    """A strategy's 2x2 gate, mapped here without Strategy.gate."""
-    if strategy.kind == "I":
-        return gate_matrix("identity")
-    if strategy.kind == "H":
-        return gate_matrix("hadamard")
-    return gate_matrix("ry", strategy.angle)
-
 
 def random_game(rng):
     """A random EWL circuit, each player's strategy drawn on its own, and its
@@ -149,11 +134,11 @@ def random_game(rng):
     gamma = rng.uniform(0, math.pi)
     sa, sb = (rng.choice([STRATEGY_I, STRATEGY_H, Strategy("RY", rng.uniform(0, 2 * math.pi))])
               for _ in range(2))
-    vec = full_1q_matrix(gate_matrix("ry", gamma), 0, 2) @ ZERO
-    vec = full_1q_matrix(gate_matrix("rz", 0.0), 0, 2) @ vec
+    vec = full_1q_matrix(gate_matrix("RY", gamma), 0, 2) @ ZERO
+    vec = full_1q_matrix(gate_matrix("RZ", 0.0), 0, 2) @ vec
     vec = full_cnot_matrix(0, 1, 2) @ vec
-    vec = full_1q_matrix(strategy_matrix(sa), 0, 2) @ vec
-    vec = full_1q_matrix(strategy_matrix(sb), 1, 2) @ vec
+    vec = full_1q_matrix(gate_matrix(sa.kind, sa.angle), 0, 2) @ vec
+    vec = full_1q_matrix(gate_matrix(sb.kind, sb.angle), 1, 2) @ vec
     return (gamma, sa, sb), vec
 
 
