@@ -35,6 +35,13 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 # --- config handling ---------------------------------------------------------------
 
 def test_config_precedence(tmp_path):
@@ -90,7 +97,7 @@ def test_equilibrium_default(capsys):
 
 def test_equilibrium_identity_preset(capsys):
     assert run_cli("equilibrium", "--matrix", "identity-coordination", "--json") == EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
+    doc = strict_json(capsys.readouterr().out)
     assert doc["p_alice"] == pytest.approx(0.5)
     assert doc["q_bob"] == pytest.approx(0.5)
     # |00> and |11> equally likely, each paying 1 against the classical 0.5
@@ -126,6 +133,22 @@ def test_equilibrium_refuses_an_overflowing_matrix(tmp_path, capsys, mode):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err == "error: the matrix gives quantum_equal_payoff = inf, not finite\n"
+
+
+@pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+def test_equilibrium_reports_no_advantage_over_a_negative_payoff(tmp_path, capsys, mode):
+    # e_a = -2/3: a percentage gain over a payoff that is not positive means nothing
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([[[-1, -1], [0, 0]], [[0, 0], [-2, -3]]]))
+    assert run_cli("equilibrium", "--matrix", str(path), *mode) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if mode:
+        doc = strict_json(captured.out)
+        assert (doc["quantum_equal_payoff"], doc["advantage_percent"]) == (-1.5, None)
+    else:
+        assert "e_a                 = -0.666667\n" in captured.out
+        assert "exceeds" not in captured.out
 
 
 # --- sweep -----------------------------------------------------------------------------
@@ -195,6 +218,8 @@ LABELS = ["I", "H", "RY(pi/4)", "RY(pi)"]
     noise_scale=st.sampled_from(["0", "1"]),
     variant=st.sampled_from(["paper", "corrected"]),
 )
+@example(seed=7, runs=50, shots=8192, steps=31, strategies=LABELS, noise_scale="1",
+         variant="corrected")  # the heavy sweep
 def test_sweep_csv_is_what_csv_writer_writes(seed, runs, shots, steps, strategies,
                                              noise_scale, variant):
     # the sweep assembles its text itself; csv.writer re-writing the parsed
@@ -261,11 +286,30 @@ def test_sweep_seed_changes_output(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-def test_sweep_unwritable_output(tmp_path, capsys):
-    out = tmp_path / "no_such_dir" / "sweep.csv"
-    code = run_cli("sweep", "--synth", "--gamma-steps", "4", "--runs", "1",
-                   "--shots", "32", "--out", str(out))
-    assert code == EXIT_IO
+SMALL_SWEEP = ("sweep", "--synth", "--gamma-steps", "4", "--runs", "2", "--shots", "32")
+
+
+@pytest.mark.parametrize(
+    "argv, directory, message",
+    [
+        ((*SMALL_SWEEP, "--out", "no_such_dir/sweep.csv"), None,
+         "error: cannot write no_such_dir/sweep.csv: "),
+        # the CSV is written before the plots, and stays
+        ((*SMALL_SWEEP, "--strategies", "H", "--svg", "--out", "sweep.csv"), "sweep_H.svg",
+         "error: cannot write SVG: "),
+        (("map", "--synth", "--out", "plan"), "plan", "error: cannot write plan: "),
+    ],
+    ids=["sweep-out-in-missing-dir", "sweep-svg-onto-a-directory", "map-out-onto-a-directory"],
+)
+def test_unwritable_output_exits_io(tmp_path, capsys, monkeypatch, argv, directory, message):
+    monkeypatch.chdir(tmp_path)
+    if directory:
+        (tmp_path / directory).mkdir()
+    assert run_cli(*argv) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(message)
+    assert (tmp_path / "sweep.csv").exists() == ("--svg" in argv)
 
 
 def test_sweep_requires_device_source(capsys):
@@ -304,7 +348,7 @@ def test_map_heavy_hex_31_pairs(tmp_path, capsys):
     assert code == EXIT_OK
     printed = capsys.readouterr().out
     assert "separation check: OK" in printed
-    doc = json.loads(out.read_text())
+    doc = strict_json(out.read_text())
     assert doc["min_separation"] == 2
     assert len(doc["assignments"]) == 31
     qubits = [q for e in doc["assignments"] for q in e["pair"]]
@@ -361,33 +405,49 @@ def test_bad_mapping_sizes_exit_config(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv, config, message",
     [
-        (("map", "--synth"), {"pairs": "5"}),
-        (("sweep", "--synth"), {"shots": "abc"}),
-        (("sweep", "--synth"), {"runs": True}),
-        (("sweep",), {"synth": "yes"}),
-        (("sweep", "--synth"), {"strategies": [1, 2]}),
-        (("sweep", "--synth", "--noise-scale", "nan"), None),
-        (("sweep", "--synth", "--noise-scale", "inf"), None),
-        (("sweep", "--synth", "--strategies", "RY(pi/0)"), None),
+        (("map", "--synth"), {"pairs": "5"}, "pairs must be an integer, got '5'"),
+        (("sweep", "--synth"), {"shots": "abc"}, "shots must be an integer, got 'abc'"),
+        (("sweep", "--synth"), {"runs": True}, "runs must be an integer, got True"),
+        (("sweep",), {"synth": "yes"}, "synth must be true or false, got 'yes'"),
+        (("sweep", "--synth"), {"strategies": [1, 2]},
+         "strategies must be a list of strings, got [1, 2]"),
+        (("sweep", "--synth", "--noise-scale", "nan"), None,
+         "noise-scale must be a finite number >= 0, got nan"),
+        (("sweep", "--synth", "--noise-scale", "inf"), None,
+         "noise-scale must be a finite number >= 0, got inf"),
+        (("sweep", "--synth", "--strategies", "RY(pi/0)"), None,
+         "strategy 'RY(pi/0)' divides by zero"),
         (("sweep", "--coupling-map", "graph.json", "--calibration", "cal.json",
-          "--seed", "-1"), None),
-        (("sweep", "--synth", "--strategies", "H,I,H"), None),
-        (("sweep", "--synth", "--strategies", "RY(pi/" + "9" * 400 + ")"), None),
-        (("sweep", "--synth"), {"noise_scale": 10**400}),
-        (("sweep", "--synth", "--strategies", ","), None),
-        (("sweep", "--synth"), {"strategies": []}),
+          "--seed", "-1"), None, "seed must be >= 0"),
+        (("sweep", "--synth", "--strategies", "H,I,H"), None,
+         "strategies listed more than once: ['H', 'I', 'H']"),
+        (("sweep", "--synth", "--strategies", "RY(pi/" + "9" * 400 + ")"), None,
+         "divides by more than the largest float"),
+        (("sweep", "--synth"), {"noise_scale": 10**400}, "noise-scale must be a number, got 1"),
+        (("sweep", "--synth", "--strategies", ","), None,
+         "strategies must name at least one strategy"),
+        (("sweep", "--synth"), {"strategies": []}, "strategies must name at least one strategy"),
         (("sweep", "--synth", "--gamma-steps", "2", "--runs", "1", "--strategies", "I",
-          "--shots", str(2**63)), None),
+          "--shots", str(2**63)), None, "shots must be in [1, 2**63), got 9223372036854775808"),
+        (("sweep", "--synth"), {"formula_variant": "x"}, "unknown formula variant 'x'"),
+        (("sweep", "--synth", "--strategies", "RY(0.3)"), None,
+         "strategies outside the evaluated set: ['RY(0.3)']"),
+        (("map", "--coupling-map", "graph.json"), None,
+         "no calibration: pass --calibration PATH or --synth"),
+        # a config file that is not UTF-8, as the JSON loaders all read it
+        (("sweep", "--synth"), b"\xff", "cfg.json: 'utf-8' codec can't decode byte 0xff"),
     ],
     ids=["map-pairs-str", "sweep-shots-str", "sweep-runs-bool", "sweep-synth-str",
          "sweep-strategies-ints", "noise-scale-nan", "noise-scale-inf", "ry-pi-over-0",
          "negative-seed-with-files", "sweep-strategies-repeated", "ry-pi-over-huge",
          "noise-scale-huge-int", "sweep-strategies-empty-flag",
-         "sweep-strategies-empty-list", "shots-beyond-int64"],
+         "sweep-strategies-empty-list", "shots-beyond-int64", "formula-variant-unknown",
+         "strategy-outside-evaluated-set", "coupling-map-without-calibration",
+         "config-not-utf8"],
 )
-def test_bad_config_values_exit_config(tmp_path, capsys, monkeypatch, argv, config):
+def test_bad_config_values_exit_config(tmp_path, capsys, monkeypatch, argv, config, message):
     monkeypatch.chdir(tmp_path)
     if "graph.json" in argv:
         from qbos.device import heavy_hex_graph, synth_calibration
@@ -396,13 +456,18 @@ def test_bad_config_values_exit_config(tmp_path, capsys, monkeypatch, argv, conf
         synth_calibration(g, seed=1).save("cal.json")
     extra = ()
     if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-        extra = ("--config", str(tmp_path / "cfg.json"))
+        cfg = tmp_path / "cfg.json"
+        if isinstance(config, bytes):
+            cfg.write_bytes(config)
+        else:
+            cfg.write_text(json.dumps(config))
+        extra = ("--config", str(cfg))
     code = run_cli(*argv, *extra, "--out", str(tmp_path / "out"))
     assert code == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
     assert not (tmp_path / "out").exists()
 
 
@@ -437,7 +502,7 @@ def test_validate_ideal_sweep(tmp_path, capsys):
     assert code == EXIT_OK
     text = capsys.readouterr().out
     assert "RMSE" in text
-    doc = json.loads(report_path.read_text())
+    doc = strict_json(report_path.read_text())
     for sv in doc["strategies"]:
         assert sv["rmse_a"] <= 3 / math.sqrt(2048 * 3)
         assert sv["rmse_b"] <= 3 / math.sqrt(2048 * 3)
@@ -705,10 +770,13 @@ MISSING_ALL = f"error: bad columns: missing {list(CSV_COLUMNS)}, unexpected none
          "error: results row 1: gamma = '0_0.0' holds a blank, '_' or a non-ASCII "
          "character\n"),
         (pad_first_row, EXIT_OK, ""),
+        # float columns take any text float() reads within the plain syntax
+        (lambda d: d.replace(b",0.0,", b",0.00,"), EXIT_OK, ""),
+        (lambda d: d.replace(b",0.0,", b",0e0,"), EXIT_OK, ""),
     ],
     ids=["empty", "header-only", "leading-blank-line", "lone-cr", "bom-then-crlf",
          "quoted-header", "ragged-row", "nul-in-field", "underscore-in-field",
-         "long-line-of-short-fields"],
+         "long-line-of-short-fields", "zero-as-0.00", "zero-as-0e0"],
 )
 def test_validate_plain_path_boundary(tmp_path, capsys, edit, code, message):
     res = sweep_fixture(tmp_path)  # 4 strategies x 7 angles x 3 runs = 84 rows

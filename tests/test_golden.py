@@ -156,6 +156,7 @@ def test_map_plan_digest(tmp_path, seed):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["map", "--synth", "--seed", str(seed), "--out", str(out)]) == 0
     assert sha256(out.read_bytes()) == MAP_PLAN_DIGESTS[seed]
+    assert gcm.verify_separation(gcm.load_plan(out), device.heavy_hex_graph(6)) == (True, None)
 
 
 # 100 pairs on heavy_hex_graph(14), 575 qubits and 672 edges, read from files:

@@ -1,5 +1,6 @@
 """Noise channel tests: trace/positivity, limits, a hand-computed fixture."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -96,6 +97,11 @@ def test_model_rejects_non_finite_scale(scale):
     # at scale inf a zero-error pair's probability would be inf * 0.0 = nan
     with pytest.raises(ValueError, match="finite"):
         NoiseModel(scale=scale)
+
+
+def test_noise_model_has_one_knob():
+    # the rates come from the calibration and fixed constants; the model scales them
+    assert [f.name for f in dataclasses.fields(NoiseModel)] == ["scale"]
 
 
 def test_resolved_gives_one_clamped_array_per_channel():
