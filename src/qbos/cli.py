@@ -273,9 +273,9 @@ def _sweep_rows(cfg: SweepConfig, graph, calib, plan):
     canonical = {s.label: idx for idx, s in enumerate(game.CANONICAL_STRATEGIES)}
     labels = sorted(cfg.strategies, key=canonical.__getitem__)
     strategies = [game.Strategy.parse(label) for label in labels]
-    specs = [game.GameSpec(gamma_grid=grid, strategy_a=s, strategy_b=s) for s in strategies]
     seeds = [derive_seed(cfg.seed, canonical[label]) for label in labels]
-    counts = noise.job_counts(plan, specs, calib, model, cfg.shots, cfg.runs, seeds, graph)
+    counts = noise.job_counts(plan, grid, [(s, s) for s in strategies], calib, model,
+                              cfg.shots, cfg.runs, seeds, graph)
     freqs = counts / cfg.shots
     payoffs = game.payoff_table(freqs, BOS)
 

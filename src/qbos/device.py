@@ -8,6 +8,8 @@ The calibration file is JSON::
       "qubits": [{"id": 0, "readout_error": ..., "t1_us": ..., "t2_us": ...}, ...],
       "edges":  [{"pair": [a, b], "two_qubit_error": ...}, ...]
     }
+
+CalibrationSnapshot.figures gives the per-edge arrays that gcm and noise read.
 """
 
 from __future__ import annotations
@@ -212,14 +214,6 @@ class EdgeCalibration:
 
 
 @dataclass(frozen=True)
-class PairCalibration:
-    """Calibration figures for one connected qubit pair."""
-
-    two_qubit_error: float
-    readout_errors: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class CalibrationSnapshot:
     timestamp: str
     qubits: tuple[QubitCalibration, ...]
@@ -249,14 +243,15 @@ class CalibrationSnapshot:
         except KeyError:
             raise KeyError(f"no calibration for edge {key}") from None
 
-    def pair(self, edge) -> PairCalibration:
-        a, b = min(edge), max(edge)
-        ec = self.edge((a, b))
-        qa, qb = self.qubit(a), self.qubit(b)
-        return PairCalibration(
-            two_qubit_error=ec.two_qubit_error,
-            readout_errors=(qa.readout_error, qb.readout_error),
-        )
+    def figures(self, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-edge arrays: two-qubit errors (E,), and the endpoints' readout errors and
+        T1s (us), (E, 2) in ascending qubit order.  A missing edge or qubit raises KeyError."""
+        entries = [self.edge(e) for e in edges]
+        two_qubit = np.array([entry.two_qubit_error for entry in entries], dtype=float)
+        ends = [self.qubit(q) for entry in entries for q in entry.pair]  # pair is (low, high)
+        readout = np.array([q.readout_error for q in ends], dtype=float).reshape(-1, 2)
+        t1 = np.array([q.t1_us for q in ends], dtype=float).reshape(-1, 2)
+        return two_qubit, readout, t1
 
     def covers(self, graph: CouplingGraph) -> bool:
         """Whether every qubit and edge of graph has calibration figures."""

@@ -166,7 +166,7 @@ class GameSpec:
     def __post_init__(self):
         g = tuple(float(x) for x in self.gamma_grid)
         object.__setattr__(self, "gamma_grid", g)
-        if len(g) < 1 or g[0] < -GAMMA_SLACK or g[-1] > math.pi + GAMMA_SLACK:
+        if not g or not all(-GAMMA_SLACK <= x <= math.pi + GAMMA_SLACK for x in g):  # NaN too
             raise ValueError("gamma values must lie in [0, pi]")
         if any(b <= a for a, b in zip(g, g[1:])):
             raise ValueError("gamma grid must be strictly increasing")

@@ -104,11 +104,9 @@ def load_plan(path) -> MappingPlan:
 def edge_scores(edges, calib: CalibrationSnapshot) -> np.ndarray:
     """Weighted cost of running a circuit on each edge (lower is better), in one
     array pass: W_2Q * e2q + W_RO * (ro_a + ro_b) + W_COH * (1/t1_a + 1/t1_b)."""
-    e2q = np.array([calib.edge(e).two_qubit_error for e in edges], dtype=float)
-    ends = [calib.qubit(q) for e in edges for q in e]
-    ro = np.array([c.readout_error for c in ends], dtype=float).reshape(-1, 2).T
-    t1 = np.array([c.t1_us for c in ends], dtype=float).reshape(-1, 2).T
-    return W_2Q * e2q + W_RO * (ro[0] + ro[1]) + W_COH * (1.0 / t1[0] + 1.0 / t1[1])
+    e2q, ro, t1 = calib.figures(edges)
+    return (W_2Q * e2q + W_RO * (ro[:, 0] + ro[:, 1])
+            + W_COH * (1.0 / t1[:, 0] + 1.0 / t1[:, 1]))
 
 
 def _near(graph: CouplingGraph, min_separation: int) -> np.ndarray:

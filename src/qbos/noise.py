@@ -25,7 +25,7 @@ All circuits of a sweep, every strategy's circuit at every gamma, evolve
 together as one (S*G, 4, 4) stack of density matrices with stacked matrix
 products, which give the same bits as evolving each circuit alone; the
 strategies share the stack because their circuits differ only in the gamma
-and the strategy gates.  job_counts then samples every (strategy,
+and the strategy gates.  job_counts then samples every (strategy pair,
 circuit, run) cell in one call.  Both simulate_job and the CLI sweep run on
 it.
 """
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import CalibrationSnapshot, CouplingGraph, PairCalibration
+from .device import CalibrationSnapshot, CouplingGraph
 from .game import GAMMA_SLACK, GameSpec, Strategy
 from .gcm import MappingPlan, _conflict_matrix, _near
 from .statevec import OUTCOME_LABELS, ShotCounts, derive_seeds, gate_matrix, sample_cells
@@ -57,11 +57,12 @@ class NoiseModel:
         if not 0.0 <= self.scale < float("inf"):
             raise ValueError("scale must be finite and >= 0")
 
-    def resolved(self, pair_calibs: Sequence[PairCalibration], crosstalk_active: Sequence[bool]):
-        """Per-circuit arrays (p_1q, p_2q, p_crosstalk, ro_a, ro_b), each np.minimum(1.0,
-        scale * x); p_crosstalk is 0 where crosstalk_active is false."""
-        p2 = np.array([pc.two_qubit_error for pc in pair_calibs], dtype=float)
-        ro = np.array([pc.readout_errors for pc in pair_calibs], dtype=float).reshape(-1, 2)
+    def resolved(self, two_qubit_errors, readout_errors, crosstalk_active: Sequence[bool]):
+        """Per-circuit arrays (p_1q, p_2q, p_crosstalk, ro_a, ro_b) from the figures
+        noisy_distributions takes, each np.minimum(1.0, scale * x); p_crosstalk is 0
+        where crosstalk_active is false."""
+        p2 = np.asarray(two_qubit_errors, dtype=float)
+        ro = np.asarray(readout_errors, dtype=float).reshape(-1, 2)
         xt = CROSSTALK_PENALTY * np.asarray(crosstalk_active, dtype=float)
         return tuple(
             np.minimum(1.0, self.scale * x)
@@ -143,38 +144,38 @@ def confusion_matrix(readout_error) -> np.ndarray:
 
 def noisy_distributions(
     games: Sequence[tuple[float, Strategy, Strategy]],
-    pair_calibs: Sequence[PairCalibration],
+    two_qubit_errors,
+    readout_errors,
     model: NoiseModel,
     crosstalk_active: Sequence[bool],
 ) -> np.ndarray:
     """Evolve G mapped EWL circuits together as a (G, 4, 4) density-matrix stack.
 
     Circuit g plays games[g] = (gamma, strategy_a, strategy_b), with gamma in
-    [0, pi], on the pair calibrated by pair_calibs[g], with the extra
-    crosstalk channel when crosstalk_active[g] is true.  Each step applies one
-    stacked gate and its depolarizing channel to every circuit.  Steps key
-    their gates as statevec.gate_matrix takes them: ("RY", gamma), ("RZ", 0.0)
-    and each strategy's (kind, angle).  Each distinct key of a step is built
-    once, and identity gates are applied and depolarized like any other, so
-    every circuit gets the bits it gets alone.
+    [0, pi], on a pair with two-qubit error two_qubit_errors[g] and readout
+    errors readout_errors[g] (qubit 0, qubit 1), as CalibrationSnapshot.figures
+    gives them, with the extra crosstalk channel when crosstalk_active[g] is
+    true.  Each step applies one stacked gate and its depolarizing channel to
+    every circuit.  Steps key their gates as statevec.gate_matrix takes them:
+    ("RY", gamma), ("RZ", 0.0) and each strategy's (kind, angle).  Each
+    distinct key of a step is built once, and identity gates are applied and
+    depolarized like any other, so every circuit gets the bits it gets alone.
 
     Returns a (G, 4) array of outcome distributions after readout
     confusion; each row sums to 1 within 1e-9 and equals the ideal
     distribution exactly when scale is 0.
     """
     g = len(games)
-    if len(pair_calibs) != g or len(crosstalk_active) != g:
-        raise ValueError(
-            f"{g} circuits, {len(pair_calibs)} pair calibrations and "
-            f"{len(crosstalk_active)} crosstalk flags"
-        )
+    sizes = (len(two_qubit_errors), len(readout_errors), len(crosstalk_active))
+    if sizes != (g, g, g):
+        raise ValueError(f"{g} circuits but (two-qubit errors, readout pairs, flags) = {sizes}")
     if g == 0:
         return np.zeros((0, 4))
     for gamma, _, _ in games:
         if not -GAMMA_SLACK <= gamma <= np.pi + GAMMA_SLACK:
             raise ValueError(f"gamma = {gamma!r} outside [0, pi]")
 
-    p1, p2, p_xt, ro_a, ro_b = model.resolved(pair_calibs, crosstalk_active)
+    p1, p2, p_xt, ro_a, ro_b = model.resolved(two_qubit_errors, readout_errors, crosstalk_active)
 
     def evolve(rho, u):
         return u @ rho @ np.swapaxes(u.conj(), -1, -2)
@@ -209,7 +210,8 @@ def crosstalk_flags(plan: MappingPlan, graph: CouplingGraph) -> list[bool]:
 
 def job_counts(
     plan: MappingPlan,
-    specs: Sequence[GameSpec],
+    grid: Sequence[float],
+    players: Sequence[tuple[Strategy, Strategy]],
     calib: CalibrationSnapshot,
     model: NoiseModel,
     shots: int,
@@ -217,37 +219,33 @@ def job_counts(
     seeds: Sequence[int],
     graph: CouplingGraph,
 ) -> np.ndarray:
-    """Shot counts of every (strategy, circuit, run) cell of a mapped sweep.
+    """Shot counts of every (strategy pair, circuit, run) cell of a mapped sweep.
 
-    The specs share one gamma grid, and circuit i of every spec plays its
-    strategies at gamma_grid[i] on the plan's i-th pair; the result has shape
-    (len(specs), len(gamma_grid), runs, 4) in outcome-label order.  All
-    circuits evolve in one noisy_distributions stack and all cells are drawn
-    in one sample_cells call.  Cell (s, i, run) draws from
-    derive_seed(seeds[s], i, run), so its counts do not depend on which other
-    cells, or which other specs, are sampled; derive_seeds gives the key words
-    of a spec's cells in one vectorised pass that reproduces SeedSequence bit
-    for bit.  Each circuit's crosstalk channel follows crosstalk_flags(plan,
-    graph), graph being the device's coupling graph.
+    Circuit i of strategy pair s plays players[s] = (strategy_a, strategy_b)
+    at grid[i] on the plan's i-th pair; the result has shape (len(players),
+    len(grid), runs, 4) in outcome-label order.  One calib.figures call gives
+    every pair's figures, all circuits evolve in one noisy_distributions stack
+    and all cells are drawn in one sample_cells call.  Cell (s, i, run) draws
+    from derive_seed(seeds[s], i, run), so its counts do not depend on which
+    other cells, or which other strategy pairs, are sampled; derive_seeds gives
+    the key words of a pair's cells in one vectorised pass that reproduces
+    SeedSequence bit for bit.  Each circuit's crosstalk channel follows
+    crosstalk_flags(plan, graph), graph being the device's coupling graph.
     """
-    if not specs:
-        raise ValueError("a job needs at least one spec")
-    if len(seeds) != len(specs):
-        raise ValueError(f"{len(specs)} specs but {len(seeds)} seeds; need one seed per spec")
-    grid = specs[0].gamma_grid
-    if any(spec.gamma_grid != grid for spec in specs):
-        raise ValueError("the specs of one job must share one gamma grid")
+    if not players:
+        raise ValueError("a job needs at least one strategy pair")
+    if len(seeds) != len(players):
+        raise ValueError(f"{len(players)} strategy pairs but {len(seeds)} seeds; need one each")
     if len(plan.assignments) != len(grid):
-        raise ValueError(
-            f"plan has {len(plan.assignments)} pairs but the gamma grid has "
-            f"{len(grid)} points"
-        )
-    games = [(gamma, spec.strategy_a, spec.strategy_b) for spec in specs for gamma in grid]
-    pair_calibs = [calib.pair(pair) for pair in plan.assignments] * len(specs)
-    flags = crosstalk_flags(plan, graph) * len(specs)
-    distributions = noisy_distributions(games, pair_calibs, model, flags)
+        raise ValueError(f"plan has {len(plan.assignments)} pairs but the gamma grid has "
+                         f"{len(grid)} points")
+    games = [(gamma, a, b) for a, b in players for gamma in grid]
+    two_qubit, readout, _ = calib.figures(plan.assignments)
+    flags = crosstalk_flags(plan, graph) * len(players)
+    distributions = noisy_distributions(games, np.tile(two_qubit, len(players)),
+                                        np.tile(readout, (len(players), 1)), model, flags)
     keys = np.concatenate([derive_seeds(seed, len(grid), runs) for seed in seeds])
-    return sample_cells(distributions, shots, keys).reshape(len(specs), len(grid), runs, 4)
+    return sample_cells(distributions, shots, keys).reshape(len(players), len(grid), runs, 4)
 
 
 def simulate_job(
@@ -260,14 +258,7 @@ def simulate_job(
     seed: int,
 ) -> list[RunResult]:
     """job_counts as RunResults, run by run and circuit by circuit within a run."""
-    counts = job_counts(plan, [spec], calib, model, shots, runs, [seed], calib.graph())[0]
-    return [
-        RunResult(
-            i,
-            gamma,
-            ShotCounts(dict(zip(OUTCOME_LABELS, counts[i, run].tolist())), shots),
-            run,
-        )
-        for run in range(runs)
-        for i, gamma in enumerate(spec.gamma_grid)
-    ]
+    counts = job_counts(plan, spec.gamma_grid, [(spec.strategy_a, spec.strategy_b)],
+                        calib, model, shots, runs, [seed], calib.graph())[0].tolist()
+    return [RunResult(i, gamma, ShotCounts(dict(zip(OUTCOME_LABELS, counts[i][run])), shots), run)
+            for run in range(runs) for i, gamma in enumerate(spec.gamma_grid)]

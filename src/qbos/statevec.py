@@ -59,6 +59,8 @@ class ShotCounts:
         bad = set(self.counts) - set(OUTCOME_LABELS)
         if bad:
             raise ValueError(f"invalid outcome labels {sorted(bad)}")
+        if self.total_shots < 1:
+            raise ValueError("need at least one shot")
         if any(v < 0 for v in self.counts.values()):
             raise ValueError("counts must be non-negative")
         if sum(self.counts.values()) != self.total_shots:

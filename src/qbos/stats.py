@@ -283,10 +283,14 @@ def build_validation_report(
     """Aggregate raw RunResults (per strategy label) into a validation report.
 
     RunResult.circuit_index indexes spec.gamma_grid.  Every (gamma grid
-    point, run) cell must be present once for each strategy; missing or
-    duplicate cells raise SchemaError listing them.
+    point, run) cell must be present once for each strategy; missing,
+    duplicate or out-of-grid cells raise SchemaError listing them.
     """
     cells = [(label, r) for label, run_results in results.items() for r in run_results]
+    outside = [(label, r.circuit_index, r.run_index) for label, r in cells
+               if not 0 <= r.circuit_index < len(spec.gamma_grid)]
+    if outside:
+        raise SchemaError(f"cells outside the gamma grid {outside[:10]}")
     # counts / shots: one correctly rounded division per frequency
     counts = np.array([[r.counts.counts.get(lbl, 0) for lbl in OUTCOME_LABELS]
                        for _, r in cells]).reshape(-1, 4)

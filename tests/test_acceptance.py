@@ -24,14 +24,13 @@ from qbos.game import (
     analytical_payoffs,
     classical_mixed_equilibrium,
 )
-from qbos.device import PairCalibration
 from qbos.noise import NoiseModel, noisy_distributions
 from qbos.stats import payoff_table
 from qbos.statevec import derive_seed
 
 BOS = PayoffMatrix.battle_of_sexes()
-# at scale 0 every pair behaves like this error-free one
-IDEAL_PAIR = PairCalibration(0.0, (0.0, 0.0))
+# at scale 0 every pair behaves like this error-free one: (two-qubit errors, readout errors)
+IDEAL_PAIR = (np.zeros(1), np.zeros((1, 2)))
 
 # noise scale tuned once against the uniform calibration profile so that the
 # strategy-H Alice RMSE lands at ~0.118; frozen here
@@ -53,7 +52,7 @@ def symmetric_spec(strategy):
 def ideal(spec, gamma):
     """The game circuit's outcome distribution: the core at noise scale 0."""
     circuit = (gamma, spec.strategy_a, spec.strategy_b)
-    return noisy_distributions([circuit], [IDEAL_PAIR], NoiseModel(scale=0.0), [False])[0]
+    return noisy_distributions([circuit], *IDEAL_PAIR, NoiseModel(scale=0.0), [False])[0]
 
 
 def run_full_job(plan, cal, model, sample_seed):

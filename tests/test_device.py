@@ -159,14 +159,24 @@ def test_snapshot_covers_graph_and_rebuilds_it():
     assert g2.num_qubits == g.num_qubits and g2.edges == g.edges
 
 
-def test_pair_view():
+def test_figures_match_per_entry_lookups():
     g = CouplingGraph(3, ((0, 1), (1, 2)))
-    cal = synth_calibration(g, seed=9, profile="uniform")
-    pc = cal.pair((1, 0))  # order-insensitive lookup
-    assert pc.two_qubit_error == cal.edge((0, 1)).two_qubit_error
-    assert pc.readout_errors == (cal.qubit(0).readout_error, cal.qubit(1).readout_error)
-    with pytest.raises(KeyError):
-        cal.pair((0, 2))
+    cal = synth_calibration(g, seed=9, profile="realistic")
+    forward = cal.figures(g.edges)
+    reverse = cal.figures([(b, a) for a, b in g.edges])  # order-insensitive lookup
+    assert [x.tolist() for x in reverse] == [x.tolist() for x in forward]
+    two_qubit, readout, t1 = forward
+    # endpoints in ascending qubit order
+    assert two_qubit.tolist() == [cal.edge(e).two_qubit_error for e in g.edges]
+    assert readout.tolist() == [[cal.qubit(a).readout_error, cal.qubit(b).readout_error]
+                                for a, b in g.edges]
+    assert t1.tolist() == [[cal.qubit(a).t1_us, cal.qubit(b).t1_us] for a, b in g.edges]
+    assert [x.shape for x in cal.figures([])] == [(0,), (0, 2), (0, 2)]
+    with pytest.raises(KeyError, match=r"^'no calibration for edge \(0, 2\)'$"):
+        cal.figures([(0, 1), (2, 0)])
+    partial = CalibrationSnapshot(cal.timestamp, cal.qubits[:2], cal.edges)
+    with pytest.raises(KeyError, match=r"^'no calibration for qubit 2'$"):
+        partial.figures([(2, 1)])
 
 
 def test_calibration_round_trip(tmp_path):
@@ -196,4 +206,4 @@ def test_calibration_lookup_misses_raise_key_error():
     with pytest.raises(KeyError, match=r"^'no calibration for edge \(0, 2\)'$"):
         cal.edge((2, 0))
     with pytest.raises(KeyError, match=r"^'no calibration for edge \(0, 2\)'$"):
-        cal.pair((0, 2))
+        cal.figures([(0, 2)])

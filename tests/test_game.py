@@ -22,13 +22,12 @@ from qbos.game import (
     classical_mixed_equilibrium,
     default_gamma_grid,
 )
-from qbos.device import PairCalibration
 from qbos.noise import NoiseModel, noisy_distributions
 from qbos.stats import payoff_table
 
 BOS = PayoffMatrix.battle_of_sexes()
-# at scale 0 every pair behaves like this error-free one
-IDEAL_PAIR = PairCalibration(0.0, (0.0, 0.0))
+# at scale 0 every pair behaves like this error-free one: (two-qubit errors, readout errors)
+IDEAL_PAIR = (np.zeros(1), np.zeros((1, 2)))
 
 
 def symmetric_spec(strategy, **kw):
@@ -38,7 +37,7 @@ def symmetric_spec(strategy, **kw):
 def ideal(spec, gamma):
     """The game circuit's outcome distribution: the core at noise scale 0."""
     circuit = (gamma, spec.strategy_a, spec.strategy_b)
-    return noisy_distributions([circuit], [IDEAL_PAIR], NoiseModel(scale=0.0), [False])[0]
+    return noisy_distributions([circuit], *IDEAL_PAIR, NoiseModel(scale=0.0), [False])[0]
 
 
 # --- classical equilibrium -----------------------------------------------------
@@ -363,3 +362,6 @@ def test_gamma_grid_validation():
         GameSpec(gamma_grid=(0.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         GameSpec(gamma_grid=(0.0, 4.0))
+    for grid in ((0.0, float("nan")), (float("nan"),)):
+        with pytest.raises(ValueError, match=r"must lie in \[0, pi\]"):
+            GameSpec(gamma_grid=grid)

@@ -177,12 +177,11 @@ def test_score_missing_edge_raises():
 
 def scalar_score(cal, edge):
     """The per-edge score formula, one edge at a time."""
-    pc = cal.pair(edge)
-    t1 = [cal.qubit(q).t1_us for q in sorted(edge)]
+    qa, qb = (cal.qubit(q) for q in sorted(edge))
     return (
-        W_2Q * pc.two_qubit_error
-        + W_RO * (pc.readout_errors[0] + pc.readout_errors[1])
-        + W_COH * (1.0 / t1[0] + 1.0 / t1[1])
+        W_2Q * cal.edge(edge).two_qubit_error
+        + W_RO * (qa.readout_error + qb.readout_error)
+        + W_COH * (1.0 / qa.t1_us + 1.0 / qb.t1_us)
     )
 
 

@@ -274,10 +274,10 @@ def test_build_validation_report_digest(job_setup, scale, digest):
 
 # --- stacked evolution equals the per-circuit loop, bit for bit ----------------------
 
-def reference_distribution(gamma, strategy_a, strategy_b, pair_calib, scale, crosstalk_active):
+def reference_distribution(gamma, strategy_a, strategy_b, calib, pair, scale, crosstalk_active):
     """One EWL circuit, one 4x4 density matrix at a time: the unbatched
     evolution, with every probability scaled and clamped from the pair's
-    calibration."""
+    calibration entries, the lower qubit playing qubit 0."""
 
     def embed(matrix, qubit):
         return np.kron(np.eye(2), matrix) if qubit == 0 else np.kron(matrix, np.eye(2))
@@ -301,10 +301,10 @@ def reference_distribution(gamma, strategy_a, strategy_b, pair_calib, scale, cro
         return np.array([[1.0 - r, r], [r, 1.0 - r]])
 
     clamp = lambda p: min(1.0, scale * p)
-    p2 = pair_calib.two_qubit_error
+    p2 = calib.edge(pair).two_qubit_error
     p1, p2, p_xt = (clamp(noise.ONE_QUBIT_ERROR_FRACTION * p2), clamp(p2),
                     clamp(noise.CROSSTALK_PENALTY))
-    ro_a, ro_b = map(clamp, pair_calib.readout_errors)
+    ro_a, ro_b = (clamp(calib.qubit(q).readout_error) for q in sorted(pair))
 
     def one_qubit(rho, gate, qubit):
         u = embed(gate, qubit)
@@ -349,10 +349,13 @@ def test_stacked_evolution_matches_per_circuit_loop(scale, players, cal_seed, st
     # each player of each circuit draws a strategy, so one stack mixes asymmetric pairs
     calib = device.synth_calibration(GRAPH, seed=cal_seed, profile="realistic")
     games = [(g, sa, sb) for g, (sa, sb) in zip(game.default_gamma_grid(steps), players)]
-    pair_calibs = [calib.pair(GRAPH.edges[i % len(GRAPH.edges)]) for i in range(steps)]
-    stacked = noisy_distributions(games, pair_calibs, NoiseModel(scale=scale), flags[:steps])
+    # every other pair reversed: the stack takes its figures' endpoints in ascending order
+    pairs = [GRAPH.edges[i % len(GRAPH.edges)][::(-1) ** i] for i in range(steps)]
+    two_qubit, readout, _ = calib.figures(pairs)
+    stacked = noisy_distributions(games, two_qubit, readout, NoiseModel(scale=scale),
+                                  flags[:steps])
     for g, (gamma, sa, sb) in enumerate(games):
-        ref = reference_distribution(gamma, sa, sb, pair_calibs[g], scale, flags[g])
+        ref = reference_distribution(gamma, sa, sb, calib, pairs[g], scale, flags[g])
         assert stacked[g].tobytes() == ref.tobytes()
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbos.device import CouplingGraph, PairCalibration, heavy_hex_graph, synth_calibration
+from qbos.device import CouplingGraph, heavy_hex_graph, synth_calibration
 from qbos.game import (
     CANONICAL_STRATEGIES,
     GameSpec,
@@ -51,14 +51,18 @@ def fixture_calibration():
 
 
 def pair_calib():
+    """(two-qubit error, readout errors) of the fixture device's first edge."""
     g, cal = fixture_calibration()
-    return cal.pair(g.edges[0])
+    two_qubit, readout, _ = cal.figures([g.edges[0]])
+    return two_qubit[0], readout[0]
 
 
 def one_circuit(circuit, pc, model, crosstalk_active=False):
     """The outcome distribution of one mapped (gamma, strategy_a, strategy_b)
-    circuit on the batched core."""
-    return noisy_distributions([circuit], [pc], model, [crosstalk_active])[0]
+    circuit on the batched core, on a pair with figures pc = (two-qubit error,
+    readout errors)."""
+    two_qubit, readout = pc
+    return noisy_distributions([circuit], [two_qubit], [readout], model, [crosstalk_active])[0]
 
 
 # --- channel algebra ------------------------------------------------------------
@@ -105,9 +109,9 @@ def test_noise_model_has_one_knob():
 
 
 def test_resolved_gives_one_clamped_array_per_channel():
-    pcs = [PairCalibration(0.02, (0.01, 0.4)), PairCalibration(0.0, (0.0, 0.0))]
     scale = 3.0
-    resolved = NoiseModel(scale=scale).resolved(pcs, [True, False])
+    resolved = NoiseModel(scale=scale).resolved([0.02, 0.0], [(0.01, 0.4), (0.0, 0.0)],
+                                                [True, False])
     clamp = lambda p: min(1.0, scale * p)
     expected = [
         [clamp(0.1 * 0.02), 0.0],
@@ -139,8 +143,13 @@ def test_gamma_outside_zero_to_pi_is_rejected(gamma):
         one_circuit((gamma, STRATEGY_I, STRATEGY_I), pair_calib(), NoiseModel())
 
 
+def test_noisy_distributions_needs_one_figure_per_circuit():
+    with pytest.raises(ValueError, match=r"^1 circuits but .* = \(1, 0, 1\)$"):
+        noisy_distributions([(0.0, STRATEGY_I, STRATEGY_I)], [0.0], [], NoiseModel(), [False])
+
+
 def test_saturated_depolarizing_is_uniform():
-    pc = PairCalibration(two_qubit_error=1.0, readout_errors=(0.0, 0.0))
+    pc = (1.0, (0.0, 0.0))  # (two-qubit error, readout errors)
     circuit = (1.0, STRATEGY_I, STRATEGY_I)
     dist = one_circuit(circuit, pc, NoiseModel(scale=1.0))
     np.testing.assert_allclose(dist, [0.25] * 4, atol=1e-12)
@@ -161,7 +170,7 @@ def test_hand_computed_two_qubit_depolarizing():
     # gates' channels on qubit 0, then qubit 1, each take p00 to
     # 0.99 p00 + 0.01 (p00 + p01) / 2:
     # 0.47275, then p00 = p11 = 0.4705225 and p01 = p10 = 0.0294775
-    pc = PairCalibration(two_qubit_error=0.1, readout_errors=(0.0, 0.0))
+    pc = (0.1, (0.0, 0.0))
     circuit = (math.pi / 2, STRATEGY_I, STRATEGY_I)
     dist = one_circuit(circuit, pc, NoiseModel(scale=1.0))
     np.testing.assert_allclose(dist, [0.4705225, 0.0294775, 0.0294775, 0.4705225],
@@ -188,9 +197,8 @@ unit = st.floats(0.0, 1.0)
 )
 def test_distribution_valid_for_every_parameter(p2, ro, scale, flag, gamma, strategy):
     # up to scale 1 / CROSSTALK_PENALTY, where every channel has saturated
-    pc = PairCalibration(two_qubit_error=p2, readout_errors=ro)
     circuit = (gamma, strategy, strategy)
-    dist = one_circuit(circuit, pc, NoiseModel(scale=scale), crosstalk_active=flag)
+    dist = one_circuit(circuit, (p2, ro), NoiseModel(scale=scale), crosstalk_active=flag)
     assert dist.shape == (4,)
     assert np.all(dist >= 0.0)
     assert abs(dist.sum() - 1.0) <= 1e-9
@@ -307,16 +315,17 @@ def test_simulate_job_rejects_grid_mismatch():
 
 
 def test_job_counts_draws_each_spec_as_its_own_job():
-    # one stacked job gives every spec the counts it gets alone with its seed
+    # one stacked job gives every strategy pair the counts it gets alone with its seed
     g = heavy_hex_graph(6)
     cal = synth_calibration(g, seed=4, profile="realistic")
     plan = select_pairs(g, cal, k=9, min_separation=2)
-    specs = [spec_for(s, steps=9) for s in CANONICAL_STRATEGIES]
-    seeds = [5, 17, 5, 2**70]
-    stacked = job_counts(plan, specs, cal, NoiseModel(), 300, 2, seeds, g)
-    assert stacked.shape == (4, 9, 2, 4)
-    for s, (spec, seed) in enumerate(zip(specs, seeds)):
-        alone = job_counts(plan, [spec], cal, NoiseModel(), 300, 2, [seed], g)
+    grid = spec_for(STRATEGY_I, steps=9).gamma_grid
+    players = [(s, s) for s in CANONICAL_STRATEGIES] + [(STRATEGY_H, STRATEGY_I)]
+    seeds = [5, 17, 5, 2**70, 3]
+    stacked = job_counts(plan, grid, players, cal, NoiseModel(), 300, 2, seeds, g)
+    assert stacked.shape == (5, 9, 2, 4)
+    for s, (pair, seed) in enumerate(zip(players, seeds)):
+        alone = job_counts(plan, grid, [pair], cal, NoiseModel(), 300, 2, [seed], g)
         np.testing.assert_array_equal(stacked[s], alone[0])
 
 
@@ -324,15 +333,12 @@ def test_job_counts_rejects_mismatched_specs_and_seeds():
     g = heavy_hex_graph(6)
     cal = synth_calibration(g, seed=2)
     plan = select_pairs(g, cal, k=5, min_separation=2)
-    five = spec_for(STRATEGY_I, steps=5)
-    with pytest.raises(ValueError, match="at least one spec"):
-        job_counts(plan, [], cal, NoiseModel(), 100, 2, [], g)
-    with pytest.raises(ValueError, match="one seed per spec"):
-        job_counts(plan, [five, five], cal, NoiseModel(), 100, 2, [0], g)
-    other = GameSpec(strategy_a=STRATEGY_H, strategy_b=STRATEGY_H,
-                     gamma_grid=(0.0, 0.5, 1.0, 1.5, 2.0))
-    with pytest.raises(ValueError, match="share one gamma grid"):
-        job_counts(plan, [five, other], cal, NoiseModel(), 100, 2, [0, 1], g)
+    grid = spec_for(STRATEGY_I, steps=5).gamma_grid
+    identity = (STRATEGY_I, STRATEGY_I)
+    with pytest.raises(ValueError, match="at least one strategy pair"):
+        job_counts(plan, grid, [], cal, NoiseModel(), 100, 2, [], g)
+    with pytest.raises(ValueError, match="2 strategy pairs but 1 seeds"):
+        job_counts(plan, grid, [identity, identity], cal, NoiseModel(), 100, 2, [0], g)
 
 
 def test_simulate_job_deterministic():
@@ -411,13 +417,14 @@ def test_exact_rmse_monotone_in_noise_scale(cal_seed, profile, packed, scales):
     cal = synth_calibration(g, seed=cal_seed, profile=profile)
     plan = packed_plan(g, 31) if packed else select_pairs(g, cal, k=31, min_separation=2)
     flags = crosstalk_flags(plan, g)
-    pair_calibs = [cal.pair(pair) for pair in plan.assignments]
+    two_qubit, readout, _ = cal.figures(plan.assignments)
     grid = spec_for(STRATEGY_I).gamma_grid
     for strategy in CANONICAL_STRATEGIES:
         circuits = [(gamma, strategy, strategy) for gamma in grid]
         refs = np.array([analytical_payoffs(strategy, gamma, "corrected") for gamma in grid])
         low, high = (
-            payoff_table(noisy_distributions(circuits, pair_calibs, NoiseModel(scale=s), flags), BOS)
+            payoff_table(noisy_distributions(circuits, two_qubit, readout, NoiseModel(scale=s),
+                                             flags), BOS)
             for s in scales
         )
         for player in (0, 1):

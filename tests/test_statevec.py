@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qbos import statevec
-from qbos.device import PairCalibration
 from qbos.game import STRATEGY_H, STRATEGY_I, Strategy
 from qbos.noise import _CNOT, NoiseModel, _embed_1q, noisy_distributions
 from qbos.statevec import ShotCounts, derive_seed, derive_seeds, gate_matrix, sample_cells
@@ -20,9 +19,9 @@ ZERO = np.array([1, 0, 0, 0], dtype=complex)  # |00>
 def ideal(games):
     """Outcome distributions of (gamma, strategy_a, strategy_b) EWL circuits
     on the core at noise scale 0, one row per circuit."""
-    pair = PairCalibration(0.1, (0.1, 0.1))
-    return noisy_distributions(games, [pair] * len(games), NoiseModel(scale=0.0),
-                               [False] * len(games))
+    n = len(games)
+    return noisy_distributions(games, [0.1] * n, [(0.1, 0.1)] * n, NoiseModel(scale=0.0),
+                               [False] * n)
 
 
 # --- independent oracle: dense 2^n x 2^n matrices built by kron -------------
@@ -239,6 +238,8 @@ def test_shot_counts_invariants():
         ShotCounts({"00": 3, "0x": 1}, 4)
     with pytest.raises(ValueError):
         ShotCounts({"00": 3}, 4)
+    with pytest.raises(ValueError, match="need at least one shot"):
+        ShotCounts({}, 0)
 
 
 def test_derive_seed_distinct_and_stable():

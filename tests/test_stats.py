@@ -351,6 +351,17 @@ def test_build_report_flags_missing_cells():
         build_validation_report({"I": results}, spec)
 
 
+@pytest.mark.parametrize("index", [2, -1])
+def test_build_report_flags_cells_outside_the_grid(index):
+    gammas = default_gamma_grid(2)
+    spec = GameSpec(gamma_grid=gammas)
+    inside = [RunResult(i, g, make_counts(c00=10), run)
+              for run in range(2) for i, g in enumerate(gammas)]
+    outside = RunResult(index, gammas[0], make_counts(c11=10), 1)
+    with pytest.raises(SchemaError, match=rf"outside the gamma grid \[\('H', {index}, 1\)\]"):
+        build_validation_report({"I": inside, "H": inside[:3] + [outside]}, spec)
+
+
 def test_build_report_rejects_no_cells():
     with pytest.raises(SchemaError, match="no cells"):
         build_validation_report({}, GameSpec())
