@@ -7,18 +7,21 @@ interfere.  Selection is greedy by calibration-derived score with a
 swap-based local search; optimality is not claimed, but on small instances
 the result is checked against exhaustive search in the test suite.
 
-Separation is decided once per graph, as array operations: a boolean
-qubit x qubit ``near`` matrix (closer than the separation) grows from the
-identity one hop at a time over a padded neighbour table, and from it one
-boolean edge x edge conflict matrix is gathered.  Greedy passes OR the rows of
-chosen edges into a blocked mask; the swap search keeps a per-edge count of
-conflicts with the chosen set.  The matrix costs E*E bytes (0.45 MB for the
-672 edges of a 575-qubit heavy-hex device).  The conflict relation is exactly
-"some endpoints closer than the separation", so plans equal those of pairwise
-distance checks.  ``verify_separation`` is an independent check that does not
-use these matrices: it walks one BFS ball per plan qubit and looks each ball
-member up in a qubit -> circuit owner map.  ``packed_plan``, the crowded
-baseline, is the same greedy pass at separation 1, in edge order.
+Separation is decided once per graph, as array operations on contiguous
+rows: a boolean qubit x qubit ``near`` matrix (closer than the separation)
+grows from the identity by one hop per pass, ORing in its own rows at each
+slot of a padded neighbour table, and from it a qubit x edge "too close"
+table and then one boolean edge x edge conflict matrix are gathered by rows;
+``near`` is symmetric, so its rows are also its columns.  Greedy passes OR
+the rows of chosen edges into a blocked mask; the swap search keeps a
+per-edge count of conflicts with the chosen set.  The temporaries cost N*N,
+N*E and E*E bytes (0.33, 0.39 and 0.45 MB for the 575 qubits and 672 edges
+of a heavy-hex device), with no N*N*degree array.  The conflict relation is
+exactly "some endpoints closer than the separation", so plans equal those of
+pairwise distance checks.  ``verify_separation`` is an independent check that
+does not use these matrices: it walks one BFS ball per plan qubit and looks
+each ball member up in a qubit -> circuit owner map.  ``packed_plan``, the
+crowded baseline, is the same greedy pass at separation 1, in edge order.
 
 Plans serialize as JSON
 ``{"min_separation": s, "assignments": [{"circuit": i, "pair": [a, b]}]}``;
@@ -121,7 +124,11 @@ def _near(graph: CouplingGraph, min_separation: int) -> np.ndarray:
                     dtype=np.intp)
     near = np.eye(n, dtype=bool)
     for _ in range(max(min_separation, 1) - 1):
-        grown = near | near[:, nbrs].any(axis=2)  # within r, or r from a neighbour
+        # within r, or r from a neighbour: near is symmetric, so row q of
+        # near[column] marks the qubits within r of q's neighbour in that slot
+        grown = near.copy()
+        for column in nbrs.T:
+            grown |= near[column]
         if np.array_equal(grown, near):
             break  # every component is covered already
         near = grown
@@ -133,8 +140,10 @@ def _conflict_matrix(near: np.ndarray, edges) -> np.ndarray:
     edges have endpoints that are ``near``, so also where they share a qubit.
     Every edge conflicts with itself."""
     a, b = np.array(edges, dtype=np.intp).reshape(-1, 2).T
-    rows = near[a] | near[b]  # edge x qubit: qubits too close to the edge
-    return rows[:, a] | rows[:, b]
+    # qubit x edge: qubits too close to the edge, near[:, a] | near[:, b], built
+    # from row gathers and one transposing copy, since near is symmetric
+    close = (near[a] | near[b]).T.copy()
+    return close[a] | close[b]  # row i: edges too close to edge i's endpoints
 
 
 def _greedy(conflict: np.ndarray, order, k: int) -> list[int]:

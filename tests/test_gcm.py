@@ -6,7 +6,7 @@ import time
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import Phase, assume, find, given, settings
+from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from graph_oracles import bfs_distances
@@ -140,6 +140,46 @@ def test_near_matches_floyd_warshall(graph_factory, min_sep):
     for p in range(g.num_qubits):
         for q in range(g.num_qubits):
             assert near[p, q] == (d[p][q] < max(min_sep, 1)), (p, q)
+
+
+@st.composite
+def separation_tables(draw):
+    """A random graph of 1-14 qubits with degrees up to 6, isolated qubits and
+    several components included, its edges shuffled with either endpoint first,
+    and a separation from 0 to 6."""
+    n = draw(st.integers(1, 14))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    degree, edges = [0] * n, []
+    for a, b in draw(st.lists(st.sampled_from(pairs), max_size=42, unique=True)
+                     if pairs else st.just([])):
+        if degree[a] < 6 and degree[b] < 6:
+            degree[a] += 1
+            degree[b] += 1
+            edges.append((a, b))
+    graph = CouplingGraph(n, tuple(edges))
+    order = [(b, a) if draw(st.booleans()) else (a, b)
+             for a, b in draw(st.permutations(graph.edges))]
+    return graph, order, draw(st.integers(0, 6))
+
+
+# a degree-6 hub beside a path of uneven degrees and an isolated qubit
+HUB_AND_PATH = CouplingGraph(12, tuple((0, q) for q in range(1, 7)) + ((7, 8), (8, 9), (9, 10)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(separation_tables())
+@example((HUB_AND_PATH, list(reversed(HUB_AND_PATH.edges)), 3))
+def test_near_and_conflict_match_bfs_on_random_graphs(case):
+    # the row gathers of both kernels rely on near being symmetric, and on the
+    # self-padding of the neighbour table adding nothing at any degree
+    graph, order, min_sep = case
+    reach = max(min_sep, 1)
+    dist = [bfs_distances(graph, q) for q in range(graph.num_qubits)]
+    near = _near(graph, min_sep)
+    assert near.tolist() == [[0 <= d < reach for d in row] for row in dist]
+    assert _conflict_matrix(near, order).tolist() == [
+        [any(0 <= dist[p][q] < reach for p in e1 for q in e2) for e2 in order]
+        for e1 in order]
 
 
 # --- scoring -------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The SHA-256 values below are byte-identity gates: the sweep and job digests
 were taken from the per-circuit, per-cell implementation that the batched
 density-matrix evolution and the reset-state sampler replaced, and the map
-digests pin the plans ``qbos map --synth`` writes for seeds 0..9 and the
-100-pair plans ``qbos map`` writes from files for a 575-qubit device.  The
+digests pin the plans ``qbos map --synth`` writes for seeds 0..9, the
+100-pair plans ``qbos map`` writes from files for a 575-qubit device and one
+200-pair ``select_pairs`` plan on a 1,121-qubit device.  The
 report digests were taken from the nested-dict report builders that the
 cell-table builder ``stats.report_from_cells`` replaced.  The calibration
 digests were taken from the per-qubit scalar draws that the array draws of
@@ -194,6 +195,15 @@ def test_map_large_plan_and_stdout(tmp_path, large_device, seed):
                          "--pairs", "100", "--out", str(out)]) == 0
     digest, text = MAP_LARGE_GOLDEN[seed]
     assert (sha256(out.read_bytes()), stdout.getvalue()) == (digest, text.format(out=out))
+
+
+def test_select_pairs_1121_qubit_plan_digest():
+    # 200 pairs on heavy_hex_graph(20), 1,121 qubits and 1,320 edges, where the
+    # separation tables cost most: the digest of json.dumps(plan.to_json())
+    graph = device.heavy_hex_graph(20)
+    plan = gcm.select_pairs(graph, device.synth_calibration(graph, seed=4), k=200)
+    assert sha256(json.dumps(plan.to_json()).encode()) == (
+        "1b6de27379702a09e217de9f62b252da92d5bc3fdb7a3159a61b0ab26a0f04a5")
 
 
 # --- synthetic calibrations -----------------------------------------------------------
