@@ -748,6 +748,17 @@ def pad_first_row(data):
 MISSING_ALL = f"error: bad columns: missing {list(CSV_COLUMNS)}, unexpected none\n"
 
 
+def quoted_bad_header_short_row(data):
+    """The file with every field quoted, eb_analytic dropped from the header
+    and row 5 cut to 4 fields: the bad header is reported first."""
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    rows[0].remove("eb_analytic")
+    rows[5] = rows[5][:4]
+    text = io.StringIO()
+    csv.writer(text, quoting=csv.QUOTE_ALL).writerows(rows)
+    return text.getvalue().encode()
+
+
 # files at the edge of the plain path that validate splits without csv; an
 # empty message means the file validates as the sweep's own file does
 @pytest.mark.parametrize(
@@ -773,10 +784,13 @@ MISSING_ALL = f"error: bad columns: missing {list(CSV_COLUMNS)}, unexpected none
         # float columns take any text float() reads within the plain syntax
         (lambda d: d.replace(b",0.0,", b",0.00,"), EXIT_OK, ""),
         (lambda d: d.replace(b",0.0,", b",0e0,"), EXIT_OK, ""),
+        (quoted_bad_header_short_row, EXIT_SCHEMA,
+         "error: bad columns: missing ['eb_analytic'], unexpected none\n"),
     ],
     ids=["empty", "header-only", "leading-blank-line", "lone-cr", "bom-then-crlf",
          "quoted-header", "ragged-row", "nul-in-field", "underscore-in-field",
-         "long-line-of-short-fields", "zero-as-0.00", "zero-as-0e0"],
+         "long-line-of-short-fields", "zero-as-0.00", "zero-as-0e0",
+         "quoted-bad-header-and-short-row"],
 )
 def test_validate_plain_path_boundary(tmp_path, capsys, edit, code, message):
     res = sweep_fixture(tmp_path)  # 4 strategies x 7 angles x 3 runs = 84 rows

@@ -77,6 +77,27 @@ def test_no_interior_equilibrium():
         classical_mixed_equilibrium(dominant)
 
 
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ((((1, 1), (1, 1)), ((1, 1), (1, 1))),
+         "Bob's indifference equation is degenerate (zero determinant)"),
+        ((((3, 5), (0, 1)), ((0, 4), (2, 2))),
+         "Bob's indifference equation has no interior solution (p = -1)"),
+        # Bob's columns mix at p = 0.6, but Alice's rows pay the same
+        ((((1, 2), (1, 0)), ((1, 0), (1, 3))),
+         "Alice's indifference equation is degenerate (zero determinant)"),
+        ((((3, 2), (0, 0)), ((4, 0), (2, 3))),
+         "Alice's indifference equation has no interior solution (q = 2)"),
+    ],
+    ids=["bob-degenerate", "bob-not-interior", "alice-degenerate", "alice-not-interior"],
+)
+def test_equilibrium_failures_name_the_equation(cells, message):
+    with pytest.raises(ValueError) as err:
+        classical_mixed_equilibrium(PayoffMatrix(cells))
+    assert str(err.value) == message
+
+
 # --- the game circuit -----------------------------------------------------------
 
 def test_gamma_zero_yields_00():

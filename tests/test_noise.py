@@ -86,6 +86,34 @@ def test_depolarize_1q_keeps_other_marginal():
     np.testing.assert_allclose(np.diag(out).real, [0.25] * 4, atol=1e-12)
 
 
+# one probability per matrix of a 4-matrix stack, or one for the whole stack
+P_STACKS = {"all-zero": [0.0] * 4, "all-nonzero": [0.1, 0.25, 1.0, 0.5],
+            "mixed": [0.0, 0.3, 0.0, 1.0], "scalar-zero": 0.0, "scalar": 0.3}
+
+
+@pytest.mark.parametrize("channel", ["1q-qubit0", "1q-qubit1", "2q"])
+@pytest.mark.parametrize("p", P_STACKS.values(), ids=P_STACKS)
+def test_channels_keep_exact_bits_where_p_is_zero(channel, p):
+    # a matrix whose p is 0 keeps rho's bytes; any other gets (1-p) rho + p mixed
+    rng = np.random.default_rng(11)
+    rho = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
+    rho[:, 0, 1] = -0.0
+    if channel == "2q":
+        out = depolarize_2q(rho, p)
+        mixed = [np.eye(4) / 4.0] * 4
+    else:
+        qubit = int(channel[-1])
+        out = depolarize_1q(rho, qubit, p)
+        r = rho.reshape(4, 2, 2, 2, 2)  # (matrix, q1, q0, q1', q0')
+        if qubit == 0:  # qubit 0 is the right kron factor
+            mixed = [np.kron(m, np.eye(2) / 2.0) for m in r[:, :, 0, :, 0] + r[:, :, 1, :, 1]]
+        else:
+            mixed = [np.kron(np.eye(2) / 2.0, m) for m in r[:, 0, :, 0, :] + r[:, 1, :, 1, :]]
+    for g, pg in enumerate(np.broadcast_to(p, 4).tolist()):
+        want = rho[g] if pg == 0.0 else (1.0 - pg) * rho[g] + pg * mixed[g]
+        assert out[g].tobytes() == want.tobytes(), g
+
+
 def test_confusion_matrix_is_column_stochastic():
     c = confusion_matrix(0.07)
     np.testing.assert_allclose(c.sum(axis=0), [1.0, 1.0], atol=1e-15)
