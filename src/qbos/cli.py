@@ -173,6 +173,8 @@ def _matrix_from_json(doc) -> game.PayoffMatrix:
                 raise ValueError(f"matrix cell ({i},{j}) must be two numbers, got {cell!r}")
             row.append((float(cell[0]), float(cell[1])))
         cells.append(tuple(row))
+    if len(doc) != 2 or len(doc[0]) != 2 or len(doc[1]) != 2:  # the loop read a 2x2 corner
+        raise ValueError("matrix must hold exactly 2 rows of 2 cells")
     return game.PayoffMatrix(tuple(cells))
 
 
@@ -236,16 +238,13 @@ def cmd_equilibrium(args) -> int:
     if args.json:
         print(json.dumps(doc, indent=1))
     else:
-        print(f"p_alice             = {eq.p_alice:.6g}")
-        print(f"q_bob               = {eq.q_bob:.6g}")
-        print(f"e_a                 = {eq.e_a:.6g}")
-        print(f"e_b                 = {eq.e_b:.6g}")
-        print(f"coordination prob   = {eq.coordination_prob:.6g}")
+        # the first five report values, each labelled in a 20-column field
+        labels = ("p_alice", "q_bob", "e_a", "e_b", "coordination prob")
+        for label, value in zip(labels, doc.values()):
+            print(f"{label:<20}= {value:.6g}")
         if advantage is not None:
-            print(
-                f"equal quantum payoff {quantum_equal} exceeds e_a by "
-                f"{advantage:.2f}%"
-            )
+            relation = "exceeds" if advantage >= 0 else "falls short of"
+            print(f"equal quantum payoff {quantum_equal} {relation} e_a by {abs(advantage):.2f}%")
     return EXIT_OK
 
 
@@ -393,7 +392,7 @@ def cmd_sweep(args) -> int:
 
     if cfg.svg:
         grid = game.default_gamma_grid(cfg.gamma_steps)
-        stem = out[:-4] if out.endswith(".csv") else out
+        stem = out.removesuffix(".csv")
         for label, cells, curve in zip(labels, payoffs, curves):
             # the (gamma, player, run) series of the strategy, contiguous along the runs
             series = np.ascontiguousarray(cells.transpose(0, 2, 1))
@@ -442,16 +441,15 @@ def _plain_columns(data: bytes):
     a plain results file, or None for any other file.
 
     A file is plain when, after an optional UTF-8 byte-order mark, it is ASCII,
-    holds no quote, NUL or blank but its line breaks, holds no '_' after its
-    header line, has no line longer than csv.field_size_limit(), and every
-    non-empty line after the header holds len(header) - 1 commas.  csv.reader
-    reads the same header and fields from such a file (an empty first line is
-    the header []), so the sweep's own files, which are plain, are split at
-    their line breaks and commas once instead.
+    holds no quote or blank but its line breaks, holds no '_' after its header
+    line, has no line longer than csv.field_size_limit(), and every non-empty
+    line after the header holds len(header) - 1 commas.  csv.reader reads the
+    same header and fields (NULs too; an empty first line is the header []), so
+    the sweep's own files, which are plain, are split once at breaks and commas.
     """
     data = data.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
     start = re.match(rb"[^\r\n]*", data).end()  # the header line
-    marks = (BLANKS + '"\0').encode().translate(None, b"\r\n")  # line breaks end rows
+    marks = (BLANKS + '"').encode().translate(None, b"\r\n")  # line breaks end rows
     if not data.isascii() or any(data.find(c) >= 0 for c in marks) or data.find(b"_", start) >= 0:
         return None
     lines = data.decode("ascii").splitlines() or [""]
@@ -534,7 +532,8 @@ def cmd_validate(args) -> int:
     # goes through csv.reader, which gives the same header and fields
     split = _plain_columns(data)
     plain = split is not None
-    if plain:
+    ragged = None  # (n, fields) of the first row whose field count is not the header's
+    if plain:  # a plain file's rows all hold len(header) fields
         header, columns = split
     else:
         try:
@@ -544,8 +543,11 @@ def cmd_validate(args) -> int:
             rows = [row for row in reader if row]
         except (UnicodeDecodeError, csv.Error) as err:  # csv.Error: a field past the size limit
             raise CommandError(EXIT_SCHEMA, f"{args.results}: {err}")
-        del reader
-    del data, split  # the rows or columns hold every field
+        ragged = next(((n, len(row)) for n, row in enumerate(rows, 1)
+                       if len(row) != len(header)), None)
+        columns = dict(zip(header, zip(*rows)))
+        del reader, rows  # the columns hold every field
+    del data, split
     missing = [c for c in CSV_COLUMNS if c not in header]
     extra = [c for c in header if c not in CSV_COLUMNS]
     if missing or extra:
@@ -554,16 +556,11 @@ def cmd_validate(args) -> int:
     repeated = [c for c in dict.fromkeys(header) if header.count(c) > 1]
     if repeated:
         raise CommandError(EXIT_SCHEMA, f"bad columns: repeated {repeated}")
-    if not (columns if plain else rows):
+    if not columns:
         raise CommandError(EXIT_SCHEMA, "results file holds no rows")
-
-    if not plain:  # a plain file's rows all hold len(header) fields
-        if set(map(len, rows)) != {len(header)}:
-            n, row = next((n, row) for n, row in enumerate(rows, 1) if len(row) != len(header))
-            raise CommandError(EXIT_SCHEMA, f"unreadable results row: row {n} has {len(row)} "
-                                            f"fields, expected {len(header)}")
-        columns = dict(zip(header, zip(*rows)))
-        del rows  # the columns hold every field
+    if ragged:
+        raise CommandError(EXIT_SCHEMA, f"unreadable results row: row {ragged[0]} has "
+                                        f"{ragged[1]} fields, expected {len(header)}")
     _check_fields(columns, plain)
     n = len(columns["run"])
     try:

@@ -125,11 +125,6 @@ def heavy_hex_graph(distance: int) -> CouplingGraph:
     return CouplingGraph(counter, tuple(edges))
 
 
-def _is_int(value) -> bool:
-    """An int; a bool is not, although bool is an int subclass."""
-    return type(value) is int
-
-
 def _is_number(value) -> bool:
     """An int or float that converts to a float without overflow; not a bool."""
     return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
@@ -137,7 +132,7 @@ def _is_number(value) -> bool:
 
 # what a device-file or config field must hold -> its check
 _FIELD_CHECKS = {
-    "an integer": _is_int,
+    "an integer": lambda v: type(v) is int,  # a bool is an int subclass, not an int
     "a number": _is_number,
     "true or false": lambda v: type(v) is bool,
     "a string": lambda v: type(v) is str,

@@ -115,10 +115,8 @@ class Strategy:
     @classmethod
     def parse(cls, text: str) -> "Strategy":
         t = text.strip()
-        if t == "I":
-            return cls("I")
-        if t == "H":
-            return cls("H")
+        if t in ("I", "H"):
+            return cls(t)
         m = re.fullmatch(r"RY\((.+)\)", t, flags=re.IGNORECASE)
         if m:
             expr = m.group(1).strip().lower()
@@ -181,8 +179,19 @@ class MixedEquilibrium:
     coordination_prob: float
 
 
+def _indifference(who: str, name: str, num: float, denom: float) -> float:
+    """num / denom, the interior solution of who's indifference equation."""
+    if abs(denom) < 1e-15:
+        raise ValueError(f"{who}'s indifference equation is degenerate (zero determinant)")
+    x = num / denom
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"{who}'s indifference equation has no interior solution "
+                         f"({name} = {x:.4g})")
+    return x
+
+
 def classical_mixed_equilibrium(payoff: PayoffMatrix) -> MixedEquilibrium:
-    """Solve the two indifference equations for an interior mixed equilibrium.
+    """The interior mixed equilibrium, one _indifference solve per player.
 
     Alice's mixing probability p makes Bob indifferent between his columns;
     Bob's q makes Alice indifferent between her rows.  Degenerate matrices
@@ -190,24 +199,8 @@ def classical_mixed_equilibrium(payoff: PayoffMatrix) -> MixedEquilibrium:
     """
     a = [[payoff.alice(i, j) for j in (0, 1)] for i in (0, 1)]
     b = [[payoff.bob(i, j) for j in (0, 1)] for i in (0, 1)]
-
-    denom_b = b[0][0] - b[0][1] - b[1][0] + b[1][1]
-    if abs(denom_b) < 1e-15:
-        raise ValueError("Bob's indifference equation is degenerate (zero determinant)")
-    p = (b[1][1] - b[1][0]) / denom_b
-    if not 0.0 < p < 1.0:
-        raise ValueError(
-            f"Bob's indifference equation has no interior solution (p = {p:.4g})"
-        )
-
-    denom_a = a[0][0] - a[0][1] - a[1][0] + a[1][1]
-    if abs(denom_a) < 1e-15:
-        raise ValueError("Alice's indifference equation is degenerate (zero determinant)")
-    q = (a[1][1] - a[0][1]) / denom_a
-    if not 0.0 < q < 1.0:
-        raise ValueError(
-            f"Alice's indifference equation has no interior solution (q = {q:.4g})"
-        )
+    p = _indifference("Bob", "p", b[1][1] - b[1][0], b[0][0] - b[0][1] - b[1][0] + b[1][1])
+    q = _indifference("Alice", "q", a[1][1] - a[0][1], a[0][0] - a[0][1] - a[1][0] + a[1][1])
 
     probs = ((p * q, p * (1 - q)), ((1 - p) * q, (1 - p) * (1 - q)))
     e_a = sum(probs[i][j] * a[i][j] for i in (0, 1) for j in (0, 1))

@@ -20,6 +20,7 @@ A global, finite scale factor multiplies every error probability (clamped
 to 1), so scale 0 gives the ideal circuit's exact distribution and large
 scales drive the state to the maximally mixed limit; NoiseModel.resolved
 gives a job's scaled probabilities as one per-circuit array per channel.
+Every channel runs at every scale; a matrix whose probability is 0 keeps its bits.
 
 All circuits of a sweep, every strategy's circuit at every gamma, evolve
 together as one (S*G, 4, 4) stack of density matrices with stacked matrix
@@ -84,11 +85,11 @@ def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (4, 4))
 
 
-def _embed_1q(matrix: np.ndarray, qubit: int) -> np.ndarray:
+def _embed_1q(matrix: np.ndarray, qubit: int, other: np.ndarray = np.eye(2)) -> np.ndarray:
     # basis index = 2*q1 + q0, so the qubit-0 factor sits on the right of kron
     if qubit == 0:
-        return _kron2(np.eye(2), matrix)
-    return _kron2(matrix, np.eye(2))
+        return _kron2(other, matrix)
+    return _kron2(matrix, other)
 
 
 # the EWL circuit's CNOT, control qubit 0 and target qubit 1: |q1 q0> = |01> <-> |11>
@@ -104,12 +105,8 @@ def _partial_trace(rho: np.ndarray, qubit: int) -> np.ndarray:
 
 def _mix(rho: np.ndarray, p, mixed) -> np.ndarray:
     """(1-p) rho + p mixed per matrix; a matrix whose p is 0 keeps its exact bits."""
-    p = np.asarray(p, dtype=float)
-    if not p.any():
-        return rho
-    pp = p[..., None, None]
-    out = (1.0 - pp) * rho + pp * mixed
-    return np.where(pp == 0.0, rho, out) if not p.all() else out
+    pp = np.asarray(p, dtype=float)[..., None, None]
+    return np.where(pp == 0.0, rho, (1.0 - pp) * rho + pp * mixed)
 
 
 def depolarize_1q(rho: np.ndarray, qubit: int, p) -> np.ndarray:
@@ -118,14 +115,7 @@ def depolarize_1q(rho: np.ndarray, qubit: int, p) -> np.ndarray:
     rho is one 4x4 density matrix, with p a scalar, or a (G, 4, 4) stack,
     with p a scalar or one probability per matrix.
     """
-    if not np.any(p):
-        return rho
-    reduced = _partial_trace(rho, qubit)
-    if qubit == 0:
-        mixed = _kron2(reduced, np.eye(2) / 2.0)
-    else:
-        mixed = _kron2(np.eye(2) / 2.0, reduced)
-    return _mix(rho, p, mixed)
+    return _mix(rho, p, _embed_1q(np.eye(2) / 2.0, qubit, _partial_trace(rho, qubit)))
 
 
 def depolarize_2q(rho: np.ndarray, p) -> np.ndarray:
@@ -195,7 +185,7 @@ def noisy_distributions(
     rho = one_qubit_step(rho, 0, [(sa.kind, sa.angle) for _, sa, _ in games])
     rho = one_qubit_step(rho, 1, [(sb.kind, sb.angle) for _, _, sb in games])
     probs = np.diagonal(rho, axis1=-2, axis2=-1).real.copy()
-    readout = _kron2(confusion_matrix(ro_b), confusion_matrix(ro_a))
+    readout = _embed_1q(confusion_matrix(ro_a), 0, confusion_matrix(ro_b))
     probs = (readout @ probs[:, :, None])[:, :, 0]
     return np.clip(probs, 0.0, None)
 

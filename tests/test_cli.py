@@ -87,6 +87,21 @@ def test_parse_matrix_names_bad_cell(tmp_path):
         parse_matrix(str(path))
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [[[[3, 2], [0, 0]], [[0, 0], [2, 3]], [[1, 1], [1, 1]]],
+     [[[3, 2], [0, 0], [9, 9]], [[0, 0], [2, 3]]]],
+    ids=["extra-row", "extra-cell"],
+)
+def test_equilibrium_matrix_must_be_two_by_two(tmp_path, capsys, doc):
+    # its first 2x2 cells are the default matrix, which would report as valid
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("equilibrium", "--matrix", str(path)) == EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", f"error: {path}: matrix must hold exactly 2 rows of 2 cells\n")
+
+
 # --- equilibrium ----------------------------------------------------------------------
 
 def test_equilibrium_default(capsys):
@@ -148,6 +163,21 @@ def test_equilibrium_reports_no_advantage_over_a_negative_payoff(tmp_path, capsy
         assert (doc["quantum_equal_payoff"], doc["advantage_percent"]) == (-1.5, None)
     else:
         assert "e_a                 = -0.666667\n" in captured.out
+        assert "exceeds" not in captured.out
+
+
+@pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "text"])
+def test_equilibrium_reports_a_negative_advantage_as_falling_short(tmp_path, capsys, mode):
+    # e_a = 1.5 against the equal quantum payoff (1 + 1) / 2
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([[[1, 1], [2, 2]], [[2, 2], [1, 1]]]))
+    assert run_cli("equilibrium", "--matrix", str(path), *mode) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if mode:
+        assert strict_json(captured.out)["advantage_percent"] == 100.0 * (1.0 - 1.5) / 1.5
+    else:
+        assert captured.out.endswith("equal quantum payoff 1.0 falls short of e_a by 33.33%\n")
         assert "exceeds" not in captured.out
 
 
@@ -989,7 +1019,7 @@ def malformed_matrix(draw):
         return draw(json_values)
     if where == "row":
         doc[i] = draw(json_values.filter(
-            lambda v: not (type(v) is list and len(v) >= 2 and all(map(is_matrix_cell, v[:2])))))
+            lambda v: not (type(v) is list and len(v) == 2 and all(map(is_matrix_cell, v)))))
     elif where == "cell":
         doc[i][j] = draw(json_values.filter(lambda v: not is_matrix_cell(v)))
     else:

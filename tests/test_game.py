@@ -64,24 +64,12 @@ def test_symmetric_matrix_equilibrium():
     assert abs(eq.e_b - 0.5) < 1e-12
 
 
-def test_degenerate_matrix_names_failing_equation():
-    flat = PayoffMatrix((((1.0, 1.0), (1.0, 1.0)), ((1.0, 1.0), (1.0, 1.0))))
-    with pytest.raises(ValueError, match="Bob"):
-        classical_mixed_equilibrium(flat)
-
-
-def test_no_interior_equilibrium():
-    # Bob strictly prefers column 0 whatever Alice does -> p solves outside (0,1)
-    dominant = PayoffMatrix((((3.0, 5.0), (0.0, 1.0)), ((0.0, 4.0), (2.0, 2.0))))
-    with pytest.raises(ValueError, match="interior"):
-        classical_mixed_equilibrium(dominant)
-
-
 @pytest.mark.parametrize(
     "cells, message",
     [
         ((((1, 1), (1, 1)), ((1, 1), (1, 1))),
          "Bob's indifference equation is degenerate (zero determinant)"),
+        # Bob strictly prefers column 0 whatever Alice does: p solves outside (0, 1)
         ((((3, 5), (0, 1)), ((0, 4), (2, 2))),
          "Bob's indifference equation has no interior solution (p = -1)"),
         # Bob's columns mix at p = 0.6, but Alice's rows pay the same
