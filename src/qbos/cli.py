@@ -283,8 +283,9 @@ def _sweep_rows(cfg: SweepConfig, graph, calib, plan):
     texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
     columns = texts[index.reshape(-1, 6).T].tolist()  # p00, p01, p10, p11, ea, eb
 
-    # "gamma,run" of every (circuit, run) cell, the same for each strategy
-    gamma_runs = [f"{gamma!r},{run}" for gamma in grid for run in range(cfg.runs)]
+    # "gamma,run" of every (circuit, run) cell, the same for each strategy;
+    # each gamma is formatted once
+    gamma_runs = [f"{text},{run}" for text in map(repr, grid) for run in range(cfg.runs)]
     curves = [game.analytical_curves(s, grid, cfg.formula_variant) for s in strategies]
     heads, tails = [], []
     for label, curve in zip(labels, curves):

@@ -56,6 +56,9 @@ class CouplingGraph:
             dup = sorted({e for e in canon if canon.count(e) > 1})
             raise ValueError(f"duplicate edges {dup}")
         object.__setattr__(self, "edges", tuple(sorted(canon)))
+        # gcm._near's tables, keyed by radius; a plain attribute, so equality,
+        # hashing, repr and JSON ignore it
+        object.__setattr__(self, "_near", {})
 
     def adjacency(self) -> list[list[int]]:
         adj = [[] for _ in range(self.num_qubits)]
@@ -215,7 +218,8 @@ class CalibrationSnapshot:
     edges: tuple[EdgeCalibration, ...]
 
     def __post_init__(self):
-        # lookup tables; plain attributes, so equality, repr and JSON ignore them
+        # lookup tables and the graph() memo; plain attributes, so equality,
+        # repr and JSON ignore them
         by_id = {q.id: q for q in self.qubits}
         if len(by_id) != len(self.qubits):
             raise ValueError("duplicate qubit calibration entries")
@@ -224,6 +228,7 @@ class CalibrationSnapshot:
             raise ValueError("duplicate edge calibration entries")
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_by_pair", by_pair)
+        object.__setattr__(self, "_graph", None)
 
     def qubit(self, index: int) -> QubitCalibration:
         try:
@@ -254,9 +259,13 @@ class CalibrationSnapshot:
                 and all(e in self._by_pair for e in graph.edges))
 
     def graph(self) -> CouplingGraph:
-        """The coupling graph implied by the calibrated edges."""
-        n = max(q.id for q in self.qubits) + 1
-        return CouplingGraph(n, tuple(e.pair for e in self.edges))
+        """The coupling graph implied by the calibrated edges, built on first use
+        and kept, so every job on this snapshot shares it and its tables."""
+        if self._graph is None:
+            graph = CouplingGraph(max(q.id for q in self.qubits) + 1,
+                                  tuple(e.pair for e in self.edges))
+            object.__setattr__(self, "_graph", graph)
+        return self._graph
 
     def to_json(self) -> dict:
         return {

@@ -7,20 +7,23 @@ interfere.  Selection is greedy by calibration-derived score with a
 swap-based local search; optimality is not claimed, but on small instances
 the result is checked against exhaustive search in the test suite.
 
-Separation is decided once per graph, as array operations on contiguous
-rows: a boolean qubit x qubit ``near`` matrix (closer than the separation)
-grows from the identity by one hop per pass, ORing in its own rows at each
-slot of a padded neighbour table, and from it a qubit x edge "too close"
-table and then one boolean edge x edge conflict matrix are gathered by rows;
-``near`` is symmetric, so its rows are also its columns.  Greedy passes OR
+Separation is decided once per graph and radius, as array operations on
+contiguous rows: a boolean qubit x qubit ``near`` matrix (closer than the
+separation) grows from the identity by one hop per pass, ORing in its own
+rows at each slot of a padded neighbour table, and from it a qubit x edge
+"too close" table and then one boolean edge x edge conflict matrix are
+gathered by rows; ``near`` is symmetric, so its rows are also its columns.  Greedy passes OR
 the rows of chosen edges into a blocked mask; the swap search keeps a
 per-edge count of conflicts with the chosen set.  The temporaries cost N*N,
 N*E and E*E bytes (0.33, 0.39 and 0.45 MB for the 575 qubits and 672 edges
 of a heavy-hex device), with no N*N*degree array.  The conflict relation is
 exactly "some endpoints closer than the separation", so plans equal those of
-pairwise distance checks.  ``verify_separation`` is an independent check that
-does not use these matrices: it walks one BFS ball per plan qubit and looks
-each ball member up in a qubit -> circuit owner map.  ``packed_plan``, the
+pairwise distance checks.  ``near`` is kept on the graph, read-only, so
+``select_pairs``, ``packed_plan`` and ``noise.crosstalk_flags`` share one
+table per graph and radius, and every later job on that graph reuses it.
+``verify_separation`` is an independent check that does not use these
+matrices: it walks one BFS ball per plan qubit and looks each ball member up
+in a qubit -> circuit owner map.  ``packed_plan``, the
 crowded baseline, is the same greedy pass at separation 1, in edge order.
 
 Plans serialize as JSON
@@ -115,7 +118,11 @@ def edge_scores(edges, calib: CalibrationSnapshot) -> np.ndarray:
 def _near(graph: CouplingGraph, min_separation: int) -> np.ndarray:
     """Boolean qubit x qubit matrix: True where two qubits are closer than
     ``max(min_separation, 1)`` hops.  Qubits in different components are
-    never near."""
+    never near.  The table is built once per graph and radius, kept on the
+    graph and read-only."""
+    radius = max(min_separation, 1)
+    if radius in graph._near:
+        return graph._near[radius]
     n = graph.num_qubits
     adj = graph.adjacency()
     # neighbour table padded with the qubit itself, so padding adds nothing
@@ -123,7 +130,7 @@ def _near(graph: CouplingGraph, min_separation: int) -> np.ndarray:
     nbrs = np.array([nb + [q] * (width - len(nb)) for q, nb in enumerate(adj)],
                     dtype=np.intp)
     near = np.eye(n, dtype=bool)
-    for _ in range(max(min_separation, 1) - 1):
+    for _ in range(radius - 1):
         # within r, or r from a neighbour: near is symmetric, so row q of
         # near[column] marks the qubits within r of q's neighbour in that slot
         grown = near.copy()
@@ -132,6 +139,8 @@ def _near(graph: CouplingGraph, min_separation: int) -> np.ndarray:
         if np.array_equal(grown, near):
             break  # every component is covered already
         near = grown
+    near.flags.writeable = False
+    graph._near[radius] = near
     return near
 
 

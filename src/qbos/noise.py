@@ -28,7 +28,10 @@ products, which give the same bits as evolving each circuit alone; the
 strategies share the stack because their circuits differ only in the gamma
 and the strategy gates.  job_counts then samples every (strategy pair,
 circuit, run) cell in one call.  Both simulate_job and the CLI sweep run on
-it.
+it.  A step builds and embeds each distinct gate once and gathers one row
+per circuit.  simulate_job passes the snapshot's kept graph
+(CalibrationSnapshot.graph), so every job after the first on a snapshot
+reuses that graph and its separation table for the crosstalk flags.
 """
 
 from __future__ import annotations
@@ -148,8 +151,9 @@ def noisy_distributions(
     true.  Each step applies one stacked gate and its depolarizing channel to
     every circuit.  Steps key their gates as statevec.gate_matrix takes them:
     ("RY", gamma), ("RZ", 0.0) and each strategy's (kind, angle).  Each
-    distinct key of a step is built once, and identity gates are applied and
-    depolarized like any other, so every circuit gets the bits it gets alone.
+    distinct key of a step is built and embedded once and its rows gathered,
+    one per circuit; the rows are exact copies, and identity gates are applied
+    and depolarized like any other, so every circuit gets the bits it gets alone.
 
     Returns a (G, 4) array of outcome distributions after readout
     confusion; each row sums to 1 within 1e-9 and equals the ideal
@@ -171,9 +175,9 @@ def noisy_distributions(
         return u @ rho @ np.swapaxes(u.conj(), -1, -2)
 
     def one_qubit_step(rho, qubit, keys):
-        built = {key: gate_matrix(*key) for key in dict.fromkeys(keys)}
-        u = _embed_1q(np.stack([built[key] for key in keys]), qubit)
-        return depolarize_1q(evolve(rho, u), qubit, p1)
+        row = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        u = _embed_1q(np.stack([gate_matrix(*key) for key in row]), qubit)
+        return depolarize_1q(evolve(rho, u[[row[key] for key in keys]]), qubit, p1)
 
     rho = np.zeros((g, 4, 4), dtype=complex)
     rho[:, 0, 0] = 1.0

@@ -1013,11 +1013,16 @@ def bad_pairs(draw, others):
 def malformed_matrix(draw):
     doc = matrix_doc()
     i, j, k = draw(st.integers(0, 1)), draw(st.integers(0, 1)), draw(st.integers(0, 1))
-    where = draw(st.sampled_from(["doc", "row", "cell", "value"]))
+    where = draw(st.sampled_from(["doc", "row", "cell", "value", "extra-row", "extra-cell"]))
     if where == "doc":
         # at most 6 leaves, so never the 8 numbers of a 2x2 matrix
         return draw(json_values)
-    if where == "row":
+    valid_cell = st.lists(st.integers(-9, 9), min_size=2, max_size=2)
+    if where == "extra-row":  # a valid 2x2 matrix plus a valid third row
+        doc.append(draw(st.lists(valid_cell, min_size=2, max_size=2)))
+    elif where == "extra-cell":  # row i gets a valid third cell
+        doc[i].append(draw(valid_cell))
+    elif where == "row":
         doc[i] = draw(json_values.filter(
             lambda v: not (type(v) is list and len(v) == 2 and all(map(is_matrix_cell, v)))))
     elif where == "cell":

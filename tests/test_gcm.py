@@ -1,5 +1,6 @@
 """Pair-selection tests, including an exhaustive oracle on small graphs."""
 
+import dataclasses
 import itertools
 import json
 import time
@@ -140,6 +141,44 @@ def test_near_matches_floyd_warshall(graph_factory, min_sep):
     for p in range(g.num_qubits):
         for q in range(g.num_qubits):
             assert near[p, q] == (d[p][q] < max(min_sep, 1)), (p, q)
+
+
+def test_near_tables_are_kept_read_only_and_out_of_the_graphs_value():
+    g, twin = heavy_hex_graph(2), heavy_hex_graph(2)
+    text, doc = repr(g), g.to_json()
+    near = _near(g, 2)
+    assert _near(g, 2) is near and _near(g, 0) is _near(g, 1) is not near
+    assert not near.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        near[0, 1] = True
+    # the kept tables change neither equality, hash, repr nor JSON
+    assert g == twin and hash(g) == hash(twin)
+    assert repr(g) == text and g.to_json() == doc
+    # a replaced graph grows its own tables
+    copy = dataclasses.replace(g)
+    assert copy == g and _near(copy, 2) is not near
+    assert _near(copy, 2).tolist() == near.tolist()
+
+
+def test_adjacency_runs_once_per_graph_and_radius(monkeypatch):
+    from qbos.game import CANONICAL_STRATEGIES, GameSpec, default_gamma_grid
+    from qbos.noise import NoiseModel, crosstalk_flags, simulate_job
+
+    cal = synth_calibration(heavy_hex_graph(6), seed=3, profile="realistic")
+    calls = []
+    adjacency = CouplingGraph.adjacency
+    monkeypatch.setattr(CouplingGraph, "adjacency",
+                        lambda graph: calls.append(graph) or adjacency(graph))
+    graph = cal.graph()
+    plan = select_pairs(graph, cal, k=7)
+    crosstalk_flags(plan, graph)
+    for scale, s in zip((0.0, 0.5, 1.0, 2.0), CANONICAL_STRATEGIES):
+        spec = GameSpec(gamma_grid=default_gamma_grid(7), strategy_a=s, strategy_b=s)
+        simulate_job(plan, spec, cal, NoiseModel(scale=scale), shots=64, runs=2, seed=1)
+    assert len(calls) == 1 and calls[0] is graph  # radius 2 only
+    packed_plan(graph, 7)
+    packed_plan(graph, 7)
+    assert len(calls) == 2  # and radius 1
 
 
 @st.composite

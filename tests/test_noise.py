@@ -381,6 +381,23 @@ def test_simulate_job_deterministic():
     assert a != c
 
 
+@settings(max_examples=15, deadline=None)
+@given(jobs=st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0, 7.5]),
+                               st.sampled_from(CANONICAL_STRATEGIES),
+                               st.integers(0, 2**32)), min_size=1, max_size=5))
+def test_jobs_on_one_snapshot_match_jobs_on_fresh_snapshots(jobs):
+    # the snapshot's kept graph and its separation table carry no state from
+    # one job to the next, whatever the order of noise scales
+    g = heavy_hex_graph(6)
+    shared = synth_calibration(g, seed=8, profile="realistic")
+    plan = select_pairs(g, shared, k=7, min_separation=2)
+    for scale, strategy, seed in jobs:
+        spec = spec_for(strategy, steps=7)
+        fresh = synth_calibration(g, seed=8, profile="realistic")
+        assert (simulate_job(plan, spec, shared, NoiseModel(scale), 256, 2, seed)
+                == simulate_job(plan, spec, fresh, NoiseModel(scale), 256, 2, seed))
+
+
 def rmse_vs_analytic(results, spec, strategy):
     """RMSE of run-mean payoffs against the exact corrected curves."""
     by_circuit = {}
