@@ -215,13 +215,13 @@ _RY4_COS2 = math.cos(math.pi / 8) ** 2
 _RY4_SIN2 = math.sin(math.pi / 8) ** 2
 
 
-def _closed_form_distribution(strategy: Strategy, gamma: float) -> np.ndarray:
-    """Outcome distribution for a symmetric strategy pair, by hand algebra."""
+def _closed_form_distribution(strategy: Strategy, gamma: float) -> tuple[float, ...]:
+    """(p00, p01, p10, p11) of a symmetric strategy pair as floats, by hand algebra."""
     c, s = math.cos(gamma / 2), math.sin(gamma / 2)
     if strategy.kind == "I":
-        return np.array([c * c, 0.0, 0.0, s * s])
+        return c * c, 0.0, 0.0, s * s
     if strategy.kind == "H":
-        return np.array([(c + s) ** 2, (c - s) ** 2, (c - s) ** 2, (c + s) ** 2]) / 4.0
+        return (c + s) ** 2 / 4.0, (c - s) ** 2 / 4.0, (c - s) ** 2 / 4.0, (c + s) ** 2 / 4.0
     # RY(theta) on both qubits of c|00> + s|11>
     a2 = math.cos(strategy.angle / 2) ** 2
     b2 = math.sin(strategy.angle / 2) ** 2
@@ -229,7 +229,7 @@ def _closed_form_distribution(strategy: Strategy, gamma: float) -> np.ndarray:
     p00 = (a2 * c + b2 * s) ** 2
     p11 = (b2 * c + a2 * s) ** 2
     p01 = (ab * (c - s)) ** 2
-    return np.array([p00, p01, p01, p11])
+    return p00, p01, p01, p11
 
 
 def analytical_payoffs(strategy: Strategy, gamma: float, variant: str = "corrected",

@@ -12,19 +12,19 @@ contiguous rows: a boolean qubit x qubit ``near`` matrix (closer than the
 separation) grows from the identity by one hop per pass, ORing in its own
 rows at each slot of a padded neighbour table, and from it a qubit x edge
 "too close" table and then one boolean edge x edge conflict matrix are
-gathered by rows; ``near`` is symmetric, so its rows are also its columns.  Greedy passes OR
-the rows of chosen edges into a blocked mask; the swap search keeps a
-per-edge count of conflicts with the chosen set.  The temporaries cost N*N,
-N*E and E*E bytes (0.33, 0.39 and 0.45 MB for the 575 qubits and 672 edges
-of a heavy-hex device), with no N*N*degree array.  The conflict relation is
-exactly "some endpoints closer than the separation", so plans equal those of
-pairwise distance checks.  ``near`` is kept on the graph, read-only, so
-``select_pairs``, ``packed_plan`` and ``noise.crosstalk_flags`` share one
-table per graph and radius, and every later job on that graph reuses it.
-``verify_separation`` is an independent check that does not use these
+gathered by rows (``near`` is symmetric: its rows are its columns).  Greedy
+passes OR chosen edges' rows into a blocked mask; the swap search counts each
+edge's conflicts with the chosen set and tests a round's chosen pairs in one
+expression.  Temporaries cost N*N, N*E and E*E bytes (0.33, 0.39 and 0.45 MB
+for 575 qubits and 672 heavy-hex edges), with no N*N*degree array.  The
+conflict relation is exactly "some endpoints closer than the separation", so
+plans equal those of pairwise distance checks.  ``near`` is kept on the graph,
+read-only, so ``select_pairs``, ``packed_plan`` and ``noise.crosstalk_flags``
+share one table per graph and radius, and every later job on that graph reuses
+it.  ``verify_separation`` is an independent check that does not use these
 matrices: it walks one BFS ball per plan qubit and looks each ball member up
-in a qubit -> circuit owner map.  ``packed_plan``, the
-crowded baseline, is the same greedy pass at separation 1, in edge order.
+in a qubit -> circuit owner map.  ``packed_plan``, the crowded baseline, is
+the same greedy pass at separation 1, in edge order.
 
 Plans serialize as JSON
 ``{"min_separation": s, "assignments": [{"circuit": i, "pair": [a, b]}]}``;
@@ -210,26 +210,24 @@ def select_pairs(
     # local search: swap any chosen pair for a cheaper unused edge.
     # clashes[e] counts the chosen edges that conflict with edge e; a candidate
     # fits the rest when its only clash, if any, is the pair it replaces.
-    # Chosen edges clash with themselves, so they never qualify.
+    # Chosen edges clash with themselves, so they never qualify.  A round tests
+    # every chosen pair, most expensive first, in one expression and swaps the
+    # first that fits anything at its cheapest fit.
     clashes = conflict[chosen].sum(axis=0)
     ascending = np.array(scores)
-    improved = True
-    while improved:
-        improved = False
+    while True:
         order = sorted(range(k), key=lambda i: (-scores[chosen[i]], edges[chosen[i]]))
-        for idx in order:
-            cur = chosen[idx]
-            # scores ascend, so exactly the ranks before this bound score
-            # less than the current pair
-            cheaper = int(np.searchsorted(ascending, scores[cur], side="left"))
-            fits = clashes[:cheaper] == conflict[cur, :cheaper]
-            if fits.any():
-                r = int(fits.argmax())
-                clashes -= conflict[cur]
-                clashes += conflict[r]
-                chosen[idx] = r
-                improved = True
-                break
+        cur = np.array(chosen)[order]
+        # scores ascend, so exactly the ranks before cheaper[i] score less than cur[i]
+        cheaper = np.searchsorted(ascending, ascending[cur], side="left")
+        fits = (clashes == conflict[cur]) & (np.arange(len(edges)) < cheaper[:, None])
+        # the first True in row-major order: the first row with a fit, at its first fit
+        row, r = divmod(int(fits.argmax()), len(edges))
+        if not fits[row, r]:
+            break
+        clashes -= conflict[cur[row]]
+        clashes += conflict[r]
+        chosen[order[row]] = r
 
     return MappingPlan(tuple(edges[r] for r in sorted(chosen)), min_separation)
 

@@ -218,13 +218,11 @@ def job_counts(
     Circuit i of strategy pair s plays players[s] = (strategy_a, strategy_b)
     at grid[i] on the plan's i-th pair; the result has shape (len(players),
     len(grid), runs, 4) in outcome-label order.  One calib.figures call gives
-    every pair's figures, all circuits evolve in one noisy_distributions stack
-    and all cells are drawn in one sample_cells call.  Cell (s, i, run) draws
-    from derive_seed(seeds[s], i, run), so its counts do not depend on which
-    other cells, or which other strategy pairs, are sampled; derive_seeds gives
-    the key words of a pair's cells in one vectorised pass that reproduces
-    SeedSequence bit for bit.  Each circuit's crosstalk channel follows
-    crosstalk_flags(plan, graph), graph being the device's coupling graph.
+    every pair's figures, all circuits evolve in one noisy_distributions stack,
+    one derive_seeds call keys every cell and one sample_cells call draws them.
+    Cell (s, i, run) draws from derive_seed(seeds[s], i, run), so its counts do
+    not depend on which other cells or strategy pairs are sampled.  Crosstalk
+    follows crosstalk_flags(plan, graph), graph being the device's coupling graph.
     """
     if not players:
         raise ValueError("a job needs at least one strategy pair")
@@ -238,7 +236,7 @@ def job_counts(
     flags = crosstalk_flags(plan, graph) * len(players)
     distributions = noisy_distributions(games, np.tile(two_qubit, len(players)),
                                         np.tile(readout, (len(players), 1)), model, flags)
-    keys = np.concatenate([derive_seeds(seed, len(grid), runs) for seed in seeds])
+    keys = derive_seeds(seeds, len(grid), runs).reshape(len(games), runs, 2)
     return sample_cells(distributions, shots, keys).reshape(len(players), len(grid), runs, 4)
 
 

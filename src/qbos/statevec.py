@@ -4,9 +4,9 @@ The EWL game circuits themselves are evolved by the density-matrix core in
 ``noise``; this module holds what that core and the sweeps build on.
 
 derive_seed mixes integer tags through numpy's SeedSequence into one int.
-derive_seeds gives the Philox key words of every (circuit, run) cell of a job
-as one uint64 array, reproducing SeedSequence bit for bit in one vectorised
-pass; derive_seed stays its per-cell reference.
+derive_seeds gives the Philox key words of every (seed, circuit, run) cell of
+a job as one uint64 array, reproducing SeedSequence bit for bit in one
+vectorised pass per seed word count; derive_seed stays its per-cell reference.
 
 Basis convention: qubit 0 is the least-significant bit of the basis index,
 so for two qubits the amplitude order is |q1 q0> = |00>, |01>, |10>, |11>
@@ -79,70 +79,74 @@ def derive_seed(*parts: int) -> int:
 
 def _words(n: int) -> list[int]:
     """SeedSequence's split of an int: 32-bit words, low word first; 0 is [0]."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
+    return [(n >> shift) & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
 class _HashMix:
-    """SeedSequence's hashmix over uint32 arrays, with its evolving constant."""
+    """SeedSequence's hashmix over uint32 rows, with its evolving constant; one call
+    hashes ``rows`` rows, or one row ``rows`` times, as that many one-row calls would."""
 
     def __init__(self, init: int, mult: int):
         self.const = init
         self.mult = mult
 
-    def __call__(self, value: np.ndarray) -> np.ndarray:
-        value = value ^ self.const
-        self.const = (self.const * self.mult) & _MASK32
-        value = value * self.const
+    def __call__(self, value: np.ndarray, rows: int) -> np.ndarray:
+        consts = [self.const * pow(self.mult, j, 2**32) & _MASK32 for j in range(rows + 1)]
+        self.const = consts[-1]
+        c = np.array(consts, dtype=np.uint32)[:, None]
+        value = (value ^ c[:-1]) * c[1:]
         return value ^ (value >> 16)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of pool word x with hashed word y."""
+    """SeedSequence's mix of pool words x with hashed words y."""
     result = _MIX_L * x - _MIX_R * y
     return result ^ (result >> 16)
 
 
-def derive_seeds(seed: int, circuits: int, runs: int) -> np.ndarray:
-    """The Philox key words of derive_seed(seed, i, run) for a circuits x runs grid.
+def derive_seeds(seeds, circuits: int, runs: int) -> np.ndarray:
+    """The Philox key words of derive_seed(seed, i, run) for each seed of a job.
 
-    Cell (i, run) of the (circuits, runs, 2) uint64 result holds the low and
-    high 64-bit words of derive_seed(seed, i, run).  The cells share one
-    entropy word layout (the words of seed, one word for i, one for run), so
-    the SeedSequence hash (O'Neill's seed_seq, pool size 4) runs on uint32
-    arrays with one element per cell, bit for bit as numpy runs it on one
-    cell.  Its hash constants evolve the same way for every cell and stay
-    Python ints; uint32 array arithmetic wraps modulo 2**32 as the C code
-    does.  circuits and runs must each fit one word.
+    Cell (s, i, run) of the (len(seeds), circuits, runs, 2) uint64 result holds
+    the low and high 64-bit words of derive_seed(seeds[s], i, run).  A seed's
+    32-bit word count sets its cells' entropy layout (its words, i, run), so
+    the SeedSequence hash (O'Neill's seed_seq, pool size 4) runs once per word
+    count on uint32 (entropy word, cell) rows, bit for bit as numpy runs it on
+    one cell: its Python-int constants evolve alike for every cell, and uint32
+    arithmetic wraps modulo 2**32 as the C code does.  circuits and runs must
+    each fit one word.
     """
-    seed = int(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seeds = [int(seed) for seed in seeds]
+    groups: dict[int, list[int]] = {}
+    for s, seed in enumerate(seeds):
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        groups.setdefault(len(_words(seed)), []).append(s)
     for name, count in (("circuits", circuits), ("runs", runs)):
         if not 0 <= count < 2**32:
             raise ValueError(f"{name} = {count} outside [0, 2**32)")
-    cells = np.indices((circuits, runs), dtype=np.uint32).reshape(2, -1)
-    entropy = [np.full(cells.shape[1], w, dtype=np.uint32) for w in _words(seed)]
-    entropy += list(cells)
-    zeros = np.zeros(cells.shape[1], dtype=np.uint32)
+    out = np.empty((len(seeds), circuits, runs, 2), dtype=np.uint64)
+    for size, rows in groups.items():
+        # entropy words over the (seed, i, run) cells, zero rows padding the pool
+        entropy = np.zeros((max(size + 2, _POOL_SIZE), len(rows), circuits, runs), np.uint32)
+        entropy[:size] = np.array([_words(seeds[s]) for s in rows]).T[:, :, None, None]
+        entropy[size] = np.arange(circuits)[:, None]
+        entropy[size + 1] = np.arange(runs)
+        entropy = entropy.reshape(len(entropy), -1)
 
-    hashmix = _HashMix(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[k] if k < len(entropy) else zeros) for k in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):  # late words reach earlier ones
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
+        hashmix = _HashMix(_INIT_A, _MULT_A)
+        pool = hashmix(entropy[:_POOL_SIZE], _POOL_SIZE)
+        for src in range(_POOL_SIZE):  # late words reach earlier ones
+            dst = [d for d in range(_POOL_SIZE) if d != src]
+            pool[dst] = _mix(pool[dst], hashmix(pool[src], _POOL_SIZE - 1))
+        for word in entropy[_POOL_SIZE:]:
+            pool = _mix(pool, hashmix(word, _POOL_SIZE))
 
-    # generate_state(2, uint64): four output words, low word first
-    output = _HashMix(_INIT_B, _MULT_B)
-    w0, w1, w2, w3 = (output(word).astype(np.uint64) for word in pool)
-    words = np.stack([w0 | w1 << np.uint64(32), w2 | w3 << np.uint64(32)], axis=-1)
-    return words.reshape(circuits, runs, 2)
+        # generate_state(2, uint64): four output words, low word first
+        w = _HashMix(_INIT_B, _MULT_B)(pool, _POOL_SIZE).astype(np.uint64)
+        keys = w[0::2] | w[1::2] << np.uint64(32)
+        out[rows] = keys.T.reshape(len(rows), circuits, runs, 2)
+    return out
 
 
 def sample_cells(probs, shots: int, keys) -> np.ndarray:

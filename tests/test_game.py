@@ -291,6 +291,36 @@ def test_curve_table_matches_the_scalar_formulas(gammas, strategy, payoff, paper
         assert analytical_payoffs(strategy, g, variant, payoff) == tuple(row)
 
 
+def per_gamma_distribution(strategy, gamma):
+    """One numpy array per gamma, the construction the curve table once stacked."""
+    c, s = math.cos(gamma / 2), math.sin(gamma / 2)
+    if strategy.kind == "I":
+        return np.array([c * c, 0.0, 0.0, s * s])
+    if strategy.kind == "H":
+        return np.array([(c + s) ** 2, (c - s) ** 2, (c - s) ** 2, (c + s) ** 2]) / 4.0
+    a2 = math.cos(strategy.angle / 2) ** 2
+    b2 = math.sin(strategy.angle / 2) ** 2
+    ab = math.cos(strategy.angle / 2) * math.sin(strategy.angle / 2)
+    p01 = (ab * (c - s)) ** 2
+    return np.array([(a2 * c + b2 * s) ** 2, p01, p01, (b2 * c + a2 * s) ** 2])
+
+
+# both presets weigh p01 and p10 by 0, so a matrix without a zero shows their bits too
+DENSE = PayoffMatrix((((3.0, 2.0), (0.5, 1.25)), ((1.5, 0.75), (2.0, 3.0))))
+
+
+@pytest.mark.parametrize("payoff", [BOS, PayoffMatrix.identity_coordination(), DENSE],
+                         ids=["bos", "coordination", "dense"])
+@pytest.mark.parametrize("strategy", [STRATEGY_I, STRATEGY_H, STRATEGY_RY_PI_4, STRATEGY_RY_PI,
+                                      Strategy("RY", 0.7), Strategy("RY", 2.9)],
+                         ids=lambda s: s.label)
+@settings(max_examples=25, deadline=None)
+@given(gammas=st.lists(st.floats(0.0, math.pi), max_size=40).map(lambda g: [0.0, *g, math.pi]))
+def test_curve_table_keeps_the_bits_of_per_gamma_arrays(strategy, payoff, gammas):
+    want = payoff_table(np.array([per_gamma_distribution(strategy, g) for g in gammas]), payoff)
+    assert analytical_curves(strategy, gammas, "corrected", payoff).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("variant", ["paper", "corrected"])
 def test_curve_table_of_no_gamma(variant):
     assert analytical_curves(STRATEGY_H, [], variant).shape == (0, 2)

@@ -20,11 +20,13 @@ from qbos.device import (
     synth_calibration,
 )
 from qbos.gcm import (
+    MULTI_START_EDGE_LIMIT,
     W_2Q,
     W_COH,
     W_RO,
     InfeasibleMappingError,
     _conflict_matrix,
+    _greedy,
     _near,
     MappingPlan,
     edge_scores,
@@ -585,6 +587,74 @@ def test_packed_plan_matches_lexicographic_oracle(case):
         assert (exc.value.requested, exc.value.achievable) == (err.requested, err.achievable)
     else:
         assert packed_plan(graph, k) == expected
+
+
+def pair_loop_select(graph, calib, k, min_sep):
+    """Oracle for select_pairs' swap search: the same ranking and greedy start,
+    then the per-pair loop that the one-expression round replaced, which tries
+    the chosen pairs most expensive first and swaps the first that fits an
+    unused cheaper edge for the cheapest such edge."""
+    ranked = sorted(zip(edge_scores(graph.edges, calib).tolist(), graph.edges))
+    scores = [score for score, _ in ranked]
+    edges = [e for _, e in ranked]
+    conflict = _conflict_matrix(_near(graph, min_sep), edges)
+    positions = list(range(len(edges)))
+    orders = [positions, sorted(positions, key=edges.__getitem__)]
+    if len(edges) <= MULTI_START_EDGE_LIMIT:
+        orders += [[r] + positions[:r] + positions[r + 1:] for r in positions]
+    chosen = min((_greedy(conflict, order, k) for order in orders),
+                 key=lambda sel: (-len(sel), sum(scores[r] for r in sel),
+                                  tuple(sorted(edges[r] for r in sel))))
+    if len(chosen) < k:
+        raise InfeasibleMappingError(k, len(chosen))
+    clashes = conflict[chosen].sum(axis=0)
+    improved = True
+    while improved:
+        improved = False
+        for idx in sorted(range(k), key=lambda i: (-scores[chosen[i]], edges[chosen[i]])):
+            cur = chosen[idx]
+            cheaper = sum(score < scores[cur] for score in scores)
+            fits = clashes[:cheaper] == conflict[cur, :cheaper]
+            if fits.any():
+                r = int(fits.argmax())
+                clashes += conflict[r].astype(int) - conflict[cur]
+                chosen[idx] = r
+                improved = True
+                break
+    return MappingPlan(tuple(edges[r] for r in sorted(chosen)), min_sep)
+
+
+@st.composite
+def swap_cases(draw):
+    """Heavy-hex graphs of distance 1-3 and 6 or random small ones, a realistic
+    or uniform calibration, a separation of 1-3 and k up to the achievable count,
+    drawn down from it: near that count the swap search has most to do."""
+    if draw(st.booleans()):
+        graph = heavy_hex_graph(draw(st.sampled_from([1, 2, 3, 6])))
+    else:
+        n = draw(st.integers(2, 12))
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        graph = CouplingGraph(n, tuple(draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                                     unique=True))))
+    calib = synth_calibration(graph, seed=draw(st.integers(0, 10**6)),
+                              profile=draw(st.sampled_from(["realistic", "uniform"])))
+    min_sep = draw(st.integers(1, 3))
+    try:  # n // 2 + 1 disjoint pairs never fit on n qubits
+        pair_loop_select(graph, calib, graph.num_qubits // 2 + 1, min_sep)
+    except InfeasibleMappingError as err:
+        achievable = err.achievable
+    return graph, calib, achievable - draw(st.integers(0, achievable - 1)), min_sep
+
+
+HEAVY_HEX_127 = heavy_hex_graph(6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(swap_cases())
+@example((HEAVY_HEX_127, synth_calibration(HEAVY_HEX_127, seed=0), 31, 2))  # the paper's case
+def test_swap_search_matches_the_pair_loop_oracle(case):
+    graph, calib, k, min_sep = case
+    assert select_pairs(graph, calib, k, min_sep) == pair_loop_select(graph, calib, k, min_sep)
 
 
 # --- properties on random small graphs -------------------------------------------------

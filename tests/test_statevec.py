@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qbos import statevec
 from qbos.game import STRATEGY_H, STRATEGY_I, Strategy
@@ -250,33 +250,42 @@ def test_derive_seed_distinct_and_stable():
     assert derive_seed(7, 0, 0) == s1
 
 
-# seeds of 1 to 6 words; with the two index words after them, a 1-word seed
+# seeds of 1 to 10 words; with the two index words after them, a 1-word seed
 # leaves the 4-word pool zero-padded, a 2-word seed fills it, and longer seeds
 # fold every word beyond the 4th into it
-SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 - 1, 2**160]
+SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 - 1, 2**160, 3**200]
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    seed=st.one_of(
-        st.sampled_from(SEED_EDGES),
-        st.integers(0, 2**192 - 1),
-        # the per-strategy seeds of a sweep
-        st.builds(derive_seed, st.integers(0, 2**63), st.integers(0, 3)),
+    seeds=st.lists(
+        st.one_of(
+            st.sampled_from(SEED_EDGES),
+            st.integers(0, 2**192 - 1),
+            # the per-strategy seeds of a sweep
+            st.builds(derive_seed, st.integers(0, 2**63), st.integers(0, 3)),
+        ),
+        max_size=5,
     ),
     circuits=st.integers(1, 40),
     runs=st.integers(1, 60),
 )
-def test_derive_seeds_equals_per_cell_derive_seed(seed, circuits, runs):
-    expected = [[derive_seed(seed, i, run) for run in range(runs)] for i in range(circuits)]
-    keys = derive_seeds(seed, circuits, runs)
-    assert keys.shape == (circuits, runs, 2) and keys.dtype == np.uint64
-    assert [[lo | hi << 64 for lo, hi in row] for row in keys.tolist()] == expected
+# 1- to 10-word seeds, some word counts twice and apart in the list
+@example(seeds=[3**200, 0, 2**32, derive_seed(7, 0), 2**32 - 1, 2**64, 2**128 - 1,
+                derive_seed(7, 3)], circuits=3, runs=4)
+def test_derive_seeds_equals_per_cell_derive_seed(seeds, circuits, runs):
+    expected = [[[derive_seed(seed, i, run) for run in range(runs)] for i in range(circuits)]
+                for seed in seeds]
+    keys = derive_seeds(seeds, circuits, runs)
+    assert keys.shape == (len(seeds), circuits, runs, 2) and keys.dtype == np.uint64
+    got = [[[lo | hi << 64 for lo, hi in row] for row in grid] for grid in keys.tolist()]
+    assert got == expected
 
 
 def test_derive_seeds_empty_grids():
-    assert derive_seeds(3, 0, 5).shape == (0, 5, 2)
-    assert derive_seeds(3, 2, 0).shape == (2, 0, 2)
+    assert derive_seeds([3], 0, 5).shape == (1, 0, 5, 2)
+    assert derive_seeds([3, 2**64], 2, 0).shape == (2, 2, 0, 2)
+    assert derive_seeds([], 2, 3).shape == (0, 2, 3, 2)
 
 
 def test_derive_seeds_rejects_counts_beyond_one_word(monkeypatch):
@@ -284,6 +293,8 @@ def test_derive_seeds_rejects_counts_beyond_one_word(monkeypatch):
     monkeypatch.setattr(statevec, "np", None)
     for circuits, runs in ((2**32, 1), (1, 2**32), (2**40, 2**40), (-1, 1)):
         with pytest.raises(ValueError, match=r"outside \[0, 2\*\*32\)"):
-            derive_seeds(5, circuits, runs)
+            derive_seeds([5], circuits, runs)
     with pytest.raises(ValueError, match="seed"):
-        derive_seeds(-1, 1, 1)
+        derive_seeds([-1], 1, 1)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -2$"):
+        derive_seeds([4, 2**64, -2], 1, 1)
