@@ -1283,10 +1283,33 @@ def test_deeply_nested_json_is_a_config_error(tmp_path, kind):
         ("calibration", lambda d: d["qubits"][3].update(id=9),
          "calibration does not cover every qubit and edge"),
         ("calibration", lambda d: d.update(timestamp=5), "timestamp must be a string, got 5"),
+        # the first bad entry in document order, and its first bad field, is named
+        ("calibration", lambda d: (d["qubits"][1].update(readout_error="x"),
+                                   d["qubits"][3].update(id=1.5)),
+         "qubits[1].readout_error must be a number, got 'x'"),
+        ("calibration", lambda d: (d["qubits"][2].update(id=2.5), d["qubits"][2].pop("t1_us")),
+         "qubits[2].id must be an integer, got 2.5"),
+        ("calibration", lambda d: d["qubits"].__setitem__(0, 5),
+         "qubits[0].id must be an integer, got None"),
+        # an entry is checked whole before the next one is read, and qubits before edges
+        ("calibration", lambda d: (d["qubits"][0].update(readout_error=2.0),
+                                   d["qubits"][1].update(t1_us="x")),
+         "qubit 0: readout_error outside [0,1]"),
+        ("calibration", lambda d: (d["qubits"][0].update(readout_error=2.0),
+                                   d["edges"][0].update(pair=[0])),
+         "qubit 0: readout_error outside [0,1]"),
+        ("coupling-map", lambda d: d.update(edges=[[0, 1], [5, 1], [2, 2]]),
+         "edge (5,1) out of range"),
+        ("coupling-map", lambda d: d.update(edges=[[9, 9], [0, 7]]), "self-loop on qubit 9"),
+        ("coupling-map", lambda d: d.update(edges=[[0, 1], [2, 3], [1, 0]]),
+         "duplicate edges [(0, 1)]"),
     ],
     ids=["num-qubits-float", "num-qubits-bool", "edge-id-string", "edge-id-float",
          "edge-id-bool", "edges-missing", "qubit-id-float", "pair-short", "t1-missing",
-         "readout-string", "t1-nan", "qubit-id-uncovered", "timestamp-int"],
+         "readout-string", "t1-nan", "qubit-id-uncovered", "timestamp-int",
+         "first-entry-wins", "first-field-wins", "entry-not-object", "range-before-later-type",
+         "qubits-before-edges", "edge-out-of-range-first", "self-loop-first",
+         "duplicate-reversed"],
 )
 def test_map_rejects_malformed_device_files(tmp_path, which, edit, message):
     doc = cmap_doc() if which == "coupling-map" else cal_doc()
