@@ -42,16 +42,16 @@ class CouplingGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.num_qubits < 1:
+        n = self.num_qubits
+        if n < 1:
             raise ValueError("graph needs at least one qubit")
-        canon = []
-        for e in self.edges:
-            a, b = int(e[0]), int(e[1])
-            if a == b:
-                raise ValueError(f"self-loop on qubit {a}")
-            if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
-                raise ValueError(f"edge ({a},{b}) out of range")
-            canon.append((min(a, b), max(a, b)))
+        pairs = [(int(e[0]), int(e[1])) for e in self.edges]
+        # the first self-loop or out-of-range edge, named as given
+        bad = next(((a, b) for a, b in pairs if a == b or not (0 <= a < n and 0 <= b < n)), None)
+        if bad is not None:
+            a, b = bad
+            raise ValueError(f"self-loop on qubit {a}" if a == b else f"edge ({a},{b}) out of range")
+        canon = [(a, b) if a < b else (b, a) for a, b in pairs]
         if len(set(canon)) != len(canon):
             dup = sorted({e for e in canon if canon.count(e) > 1})
             raise ValueError(f"duplicate edges {dup}")
@@ -77,9 +77,10 @@ class CouplingGraph:
     def from_json(cls, doc) -> "CouplingGraph":
         """Parse a coupling-map document; a ValueError names the first bad field."""
         edges = _field(doc, "edges", "a list")
-        for i, e in enumerate(edges):
-            if not _FIELD_CHECKS["two integer qubit ids"](e):
-                raise ValueError(f"edges[{i}] must be two integer qubit ids, got {e!r}")
+        is_pair = _FIELD_CHECKS["two integer qubit ids"]
+        if not all(map(is_pair, edges)):
+            i, e = next((i, e) for i, e in enumerate(edges) if not is_pair(e))
+            raise ValueError(f"edges[{i}] must be two integer qubit ids, got {e!r}")
         return cls(_field(doc, "num_qubits", "an integer"), tuple(map(tuple, edges)))
 
 
@@ -157,6 +158,18 @@ def _field(entry, key, expected: str, where: str = ""):
     return value
 
 
+# a calibration entry's fields, in the order _check_entry checks them
+_QUBIT_FIELDS = (("id", "an integer"), ("readout_error", "a number"),
+                 ("t1_us", "a number"), ("t2_us", "a number"))
+_EDGE_FIELDS = (("pair", "two integer qubit ids"), ("two_qubit_error", "a number"))
+
+
+def _check_entry(entry, fields, where: str) -> None:
+    """_field for each (key, expected) of fields in turn: the first bad one raises."""
+    for key, expected in fields:
+        _field(entry, key, expected, where)
+
+
 def _load(path, parse):
     """parse(the JSON document in path), with the path in every ValueError.
     A leading UTF-8 byte-order mark is skipped."""
@@ -193,6 +206,8 @@ class QubitCalibration:
     t2_us: float
 
     def __post_init__(self):
+        if self.id < 0:
+            raise ValueError(f"qubit {self.id}: id must be >= 0")
         if not 0.0 <= self.readout_error <= 1.0:
             raise ValueError(f"qubit {self.id}: readout_error outside [0,1]")
         if not (self.t1_us > 0 and self.t2_us > 0):  # NaN fails too
@@ -206,7 +221,9 @@ class EdgeCalibration:
 
     def __post_init__(self):
         a, b = self.pair
-        object.__setattr__(self, "pair", (min(a, b), max(a, b)))
+        object.__setattr__(self, "pair", (a, b) if a < b else (b, a))
+        if a == b:
+            raise ValueError(f"edge {self.pair}: pair is a self-loop")
         if not 0.0 <= self.two_qubit_error <= 1.0:
             raise ValueError(f"edge {self.pair}: two_qubit_error outside [0,1]")
 
@@ -245,18 +262,25 @@ class CalibrationSnapshot:
 
     def figures(self, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-edge arrays: two-qubit errors (E,), and the endpoints' readout errors and
-        T1s (us), (E, 2) in ascending qubit order.  A missing edge or qubit raises KeyError."""
-        entries = [self.edge(e) for e in edges]
+        T1s (us), (E, 2) in ascending qubit order.  A missing edge or qubit raises the
+        KeyError of edge() or qubit(), edges first."""
+        try:
+            entries = [self._by_pair[(a, b) if a < b else (b, a)] for a, b in edges]
+        except KeyError as miss:
+            raise KeyError(f"no calibration for edge {miss.args[0]}") from None
         two_qubit = np.array([entry.two_qubit_error for entry in entries], dtype=float)
-        ends = [self.qubit(q) for entry in entries for q in entry.pair]  # pair is (low, high)
+        try:  # pair is (low, high)
+            ends = [self._by_id[q] for entry in entries for q in entry.pair]
+        except KeyError as miss:
+            raise KeyError(f"no calibration for qubit {miss.args[0]}") from None
         readout = np.array([q.readout_error for q in ends], dtype=float).reshape(-1, 2)
         t1 = np.array([q.t1_us for q in ends], dtype=float).reshape(-1, 2)
         return two_qubit, readout, t1
 
     def covers(self, graph: CouplingGraph) -> bool:
         """Whether every qubit and edge of graph has calibration figures."""
-        return (all(q in self._by_id for q in range(graph.num_qubits))
-                and all(e in self._by_pair for e in graph.edges))
+        return (self._by_id.keys() >= set(range(graph.num_qubits))
+                and self._by_pair.keys() >= set(graph.edges))
 
     def graph(self) -> CouplingGraph:
         """The coupling graph implied by the calibrated edges, built on first use
@@ -286,18 +310,25 @@ class CalibrationSnapshot:
 
     @classmethod
     def from_json(cls, doc) -> "CalibrationSnapshot":
-        """Parse a calibration document; a ValueError names the first bad field."""
+        """Parse a calibration document; a ValueError names the first bad field.
+
+        Entries are checked and built in document order, qubits first.  One
+        expression tests all of an entry's fields; an entry that fails it goes
+        through _field, field by field, which names the first bad one."""
+        is_int, is_number, is_pair = (
+            _FIELD_CHECKS[what] for what in ("an integer", "a number", "two integer qubit ids"))
         qubits, edges = [], []
         for i, q in enumerate(_field(doc, "qubits", "a list")):
-            where = f"qubits[{i}]."
-            qubits.append(QubitCalibration(_field(q, "id", "an integer", where),
-                                           float(_field(q, "readout_error", "a number", where)),
-                                           float(_field(q, "t1_us", "a number", where)),
-                                           float(_field(q, "t2_us", "a number", where))))
+            if not (type(q) is dict and is_int(q.get("id")) and is_number(q.get("readout_error"))
+                    and is_number(q.get("t1_us")) and is_number(q.get("t2_us"))):
+                _check_entry(q, _QUBIT_FIELDS, f"qubits[{i}].")
+            qubits.append(QubitCalibration(q["id"], float(q["readout_error"]),
+                                           float(q["t1_us"]), float(q["t2_us"])))
         for i, e in enumerate(_field(doc, "edges", "a list")):
-            where = f"edges[{i}]."
-            edges.append(EdgeCalibration(tuple(_field(e, "pair", "two integer qubit ids", where)),
-                                         float(_field(e, "two_qubit_error", "a number", where))))
+            if not (type(e) is dict and is_pair(e.get("pair"))
+                    and is_number(e.get("two_qubit_error"))):
+                _check_entry(e, _EDGE_FIELDS, f"edges[{i}].")
+            edges.append(EdgeCalibration(tuple(e["pair"]), float(e["two_qubit_error"])))
         return cls(_field(doc, "timestamp", "a string"), tuple(qubits), tuple(edges))
 
 

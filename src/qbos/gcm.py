@@ -9,9 +9,11 @@ the result is checked against exhaustive search in the test suite.
 
 Separation is decided once per graph and radius, as array operations on
 contiguous rows: a boolean qubit x qubit ``near`` matrix (closer than the
-separation) grows from the identity by one hop per pass, ORing in its own
-rows at each slot of a padded neighbour table, and from it a qubit x edge
-"too close" table and then one boolean edge x edge conflict matrix are
+separation) is the identity plus one scatter of the edges' index arrays for
+the first hop, which at the default separation 2 is the whole table; each
+later hop ORs in its own rows at each slot of a padded neighbour table, built
+only for those hops.  From it a qubit x edge "too close" table and then one
+boolean edge x edge conflict matrix are
 gathered by rows (``near`` is symmetric: its rows are its columns).  Greedy
 passes OR chosen edges' rows into a blocked mask; the swap search counts each
 edge's conflicts with the chosen set and tests a round's chosen pairs in one
@@ -34,6 +36,7 @@ Plans serialize as JSON
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -115,22 +118,42 @@ def edge_scores(edges, calib: CalibrationSnapshot) -> np.ndarray:
             + W_COH * (1.0 / t1[:, 0] + 1.0 / t1[:, 1]))
 
 
+def _endpoints(edges) -> tuple[np.ndarray, np.ndarray]:
+    """The index arrays (a, b) of a sequence of qubit pairs, from one np.fromiter."""
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges))
+    return flat[0::2], flat[1::2]
+
+
 def _near(graph: CouplingGraph, min_separation: int) -> np.ndarray:
     """Boolean qubit x qubit matrix: True where two qubits are closer than
     ``max(min_separation, 1)`` hops.  Qubits in different components are
     never near.  The table is built once per graph and radius, kept on the
     graph and read-only."""
     radius = max(min_separation, 1)
-    if radius in graph._near:
-        return graph._near[radius]
-    n = graph.num_qubits
+    if radius not in graph._near:
+        near = _near_table(graph, radius)
+        near.flags.writeable = False
+        graph._near[radius] = near
+    return graph._near[radius]
+
+
+def _near_table(graph: CouplingGraph, radius: int) -> np.ndarray:
+    """_near's table at radius >= 1, built afresh: the identity, the edges
+    scattered in as the first hop, then one hop per pass."""
+    near = np.eye(graph.num_qubits, dtype=bool)
+    if radius == 1:
+        return near
+    a, b = _endpoints(graph.edges)
+    near[a, b] = True
+    near[b, a] = True
+    if radius == 2:
+        return near
     adj = graph.adjacency()
     # neighbour table padded with the qubit itself, so padding adds nothing
     width = max(1, max(len(nbrs) for nbrs in adj))
     nbrs = np.array([nb + [q] * (width - len(nb)) for q, nb in enumerate(adj)],
                     dtype=np.intp)
-    near = np.eye(n, dtype=bool)
-    for _ in range(radius - 1):
+    for _ in range(radius - 2):
         # within r, or r from a neighbour: near is symmetric, so row q of
         # near[column] marks the qubits within r of q's neighbour in that slot
         grown = near.copy()
@@ -139,8 +162,6 @@ def _near(graph: CouplingGraph, min_separation: int) -> np.ndarray:
         if np.array_equal(grown, near):
             break  # every component is covered already
         near = grown
-    near.flags.writeable = False
-    graph._near[radius] = near
     return near
 
 
@@ -148,7 +169,7 @@ def _conflict_matrix(near: np.ndarray, edges) -> np.ndarray:
     """Boolean edge x edge matrix over ``edges``, in their order: True where two
     edges have endpoints that are ``near``, so also where they share a qubit.
     Every edge conflicts with itself."""
-    a, b = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    a, b = _endpoints(edges)
     # qubit x edge: qubits too close to the edge, near[:, a] | near[:, b], built
     # from row gathers and one transposing copy, since near is symmetric
     close = (near[a] | near[b]).T.copy()

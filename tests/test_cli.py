@@ -990,6 +990,11 @@ def cal_doc():
     return synth_calibration(CouplingGraph(4, ((0, 1), (1, 2), (2, 3))), seed=3).to_json()
 
 
+SELF_LOOP_EDGE = {"pair": [1, 1], "two_qubit_error": 0.01}
+NEGATIVE_QUBIT = {"id": -1, "readout_error": 0.02, "t1_us": 100.0, "t2_us": 90.0}
+NEGATIVE_EDGE = {"pair": [1, -1], "two_qubit_error": 0.01}
+
+
 def config_doc():
     return {"synth": True, "gamma_steps": 2, "shots": 1, "runs": 1}
 
@@ -1303,13 +1308,19 @@ def test_deeply_nested_json_is_a_config_error(tmp_path, kind):
         ("coupling-map", lambda d: d.update(edges=[[9, 9], [0, 7]]), "self-loop on qubit 9"),
         ("coupling-map", lambda d: d.update(edges=[[0, 1], [2, 3], [1, 0]]),
          "duplicate edges [(0, 1)]"),
+        # entries the coupling map does not need still describe a valid device
+        ("calibration", lambda d: d["edges"].append(SELF_LOOP_EDGE),
+         "edge (1, 1): pair is a self-loop"),
+        ("calibration", lambda d: (d["qubits"].append(NEGATIVE_QUBIT),
+                                   d["edges"].append(NEGATIVE_EDGE)),
+         "qubit -1: id must be >= 0"),
     ],
     ids=["num-qubits-float", "num-qubits-bool", "edge-id-string", "edge-id-float",
          "edge-id-bool", "edges-missing", "qubit-id-float", "pair-short", "t1-missing",
          "readout-string", "t1-nan", "qubit-id-uncovered", "timestamp-int",
          "first-entry-wins", "first-field-wins", "entry-not-object", "range-before-later-type",
          "qubits-before-edges", "edge-out-of-range-first", "self-loop-first",
-         "duplicate-reversed"],
+         "duplicate-reversed", "extra-self-loop-pair", "extra-negative-qubit"],
 )
 def test_map_rejects_malformed_device_files(tmp_path, which, edit, message):
     doc = cmap_doc() if which == "coupling-map" else cal_doc()
@@ -1318,3 +1329,16 @@ def test_map_rejects_malformed_device_files(tmp_path, which, edit, message):
     assert (code, out) == (EXIT_CONFIG, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"edges": [SELF_LOOP_EDGE]}, "edge (1, 1): pair is a self-loop"),
+    ({"qubits": [NEGATIVE_QUBIT], "edges": [NEGATIVE_EDGE]}, "qubit -1: id must be >= 0"),
+], ids=["self-loop-pair", "negative-qubit"])
+def test_map_names_the_calibration_file_of_an_invalid_extra_entry(tmp_path, extra, message):
+    # a calibration that covers the coupling map, plus an entry no device can have
+    doc = cal_doc()
+    for key, entries in extra.items():
+        doc[key].extend(entries)
+    code, out, err = run_on_file("calibration", "doc", doc, tmp_path)
+    assert (code, out, err) == (EXIT_CONFIG, "", f"error: {tmp_path / 'input.json'}: {message}\n")

@@ -8,6 +8,8 @@ import pytest
 from qbos.device import (
     CalibrationSnapshot,
     CouplingGraph,
+    EdgeCalibration,
+    QubitCalibration,
     READOUT_ERROR_RANGE,
     TWO_QUBIT_ERROR_RANGE,
     heavy_hex_graph,
@@ -209,6 +211,23 @@ def test_calibration_validation():
             {"timestamp": "t", "qubits": [{"id": 0, "readout_error": 2.0,
                                            "t1_us": 1.0, "t2_us": 1.0}], "edges": []}
         )
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: EdgeCalibration((1, 1), 0.01), r"^edge \(1, 1\): pair is a self-loop$"),
+    (lambda: QubitCalibration(-1, 0.02, 100.0, 90.0), r"^qubit -1: id must be >= 0$"),
+    (lambda: CalibrationSnapshot.from_json(
+        {"timestamp": "t", "qubits": [], "edges": [{"pair": [3, 3], "two_qubit_error": 0.5}]}),
+     r"^edge \(3, 3\): pair is a self-loop$"),
+    (lambda: CalibrationSnapshot.from_json(
+        {"timestamp": "t", "edges": [],
+         "qubits": [{"id": -2, "readout_error": 0.1, "t1_us": 1.0, "t2_us": 1.0}]}),
+     r"^qubit -2: id must be >= 0$"),
+], ids=["edge", "qubit", "edge-entry", "qubit-entry"])
+def test_calibration_entries_reject_self_loops_and_negative_ids(build, message):
+    # both would fail later, in CalibrationSnapshot.graph, without naming the entry
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_calibration_lookup_misses_raise_key_error():

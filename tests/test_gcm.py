@@ -11,6 +11,7 @@ from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from graph_oracles import bfs_distances
+from qbos import gcm
 from qbos.device import (
     CalibrationSnapshot,
     CouplingGraph,
@@ -162,15 +163,15 @@ def test_near_tables_are_kept_read_only_and_out_of_the_graphs_value():
     assert _near(copy, 2).tolist() == near.tolist()
 
 
-def test_adjacency_runs_once_per_graph_and_radius(monkeypatch):
+def test_near_table_builds_once_per_graph_and_radius(monkeypatch):
     from qbos.game import CANONICAL_STRATEGIES, GameSpec, default_gamma_grid
     from qbos.noise import NoiseModel, crosstalk_flags, simulate_job
 
     cal = synth_calibration(heavy_hex_graph(6), seed=3, profile="realistic")
     calls = []
-    adjacency = CouplingGraph.adjacency
-    monkeypatch.setattr(CouplingGraph, "adjacency",
-                        lambda graph: calls.append(graph) or adjacency(graph))
+    build = gcm._near_table
+    monkeypatch.setattr(gcm, "_near_table",
+                        lambda graph, radius: calls.append(graph) or build(graph, radius))
     graph = cal.graph()
     plan = select_pairs(graph, cal, k=7)
     crosstalk_flags(plan, graph)
@@ -697,3 +698,45 @@ def test_plans_separated_and_locally_minimal(instance):
             if e in chosen or scores[e] >= scores[current]:
                 continue
             assert not all(separated(d, e, o, min_sep) for o in rest), (current, e)
+
+
+@st.composite
+def reordered_calibrations(draw):
+    """A heavy-hex graph of distance 1-3, a realistic or uniform calibration, the
+    same calibration loaded from its document with the qubit and edge entries
+    shuffled and each pair's endpoints swapped or not, and k from 1 to one past
+    the achievable pair count."""
+    graph = heavy_hex_graph(draw(st.integers(1, 3)))
+    calib = synth_calibration(graph, seed=draw(st.integers(0, 10**6)),
+                              profile=draw(st.sampled_from(["realistic", "uniform"])))
+    doc = calib.to_json()
+    doc["qubits"] = draw(st.permutations(doc["qubits"]))
+    swaps = draw(st.lists(st.booleans(), min_size=len(graph.edges), max_size=len(graph.edges)))
+    doc["edges"] = [dict(e, pair=e["pair"][::-1]) if swap else e
+                    for e, swap in zip(draw(st.permutations(doc["edges"])), swaps)]
+    try:
+        select_pairs(graph, calib, graph.num_qubits // 2 + 1)
+    except InfeasibleMappingError as err:
+        achievable = err.achievable
+    return graph, calib, CalibrationSnapshot.from_json(doc), draw(st.integers(1, achievable + 1))
+
+
+def plan_or_error(graph, calib, k):
+    try:
+        return select_pairs(graph, calib, k).to_json()
+    except InfeasibleMappingError as err:
+        return str(err)
+
+
+@settings(max_examples=40, deadline=None)
+@given(reordered_calibrations(), st.data())
+def test_figures_and_plans_ignore_entry_order_and_pair_orientation(case, data):
+    graph, calib, reordered, k = case
+    swaps = data.draw(st.lists(st.booleans(), min_size=len(graph.edges),
+                               max_size=len(graph.edges)))
+    either = [(b, a) if swap else (a, b) for (a, b), swap in zip(graph.edges, swaps)]
+    expected = [x.tobytes() for x in calib.figures(graph.edges)]
+    for snapshot in (calib, reordered):
+        for edges in (graph.edges, either, [(b, a) for a, b in graph.edges]):
+            assert [x.tobytes() for x in snapshot.figures(edges)] == expected
+    assert plan_or_error(reordered.graph(), reordered, k) == plan_or_error(graph, calib, k)

@@ -14,6 +14,7 @@ from qbos.game import (
     GameSpec,
     STRATEGY_H,
     STRATEGY_I,
+    Strategy,
     _closed_form_distribution,
     PayoffMatrix,
     analytical_payoffs,
@@ -35,6 +36,7 @@ from qbos.statevec import OUTCOME_LABELS
 from qbos.stats import payoff_table, rmse
 
 from graph_oracles import bfs_distances
+from noise_oracles import closed_form_distribution
 
 BOS = PayoffMatrix.battle_of_sexes()
 
@@ -490,3 +492,25 @@ def test_packed_plan_noisier_than_separated_plan():
     assert sum(rmse_vs_analytic(r_pack, spec, STRATEGY_I)) > sum(
         rmse_vs_analytic(r_gcm, spec, STRATEGY_I)
     )
+
+
+ORACLE_STRATEGIES = [Strategy("I"), Strategy("H"), Strategy("RY", math.pi / 4),
+                     Strategy("RY", math.pi), Strategy("RY", 0.7), Strategy("RY", 2.9)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    circuits=st.lists(st.tuples(st.floats(0.0, math.pi), st.sampled_from(ORACLE_STRATEGIES),
+                                st.sampled_from(ORACLE_STRATEGIES), st.floats(0.0, 0.3),
+                                st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 0.3)),
+                                st.booleans()),
+                      min_size=1, max_size=6),
+    scale=st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+)
+def test_noisy_distributions_match_the_closed_form(circuits, scale):
+    games = [(gamma, a, b) for gamma, a, b, _, _, _ in circuits]
+    _, _, _, p2, ro, flags = zip(*circuits)
+    core = noisy_distributions(games, p2, ro, NoiseModel(scale=scale), flags)
+    oracle = [closed_form_distribution(*game, e, r, scale, flag)
+              for game, e, r, flag in zip(games, p2, ro, flags)]
+    np.testing.assert_allclose(core, oracle, rtol=0, atol=1e-12)
