@@ -256,7 +256,7 @@ def _sweep_rows(cfg: SweepConfig, graph, calib, plan):
     a sweep, without its line end, in canonical (strategy, circuit, run) order.
 
     One noise.job_counts call evolves and samples every strategy's cells, with
-    the crosstalk flags it derives from graph.  Strategy s samples cell (i,
+    the crosstalk flags it derives from graph.edges.  Strategy s samples cell (i,
     run) from derive_seed(derive_seed(seed, s), i, run), s being its canonical
     index, so every cell's counts are fixed by the config alone and a
     strategy's rows do not depend on which other strategies the sweep holds.
@@ -274,7 +274,7 @@ def _sweep_rows(cfg: SweepConfig, graph, calib, plan):
     strategies = [game.Strategy.parse(label) for label in labels]
     seeds = [derive_seed(cfg.seed, canonical[label]) for label in labels]
     counts = noise.job_counts(plan, grid, [(s, s) for s in strategies], calib, model,
-                              cfg.shots, cfg.runs, seeds, graph)
+                              cfg.shots, cfg.runs, seeds, graph.edges)
     freqs = counts / cfg.shots
     payoffs = game.payoff_table(freqs, BOS)
 

@@ -10,6 +10,7 @@ The calibration file is JSON::
     }
 
 CalibrationSnapshot.figures gives the per-edge arrays that gcm and noise read.
+Graphs and snapshots are plain values; crosstalk needs only their edge lists.
 """
 
 from __future__ import annotations
@@ -56,9 +57,6 @@ class CouplingGraph:
             dup = sorted({e for e in canon if canon.count(e) > 1})
             raise ValueError(f"duplicate edges {dup}")
         object.__setattr__(self, "edges", tuple(sorted(canon)))
-        # gcm._near's tables, keyed by radius; a plain attribute, so equality,
-        # hashing, repr and JSON ignore it
-        object.__setattr__(self, "_near", {})
 
     def adjacency(self) -> list[list[int]]:
         adj = [[] for _ in range(self.num_qubits)]
@@ -235,8 +233,7 @@ class CalibrationSnapshot:
     edges: tuple[EdgeCalibration, ...]
 
     def __post_init__(self):
-        # lookup tables and the graph() memo; plain attributes, so equality,
-        # repr and JSON ignore them
+        # lookup tables; plain attributes, so equality, repr and JSON ignore them
         by_id = {q.id: q for q in self.qubits}
         if len(by_id) != len(self.qubits):
             raise ValueError("duplicate qubit calibration entries")
@@ -245,7 +242,6 @@ class CalibrationSnapshot:
             raise ValueError("duplicate edge calibration entries")
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_by_pair", by_pair)
-        object.__setattr__(self, "_graph", None)
 
     def qubit(self, index: int) -> QubitCalibration:
         try:
@@ -281,15 +277,6 @@ class CalibrationSnapshot:
         """Whether every qubit and edge of graph has calibration figures."""
         return (self._by_id.keys() >= set(range(graph.num_qubits))
                 and self._by_pair.keys() >= set(graph.edges))
-
-    def graph(self) -> CouplingGraph:
-        """The coupling graph implied by the calibrated edges, built on first use
-        and kept, so every job on this snapshot shares it and its tables."""
-        if self._graph is None:
-            graph = CouplingGraph(max(q.id for q in self.qubits) + 1,
-                                  tuple(e.pair for e in self.edges))
-            object.__setattr__(self, "_graph", graph)
-        return self._graph
 
     def to_json(self) -> dict:
         return {

@@ -7,26 +7,24 @@ interfere.  Selection is greedy by calibration-derived score with a
 swap-based local search; optimality is not claimed, but on small instances
 the result is checked against exhaustive search in the test suite.
 
-Separation is decided once per graph and radius, as array operations on
-contiguous rows: a boolean qubit x qubit ``near`` matrix (closer than the
-separation) is the identity plus one scatter of the edges' index arrays for
-the first hop, which at the default separation 2 is the whole table; each
-later hop ORs in its own rows at each slot of a padded neighbour table, built
-only for those hops.  From it a qubit x edge "too close" table and then one
-boolean edge x edge conflict matrix are
-gathered by rows (``near`` is symmetric: its rows are its columns).  Greedy
-passes OR chosen edges' rows into a blocked mask; the swap search counts each
-edge's conflicts with the chosen set and tests a round's chosen pairs in one
+Separation is decided once per ``select_pairs`` or ``packed_plan`` call, as
+array operations on contiguous rows: a boolean qubit x qubit ``near`` matrix
+(closer than the separation) is the identity plus one scatter of the edges'
+index arrays for the first hop, which at the default separation 2 is the
+whole table; each later hop ORs in its own rows at each slot of a padded
+neighbour table, built only for those hops.  From it a qubit x edge "too
+close" table and then one boolean edge x edge conflict matrix are gathered by
+rows (``near`` is symmetric: its rows are its columns).  Greedy passes OR
+chosen edges' rows into a blocked mask; the swap search counts each edge's
+conflicts with the chosen set and tests a round's chosen pairs in one
 expression.  Temporaries cost N*N, N*E and E*E bytes (0.33, 0.39 and 0.45 MB
 for 575 qubits and 672 heavy-hex edges), with no N*N*degree array.  The
 conflict relation is exactly "some endpoints closer than the separation", so
-plans equal those of pairwise distance checks.  ``near`` is kept on the graph,
-read-only, so ``select_pairs``, ``packed_plan`` and ``noise.crosstalk_flags``
-share one table per graph and radius, and every later job on that graph reuses
-it.  ``verify_separation`` is an independent check that does not use these
-matrices: it walks one BFS ball per plan qubit and looks each ball member up
-in a qubit -> circuit owner map.  ``packed_plan``, the crowded baseline, is
-the same greedy pass at separation 1, in edge order.
+plans equal those of pairwise distance checks.  ``verify_separation`` is an
+independent check that does not use these matrices: it walks one BFS ball
+per plan qubit and looks each ball member up in a qubit -> circuit owner map.
+``packed_plan``, the crowded baseline, is the same greedy pass at separation
+1, in edge order.
 
 Plans serialize as JSON
 ``{"min_separation": s, "assignments": [{"circuit": i, "pair": [a, b]}]}``;
@@ -126,20 +124,10 @@ def _endpoints(edges) -> tuple[np.ndarray, np.ndarray]:
 
 def _near(graph: CouplingGraph, min_separation: int) -> np.ndarray:
     """Boolean qubit x qubit matrix: True where two qubits are closer than
-    ``max(min_separation, 1)`` hops.  Qubits in different components are
-    never near.  The table is built once per graph and radius, kept on the
-    graph and read-only."""
+    ``radius = max(min_separation, 1)`` hops.  Qubits in different components
+    are never near.  The identity, the edges scattered in as the first hop,
+    then one hop per pass."""
     radius = max(min_separation, 1)
-    if radius not in graph._near:
-        near = _near_table(graph, radius)
-        near.flags.writeable = False
-        graph._near[radius] = near
-    return graph._near[radius]
-
-
-def _near_table(graph: CouplingGraph, radius: int) -> np.ndarray:
-    """_near's table at radius >= 1, built afresh: the identity, the edges
-    scattered in as the first hop, then one hop per pass."""
     near = np.eye(graph.num_qubits, dtype=bool)
     if radius == 1:
         return near

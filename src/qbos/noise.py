@@ -14,7 +14,8 @@ Error channels, matching the dominant NISQ error sources:
   applied to the final outcome distribution;
 * a crosstalk penalty of 0.05, an extra two-qubit depolarizing channel
   applied after entangling gates whenever another active pair sits closer
-  than graph distance 2.
+  than graph distance 2: it holds one of the circuit's qubits or a qubit
+  coupled to one.
 
 A global, finite scale factor multiplies every error probability (clamped
 to 1), so scale 0 gives the ideal circuit's exact distribution and large
@@ -29,9 +30,9 @@ strategies share the stack because their circuits differ only in the gamma
 and the strategy gates.  job_counts then samples every (strategy pair,
 circuit, run) cell in one call.  Both simulate_job and the CLI sweep run on
 it.  A step builds and embeds each distinct gate once and gathers one row
-per circuit.  simulate_job passes the snapshot's kept graph
-(CalibrationSnapshot.graph), so every job after the first on a snapshot
-reuses that graph and its separation table for the crosstalk flags.
+per circuit.  The crosstalk flags come from one scan of the device's coupled
+pairs: the CLI passes the coupling graph's edges, simulate_job the
+snapshot's calibrated pairs.
 """
 
 from __future__ import annotations
@@ -41,12 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import CalibrationSnapshot, CouplingGraph
+from .device import CalibrationSnapshot
 from .game import GAMMA_SLACK, GameSpec, Strategy
-from .gcm import MappingPlan, _conflict_matrix, _near
+from .gcm import MappingPlan
 from .statevec import OUTCOME_LABELS, ShotCounts, derive_seeds, gate_matrix, sample_cells
 
-CROSSTALK_DISTANCE = 2          # pairs closer than this interfere
 CROSSTALK_PENALTY = 0.05        # no published figure exists
 ONE_QUBIT_ERROR_FRACTION = 0.1  # one-qubit error as a fraction of the edge error
 
@@ -194,12 +194,22 @@ def noisy_distributions(
     return np.clip(probs, 0.0, None)
 
 
-def crosstalk_flags(plan: MappingPlan, graph: CouplingGraph) -> list[bool]:
-    """Per-circuit flag: does any other active pair sit closer than distance 2?"""
-    # the mapper's conflict relation at the crosstalk distance, minus self-conflict
-    conflict = _conflict_matrix(_near(graph, CROSSTALK_DISTANCE), plan.assignments)
-    np.fill_diagonal(conflict, False)
-    return conflict.any(axis=1).tolist()
+def crosstalk_flags(plan: MappingPlan, edges) -> list[bool]:
+    """Per-circuit flag: does another active pair hold one of the circuit's qubits
+    or a qubit coupled to one?  edges lists the device's coupled pairs, in any
+    order and orientation."""
+    owner: dict[int, int] = {}  # qubit -> the last circuit holding it
+    flags = [False] * len(plan.assignments)
+    for i, pair in enumerate(plan.assignments):
+        for q in pair:
+            if q in owner:  # pairs that share a qubit flag each other
+                flags[i] = flags[owner[q]] = True
+            owner[q] = i
+    # every holder of a shared qubit is flagged already, so its last holder stands for all
+    for u, v in edges:
+        if u in owner and v in owner and owner[u] != owner[v]:
+            flags[owner[u]] = flags[owner[v]] = True
+    return flags
 
 
 def job_counts(
@@ -211,7 +221,7 @@ def job_counts(
     shots: int,
     runs: int,
     seeds: Sequence[int],
-    graph: CouplingGraph,
+    edges,
 ) -> np.ndarray:
     """Shot counts of every (strategy pair, circuit, run) cell of a mapped sweep.
 
@@ -222,7 +232,7 @@ def job_counts(
     one derive_seeds call keys every cell and one sample_cells call draws them.
     Cell (s, i, run) draws from derive_seed(seeds[s], i, run), so its counts do
     not depend on which other cells or strategy pairs are sampled.  Crosstalk
-    follows crosstalk_flags(plan, graph), graph being the device's coupling graph.
+    follows crosstalk_flags(plan, edges), edges being the device's coupled pairs.
     """
     if not players:
         raise ValueError("a job needs at least one strategy pair")
@@ -233,7 +243,7 @@ def job_counts(
                          f"{len(grid)} points")
     games = [(gamma, a, b) for a, b in players for gamma in grid]
     two_qubit, readout, _ = calib.figures(plan.assignments)
-    flags = crosstalk_flags(plan, graph) * len(players)
+    flags = crosstalk_flags(plan, edges) * len(players)
     distributions = noisy_distributions(games, np.tile(two_qubit, len(players)),
                                         np.tile(readout, (len(players), 1)), model, flags)
     keys = derive_seeds(seeds, len(grid), runs).reshape(len(games), runs, 2)
@@ -249,8 +259,8 @@ def simulate_job(
     runs: int,
     seed: int,
 ) -> list[RunResult]:
-    """job_counts as RunResults, run by run and circuit by circuit within a run."""
-    counts = job_counts(plan, spec.gamma_grid, [(spec.strategy_a, spec.strategy_b)],
-                        calib, model, shots, runs, [seed], calib.graph())[0].tolist()
+    """job_counts over the snapshot's calibrated pairs as RunResults, run-major."""
+    counts = job_counts(plan, spec.gamma_grid, [(spec.strategy_a, spec.strategy_b)], calib,
+                        model, shots, runs, [seed], [e.pair for e in calib.edges])[0].tolist()
     return [RunResult(i, gamma, ShotCounts(dict(zip(OUTCOME_LABELS, counts[i][run])), shots), run)
             for run in range(runs) for i, gamma in enumerate(spec.gamma_grid)]

@@ -1,6 +1,5 @@
 """Pair-selection tests, including an exhaustive oracle on small graphs."""
 
-import dataclasses
 import itertools
 import json
 import time
@@ -11,7 +10,6 @@ from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from graph_oracles import bfs_distances
-from qbos import gcm
 from qbos.device import (
     CalibrationSnapshot,
     CouplingGraph,
@@ -20,6 +18,7 @@ from qbos.device import (
     heavy_hex_graph,
     synth_calibration,
 )
+from qbos.game import STRATEGY_H, GameSpec, default_gamma_grid
 from qbos.gcm import (
     MULTI_START_EDGE_LIMIT,
     W_2Q,
@@ -37,6 +36,7 @@ from qbos.gcm import (
     select_pairs,
     verify_separation,
 )
+from qbos.noise import NoiseModel, simulate_job
 
 
 def flat_calibration(graph, two_qubit=1e-2, readout=2e-2, t1=300.0):
@@ -144,44 +144,6 @@ def test_near_matches_floyd_warshall(graph_factory, min_sep):
     for p in range(g.num_qubits):
         for q in range(g.num_qubits):
             assert near[p, q] == (d[p][q] < max(min_sep, 1)), (p, q)
-
-
-def test_near_tables_are_kept_read_only_and_out_of_the_graphs_value():
-    g, twin = heavy_hex_graph(2), heavy_hex_graph(2)
-    text, doc = repr(g), g.to_json()
-    near = _near(g, 2)
-    assert _near(g, 2) is near and _near(g, 0) is _near(g, 1) is not near
-    assert not near.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        near[0, 1] = True
-    # the kept tables change neither equality, hash, repr nor JSON
-    assert g == twin and hash(g) == hash(twin)
-    assert repr(g) == text and g.to_json() == doc
-    # a replaced graph grows its own tables
-    copy = dataclasses.replace(g)
-    assert copy == g and _near(copy, 2) is not near
-    assert _near(copy, 2).tolist() == near.tolist()
-
-
-def test_near_table_builds_once_per_graph_and_radius(monkeypatch):
-    from qbos.game import CANONICAL_STRATEGIES, GameSpec, default_gamma_grid
-    from qbos.noise import NoiseModel, crosstalk_flags, simulate_job
-
-    cal = synth_calibration(heavy_hex_graph(6), seed=3, profile="realistic")
-    calls = []
-    build = gcm._near_table
-    monkeypatch.setattr(gcm, "_near_table",
-                        lambda graph, radius: calls.append(graph) or build(graph, radius))
-    graph = cal.graph()
-    plan = select_pairs(graph, cal, k=7)
-    crosstalk_flags(plan, graph)
-    for scale, s in zip((0.0, 0.5, 1.0, 2.0), CANONICAL_STRATEGIES):
-        spec = GameSpec(gamma_grid=default_gamma_grid(7), strategy_a=s, strategy_b=s)
-        simulate_job(plan, spec, cal, NoiseModel(scale=scale), shots=64, runs=2, seed=1)
-    assert len(calls) == 1 and calls[0] is graph  # radius 2 only
-    packed_plan(graph, 7)
-    packed_plan(graph, 7)
-    assert len(calls) == 2  # and radius 1
 
 
 @st.composite
@@ -739,4 +701,10 @@ def test_figures_and_plans_ignore_entry_order_and_pair_orientation(case, data):
     for snapshot in (calib, reordered):
         for edges in (graph.edges, either, [(b, a) for a, b in graph.edges]):
             assert [x.tobytes() for x in snapshot.figures(edges)] == expected
-    assert plan_or_error(reordered.graph(), reordered, k) == plan_or_error(graph, calib, k)
+    assert plan_or_error(graph, reordered, k) == plan_or_error(graph, calib, k)
+    # simulate_job scans the pairs in document order; a crowded plan has crosstalk
+    plan = packed_plan(graph, 4)
+    spec = GameSpec(gamma_grid=default_gamma_grid(4),
+                    strategy_a=STRATEGY_H, strategy_b=STRATEGY_H)
+    assert (simulate_job(plan, spec, reordered, NoiseModel(), 64, 2, seed=k)
+            == simulate_job(plan, spec, calib, NoiseModel(), 64, 2, seed=k))

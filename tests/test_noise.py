@@ -6,9 +6,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qbos.device import CouplingGraph, heavy_hex_graph, synth_calibration
+from qbos.device import (
+    CalibrationSnapshot,
+    CouplingGraph,
+    EdgeCalibration,
+    heavy_hex_graph,
+    synth_calibration,
+)
 from qbos.game import (
     CANONICAL_STRATEGIES,
     GameSpec,
@@ -21,7 +27,6 @@ from qbos.game import (
 )
 from qbos.gcm import MappingPlan, packed_plan, select_pairs
 from qbos.noise import (
-    CROSSTALK_DISTANCE,
     CROSSTALK_PENALTY,
     NoiseModel,
     confusion_matrix,
@@ -257,30 +262,31 @@ def test_gcm_plan_has_no_crosstalk():
     g = heavy_hex_graph(6)
     cal = synth_calibration(g, seed=1, profile="realistic")
     plan = select_pairs(g, cal, k=31, min_separation=2)
-    assert crosstalk_flags(plan, g) == [False] * 31
+    assert crosstalk_flags(plan, g.edges) == [False] * 31
 
 
 def test_packed_plan_triggers_crosstalk():
     g = heavy_hex_graph(6)
     plan = packed_plan(g, 31)
-    flags = crosstalk_flags(plan, g)
+    flags = crosstalk_flags(plan, g.edges)
     assert sum(flags) >= 25  # nearly every crowded circuit interferes
 
 
 def test_crosstalk_flag_detects_adjacency():
     g = CouplingGraph(7, tuple((i, i + 1) for i in range(6)))
     plan = MappingPlan(((0, 1), (2, 3)), min_separation=1)
-    assert crosstalk_flags(plan, g) == [True, True]
+    assert crosstalk_flags(plan, g.edges) == [True, True]
     plan2 = MappingPlan(((0, 1), (3, 4)), min_separation=2)
-    assert crosstalk_flags(plan2, g) == [False, False]
+    assert crosstalk_flags(plan2, g.edges) == [False, False]
 
 
 def bfs_crosstalk_flags(assignments, graph):
-    """Oracle: one BFS per plan qubit, then every qubit pair of every two circuits."""
+    """Oracle: one BFS per plan qubit, then every qubit pair of every two circuits;
+    two circuits interfere when some of their qubits are closer than 2 hops."""
     dist = {q: bfs_distances(graph, q) for pair in assignments for q in pair}
     return [
         any(
-            0 <= dist[q][o] < CROSSTALK_DISTANCE
+            0 <= dist[q][o] < 2
             for j, other in enumerate(assignments)
             if j != i
             for q in pair
@@ -295,7 +301,9 @@ HEAVY_HEX = {d: heavy_hex_graph(d) for d in (2, 3, 6)}
 
 @st.composite
 def plans_on_graphs(draw):
-    """A graph and up to 12 of its edges; nearby, repeated and shared-qubit edges occur."""
+    """A graph, up to 12 of its edges, where nearby, repeated and shared-qubit edges
+    occur, and the graph's edges shuffled with either endpoint first, as a
+    calibration file may list them."""
     which = draw(st.sampled_from(["small", 2, 3, 6]))
     if which == "small":
         n = draw(st.integers(2, 9))
@@ -307,19 +315,39 @@ def plans_on_graphs(draw):
     # edges are sorted, so a window of them lies close together on the device
     lo = draw(st.integers(0, len(graph.edges) - 1))
     window = graph.edges[lo:lo + 16]
-    return graph, tuple(draw(st.lists(st.sampled_from(window), max_size=12)))
+    assignments = tuple(draw(st.lists(st.sampled_from(window), max_size=12)))
+    swaps = draw(st.lists(st.booleans(), min_size=len(graph.edges), max_size=len(graph.edges)))
+    listed = [(b, a) if swap else (a, b)
+              for (a, b), swap in zip(draw(st.permutations(graph.edges)), swaps)]
+    return graph, assignments, listed
+
+
+def plan_of(assignments):
+    qubits = [q for pair in assignments for q in pair]
+    if len(set(qubits)) == len(qubits):
+        return MappingPlan(assignments)
+    # overlapping pairs are no valid MappingPlan, but the flags still apply
+    return SimpleNamespace(assignments=assignments)
+
+
+HEAVY_HEX_575 = heavy_hex_graph(14)
+# the 575-qubit device's pairs reversed, two in three of them flipped
+LISTED_575 = [(b, a) if i % 3 else (a, b)
+              for i, (a, b) in enumerate(reversed(HEAVY_HEX_575.edges))]
 
 
 @settings(max_examples=150, deadline=None)
 @given(plans_on_graphs())
+@example((HEAVY_HEX_575, select_pairs(
+    HEAVY_HEX_575, synth_calibration(HEAVY_HEX_575, seed=3, profile="realistic"), k=100,
+).assignments, LISTED_575)).via("a 100-pair select_pairs plan on heavy_hex_graph(14)")
+@example((HEAVY_HEX_575, packed_plan(HEAVY_HEX_575, 100).assignments, LISTED_575)).via(
+    "a 100-pair packed_plan on heavy_hex_graph(14)")
 def test_crosstalk_flags_match_bfs(instance):
-    graph, assignments = instance
-    qubits = [q for pair in assignments for q in pair]
-    if len(set(qubits)) == len(qubits):
-        plan = MappingPlan(assignments)
-    else:  # overlapping pairs are no valid MappingPlan, but the flags still apply
-        plan = SimpleNamespace(assignments=assignments)
-    assert crosstalk_flags(plan, graph) == bfs_crosstalk_flags(assignments, graph)
+    graph, assignments, listed = instance
+    expected = bfs_crosstalk_flags(assignments, graph)
+    assert crosstalk_flags(plan_of(assignments), listed) == expected
+    assert crosstalk_flags(plan_of(assignments), graph.edges) == expected
 
 
 # --- job simulation ------------------------------------------------------------------
@@ -352,10 +380,10 @@ def test_job_counts_draws_each_spec_as_its_own_job():
     grid = spec_for(STRATEGY_I, steps=9).gamma_grid
     players = [(s, s) for s in CANONICAL_STRATEGIES] + [(STRATEGY_H, STRATEGY_I)]
     seeds = [5, 17, 5, 2**70, 3]
-    stacked = job_counts(plan, grid, players, cal, NoiseModel(), 300, 2, seeds, g)
+    stacked = job_counts(plan, grid, players, cal, NoiseModel(), 300, 2, seeds, g.edges)
     assert stacked.shape == (5, 9, 2, 4)
     for s, (pair, seed) in enumerate(zip(players, seeds)):
-        alone = job_counts(plan, grid, [pair], cal, NoiseModel(), 300, 2, [seed], g)
+        alone = job_counts(plan, grid, [pair], cal, NoiseModel(), 300, 2, [seed], g.edges)
         np.testing.assert_array_equal(stacked[s], alone[0])
 
 
@@ -366,9 +394,9 @@ def test_job_counts_rejects_mismatched_specs_and_seeds():
     grid = spec_for(STRATEGY_I, steps=5).gamma_grid
     identity = (STRATEGY_I, STRATEGY_I)
     with pytest.raises(ValueError, match="at least one strategy pair"):
-        job_counts(plan, grid, [], cal, NoiseModel(), 100, 2, [], g)
+        job_counts(plan, grid, [], cal, NoiseModel(), 100, 2, [], g.edges)
     with pytest.raises(ValueError, match="2 strategy pairs but 1 seeds"):
-        job_counts(plan, grid, [identity, identity], cal, NoiseModel(), 100, 2, [0], g)
+        job_counts(plan, grid, [identity, identity], cal, NoiseModel(), 100, 2, [0], g.edges)
 
 
 def test_simulate_job_deterministic():
@@ -463,7 +491,7 @@ def test_exact_rmse_monotone_in_noise_scale(cal_seed, profile, packed, scales):
     g = heavy_hex_graph(6)
     cal = synth_calibration(g, seed=cal_seed, profile=profile)
     plan = packed_plan(g, 31) if packed else select_pairs(g, cal, k=31, min_separation=2)
-    flags = crosstalk_flags(plan, g)
+    flags = crosstalk_flags(plan, g.edges)
     two_qubit, readout, _ = cal.figures(plan.assignments)
     grid = spec_for(STRATEGY_I).gamma_grid
     for strategy in CANONICAL_STRATEGIES:
@@ -478,6 +506,22 @@ def test_exact_rmse_monotone_in_noise_scale(cal_seed, profile, packed, scales):
             assert rmse(low[:, player], refs[:, player]) <= (
                 rmse(high[:, player], refs[:, player]) + 1e-12
             )
+
+
+def test_simulate_job_reads_only_the_calibrated_pairs():
+    # an extra calibrated edge to a qubit id above every calibrated one is one
+    # more coupled pair to the crosstalk scan; only a plan that uses it fails,
+    # with the KeyError of figures for the uncalibrated qubit
+    g = heavy_hex_graph(2)
+    cal = synth_calibration(g, seed=4, profile="realistic")
+    extra = CalibrationSnapshot(cal.timestamp, cal.qubits,
+                                cal.edges + (EdgeCalibration((0, 200), 0.01),))
+    plan, spec = packed_plan(g, 5), spec_for(STRATEGY_H, steps=5)
+    assert (simulate_job(plan, spec, extra, NoiseModel(), 128, 2, seed=3)
+            == simulate_job(plan, spec, cal, NoiseModel(), 128, 2, seed=3))
+    with pytest.raises(KeyError, match=r"^'no calibration for qubit 200'$"):
+        simulate_job(MappingPlan(((2, 3), (0, 200))), spec_for(STRATEGY_H, steps=2), extra,
+                     NoiseModel(), 128, 2, seed=3)
 
 
 def test_packed_plan_noisier_than_separated_plan():
