@@ -13,6 +13,9 @@ written as its Python repr.  These are the bytes csv.writer writes with its
 defaults; the sweep builds them as one text from the count arrays and
 writes it with one call.
 
+The parser is built once per process, on the first main call; main dispatches
+by command name, to the cmd_* function the module holds at that call.
+
 Exit codes: 0 success, 2 config/matrix error, 3 I/O error, 4 mapping
 infeasible, 5 validation schema error.  Commands raise CommandError for 2, 5
 and a failed write; main maps every other OSError to 3 and
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -510,7 +514,8 @@ def _check_rows(values) -> None:
     if len(bad):
         fail(bad[0], f"gamma = {float(gamma[bad[0]])!r} is outside [0, pi]")
     probs, paid = values[:, 1:5], values[:, 5:7]
-    total = probs.sum(axis=1)
+    with np.errstate(over="ignore"):  # finite values can sum to inf, which fails below
+        total = probs.sum(axis=1)
     bad = np.flatnonzero(np.abs(total - 1.0) > ROW_TOL)
     if len(bad):
         fail(bad[0], f"p00..p11 sum to {float(total[bad[0]])!r}, not 1 within {ROW_TOL}")
@@ -615,6 +620,7 @@ def _add_device_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qbos",
@@ -626,7 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq.add_argument("--matrix", default="bos",
                       help="payoff preset (bos, identity-coordination) or JSON file")
     p_eq.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p_eq.set_defaults(func=cmd_equilibrium)
 
     p_sw = sub.add_parser("sweep", help="noisy payoff sweep over the gamma grid")
     p_sw.add_argument("--gamma-steps", type=int, dest="gamma_steps", default=None)
@@ -640,12 +645,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--formula-variant", dest="formula_variant",
                       choices=("paper", "corrected"), default=None)
     _add_device_flags(p_sw)
-    p_sw.set_defaults(func=cmd_sweep)
 
     p_map = sub.add_parser("map", help="select separated low-error qubit pairs")
     p_map.add_argument("--pairs", type=int, default=None, help="number of pairs")
     _add_device_flags(p_map)
-    p_map.set_defaults(func=cmd_map)
 
     p_val = sub.add_parser("validate", help="statistical validation of a sweep CSV")
     p_val.add_argument("results", help="CSV produced by the sweep command")
@@ -654,14 +657,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--rmse-method", dest="rmse_method", default="rmse_of_means",
                        choices=("rmse_of_means", "mean_of_rmses"))
     p_val.add_argument("--out", default=None, help="also write the report as JSON")
-    p_val.set_defaults(func=cmd_validate)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = {"equilibrium": cmd_equilibrium, "sweep": cmd_sweep,
+               "map": cmd_map, "validate": cmd_validate}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except CommandError as err:
         code, message = err.args
     except gcm.InfeasibleMappingError as err:

@@ -632,6 +632,9 @@ def tamper(path, row, column, edit):
         ({"ea": lambda v: "-inf"}, "ea = -inf is not finite"),
         ({"eb": lambda v: "nan"}, "eb = nan is not finite"),
         ({"p00": lambda v: repr(float(v) + 1e-6)}, "p00..p11 sum to"),
+        # two finite probabilities whose sum overflows
+        ({"p00": lambda v: "8.98846567431158e+307", "p01": lambda v: "8.988465674311579e+307"},
+         "p00..p11 sum to inf, not 1 within 1e-09"),
         ({"ea": lambda v: repr(float(v) + 1e-6)}, "but p00..p11 give"),
         ({"eb": lambda v: repr(float(v) - 1e-6)}, "but p00..p11 give"),
         # p01 and p10 carry no payoff, so moving mass between them keeps the
@@ -650,7 +653,7 @@ def tamper(path, row, column, edit):
         # the first bad field of the row, in the file's column order
         ({"run": lambda v: "+3", "p11": lambda v: v + " "}, "run = '+3' is not a plain"),
     ],
-    ids=["gamma-nan", "p01-inf", "ea-neg-inf", "eb-nan", "p00-unnormalized",
+    ids=["gamma-nan", "p01-inf", "ea-neg-inf", "eb-nan", "p00-unnormalized", "p00-p01-overflow",
          "ea-tampered", "eb-tampered", "p01-negative", "gamma-huge", "gamma-negative",
          "run-underscore", "gamma-blanks", "run-plus-sign", "run-leading-zero",
          "p00-fullwidth-digit", "gamma-quoted-line-break", "run-before-p11"],
@@ -927,6 +930,9 @@ def mutations(draw):
 @example(changes=[("edit", 1, 2, "9" * 400)])
 # so did a strategy whose divisor overflows a float
 @example(changes=[("relabel", 1, 0, "RY(pi/" + "9" * 400 + ")")])
+# a row whose p00..p11 sum past the largest float once printed a numpy warning
+@example(changes=[("edit", 25, 3, "8.98846567431158e+307"),
+                  ("edit", 25, 4, "8.988465674311579e+307")])
 def test_validate_mutated_csv_exits_0_or_5(valid_rows, changes):
     rows = [list(row) for row in valid_rows]
     for kind, r, c, text in changes:
