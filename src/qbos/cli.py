@@ -18,8 +18,9 @@ by command name, to the cmd_* function the module holds at that call.
 
 Exit codes: 0 success, 2 config/matrix error, 3 I/O error, 4 mapping
 infeasible, 5 validation schema error.  Commands raise CommandError for 2, 5
-and a failed write; main maps every other OSError to 3 and
-gcm.InfeasibleMappingError to 4.
+and a failed write; main maps every other OSError to 3,
+gcm.InfeasibleMappingError to 4 and a MemoryError, a request too large for
+the host, to 2.
 """
 
 from __future__ import annotations
@@ -672,6 +673,8 @@ def main(argv=None) -> int:
         code, message = EXIT_INFEASIBLE, err
     except OSError as err:  # an unreadable file, whichever option named it
         code, message = EXIT_IO, err
+    except MemoryError as err:  # a request too large for this host, such as a huge --runs
+        code, message = EXIT_CONFIG, f"not enough memory: {str(err) or 'allocation failed'}"
     print(f"error: {message}", file=sys.stderr)
     return code
 

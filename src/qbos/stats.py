@@ -8,12 +8,17 @@ curves is computed on those per-angle run means.  Best/worst relative
 errors divide the smallest RMSE entry by the payoff-scale maximum (3) and
 the largest by the scale minimum (1.2) -- a blunt convention, but kept
 because the report mirrors it.
+
+A report keeps each strategy's per-angle means, variances and half-widths
+as tuples of floats; StrategyValidation.per_gamma builds the GammaEstimate
+and PayoffEstimate objects when read; to_json writes the report from the
+floats without building them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -162,10 +167,44 @@ class GammaEstimate:
 
 @dataclass(frozen=True)
 class StrategyValidation:
+    """One strategy's RMSEs and its per-angle run statistics.
+
+    means, sample_variances and ci_half_widths hold one (alice, bob) pair of
+    floats per angle of gammas, each over the same n runs.
+    """
+
     strategy: str
     rmse_a: float
     rmse_b: float
-    per_gamma: tuple[GammaEstimate, ...]
+    gammas: tuple[float, ...]
+    n: int
+    means: tuple[tuple[float, float], ...]
+    sample_variances: tuple[tuple[float, float], ...]
+    ci_half_widths: tuple[tuple[float, float], ...]
+
+    def _per_angle(self):
+        return zip(self.gammas, self.means, self.sample_variances, self.ci_half_widths)
+
+    @property
+    def per_gamma(self) -> tuple[GammaEstimate, ...]:
+        """The per-angle estimates, built on each read."""
+        n = self.n
+        return tuple(
+            GammaEstimate(g, PayoffEstimate(ma, va, ha, n), PayoffEstimate(mb, vb, hb, n))
+            for g, (ma, mb), (va, vb), (ha, hb) in self._per_angle()
+        )
+
+    def to_json(self) -> dict:
+        n = self.n
+        return {
+            "strategy": self.strategy, "rmse_a": self.rmse_a, "rmse_b": self.rmse_b,
+            "per_gamma": [
+                {"gamma": g,
+                 "alice": {"mean": ma, "sample_variance": va, "ci_half_width": ha, "n": n},
+                 "bob": {"mean": mb, "sample_variance": vb, "ci_half_width": hb, "n": n}}
+                for g, (ma, mb), (va, vb), (ha, hb) in self._per_angle()
+            ],
+        }
 
 
 @dataclass(frozen=True)
@@ -176,7 +215,14 @@ class ValidationReport:
     strategies: tuple[StrategyValidation, ...]
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """The report as a JSON document: each strategy's per_gamma lists its
+        GammaEstimates as objects keyed by their field names, in field order."""
+        return {
+            "variant": self.variant,
+            "best_relative_error_pct": self.best_relative_error_pct,
+            "worst_relative_error_pct": self.worst_relative_error_pct,
+            "strategies": [sv.to_json() for sv in self.strategies],
+        }
 
     def save(self, path) -> None:
         _save(path, self.to_json())
@@ -251,23 +297,23 @@ def report_from_cells(
     table.reshape(-1, 2)[flat] = payoffs
     # (strategy, gamma, player, run), contiguous along the runs
     means, variances, halves = _run_statistics(np.ascontiguousarray(table.transpose(0, 1, 3, 2)))
+    if (variances < 0).any() or (halves < 0).any():  # PayoffEstimate's invariant
+        raise ValueError("variance and half-width must be >= 0")
 
+    grid = tuple(gammas)
     validations = []
     all_rmses = []
     for label, cells, mean, var, half in zip(strategies, table, means, variances, halves):
         refs = analytical_curves(Strategy.parse(label), gammas, variant, payoff)
-        per_gamma = tuple(
-            GammaEstimate(g, PayoffEstimate(ma, va, ha, n), PayoffEstimate(mb, vb, hb, n))
-            for g, (ma, mb), (va, vb), (ha, hb)
-            in zip(gammas, mean.tolist(), var.tolist(), half.tolist())
-        )
         if rmse_method == "rmse_of_means":
             rmse_a = rmse(mean[:, 0], refs[:, 0])
             rmse_b = rmse(mean[:, 1], refs[:, 1])
         else:
             rmse_a = float(np.mean([rmse(cells[:, r, 0], refs[:, 0]) for r in range(n)]))
             rmse_b = float(np.mean([rmse(cells[:, r, 1], refs[:, 1]) for r in range(n)]))
-        validations.append(StrategyValidation(label, rmse_a, rmse_b, per_gamma))
+        validations.append(StrategyValidation(
+            label, rmse_a, rmse_b, grid, n,
+            *(tuple(map(tuple, a.tolist())) for a in (mean, var, half))))
         all_rmses.extend((rmse_a, rmse_b))
     best = relative_error_percent(min(all_rmses), PAYOFF_SCALE_MAX)
     worst = relative_error_percent(max(all_rmses), PAYOFF_SCALE_MIN)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qbos import noise
 from qbos.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -69,6 +70,23 @@ def test_config_bounds_runs_to_one_seed_word():
     assert SweepConfig(runs=2**32 - 1).runs == 2**32 - 1
     with pytest.raises(ValueError, match=r"runs must be in \[1, 2\*\*32\), got 4294967296"):
         SweepConfig(runs=2**32)
+
+
+def test_sweep_out_of_memory_exits_2_without_output(tmp_path, capsys, monkeypatch):
+    # a --runs the config accepts can ask numpy for terabytes; job_counts
+    # raises numpy's MemoryError here, so no test allocates the request
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.22 TiB for an array with shape "
+                          "(4, 31, 4000000000, 2) and data type uint64")
+
+    monkeypatch.setattr(noise, "job_counts", refuse)
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--synth", "--runs", "4000000000", "--out", str(out)) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: not enough memory: Unable to allocate 7.22 TiB for an array "
+                            "with shape (4, 31, 4000000000, 2) and data type uint64\n")
+    assert not out.exists()
 
 
 def test_parse_matrix_presets_and_files(tmp_path):

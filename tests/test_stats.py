@@ -1,16 +1,21 @@
 """Statistics tests: frozen t-table values, coverage and resampling oracles."""
 
+import json
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qbos
-from qbos.game import GameSpec, PayoffMatrix, STRATEGY_I, default_gamma_grid
+from qbos import cli, stats
+from qbos.game import CANONICAL_STRATEGIES, GameSpec, PayoffMatrix, STRATEGY_I, default_gamma_grid
 from qbos.noise import RunResult
 from qbos.statevec import OUTCOME_LABELS, ShotCounts
 from qbos.stats import (
@@ -466,3 +471,88 @@ def test_report_json_round_trip(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["strategies"][0]["strategy"] == "I"
     assert doc["best_relative_error_pct"] == 0.0
+
+
+# --- the report's JSON document and its per-angle estimates ------------------------
+
+@dataclass(frozen=True)
+class PerGammaStrategy:
+    """A strategy's entry as reports held it when per_gamma was a field."""
+    strategy: str
+    rmse_a: float
+    rmse_b: float
+    per_gamma: tuple
+
+
+@dataclass(frozen=True)
+class PerGammaReport:
+    variant: str
+    best_relative_error_pct: float
+    worst_relative_error_pct: float
+    strategies: tuple
+
+
+def per_gamma_json(report):
+    """The reference encoding: dataclasses.asdict over the report rebuilt from per_gamma."""
+    return asdict(PerGammaReport(
+        report.variant, report.best_relative_error_pct, report.worst_relative_error_pct,
+        tuple(PerGammaStrategy(sv.strategy, sv.rmse_a, sv.rmse_b, sv.per_gamma)
+              for sv in report.strategies)))
+
+
+LABELS = [s.label for s in CANONICAL_STRATEGIES]
+
+
+@settings(max_examples=60, deadline=None)
+@given(labels=st.lists(st.sampled_from(LABELS), min_size=1, max_size=4, unique=True),
+       steps=st.integers(2, 9), runs=st.integers(2, 9), coarse=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["corrected", "paper"]),
+       method=st.sampled_from(["rmse_of_means", "mean_of_rmses"]))
+@example(labels=["RY(pi)", "I"], steps=3, runs=130, coarse=False, seed=1,
+         variant="paper", method="mean_of_rmses")  # past _T975: scipy's quantile
+def test_report_json_equals_the_per_gamma_encoding(labels, steps, runs, coarse, seed,
+                                                   variant, method):
+    rng = np.random.default_rng(seed)
+    gammas = default_gamma_grid(steps)
+    cells = [(label, g, run) for label in labels for g in range(steps) for run in range(runs)]
+    order = rng.permutation(len(cells))  # any cell order gives the same report
+    # coarse payoffs repeat within a series, so some variances and half-widths are 0
+    payoffs = (rng.integers(0, 7, size=(len(cells), 2)) / 2 if coarse
+               else rng.uniform(0, 3, size=(len(cells), 2)))
+    label_of, gamma_of, run_of = zip(*(cells[i] for i in order))
+    report = report_from_cells(label_of, gamma_of, run_of, payoffs, gammas, variant, BOS,
+                               method)
+    assert (json.dumps(report.to_json(), indent=1)
+            == json.dumps(per_gamma_json(report), indent=1))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts the GammaEstimate and PayoffEstimate objects constructed."""
+    counts = Counter()
+    for cls in (stats.GammaEstimate, stats.PayoffEstimate):
+        def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__):
+            counts[_name] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    return counts
+
+
+def test_reports_build_no_estimates_until_per_gamma_is_read(tmp_path, capsys, built):
+    sweep = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--synth", "--gamma-steps", "5", "--runs", "3",
+                     "--shots", "64", "--out", str(sweep)]) == 0
+    assert cli.main(["validate", str(sweep), "--out", str(tmp_path / "report.json")]) == 0
+    assert "RMSE" in capsys.readouterr().out
+
+    gammas = default_gamma_grid(4)
+    results = [RunResult(i, g, make_counts(c00=3 + run + i, c11=5), run)
+               for run in range(3) for i, g in enumerate(gammas)]
+    report = build_validation_report({"I": results, "H": results}, GameSpec(gamma_grid=gammas))
+    report.to_text()
+    report.to_json()
+    assert built == {}
+
+    for sv in report.strategies:
+        assert len(sv.per_gamma) == 4
+    assert built == {"GammaEstimate": 2 * 4, "PayoffEstimate": 2 * 4 * 2}
