@@ -9,6 +9,12 @@ The calibration file is JSON::
       "edges":  [{"pair": [a, b], "two_qubit_error": ...}, ...]
     }
 
+A CalibrationSnapshot holds that file as columns, not one object per entry:
+the qubit ids as a tuple and their readout errors, T1s and T2s in one float
+array; the sorted pairs as a tuple and their two-qubit errors in another.
+Qubit ids are JSON integers of any size, so they stay Python ints.  The loader
+tests each column's JSON types and values at once and walks the entries one by
+one only to name the first bad field of a file that fails.
 CalibrationSnapshot.figures gives the per-edge arrays that gcm and noise read.
 Graphs and snapshots are plain values; crosstalk needs only their edge lists.
 """
@@ -18,8 +24,10 @@ from __future__ import annotations
 import datetime
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -185,10 +193,10 @@ def _load(path, parse):
 
 
 def _save(path, doc) -> None:
-    """Write doc as indented JSON with a trailing newline."""
+    """Write doc as indented JSON with a trailing newline, in one write."""
+    text = json.dumps(doc, indent=1) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_coupling_map(path) -> CouplingGraph:
@@ -196,99 +204,159 @@ def load_coupling_map(path) -> CouplingGraph:
     return _load(path, CouplingGraph.from_json)
 
 
-@dataclass(frozen=True)
-class QubitCalibration:
-    id: int
-    readout_error: float
-    t1_us: float
-    t2_us: float
-
-    def __post_init__(self):
-        if self.id < 0:
-            raise ValueError(f"qubit {self.id}: id must be >= 0")
-        if not 0.0 <= self.readout_error <= 1.0:
-            raise ValueError(f"qubit {self.id}: readout_error outside [0,1]")
-        if not (self.t1_us > 0 and self.t2_us > 0):  # NaN fails too
-            raise ValueError(f"qubit {self.id}: coherence times must be positive")
+def _check_qubit(qid, readout_error, t1_us, t2_us) -> None:
+    """A ValueError for a qubit's first figure that no device has."""
+    if qid < 0:
+        raise ValueError(f"qubit {qid}: id must be >= 0")
+    if not 0.0 <= readout_error <= 1.0:
+        raise ValueError(f"qubit {qid}: readout_error outside [0,1]")
+    if not (t1_us > 0 and t2_us > 0):  # NaN fails too
+        raise ValueError(f"qubit {qid}: coherence times must be positive")
 
 
-@dataclass(frozen=True)
-class EdgeCalibration:
-    pair: tuple[int, int]
-    two_qubit_error: float
-
-    def __post_init__(self):
-        a, b = self.pair
-        object.__setattr__(self, "pair", (a, b) if a < b else (b, a))
-        if a == b:
-            raise ValueError(f"edge {self.pair}: pair is a self-loop")
-        if not 0.0 <= self.two_qubit_error <= 1.0:
-            raise ValueError(f"edge {self.pair}: two_qubit_error outside [0,1]")
+def _check_edge(pair, two_qubit_error) -> None:
+    """A ValueError for an edge's (low, high) pair or error that no device has."""
+    if pair[0] == pair[1]:
+        raise ValueError(f"edge {pair}: pair is a self-loop")
+    if not 0.0 <= two_qubit_error <= 1.0:
+        raise ValueError(f"edge {pair}: two_qubit_error outside [0,1]")
 
 
-@dataclass(frozen=True)
+def _types(column) -> set:
+    return set(map(type, column))
+
+
+# _FIELD_CHECKS for a whole column at once, mostly from its set of value types
+_COLUMN_CHECKS = {
+    "an integer": lambda c: _types(c) <= {int},
+    "a number": lambda c: (_types(c) <= {float}
+                           or (_types(c) <= {float, int} and all(map(_is_number, c)))),
+    "two integer qubit ids": lambda c: (_types(c) <= {list} and set(map(len, c)) <= {2}
+                                        and _types(chain.from_iterable(c)) <= {int}),
+}
+
+
+def _columns(entries, fields):
+    """One tuple per (key, expected) of fields: that field of every entry, if
+    entries is a list of JSON objects whose fields all hold what is expected;
+    else None."""
+    if type(entries) is not list or not _types(entries) <= {dict}:
+        return None
+    try:
+        rows = map(operator.itemgetter(*(key for key, _ in fields)), entries)
+        columns = tuple(zip(*rows)) or ((),) * len(fields)
+    except KeyError:
+        return None
+    checks = (_COLUMN_CHECKS[expected] for _, expected in fields)
+    return columns if all(check(c) for check, c in zip(checks, columns)) else None
+
+
+def _raise_first_fault(doc) -> None:
+    """Raise the ValueError of a calibration document's first bad entry, walking
+    the entries in document order, qubits first: its first field without its
+    JSON type, else its first figure that no device has."""
+    for i, q in enumerate(doc["qubits"]):
+        _check_entry(q, _QUBIT_FIELDS, f"qubits[{i}].")
+        _check_qubit(*(q[key] for key, _ in _QUBIT_FIELDS))
+    for i, e in enumerate(_field(doc, "edges", "a list")):
+        _check_entry(e, _EDGE_FIELDS, f"edges[{i}].")
+        a, b = e["pair"]
+        _check_edge((a, b) if a < b else (b, a), e["two_qubit_error"])
+
+
+def _frozen(values, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """values as a read-only float array of the given shape."""
+    array = np.array(values, dtype=float)
+    if array.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class CalibrationSnapshot:
+    """One calibration as columns.
+
+    The qubit in ids[i] has the readout error, T1 and T2 (us) of column i of
+    qubit_figures; the edge pairs[j], stored (low, high), has the two-qubit
+    error two_qubit_errors[j].  Construction checks every column in bulk.  A
+    failing check names the first entry that no device has, qubits before
+    edges; a timestamp that is no string comes next, then duplicate ids and
+    pairs.
+    """
+
     timestamp: str
-    qubits: tuple[QubitCalibration, ...]
-    edges: tuple[EdgeCalibration, ...]
+    ids: tuple[int, ...]
+    qubit_figures: np.ndarray
+    pairs: tuple[tuple[int, int], ...]
+    two_qubit_errors: np.ndarray
 
     def __post_init__(self):
-        # lookup tables; plain attributes, so equality, repr and JSON ignore them
-        by_id = {q.id: q for q in self.qubits}
-        if len(by_id) != len(self.qubits):
+        ids = tuple(self.ids)
+        figures = _frozen(self.qubit_figures, (3, len(ids)), "qubit_figures")
+        pairs = tuple([(a, b) if a < b else (b, a) for a, b in self.pairs])
+        errors = _frozen(self.two_qubit_errors, (len(pairs),), "two_qubit_errors")
+        readout, t1, t2 = figures
+        if min(ids, default=0) < 0 or not ((0.0 <= readout) & (readout <= 1.0)
+                                           & (t1 > 0) & (t2 > 0)).all():
+            for qubit in zip(ids, *figures.tolist()):
+                _check_qubit(*qubit)
+        if (any([a == b for a, b in pairs])
+                or not ((0.0 <= errors) & (errors <= 1.0)).all()):
+            for edge in zip(pairs, errors.tolist()):
+                _check_edge(*edge)
+        _field(vars(self), "timestamp", "a string")  # the loader's message for the field
+        # row lookups; plain attributes, so equality, repr and JSON ignore them
+        qubit_rows = dict(zip(ids, range(len(ids))))
+        if len(qubit_rows) != len(ids):
             raise ValueError("duplicate qubit calibration entries")
-        by_pair = {e.pair: e for e in self.edges}
-        if len(by_pair) != len(self.edges):
+        edge_rows = dict(zip(pairs, range(len(pairs))))
+        if len(edge_rows) != len(pairs):
             raise ValueError("duplicate edge calibration entries")
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_by_pair", by_pair)
+        for name, value in (("ids", ids), ("qubit_figures", figures), ("pairs", pairs),
+                            ("two_qubit_errors", errors), ("_qubit_rows", qubit_rows),
+                            ("_edge_rows", edge_rows)):
+            object.__setattr__(self, name, value)
 
-    def qubit(self, index: int) -> QubitCalibration:
-        try:
-            return self._by_id[index]
-        except KeyError:
-            raise KeyError(f"no calibration for qubit {index}") from None
-
-    def edge(self, pair) -> EdgeCalibration:
-        key = (min(pair), max(pair))
-        try:
-            return self._by_pair[key]
-        except KeyError:
-            raise KeyError(f"no calibration for edge {key}") from None
+    def __eq__(self, other):
+        if not isinstance(other, CalibrationSnapshot):
+            return NotImplemented
+        return (self.timestamp == other.timestamp and self.ids == other.ids
+                and self.pairs == other.pairs
+                and np.array_equal(self.qubit_figures, other.qubit_figures)
+                and np.array_equal(self.two_qubit_errors, other.two_qubit_errors))
 
     def figures(self, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-edge arrays: two-qubit errors (E,), and the endpoints' readout errors and
-        T1s (us), (E, 2) in ascending qubit order.  A missing edge or qubit raises the
-        KeyError of edge() or qubit(), edges first."""
+        T1s (us), (E, 2) in ascending qubit order.  A missing edge or qubit raises a
+        KeyError that names it, edges first."""
         try:
-            entries = [self._by_pair[(a, b) if a < b else (b, a)] for a, b in edges]
+            rows = [self._edge_rows[(a, b) if a < b else (b, a)] for a, b in edges]
         except KeyError as miss:
             raise KeyError(f"no calibration for edge {miss.args[0]}") from None
-        two_qubit = np.array([entry.two_qubit_error for entry in entries], dtype=float)
-        try:  # pair is (low, high)
-            ends = [self._by_id[q] for entry in entries for q in entry.pair]
+        pairs, qubit_rows = self.pairs, self._qubit_rows
+        try:
+            ends = [qubit_rows[q] for r in rows for q in pairs[r]]
         except KeyError as miss:
             raise KeyError(f"no calibration for qubit {miss.args[0]}") from None
-        readout = np.array([q.readout_error for q in ends], dtype=float).reshape(-1, 2)
-        t1 = np.array([q.t1_us for q in ends], dtype=float).reshape(-1, 2)
-        return two_qubit, readout, t1
+        readout, t1 = self.qubit_figures[:2, ends].reshape(2, -1, 2)
+        return self.two_qubit_errors[rows], readout, t1
 
     def covers(self, graph: CouplingGraph) -> bool:
         """Whether every qubit and edge of graph has calibration figures."""
-        return (self._by_id.keys() >= set(range(graph.num_qubits))
-                and self._by_pair.keys() >= set(graph.edges))
+        return (self._qubit_rows.keys() >= set(range(graph.num_qubits))
+                and self._edge_rows.keys() >= set(graph.edges))
 
     def to_json(self) -> dict:
         return {
             "timestamp": self.timestamp,
             "qubits": [
-                {"id": q.id, "readout_error": q.readout_error,
-                 "t1_us": q.t1_us, "t2_us": q.t2_us}
-                for q in self.qubits
+                {"id": q, "readout_error": readout, "t1_us": t1, "t2_us": t2}
+                for q, readout, t1, t2 in zip(self.ids, *self.qubit_figures.tolist())
             ],
             "edges": [
-                {"pair": list(e.pair), "two_qubit_error": e.two_qubit_error}
-                for e in self.edges
+                {"pair": list(pair), "two_qubit_error": error}
+                for pair, error in zip(self.pairs, self.two_qubit_errors.tolist())
             ],
         }
 
@@ -299,24 +367,16 @@ class CalibrationSnapshot:
     def from_json(cls, doc) -> "CalibrationSnapshot":
         """Parse a calibration document; a ValueError names the first bad field.
 
-        Entries are checked and built in document order, qubits first.  One
-        expression tests all of an entry's fields; an entry that fails it goes
-        through _field, field by field, which names the first bad one."""
-        is_int, is_number, is_pair = (
-            _FIELD_CHECKS[what] for what in ("an integer", "a number", "two integer qubit ids"))
-        qubits, edges = [], []
-        for i, q in enumerate(_field(doc, "qubits", "a list")):
-            if not (type(q) is dict and is_int(q.get("id")) and is_number(q.get("readout_error"))
-                    and is_number(q.get("t1_us")) and is_number(q.get("t2_us"))):
-                _check_entry(q, _QUBIT_FIELDS, f"qubits[{i}].")
-            qubits.append(QubitCalibration(q["id"], float(q["readout_error"]),
-                                           float(q["t1_us"]), float(q["t2_us"])))
-        for i, e in enumerate(_field(doc, "edges", "a list")):
-            if not (type(e) is dict and is_pair(e.get("pair"))
-                    and is_number(e.get("two_qubit_error"))):
-                _check_entry(e, _EDGE_FIELDS, f"edges[{i}].")
-            edges.append(EdgeCalibration(tuple(e["pair"]), float(e["two_qubit_error"])))
-        return cls(_field(doc, "timestamp", "a string"), tuple(qubits), tuple(edges))
+        The JSON types of each column are tested at once, and the constructor
+        tests the values the same way.  Only when a type test fails are the
+        entries walked one by one, in document order and qubits first, to name
+        the first bad field."""
+        qubits = _columns(_field(doc, "qubits", "a list"), _QUBIT_FIELDS)
+        edges = qubits and _columns(doc.get("edges"), _EDGE_FIELDS)
+        if not edges:
+            _raise_first_fault(doc)
+        (ids, *figures), (pairs, errors) = qubits, edges
+        return cls(doc.get("timestamp"), ids, figures, pairs, errors)
 
 
 def load_calibration(path) -> CalibrationSnapshot:
@@ -338,23 +398,18 @@ def synth_calibration(graph: CouplingGraph, seed: int, profile: str = "realistic
         + datetime.timedelta(hours=seed % 8760)
     ).isoformat()
 
+    ids, edges = tuple(range(graph.num_qubits)), graph.edges
     if profile == "uniform":
-        qubits = tuple(
-            QubitCalibration(i, UNIFORM_READOUT_ERROR, UNIFORM_T1_US, UNIFORM_T2_US)
-            for i in range(graph.num_qubits)
-        )
-        edges = tuple(EdgeCalibration(e, UNIFORM_TWO_QUBIT_ERROR) for e in graph.edges)
-        return CalibrationSnapshot(stamp, qubits, edges)
+        figures = [[figure] * len(ids)
+                   for figure in (UNIFORM_READOUT_ERROR, UNIFORM_T1_US, UNIFORM_T2_US)]
+        return CalibrationSnapshot(stamp, ids, figures, edges,
+                                   [UNIFORM_TWO_QUBIT_ERROR] * len(edges))
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, graph.num_qubits)))
     # one row per qubit: log readout error, T1 and the T2/T1 factor, drawn in
     # the order of one scalar draw each; math.exp keeps the bits np.exp may move
     low, high = zip(map(math.log, READOUT_ERROR_RANGE), T1_RANGE_US, (0.5, 1.2))
-    qubits = tuple(
-        QubitCalibration(i, math.exp(log_readout), t1, t1 * factor)  # t2 <= 2*t1
-        for i, (log_readout, t1, factor)
-        in enumerate(rng.uniform(low, high, size=(graph.num_qubits, 3)).tolist())
-    )
-    log_errors = rng.uniform(*map(math.log, TWO_QUBIT_ERROR_RANGE), size=len(graph.edges))
-    edges = tuple(map(EdgeCalibration, graph.edges, map(math.exp, log_errors.tolist())))
-    return CalibrationSnapshot(stamp, qubits, edges)
+    log_readout, t1, factor = rng.uniform(low, high, size=(len(ids), 3)).T
+    figures = [list(map(math.exp, log_readout.tolist())), t1, t1 * factor]  # t2 <= 2*t1
+    log_errors = rng.uniform(*map(math.log, TWO_QUBIT_ERROR_RANGE), size=len(edges))
+    return CalibrationSnapshot(stamp, ids, figures, edges, list(map(math.exp, log_errors.tolist())))

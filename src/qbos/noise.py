@@ -261,6 +261,6 @@ def simulate_job(
 ) -> list[RunResult]:
     """job_counts over the snapshot's calibrated pairs as RunResults, run-major."""
     counts = job_counts(plan, spec.gamma_grid, [(spec.strategy_a, spec.strategy_b)], calib,
-                        model, shots, runs, [seed], [e.pair for e in calib.edges])[0].tolist()
+                        model, shots, runs, [seed], calib.pairs)[0].tolist()
     return [RunResult(i, gamma, ShotCounts(dict(zip(OUTCOME_LABELS, counts[i][run])), shots), run)
             for run in range(runs) for i, gamma in enumerate(spec.gamma_grid)]

@@ -26,6 +26,8 @@ from qbos.cli import (
     parse_matrix,
 )
 
+from calib_oracles import parse_calibration, records
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -1366,3 +1368,58 @@ def test_map_names_the_calibration_file_of_an_invalid_extra_entry(tmp_path, extr
         doc[key].extend(entries)
     code, out, err = run_on_file("calibration", "doc", doc, tmp_path)
     assert (code, out, err) == (EXIT_CONFIG, "", f"error: {tmp_path / 'input.json'}: {message}\n")
+
+
+def test_map_accepts_calibration_ids_past_int64(tmp_path):
+    # a qubit id is any JSON integer: an extra qubit and edge past int64 change nothing
+    doc = cal_doc()
+    doc["qubits"].append({"id": 2**70, "readout_error": 0.02, "t1_us": 100.0, "t2_us": 90.0})
+    doc["edges"].append({"pair": [0, 2**70], "two_qubit_error": 0.01})
+    runs = []
+    for name, content in (("plain", cal_doc()), ("extra", doc)):
+        where = tmp_path / name
+        where.mkdir()
+        code, out, err = run_on_file("calibration", "doc", content, where)
+        runs.append((code, out.replace(str(where), "DIR"), err, (where / "out").read_bytes()))
+    assert runs[1] == runs[0]
+    assert runs[0][:3] == (EXIT_OK, "selected 1 pairs on 4 qubits -> DIR/out\n"
+                           "total score: 0.010732\nseparation check: OK\n", "")
+
+
+def cal_doc_with(*edits):
+    """cal_doc() with doc[section][i][key] = value for each edit (section, i, key,
+    value), and doc[key] = value for each edit (key, value)."""
+    doc = cal_doc()
+    for *where, key, value in edits:
+        (doc[where[0]][where[1]] if where else doc)[key] = value
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=malformed_calibration(), other=malformed_calibration(),
+       sections=st.sets(st.sampled_from(["qubits", "edges", "timestamp"])))
+@example(doc=cal_doc_with(("qubits", 1, "id", True)), other=None, sections=set())
+@example(doc=cal_doc_with(("edges", 1, "pair", [1, 2, 3])), other=None, sections=set())
+@example(doc=cal_doc_with(("qubits", 0, "t1_us", 10**400)), other=None, sections=set())
+@example(doc=cal_doc_with(("qubits", 2, "readout_error", 1.5),
+                          ("edges", 0, "two_qubit_error", -0.5)), other=None, sections=set())
+@example(doc=cal_doc_with(("qubits", 1, "t2_us", 0.0), ("timestamp", 5)),
+         other=None, sections=set())
+@example(doc=cal_doc_with(("qubits", 3, "id", 1), ("edges", 2, "pair", [1, 1])),
+         other=None, sections=set())
+def test_columnar_calibration_loader_agrees_with_the_per_entry_oracle(doc, other, sections):
+    # one edit of a synth document, and maybe some sections of another such
+    # document, so that two faults meet: the loader's bulk column tests give
+    # the per-entry parser's values, or its first message exactly
+    from qbos.device import CalibrationSnapshot
+    if type(doc) is dict and type(other) is dict:
+        doc.update({key: other[key] for key in sections if key in other})
+    try:
+        expected = parse_calibration(doc)
+    except ValueError as err:
+        with pytest.raises(ValueError) as raised:
+            CalibrationSnapshot.from_json(doc)
+        assert str(raised.value) == str(err)
+    else:
+        cal = CalibrationSnapshot.from_json(doc)
+        assert (cal.timestamp, *records(cal)) == expected

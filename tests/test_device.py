@@ -2,21 +2,25 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from qbos.device import (
     CalibrationSnapshot,
     CouplingGraph,
-    EdgeCalibration,
-    QubitCalibration,
     READOUT_ERROR_RANGE,
     TWO_QUBIT_ERROR_RANGE,
+    UNIFORM_READOUT_ERROR,
+    UNIFORM_T1_US,
+    UNIFORM_T2_US,
+    UNIFORM_TWO_QUBIT_ERROR,
     heavy_hex_graph,
     load_calibration,
     load_coupling_map,
     synth_calibration,
 )
 
+from calib_oracles import EdgeCalibration, edge, qubit, records, snapshot
 from graph_oracles import bfs_distances
 
 
@@ -125,10 +129,10 @@ def test_coupling_round_trip(tmp_path):
 def test_uniform_profile_is_flat():
     g = heavy_hex_graph(2)
     cal = synth_calibration(g, seed=3, profile="uniform")
-    errors = {e.two_qubit_error for e in cal.edges}
-    assert len(errors) == 1
-    readouts = {q.readout_error for q in cal.qubits}
-    assert len(readouts) == 1
+    assert set(cal.two_qubit_errors.tolist()) == {UNIFORM_TWO_QUBIT_ERROR}
+    assert [set(row) for row in cal.qubit_figures.tolist()] == [
+        {UNIFORM_READOUT_ERROR}, {UNIFORM_T1_US}, {UNIFORM_T2_US}]
+    assert cal.ids == tuple(range(g.num_qubits)) and cal.pairs == g.edges
 
 
 def test_synthesis_deterministic_per_seed():
@@ -143,11 +147,12 @@ def test_synthesis_deterministic_per_seed():
 def test_realistic_ranges():
     g = heavy_hex_graph(6)
     cal = synth_calibration(g, seed=0, profile="realistic")
+    qubits, edges = records(cal)
     lo2q, hi2q = TWO_QUBIT_ERROR_RANGE
-    for e in cal.edges:
+    for e in edges:
         assert lo2q <= e.two_qubit_error <= hi2q
     lor, hir = READOUT_ERROR_RANGE
-    for q in cal.qubits:
+    for q in qubits:
         assert lor <= q.readout_error <= hir
         assert q.t1_us > 0 and q.t2_us > 0
         assert q.t2_us <= 2 * q.t1_us
@@ -157,8 +162,9 @@ def test_snapshot_covers_graph():
     g = heavy_hex_graph(2)
     cal = synth_calibration(g, seed=5)
     assert cal.covers(g)
-    assert not CalibrationSnapshot(cal.timestamp, cal.qubits, cal.edges[1:]).covers(g)
-    assert not CalibrationSnapshot(cal.timestamp, cal.qubits[1:], cal.edges).covers(g)
+    qubits, edges = records(cal)
+    assert not snapshot(cal.timestamp, qubits, edges[1:]).covers(g)
+    assert not snapshot(cal.timestamp, qubits[1:], edges).covers(g)
 
 
 def test_figures_match_per_entry_lookups():
@@ -169,14 +175,15 @@ def test_figures_match_per_entry_lookups():
     assert [x.tolist() for x in reverse] == [x.tolist() for x in forward]
     two_qubit, readout, t1 = forward
     # endpoints in ascending qubit order
-    assert two_qubit.tolist() == [cal.edge(e).two_qubit_error for e in g.edges]
-    assert readout.tolist() == [[cal.qubit(a).readout_error, cal.qubit(b).readout_error]
+    assert two_qubit.tolist() == [edge(cal, e).two_qubit_error for e in g.edges]
+    assert readout.tolist() == [[qubit(cal, a).readout_error, qubit(cal, b).readout_error]
                                 for a, b in g.edges]
-    assert t1.tolist() == [[cal.qubit(a).t1_us, cal.qubit(b).t1_us] for a, b in g.edges]
+    assert t1.tolist() == [[qubit(cal, a).t1_us, qubit(cal, b).t1_us] for a, b in g.edges]
     assert [x.shape for x in cal.figures([])] == [(0,), (0, 2), (0, 2)]
     with pytest.raises(KeyError, match=r"^'no calibration for edge \(0, 2\)'$"):
         cal.figures([(0, 1), (2, 0)])
-    partial = CalibrationSnapshot(cal.timestamp, cal.qubits[:2], cal.edges)
+    qubits, edges = records(cal)
+    partial = snapshot(cal.timestamp, qubits[:2], edges)
     with pytest.raises(KeyError, match=r"^'no calibration for qubit 2'$"):
         partial.figures([(2, 1)])
 
@@ -199,8 +206,10 @@ def test_calibration_validation():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: EdgeCalibration((1, 1), 0.01), r"^edge \(1, 1\): pair is a self-loop$"),
-    (lambda: QubitCalibration(-1, 0.02, 100.0, 90.0), r"^qubit -1: id must be >= 0$"),
+    (lambda: CalibrationSnapshot("t", (), np.empty((3, 0)), ((1, 1),), [0.01]),
+     r"^edge \(1, 1\): pair is a self-loop$"),
+    (lambda: CalibrationSnapshot("t", (-1,), [[0.02], [100.0], [90.0]], (), []),
+     r"^qubit -1: id must be >= 0$"),
     (lambda: CalibrationSnapshot.from_json(
         {"timestamp": "t", "qubits": [], "edges": [{"pair": [3, 3], "two_qubit_error": 0.5}]}),
      r"^edge \(3, 3\): pair is a self-loop$"),
@@ -210,7 +219,7 @@ def test_calibration_validation():
      r"^qubit -2: id must be >= 0$"),
 ], ids=["edge", "qubit", "edge-entry", "qubit-entry"])
 def test_calibration_entries_reject_self_loops_and_negative_ids(build, message):
-    # both would fail later, in CalibrationSnapshot.graph, without naming the entry
+    # the constructor checks what from_json checks, so both name the entry
     with pytest.raises(ValueError, match=message):
         build()
 
@@ -218,11 +227,69 @@ def test_calibration_entries_reject_self_loops_and_negative_ids(build, message):
 def test_calibration_lookup_misses_raise_key_error():
     g = CouplingGraph(3, ((0, 1), (1, 2)))
     cal = synth_calibration(g, seed=0)
-    assert cal.qubit(2).id == 2
-    assert cal.edge((2, 1)).pair == (1, 2)
-    with pytest.raises(KeyError, match=r"^'no calibration for qubit 7'$"):
-        cal.qubit(7)
+    assert [x.tolist() for x in cal.figures([(2, 1)])] == [
+        [edge(cal, (1, 2)).two_qubit_error],
+        [[qubit(cal, 1).readout_error, qubit(cal, 2).readout_error]],
+        [[qubit(cal, 1).t1_us, qubit(cal, 2).t1_us]]]
     with pytest.raises(KeyError, match=r"^'no calibration for edge \(0, 2\)'$"):
-        cal.edge((2, 0))
+        cal.figures([(2, 0)])
     with pytest.raises(KeyError, match=r"^'no calibration for edge \(0, 2\)'$"):
         cal.figures([(0, 2)])
+    qubits, edges = records(cal)
+    with pytest.raises(KeyError, match=r"^'no calibration for qubit 7'$"):
+        snapshot(cal.timestamp, qubits, edges + (EdgeCalibration((1, 7), 0.01),)).figures([(7, 1)])
+
+
+def test_snapshot_columns_are_read_only_values():
+    g = CouplingGraph(3, ((0, 1), (1, 2)))
+    cal = synth_calibration(g, seed=2)
+    assert cal.qubit_figures.shape == (3, 3) and cal.two_qubit_errors.shape == (2,)
+    with pytest.raises(ValueError, match="read-only"):
+        cal.qubit_figures[0, 0] = 0.5
+    figures = cal.qubit_figures.copy()
+    copy = CalibrationSnapshot(cal.timestamp, cal.ids, figures, ((1, 0), (2, 1)),
+                               cal.two_qubit_errors)
+    figures[0, 0] = 0.5  # the snapshot keeps its own copy
+    assert copy == cal and copy.pairs == ((0, 1), (1, 2))
+    assert copy != CalibrationSnapshot(cal.timestamp, cal.ids, figures, cal.pairs,
+                                       cal.two_qubit_errors)
+    assert cal != cal.to_json()
+
+
+@pytest.mark.parametrize("columns, message", [
+    (("t", (0, 1), [[0.1, 0.1], [1.0, 1.0]], (), []),
+     r"^qubit_figures must have shape \(3, 2\), got \(2, 2\)$"),
+    (("t", (0, 1), [[0.1, 0.1], [1.0, 1.0], [1.0, 1.0]], ((0, 1),), [0.1, 0.2]),
+     r"^two_qubit_errors must have shape \(1,\), got \(2,\)$"),
+    ((None, (0,), [[0.1], [1.0], [1.0]], (), []), r"^timestamp must be a string, got None$"),
+    (("t", (0, 0), [[0.1, 0.1], [1.0, 1.0], [1.0, 1.0]], (), []),
+     r"^duplicate qubit calibration entries$"),
+    (("t", (), np.empty((3, 0)), ((0, 1), (1, 0)), [0.1, 0.1]),
+     r"^duplicate edge calibration entries$"),
+    # a value no device has is named before a bad timestamp or a duplicate
+    ((5, (0, 0), [[0.1, 0.1], [1.0, 0.0], [1.0, 1.0]], (), []),
+     r"^qubit 0: coherence times must be positive$"),
+    (("t", (), np.empty((3, 0)), ((0, 1), (1, 2), (2, 3)), [0.5, 1.5, -1.0]),
+     r"^edge \(1, 2\): two_qubit_error outside \[0,1\]$"),
+], ids=["figures-shape", "errors-shape", "timestamp", "duplicate-id", "duplicate-pair",
+        "value-first", "first-edge"])
+def test_snapshot_constructor_checks_its_columns(columns, message):
+    with pytest.raises(ValueError, match=message):
+        CalibrationSnapshot(*columns)
+
+
+def test_calibration_keeps_ids_past_int64(tmp_path):
+    g = CouplingGraph(2, ((0, 1),))
+    doc = synth_calibration(g, seed=1).to_json()
+    doc["qubits"].append({"id": 2**70, "readout_error": 0.5, "t1_us": 1, "t2_us": 10**300})
+    doc["edges"].append({"pair": [2**70, 0], "two_qubit_error": 0})
+    cal = CalibrationSnapshot.from_json(doc)
+    assert cal.ids[-1] == 2**70 and cal.pairs[-1] == (0, 2**70)
+    assert cal.qubit_figures[:, -1].tolist() == [0.5, 1.0, 1e300]
+    assert cal.covers(g)
+    readout, t1 = doc["qubits"][0]["readout_error"], doc["qubits"][0]["t1_us"]
+    assert ([x.tolist() for x in cal.figures([(2**70, 0)])]
+            == [[0.0], [[readout, 0.5]], [[t1, 1.0]]])
+    path = tmp_path / "cal.json"
+    cal.save(path)
+    assert load_calibration(path) == cal

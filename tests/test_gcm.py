@@ -9,12 +9,11 @@ import pytest
 from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
+from calib_oracles import EdgeCalibration, QubitCalibration, edge, qubit, snapshot
 from graph_oracles import bfs_distances
 from qbos.device import (
     CalibrationSnapshot,
     CouplingGraph,
-    EdgeCalibration,
-    QubitCalibration,
     heavy_hex_graph,
     synth_calibration,
 )
@@ -42,7 +41,7 @@ from qbos.noise import NoiseModel, simulate_job
 def flat_calibration(graph, two_qubit=1e-2, readout=2e-2, t1=300.0):
     qubits = tuple(QubitCalibration(i, readout, t1, t1 * 0.8) for i in range(graph.num_qubits))
     edges = tuple(EdgeCalibration(e, two_qubit) for e in graph.edges)
-    return CalibrationSnapshot("test", qubits, edges)
+    return snapshot("test", qubits, edges)
 
 
 def custom_calibration(graph, edge_errors, readouts=None, t1=300.0):
@@ -54,7 +53,7 @@ def custom_calibration(graph, edge_errors, readouts=None, t1=300.0):
     edges = tuple(
         EdgeCalibration(e, edge_errors.get(tuple(sorted(e)), 1e-2)) for e in graph.edges
     )
-    return CalibrationSnapshot("test", qubits, edges)
+    return snapshot("test", qubits, edges)
 
 
 def path_graph(n):
@@ -191,7 +190,7 @@ def test_near_and_conflict_match_bfs_on_random_graphs(case):
 def test_score_zero_in_ideal_limit():
     g = path_graph(2)
     qubits = (QubitCalibration(0, 0.0, 1e12, 1e12), QubitCalibration(1, 0.0, 1e12, 1e12))
-    cal = CalibrationSnapshot("t", qubits, (EdgeCalibration((0, 1), 0.0),))
+    cal = snapshot("t", qubits, (EdgeCalibration((0, 1), 0.0),))
     assert edge_scores([(0, 1)], cal)[0] < 1e-9
 
 
@@ -219,11 +218,11 @@ def test_score_missing_edge_raises():
         edge_scores([(0, 1), (0, 2)], cal)
 
 
-def scalar_score(cal, edge):
+def scalar_score(cal, pair):
     """The per-edge score formula, one edge at a time."""
-    qa, qb = (cal.qubit(q) for q in sorted(edge))
+    qa, qb = (qubit(cal, q) for q in sorted(pair))
     return (
-        W_2Q * cal.edge(edge).two_qubit_error
+        W_2Q * edge(cal, pair).two_qubit_error
         + W_RO * (qa.readout_error + qb.readout_error)
         + W_COH * (1.0 / qa.t1_us + 1.0 / qb.t1_us)
     )

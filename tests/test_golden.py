@@ -37,6 +37,8 @@ from qbos import cli, device, game, gcm, noise, stats
 from qbos.noise import NoiseModel, noisy_distributions
 from qbos.statevec import derive_seed, gate_matrix, sample_cells
 
+import calib_oracles
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -311,10 +313,10 @@ def reference_distribution(gamma, strategy_a, strategy_b, calib, pair, scale, cr
         return np.array([[1.0 - r, r], [r, 1.0 - r]])
 
     clamp = lambda p: min(1.0, scale * p)
-    p2 = calib.edge(pair).two_qubit_error
+    p2 = calib_oracles.edge(calib, pair).two_qubit_error
     p1, p2, p_xt = (clamp(noise.ONE_QUBIT_ERROR_FRACTION * p2), clamp(p2),
                     clamp(noise.CROSSTALK_PENALTY))
-    ro_a, ro_b = (clamp(calib.qubit(q).readout_error) for q in sorted(pair))
+    ro_a, ro_b = (clamp(calib_oracles.qubit(calib, q).readout_error) for q in sorted(pair))
 
     def one_qubit(rho, gate, qubit):
         u = embed(gate, qubit)

@@ -9,9 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qbos.device import (
-    CalibrationSnapshot,
     CouplingGraph,
-    EdgeCalibration,
     heavy_hex_graph,
     synth_calibration,
 )
@@ -40,6 +38,7 @@ from qbos.noise import (
 from qbos.statevec import OUTCOME_LABELS
 from qbos.stats import payoff_table, rmse
 
+from calib_oracles import EdgeCalibration, records, snapshot
 from graph_oracles import bfs_distances
 from noise_oracles import closed_form_distribution
 
@@ -514,8 +513,8 @@ def test_simulate_job_reads_only_the_calibrated_pairs():
     # with the KeyError of figures for the uncalibrated qubit
     g = heavy_hex_graph(2)
     cal = synth_calibration(g, seed=4, profile="realistic")
-    extra = CalibrationSnapshot(cal.timestamp, cal.qubits,
-                                cal.edges + (EdgeCalibration((0, 200), 0.01),))
+    qubits, edges = records(cal)
+    extra = snapshot(cal.timestamp, qubits, edges + (EdgeCalibration((0, 200), 0.01),))
     plan, spec = packed_plan(g, 5), spec_for(STRATEGY_H, steps=5)
     assert (simulate_job(plan, spec, extra, NoiseModel(), 128, 2, seed=3)
             == simulate_job(plan, spec, cal, NoiseModel(), 128, 2, seed=3))
