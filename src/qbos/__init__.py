@@ -21,7 +21,6 @@ from .game import (
     Strategy,
     advantage_percent,
     analytical_curves,
-    analytical_payoffs,
     classical_mixed_equilibrium,
     default_gamma_grid,
     payoff_table,
@@ -40,9 +39,7 @@ from .noise import (
 )
 from .statevec import ShotCounts
 from .stats import (
-    PayoffEstimate,
     ValidationReport,
-    aggregate_runs,
     build_validation_report,
     propagate_count_error,
     relative_error_percent,

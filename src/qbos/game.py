@@ -232,13 +232,6 @@ def _closed_form_distribution(strategy: Strategy, gamma: float) -> tuple[float, 
     return p00, p01, p01, p11
 
 
-def analytical_payoffs(strategy: Strategy, gamma: float, variant: str = "corrected",
-                       payoff: PayoffMatrix | None = None) -> tuple[float, float]:
-    """Closed-form (e_a, e_b) at one gamma; see analytical_curves."""
-    ea, eb = analytical_curves(strategy, (gamma,), variant, payoff)[0].tolist()
-    return ea, eb
-
-
 def analytical_curves(strategy: Strategy, gammas, variant: str = "corrected",
                       payoff: PayoffMatrix | None = None) -> np.ndarray:
     """Closed-form (e_a, e_b) at every gamma, shape (len(gammas), 2), when

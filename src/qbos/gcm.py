@@ -47,11 +47,11 @@ MULTI_START_EDGE_LIMIT = 60  # below this, restart greedy from every forced firs
 
 
 class InfeasibleMappingError(ValueError):
-    """Raised when no plan with the requested pair count exists."""
+    """Raised when the search cannot place the requested pair count."""
 
     def __init__(self, requested: int, achievable: int):
         super().__init__(
-            f"cannot place {requested} pairs; best achievable here is {achievable}"
+            f"cannot place {requested} pairs; the search placed only {achievable}"
         )
         self.requested = requested
         self.achievable = achievable

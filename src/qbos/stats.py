@@ -8,11 +8,6 @@ curves is computed on those per-angle run means.  Best/worst relative
 errors divide the smallest RMSE entry by the payoff-scale maximum (3) and
 the largest by the scale minimum (1.2) -- a blunt convention, but kept
 because the report mirrors it.
-
-A report keeps each strategy's per-angle means, variances and half-widths
-as tuples of floats; StrategyValidation.per_gamma builds the GammaEstimate
-and PayoffEstimate objects when read; to_json writes the report from the
-floats without building them.
 """
 
 from __future__ import annotations
@@ -36,18 +31,6 @@ CONFIDENCE = 0.95  # two-sided level of every run-mean interval
 
 class SchemaError(ValueError):
     """A results table is structurally unusable (bad columns, missing cells)."""
-
-
-@dataclass(frozen=True)
-class PayoffEstimate:
-    mean: float
-    sample_variance: float
-    ci_half_width: float
-    n: int
-
-    def __post_init__(self):
-        if self.sample_variance < 0 or self.ci_half_width < 0:
-            raise ValueError("variance and half-width must be >= 0")
 
 
 # float(scipy.special.stdtrit(df, 0.5 + CONFIDENCE / 2)) for df = 1..128, scipy 1.17.1, reprs
@@ -111,15 +94,6 @@ def _run_statistics(series: np.ndarray):
     return series.mean(axis=-1), var, half
 
 
-def aggregate_runs(values: Sequence[float]) -> PayoffEstimate:
-    """Mean, unbiased variance and Student-t CI half-width of repeated runs."""
-    n = len(values)
-    if n < 2:
-        raise ValueError("confidence interval needs at least 2 runs")
-    mean, var, half = _run_statistics(np.asarray(values, dtype=float))
-    return PayoffEstimate(float(mean), float(var), float(half), n)
-
-
 def rmse(observed: Sequence[float], reference: Sequence[float]) -> float:
     """Root mean squared error between two equal-length series."""
     obs = np.asarray(observed, dtype=float)
@@ -159,13 +133,6 @@ def propagate_count_error(freqs, shots, payoff: PayoffMatrix):
 
 
 @dataclass(frozen=True)
-class GammaEstimate:
-    gamma: float
-    alice: PayoffEstimate
-    bob: PayoffEstimate
-
-
-@dataclass(frozen=True)
 class StrategyValidation:
     """One strategy's RMSEs and its per-angle run statistics.
 
@@ -182,18 +149,6 @@ class StrategyValidation:
     sample_variances: tuple[tuple[float, float], ...]
     ci_half_widths: tuple[tuple[float, float], ...]
 
-    def _per_angle(self):
-        return zip(self.gammas, self.means, self.sample_variances, self.ci_half_widths)
-
-    @property
-    def per_gamma(self) -> tuple[GammaEstimate, ...]:
-        """The per-angle estimates, built on each read."""
-        n = self.n
-        return tuple(
-            GammaEstimate(g, PayoffEstimate(ma, va, ha, n), PayoffEstimate(mb, vb, hb, n))
-            for g, (ma, mb), (va, vb), (ha, hb) in self._per_angle()
-        )
-
     def to_json(self) -> dict:
         n = self.n
         return {
@@ -202,7 +157,8 @@ class StrategyValidation:
                 {"gamma": g,
                  "alice": {"mean": ma, "sample_variance": va, "ci_half_width": ha, "n": n},
                  "bob": {"mean": mb, "sample_variance": vb, "ci_half_width": hb, "n": n}}
-                for g, (ma, mb), (va, vb), (ha, hb) in self._per_angle()
+                for g, (ma, mb), (va, vb), (ha, hb) in zip(
+                    self.gammas, self.means, self.sample_variances, self.ci_half_widths)
             ],
         }
 
@@ -215,8 +171,8 @@ class ValidationReport:
     strategies: tuple[StrategyValidation, ...]
 
     def to_json(self) -> dict:
-        """The report as a JSON document: each strategy's per_gamma lists its
-        GammaEstimates as objects keyed by their field names, in field order."""
+        """The report as a JSON document: each strategy's per_gamma holds one
+        object per angle, its gamma and the alice and bob run statistics."""
         return {
             "variant": self.variant,
             "best_relative_error_pct": self.best_relative_error_pct,
@@ -297,8 +253,6 @@ def report_from_cells(
     table.reshape(-1, 2)[flat] = payoffs
     # (strategy, gamma, player, run), contiguous along the runs
     means, variances, halves = _run_statistics(np.ascontiguousarray(table.transpose(0, 1, 3, 2)))
-    if (variances < 0).any() or (halves < 0).any():  # PayoffEstimate's invariant
-        raise ValueError("variance and half-width must be >= 0")
 
     grid = tuple(gammas)
     validations = []

@@ -12,7 +12,14 @@ import math
 
 import numpy as np
 
+from qbos.game import analytical_curves
 from qbos.noise import CROSSTALK_PENALTY, ONE_QUBIT_ERROR_FRACTION
+
+
+def analytical_payoffs(strategy, gamma, variant="corrected", payoff=None):
+    """Closed-form (e_a, e_b) at one gamma: the one row of analytical_curves."""
+    ea, eb = analytical_curves(strategy, (gamma,), variant, payoff)[0].tolist()
+    return ea, eb
 
 
 def strategy_unitary(strategy) -> np.ndarray:

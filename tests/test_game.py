@@ -18,12 +18,13 @@ from qbos.game import (
     _closed_form_distribution,
     advantage_percent,
     analytical_curves,
-    analytical_payoffs,
     classical_mixed_equilibrium,
     default_gamma_grid,
 )
 from qbos.noise import NoiseModel, noisy_distributions
 from qbos.stats import payoff_table
+
+from noise_oracles import analytical_payoffs
 
 BOS = PayoffMatrix.battle_of_sexes()
 # at scale 0 every pair behaves like this error-free one: (two-qubit errors, readout errors)

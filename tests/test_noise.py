@@ -21,7 +21,6 @@ from qbos.game import (
     Strategy,
     _closed_form_distribution,
     PayoffMatrix,
-    analytical_payoffs,
 )
 from qbos.gcm import MappingPlan, packed_plan, select_pairs
 from qbos.noise import (
@@ -40,7 +39,7 @@ from qbos.stats import payoff_table, rmse
 
 from calib_oracles import EdgeCalibration, records, snapshot
 from graph_oracles import bfs_distances
-from noise_oracles import closed_form_distribution
+from noise_oracles import analytical_payoffs, closed_form_distribution
 
 BOS = PayoffMatrix.battle_of_sexes()
 

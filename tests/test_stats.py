@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qbos
-from qbos import cli, stats
+from qbos import stats
 from qbos.game import CANONICAL_STRATEGIES, GameSpec, PayoffMatrix, STRATEGY_I, default_gamma_grid
 from qbos.noise import RunResult
 from qbos.statevec import OUTCOME_LABELS, ShotCounts
@@ -24,8 +23,8 @@ from qbos.stats import (
     SchemaError,
     CONFIDENCE,
     _T975,
+    _run_statistics,
     _t_quantile,
-    aggregate_runs,
     build_validation_report,
     payoff_table,
     propagate_count_error,
@@ -33,6 +32,8 @@ from qbos.stats import (
     report_from_cells,
     rmse,
 )
+
+from noise_oracles import analytical_payoffs
 
 BOS = PayoffMatrix.battle_of_sexes()
 
@@ -80,30 +81,23 @@ def test_exact_distribution_matches_expected_payoffs():
 # --- aggregation -----------------------------------------------------------------
 
 def test_constant_runs():
-    est = aggregate_runs([2.0] * 5)
-    assert est.mean == 2.0 and est.sample_variance == 0.0 and est.ci_half_width == 0.0
-    assert est.n == 5
+    mean, var, half = _run_statistics(np.array([2.0] * 5))
+    assert mean == 2.0 and var == 0.0 and half == 0.0
 
 
 def test_t_critical_value_for_five_runs():
     # t_{0.975, 4} = 2.776 (frozen from standard tables)
-    est = aggregate_runs([0.0, 0.0, 0.0, 0.0, math.sqrt(5.0)])
-    s = math.sqrt(est.sample_variance)
-    t_used = est.ci_half_width / (s / math.sqrt(5))
+    _, var, half = _run_statistics(np.array([0.0, 0.0, 0.0, 0.0, math.sqrt(5.0)]))
+    t_used = half / (math.sqrt(var) / math.sqrt(5))
     assert abs(t_used - 2.776) < 1e-3
 
 
 def test_three_run_aggregate():
     # s = 1, t_{0.975,2} = 4.303 -> half width 4.303/sqrt(3) = 2.484
-    est = aggregate_runs([1.0, 2.0, 3.0])
-    assert est.mean == 2.0
-    assert abs(est.sample_variance - 1.0) < 1e-12
-    assert abs(est.ci_half_width - 2.484) < 1e-3
-
-
-def test_aggregate_requires_two_runs():
-    with pytest.raises(ValueError):
-        aggregate_runs([1.0])
+    mean, var, half = _run_statistics(np.array([1.0, 2.0, 3.0]))
+    assert mean == 2.0
+    assert abs(var - 1.0) < 1e-12
+    assert abs(half - 2.484) < 1e-3
 
 
 def test_student_t_coverage_at_n5():
@@ -114,8 +108,8 @@ def test_student_t_coverage_at_n5():
     covered = 0
     samples = rng.normal(true_mean, sigma, size=(trials, n))
     for row in samples:
-        est = aggregate_runs(row.tolist())
-        if abs(est.mean - true_mean) <= est.ci_half_width:
+        mean, _, half = _run_statistics(row)
+        if abs(mean - true_mean) <= half:
             covered += 1
     assert abs(covered / trials - 0.95) <= 0.01
 
@@ -218,7 +212,7 @@ def test_delta_method_matches_resampling():
 
 def exact_series(strategy_label, gammas, runs=5):
     """Per-run payoffs equal to the corrected analytic curve (zero spread)."""
-    from qbos.game import Strategy, analytical_payoffs
+    from qbos.game import Strategy
     strategy = Strategy.parse(strategy_label)
     return {
         g: [analytical_payoffs(strategy, g, "corrected") for _ in range(runs)]
@@ -247,8 +241,7 @@ def test_report_on_exact_fixture_is_all_zero():
     for sv in report.strategies:
         # the across-run mean of a constant series can move by one ulp
         assert sv.rmse_a <= 1e-12 and sv.rmse_b <= 1e-12
-        for ge in sv.per_gamma:
-            assert ge.alice.ci_half_width <= 1e-12
+        assert all(half <= 1e-12 for pair in sv.ci_half_widths for half in pair)
     assert report.best_relative_error_pct <= 1e-10
     assert report.worst_relative_error_pct <= 1e-10
 
@@ -287,7 +280,7 @@ def test_rmse_method_option():
 @pytest.mark.parametrize("runs", [2, 3, 5, 8, 9, 17, 50, 129, 300])
 def test_report_estimates_equal_per_series_aggregates(runs):
     # the report aggregates every (strategy, gamma, player) series in one
-    # pass; aggregate_runs on each series alone is the reference, bit for bit
+    # pass; _run_statistics on each series alone is the reference, bit for bit
     gammas = default_gamma_grid(4)
     rng = np.random.default_rng(runs)
     series = {label: {g: [tuple(ab) for ab in rng.uniform(0, 3, size=(runs, 2)).tolist()]
@@ -295,10 +288,12 @@ def test_report_estimates_equal_per_series_aggregates(runs):
               for label in ("I", "H", "RY(pi)")}
     report = report_from_series(series)
     for sv in report.strategies:
-        for ge in sv.per_gamma:
-            per_run = series[sv.strategy][ge.gamma]
-            assert ge.alice == aggregate_runs([a for a, _ in per_run])
-            assert ge.bob == aggregate_runs([b for _, b in per_run])
+        assert sv.n == runs
+        for g, *estimates in zip(sv.gammas, sv.means, sv.sample_variances, sv.ci_half_widths):
+            per_run = series[sv.strategy][g]
+            for player in (0, 1):
+                alone = _run_statistics(np.array([ab[player] for ab in per_run]))
+                assert [e[player] for e in estimates] == [float(x) for x in alone]
 
 
 def test_report_needs_two_runs_per_cell():
@@ -321,8 +316,8 @@ def test_build_report_from_run_results():
     report = build_validation_report({"I": results}, spec, variant="corrected")
     sv = report.strategies[0]
     assert sv.rmse_a < 0.01  # only rounding error vs the analytic curve
-    assert len(sv.per_gamma) == 3
-    assert all(ge.alice.n == 3 for ge in sv.per_gamma)
+    assert sv.gammas == tuple(gammas) and sv.n == 3
+    assert len(sv.means) == len(sv.sample_variances) == len(sv.ci_half_widths) == 3
 
 
 def test_build_report_from_sparse_counts():
@@ -405,7 +400,7 @@ def test_payoff_table_is_the_per_cell_product():
 
 
 def test_t_quantile_equals_scipy_t_ppf():
-    # aggregate_runs takes its quantile from scipy.special.stdtrit, which
+    # _t_quantile takes its quantile from scipy.special.stdtrit, which
     # imports far faster than scipy.stats; the quantiles and the half-widths
     # agree bit for bit
     from scipy import stats as sps
@@ -414,9 +409,9 @@ def test_t_quantile_equals_scipy_t_ppf():
     for n in range(2, 202):
         assert _t_quantile(n - 1) == float(sps.t.ppf(0.5 + CONFIDENCE / 2.0, df=n - 1))
         values = rng.normal(1.0, 0.5, size=n).tolist()
-        est = aggregate_runs(values)
+        _, var, half = _run_statistics(np.asarray(values))
         t_crit = float(sps.t.ppf(0.5 + 0.95 / 2.0, df=n - 1))
-        assert est.ci_half_width == t_crit * math.sqrt(est.sample_variance / n)
+        assert half == t_crit * math.sqrt(var / n)
 
 
 def test_t975_table_holds_the_scipy_quantiles():
@@ -432,20 +427,20 @@ def test_scipy_loads_only_when_a_report_is_built(tmp_path):
     # only reports of more than 129 runs load scipy; a fresh interpreter,
     # since this one has scipy loaded already
     script = (
-        "import sys, qbos\n"
-        "from qbos import cli\n"
+        "import sys, numpy, qbos\n"
+        "from qbos import cli, stats\n"
         "assert 'scipy' not in sys.modules\n"
         "assert cli.main(['equilibrium']) == 0\n"
         "assert 'scipy' not in sys.modules\n"
-        "qbos.aggregate_runs([1.0, 2.0])\n"
-        "qbos.aggregate_runs([float(i) for i in range(129)])\n"
+        "stats._run_statistics(numpy.array([1.0, 2.0]))\n"
+        "stats._run_statistics(numpy.arange(129.0))\n"
         "for runs in ('5', '129'):\n"
         "    out = sys.argv[1] + runs + '.csv'\n"
         "    assert cli.main(['sweep', '--synth', '--svg', '--gamma-steps', '3', '--runs', runs,\n"
         "                     '--shots', '16', '--out', out]) == 0\n"
         "    assert cli.main(['validate', out]) == 0\n"
         "assert 'scipy' not in sys.modules\n"
-        "qbos.aggregate_runs([float(i) for i in range(130)])\n"
+        "stats._run_statistics(numpy.arange(130.0))\n"
         "assert 'scipy' in sys.modules\n"
     )
     path = [str(Path(qbos.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
@@ -473,7 +468,23 @@ def test_report_json_round_trip(tmp_path):
     assert doc["best_relative_error_pct"] == 0.0
 
 
-# --- the report's JSON document and its per-angle estimates ------------------------
+# --- the report's JSON document ------------------------------------------------------
+
+@dataclass(frozen=True)
+class PayoffEstimate:
+    """One player's run statistics at one angle, as reports once held them."""
+    mean: float
+    sample_variance: float
+    ci_half_width: float
+    n: int
+
+
+@dataclass(frozen=True)
+class GammaEstimate:
+    gamma: float
+    alice: PayoffEstimate
+    bob: PayoffEstimate
+
 
 @dataclass(frozen=True)
 class PerGammaStrategy:
@@ -492,11 +503,19 @@ class PerGammaReport:
     strategies: tuple
 
 
+def per_gamma(sv):
+    """A strategy's per-angle estimates as GammaEstimate objects."""
+    return tuple(
+        GammaEstimate(g, PayoffEstimate(ma, va, ha, sv.n), PayoffEstimate(mb, vb, hb, sv.n))
+        for g, (ma, mb), (va, vb), (ha, hb)
+        in zip(sv.gammas, sv.means, sv.sample_variances, sv.ci_half_widths))
+
+
 def per_gamma_json(report):
     """The reference encoding: dataclasses.asdict over the report rebuilt from per_gamma."""
     return asdict(PerGammaReport(
         report.variant, report.best_relative_error_pct, report.worst_relative_error_pct,
-        tuple(PerGammaStrategy(sv.strategy, sv.rmse_a, sv.rmse_b, sv.per_gamma)
+        tuple(PerGammaStrategy(sv.strategy, sv.rmse_a, sv.rmse_b, per_gamma(sv))
               for sv in report.strategies)))
 
 
@@ -525,34 +544,3 @@ def test_report_json_equals_the_per_gamma_encoding(labels, steps, runs, coarse, 
     assert (json.dumps(report.to_json(), indent=1)
             == json.dumps(per_gamma_json(report), indent=1))
 
-
-@pytest.fixture
-def built(monkeypatch):
-    """Counts the GammaEstimate and PayoffEstimate objects constructed."""
-    counts = Counter()
-    for cls in (stats.GammaEstimate, stats.PayoffEstimate):
-        def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__):
-            counts[_name] += 1
-            _init(self, *args)
-        monkeypatch.setattr(cls, "__init__", counting_init)
-    return counts
-
-
-def test_reports_build_no_estimates_until_per_gamma_is_read(tmp_path, capsys, built):
-    sweep = tmp_path / "sweep.csv"
-    assert cli.main(["sweep", "--synth", "--gamma-steps", "5", "--runs", "3",
-                     "--shots", "64", "--out", str(sweep)]) == 0
-    assert cli.main(["validate", str(sweep), "--out", str(tmp_path / "report.json")]) == 0
-    assert "RMSE" in capsys.readouterr().out
-
-    gammas = default_gamma_grid(4)
-    results = [RunResult(i, g, make_counts(c00=3 + run + i, c11=5), run)
-               for run in range(3) for i, g in enumerate(gammas)]
-    report = build_validation_report({"I": results, "H": results}, GameSpec(gamma_grid=gammas))
-    report.to_text()
-    report.to_json()
-    assert built == {}
-
-    for sv in report.strategies:
-        assert len(sv.per_gamma) == 4
-    assert built == {"GammaEstimate": 2 * 4, "PayoffEstimate": 2 * 4 * 2}
