@@ -27,8 +27,11 @@ per plan qubit and looks each ball member up in a qubit -> circuit owner map.
 1, in edge order.
 
 Plans serialize as JSON
-``{"min_separation": s, "assignments": [{"circuit": i, "pair": [a, b]}]}``;
-``load_plan`` checks each field as the device-file loaders do.
+``{"min_separation": s, "assignments": [{"circuit": i, "pair": [a, b]}]}``,
+written directly as the text ``json.dumps(doc, indent=1)`` gives, without
+json's pure-Python indent encoder.  ``load_plan`` checks each field as the
+device-file loaders do, and a plan takes only what it would read back: int
+qubit ids and an int separation.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from itertools import chain
 
 import numpy as np
 
-from .device import CalibrationSnapshot, CouplingGraph, _field, _load, _save
+from .device import CalibrationSnapshot, CouplingGraph, _field, _load
 
 # score weights of the two-qubit error, the readout-error sum and the inverse-T1 sum (1/us)
 W_2Q, W_RO, W_COH = 1.0, 0.5, 0.1
@@ -65,6 +68,12 @@ class MappingPlan:
     min_separation: int = DEFAULT_MIN_SEPARATION
 
     def __post_init__(self):
+        # load_plan's types, so that every plan that can be built saves and loads
+        if type(self.min_separation) is not int:
+            raise ValueError(f"min_separation must be an integer, got {self.min_separation!r}")
+        for i, pair in enumerate(self.assignments):
+            if not (len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int):
+                raise ValueError(f"assignments[{i}] must be two integer qubit ids, got {pair!r}")
         object.__setattr__(
             self,
             "assignments",
@@ -86,7 +95,16 @@ class MappingPlan:
         }
 
     def save(self, path) -> None:
-        _save(path, self.to_json())
+        """Write the plan file: the text of ``json.dumps(self.to_json(), indent=1)``
+        and a newline, formatted directly, without json's pure-Python indent
+        encoder.  The document has one fixed shape and holds only ints."""
+        entries = ",\n".join(
+            f'  {{\n   "circuit": {i},\n   "pair": [\n    {a},\n    {b}\n   ]\n  }}'
+            for i, (a, b) in enumerate(self.assignments))
+        listed = f"[\n{entries}\n ]" if entries else "[]"
+        text = f'{{\n "min_separation": {self.min_separation},\n "assignments": {listed}\n}}\n'
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
     @classmethod
     def from_json(cls, doc) -> "MappingPlan":
@@ -177,6 +195,18 @@ def _greedy(conflict: np.ndarray, order, k: int) -> list[int]:
     return chosen
 
 
+def _rank(graph: CouplingGraph, calib: CalibrationSnapshot):
+    """The graph's edges by ascending score, their scores in that order, and the
+    ranks of the edges in lexicographic order.  One stable argsort: graph.edges
+    is sorted, so tied scores keep edge order, as sorting (score, edge) tuples
+    does.  The lexicographic ranks are the inverse permutation of the argsort."""
+    scores = edge_scores(graph.edges, calib)
+    order = np.argsort(scores, kind="stable")
+    lexicographic = np.empty_like(order)
+    lexicographic[order] = np.arange(len(order))
+    return [graph.edges[i] for i in order.tolist()], scores[order], lexicographic.tolist()
+
+
 def select_pairs(
     graph: CouplingGraph,
     calib: CalibrationSnapshot,
@@ -193,9 +223,8 @@ def select_pairs(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ranked = sorted(zip(edge_scores(graph.edges, calib).tolist(), graph.edges))
-    scores = [score for score, _ in ranked]
-    edges = [e for _, e in ranked]
+    edges, ascending, lexicographic = _rank(graph, calib)
+    scores = ascending.tolist()
     # rows and columns follow the ranking, so a rank is also an index
     conflict = _conflict_matrix(_near(graph, min_separation), edges)
 
@@ -203,7 +232,7 @@ def select_pairs(
     # from each edge as a forced first pick (small graphs) and from plain
     # lexicographic order, keeping the largest then cheapest selection
     positions = list(range(len(edges)))
-    orders = [positions, sorted(positions, key=edges.__getitem__)]
+    orders = [positions, lexicographic]
     if len(edges) <= MULTI_START_EDGE_LIMIT:
         for r in positions:
             orders.append([r] + positions[:r] + positions[r + 1:])
@@ -223,7 +252,6 @@ def select_pairs(
     # every chosen pair, most expensive first, in one expression and swaps the
     # first that fits anything at its cheapest fit.
     clashes = conflict[chosen].sum(axis=0)
-    ascending = np.array(scores)
     while True:
         order = sorted(range(k), key=lambda i: (-scores[chosen[i]], edges[chosen[i]]))
         cur = np.array(chosen)[order]

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
 """
 
 import csv
-import itertools
 import math
 import time
 
@@ -27,6 +26,7 @@ from qbos.noise import NoiseModel, noisy_distributions
 from qbos.stats import payoff_table
 from qbos.statevec import derive_seed
 
+from mapping_oracles import SMALL_INSTANCES, milp_optimum
 from noise_oracles import analytical_payoffs
 
 BOS = PayoffMatrix.battle_of_sexes()
@@ -134,47 +134,15 @@ def test_criterion_05_mapping_feasibility_127():
 
 
 def test_criterion_06_small_instance_optimality():
-    def floyd_warshall(graph):
-        n, inf = graph.num_qubits, 10**9
-        d = [[0 if i == j else inf for j in range(n)] for i in range(n)]
-        for a, b in graph.edges:
-            d[a][b] = d[b][a] = 1
-        for m in range(n):
-            for i in range(n):
-                for j in range(n):
-                    if d[i][m] + d[m][j] < d[i][j]:
-                        d[i][j] = d[i][m] + d[m][j]
-        return d
-
-    def optimum(graph, cal, k):
-        d = floyd_warshall(graph)
-        scores = dict(zip(graph.edges, gcm.edge_scores(graph.edges, cal).tolist()))
-        best = None
-        for subset in itertools.combinations(sorted(graph.edges), k):
-            if all(
-                min(d[a][b] for a in e1 for b in e2) >= 2
-                for e1, e2 in itertools.combinations(subset, 2)
-            ):
-                total = sum(scores[e] for e in subset)
-                best = total if best is None or total < best else best
-        return best
-
-    path = lambda n: device.CouplingGraph(n, tuple((i, i + 1) for i in range(n - 1)))
-    instances = [
-        (path(5), 2), (path(8), 2), (path(8), 3), (path(10), 3),
-        (device.CouplingGraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0))), 2),
-        (device.CouplingGraph(9, ((0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8))), 3),
-        (device.CouplingGraph(7, ((0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6))), 2),
-        (device.CouplingGraph(8, ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6),
-                                  (6, 7), (7, 4))), 2),
-    ]
+    # the optimum is an exact integer program (tests/mapping_oracles.py), which
+    # tests/test_gcm.py checks against exhaustive search on these instances
     checked = 0
     worst_ratio = 1.0
-    for graph, k in instances:
+    for graph, k in SMALL_INSTANCES:
         assert len(graph.edges) <= 10
         for seed in range(4):
             cal = device.synth_calibration(graph, seed=seed, profile="realistic")
-            opt = optimum(graph, cal, k)
+            opt = milp_optimum(graph, cal, k)
             if opt is None:
                 continue
             plan = gcm.select_pairs(graph, cal, k=k, min_separation=2)

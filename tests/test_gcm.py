@@ -5,12 +5,14 @@ import json
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from calib_oracles import EdgeCalibration, QubitCalibration, edge, qubit, snapshot
 from graph_oracles import bfs_distances
+from mapping_oracles import SMALL_INSTANCES, milp_optimum
 from qbos.device import (
     CalibrationSnapshot,
     CouplingGraph,
@@ -27,6 +29,7 @@ from qbos.gcm import (
     _conflict_matrix,
     _greedy,
     _near,
+    _rank,
     MappingPlan,
     edge_scores,
     load_plan,
@@ -335,6 +338,62 @@ def test_small_instances_within_10pct_of_optimum(graph_factory, k):
         assert plan_score(plan, cal) <= 1.10 * opt
 
 
+@pytest.mark.parametrize("min_sep", [1, 2, 3])
+def test_milp_oracle_matches_exhaustive_search(min_sep):
+    # criterion 6's instances, at its separation and on either side of it
+    found = 0
+    for graph, k in SMALL_INSTANCES:
+        for seed in range(4):
+            cal = synth_calibration(graph, seed=seed, profile="realistic")
+            expected = exhaustive_optimum(graph, cal, k, min_sep)
+            got = milp_optimum(graph, cal, k, min_sep)
+            if expected is None:
+                assert got is None
+            else:
+                assert got == pytest.approx(expected, rel=1e-12)
+                found += 1
+    assert found >= 20
+
+
+# --- ranking ---------------------------------------------------------------------
+
+def rounded_calibration(calib):
+    """calib with every figure rounded to one significant digit: a few distinct
+    scores, each shared by edges scattered over the edge order."""
+    doc = calib.to_json()
+    for entry in doc["qubits"]:
+        for key in ("readout_error", "t1_us", "t2_us"):
+            entry[key] = float(f"{entry[key]:.1g}")
+    for entry in doc["edges"]:
+        entry["two_qubit_error"] = float(f"{entry['two_qubit_error']:.1g}")
+    return CalibrationSnapshot.from_json(doc)
+
+
+@st.composite
+def renumbered_devices(draw):
+    """A heavy-hex graph of distance 2-6 with its qubits renumbered at random, and
+    a realistic calibration, the same rounded (partial ties) or a uniform one,
+    where every score ties."""
+    base = heavy_hex_graph(draw(st.integers(2, 6)))
+    label = draw(st.permutations(range(base.num_qubits)))
+    graph = CouplingGraph(base.num_qubits, tuple((label[a], label[b]) for a, b in base.edges))
+    profile = draw(st.sampled_from(["realistic", "rounded", "uniform"]))
+    calib = synth_calibration(graph, seed=draw(st.integers(0, 10**6)),
+                              profile="uniform" if profile == "uniform" else "realistic")
+    return graph, rounded_calibration(calib) if profile == "rounded" else calib
+
+
+@settings(max_examples=60, deadline=None)
+@given(renumbered_devices())
+def test_rank_equals_sorting_score_edge_tuples(case):
+    graph, calib = case
+    edges, ascending, lexicographic = _rank(graph, calib)
+    ranked = sorted(zip(edge_scores(graph.edges, calib).tolist(), graph.edges))
+    assert edges == [e for _, e in ranked]
+    assert ascending.tolist() == [score for score, _ in ranked]
+    assert lexicographic == sorted(range(len(edges)), key=edges.__getitem__)
+
+
 # --- verification ----------------------------------------------------------------
 
 def test_verify_accepts_selected_plan():
@@ -441,6 +500,28 @@ def test_plan_rejects_qubit_reuse():
         MappingPlan(((0, 1), (1, 2)))
 
 
+@pytest.mark.parametrize(
+    "assignments, separation, message",
+    [
+        (((0.5, 2),), 2, "assignments[0] must be two integer qubit ids, got (0.5, 2)"),
+        (((1, 2), (True, 3)), 2,
+         "assignments[1] must be two integer qubit ids, got (True, 3)"),
+        (((np.int64(1), 2),), 2,
+         "assignments[0] must be two integer qubit ids, got (np.int64(1), 2)"),
+        (((1, 2), (3,)), 2, "assignments[1] must be two integer qubit ids, got (3,)"),
+        (((1, 2),), 2.5, "min_separation must be an integer, got 2.5"),
+        (((1, 2),), True, "min_separation must be an integer, got True"),
+    ],
+    ids=["id-float", "id-bool", "id-numpy", "pair-short", "separation-float",
+         "separation-bool"],
+)
+def test_plan_takes_only_what_load_plan_reads(assignments, separation, message):
+    # a plan that could be built but not loaded back would save an unreadable file
+    with pytest.raises(ValueError) as exc:
+        MappingPlan(assignments, separation)
+    assert str(exc.value) == message
+
+
 # --- serialization -------------------------------------------------------------------
 
 def test_plan_round_trip(tmp_path):
@@ -449,6 +530,25 @@ def test_plan_round_trip(tmp_path):
     plan = select_pairs(g, cal, k=3)
     path = tmp_path / "plan.json"
     plan.save(path)
+    assert load_plan(path) == plan
+
+
+@st.composite
+def plans(draw):
+    """Plans of 0-200 pairs of distinct qubit ids up to 2**70, past int64, which
+    load_plan allows, and a separation of 1-5."""
+    ids = draw(st.lists(st.integers(0, 2**70), unique=True, max_size=400))
+    return MappingPlan(tuple(zip(ids[0::2], ids[1::2])), draw(st.integers(1, 5)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(plans())
+@example(MappingPlan(()))
+def test_plan_file_is_the_indented_json_text(tmp_path_factory, plan):
+    path = tmp_path_factory.getbasetemp() / "indented-plan.json"
+    plan.save(path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == json.dumps(plan.to_json(), indent=1) + "\n"
     assert load_plan(path) == plan
 
 
