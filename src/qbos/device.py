@@ -17,11 +17,16 @@ tests each column's JSON types and values at once and walks the entries one by
 one only to name the first bad field of a file that fails.
 CalibrationSnapshot.figures gives the per-edge arrays that gcm and noise read.
 Graphs and snapshots are plain values; crosstalk needs only their edge lists.
+Each takes only what its loader reads: int qubit counts and ids.  Graphs,
+snapshots, plans (gcm) and reports (stats) save the text of
+``json.dumps(doc, indent=1)``, formatted directly for their fixed shapes
+without json's pure-Python indent encoder: numbers take json's own texts.
 """
 
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 import math
 import operator
@@ -51,10 +56,12 @@ class CouplingGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        n = self.num_qubits
+        # load_coupling_map's types, in its order, so that every graph saves and loads
+        pairs = tuple(self.edges)
+        _check_column(pairs, "two integer qubit ids", "edges[{}]")
+        n = _field(vars(self), "num_qubits", "an integer")
         if n < 1:
             raise ValueError("graph needs at least one qubit")
-        pairs = [(int(e[0]), int(e[1])) for e in self.edges]
         # the first self-loop or out-of-range edge, named as given
         bad = next(((a, b) for a, b in pairs if a == b or not (0 <= a < n and 0 <= b < n)), None)
         if bad is not None:
@@ -77,17 +84,15 @@ class CouplingGraph:
         return {"num_qubits": self.num_qubits, "edges": [list(e) for e in self.edges]}
 
     def save(self, path) -> None:
-        _save(path, self.to_json())
+        """Write ``json.dumps(self.to_json(), indent=1)`` and a newline, formatted directly."""
+        edges = _listed('["%s", "%s"]', self.edges, 1)
+        _write(path, '{"num_qubits": "%s", "edges": "%s"}', (self.num_qubits, edges))
 
     @classmethod
     def from_json(cls, doc) -> "CouplingGraph":
         """Parse a coupling-map document; a ValueError names the first bad field."""
         edges = _field(doc, "edges", "a list")
-        is_pair = _FIELD_CHECKS["two integer qubit ids"]
-        if not all(map(is_pair, edges)):
-            i, e = next((i, e) for i, e in enumerate(edges) if not is_pair(e))
-            raise ValueError(f"edges[{i}] must be two integer qubit ids, got {e!r}")
-        return cls(_field(doc, "num_qubits", "an integer"), tuple(map(tuple, edges)))
+        return cls(doc.get("num_qubits"), edges)
 
 
 def heavy_hex_graph(distance: int) -> CouplingGraph:
@@ -192,11 +197,33 @@ def _load(path, parse):
         raise ValueError(f"{path}: {err}") from err
 
 
-def _save(path, doc) -> None:
-    """Write doc as indented JSON with a trailing newline, in one write."""
-    text = json.dumps(doc, indent=1) + "\n"
+def _texts(column) -> list[str]:
+    """json's own text of each number of a list, from one call of its C encoder:
+    inf reads Infinity and a float subclass as its float.  Empty gives none."""
+    return json.dumps(column)[1:-1].split(", ") if column else []
+
+
+@functools.cache
+def _template(shape: str, depth: int = 0) -> str:
+    """json.dumps(json.loads(shape), indent=1) for a value at depth, as a
+    %-template: each "%s" string of the JSON text shape is a slot for a text."""
+    pad = " " * depth
+    text = json.dumps(json.loads(shape), indent=1)
+    return pad + text.replace('"%s"', "%s").replace("\n", "\n" + pad)
+
+
+def _listed(shape: str, rows, depth: int) -> str:
+    """A JSON list at depth of _template(shape) filled from each row, as
+    json.dumps(indent=1) writes it: [] when empty."""
+    template = _template(shape, depth + 1)
+    items = [template % row for row in rows]
+    return "[\n" + ",\n".join(items) + "\n" + " " * depth + "]" if items else "[]"
+
+
+def _write(path, shape: str, values) -> None:
+    """Write _template(shape) % values and a newline, in one write."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(_template(shape) % values + "\n")
 
 
 def load_coupling_map(path) -> CouplingGraph:
@@ -231,15 +258,24 @@ _COLUMN_CHECKS = {
     "an integer": lambda c: _types(c) <= {int},
     "a number": lambda c: (_types(c) <= {float}
                            or (_types(c) <= {float, int} and all(map(_is_number, c)))),
-    "two integer qubit ids": lambda c: (_types(c) <= {list} and set(map(len, c)) <= {2}
+    "two integer qubit ids": lambda c: (_types(c) <= {list, tuple} and set(map(len, c)) <= {2}
                                         and _types(chain.from_iterable(c)) <= {int}),
 }
 
 
+def _check_column(column, expected: str, where: str) -> None:
+    """_COLUMN_CHECKS[expected] on a constructor's column; if it fails, the
+    loader's ValueError for its first bad value, named where.format(index)."""
+    check = _COLUMN_CHECKS[expected]
+    if not check(column):
+        i, value = next((i, v) for i, v in enumerate(column) if not check((v,)))
+        raise ValueError(f"{where.format(i)} must be {expected}, got {value!r}")
+
+
 def _columns(entries, fields):
     """One tuple per (key, expected) of fields: that field of every entry, if
-    entries is a list of JSON objects whose fields all hold what is expected;
-    else None."""
+    entries is a list of JSON objects that all hold the keys, with numbers in
+    every number field; else None.  CalibrationSnapshot tests the id columns."""
     if type(entries) is not list or not _types(entries) <= {dict}:
         return None
     try:
@@ -247,8 +283,8 @@ def _columns(entries, fields):
         columns = tuple(zip(*rows)) or ((),) * len(fields)
     except KeyError:
         return None
-    checks = (_COLUMN_CHECKS[expected] for _, expected in fields)
-    return columns if all(check(c) for check, c in zip(checks, columns)) else None
+    numbers = (c for (_, expected), c in zip(fields, columns) if expected == "a number")
+    return columns if all(map(_COLUMN_CHECKS["a number"], numbers)) else None
 
 
 def _raise_first_fault(doc) -> None:
@@ -292,9 +328,11 @@ class CalibrationSnapshot:
     two_qubit_errors: np.ndarray
 
     def __post_init__(self):
-        ids = tuple(self.ids)
+        ids, pairs = tuple(self.ids), tuple(self.pairs)
+        _check_column(ids, "an integer", "qubits[{}].id")
+        _check_column(pairs, "two integer qubit ids", "edges[{}].pair")
         figures = _frozen(self.qubit_figures, (3, len(ids)), "qubit_figures")
-        pairs = tuple([(a, b) if a < b else (b, a) for a, b in self.pairs])
+        pairs = tuple([(a, b) if a < b else (b, a) for a, b in pairs])
         errors = _frozen(self.two_qubit_errors, (len(pairs),), "two_qubit_errors")
         readout, t1, t2 = figures
         if min(ids, default=0) < 0 or not ((0.0 <= readout) & (readout <= 1.0)
@@ -361,14 +399,21 @@ class CalibrationSnapshot:
         }
 
     def save(self, path) -> None:
-        _save(path, self.to_json())
+        """Write ``json.dumps(self.to_json(), indent=1)`` and a newline, formatted directly."""
+        qubits = _listed('{"id": "%s", "readout_error": "%s", "t1_us": "%s", "t2_us": "%s"}',
+                         zip(self.ids, *map(_texts, self.qubit_figures.tolist())), 1)
+        errors = _texts(self.two_qubit_errors.tolist())
+        edges = _listed('{"pair": ["%s", "%s"], "two_qubit_error": "%s"}',
+                        [(a, b, error) for (a, b), error in zip(self.pairs, errors)], 1)
+        _write(path, '{"timestamp": "%s", "qubits": "%s", "edges": "%s"}',
+               (json.dumps(self.timestamp), qubits, edges))
 
     @classmethod
     def from_json(cls, doc) -> "CalibrationSnapshot":
         """Parse a calibration document; a ValueError names the first bad field.
 
-        The JSON types of each column are tested at once, and the constructor
-        tests the values the same way.  Only when a type test fails are the
+        The number columns are tested at once, and the constructor tests the
+        id columns and the values the same way.  Only when a test fails are the
         entries walked one by one, in document order and qubits first, to name
         the first bad field."""
         qubits = _columns(_field(doc, "qubits", "a list"), _QUBIT_FIELDS)
@@ -376,7 +421,11 @@ class CalibrationSnapshot:
         if not edges:
             _raise_first_fault(doc)
         (ids, *figures), (pairs, errors) = qubits, edges
-        return cls(doc.get("timestamp"), ids, figures, pairs, errors)
+        try:
+            return cls(doc.get("timestamp"), ids, figures, pairs, errors)
+        except ValueError:
+            _raise_first_fault(doc)  # else the fault is no one entry's: a duplicate, say
+            raise
 
 
 def load_calibration(path) -> CalibrationSnapshot:

@@ -41,7 +41,7 @@ from itertools import chain
 
 import numpy as np
 
-from .device import CalibrationSnapshot, CouplingGraph, _field, _load
+from .device import CalibrationSnapshot, CouplingGraph, _field, _listed, _load, _write
 
 # score weights of the two-qubit error, the readout-error sum and the inverse-T1 sum (1/us)
 W_2Q, W_RO, W_COH = 1.0, 0.5, 0.1
@@ -95,16 +95,11 @@ class MappingPlan:
         }
 
     def save(self, path) -> None:
-        """Write the plan file: the text of ``json.dumps(self.to_json(), indent=1)``
-        and a newline, formatted directly, without json's pure-Python indent
-        encoder.  The document has one fixed shape and holds only ints."""
-        entries = ",\n".join(
-            f'  {{\n   "circuit": {i},\n   "pair": [\n    {a},\n    {b}\n   ]\n  }}'
-            for i, (a, b) in enumerate(self.assignments))
-        listed = f"[\n{entries}\n ]" if entries else "[]"
-        text = f'{{\n "min_separation": {self.min_separation},\n "assignments": {listed}\n}}\n'
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        """Write ``json.dumps(self.to_json(), indent=1)`` and a newline, formatted directly."""
+        entries = _listed('{"circuit": "%s", "pair": ["%s", "%s"]}',
+                          [(i, a, b) for i, (a, b) in enumerate(self.assignments)], 1)
+        _write(path, '{"min_separation": "%s", "assignments": "%s"}',
+               (self.min_separation, entries))
 
     @classmethod
     def from_json(cls, doc) -> "MappingPlan":

@@ -12,13 +12,15 @@ because the report mirrors it.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .device import _save
+from .device import _listed, _texts, _write
 from .game import GameSpec, PayoffMatrix, Strategy, analytical_curves, payoff_table
 from .noise import RunResult
 from .statevec import OUTCOME_LABELS
@@ -181,7 +183,24 @@ class ValidationReport:
         }
 
     def save(self, path) -> None:
-        _save(path, self.to_json())
+        """Write ``json.dumps(self.to_json(), indent=1)`` and a newline, formatted directly."""
+        player = '{"mean": "%s", "sample_variance": "%s", "ci_half_width": "%s", "n": "%s"}'
+        angle = f'{{"gamma": "%s", "alice": {player}, "bob": {player}}}'
+        entries = []
+        for sv in self.strategies:
+            m, v, h = (_texts(list(chain.from_iterable(column)))  # alice, bob, alice, ...
+                       for column in (sv.means, sv.sample_variances, sv.ci_half_widths))
+            n = repeat(json.dumps(sv.n))
+            rows = zip(_texts(list(sv.gammas)), m[0::2], v[0::2], h[0::2], n,
+                       m[1::2], v[1::2], h[1::2], n)
+            entries.append((json.dumps(sv.strategy), *_texts([sv.rmse_a, sv.rmse_b]),
+                            _listed(angle, rows, 3)))
+        strategies = _listed('{"strategy": "%s", "rmse_a": "%s", "rmse_b": "%s",'
+                             ' "per_gamma": "%s"}', entries, 1)
+        _write(path, '{"variant": "%s", "best_relative_error_pct": "%s",'
+                     ' "worst_relative_error_pct": "%s", "strategies": "%s"}',
+               (json.dumps(self.variant),
+                *_texts([self.best_relative_error_pct, self.worst_relative_error_pct]), strategies))
 
     def to_text(self) -> str:
         """RMSE summary table plus the relative-error extremes."""

@@ -1407,6 +1407,8 @@ def cal_doc_with(*edits):
          other=None, sections=set())
 @example(doc=cal_doc_with(("qubits", 3, "id", 1), ("edges", 2, "pair", [1, 1])),
          other=None, sections=set())
+@example(doc=cal_doc_with(("qubits", 0, "readout_error", 1.5), ("qubits", 2, "id", 2.0)),
+         other=None, sections=set())  # a figure's value before a later id's type
 def test_columnar_calibration_loader_agrees_with_the_per_entry_oracle(doc, other, sections):
     # one edit of a synth document, and maybe some sections of another such
     # document, so that two faults meet: the loader's bulk column tests give

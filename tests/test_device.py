@@ -1,9 +1,11 @@
 """Device model tests: lattice structure, file round-trips, calibration synthesis."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qbos.device import (
     CalibrationSnapshot,
@@ -54,6 +56,44 @@ def test_duplicate_edge_rejected():
 def test_out_of_range_edge_rejected():
     with pytest.raises(ValueError, match="out of range"):
         CouplingGraph(2, ((0, 5),))
+
+
+FIGURES = [[0.1, 0.1], [1.0, 1.0], [1.0, 1.0]]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CouplingGraph(3, ((0.5, 1), (1.9, 2))),
+     "edges[0] must be two integer qubit ids, got (0.5, 1)"),
+    (lambda: CouplingGraph(3, ((True, 2),)),
+     "edges[0] must be two integer qubit ids, got (True, 2)"),
+    (lambda: CouplingGraph(3, ((0, 1), (1, 2, 0))),
+     "edges[1] must be two integer qubit ids, got (1, 2, 0)"),
+    (lambda: CouplingGraph(3, ((0, 1), 2)), "edges[1] must be two integer qubit ids, got 2"),
+    (lambda: CouplingGraph(2.0, ((0, 1),)), "num_qubits must be an integer, got 2.0"),
+    (lambda: CouplingGraph(True, ()), "num_qubits must be an integer, got True"),
+    (lambda: CouplingGraph(np.int64(2), ()), "num_qubits must be an integer, got np.int64(2)"),
+    (lambda: CouplingGraph(2.5, ((0, 0.5),)),  # the loader's order: edges first
+     "edges[0] must be two integer qubit ids, got (0, 0.5)"),
+    (lambda: CalibrationSnapshot("t", (0.0, 1.0), FIGURES, (), []),
+     "qubits[0].id must be an integer, got 0.0"),
+    (lambda: CalibrationSnapshot("t", (0, 1), FIGURES, ((False, True),), [0.1]),
+     "edges[0].pair must be two integer qubit ids, got (False, True)"),
+    (lambda: CalibrationSnapshot("t", tuple(np.arange(2)), FIGURES, (), []),
+     "qubits[0].id must be an integer, got np.int64(0)"),
+    (lambda: CalibrationSnapshot("t", (0, 1), FIGURES, ((0, 1), (np.int64(1), 0)), [0.1, 0.1]),
+     "edges[1].pair must be two integer qubit ids, got (np.int64(1), 0)"),
+    (lambda: CalibrationSnapshot("t", (0, 1), FIGURES, ((0, 1, 1),), [0.1]),
+     "edges[0].pair must be two integer qubit ids, got (0, 1, 1)"),
+    (lambda: CalibrationSnapshot(None, (0, True), FIGURES, ((1, 1),), [2.0]),  # types first
+     "qubits[1].id must be an integer, got True"),
+], ids=["float-ids", "bool-id", "triple", "no-pair", "float-n", "bool-n", "numpy-n",
+        "edges-before-n", "float-qubit-ids", "bool-pair", "numpy-qubit-ids", "numpy-pair",
+        "triple-pair", "types-first"])
+def test_device_values_take_only_what_their_loaders_read(build, message):
+    # a value that could be built but not loaded back would save an unreadable file
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_bfs_distances():
@@ -122,6 +162,35 @@ def test_coupling_round_trip(tmp_path):
     g2 = load_coupling_map(path)
     assert g2.num_qubits == g.num_qubits
     assert g2.edges == g.edges
+
+
+def first_of_each_edge(pairs) -> tuple:
+    """pairs without self-loops, each undirected edge once, as first drawn."""
+    return tuple({frozenset(p): p for p in pairs if p[0] != p[1]}.values())
+
+
+def assert_saves_indented_json(value, path):
+    value.save(path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == json.dumps(value.to_json(), indent=1) + "\n"
+
+
+@st.composite
+def graphs(draw):
+    """Graphs of 1-12 qubits, or of ids up to 2**70, with 0-40 edges."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(2, 2**70 + 1)))
+    qubit = st.integers(0, n - 1)
+    return CouplingGraph(n, first_of_each_edge(draw(st.lists(st.tuples(qubit, qubit),
+                                                             max_size=40))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+@example(CouplingGraph(1, ()))
+def test_coupling_file_is_the_indented_json_text(tmp_path_factory, graph):
+    path = tmp_path_factory.getbasetemp() / "indented-graph.json"
+    assert_saves_indented_json(graph, path)
+    assert load_coupling_map(path) == graph
 
 
 # --- calibration synthesis ------------------------------------------------------------
@@ -293,3 +362,34 @@ def test_calibration_keeps_ids_past_int64(tmp_path):
     path = tmp_path / "cal.json"
     cal.save(path)
     assert load_calibration(path) == cal
+
+
+QUBIT_ID = st.integers(0, 2**70)
+PROBABILITY = st.floats(0.0, 1.0)
+DURATION = st.floats(0.0, exclude_min=True)  # inf included
+# quotes, backslashes, control characters, ", " and non-ASCII letters among any others
+TIMESTAMP = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t, éßΩ漢'), st.characters()))
+
+
+@st.composite
+def snapshots(draw):
+    """Snapshots of 0-30 qubits and 0-30 edges with ids up to 2**70, T1s and T2s
+    up to inf, and any timestamp text."""
+    ids = draw(st.lists(QUBIT_ID, unique=True, max_size=30))
+    figures = [draw(st.lists(f, min_size=len(ids), max_size=len(ids)))
+               for f in (PROBABILITY, DURATION, DURATION)]
+    pairs = first_of_each_edge(draw(st.lists(st.tuples(QUBIT_ID, QUBIT_ID), max_size=30)))
+    errors = draw(st.lists(PROBABILITY, min_size=len(pairs), max_size=len(pairs)))
+    return CalibrationSnapshot(draw(TIMESTAMP), tuple(ids), figures, pairs, errors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(snapshots())
+@example(CalibrationSnapshot("", (), np.empty((3, 0)), (), []))
+@example(CalibrationSnapshot('a, "b"\\c\x01ü', (0, 2**70),
+                             [[0.5, 0.0], [math.inf, 1.0], [1e-300, math.inf]],
+                             ((2**70, 0),), [5e-324]))
+def test_calibration_file_is_the_indented_json_text(tmp_path_factory, calib):
+    path = tmp_path_factory.getbasetemp() / "indented-calibration.json"
+    assert_saves_indented_json(calib, path)
+    assert load_calibration(path) == calib

@@ -544,3 +544,51 @@ def test_report_json_equals_the_per_gamma_encoding(labels, steps, runs, coarse, 
     assert (json.dumps(report.to_json(), indent=1)
             == json.dumps(per_gamma_json(report), indent=1))
 
+
+
+# --- the report file -----------------------------------------------------------------
+
+# labels that Strategy.parse reads, as a results table may spell them
+STRATEGY_LABEL = st.one_of(st.sampled_from(LABELS + [" H", "I "]),
+                           st.integers(1, 99).map(lambda d: f"RY(pi / {d})"),
+                           st.floats(0.0, 6.28).map(lambda x: f"ry({x!r})"))
+
+
+@st.composite
+def reports(draw):
+    """Reports of 1-4 strategies over any grid of 1-8 angles and 2-6 runs with any
+    ids; coarse payoffs repeat, so some variances and half-widths are 0."""
+    labels = draw(st.lists(STRATEGY_LABEL, min_size=1, max_size=4, unique=True))
+    gammas = draw(st.lists(st.floats(0.0, math.pi), min_size=1, max_size=8))
+    runs = draw(st.lists(st.integers(-10, 10**6), min_size=2, max_size=6, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = [(label, g, run) for label in labels for g in range(len(gammas)) for run in runs]
+    payoffs = (rng.integers(0, 7, size=(len(cells), 2)) / 2 if draw(st.booleans())
+               else rng.uniform(0, 3, size=(len(cells), 2)))
+    # the paper's curves exist only for its four strategies
+    variant = (draw(st.sampled_from(["corrected", "paper"])) if set(labels) <= set(LABELS)
+               else "corrected")
+    return report_from_cells(*zip(*cells), payoffs, gammas, variant, BOS,
+                             draw(st.sampled_from(["rmse_of_means", "mean_of_rmses"])))
+
+
+# by hand: NaN and infinite floats, numpy-float gammas, strings holding ", ",
+# quotes and backslashes, and empty lists
+ODD_REPORT = stats.ValidationReport('paper, "x"\\', math.nan, math.inf, (
+    stats.StrategyValidation('RY(1, 2) "q"\t', math.inf, -math.inf,
+                             (np.float64(0.1), np.float64(math.pi)), 5,
+                             ((math.nan, 1.0), (2.0, math.inf)),
+                             ((0.0, -0.0), (5e-324, 1e300)),
+                             ((math.nan, -math.inf), (np.float64(0.5), 0.25))),
+    stats.StrategyValidation("I", 0.0, 0.0, (), 2, (), (), ())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(reports())
+@example(ODD_REPORT)
+@example(stats.ValidationReport("corrected", 0.0, 0.0, ()))
+def test_report_file_is_the_indented_json_text(tmp_path_factory, report):
+    path = tmp_path_factory.getbasetemp() / "indented-report.json"
+    report.save(path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert fh.read() == json.dumps(report.to_json(), indent=1) + "\n"
