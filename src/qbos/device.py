@@ -272,19 +272,19 @@ def _check_column(column, expected: str, where: str) -> None:
         raise ValueError(f"{where.format(i)} must be {expected}, got {value!r}")
 
 
-def _columns(entries, fields):
-    """One tuple per (key, expected) of fields: that field of every entry, if
-    entries is a list of JSON objects that all hold the keys, with numbers in
-    every number field; else None.  CalibrationSnapshot tests the id columns."""
+def _columns(entries, keys):
+    """(ids, *numbers): the field keys[i] of every entry, if entries is a list
+    of JSON objects that all hold the keys, with numbers in every field after
+    the first; else None.  The first field holds ids, which only
+    CalibrationSnapshot tests, so that a load tests them once."""
     if type(entries) is not list or not _types(entries) <= {dict}:
         return None
     try:
-        rows = map(operator.itemgetter(*(key for key, _ in fields)), entries)
-        columns = tuple(zip(*rows)) or ((),) * len(fields)
+        rows = map(operator.itemgetter(*keys), entries)
+        ids, *numbers = tuple(zip(*rows)) or ((),) * len(keys)
     except KeyError:
         return None
-    numbers = (c for (_, expected), c in zip(fields, columns) if expected == "a number")
-    return columns if all(map(_COLUMN_CHECKS["a number"], numbers)) else None
+    return (ids, *numbers) if all(map(_COLUMN_CHECKS["a number"], numbers)) else None
 
 
 def _raise_first_fault(doc) -> None:
@@ -416,8 +416,8 @@ class CalibrationSnapshot:
         id columns and the values the same way.  Only when a test fails are the
         entries walked one by one, in document order and qubits first, to name
         the first bad field."""
-        qubits = _columns(_field(doc, "qubits", "a list"), _QUBIT_FIELDS)
-        edges = qubits and _columns(doc.get("edges"), _EDGE_FIELDS)
+        qubits = _columns(_field(doc, "qubits", "a list"), [key for key, _ in _QUBIT_FIELDS])
+        edges = qubits and _columns(doc.get("edges"), [key for key, _ in _EDGE_FIELDS])
         if not edges:
             _raise_first_fault(doc)
         (ids, *figures), (pairs, errors) = qubits, edges
