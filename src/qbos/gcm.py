@@ -72,7 +72,8 @@ class MappingPlan:
         if type(self.min_separation) is not int:
             raise ValueError(f"min_separation must be an integer, got {self.min_separation!r}")
         for i, pair in enumerate(self.assignments):
-            if not (len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int):
+            if not (type(pair) in (tuple, list) and len(pair) == 2
+                    and type(pair[0]) is int and type(pair[1]) is int):
                 raise ValueError(f"assignments[{i}] must be two integer qubit ids, got {pair!r}")
         object.__setattr__(
             self,

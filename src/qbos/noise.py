@@ -1,8 +1,8 @@
 """Noisy execution of mapped EWL game circuits via 4x4 density matrices.
 
 Every circuit is the EWL sequence of game.py, Ry(gamma), Rz(0), CNOT, then
-strategy_a on qubit 0 and strategy_b on qubit 1, so a circuit is given by
-its (gamma, strategy_a, strategy_b) triple.
+strategy_a on qubit 0 and strategy_b on qubit 1, so a sweep is given by its
+gamma grid and its (strategy_a, strategy_b) pairs.
 
 Error channels, matching the dominant NISQ error sources:
 
@@ -23,16 +23,15 @@ scales drive the state to the maximally mixed limit; NoiseModel.resolved
 gives a job's scaled probabilities as one per-circuit array per channel.
 Every channel runs at every scale; a matrix whose probability is 0 keeps its bits.
 
-All circuits of a sweep, every strategy's circuit at every gamma, evolve
-together as one (S*G, 4, 4) stack of density matrices with stacked matrix
-products, which give the same bits as evolving each circuit alone; the
-strategies share the stack because their circuits differ only in the gamma
-and the strategy gates.  job_counts then samples every (strategy pair,
-circuit, run) cell in one call.  Both simulate_job and the CLI sweep run on
-it.  A step builds and embeds each distinct gate once and gathers one row
-per circuit.  The crosstalk flags come from one scan of the device's coupled
-pairs: the CLI passes the coupling graph's edges, simulate_job the
-snapshot's calibrated pairs.
+All circuits of a sweep, every strategy pair's circuit at every gamma,
+evolve together with stacked matrix products, which give the same bits as
+evolving each circuit alone.  The prefix up to the strategy gates does not
+depend on the strategies, so it evolves once per gamma as a (G, 4, 4) stack,
+and the strategy steps broadcast it to an (S, G, 4, 4) stack.  job_counts
+then samples every (strategy pair, circuit, run) cell in one call.  Both
+simulate_job and the CLI sweep run on it.  The crosstalk flags come from one
+scan of the device's coupled pairs: the CLI passes the coupling graph's
+edges, simulate_job the snapshot's calibrated pairs.
 """
 
 from __future__ import annotations
@@ -136,61 +135,59 @@ def confusion_matrix(readout_error) -> np.ndarray:
 
 
 def noisy_distributions(
-    games: Sequence[tuple[float, Strategy, Strategy]],
+    grid: Sequence[float],
+    players: Sequence[tuple[Strategy, Strategy]],
     two_qubit_errors,
     readout_errors,
     model: NoiseModel,
     crosstalk_active: Sequence[bool],
 ) -> np.ndarray:
-    """Evolve G mapped EWL circuits together as a (G, 4, 4) density-matrix stack.
+    """Evolve every (strategy pair, angle) EWL circuit of a sweep together.
 
-    Circuit g plays games[g] = (gamma, strategy_a, strategy_b), with gamma in
-    [0, pi], on a pair with two-qubit error two_qubit_errors[g] and readout
-    errors readout_errors[g] (qubit 0, qubit 1), as CalibrationSnapshot.figures
-    gives them, with the extra crosstalk channel when crosstalk_active[g] is
-    true.  Each step applies one stacked gate and its depolarizing channel to
-    every circuit.  Steps key their gates as statevec.gate_matrix takes them:
-    ("RY", gamma), ("RZ", 0.0) and each strategy's (kind, angle).  Each
-    distinct key of a step is built and embedded once and its rows gathered,
-    one per circuit; the rows are exact copies, and identity gates are applied
-    and depolarized like any other, so every circuit gets the bits it gets alone.
+    Angle i runs on one mapped pair: gamma grid[i] in [0, pi], two-qubit error
+    two_qubit_errors[i], readout errors readout_errors[i] (qubit 0, qubit 1),
+    as CalibrationSnapshot.figures gives them, and the extra crosstalk channel
+    when crosstalk_active[i] is true.  Every pair players[s] = (strategy_a,
+    strategy_b) plays every angle.  Ry(gamma), Rz(0), the CNOT and their
+    channels evolve once per angle as a (G, 4, 4) stack; the two strategy steps
+    broadcast it with (S, 1, 4, 4) gates.  Stacked products give every circuit
+    the bits it gets alone, and identity gates are applied and depolarized
+    like any other.
 
-    Returns a (G, 4) array of outcome distributions after readout
-    confusion; each row sums to 1 within 1e-9 and equals the ideal
-    distribution exactly when scale is 0.
+    Returns an (S, G, 4) array of outcome distributions after readout
+    confusion, zeros when grid or players is empty; each row sums to 1 within
+    1e-9 and equals the ideal distribution exactly when scale is 0.
     """
-    g = len(games)
+    g = len(grid)
     sizes = (len(two_qubit_errors), len(readout_errors), len(crosstalk_active))
     if sizes != (g, g, g):
-        raise ValueError(f"{g} circuits but (two-qubit errors, readout pairs, flags) = {sizes}")
-    if g == 0:
-        return np.zeros((0, 4))
-    for gamma, _, _ in games:
+        raise ValueError(f"{g} angles but (two-qubit errors, readout pairs, flags) = {sizes}")
+    for gamma in grid:
         if not -GAMMA_SLACK <= gamma <= np.pi + GAMMA_SLACK:
             raise ValueError(f"gamma = {gamma!r} outside [0, pi]")
+    if g == 0 or not players:
+        return np.zeros((len(players), g, 4))
 
     p1, p2, p_xt, ro_a, ro_b = model.resolved(two_qubit_errors, readout_errors, crosstalk_active)
 
     def evolve(rho, u):
         return u @ rho @ np.swapaxes(u.conj(), -1, -2)
 
-    def one_qubit_step(rho, qubit, keys):
-        row = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-        u = _embed_1q(np.stack([gate_matrix(*key) for key in row]), qubit)
-        return depolarize_1q(evolve(rho, u[[row[key] for key in keys]]), qubit, p1)
+    def one_qubit_step(rho, qubit, gates):
+        return depolarize_1q(evolve(rho, _embed_1q(np.array(gates), qubit)), qubit, p1)
 
     rho = np.zeros((g, 4, 4), dtype=complex)
     rho[:, 0, 0] = 1.0
-    rho = one_qubit_step(rho, 0, [("RY", gamma) for gamma, _, _ in games])
+    rho = one_qubit_step(rho, 0, [gate_matrix("RY", gamma) for gamma in grid])
     # Rz(0) is a real step: its product and its channel set the output bits
-    rho = one_qubit_step(rho, 0, [("RZ", 0.0)] * g)
+    rho = one_qubit_step(rho, 0, [gate_matrix("RZ", 0.0)])
     rho = depolarize_2q(evolve(rho, _CNOT), p2)
     rho = depolarize_2q(rho, p_xt)
-    rho = one_qubit_step(rho, 0, [(sa.kind, sa.angle) for _, sa, _ in games])
-    rho = one_qubit_step(rho, 1, [(sb.kind, sb.angle) for _, _, sb in games])
+    rho = one_qubit_step(rho, 0, [[gate_matrix(a.kind, a.angle)] for a, _ in players])
+    rho = one_qubit_step(rho, 1, [[gate_matrix(b.kind, b.angle)] for _, b in players])
     probs = np.diagonal(rho, axis1=-2, axis2=-1).real.copy()
     readout = _embed_1q(confusion_matrix(ro_a), 0, confusion_matrix(ro_b))
-    probs = (readout @ probs[:, :, None])[:, :, 0]
+    probs = (readout @ probs[..., None])[..., 0]
     return np.clip(probs, 0.0, None)
 
 
@@ -228,7 +225,7 @@ def job_counts(
     Circuit i of strategy pair s plays players[s] = (strategy_a, strategy_b)
     at grid[i] on the plan's i-th pair; the result has shape (len(players),
     len(grid), runs, 4) in outcome-label order.  One calib.figures call gives
-    every pair's figures, all circuits evolve in one noisy_distributions stack,
+    every angle's figures, all circuits evolve in one noisy_distributions grid,
     one derive_seeds call keys every cell and one sample_cells call draws them.
     Cell (s, i, run) draws from derive_seed(seeds[s], i, run), so its counts do
     not depend on which other cells or strategy pairs are sampled.  Crosstalk
@@ -241,13 +238,13 @@ def job_counts(
     if len(plan.assignments) != len(grid):
         raise ValueError(f"plan has {len(plan.assignments)} pairs but the gamma grid has "
                          f"{len(grid)} points")
-    games = [(gamma, a, b) for a, b in players for gamma in grid]
     two_qubit, readout, _ = calib.figures(plan.assignments)
-    flags = crosstalk_flags(plan, edges) * len(players)
-    distributions = noisy_distributions(games, np.tile(two_qubit, len(players)),
-                                        np.tile(readout, (len(players), 1)), model, flags)
-    keys = derive_seeds(seeds, len(grid), runs).reshape(len(games), runs, 2)
-    return sample_cells(distributions, shots, keys).reshape(len(players), len(grid), runs, 4)
+    distributions = noisy_distributions(grid, players, two_qubit, readout, model,
+                                        crosstalk_flags(plan, edges))
+    cells = len(players) * len(grid)
+    keys = derive_seeds(seeds, len(grid), runs).reshape(cells, runs, 2)
+    return sample_cells(distributions.reshape(cells, 4), shots, keys).reshape(
+        len(players), len(grid), runs, 4)
 
 
 def simulate_job(

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .device import _listed, _texts, _write
+from .device import _listed, _texts, _types, _write
 from .game import GameSpec, PayoffMatrix, Strategy, analytical_curves, payoff_table
 from .noise import RunResult
 from .statevec import OUTCOME_LABELS
@@ -150,6 +150,17 @@ class StrategyValidation:
     means: tuple[tuple[float, float], ...]
     sample_variances: tuple[tuple[float, float], ...]
     ci_half_widths: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        # what the report file holds, so that every value that can be built saves
+        if type(self.n) is not int:
+            raise ValueError(f"n must be an integer, got {self.n!r}")
+        for name in ("means", "sample_variances", "ci_half_widths"):
+            column = getattr(self, name)
+            if not (len(column) == len(self.gammas) and _types(column) <= {tuple, list}
+                    and set(map(len, column)) <= {2}):
+                raise ValueError(f"{name} must hold one (alice, bob) pair per gamma, "
+                                 f"{len(self.gammas)} in all, got {column!r}")
 
     def to_json(self) -> dict:
         n = self.n

@@ -31,12 +31,8 @@ def exact_distributions(plan, calib, model, edges):
     """noisy_distributions of every canonical strategy's circuits on the plan,
     shaped (strategy, gamma, 4), from the figures and flags a job reads."""
     two_qubit, readout, _ = calib.figures(plan.assignments)
-    flags = noise.crosstalk_flags(plan, edges)
-    n = len(PLAYERS)
-    games = [(gamma, a, b) for a, b in PLAYERS for gamma in GRID]
-    dists = noise.noisy_distributions(games, np.tile(two_qubit, n), np.tile(readout, (n, 1)),
-                                      model, flags * n)
-    return dists.reshape(n, len(GRID), 4)
+    return noise.noisy_distributions(GRID, PLAYERS, two_qubit, readout, model,
+                                     noise.crosstalk_flags(plan, edges))
 
 
 @functools.cache

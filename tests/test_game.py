@@ -37,8 +37,8 @@ def symmetric_spec(strategy, **kw):
 
 def ideal(spec, gamma):
     """The game circuit's outcome distribution: the core at noise scale 0."""
-    circuit = (gamma, spec.strategy_a, spec.strategy_b)
-    return noisy_distributions([circuit], *IDEAL_PAIR, NoiseModel(scale=0.0), [False])[0]
+    players = [(spec.strategy_a, spec.strategy_b)]
+    return noisy_distributions([gamma], players, *IDEAL_PAIR, NoiseModel(scale=0.0), [False])[0, 0]
 
 
 # --- classical equilibrium -----------------------------------------------------

@@ -509,10 +509,11 @@ def test_plan_rejects_qubit_reuse():
         (((np.int64(1), 2),), 2,
          "assignments[0] must be two integer qubit ids, got (np.int64(1), 2)"),
         (((1, 2), (3,)), 2, "assignments[1] must be two integer qubit ids, got (3,)"),
+        (((1, 2), 5), 2, "assignments[1] must be two integer qubit ids, got 5"),
         (((1, 2),), 2.5, "min_separation must be an integer, got 2.5"),
         (((1, 2),), True, "min_separation must be an integer, got True"),
     ],
-    ids=["id-float", "id-bool", "id-numpy", "pair-short", "separation-float",
+    ids=["id-float", "id-bool", "id-numpy", "pair-short", "pair-int", "separation-float",
          "separation-bool"],
 )
 def test_plan_takes_only_what_load_plan_reads(assignments, separation, message):

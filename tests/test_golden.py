@@ -13,10 +13,10 @@ digests were taken from the per-qubit scalar draws that the array draws of
 or plan digest reads.  A change that moves one of them changes what a sweep,
 a map, a validation report or a synthesized device holds for a fixed seed.
 
-The stacked-evolution property compares, byte for byte, each row of one
-``noise.noisy_distributions`` stack with the same EWL circuit evolved alone,
-each player drawing any strategy, Ry at any angle included, so one stack
-holds asymmetric pairs.
+The grid-evolution property compares, byte for byte, each (strategy pair,
+angle) cell of one ``noise.noisy_distributions`` grid with the same EWL
+circuit evolved alone, each player drawing any strategy, Ry at any angle
+included, so one grid holds asymmetric and repeated pairs.
 
 The digests hold for Python 3.11, numpy 2.4.6 and scipy 1.17.1 on x86-64,
 the versions CI installs.  Another numpy or BLAS build may move the last
@@ -343,32 +343,38 @@ STRATEGIES = st.one_of(
     st.sampled_from(game.CANONICAL_STRATEGIES),
     st.floats(0.0, 2 * math.pi, exclude_max=True).map(lambda a: game.Strategy("RY", a)),
 )
-# asymmetric pairs and Ry angles outside the canonical set, in one stack
+# asymmetric pairs and Ry angles outside the canonical set, in one grid
 MIXED_PLAYERS = [(game.STRATEGY_H, game.Strategy("RY", 0.3)),
-                 (game.Strategy("RY", 5.0), game.STRATEGY_I)] * 15 + [(game.STRATEGY_I,) * 2]
+                 (game.Strategy("RY", 5.0), game.STRATEGY_I), (game.STRATEGY_I,) * 2]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     scale=st.floats(0.0, 3.0),
-    players=st.lists(st.tuples(STRATEGIES, STRATEGIES), min_size=31, max_size=31),
+    players=st.lists(st.tuples(STRATEGIES, STRATEGIES), min_size=1, max_size=3),
+    repeat=st.booleans(),
     cal_seed=st.integers(0, 2**16),
     steps=st.integers(2, 31),
     flags=st.lists(st.booleans(), min_size=31, max_size=31),
 )
-@example(scale=1.0, players=MIXED_PLAYERS, cal_seed=0, steps=31, flags=[True, False] * 15 + [True])
-def test_stacked_evolution_matches_per_circuit_loop(scale, players, cal_seed, steps, flags):
-    # each player of each circuit draws a strategy, so one stack mixes asymmetric pairs
+@example(scale=1.0, players=MIXED_PLAYERS, repeat=True, cal_seed=0, steps=31,
+         flags=[True, False] * 15 + [True])
+def test_stacked_evolution_matches_per_circuit_loop(scale, players, repeat, cal_seed, steps, flags):
+    # each player of each pair draws a strategy, so one grid mixes asymmetric pairs,
+    # and a repeated pair must get the same bytes at both of its rows
+    players = players + players[:1] if repeat else players
     calib = device.synth_calibration(GRAPH, seed=cal_seed, profile="realistic")
-    games = [(g, sa, sb) for g, (sa, sb) in zip(game.default_gamma_grid(steps), players)]
-    # every other pair reversed: the stack takes its figures' endpoints in ascending order
+    grid = game.default_gamma_grid(steps)
+    # every other pair reversed: the grid takes its figures' endpoints in ascending order
     pairs = [GRAPH.edges[i % len(GRAPH.edges)][::(-1) ** i] for i in range(steps)]
     two_qubit, readout, _ = calib.figures(pairs)
-    stacked = noisy_distributions(games, two_qubit, readout, NoiseModel(scale=scale),
+    stacked = noisy_distributions(grid, players, two_qubit, readout, NoiseModel(scale=scale),
                                   flags[:steps])
-    for g, (gamma, sa, sb) in enumerate(games):
-        ref = reference_distribution(gamma, sa, sb, calib, pairs[g], scale, flags[g])
-        assert stacked[g].tobytes() == ref.tobytes()
+    assert stacked.shape == (len(players), steps, 4)
+    for s, (sa, sb) in enumerate(players):
+        for i, gamma in enumerate(grid):
+            ref = reference_distribution(gamma, sa, sb, calib, pairs[i], scale, flags[i])
+            assert stacked[s, i].tobytes() == ref.tobytes(), (s, i)
 
 
 # --- reset-state sampler equals a freshly keyed Philox per cell ----------------------

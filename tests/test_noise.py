@@ -62,12 +62,13 @@ def pair_calib():
     return two_qubit[0], readout[0]
 
 
-def one_circuit(circuit, pc, model, crosstalk_active=False):
-    """The outcome distribution of one mapped (gamma, strategy_a, strategy_b)
-    circuit on the batched core, on a pair with figures pc = (two-qubit error,
-    readout errors)."""
+def one_circuit(gamma, players, pc, model, crosstalk_active=False):
+    """The outcome distribution of the one-angle, one-pair grid: players =
+    (strategy_a, strategy_b) at gamma on a pair with figures pc = (two-qubit
+    error, readout errors)."""
     two_qubit, readout = pc
-    return noisy_distributions([circuit], [two_qubit], [readout], model, [crosstalk_active])[0]
+    return noisy_distributions([gamma], [players], [two_qubit], [readout], model,
+                               [crosstalk_active])[0, 0]
 
 
 # --- channel algebra ------------------------------------------------------------
@@ -164,8 +165,7 @@ def test_zero_scale_equals_ideal():
     pc = pair_calib()
     for strategy in CANONICAL_STRATEGIES:
         for gamma in (0.0, 0.9, math.pi / 2, math.pi):
-            circuit = (gamma, strategy, strategy)
-            noisy = one_circuit(circuit, pc, model, crosstalk_active=True)
+            noisy = one_circuit(gamma, (strategy, strategy), pc, model, crosstalk_active=True)
             ideal = _closed_form_distribution(strategy, gamma)
             np.testing.assert_allclose(noisy, ideal, atol=1e-12)
 
@@ -173,25 +173,32 @@ def test_zero_scale_equals_ideal():
 @pytest.mark.parametrize("gamma", [-0.001, math.pi + 1e-9, float("nan")])
 def test_gamma_outside_zero_to_pi_is_rejected(gamma):
     with pytest.raises(ValueError, match=r"outside \[0, pi\]"):
-        one_circuit((gamma, STRATEGY_I, STRATEGY_I), pair_calib(), NoiseModel())
+        one_circuit(gamma, (STRATEGY_I, STRATEGY_I), pair_calib(), NoiseModel())
 
 
 def test_noisy_distributions_needs_one_figure_per_circuit():
-    with pytest.raises(ValueError, match=r"^1 circuits but .* = \(1, 0, 1\)$"):
-        noisy_distributions([(0.0, STRATEGY_I, STRATEGY_I)], [0.0], [], NoiseModel(), [False])
+    with pytest.raises(ValueError, match=r"^1 angles but .* = \(1, 0, 1\)$"):
+        noisy_distributions([0.0], [(STRATEGY_I, STRATEGY_I)], [0.0], [], NoiseModel(), [False])
+
+
+@pytest.mark.parametrize("angles, pairs", [(0, 3), (5, 0), (0, 0)])
+def test_empty_grid_or_players_give_zeros_of_the_grid_shape(angles, pairs):
+    grid = np.linspace(0.0, math.pi, angles)
+    out = noisy_distributions(grid, [(STRATEGY_H, STRATEGY_I)] * pairs, [0.1] * angles,
+                              [(0.1, 0.1)] * angles, NoiseModel(), [True] * angles)
+    assert out.shape == (pairs, angles, 4)
+    assert not out.any()
 
 
 def test_saturated_depolarizing_is_uniform():
     pc = (1.0, (0.0, 0.0))  # (two-qubit error, readout errors)
-    circuit = (1.0, STRATEGY_I, STRATEGY_I)
-    dist = one_circuit(circuit, pc, NoiseModel(scale=1.0))
+    dist = one_circuit(1.0, (STRATEGY_I, STRATEGY_I), pc, NoiseModel(scale=1.0))
     np.testing.assert_allclose(dist, [0.25] * 4, atol=1e-12)
 
 
 def test_huge_scale_clamps_to_uniform():
     model = NoiseModel(scale=1e9)
-    circuit = (0.7, STRATEGY_I, STRATEGY_I)
-    dist = one_circuit(circuit, pair_calib(), model)
+    dist = one_circuit(0.7, (STRATEGY_I, STRATEGY_I), pair_calib(), model)
     np.testing.assert_allclose(dist, [0.25] * 4, atol=1e-9)
 
 
@@ -204,8 +211,7 @@ def test_hand_computed_two_qubit_depolarizing():
     # 0.99 p00 + 0.01 (p00 + p01) / 2:
     # 0.47275, then p00 = p11 = 0.4705225 and p01 = p10 = 0.0294775
     pc = (0.1, (0.0, 0.0))
-    circuit = (math.pi / 2, STRATEGY_I, STRATEGY_I)
-    dist = one_circuit(circuit, pc, NoiseModel(scale=1.0))
+    dist = one_circuit(math.pi / 2, (STRATEGY_I, STRATEGY_I), pc, NoiseModel(scale=1.0))
     np.testing.assert_allclose(dist, [0.4705225, 0.0294775, 0.0294775, 0.4705225],
                                rtol=0, atol=1e-15)
 
@@ -213,8 +219,8 @@ def test_hand_computed_two_qubit_depolarizing():
 def test_distribution_normalized_and_nonnegative():
     model = NoiseModel(scale=2.5)
     for gamma in (0.0, 1.1, 2.2, math.pi):
-        circuit = (gamma, STRATEGY_H, STRATEGY_H)
-        dist = one_circuit(circuit, pair_calib(), model, crosstalk_active=True)
+        dist = one_circuit(gamma, (STRATEGY_H, STRATEGY_H), pair_calib(), model,
+                           crosstalk_active=True)
         assert abs(dist.sum() - 1.0) <= 1e-9
         assert np.all(dist >= 0.0)
 
@@ -230,8 +236,8 @@ unit = st.floats(0.0, 1.0)
 )
 def test_distribution_valid_for_every_parameter(p2, ro, scale, flag, gamma, strategy):
     # up to scale 1 / CROSSTALK_PENALTY, where every channel has saturated
-    circuit = (gamma, strategy, strategy)
-    dist = one_circuit(circuit, (p2, ro), NoiseModel(scale=scale), crosstalk_active=flag)
+    dist = one_circuit(gamma, (strategy, strategy), (p2, ro), NoiseModel(scale=scale),
+                       crosstalk_active=flag)
     assert dist.shape == (4,)
     assert np.all(dist >= 0.0)
     assert abs(dist.sum() - 1.0) <= 1e-9
@@ -492,14 +498,14 @@ def test_exact_rmse_monotone_in_noise_scale(cal_seed, profile, packed, scales):
     flags = crosstalk_flags(plan, g.edges)
     two_qubit, readout, _ = cal.figures(plan.assignments)
     grid = spec_for(STRATEGY_I).gamma_grid
-    for strategy in CANONICAL_STRATEGIES:
-        circuits = [(gamma, strategy, strategy) for gamma in grid]
+    players = [(s, s) for s in CANONICAL_STRATEGIES]
+    lows, highs = (
+        payoff_table(noisy_distributions(grid, players, two_qubit, readout, NoiseModel(scale=s),
+                                         flags), BOS)
+        for s in scales
+    )
+    for strategy, low, high in zip(CANONICAL_STRATEGIES, lows, highs):
         refs = np.array([analytical_payoffs(strategy, gamma, "corrected") for gamma in grid])
-        low, high = (
-            payoff_table(noisy_distributions(circuits, two_qubit, readout, NoiseModel(scale=s),
-                                             flags), BOS)
-            for s in scales
-        )
         for player in (0, 1):
             assert rmse(low[:, player], refs[:, player]) <= (
                 rmse(high[:, player], refs[:, player]) + 1e-12
@@ -542,17 +548,18 @@ ORACLE_STRATEGIES = [Strategy("I"), Strategy("H"), Strategy("RY", math.pi / 4),
 
 @settings(max_examples=150, deadline=None)
 @given(
-    circuits=st.lists(st.tuples(st.floats(0.0, math.pi), st.sampled_from(ORACLE_STRATEGIES),
-                                st.sampled_from(ORACLE_STRATEGIES), st.floats(0.0, 0.3),
-                                st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 0.3)),
-                                st.booleans()),
-                      min_size=1, max_size=6),
+    players=st.lists(st.tuples(st.sampled_from(ORACLE_STRATEGIES),
+                               st.sampled_from(ORACLE_STRATEGIES)), min_size=1, max_size=4),
+    angles=st.lists(st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 0.3),
+                              st.tuples(st.floats(0.0, 0.3), st.floats(0.0, 0.3)),
+                              st.booleans()),
+                    min_size=1, max_size=6),
     scale=st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
 )
-def test_noisy_distributions_match_the_closed_form(circuits, scale):
-    games = [(gamma, a, b) for gamma, a, b, _, _, _ in circuits]
-    _, _, _, p2, ro, flags = zip(*circuits)
-    core = noisy_distributions(games, p2, ro, NoiseModel(scale=scale), flags)
-    oracle = [closed_form_distribution(*game, e, r, scale, flag)
-              for game, e, r, flag in zip(games, p2, ro, flags)]
+def test_noisy_distributions_match_the_closed_form(players, angles, scale):
+    # a players x angles block: each pair meets each angle's own figures and flag
+    grid, p2, ro, flags = zip(*angles)
+    core = noisy_distributions(grid, players, p2, ro, NoiseModel(scale=scale), flags)
+    oracle = [[closed_form_distribution(gamma, a, b, e, r, scale, flag)
+               for gamma, e, r, flag in angles] for a, b in players]
     np.testing.assert_allclose(core, oracle, rtol=0, atol=1e-12)

@@ -16,12 +16,13 @@ S2 = 1.0 / math.sqrt(2.0)
 ZERO = np.array([1, 0, 0, 0], dtype=complex)  # |00>
 
 
-def ideal(games):
-    """Outcome distributions of (gamma, strategy_a, strategy_b) EWL circuits
-    on the core at noise scale 0, one row per circuit."""
-    n = len(games)
-    return noisy_distributions(games, [0.1] * n, [(0.1, 0.1)] * n, NoiseModel(scale=0.0),
-                               [False] * n)
+def ideal(grid, players):
+    """Outcome distributions of the EWL circuits of every (strategy_a,
+    strategy_b) pair of players at every gamma of grid, on the core at noise
+    scale 0, shaped (pair, gamma, 4)."""
+    n = len(grid)
+    return noisy_distributions(grid, players, [0.1] * n, [(0.1, 0.1)] * n,
+                               NoiseModel(scale=0.0), [False] * n)
 
 
 # --- independent oracle: dense 2^n x 2^n matrices built by kron -------------
@@ -127,49 +128,57 @@ def test_cnot_builds_bell_state():
 
 # --- brute-force equivalence and norm preservation ------------------------------
 
-def random_game(rng):
-    """A random EWL circuit, each player's strategy drawn on its own, and its
-    kron-oracle amplitudes."""
-    gamma = rng.uniform(0, math.pi)
-    sa, sb = (rng.choice([STRATEGY_I, STRATEGY_H, Strategy("RY", rng.uniform(0, 2 * math.pi))])
-              for _ in range(2))
+def random_grid(rng, angles, pairs):
+    """Random gammas and strategy pairs, each player's strategy drawn on its own."""
+    grid = [rng.uniform(0, math.pi) for _ in range(angles)]
+    players = [tuple(rng.choice([STRATEGY_I, STRATEGY_H,
+                                 Strategy("RY", rng.uniform(0, 2 * math.pi))])
+                     for _ in range(2)) for _ in range(pairs)]
+    return grid, players
+
+
+def dense_amplitudes(gamma, sa, sb):
+    """The kron-oracle amplitudes of one EWL circuit."""
     vec = full_1q_matrix(gate_matrix("RY", gamma), 0, 2) @ ZERO
     vec = full_1q_matrix(gate_matrix("RZ", 0.0), 0, 2) @ vec
     vec = full_cnot_matrix(0, 1, 2) @ vec
     vec = full_1q_matrix(gate_matrix(sa.kind, sa.angle), 0, 2) @ vec
     vec = full_1q_matrix(gate_matrix(sb.kind, sb.angle), 1, 2) @ vec
-    return (gamma, sa, sb), vec
+    return vec
 
 
 @pytest.mark.parametrize("n", [2])
 def test_random_sequences_match_dense_oracle(n):
     rng = random.Random(1234 + n)
-    games, vecs = zip(*(random_game(rng) for _ in range(40)))
-    assert any(sa != sb for _, sa, sb in games)  # the stack holds asymmetric pairs
-    np.testing.assert_allclose(ideal(list(games)), np.abs(vecs) ** 2, atol=1e-10)
+    grid, players = random_grid(rng, 8, 5)
+    assert any(sa != sb for sa, sb in players)  # the grid holds asymmetric pairs
+    vecs = [[dense_amplitudes(gamma, sa, sb) for gamma in grid] for sa, sb in players]
+    np.testing.assert_allclose(ideal(grid, players), np.abs(vecs) ** 2, atol=1e-10)
 
 
 def test_norm_preserved_over_100_gates():
     rng = random.Random(99)
-    dists = ideal([random_game(rng)[0] for _ in range(100)])
-    assert np.all(np.abs(dists.sum(axis=1) - 1.0) <= 1e-9)
+    dists = ideal(*random_grid(rng, 10, 10))
+    assert dists.shape == (10, 10, 4)
+    assert np.all(np.abs(dists.sum(axis=-1) - 1.0) <= 1e-9)
 
 
 # --- probabilities ---------------------------------------------------------------
 
 def test_probabilities_of_zero_state():
     # Ry(0), Rz(0), CNOT and identities leave |00>
-    np.testing.assert_array_equal(ideal([(0.0, STRATEGY_I, STRATEGY_I)])[0], [1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(ideal([0.0], [(STRATEGY_I, STRATEGY_I)])[0, 0],
+                                  [1.0, 0.0, 0.0, 0.0])
 
 
 def test_probabilities_of_bell_state():
-    np.testing.assert_allclose(ideal([(math.pi / 2, STRATEGY_I, STRATEGY_I)])[0],
+    np.testing.assert_allclose(ideal([math.pi / 2], [(STRATEGY_I, STRATEGY_I)])[0, 0],
                                [0.5, 0, 0, 0.5], atol=1e-12)
 
 
 def test_probabilities_of_entangled_state_gamma_pi_3():
     # cos(g/2)|00> + sin(g/2)|11> at g = pi/3 -> cos^2(pi/6) = 0.75
-    p = ideal([(math.pi / 3, STRATEGY_I, STRATEGY_I)])[0]
+    p = ideal([math.pi / 3], [(STRATEGY_I, STRATEGY_I)])[0, 0]
     np.testing.assert_allclose(p, [0.75, 0, 0, 0.25], atol=1e-12)
     assert abs(p.sum() - 1.0) <= 1e-9
 

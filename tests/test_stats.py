@@ -583,6 +583,27 @@ ODD_REPORT = stats.ValidationReport('paper, "x"\\', math.nan, math.inf, (
     stats.StrategyValidation("I", 0.0, 0.0, (), 2, (), (), ())))
 
 
+ONE_PAIR = ((0.5, 1.0),)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"n": np.int64(5)}, r"^n must be an integer, got np\.int64\(5\)$"),
+    ({"means": ONE_PAIR, "sample_variances": ONE_PAIR, "ci_half_widths": ONE_PAIR},
+     r"^means must hold one \(alice, bob\) pair per gamma, 3 in all, got \(\(0\.5, 1\.0\),\)$"),
+    ({"sample_variances": ONE_PAIR * 4}, r"^sample_variances must hold one .* 3 in all"),
+    ({"ci_half_widths": ((0.1, 0.2, 0.3),) * 3}, r"^ci_half_widths must hold one .* 3 in all"),
+    ({"means": (0.5, 1.0, 1.5)}, r"^means must hold one .* got \(0\.5, 1\.0, 1\.5\)$"),
+], ids=["n-numpy", "one-pair", "variances-long", "half-widths-triple", "means-flat"])
+def test_strategy_validation_takes_only_what_its_report_file_holds(changes, message):
+    # save writes n as a JSON integer and one alice/bob pair per angle; a value it
+    # could not write, or would write for fewer angles, is refused when built
+    fields = dict(strategy="I", rmse_a=0.1, rmse_b=0.2, gammas=(0.0, 1.0, 2.0), n=5,
+                  means=ONE_PAIR * 3, sample_variances=ONE_PAIR * 3, ci_half_widths=ONE_PAIR * 3)
+    stats.StrategyValidation(**fields)
+    with pytest.raises(ValueError, match=message):
+        stats.StrategyValidation(**{**fields, **changes})
+
+
 @settings(max_examples=60, deadline=None)
 @given(reports())
 @example(ODD_REPORT)
