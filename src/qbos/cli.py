@@ -255,16 +255,16 @@ def cmd_equilibrium(args) -> int:
 
 # --- sweep ----------------------------------------------------------------------
 
-def _sweep_rows(cfg: SweepConfig, graph, calib, plan):
+def _sweep_rows(cfg: SweepConfig, calib, plan):
     """The strategies in canonical order, their (strategy, circuit, run, 2)
     payoffs and (circuit, 2) analytic curves, and the CSV line of every row of
     a sweep, without its line end, in canonical (strategy, circuit, run) order.
 
-    One noise.job_counts call evolves and samples every strategy's cells, with
-    the crosstalk flags it derives from graph.edges.  Strategy s samples cell (i,
-    run) from derive_seed(derive_seed(seed, s), i, run), s being its canonical
-    index, so every cell's counts are fixed by the config alone and a
-    strategy's rows do not depend on which other strategies the sweep holds.
+    One noise.job_counts call evolves and samples every strategy's cells.
+    Strategy s samples cell (i, run) from derive_seed(derive_seed(seed, s), i,
+    run), s being its canonical index, so every cell's counts are fixed by the
+    config alone and a strategy's rows do not depend on which other strategies
+    the sweep holds.
 
     Fields are reprs, as the module docstring says.  counts / shots divides
     elementwise, so every cell holding a count gets the same frequency bits.
@@ -279,7 +279,7 @@ def _sweep_rows(cfg: SweepConfig, graph, calib, plan):
     strategies = [game.Strategy.parse(label) for label in labels]
     seeds = [derive_seed(cfg.seed, canonical[label]) for label in labels]
     counts = noise.job_counts(plan, grid, [(s, s) for s in strategies], calib, model,
-                              cfg.shots, cfg.runs, seeds, graph.edges)
+                              cfg.shots, cfg.runs, seeds)
     freqs = counts / cfg.shots
     payoffs = game.payoff_table(freqs, BOS)
 
@@ -388,7 +388,7 @@ def cmd_sweep(args) -> int:
     cfg, graph, calib = _config_and_device(args)
     plan = gcm.select_pairs(graph, calib, cfg.gamma_steps, cfg.min_separation)
     out = cfg.out or "sweep.csv"
-    labels, payoffs, curves, lines = _sweep_rows(cfg, graph, calib, plan)
+    labels, payoffs, curves, lines = _sweep_rows(cfg, calib, plan)
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             # "\r\n" ends every line, as csv.writer's default terminator does

@@ -16,7 +16,7 @@ Qubit ids are JSON integers of any size, so they stay Python ints.  The loader
 tests each column's JSON types and values at once and walks the entries one by
 one only to name the first bad field of a file that fails.
 CalibrationSnapshot.figures gives the per-edge arrays that gcm and noise read.
-Graphs and snapshots are plain values; crosstalk needs only their edge lists.
+Graphs and snapshots are plain values; crosstalk reads the snapshot's pairs.
 Each takes only what its loader reads: int qubit counts and ids.  Graphs,
 snapshots, plans (gcm) and reports (stats) save the text of
 ``json.dumps(doc, indent=1)``, formatted directly for their fixed shapes

@@ -14,8 +14,8 @@ Error channels, matching the dominant NISQ error sources:
   applied to the final outcome distribution;
 * a crosstalk penalty of 0.05, an extra two-qubit depolarizing channel
   applied after entangling gates whenever another active pair sits closer
-  than graph distance 2: it holds one of the circuit's qubits or a qubit
-  coupled to one.
+  than graph distance 2 over the calibrated pairs: it holds one of the
+  circuit's qubits or a qubit coupled to one.
 
 A global, finite scale factor multiplies every error probability (clamped
 to 1), so scale 0 gives the ideal circuit's exact distribution and large
@@ -29,9 +29,7 @@ evolving each circuit alone.  The prefix up to the strategy gates does not
 depend on the strategies, so it evolves once per gamma as a (G, 4, 4) stack,
 and the strategy steps broadcast it to an (S, G, 4, 4) stack.  job_counts
 then samples every (strategy pair, circuit, run) cell in one call.  Both
-simulate_job and the CLI sweep run on it.  The crosstalk flags come from one
-scan of the device's coupled pairs: the CLI passes the coupling graph's
-edges, simulate_job the snapshot's calibrated pairs.
+simulate_job and the CLI sweep run on it.
 """
 
 from __future__ import annotations
@@ -193,8 +191,8 @@ def noisy_distributions(
 
 def crosstalk_flags(plan: MappingPlan, edges) -> list[bool]:
     """Per-circuit flag: does another active pair hold one of the circuit's qubits
-    or a qubit coupled to one?  edges lists the device's coupled pairs, in any
-    order and orientation."""
+    or a qubit coupled to one?  edges lists the coupled pairs, in any order and
+    orientation; a job passes its calibration's pairs."""
     owner: dict[int, int] = {}  # qubit -> the last circuit holding it
     flags = [False] * len(plan.assignments)
     for i, pair in enumerate(plan.assignments):
@@ -218,7 +216,6 @@ def job_counts(
     shots: int,
     runs: int,
     seeds: Sequence[int],
-    edges,
 ) -> np.ndarray:
     """Shot counts of every (strategy pair, circuit, run) cell of a mapped sweep.
 
@@ -229,7 +226,7 @@ def job_counts(
     one derive_seeds call keys every cell and one sample_cells call draws them.
     Cell (s, i, run) draws from derive_seed(seeds[s], i, run), so its counts do
     not depend on which other cells or strategy pairs are sampled.  Crosstalk
-    follows crosstalk_flags(plan, edges), edges being the device's coupled pairs.
+    follows crosstalk_flags(plan, calib.pairs).
     """
     if not players:
         raise ValueError("a job needs at least one strategy pair")
@@ -240,7 +237,7 @@ def job_counts(
                          f"{len(grid)} points")
     two_qubit, readout, _ = calib.figures(plan.assignments)
     distributions = noisy_distributions(grid, players, two_qubit, readout, model,
-                                        crosstalk_flags(plan, edges))
+                                        crosstalk_flags(plan, calib.pairs))
     cells = len(players) * len(grid)
     keys = derive_seeds(seeds, len(grid), runs).reshape(cells, runs, 2)
     return sample_cells(distributions.reshape(cells, 4), shots, keys).reshape(
@@ -256,8 +253,8 @@ def simulate_job(
     runs: int,
     seed: int,
 ) -> list[RunResult]:
-    """job_counts over the snapshot's calibrated pairs as RunResults, run-major."""
+    """job_counts of the spec's one strategy pair as RunResults, run-major."""
     counts = job_counts(plan, spec.gamma_grid, [(spec.strategy_a, spec.strategy_b)], calib,
-                        model, shots, runs, [seed], calib.pairs)[0].tolist()
+                        model, shots, runs, [seed])[0].tolist()
     return [RunResult(i, gamma, ShotCounts(dict(zip(OUTCOME_LABELS, counts[i][run])), shots), run)
             for run in range(runs) for i, gamma in enumerate(spec.gamma_grid)]

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbos import noise
+from qbos import device, gcm, noise
 from qbos.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -25,6 +25,8 @@ from qbos.cli import (
     main,
     parse_matrix,
 )
+from qbos.game import CANONICAL_STRATEGIES, GameSpec, default_gamma_grid
+from qbos.statevec import OUTCOME_LABELS, derive_seed
 
 from calib_oracles import parse_calibration, records
 
@@ -531,6 +533,75 @@ def test_map_with_files(tmp_path, capsys):
                    "--pairs", "3", "--out", str(out))
     assert code == EXIT_OK
     assert json.loads(out.read_text())["assignments"]
+
+
+def renumbered(calib, perm, qubits=(), pairs=()):
+    """calib with qubit q renamed perm[q], plus extra qubits (ids) and pairs, each
+    with fixed figures."""
+    figures = calib.qubit_figures.tolist()
+    return device.CalibrationSnapshot(
+        calib.timestamp, [perm[q] for q in calib.ids] + list(qubits),
+        [column + [value] * len(qubits) for column, value in zip(figures, (0.02, 100.0, 90.0))],
+        [(perm[a], perm[b]) for a, b in calib.pairs] + list(pairs),
+        calib.two_qubit_errors.tolist() + [0.01] * len(pairs))
+
+
+@st.composite
+def renumbered_devices(draw):
+    """(graph, calibration, k): a heavy-hex device of distance 2-4 whose qubit ids
+    one permutation renames in both files, 0-3 extra calibrated qubits and pairs,
+    and a circuit count the mapper can place.  An extra pair's ends are often
+    qubits of the sweep's plan, so that it couples circuits the map keeps apart."""
+    distance = draw(st.integers(2, 4))
+    base = device.heavy_hex_graph(distance)
+    n = base.num_qubits
+    perm = draw(st.permutations(range(n)))
+    graph = device.CouplingGraph(n, tuple((perm[a], perm[b]) for a, b in base.edges))
+    calib = device.synth_calibration(base, seed=draw(st.integers(0, 2**16)))
+    k = draw(st.integers(2, 2 * distance + 1))
+    plan = gcm.select_pairs(graph, renumbered(calib, perm), k)
+    qubits = draw(st.lists(st.integers(n, 2**70), max_size=3, unique=True))
+    ends = st.one_of(st.sampled_from([q for pair in plan.assignments for q in pair]),
+                     st.sampled_from(list(range(n)) + qubits))
+    pairs = draw(st.lists(st.tuples(ends, ends).map(sorted).map(tuple).filter(
+        lambda p: p[0] != p[1] and p not in graph.edges), max_size=3, unique=True))
+    return graph, renumbered(calib, perm, qubits, pairs), k
+
+
+HEAVY_HEX_127 = device.heavy_hex_graph(6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instance=renumbered_devices(), seed=st.integers(0, 2**32), runs=st.integers(1, 3),
+       shots=st.integers(1, 512))
+@example(instance=(HEAVY_HEX_127, renumbered(device.synth_calibration(HEAVY_HEX_127, seed=3),
+                                             range(127), pairs=[(48, 119)]), 31),
+         seed=3, runs=2, shots=512).via("a calibrated pair joins the first qubits of "
+                                        "circuits 0 and 1 of seed 3's plan")
+def test_sweep_from_files_counts_what_simulate_job_counts(instance, seed, runs, shots):
+    # the CLI and the library read the same calibrated pairs for crosstalk, whatever
+    # the qubit ids and whatever the calibration lists beyond the coupling map
+    graph, calib, k = instance
+    with tempfile.TemporaryDirectory() as tmp:
+        cmap, cal, out = (Path(tmp) / name for name in ("g.json", "c.json", "sweep.csv"))
+        graph.save(cmap)
+        calib.save(cal)
+        assert run_cli("sweep", "--coupling-map", str(cmap), "--calibration", str(cal),
+                       "--gamma-steps", str(k), "--runs", str(runs), "--shots", str(shots),
+                       "--seed", str(seed), "--out", str(out)) == EXIT_OK
+        rows = read_rows(out)
+        graph, calib = device.load_coupling_map(cmap), device.load_calibration(cal)
+    plan = gcm.select_pairs(graph, calib, k)
+    for index, strategy in enumerate(CANONICAL_STRATEGIES):
+        spec = GameSpec(gamma_grid=default_gamma_grid(k), strategy_a=strategy,
+                        strategy_b=strategy)
+        job = noise.simulate_job(plan, spec, calib, noise.NoiseModel(), shots, runs,
+                                 derive_seed(seed, index))
+        want = [[r.counts.counts[label] for label in OUTCOME_LABELS]
+                for r in sorted(job, key=lambda r: (r.circuit_index, r.run_index))]
+        got = [[round(float(row[f"p{label}"]) * shots) for label in OUTCOME_LABELS]
+               for row in rows if row["strategy"] == strategy.label]
+        assert got == want, strategy.label
 
 
 # --- validate ---------------------------------------------------------------------------
@@ -1384,6 +1455,26 @@ def test_map_accepts_calibration_ids_past_int64(tmp_path):
     assert runs[1] == runs[0]
     assert runs[0][:3] == (EXIT_OK, "selected 1 pairs on 4 qubits -> DIR/out\n"
                            "total score: 0.010732\nseparation check: OK\n", "")
+
+
+def test_sweep_accepts_calibration_ids_past_int64(tmp_path):
+    # the sweep's twin: an extra qubit and a pair from a plan qubit to it couple
+    # no two circuits, so the CSV keeps every byte
+    doc = cal_doc()
+    doc["qubits"].append({"id": 2**70, "readout_error": 0.02, "t1_us": 100.0, "t2_us": 90.0})
+    doc["edges"].append({"pair": [0, 2**70], "two_qubit_error": 0.01})
+    cmap = tmp_path / "g.json"
+    cmap.write_text(json.dumps(cmap_doc()))
+    csvs = []
+    for name, content in (("plain", cal_doc()), ("extra", doc)):
+        cal, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        cal.write_text(json.dumps(content))
+        assert run_cli("sweep", "--coupling-map", str(cmap), "--calibration", str(cal),
+                       "--gamma-steps", "2", "--min-separation", "1", "--runs", "2",
+                       "--shots", "64", "--out", str(out)) == EXIT_OK
+        csvs.append(out.read_bytes())
+    assert csvs[1] == csvs[0]
+    assert len(csvs[0].split(b"\r\n")) == 1 + 2 * 2 * 4 + 1
 
 
 def cal_doc_with(*edits):

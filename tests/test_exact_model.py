@@ -96,7 +96,7 @@ def test_sampled_payoffs_scatter_with_the_multinomial_variance(cal_seed):
     model = noise.NoiseModel(scale=1.0)
     shots, runs = 8192, 50
     seeds = [derive_seed(7, i) for i in range(len(PLAYERS))]
-    counts = noise.job_counts(plan, GRID, PLAYERS, cal, model, shots, runs, seeds, graph.edges)
+    counts = noise.job_counts(plan, GRID, PLAYERS, cal, model, shots, runs, seeds)
     dists = exact_distributions(plan, cal, model, graph.edges)
     var_a, var_b, _ = stats.propagate_count_error(dists, shots, BOS)
     sigma = np.sqrt(np.stack([var_a, var_b], -1))[:, :, None]

@@ -384,10 +384,10 @@ def test_job_counts_draws_each_spec_as_its_own_job():
     grid = spec_for(STRATEGY_I, steps=9).gamma_grid
     players = [(s, s) for s in CANONICAL_STRATEGIES] + [(STRATEGY_H, STRATEGY_I)]
     seeds = [5, 17, 5, 2**70, 3]
-    stacked = job_counts(plan, grid, players, cal, NoiseModel(), 300, 2, seeds, g.edges)
+    stacked = job_counts(plan, grid, players, cal, NoiseModel(), 300, 2, seeds)
     assert stacked.shape == (5, 9, 2, 4)
     for s, (pair, seed) in enumerate(zip(players, seeds)):
-        alone = job_counts(plan, grid, [pair], cal, NoiseModel(), 300, 2, [seed], g.edges)
+        alone = job_counts(plan, grid, [pair], cal, NoiseModel(), 300, 2, [seed])
         np.testing.assert_array_equal(stacked[s], alone[0])
 
 
@@ -398,9 +398,9 @@ def test_job_counts_rejects_mismatched_specs_and_seeds():
     grid = spec_for(STRATEGY_I, steps=5).gamma_grid
     identity = (STRATEGY_I, STRATEGY_I)
     with pytest.raises(ValueError, match="at least one strategy pair"):
-        job_counts(plan, grid, [], cal, NoiseModel(), 100, 2, [], g.edges)
+        job_counts(plan, grid, [], cal, NoiseModel(), 100, 2, [])
     with pytest.raises(ValueError, match="2 strategy pairs but 1 seeds"):
-        job_counts(plan, grid, [identity, identity], cal, NoiseModel(), 100, 2, [0], g.edges)
+        job_counts(plan, grid, [identity, identity], cal, NoiseModel(), 100, 2, [0])
 
 
 def test_simulate_job_deterministic():
