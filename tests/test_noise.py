@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qbos import noise
 from qbos.device import (
     CouplingGraph,
     heavy_hex_graph,
@@ -20,6 +21,7 @@ from qbos.game import (
     STRATEGY_I,
     Strategy,
     _closed_form_distribution,
+    default_gamma_grid,
     PayoffMatrix,
 )
 from qbos.gcm import MappingPlan, packed_plan, select_pairs
@@ -45,7 +47,6 @@ BOS = PayoffMatrix.battle_of_sexes()
 
 
 def spec_for(strategy, steps=31):
-    from qbos.game import default_gamma_grid
     return GameSpec(strategy_a=strategy, strategy_b=strategy,
                     gamma_grid=default_gamma_grid(steps))
 
@@ -128,6 +129,20 @@ def test_confusion_matrix_is_column_stochastic():
 def test_model_rejects_bad_probabilities():
     with pytest.raises(ValueError):
         NoiseModel(scale=-1.0)
+
+
+@pytest.mark.parametrize("scale", [True, False, np.True_, "1", None],
+                         ids=["True", "False", "np.True_", "str", "None"])
+def test_model_rejects_a_scale_that_is_not_a_number(scale):
+    # a bool would pass the range check as 0 or 1, a str or None would reach a TypeError
+    with pytest.raises(ValueError, match="scale must be a number"):
+        NoiseModel(scale=scale)
+
+
+@pytest.mark.parametrize("scale", [0, 3, 0.5, np.float64(1.25), np.float32(0.5), np.int64(2),
+                                   *np.linspace(0.0, 2.0, 3)])
+def test_model_takes_int_float_and_numpy_real_scales(scale):
+    assert NoiseModel(scale=scale).scale == scale
 
 
 @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
@@ -352,6 +367,67 @@ def test_crosstalk_flags_match_bfs(instance):
     expected = bfs_crosstalk_flags(assignments, graph)
     assert crosstalk_flags(plan_of(assignments), listed) == expected
     assert crosstalk_flags(plan_of(assignments), graph.edges) == expected
+
+
+# --- the memoised prefix -----------------------------------------------------------
+
+MEMO_GRAPH = heavy_hex_graph(6)
+MEMO_CAL = synth_calibration(MEMO_GRAPH, seed=5, profile="realistic")
+# the figures of two plans of 7 pairs: (two-qubit errors, readout errors)
+MEMO_FIGURES = [MEMO_CAL.figures(plan.assignments)[:2] for plan in (
+    select_pairs(MEMO_GRAPH, MEMO_CAL, k=7), packed_plan(MEMO_GRAPH, 7))]
+# one grid and its reverse hold the same angles in a different order
+MEMO_GRIDS = [default_gamma_grid(7), default_gamma_grid(7)[::-1]]
+MEMO_PLAYERS = [[(s, s) for s in CANONICAL_STRATEGIES], [(STRATEGY_H, STRATEGY_I)],
+                [(STRATEGY_I, STRATEGY_I), (STRATEGY_H, STRATEGY_H)]]
+
+
+def memo_call(call):
+    figures, scale, grid, flags, players = call
+    return noisy_distributions(grid, players, *figures, NoiseModel(scale=scale), flags)
+
+
+@st.composite
+def memo_call_sequences(draw):
+    """2-6 noisy_distributions calls drawn from a pool of 1-3, so calls repeat."""
+    pool = draw(st.lists(st.tuples(
+        st.sampled_from(MEMO_FIGURES), st.sampled_from([0.0, 0.5, 1.0, 40.0]),
+        st.sampled_from(MEMO_GRIDS), st.lists(st.booleans(), min_size=7, max_size=7),
+        st.sampled_from(MEMO_PLAYERS)), min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(pool), min_size=2, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(memo_call_sequences())
+def test_memoised_prefix_gives_the_bits_of_a_fresh_evolution(calls):
+    # each call meets the prefix its predecessor left, then runs again on an empty memo
+    for call in calls:
+        kept = memo_call(call)
+        noise._prefix.cache_clear()
+        assert kept.tobytes() == memo_call(call).tobytes()
+
+
+def test_memoised_prefix_is_read_only_and_results_are_writable():
+    noise._prefix.cache_clear()
+    figures, grid, flags = MEMO_FIGURES[0], MEMO_GRIDS[0], [False] * 7
+    out = memo_call((figures, 1.0, grid, flags, MEMO_PLAYERS[0]))
+    # the key noisy_distributions builds: (dtype, bytes) of the grid and resolved arrays
+    arrays = (np.asarray(grid, dtype=float), *NoiseModel(scale=1.0).resolved(*figures, flags))
+    kept = noise._prefix(*((a.dtype.str, a.tobytes()) for a in arrays))
+    assert noise._prefix.cache_info()[:2] == (1, 1)  # (hits, misses)
+    for array in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0, 0] = 0.5
+    out[0, 0, 0] = 0.5
+
+
+def test_four_strategy_jobs_on_one_plan_and_scale_evolve_the_prefix_once():
+    plan = select_pairs(MEMO_GRAPH, MEMO_CAL, k=7)
+    noise._prefix.cache_clear()
+    for seed, strategy in enumerate(CANONICAL_STRATEGIES):
+        simulate_job(plan, spec_for(strategy, steps=7), MEMO_CAL, NoiseModel(scale=0.5), 64, 2,
+                     seed)
+    assert noise._prefix.cache_info()[:2] == (3, 1)  # (hits, misses)
 
 
 # --- job simulation ------------------------------------------------------------------
