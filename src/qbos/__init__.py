@@ -33,6 +33,7 @@ from .gcm import (
     verify_separation,
 )
 from .noise import (
+    JobCounts,
     NoiseModel,
     RunResult,
     simulate_job,

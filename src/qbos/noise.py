@@ -29,7 +29,10 @@ evolving each circuit alone.  The prefix up to the strategy gates does not
 depend on the strategies, so it evolves once per gamma as a (G, 4, 4) stack,
 and the strategy steps broadcast it to an (S, G, 4, 4) stack.  job_counts
 then samples every (strategy pair, circuit, run) cell in one call.  Both
-simulate_job and the CLI sweep run on it.
+simulate_job and the CLI sweep run on it: simulate_job returns its one strategy
+pair's (G, runs, 4) counts as a JobCounts, which stats.build_validation_report
+reads as an array.  A JobCounts checks its counts in bulk once and builds a
+RunResult per cell only when one is indexed or iterated.
 
 The prefix and the readout matrices are kept for one entry, as read-only
 arrays, keyed by the exact bytes of the grid and of the resolved probabilities
@@ -41,6 +44,7 @@ sweep, all strategies in one call, meets a miss.
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -87,6 +91,62 @@ class RunResult:
     gamma: float
     counts: ShotCounts
     run_index: int
+
+
+@dataclass(frozen=True, eq=False)
+class JobCounts(Sequence):
+    """One job's shot counts: counts is a read-only (len(grid), runs, 4) int64
+    array, counts[i, run] in outcome-label order for gamma grid[i] in run
+    `run`, each row summing to shots.
+
+    As a Sequence it holds len(grid) * runs RunResults, run-major; each one,
+    with its ShotCounts, is built when it is indexed or iterated.  Two jobs are
+    equal when their grids, shots and counts are.
+    """
+
+    counts: np.ndarray
+    grid: tuple[float, ...]
+    shots: int
+
+    def __post_init__(self):
+        counts, grid, shots = np.asarray(self.counts), tuple(self.grid), self.shots
+        # ShotCounts' checks, made once for every cell
+        if counts.ndim != 3 or counts.shape[0] != len(grid) or counts.shape[2] != 4:
+            raise ValueError(f"counts must have shape ({len(grid)}, runs, 4), "
+                             f"got {counts.shape}")
+        if counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+        if type(shots) is not int:  # a bool is an int subclass, not an int
+            raise ValueError(f"shots must be an integer, got {shots!r}")
+        if shots < 1:
+            raise ValueError("need at least one shot")
+        counts = counts.astype(np.int64)  # a copy, which no caller holds
+        if (counts < 0).any():
+            raise ValueError("counts must be non-negative")
+        if (counts.sum(axis=-1, dtype=object) != shots).any():  # Python ints: no wrap
+            raise ValueError("counts must sum to shots")
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "grid", grid)
+
+    def __len__(self) -> int:
+        return self.counts.shape[0] * self.counts.shape[1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[n] for n in range(*index.indices(len(self)))]
+        n = operator.index(index)
+        if not -len(self) <= n < len(self):
+            raise IndexError(f"cell {n} of a job of {len(self)} cells")
+        run, i = divmod(n % len(self), len(self.grid))
+        counts = dict(zip(OUTCOME_LABELS, self.counts[i, run].tolist()))
+        return RunResult(i, self.grid[i], ShotCounts(counts, self.shots), run)
+
+    def __eq__(self, other):
+        if not isinstance(other, JobCounts):
+            return NotImplemented
+        return ((self.grid, self.shots) == (other.grid, other.shots)
+                and np.array_equal(self.counts, other.counts))
 
 
 def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -278,9 +338,9 @@ def simulate_job(
     shots: int,
     runs: int,
     seed: int,
-) -> list[RunResult]:
-    """job_counts of the spec's one strategy pair as RunResults, run-major."""
+) -> JobCounts:
+    """job_counts of the spec's one strategy pair: its (G, runs, 4) counts over
+    spec.gamma_grid, with shots, as one JobCounts."""
     counts = job_counts(plan, spec.gamma_grid, [(spec.strategy_a, spec.strategy_b)], calib,
-                        model, shots, runs, [seed])[0].tolist()
-    return [RunResult(i, gamma, ShotCounts(dict(zip(OUTCOME_LABELS, counts[i][run])), shots), run)
-            for run in range(runs) for i, gamma in enumerate(spec.gamma_grid)]
+                        model, shots, runs, [seed])
+    return JobCounts(counts[0], spec.gamma_grid, shots)

@@ -59,6 +59,11 @@ class ShotCounts:
         bad = set(self.counts) - set(OUTCOME_LABELS)
         if bad:
             raise ValueError(f"invalid outcome labels {sorted(bad)}")
+        # noise.JobCounts makes these checks, in these words, for a whole job at once
+        if any(type(v) is not int for v in self.counts.values()):  # a bool is not an int
+            raise ValueError(f"counts must be integers, got {self.counts!r}")
+        if type(self.total_shots) is not int:
+            raise ValueError(f"total_shots must be an integer, got {self.total_shots!r}")
         if self.total_shots < 1:
             raise ValueError("need at least one shot")
         if any(v < 0 for v in self.counts.values()):

@@ -16,14 +16,13 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .device import _listed, _texts, _types, _write
 from .game import GameSpec, PayoffMatrix, Strategy, analytical_curves, payoff_table
-from .noise import RunResult
-from .statevec import OUTCOME_LABELS
+from .noise import JobCounts
 
 # fixed denominators for the best/worst relative-error convention
 PAYOFF_SCALE_MAX = 3.0
@@ -305,30 +304,32 @@ def report_from_cells(
 
 
 def build_validation_report(
-    results: Mapping[str, Iterable[RunResult]],
+    results: Mapping[str, JobCounts],
     spec: GameSpec,
     variant: str = "corrected",
     rmse_method: str = "rmse_of_means",
 ) -> ValidationReport:
-    """Aggregate raw RunResults (per strategy label) into a validation report.
+    """Aggregate each strategy label's JobCounts into a validation report.
 
-    RunResult.circuit_index indexes spec.gamma_grid.  Every (gamma grid
-    point, run) cell must be present once for each strategy; missing,
-    duplicate or out-of-grid cells raise SchemaError listing them.
+    Job cell (i, run) plays spec.gamma_grid[i] in run `run`, so every job's grid
+    must have as many points as spec.gamma_grid.  Each job's cells come from its
+    count array, one counts / shots division per job, and go to
+    report_from_cells: jobs of different run counts leave cells missing, which
+    raises SchemaError listing them, as does an empty mapping or a report of
+    fewer than 2 runs.
     """
-    cells = [(label, r) for label, run_results in results.items() for r in run_results]
-    outside = [(label, r.circuit_index, r.run_index) for label, r in cells
-               if not 0 <= r.circuit_index < len(spec.gamma_grid)]
-    if outside:
-        raise SchemaError(f"cells outside the gamma grid {outside[:10]}")
-    # counts / shots: one correctly rounded division per frequency
-    counts = np.array([[r.counts.counts.get(lbl, 0) for lbl in OUTCOME_LABELS]
-                       for _, r in cells]).reshape(-1, 4)
-    shots = np.array([r.counts.total_shots for _, r in cells]).reshape(-1, 1)
-    return report_from_cells(
-        [label for label, _ in cells],
-        [r.circuit_index for _, r in cells],
-        [r.run_index for _, r in cells],
-        payoff_table(counts / shots, spec.payoff),
-        spec.gamma_grid, variant, spec.payoff, rmse_method,
-    )
+    if not results:
+        raise SchemaError("no cells")
+    labels, cells, freqs = [], [], []
+    for label, job in results.items():
+        if len(job.grid) != len(spec.gamma_grid):
+            raise SchemaError(f"the {label} job has {len(job.grid)} gamma points, "
+                              f"the spec's grid {len(spec.gamma_grid)}")
+        labels += [label] * len(job)
+        cells.append(np.indices(job.counts.shape[:2]).reshape(2, -1))  # (gamma index, run)
+        # counts / shots: one correctly rounded division per frequency
+        freqs.append(job.counts.reshape(-1, 4) / job.shots)
+    gamma_index, runs = np.concatenate(cells, axis=1)
+    return report_from_cells(labels, gamma_index, runs,
+                             payoff_table(np.concatenate(freqs), spec.payoff),
+                             spec.gamma_grid, variant, spec.payoff, rmse_method)

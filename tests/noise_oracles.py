@@ -1,4 +1,5 @@
-"""The noise model in closed form, the test-side oracle for noise.noisy_distributions.
+"""The noise model in closed form, the test-side oracle for noise.noisy_distributions,
+and the eager per-cell results that noise.JobCounts stands in for.
 
 Starting from |00>, two depolarized one-qubit steps on qubit 0 leave
 f = (1-p1)^2 of the pure state; CNOT maps it to c|00> + s|11> and the mixed
@@ -13,7 +14,8 @@ import math
 import numpy as np
 
 from qbos.game import analytical_curves
-from qbos.noise import CROSSTALK_PENALTY, ONE_QUBIT_ERROR_FRACTION
+from qbos.noise import CROSSTALK_PENALTY, ONE_QUBIT_ERROR_FRACTION, RunResult
+from qbos.statevec import OUTCOME_LABELS, ShotCounts
 
 
 def analytical_payoffs(strategy, gamma, variant="corrected", payoff=None):
@@ -44,3 +46,12 @@ def closed_form_distribution(gamma, strategy_a, strategy_b, two_qubit_error,
     p = d * (f * p_phi + (1 - f) * p_mix) + (1 - d) / 4
     flip = [np.array([[1 - e, e], [e, 1 - e]]) for e in (p1 / 2 + r - p1 * r for r in (ro0, ro1))]
     return np.kron(flip[1], flip[0]) @ p
+
+
+def eager_run_results(counts, grid, shots):
+    """The list simulate_job built before JobCounts: one RunResult, with its
+    ShotCounts, per cell of a (len(grid), runs, 4) count array, run-major."""
+    runs = np.shape(counts)[1]
+    counts = np.asarray(counts).tolist()
+    return [RunResult(i, gamma, ShotCounts(dict(zip(OUTCOME_LABELS, counts[i][run])), shots), run)
+            for run in range(runs) for i, gamma in enumerate(grid)]

@@ -27,6 +27,7 @@ from qbos.game import (
 from qbos.gcm import MappingPlan, packed_plan, select_pairs
 from qbos.noise import (
     CROSSTALK_PENALTY,
+    JobCounts,
     NoiseModel,
     confusion_matrix,
     crosstalk_flags,
@@ -41,7 +42,7 @@ from qbos.stats import payoff_table, rmse
 
 from calib_oracles import EdgeCalibration, records, snapshot
 from graph_oracles import bfs_distances
-from noise_oracles import analytical_payoffs, closed_form_distribution
+from noise_oracles import analytical_payoffs, closed_form_distribution, eager_run_results
 
 BOS = PayoffMatrix.battle_of_sexes()
 
@@ -442,6 +443,69 @@ def test_simulate_job_shape_and_totals():
     assert all(r.counts.total_shots == 2048 for r in results)
     assert {r.run_index for r in results} == set(range(5))
     assert {r.circuit_index for r in results} == set(range(31))
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=st.integers(2, 6), runs=st.integers(0, 4), shots=st.integers(1, 300),
+       seed=st.integers(0, 2**70), scale=st.sampled_from([0.0, 0.5, 1.0, 4.0]),
+       strategy=st.sampled_from(CANONICAL_STRATEGIES))
+def test_job_views_equal_the_eager_run_results(steps, runs, shots, seed, scale, strategy):
+    plan = select_pairs(MEMO_GRAPH, MEMO_CAL, k=steps)
+    spec, model = spec_for(strategy, steps), NoiseModel(scale=scale)
+
+    def both(seed):
+        """simulate_job's JobCounts and the eager list built from job_counts."""
+        counts = job_counts(plan, spec.gamma_grid, [(strategy, strategy)], MEMO_CAL, model,
+                            shots, runs, [seed])[0]
+        return (simulate_job(plan, spec, MEMO_CAL, model, shots, runs, seed),
+                eager_run_results(counts, spec.gamma_grid, shots))
+
+    job, eager = both(seed)
+    assert list(job) == eager and len(job) == len(eager) == steps * runs
+    assert [job[n] for n in range(-len(eager), len(eager))] == eager + eager
+    for bounds in [(None,), (1, -1), (-3, None), (None, None, -2), (2, 100, 3), (5, 1)]:
+        assert job[slice(*bounds)] == eager[slice(*bounds)]
+    for n in (len(eager), -len(eager) - 1):
+        with pytest.raises(IndexError):
+            job[n]
+    other, other_eager = both(seed + 1)
+    assert (job == other) == (eager == other_eager)
+    assert (job != other) == (eager != other_eager)
+    assert job == both(seed)[0] and job != list(job)
+    assert job.counts.dtype == np.int64 and not job.counts.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        job.counts[...] = 0
+
+
+WRAPS = [[[2**62, 2**62, 2**62, 2**62 + 1]]]  # an int64 row sum wraps to 1
+
+
+@pytest.mark.parametrize("counts, grid, shots, message", [
+    (np.zeros((2, 1, 3), int), (0.0, 1.0), 1, r"shape \(2, runs, 4\), got \(2, 1, 3\)"),
+    (np.zeros((3, 1, 4), int), (0.0, 1.0), 1, r"shape \(2, runs, 4\), got \(3, 1, 4\)"),
+    (np.zeros((2, 4), int), (0.0, 1.0), 1, r"shape \(2, runs, 4\), got \(2, 4\)"),
+    (np.full((1, 1, 4), 1.0), (0.0,), 4, "counts must be integers, got dtype float64"),
+    (np.ones((1, 1, 4), bool), (0.0,), 4, "counts must be integers, got dtype bool"),
+    ([[[1, 1, 1, 1]]], (0.0,), 4.0, "shots must be an integer, got 4.0"),
+    ([[[1, 0, 0, 0]]], (0.0,), True, "shots must be an integer, got True"),
+    ([[[0, 0, 0, 0]]], (0.0,), 0, "need at least one shot"),
+    ([[[5, -1, 0, 0]]], (0.0,), 4, "counts must be non-negative"),
+    (np.array([[[2**64 - 1, 0, 0, 2]]], np.uint64), (0.0,), 1, "counts must be non-negative"),
+    ([[[1, 1, 1, 0]], [[1, 1, 1, 1]]], (0.0, 1.0), 4, "counts must sum to shots"),
+    (WRAPS, (0.0,), 1, "counts must sum to shots"),
+], ids=["last-axis", "grid-length", "2-d", "float", "bool", "float-shots", "bool-shots",
+        "no-shots", "negative", "uint64-wraps-negative", "short-row", "int64-sum-wraps"])
+def test_job_counts_refuses_what_shot_counts_refuses(counts, grid, shots, message):
+    with pytest.raises(ValueError, match=message):
+        JobCounts(counts, grid, shots)
+
+
+def test_job_counts_keeps_its_own_read_only_copy():
+    counts = np.array([[[3, 0, 0, 1]], [[0, 2, 2, 0]]], dtype=np.int32)
+    job = JobCounts(counts, [0.0, 1.0], 4)
+    counts[0, 0] = [0, 0, 0, 4]
+    assert counts.flags.writeable and job.counts.tolist() == [[[3, 0, 0, 1]], [[0, 2, 2, 0]]]
+    assert job.counts.dtype == np.int64 and job.grid == (0.0, 1.0)
 
 
 def test_simulate_job_rejects_grid_mismatch():

@@ -2,12 +2,16 @@
 
 import dataclasses
 import importlib
+import os
 import re
+import subprocess
 from pathlib import Path
 
 import qbos
 
-README = Path(__file__).parents[1] / "README.md"
+ROOT = Path(__file__).parents[1]
+README = ROOT / "README.md"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 MODULES = ("cli", "device", "game", "gcm", "noise", "stats", "statevec")
 
 
@@ -17,6 +21,32 @@ def test_readme_library_sketch_runs(capsys):
     exec(re.search(r"```python\n(.*?)```", doc, re.S).group(1), {})
     out = capsys.readouterr().out
     assert "RMSE" in out and out.count("noise scale") == 2
+
+
+def smoke_block() -> str:
+    """The CLI smoke step's `run: |` block, read as YAML reads a literal block:
+    its lines up to the first non-blank one with less indent than the first,
+    that indent removed, trailing blank lines dropped."""
+    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    start = [line.strip() for line in lines].index("- name: CLI smoke run")
+    assert lines[start + 1].strip() == "run: |"
+    body = lines[start + 2:]
+    indent = len(body[0]) - len(body[0].lstrip(" "))
+    block = []
+    for line in body:
+        if line.strip() and not line.startswith(" " * indent):
+            break
+        block.append(line[indent:])
+    return "\n".join(block).rstrip("\n") + "\n"
+
+
+def test_readme_smoke_recipe_extracts_the_smoke_block(tmp_path):
+    recipe = README.read_text(encoding="utf-8").split("### Running the CI smoke block locally")[1]
+    [line] = [line for line in recipe.split("```")[1].splitlines()
+              if '> "$tmp/smoke.sh"' in line]
+    subprocess.run(["sh", "-c", line], cwd=ROOT, env={**os.environ, "tmp": str(tmp_path)},
+                   check=True)
+    assert (tmp_path / "smoke.sh").read_text(encoding="utf-8") == smoke_block()
 
 
 def reference_heads():

@@ -251,6 +251,21 @@ def test_shot_counts_invariants():
         ShotCounts({}, 0)
 
 
+@pytest.mark.parametrize("counts, total, message", [
+    ({"00": 1.5, "11": 2.5}, 4, r"counts must be integers, got \{'00': 1.5, '11': 2.5\}"),
+    ({"00": True}, True, r"counts must be integers, got \{'00': True\}"),
+    ({"00": np.int64(4)}, 4, "counts must be integers"),
+    ({"00": 4}, 4.0, "total_shots must be an integer, got 4.0"),
+    ({"00": 1}, True, "total_shots must be an integer, got True"),
+    ({"00": 4}, np.int64(4), "total_shots must be an integer, got np.int64"),
+], ids=["float-counts", "bool-counts-and-total", "numpy-count", "float-total", "bool-total",
+        "numpy-total"])
+def test_shot_counts_take_only_int_counts_and_total(counts, total, message):
+    # the words of noise.JobCounts' check of a whole job
+    with pytest.raises(ValueError, match=message):
+        ShotCounts(counts, total)
+
+
 def test_derive_seed_distinct_and_stable():
     s1 = derive_seed(7, 0, 0)
     s2 = derive_seed(7, 0, 1)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import qbos
 from qbos import stats
 from qbos.game import CANONICAL_STRATEGIES, GameSpec, PayoffMatrix, STRATEGY_I, default_gamma_grid
-from qbos.noise import RunResult
+from qbos.noise import JobCounts
 from qbos.statevec import OUTCOME_LABELS, ShotCounts
 from qbos.stats import (
     PAYOFF_SCALE_MAX,
@@ -33,7 +33,7 @@ from qbos.stats import (
     rmse,
 )
 
-from noise_oracles import analytical_payoffs
+from noise_oracles import analytical_payoffs, eager_run_results
 
 BOS = PayoffMatrix.battle_of_sexes()
 
@@ -304,77 +304,87 @@ def test_report_needs_two_runs_per_cell():
         report_from_series(series)
 
 
-def test_build_report_from_run_results():
+def test_build_report_from_job_counts():
     gammas = default_gamma_grid(3)
     spec = GameSpec(strategy_a=STRATEGY_I, strategy_b=STRATEGY_I, gamma_grid=gammas)
-    results = []
-    for run in range(3):
-        for i, g in enumerate(gammas):
-            c = math.cos(g / 2) ** 2
-            n00 = round(1000 * c)
-            results.append(RunResult(i, g, make_counts(c00=n00, c11=1000 - n00), run))
-    report = build_validation_report({"I": results}, spec, variant="corrected")
+    counts = []
+    for g in gammas:
+        n00 = round(1000 * math.cos(g / 2) ** 2)
+        counts.append([[n00, 0, 0, 1000 - n00]] * 3)
+    report = build_validation_report({"I": JobCounts(counts, gammas, 1000)}, spec,
+                                     variant="corrected")
     sv = report.strategies[0]
     assert sv.rmse_a < 0.01  # only rounding error vs the analytic curve
     assert sv.gammas == tuple(gammas) and sv.n == 3
     assert len(sv.means) == len(sv.sample_variances) == len(sv.ci_half_widths) == 3
 
 
-def test_build_report_from_sparse_counts():
-    # ShotCounts may leave out zero-count labels; the report reads them as 0
-    gammas = default_gamma_grid(4)
-    spec = GameSpec(gamma_grid=gammas)
-    rng = np.random.default_rng(5)
-    sparse, explicit = [], []
-    for run in range(3):
-        for i, g in enumerate(gammas):
-            drawn = dict(zip(("00", "01", "10", "11"), rng.integers(0, 9, 4).tolist()))
-            drawn["00"] += 1  # at least one shot
-            if (i + run) % 2:
-                drawn["01"] = drawn["10"] = 0
-            total = sum(drawn.values())
-            nonzero = {label: v for label, v in drawn.items() if v}
-            sparse.append(RunResult(i, g, ShotCounts(nonzero, total), run))
-            explicit.append(RunResult(i, g, ShotCounts(drawn, total), run))
-    sparse[0] = RunResult(0, gammas[0], ShotCounts({"00": 7, "11": 1}, 8), 0)
-    explicit[0] = RunResult(0, gammas[0], make_counts(c00=7, c11=1), 0)
-    for variant in ("corrected", "paper"):
-        assert (build_validation_report({"I": sparse, "H": sparse}, spec, variant)
-                == build_validation_report({"I": explicit, "H": explicit}, spec, variant))
-
-
 def test_build_report_flags_missing_cells():
-    gammas = default_gamma_grid(3)
-    spec = GameSpec(gamma_grid=gammas)
-    results = [RunResult(0, gammas[0], make_counts(c00=10), 0)]
-    with pytest.raises(SchemaError, match="missing"):
-        build_validation_report({"I": results}, spec)
-
-
-@pytest.mark.parametrize("index", [2, -1])
-def test_build_report_flags_cells_outside_the_grid(index):
+    # jobs of 3 and 2 runs: the shorter one misses run 2 of the union of runs
     gammas = default_gamma_grid(2)
-    spec = GameSpec(gamma_grid=gammas)
-    inside = [RunResult(i, g, make_counts(c00=10), run)
-              for run in range(2) for i, g in enumerate(gammas)]
-    outside = RunResult(index, gammas[0], make_counts(c11=10), 1)
-    with pytest.raises(SchemaError, match=rf"outside the gamma grid \[\('H', {index}, 1\)\]"):
-        build_validation_report({"I": inside, "H": inside[:3] + [outside]}, spec)
+    three, two = (JobCounts(np.full((2, runs, 4), 5), gammas, 20) for runs in (3, 2))
+    with pytest.raises(SchemaError,
+                       match=r"^missing cells \[\('H', 0.0, 2\), \('H', 3.14\d*, 2\)\]$"):
+        build_validation_report({"I": three, "H": two}, GameSpec(gamma_grid=gammas))
+
+
+@pytest.mark.parametrize("steps", [3, 1], ids=["longer", "shorter"])
+def test_build_report_rejects_a_job_grid_of_another_length(steps):
+    gammas = default_gamma_grid(2)
+    inside = JobCounts(np.full((2, 2, 4), 5), gammas, 20)
+    other = JobCounts(np.full((steps, 2, 4), 5), np.linspace(0.0, math.pi, steps), 20)
+    with pytest.raises(SchemaError, match=rf"^the H job has {steps} gamma points, "
+                                          r"the spec's grid 2$"):
+        build_validation_report({"I": inside, "H": other}, GameSpec(gamma_grid=gammas))
 
 
 def test_build_report_rejects_no_cells():
     with pytest.raises(SchemaError, match="no cells"):
         build_validation_report({}, GameSpec())
-
-
-def test_build_report_flags_duplicate_cells():
     gammas = default_gamma_grid(2)
-    spec = GameSpec(gamma_grid=gammas)
-    results = [RunResult(i, g, make_counts(c00=10), run)
-               for run in range(2) for i, g in enumerate(gammas)]
-    results.append(RunResult(1, gammas[1], make_counts(c11=10), 0))
-    with pytest.raises(SchemaError, match=r"duplicate cells \[\('I', 3.14\d*, 0\)\]"):
-        build_validation_report({"I": results}, spec)
+    no_runs = JobCounts(np.zeros((2, 0, 4), int), gammas, 1)
+    with pytest.raises(SchemaError, match="no cells"):
+        build_validation_report({"I": no_runs}, GameSpec(gamma_grid=gammas))
+
+
+def test_report_from_cells_flags_duplicate_cells():
+    # a JobCounts holds each cell once; a results file read by validate may not
+    cells = [("I", i, run) for run in range(2) for i in range(2)] + [("I", 1, 0)]
+    labels, gamma_index, runs = zip(*cells)
+    with pytest.raises(SchemaError, match=r"^duplicate cells \[\('I', 3.14\d*, 0\)\]$"):
+        report_from_cells(labels, gamma_index, runs, [(1.0, 1.0)] * len(cells),
+                          default_gamma_grid(2), "corrected", BOS, "rmse_of_means")
+
+
+def gathered_report(results, spec, variant, rmse_method):
+    """build_validation_report before JobCounts: each job's eager RunResults,
+    gathered cell by cell into one count array for report_from_cells."""
+    cells = [(label, r) for label, job in results.items()
+             for r in eager_run_results(job.counts, job.grid, job.shots)]
+    counts = np.array([[r.counts.counts.get(lbl, 0) for lbl in OUTCOME_LABELS]
+                       for _, r in cells]).reshape(-1, 4)
+    shots = np.array([r.counts.total_shots for _, r in cells]).reshape(-1, 1)
+    return report_from_cells(
+        [label for label, _ in cells], [r.circuit_index for _, r in cells],
+        [r.run_index for _, r in cells], payoff_table(counts / shots, spec.payoff),
+        spec.gamma_grid, variant, spec.payoff, rmse_method)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labels=st.lists(st.sampled_from([s.label for s in CANONICAL_STRATEGIES]),
+                       min_size=1, max_size=4, unique=True),
+       steps=st.integers(2, 9), runs=st.integers(2, 6), shots=st.integers(1, 8192),
+       seed=st.integers(0, 2**32), variant=st.sampled_from(["corrected", "paper"]),
+       rmse_method=st.sampled_from(["rmse_of_means", "mean_of_rmses"]))
+def test_report_from_job_counts_equals_the_per_cell_gather(labels, steps, runs, shots, seed,
+                                                           variant, rmse_method):
+    rng = np.random.default_rng(seed)
+    spec = GameSpec(gamma_grid=default_gamma_grid(steps))
+    results = {label: JobCounts(rng.multinomial(shots, rng.dirichlet(np.ones(4), (steps, runs))),
+                                spec.gamma_grid, shots)
+               for label in labels}
+    assert (build_validation_report(results, spec, variant, rmse_method)
+            == gathered_report(results, spec, variant, rmse_method))
 
 
 def test_payoff_table_is_the_per_cell_product():
