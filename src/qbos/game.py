@@ -19,10 +19,15 @@ variant is a legacy set of published curves for the default matrix that
 differs in one place: Alice's curve for the Hadamard strategy carries a
 factor-2 typo inside the bracket and exceeds the maximum payoff 3 for
 large gamma.  Both are kept so the discrepancy stays testable.
+
+analytical_curves memoises its last CURVE_MEMO_SIZE tables under bitwise
+keys, so a process that builds many reports on one grid, such as a noise
+scan, evaluates the closed forms once per strategy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -31,6 +36,13 @@ import numpy as np
 
 GAMMA_POINTS_DEFAULT = 31
 GAMMA_SLACK = 1e-12  # float slack of the [0, pi] range check on gamma
+CURVE_MEMO_SIZE = 32  # curve tables analytical_curves keeps
+
+
+def is_number(value) -> bool:
+    """Is value an int or a float, Python's or numpy's, and not a bool?"""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -41,10 +53,12 @@ class PayoffMatrix:
                  tuple[tuple[float, float], tuple[float, float]]]
 
     def __post_init__(self):
+        # tuples, so that the cells and the weights kept from them cannot change
+        object.__setattr__(self, "cells", tuple(tuple(map(tuple, row)) for row in self.cells))
         for i in (0, 1):
             for j in (0, 1):
                 cell = self.cells[i][j]
-                if len(cell) != 2 or not all(math.isfinite(v) for v in cell):
+                if len(cell) != 2 or not all(is_number(v) and math.isfinite(v) for v in cell):
                     raise ValueError(f"cell ({i},{j}) must hold two finite payoffs")
 
     @classmethod
@@ -72,6 +86,13 @@ class PayoffMatrix:
         wb = np.array([self.bob(r, c) for r, c in order])
         return wa, wb
 
+    @functools.cached_property
+    def _weights(self) -> np.ndarray:
+        """np.stack(self.outcome_weights()), read-only, computed on first use."""
+        weights = np.stack(self.outcome_weights())
+        weights.flags.writeable = False
+        return weights
+
 
 def payoff_table(freqs, payoff: PayoffMatrix) -> np.ndarray:
     """(e_a, e_b) of every cell of a (..., 4) outcome-frequency array, shape (..., 2).
@@ -83,7 +104,7 @@ def payoff_table(freqs, payoff: PayoffMatrix) -> np.ndarray:
     f = np.asarray(freqs, dtype=float)
     if f.shape[-1:] != (4,):
         raise ValueError(f"expected 4 outcome frequencies per cell, got shape {f.shape}")
-    return np.vecdot(f[..., None, :], np.stack(payoff.outcome_weights()))
+    return np.vecdot(f[..., None, :], payoff._weights)
 
 
 @dataclass(frozen=True)
@@ -97,7 +118,12 @@ class Strategy:
         if self.kind not in ("I", "H", "RY"):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "RY":
-            if self.angle is None or not 0.0 <= self.angle < 2 * math.pi:
+            if not is_number(self.angle):
+                raise ValueError(f"RY strategy needs a number for its angle, "
+                                 f"not {self.angle!r}")
+            # a Python float, whose repr in the label reads back as this angle
+            object.__setattr__(self, "angle", float(self.angle))
+            if not 0.0 <= self.angle < 2 * math.pi:
                 raise ValueError("RY strategy needs an angle in [0, 2*pi)")
         elif self.angle is not None:
             raise ValueError(f"strategy {self.kind} takes no angle")
@@ -162,7 +188,11 @@ class GameSpec:
     strategy_b: Strategy = STRATEGY_I
 
     def __post_init__(self):
-        g = tuple(float(x) for x in self.gamma_grid)
+        g = tuple(self.gamma_grid)
+        for x in g:
+            if not is_number(x):
+                raise ValueError(f"gamma_grid must hold numbers, not {x!r}")
+        g = tuple(map(float, g))
         object.__setattr__(self, "gamma_grid", g)
         if not g or not all(-GAMMA_SLACK <= x <= math.pi + GAMMA_SLACK for x in g):  # NaN too
             raise ValueError("gamma values must lie in [0, pi]")
@@ -242,17 +272,46 @@ def analytical_curves(strategy: Strategy, gammas, variant: str = "corrected",
     distribution's dot product.  variant='paper' reproduces the legacy
     published curves for the default matrix verbatim, including the over-3
     Hadamard curve for Alice; it does not accept a custom matrix.
+
+    A table is evaluated once per key and kept, read-only, in a memo of the
+    last CURVE_MEMO_SIZE keys: the strategy, the bits of its angle, the grid's
+    dtype and bytes, the variant and the dtype and bytes of the matrix's
+    outcome weights (payoff None meaning the Battle of the Sexes matrix).  So
+    -0.0 and 0.0, or a float64 and a float32 grid, key apart, and a hit has
+    the bits of a fresh evaluation.  Each call returns a fresh writable copy.
+    A grid or weights of no numeric dtype (an object array's bytes are
+    pointers) or a grid that is not 1-D is evaluated afresh every call.
     """
     if variant not in ("paper", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
+    matrix = payoff if payoff is not None else PayoffMatrix.battle_of_sexes()
+    if variant == "paper" and matrix != PayoffMatrix.battle_of_sexes():
+        raise ValueError("the 'paper' variant is defined for the default matrix only")
+    grid, weights = np.asarray(gammas), matrix._weights
+    if grid.ndim != 1 or grid.dtype.kind not in "biuf" or weights.dtype.kind not in "biuf":
+        return _curves(strategy, gammas, variant, matrix)
+    return _memoised_curves(strategy, repr(strategy.angle), variant, matrix,
+                            weights.dtype.str, weights.tobytes(),
+                            grid.dtype.str, grid.tobytes()).copy()
 
+
+@functools.lru_cache(maxsize=CURVE_MEMO_SIZE)
+def _memoised_curves(strategy: Strategy, angle: str, variant: str, matrix: PayoffMatrix,
+                     weights_dtype: str, weights: bytes,
+                     grid_dtype: str, grid: bytes) -> np.ndarray:
+    """_curves of the grid given by its dtype and bytes, read-only.  strategy
+    and matrix compare by value; the angle's repr and the weights' bytes make
+    the key bitwise."""
+    curves = _curves(strategy, np.frombuffer(grid, grid_dtype), variant, matrix)
+    curves.flags.writeable = False
+    return curves
+
+
+def _curves(strategy: Strategy, gammas, variant: str, matrix: PayoffMatrix) -> np.ndarray:
+    """The curve table, one closed form per gamma."""
     if variant == "paper":
-        if payoff is not None and payoff != PayoffMatrix.battle_of_sexes():
-            raise ValueError("the 'paper' variant is defined for the default matrix only")
         curve = _paper_curve(strategy)
         return np.array([curve(math.cos(g / 2), math.sin(g / 2)) for g in gammas]).reshape(-1, 2)
-
-    matrix = payoff if payoff is not None else PayoffMatrix.battle_of_sexes()
     dists = np.array([_closed_form_distribution(strategy, g) for g in gammas]).reshape(-1, 4)
     return payoff_table(dists, matrix)
 

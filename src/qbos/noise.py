@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import CalibrationSnapshot
-from .game import GAMMA_SLACK, GameSpec, Strategy
+from .game import GAMMA_SLACK, GameSpec, Strategy, is_number
 from .gcm import MappingPlan
 from .statevec import OUTCOME_LABELS, ShotCounts, derive_seeds, gate_matrix, sample_cells
 
@@ -66,8 +66,7 @@ class NoiseModel:
     scale: float = 1.0
 
     def __post_init__(self):
-        number = (int, float, np.integer, np.floating)  # np.linspace values included
-        if isinstance(self.scale, bool) or not isinstance(self.scale, number):
+        if not is_number(self.scale):  # np.linspace values included
             raise ValueError(f"scale must be a number, not {self.scale!r}")
         if not 0.0 <= self.scale < float("inf"):
             raise ValueError("scale must be finite and >= 0")

@@ -4,7 +4,10 @@ Aggregation follows the experiment protocol: payoffs are derived per run
 from shot counts, averaged across the repeated runs at each entanglement
 angle (Student-t confidence half-widths at the fixed level CONFIDENCE =
 0.95, n-1 degrees of freedom), and RMSE against the closed-form reference
-curves is computed on those per-angle run means.  Best/worst relative
+curves is computed on those per-angle run means.  A report aggregates every
+series in one array pass and takes every RMSE in another, over a contiguous
+angle axis, so each value keeps the bits of its own 1-D call; the reference
+curves come from game.analytical_curves' memo.  Best/worst relative
 errors divide the smallest RMSE entry by the payoff-scale maximum (3) and
 the largest by the scale minimum (1.2) -- a blunt convention, but kept
 because the report mirrors it.
@@ -283,24 +286,29 @@ def report_from_cells(
     # (strategy, gamma, player, run), contiguous along the runs
     means, variances, halves = _run_statistics(np.ascontiguousarray(table.transpose(0, 1, 3, 2)))
 
+    # squared errors as (strategy, player, gamma) or (strategy, player, run, gamma),
+    # contiguous along the angles: a mean over that last axis, and then over the
+    # runs, gives each series the bits of its own 1-D rmse call and np.mean
+    refs = np.asarray(np.stack([analytical_curves(Strategy.parse(label), gammas, variant, payoff)
+                                for label in strategies]), dtype=float).transpose(0, 2, 1)
+    if rmse_method == "rmse_of_means":
+        errors = means.transpose(0, 2, 1) - refs
+    else:
+        errors = table.transpose(0, 3, 2, 1) - refs[:, :, None, :]
+    rmses = np.sqrt(np.ascontiguousarray(errors ** 2).mean(axis=-1))
+    if rmse_method == "mean_of_rmses":
+        rmses = rmses.mean(axis=-1)
+    rmses = rmses.tolist()
+
     grid = tuple(gammas)
-    validations = []
-    all_rmses = []
-    for label, cells, mean, var, half in zip(strategies, table, means, variances, halves):
-        refs = analytical_curves(Strategy.parse(label), gammas, variant, payoff)
-        if rmse_method == "rmse_of_means":
-            rmse_a = rmse(mean[:, 0], refs[:, 0])
-            rmse_b = rmse(mean[:, 1], refs[:, 1])
-        else:
-            rmse_a = float(np.mean([rmse(cells[:, r, 0], refs[:, 0]) for r in range(n)]))
-            rmse_b = float(np.mean([rmse(cells[:, r, 1], refs[:, 1]) for r in range(n)]))
-        validations.append(StrategyValidation(
-            label, rmse_a, rmse_b, grid, n,
-            *(tuple(map(tuple, a.tolist())) for a in (mean, var, half))))
-        all_rmses.extend((rmse_a, rmse_b))
+    columns = zip(*([tuple(map(tuple, rows)) for rows in a.tolist()]
+                    for a in (means, variances, halves)))
+    validations = tuple(StrategyValidation(label, rmse_a, rmse_b, grid, n, *column)
+                        for label, (rmse_a, rmse_b), column in zip(strategies, rmses, columns))
+    all_rmses = list(chain.from_iterable(rmses))
     best = relative_error_percent(min(all_rmses), PAYOFF_SCALE_MAX)
     worst = relative_error_percent(max(all_rmses), PAYOFF_SCALE_MIN)
-    return ValidationReport(variant, best, worst, tuple(validations))
+    return ValidationReport(variant, best, worst, validations)
 
 
 def build_validation_report(

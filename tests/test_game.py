@@ -1,13 +1,17 @@
 """Game model tests: equilibrium arithmetic and analytic-vs-simulator agreement."""
 
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from qbos import game
 from qbos.game import (
     CANONICAL_STRATEGIES,
+    CURVE_MEMO_SIZE,
     GameSpec,
     PayoffMatrix,
     Strategy,
@@ -345,6 +349,112 @@ def test_curve_table_argument_errors():
         assert str(err.value) == message
 
 
+# --- the curve memo ---------------------------------------------------------------
+
+# value-equal to the default matrix, with other weight bits: int, -0.0 and longdouble payoffs
+INT_BOS = PayoffMatrix((((3, 2), (0, 0)), ((0, 0), (2, 3))))
+NEGATIVE_ZERO_BOS = PayoffMatrix((((3.0, 2.0), (-0.0, -0.0)), ((-0.0, -0.0), (2.0, 3.0))))
+LONGDOUBLE_BOS = PayoffMatrix(np.array(BOS.cells, dtype=np.longdouble))
+GRID_TYPES = {
+    "floats": lambda g: [float(x) for x in g],
+    "ints": lambda g: [round(x) for x in g],
+    "float32": lambda g: np.array(g, dtype=np.float32),
+    "longdouble": lambda g: np.array(g, dtype=np.longdouble),
+}
+
+
+def same_bits(a, b):
+    """Equal dtype, shape, values and signs: every bit but a longdouble's padding."""
+    return (a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@st.composite
+def curve_calls(draw):
+    """2-8 analytical_curves calls from a few strategies, grids and matrices,
+    so that calls repeat and value-equal keys of other bits meet a warm memo."""
+    strategies = st.one_of(
+        st.sampled_from(CANONICAL_STRATEGIES),
+        st.floats(0.0, 2 * math.pi, exclude_max=True).map(lambda a: Strategy("RY", a)),
+        st.just(Strategy("RY", -0.0)))
+    values = draw(st.lists(st.one_of(st.floats(0.0, math.pi),
+                                     st.sampled_from([0.0, -0.0, 1.0, 3.0])), max_size=12))
+    grids = st.tuples(st.booleans(), st.sampled_from(sorted(GRID_TYPES))).map(
+        lambda t: GRID_TYPES[t[1]](values[::-1] if t[0] else values))
+    payoffs = st.one_of(st.sampled_from([None, BOS, INT_BOS, NEGATIVE_ZERO_BOS, LONGDOUBLE_BOS,
+                                         DENSE]), matrices)
+    pools = [draw(st.lists(x, min_size=1, max_size=3))
+             for x in (strategies, grids, st.sampled_from(["corrected", "paper"]), payoffs)]
+
+    def call(t):
+        strategy, grid, variant, payoff = t
+        if variant == "paper" and (strategy not in CANONICAL_STRATEGIES or payoff not in (None, BOS)):
+            variant = "corrected"
+        return strategy, grid, variant, payoff
+
+    return draw(st.lists(st.tuples(*map(st.sampled_from, pools)).map(call),
+                         min_size=2, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(curve_calls())
+def test_memoised_curves_give_the_bits_of_a_fresh_evaluation(calls):
+    # each call meets the memo its predecessors left, then runs again on an empty memo
+    for strategy, grid, variant, payoff in calls:
+        kept = analytical_curves(strategy, grid, variant, payoff)
+        game._memoised_curves.cache_clear()
+        fresh = analytical_curves(strategy, grid, variant, payoff)
+        # the per-gamma loop over the caller's own grid, with no memo in the way
+        loop = game._curves(strategy, grid, variant, payoff or BOS)
+        assert same_bits(kept, fresh) and same_bits(kept, loop)
+
+
+def test_memoised_curves_are_fresh_writable_copies():
+    grid = default_gamma_grid(5)
+    first = analytical_curves(STRATEGY_H, grid)
+    second = analytical_curves(STRATEGY_H, grid)
+    assert game._memoised_curves.cache_info()[:2] == (1, 1)  # (hits, misses)
+    want = first.copy()
+    first[:] = -1.0
+    second[0, 0] = 7.0
+    assert analytical_curves(STRATEGY_H, grid).tobytes() == want.tobytes()
+    assert second[1:].tobytes() == want[1:].tobytes()
+    # the key analytical_curves builds: a hit, so the memo's own array
+    kept = game._memoised_curves(STRATEGY_H, "None", "corrected", BOS, "<f8",
+                                 BOS._weights.tobytes(), "<f8", np.asarray(grid).tobytes())
+    assert game._memoised_curves.cache_info().currsize == 1
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0, 0] = 0.5
+
+
+def test_grids_without_a_bitwise_key_are_evaluated_afresh():
+    # an object array's bytes are pointers; a 2-D grid fails in the loop, as a list does
+    assert analytical_curves(STRATEGY_H, [0.5, Fraction(1, 3)]).shape == (2, 2)
+    with pytest.raises(TypeError):
+        analytical_curves(STRATEGY_H, [[0.5], [1.0]])
+    with pytest.raises(TypeError):
+        analytical_curves(STRATEGY_H, ["0.5"])
+    assert analytical_curves(STRATEGY_H, (g for g in (0.5, 1.0))).shape == (2, 2)
+    assert game._memoised_curves.cache_info().currsize == 0
+
+
+def test_curve_errors_are_not_memoised():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no published curve"):
+            analytical_curves(Strategy("RY", 0.3), default_gamma_grid(5), "paper")
+        with pytest.raises(ValueError, match="default matrix only"):
+            analytical_curves(STRATEGY_I, default_gamma_grid(5), "paper", DENSE)
+        with pytest.raises(ValueError, match="unknown variant"):
+            analytical_curves(STRATEGY_I, default_gamma_grid(5), "published")
+    assert game._memoised_curves.cache_info().currsize == 0
+
+
+def test_curve_memo_holds_at_most_its_bound():
+    for steps in range(2, CURVE_MEMO_SIZE + 12):
+        analytical_curves(STRATEGY_RY_PI_4, default_gamma_grid(steps))
+        assert game._memoised_curves.cache_info().currsize == min(steps - 1, CURVE_MEMO_SIZE)
+
+
 # --- advantage --------------------------------------------------------------------
 
 def test_advantage_percent_values():
@@ -405,3 +515,49 @@ def test_gamma_grid_validation():
     for grid in ((0.0, float("nan")), (float("nan"),)):
         with pytest.raises(ValueError, match=r"must lie in \[0, pi\]"):
             GameSpec(gamma_grid=grid)
+
+
+# --- constructor checks: numbers only, the memo's key types -----------------------
+
+@pytest.mark.parametrize("angle", [True, np.True_, "0.5", None])
+def test_ry_strategy_refuses_an_angle_that_is_not_a_number(angle):
+    with pytest.raises(ValueError, match=rf"^RY strategy needs a number for its angle, "
+                                         rf"not {re.escape(repr(angle))}$"):
+        Strategy("RY", angle)
+
+
+@pytest.mark.parametrize("angle", [0.5, 1, np.float64(0.5), np.float32(0.5), np.int64(1),
+                                   np.longdouble(0.5)], ids=repr)
+def test_ry_strategy_keeps_its_angle_as_a_float_whose_label_reads_back(angle):
+    strategy = Strategy("RY", angle)
+    assert type(strategy.angle) is float and strategy.angle == angle
+    assert strategy.label == f"RY({float(angle)!r})"
+    assert Strategy.parse(strategy.label) == strategy
+
+
+@pytest.mark.parametrize("grid, bad", [(("0", "1.5"), "0"), ((False, True), False),
+                                       ((0.0, None), None), (np.array([False, True]), np.False_)],
+                         ids=["str", "bool", "None", "numpy bool"])
+def test_game_spec_refuses_gammas_that_are_not_numbers(grid, bad):
+    with pytest.raises(ValueError, match=rf"^gamma_grid must hold numbers, not {re.escape(repr(bad))}$"):
+        GameSpec(gamma_grid=grid)
+
+
+@pytest.mark.parametrize("grid", [(0, 1), np.linspace(0.0, 1.0, 3), (np.float32(0.5), 1.0),
+                                  [np.int64(0), 2], (g for g in (0.0, 1.0))],
+                         ids=["ints", "array", "float32", "numpy int", "generator"])
+def test_game_spec_takes_real_gammas_as_floats(grid):
+    spec = GameSpec(gamma_grid=grid)
+    assert all(type(g) is float for g in spec.gamma_grid)
+
+
+@pytest.mark.parametrize("payoff", [True, np.True_, "3", None, float("inf")], ids=repr)
+def test_payoff_matrix_refuses_payoffs_that_are_not_finite_numbers(payoff):
+    with pytest.raises(ValueError, match=r"^cell \(0,1\) must hold two finite payoffs$"):
+        PayoffMatrix((((3.0, 2.0), (payoff, 0.0)), ((0.0, 0.0), (2.0, 3.0))))
+
+
+@pytest.mark.parametrize("payoff", [0, np.int64(0), np.float32(0.0), np.longdouble(0.0)], ids=repr)
+def test_payoff_matrix_takes_real_payoffs(payoff):
+    matrix = PayoffMatrix((((3.0, 2.0), (payoff, 0.0)), ((0.0, 0.0), (2.0, 3.0))))
+    assert matrix == BOS and matrix.cells[0][1][0] is payoff

@@ -387,6 +387,77 @@ def test_report_from_job_counts_equals_the_per_cell_gather(labels, steps, runs, 
             == gathered_report(results, spec, variant, rmse_method))
 
 
+def per_strategy_report(results, spec, variant, rmse_method):
+    """build_validation_report before the one-pass RMSE: each strategy's run
+    statistics, reference curves and one rmse call per series, in a loop."""
+    validations, all_rmses = [], []
+    for label, job in results.items():
+        cells = payoff_table(job.counts / job.shots, spec.payoff)  # (gamma, run, player)
+        mean, var, half = _run_statistics(np.ascontiguousarray(cells.transpose(0, 2, 1)))
+        refs = qbos.analytical_curves(qbos.Strategy.parse(label), spec.gamma_grid, variant,
+                                      spec.payoff)
+        if rmse_method == "rmse_of_means":
+            rmse_a = rmse(mean[:, 0], refs[:, 0])
+            rmse_b = rmse(mean[:, 1], refs[:, 1])
+        else:
+            runs = cells.shape[1]
+            rmse_a = float(np.mean([rmse(cells[:, r, 0], refs[:, 0]) for r in range(runs)]))
+            rmse_b = float(np.mean([rmse(cells[:, r, 1], refs[:, 1]) for r in range(runs)]))
+        validations.append(stats.StrategyValidation(
+            label, rmse_a, rmse_b, spec.gamma_grid, cells.shape[1],
+            *(tuple(map(tuple, a.tolist())) for a in (mean, var, half))))
+        all_rmses.extend((rmse_a, rmse_b))
+    return stats.ValidationReport(variant, relative_error_percent(min(all_rmses), PAYOFF_SCALE_MAX),
+                                  relative_error_percent(max(all_rmses), PAYOFF_SCALE_MIN),
+                                  tuple(validations))
+
+
+@settings(max_examples=80, deadline=None)
+@given(labels=st.lists(st.sampled_from([s.label for s in CANONICAL_STRATEGIES]),
+                       min_size=1, max_size=4, unique=True),
+       gammas=st.lists(st.floats(0.0, math.pi), min_size=2, max_size=9, unique=True).map(sorted),
+       runs=st.integers(2, 6), shots=st.integers(1, 8192), seed=st.integers(0, 2**32),
+       variant=st.sampled_from(["corrected", "paper"]),
+       rmse_method=st.sampled_from(["rmse_of_means", "mean_of_rmses"]))
+def test_one_pass_report_equals_the_per_strategy_loop(labels, gammas, runs, shots, seed,
+                                                      variant, rmse_method):
+    rng = np.random.default_rng(seed)
+    spec = GameSpec(gamma_grid=gammas)
+    results = {label: JobCounts(rng.multinomial(shots, rng.dirichlet(np.ones(4), (len(gammas), runs))),
+                                spec.gamma_grid, shots)
+               for label in labels}
+    # repr tells every float's bits apart, -0.0 from 0.0 included
+    assert (repr(build_validation_report(results, spec, variant, rmse_method))
+            == repr(per_strategy_report(results, spec, variant, rmse_method)))
+
+
+def test_a_second_report_on_a_grid_evaluates_no_closed_form(monkeypatch):
+    evaluated = []
+
+    def counted(strategy, gamma):
+        evaluated.append(gamma)
+        return closed_form_distribution(strategy, gamma)
+
+    closed_form_distribution = qbos.game._closed_form_distribution
+    monkeypatch.setattr(qbos.game, "_closed_form_distribution", counted)
+    spec = GameSpec(gamma_grid=default_gamma_grid(7))
+    results = {s.label: JobCounts(np.full((7, 2, 4), 5), spec.gamma_grid, 20)
+               for s in CANONICAL_STRATEGIES}
+    first = build_validation_report(results, spec)
+    assert len(evaluated) == 4 * 7
+    assert build_validation_report(results, spec) == first
+    assert len(evaluated) == 4 * 7
+
+
+def test_a_job_keyed_by_a_numpy_angle_strategy_reports():
+    # the label of RY(np.float64(0.5)) once read "RY(np.float64(0.5))", which parse refused
+    label = qbos.Strategy("RY", np.float64(0.5)).label
+    gammas = default_gamma_grid(3)
+    report = build_validation_report({label: JobCounts(np.full((3, 2, 4), 5), gammas, 20)},
+                                     GameSpec(gamma_grid=gammas))
+    assert [sv.strategy for sv in report.strategies] == ["RY(0.5)"]
+
+
 def test_payoff_table_is_the_per_cell_product():
     rng = np.random.default_rng(3)
     freqs = rng.multinomial(100, [0.4, 0.1, 0.2, 0.3], size=(5, 3)) / 100
