@@ -4,10 +4,12 @@ Aggregation follows the experiment protocol: payoffs are derived per run
 from shot counts, averaged across the repeated runs at each entanglement
 angle (Student-t confidence half-widths at the fixed level CONFIDENCE =
 0.95, n-1 degrees of freedom), and RMSE against the closed-form reference
-curves is computed on those per-angle run means.  A report aggregates every
-series in one array pass and takes every RMSE in another, over a contiguous
-angle axis, so each value keeps the bits of its own 1-D call; the reference
-curves come from game.analytical_curves' memo.  Best/worst relative
+curves is computed on those per-angle run means.  One core reports on a
+complete (strategy, gamma, run, player) payoff table, which report_from_cells
+scatters from cells and build_validation_report stacks from jobs.  It
+aggregates every series in one array pass and takes every RMSE in another,
+over a contiguous angle axis, so each value keeps the bits of its own 1-D
+call; the curves come from game.analytical_curves' memo.  Best/worst relative
 errors divide the smallest RMSE entry by the payoff-scale maximum (3) and
 the largest by the scale minimum (1.2) -- a blunt convention, but kept
 because the report mirrors it.
@@ -235,6 +237,24 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _check_complete(found, strategies, gammas, runs) -> None:
+    """Raise SchemaError naming up to 10 missing and 10 duplicate cells of found's counts."""
+    problems = [f"{kind} cells {[(strategies[s], gammas[g], runs[r]) for s, g, r in where[:10]]}"
+                for kind, where in (("missing", np.argwhere(found == 0)),
+                                    ("duplicate", np.argwhere(found > 1)))
+                if len(where)]
+    if problems:
+        raise SchemaError("; ".join(problems))
+
+
+def _check_cells(rmse_method: str, cells: int) -> None:
+    """A report's first checks on its input: a known rmse_method, then some cells."""
+    if rmse_method not in ("rmse_of_means", "mean_of_rmses"):
+        raise ValueError(f"unknown rmse_method {rmse_method!r}")
+    if not cells:
+        raise SchemaError("no cells")
+
+
 def report_from_cells(
     labels: Sequence[str],
     gamma_index: Sequence[int],
@@ -256,10 +276,7 @@ def report_from_cells(
     rmse_method 'rmse_of_means' compares the across-run mean curve with the
     reference; 'mean_of_rmses' averages the per-run RMSEs instead.
     """
-    if rmse_method not in ("rmse_of_means", "mean_of_rmses"):
-        raise ValueError(f"unknown rmse_method {rmse_method!r}")
-    if len(labels) == 0:
-        raise SchemaError("no cells")
+    _check_cells(rmse_method, len(labels))
     strategies = list(dict.fromkeys(labels))
     position = {label: s for s, label in enumerate(strategies)}
     run_values, run_index = np.unique(np.asarray(runs), return_inverse=True)
@@ -269,20 +286,18 @@ def report_from_cells(
         ([position[label] for label in labels], gamma_index, run_index), shape
     )
     found = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
-    problems = [
-        f"{kind} cells {[(strategies[s], gammas[g], run_values[r]) for s, g, r in where[:10]]}"
-        for kind, where in (("missing", np.argwhere(found == 0)),
-                            ("duplicate", np.argwhere(found > 1)))
-        if len(where)
-    ]
-    if problems:
-        raise SchemaError("; ".join(problems))
-    n = shape[2]  # runs per cell
+    _check_complete(found, strategies, gammas, run_values)
+    table = np.empty(shape + (2,))
+    table.reshape(-1, 2)[flat] = payoffs
+    return _report(strategies, table, gammas, variant, payoff, rmse_method)
+
+
+def _report(strategies, table, gammas, variant, payoff, rmse_method) -> ValidationReport:
+    """The report of a complete (strategy, gamma, run, 2) payoff table."""
+    n = table.shape[2]  # runs per cell
     if n < 2:
         raise SchemaError(f"the results hold {n} run per (strategy, gamma) cell; "
                           "validation needs at least 2 runs")
-    table = np.empty(shape + (2,))
-    table.reshape(-1, 2)[flat] = payoffs
     # (strategy, gamma, player, run), contiguous along the runs
     means, variances, halves = _run_statistics(np.ascontiguousarray(table.transpose(0, 1, 3, 2)))
 
@@ -320,24 +335,25 @@ def build_validation_report(
     """Aggregate each strategy label's JobCounts into a validation report.
 
     Job cell (i, run) plays spec.gamma_grid[i] in run `run`, so every job's grid
-    must have as many points as spec.gamma_grid.  Each job's cells come from its
-    count array, one counts / shots division per job, and go to
-    report_from_cells: jobs of different run counts leave cells missing, which
-    raises SchemaError listing them, as does an empty mapping or a report of
-    fewer than 2 runs.
+    must have as many points as spec.gamma_grid.  The jobs' count arrays, one
+    counts / shots division each, stack into one table; a job of no runs holds
+    no cell.  Jobs of different run counts leave cells missing, which raises
+    SchemaError listing them, as does an empty mapping or a report of fewer
+    than 2 runs.
     """
     if not results:
         raise SchemaError("no cells")
-    labels, cells, freqs = [], [], []
     for label, job in results.items():
         if len(job.grid) != len(spec.gamma_grid):
             raise SchemaError(f"the {label} job has {len(job.grid)} gamma points, "
                               f"the spec's grid {len(spec.gamma_grid)}")
-        labels += [label] * len(job)
-        cells.append(np.indices(job.counts.shape[:2]).reshape(2, -1))  # (gamma index, run)
-        # counts / shots: one correctly rounded division per frequency
-        freqs.append(job.counts.reshape(-1, 4) / job.shots)
-    gamma_index, runs = np.concatenate(cells, axis=1)
-    return report_from_cells(labels, gamma_index, runs,
-                             payoff_table(np.concatenate(freqs), spec.payoff),
-                             spec.gamma_grid, variant, spec.payoff, rmse_method)
+    jobs = {label: job for label, job in results.items() if len(job)}
+    _check_cells(rmse_method, len(jobs))
+    runs = [job.counts.shape[1] for job in jobs.values()]
+    if min(runs) != max(runs):  # job s holds the runs below runs[s] of range(max(runs))
+        held = np.arange(max(runs)) < np.array(runs)[:, None, None]
+        _check_complete(held.repeat(len(spec.gamma_grid), axis=1), list(jobs), spec.gamma_grid,
+                        range(max(runs)))
+    freqs = np.stack([job.counts / job.shots for job in jobs.values()])
+    return _report(list(jobs), payoff_table(freqs, spec.payoff), spec.gamma_grid, variant,
+                   spec.payoff, rmse_method)

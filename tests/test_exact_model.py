@@ -6,7 +6,8 @@ expected payoffs of noisy_distributions at about their nominal rate, each
 report RMSE lies near its closed-form prediction from noise_oracles (model
 bias and shot variance), sampled payoffs scatter around the exact payoffs with
 the multinomial variance of propagate_count_error, and a plan that
-select_pairs makes on a drifted calibration keeps its lead over packing.
+select_pairs makes keeps its lead over packing, on a drifted calibration and
+with the crosstalk channel, noise.CROSSTALK_PENALTY, off for both plans.
 """
 
 import functools
@@ -138,3 +139,25 @@ def test_selection_on_a_drifted_calibration_beats_packing(cal_seed):
         fresh = gcm.select_pairs(graph, today, k=31)
         # calibration seeds 0-19: packed / fresh reads 1.76-2.47
         assert model_bias(packed, today, graph.edges) >= 1.5 * model_bias(fresh, today, graph.edges)
+
+
+def calibration_bias(plan, calib):
+    """model_bias from the closed form with the crosstalk channel off for every
+    circuit: the bias that the plan's pairs' calibrated figures alone give."""
+    two_qubit, readout, _ = calib.figures(plan.assignments)
+    dists = np.array([[closed_form_distribution(gamma, a, b, e, ro, 1.0, 0.0)
+                       for gamma, e, ro in zip(GRID, two_qubit, readout)] for a, b in PLAYERS])
+    refs = np.stack([analytical_curves(a, GRID, "corrected") for a, _ in PLAYERS])
+    return float(np.mean(np.sqrt(np.mean((payoff_table(dists, BOS) - refs) ** 2, axis=1))))
+
+
+@pytest.mark.parametrize("cal_seed", range(20))
+def test_selection_leads_packing_without_crosstalk(cal_seed):
+    # criterion 8 runs on a uniform calibration, where only the crosstalk flags
+    # tell the plans apart; here each edge has its own figures and no circuit
+    # pays crosstalk, so the lead is what select_pairs makes of the calibration
+    graph = device.heavy_hex_graph(6)
+    cal = device.synth_calibration(graph, seed=cal_seed, profile="realistic")
+    chosen = gcm.select_pairs(graph, cal, k=31, min_separation=2)
+    # calibration seeds 0-19: 0.678-0.848 (0.475-0.566 with the crosstalk channel on)
+    assert calibration_bias(chosen, cal) <= 0.9 * calibration_bias(gcm.packed_plan(graph, 31), cal)

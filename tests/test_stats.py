@@ -347,6 +347,38 @@ def test_build_report_rejects_no_cells():
         build_validation_report({"I": no_runs}, GameSpec(gamma_grid=gammas))
 
 
+def job_of(runs, steps=2):
+    """A JobCounts of runs runs on the default grid of steps angles."""
+    return JobCounts(np.full((steps, runs, 4), 5), default_gamma_grid(steps), 20)
+
+
+# build_validation_report checks, in this order: an empty mapping, each job's grid
+# length in mapping order, rmse_method, no cells, missing cells, at least 2 runs
+@pytest.mark.parametrize("results, rmse_method, error, message", [
+    pytest.param({}, "bogus", SchemaError, r"no cells", id="empty-before-method"),
+    pytest.param({"I": job_of(0), "H": job_of(2), "RY(pi/4)": job_of(3, steps=3),
+                  "RY(pi)": job_of(2, steps=4)}, "bogus", SchemaError,
+                 r"the RY\(pi/4\) job has 3 gamma points, the spec's grid 2",
+                 id="grid-before-method"),
+    pytest.param({"I": job_of(3), "H": job_of(2)}, "bogus", ValueError,
+                 r"unknown rmse_method 'bogus'", id="method-before-missing"),
+    pytest.param({"I": job_of(0), "H": job_of(0)}, "mean_of_rmses", SchemaError, r"no cells",
+                 id="no-runs"),
+    pytest.param({"I": job_of(2), "H": job_of(0), "RY(pi/4)": job_of(1)}, "rmse_of_means",
+                 SchemaError, r"missing cells \[\('RY\(pi/4\)', 0.0, 1\), "
+                              r"\('RY\(pi/4\)', 3.14\d*, 1\)\]",
+                 id="missing-past-a-shorter-job"),
+    pytest.param({"I": job_of(1), "H": job_of(1)}, "rmse_of_means", SchemaError,
+                 r"the results hold 1 run per \(strategy, gamma\) cell; "
+                 r"validation needs at least 2 runs", id="one-run"),
+])
+def test_build_report_checks_in_order(results, rmse_method, error, message):
+    with pytest.raises(error, match=rf"^{message}$") as raised:
+        build_validation_report(results, GameSpec(gamma_grid=default_gamma_grid(2)),
+                                rmse_method=rmse_method)
+    assert type(raised.value) is error
+
+
 def test_report_from_cells_flags_duplicate_cells():
     # a JobCounts holds each cell once; a results file read by validate may not
     cells = [("I", i, run) for run in range(2) for i in range(2)] + [("I", 1, 0)]
@@ -385,6 +417,32 @@ def test_report_from_job_counts_equals_the_per_cell_gather(labels, steps, runs, 
                for label in labels}
     assert (build_validation_report(results, spec, variant, rmse_method)
             == gathered_report(results, spec, variant, rmse_method))
+
+
+@settings(max_examples=100, deadline=None)
+@given(jobs=st.lists(st.tuples(st.sampled_from([s.label for s in CANONICAL_STRATEGIES]),
+                               st.integers(0, 5), st.integers(1, 8192)),
+                     min_size=1, max_size=4, unique_by=lambda job: job[0]),
+       steps=st.integers(2, 9), seed=st.integers(0, 2**32),
+       variant=st.sampled_from(["corrected", "paper"]),
+       rmse_method=st.sampled_from(["rmse_of_means", "mean_of_rmses"]))
+def test_report_from_jobs_of_any_run_counts_equals_the_per_cell_gather(jobs, steps, seed,
+                                                                       variant, rmse_method):
+    # jobs of 0-5 runs each: a report, or the per-cell path's exception and text
+    rng = np.random.default_rng(seed)
+    spec = GameSpec(gamma_grid=default_gamma_grid(steps))
+    results = {label: JobCounts(rng.multinomial(shots, rng.dirichlet(np.ones(4), (steps, runs))),
+                                spec.gamma_grid, shots)
+               for label, runs, shots in jobs}
+    try:
+        gathered = gathered_report(results, spec, variant, rmse_method)
+    except ValueError as err:  # SchemaError included
+        with pytest.raises(ValueError) as raised:
+            build_validation_report(results, spec, variant, rmse_method)
+        assert (type(raised.value), str(raised.value)) == (type(err), str(err))
+    else:
+        assert (repr(build_validation_report(results, spec, variant, rmse_method))
+                == repr(gathered))
 
 
 def per_strategy_report(results, spec, variant, rmse_method):
