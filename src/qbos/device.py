@@ -272,19 +272,23 @@ def _check_column(column, expected: str, where: str) -> None:
         raise ValueError(f"{where.format(i)} must be {expected}, got {value!r}")
 
 
-def _columns(entries, keys):
-    """(ids, *numbers): the field keys[i] of every entry, if entries is a list
-    of JSON objects that all hold the keys, with numbers in every field after
-    the first; else None.  The first field holds ids, which only
-    CalibrationSnapshot tests, so that a load tests them once."""
+def _gathered(entries, keys) -> tuple | None:
+    """The field keys[i] of every entry as column i, if entries is a list of
+    JSON objects that all hold the (two or more) keys; else None."""
     if type(entries) is not list or not _types(entries) <= {dict}:
         return None
     try:
-        rows = map(operator.itemgetter(*keys), entries)
-        ids, *numbers = tuple(zip(*rows)) or ((),) * len(keys)
+        return tuple(zip(*map(operator.itemgetter(*keys), entries))) or ((),) * len(keys)
     except KeyError:
         return None
-    return (ids, *numbers) if all(map(_COLUMN_CHECKS["a number"], numbers)) else None
+
+
+def _columns(entries, keys):
+    """(ids, *numbers): _gathered(entries, keys) if it holds numbers in every
+    field after the first; else None.  The first field holds ids, which only
+    CalibrationSnapshot tests, so that a load tests them once."""
+    columns = _gathered(entries, keys)
+    return columns if columns and all(map(_COLUMN_CHECKS["a number"], columns[1:])) else None
 
 
 def _raise_first_fault(doc) -> None:

@@ -21,17 +21,18 @@ expression.  Temporaries cost N*N, N*E and E*E bytes (0.33, 0.39 and 0.45 MB
 for 575 qubits and 672 heavy-hex edges), with no N*N*degree array.  The
 conflict relation is exactly "some endpoints closer than the separation", so
 plans equal those of pairwise distance checks.  ``verify_separation`` is an
-independent check that does not use these matrices: it walks one BFS ball
-per plan qubit and looks each ball member up in a qubit -> circuit owner map.
+independent check that uses neither matrix: one breadth-first walk per plan
+qubit, all advanced a hop at a time as array operations over the arcs grouped
+by tail, each reached qubit looked up in a holder array (2 * circuit + position).
 ``packed_plan``, the crowded baseline, is the same greedy pass at separation
 1, in edge order.
 
 Plans serialize as JSON
 ``{"min_separation": s, "assignments": [{"circuit": i, "pair": [a, b]}]}``,
 written directly as the text ``json.dumps(doc, indent=1)`` gives, without
-json's pure-Python indent encoder.  ``load_plan`` checks each field as the
-device-file loaders do, and a plan takes only what it would read back: int
-qubit ids and an int separation.
+json's pure-Python indent encoder.  ``load_plan`` tests the entries' fields a
+column at a time, as the calibration loader does, and a plan takes only what
+it would read back: int qubit ids and an int separation.
 """
 
 from __future__ import annotations
@@ -41,12 +42,15 @@ from itertools import chain
 
 import numpy as np
 
-from .device import CalibrationSnapshot, CouplingGraph, _field, _listed, _load, _write
+from .device import (_COLUMN_CHECKS, CalibrationSnapshot, CouplingGraph, _check_column,
+                     _check_entry, _field, _gathered, _listed, _load, _write)
 
 # score weights of the two-qubit error, the readout-error sum and the inverse-T1 sum (1/us)
 W_2Q, W_RO, W_COH = 1.0, 0.5, 0.1
 DEFAULT_MIN_SEPARATION = 2
 MULTI_START_EDGE_LIMIT = 60  # below this, restart greedy from every forced first edge
+# a plan entry's fields, in the order load_plan checks them
+_PLAN_FIELDS = (("circuit", "an integer"), ("pair", "two integer qubit ids"))
 
 
 class InfeasibleMappingError(ValueError):
@@ -71,18 +75,13 @@ class MappingPlan:
         # load_plan's types, so that every plan that can be built saves and loads
         if type(self.min_separation) is not int:
             raise ValueError(f"min_separation must be an integer, got {self.min_separation!r}")
-        for i, pair in enumerate(self.assignments):
-            if not (type(pair) in (tuple, list) and len(pair) == 2
-                    and type(pair[0]) is int and type(pair[1]) is int):
-                raise ValueError(f"assignments[{i}] must be two integer qubit ids, got {pair!r}")
-        object.__setattr__(
-            self,
-            "assignments",
-            tuple((min(a, b), max(a, b)) for a, b in self.assignments),
-        )
+        pairs = tuple(self.assignments)
+        _check_column(pairs, "two integer qubit ids", "assignments[{}]")
+        object.__setattr__(self, "assignments",
+                           tuple([(a, b) if a < b else (b, a) for a, b in pairs]))
         if self.min_separation < 1:
             raise ValueError("min_separation must be >= 1")
-        used = [q for pair in self.assignments for q in pair]
+        used = list(chain.from_iterable(pairs))
         if len(set(used)) != len(used):
             raise ValueError("assignments reuse a qubit")
 
@@ -104,17 +103,22 @@ class MappingPlan:
 
     @classmethod
     def from_json(cls, doc) -> "MappingPlan":
-        """Parse a plan document; a ValueError names the first bad field."""
-        entries = []
-        for i, e in enumerate(_field(doc, "assignments", "a list")):
-            where = f"assignments[{i}]."
-            entries.append((_field(e, "circuit", "an integer", where),
-                            tuple(_field(e, "pair", "two integer qubit ids", where))))
-        entries.sort()
-        if [circuit for circuit, _ in entries] != list(range(len(entries))):
-            raise ValueError("assignment circuit indices must be 0..k-1")
-        return cls(tuple(pair for _, pair in entries),
-                   _field(doc, "min_separation", "an integer"))
+        """Parse a plan document; a ValueError names the first bad field.  Only a
+        column test that fails walks the entries one by one, to name it."""
+        entries = _field(doc, "assignments", "a list")
+        columns = _gathered(entries, [key for key, _ in _PLAN_FIELDS])
+        try:
+            if not (columns and _COLUMN_CHECKS["an integer"](columns[0])):
+                raise ValueError("an entry without its JSON types")  # the walk names it
+            circuits, pairs = columns
+            order = sorted(range(len(circuits)), key=circuits.__getitem__)
+            if [circuits[i] for i in order] != list(range(len(circuits))):
+                raise ValueError("assignment circuit indices must be 0..k-1")
+            return cls([pairs[i] for i in order], _field(doc, "min_separation", "an integer"))
+        except ValueError:
+            for i, entry in enumerate(entries):  # else no one entry's: a reused qubit, say
+                _check_entry(entry, _PLAN_FIELDS, f"assignments[{i}].")
+            raise
 
 
 def load_plan(path) -> MappingPlan:
@@ -266,50 +270,63 @@ def select_pairs(
 
 
 def verify_separation(plan: MappingPlan, graph: CouplingGraph) -> tuple[bool, str | None]:
-    """Exhaustively re-check the plan's separation with independent BFS walks:
-    one ball per plan qubit, looked up in a map of which circuit owns a qubit.
+    """Exhaustively re-check the plan's separation with independent BFS walks,
+    one per plan qubit, all advanced a hop at a time as array operations.
 
     Returns (True, None) or (False, description of the first violation).
     """
-    from collections import deque
+    n, pairs = graph.num_qubits, plan.assignments
+    flat = list(chain.from_iterable(pairs))
+    tails, heads = _endpoints(graph.edges)
+    # every arc's code tail * n + head, ascending, then n * n, which no arc has
+    arcs = np.append(np.sort(np.concatenate((tails * n + heads, heads * n + tails))), n * n)
+    ends = np.array(flat if flat and 0 <= min(flat) and max(flat) < n else [], dtype=np.intp)
+    codes = ends[0::2] * n + ends[1::2]
+    if len(ends) < len(flat) or (arcs[np.searchsorted(arcs, codes)] != codes).any():
+        for pair in pairs:  # the first bad pair, named
+            for q in pair:
+                if not 0 <= q < n:
+                    return False, f"qubit {q} outside the graph"
+            if pair[0] * n + pair[1] not in arcs:
+                return False, f"pair {pair} is not a coupled edge"
 
-    adj = graph.adjacency()
-    coupled = set(graph.edges)
-    for pair in plan.assignments:
-        for q in pair:
-            if not 0 <= q < graph.num_qubits:
-                return False, f"qubit {q} outside the graph"
-        if tuple(sorted(pair)) not in coupled:
-            return False, f"pair {pair} is not a coupled edge"
-
-    def bfs_within(start: int, radius: int) -> dict[int, int]:
-        seen = {start: 0}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            if seen[u] == radius:
-                continue
-            for v in adj[u]:
-                if v not in seen:
-                    seen[v] = seen[u] + 1
-                    queue.append(v)
-        return seen
-
-    radius = plan.min_separation - 1  # anything reachable this close is too close
-    owner = {q: (i, pos) for i, pair in enumerate(plan.assignments)
-             for pos, q in enumerate(pair)}
-    for i, pair in enumerate(plan.assignments):
-        balls = [bfs_within(a, radius) for a in pair]
-        clashes = [(owner[b][0], pos_a, owner[b][1], b)
-                   for pos_a, ball in enumerate(balls) for b in ball
-                   if owner.get(b, (-1,))[0] > i]
-        if clashes:
-            j, pos_a, _, b = min(clashes)
-            return False, (
-                f"circuits {i} and {j}: qubits {pair[pos_a]} and {b} are "
-                f"{balls[pos_a][b]} apart (< {plan.min_separation})"
-            )
-    return True, None
+    # the arcs grouped by tail: qubit q's neighbours are heads[first[q]:first[q] + degree[q]]
+    tails, heads = np.divmod(arcs[:-1], n)
+    degree = np.bincount(tails, minlength=n)
+    first = np.cumsum(degree) - degree
+    holder = np.full(n, -1, dtype=np.intp)
+    holder[ends] = np.arange(len(ends))
+    seen = np.zeros(len(ends) * n, dtype=bool)  # walk * n + qubit: reached by an earlier hop
+    walk, qubit, hits = np.arange(len(ends)), ends, []
+    for hop in range(plan.min_separation):  # anything reachable this close is too close
+        if hop:
+            start, count = first[qubit], degree[qubit]
+            walk = np.repeat(walk, count)
+            qubit = heads[np.arange(len(walk)) + np.repeat(start - np.cumsum(count) + count, count)]
+        code = walk * n + qubit
+        if hop > 1:  # hop 1 reaches distinct new qubits: no self-loops or repeated edges
+            code = np.sort(code[~seen[code]])
+            code = code[code != np.append(-1, code[:-1])]
+            walk, qubit = np.divmod(code, n)
+        if not len(code):
+            break
+        seen[code] = True
+        owner = holder[qubit]
+        clash = np.flatnonzero(owner >> 1 > walk >> 1)  # held by a later circuit; -1 is none
+        if len(clash):
+            hits.append((walk[clash], owner[clash], qubit[clash], np.full(len(clash), hop)))
+            # walk ascends, so clash[0] is of the first clashing circuit; the
+            # walks of later circuits cannot name the first violation
+            keep = walk >> 1 <= walk[clash[0]] >> 1
+            walk, qubit = walk[keep], qubit[keep]
+    if not hits:
+        return True, None
+    walk, owner, qubit, hop = map(np.concatenate, zip(*hits))
+    # the first by circuit, other circuit, then the two qubits' positions
+    at = np.lexsort((owner & 1, walk & 1, owner >> 1, walk >> 1))[0]
+    (i, pos), j = divmod(int(walk[at]), 2), int(owner[at]) >> 1
+    return False, (f"circuits {i} and {j}: qubits {pairs[i][pos]} and {qubit[at]} are "
+                   f"{hop[at]} apart (< {plan.min_separation})")
 
 
 def plan_score(plan: MappingPlan, calib: CalibrationSnapshot) -> float:
