@@ -270,7 +270,9 @@ def _sweep_rows(cfg: SweepConfig, calib, plan):
     elementwise, so every cell holding a count gets the same frequency bits.
     The six float columns p00..p11, ea and eb of all strategies share one
     repr table: each distinct float, told apart by its bits so that -0.0 and
-    0.0 stay apart, is formatted once.
+    0.0 stay apart, is formatted once.  The label, gamma and run columns, and
+    the analytic pair of each (strategy, circuit), repeat texts formatted once
+    per value, and each line is one join of its row's fields.
     """
     grid = game.default_gamma_grid(cfg.gamma_steps)
     model = noise.NoiseModel(scale=cfg.noise_scale)
@@ -288,16 +290,15 @@ def _sweep_rows(cfg: SweepConfig, calib, plan):
     texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
     columns = texts[index.reshape(-1, 6).T].tolist()  # p00, p01, p10, p11, ea, eb
 
-    # "gamma,run" of every (circuit, run) cell, the same for each strategy;
-    # each gamma is formatted once
-    gamma_runs = [f"{text},{run}" for text in map(repr, grid) for run in range(cfg.runs)]
+    gammas = [text for text in map(repr, grid) for _ in range(cfg.runs)] * len(labels)
+    runs = list(map(str, range(cfg.runs))) * (len(grid) * len(labels))
     curves = [game.analytical_curves(s, grid, cfg.formula_variant) for s in strategies]
     heads, tails = [], []
     for label, curve in zip(labels, curves):
-        heads += [f"{label},{gamma_run}" for gamma_run in gamma_runs]
+        heads += [label] * (len(grid) * cfg.runs)
         for ana_a, ana_b in curve.tolist():
             tails += [f"{ana_a!r},{ana_b!r}"] * cfg.runs
-    lines = list(map(",".join, zip(heads, *columns, tails)))
+    lines = list(map(",".join, zip(heads, gammas, runs, *columns, tails)))
     return labels, payoffs, curves, lines
 
 

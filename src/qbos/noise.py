@@ -53,7 +53,8 @@ import numpy as np
 from .device import CalibrationSnapshot
 from .game import GAMMA_SLACK, GameSpec, Strategy, is_number
 from .gcm import MappingPlan
-from .statevec import OUTCOME_LABELS, ShotCounts, derive_seeds, gate_matrix, sample_cells
+from .statevec import (OUTCOME_LABELS, ShotCounts, check_shots, derive_seeds, gate_matrix,
+                       sample_cells)
 
 CROSSTALK_PENALTY = 0.05        # no published figure exists
 ONE_QUBIT_ERROR_FRACTION = 0.1  # one-qubit error as a fraction of the edge error
@@ -115,10 +116,7 @@ class JobCounts(Sequence):
                              f"got {counts.shape}")
         if counts.dtype.kind not in "iu":
             raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
-        if type(shots) is not int:  # a bool is an int subclass, not an int
-            raise ValueError(f"shots must be an integer, got {shots!r}")
-        if shots < 1:
-            raise ValueError("need at least one shot")
+        check_shots(shots)
         counts = counts.astype(np.int64)  # a copy, which no caller holds
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")

@@ -3,10 +3,10 @@
 The EWL game circuits themselves are evolved by the density-matrix core in
 ``noise``; this module holds what that core and the sweeps build on.
 
-derive_seed mixes integer tags through numpy's SeedSequence into one int.
-derive_seeds gives the Philox key words of every (seed, circuit, run) cell of
-a job as one uint64 array, reproducing SeedSequence bit for bit in one
-vectorised pass per seed word count; derive_seed stays its per-cell reference.
+derive_seed mixes integer tags through numpy's SeedSequence into one int; it is
+the per-cell reference of derive_seeds, which keys every (seed, circuit, run)
+cell of a job at once, bit for bit, over tabled hash constants.  sample_cells
+draws every cell from one reset Philox and joins the draws once.
 
 Basis convention: qubit 0 is the least-significant bit of the basis index,
 so for two qubits the amplitude order is |q1 q0> = |00>, |01>, |10>, |11>
@@ -16,6 +16,7 @@ with index i = q1*2 + q0.  Outcome labels are the binary form of the index
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,6 @@ NORM_TOL = 1e-9
 OUTCOME_LABELS = ("00", "01", "10", "11")
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -48,6 +48,16 @@ def gate_matrix(kind: str, angle: float | None = None) -> np.ndarray:
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
+def check_shots(shots, name: str = "shots") -> None:
+    """Refuse a shot count, called name, that is not an int in numpy's [1, 2**63)."""
+    if type(shots) is not int:  # a bool is an int subclass, not an int
+        raise ValueError(f"{name} must be an integer, got {shots!r}")
+    if shots < 1:
+        raise ValueError("need at least one shot")
+    if shots >= 2**63:
+        raise ValueError(f"{name} must be below 2**63, got {shots}")
+
+
 @dataclass(frozen=True)
 class ShotCounts:
     """Counts per 2-bit outcome label; counts must sum to total_shots."""
@@ -62,10 +72,7 @@ class ShotCounts:
         # noise.JobCounts makes these checks, in these words, for a whole job at once
         if any(type(v) is not int for v in self.counts.values()):  # a bool is not an int
             raise ValueError(f"counts must be integers, got {self.counts!r}")
-        if type(self.total_shots) is not int:
-            raise ValueError(f"total_shots must be an integer, got {self.total_shots!r}")
-        if self.total_shots < 1:
-            raise ValueError("need at least one shot")
+        check_shots(self.total_shots, "total_shots")
         if any(v < 0 for v in self.counts.values()):
             raise ValueError("counts must be non-negative")
         if sum(self.counts.values()) != self.total_shots:
@@ -87,20 +94,20 @@ def _words(n: int) -> list[int]:
     return [(n >> shift) & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
-class _HashMix:
-    """SeedSequence's hashmix over uint32 rows, with its evolving constant; one call
-    hashes ``rows`` rows, or one row ``rows`` times, as that many one-row calls would."""
+@functools.cache
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The first count hash constants init * mult**j mod 2**32 of a SeedSequence
+    family, as the read-only uint32 column that numpy's evolving constant runs through."""
+    column = np.array([init * pow(mult, j, 2**32) & _MASK32 for j in range(count)], np.uint32)
+    column.flags.writeable = False
+    return column[:, None]
 
-    def __init__(self, init: int, mult: int):
-        self.const = init
-        self.mult = mult
 
-    def __call__(self, value: np.ndarray, rows: int) -> np.ndarray:
-        consts = [self.const * pow(self.mult, j, 2**32) & _MASK32 for j in range(rows + 1)]
-        self.const = consts[-1]
-        c = np.array(consts, dtype=np.uint32)[:, None]
-        value = (value ^ c[:-1]) * c[1:]
-        return value ^ (value >> 16)
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of len(consts) - 1 uint32 rows, or of one row that
+    many times: hash j xors with consts[j] and multiplies by consts[j + 1]."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -117,9 +124,9 @@ def derive_seeds(seeds, circuits: int, runs: int) -> np.ndarray:
     32-bit word count sets its cells' entropy layout (its words, i, run), so
     the SeedSequence hash (O'Neill's seed_seq, pool size 4) runs once per word
     count on uint32 (entropy word, cell) rows, bit for bit as numpy runs it on
-    one cell: its Python-int constants evolve alike for every cell, and uint32
-    arithmetic wraps modulo 2**32 as the C code does.  circuits and runs must
-    each fit one word.
+    one cell: every cell takes the same run of hash constants, tabled by
+    _hash_constants, and uint32 arithmetic wraps modulo 2**32 as the C code
+    does.  circuits and runs must each fit one word.
     """
     seeds = [int(seed) for seed in seeds]
     groups: dict[int, list[int]] = {}
@@ -133,22 +140,24 @@ def derive_seeds(seeds, circuits: int, runs: int) -> np.ndarray:
     out = np.empty((len(seeds), circuits, runs, 2), dtype=np.uint64)
     for size, rows in groups.items():
         # entropy words over the (seed, i, run) cells, zero rows padding the pool
-        entropy = np.zeros((max(size + 2, _POOL_SIZE), len(rows), circuits, runs), np.uint32)
+        entropy = np.zeros((max(size + 2, 4), len(rows), circuits, runs), np.uint32)
         entropy[:size] = np.array([_words(seeds[s]) for s in rows]).T[:, :, None, None]
         entropy[size] = np.arange(circuits)[:, None]
         entropy[size + 1] = np.arange(runs)
         entropy = entropy.reshape(len(entropy), -1)
 
-        hashmix = _HashMix(_INIT_A, _MULT_A)
-        pool = hashmix(entropy[:_POOL_SIZE], _POOL_SIZE)
-        for src in range(_POOL_SIZE):  # late words reach earlier ones
-            dst = [d for d in range(_POOL_SIZE) if d != src]
-            pool[dst] = _mix(pool[dst], hashmix(pool[src], _POOL_SIZE - 1))
-        for word in entropy[_POOL_SIZE:]:
-            pool = _mix(pool, hashmix(word, _POOL_SIZE))
+        # hash h takes constants h and h + 1: hashes 0-3 fill the pool, 4-15 mix
+        # it, and word j >= 4 takes hashes 4j to 4j + 3
+        consts = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy) + 1)
+        pool = _hashmix(entropy[:4], consts[:5])
+        for src in range(4):  # late words reach earlier ones
+            dst = [d for d in range(4) if d != src]
+            pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[3 * src + 4:3 * src + 8]))
+        for j, word in enumerate(entropy[4:], start=4):
+            pool = _mix(pool, _hashmix(word, consts[4 * j:4 * j + 5]))
 
         # generate_state(2, uint64): four output words, low word first
-        w = _HashMix(_INIT_B, _MULT_B)(pool, _POOL_SIZE).astype(np.uint64)
+        w = _hashmix(pool, _hash_constants(_INIT_B, _MULT_B, 5)).astype(np.uint64)
         keys = w[0::2] | w[1::2] << np.uint64(32)
         out[rows] = keys.T.reshape(len(rows), circuits, runs, 2)
     return out
@@ -165,10 +174,12 @@ def sample_cells(probs, shots: int, keys) -> np.ndarray:
 
     Every cell is drawn from one Philox/Generator pair whose state is reset
     before the draw to that of a freshly keyed Philox (counter 0, the key,
-    an empty buffer, no cached 32-bit half).  Constructing a Philox costs
-    several draws, as it gathers OS entropy for a seed sequence that a keyed
-    generator never uses.
+    an empty buffer, no cached 32-bit half): constructing a Philox costs
+    several draws, as it gathers OS entropy that a keyed generator never
+    uses.  The draws are joined once, after the last, as a store per cell
+    costs about as much as the reset.  shots is refused first, by check_shots.
     """
+    check_shots(shots)
     p = np.asarray(probs, dtype=float)
     if p.ndim != 2 or p.shape[1] != 4:
         raise ValueError(f"expected 4-outcome distributions, got shape {p.shape}")
@@ -181,8 +192,6 @@ def sample_cells(probs, shots: int, keys) -> np.ndarray:
         if negative[g]:
             raise ValueError("probabilities must be non-negative")
         raise ValueError(f"probabilities sum to {float(sums[g])!r}, must be 1 within {NORM_TOL}")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     clipped = np.clip(p, 0.0, None)
     dists = clipped / clipped.sum(axis=1, keepdims=True)  # guard float drift
 
@@ -196,10 +205,11 @@ def sample_cells(probs, shots: int, keys) -> np.ndarray:
         "has_uint32": 0,
         "uinteger": 0,
     }
-    out = np.empty(keys.shape[:2] + (4,), dtype=np.int64)
-    for g, (dist, row) in enumerate(zip(dists, keys.tolist())):
-        for r, key in enumerate(row):
+    draws = []
+    for dist, row in zip(dists, keys.tolist()):
+        for key in row:
             fresh["state"]["key"] = key
             bitgen.state = fresh
-            out[g, r] = gen.multinomial(shots, dist)
-    return out
+            draws.append(gen.multinomial(shots, dist))
+    # a grid of no cells has no draws to join
+    return np.concatenate(draws or [np.empty(0, np.int64)]).reshape(keys.shape[:2] + (4,))

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbos import device, gcm, noise
+from qbos import device, game, gcm, noise
 from qbos.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -22,6 +22,7 @@ from qbos.cli import (
     EXIT_SCHEMA,
     SweepConfig,
     _plain_columns,
+    _sweep_rows,
     main,
     parse_matrix,
 )
@@ -313,6 +314,46 @@ def test_strategy_subset_rows_match_the_full_sweep(seed, runs, shots, steps, str
         kept = [row for row in rows if row.split(b",", 1)[0].decode() in strategies]
         assert part.read_bytes().split(b"\r\n") == [header, *kept, end]
     assert len(kept) == steps * runs * len(strategies)
+
+
+ORACLE_GRAPH = device.heavy_hex_graph(6)
+ORACLE_CAL = device.synth_calibration(ORACLE_GRAPH, seed=11, profile="realistic")
+ORACLE_PAYOFF = game.PayoffMatrix.battle_of_sexes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    strategies=st.permutations(LABELS).flatmap(
+        lambda order: st.integers(1, 4).map(lambda n: order[:n])),
+    steps=st.integers(2, 8),
+    runs=st.integers(1, 6),
+    shots=st.integers(1, 5000),
+    variant=st.sampled_from(["paper", "corrected"]),
+    seed=st.integers(0, 2**32),
+)
+def test_sweep_rows_equal_a_per_row_oracle(strategies, steps, runs, shots, variant, seed):
+    # each row joined from its own cell's counts, payoffs and curve values
+    cfg = SweepConfig(seed=seed, runs=runs, shots=shots, gamma_steps=steps,
+                      strategies=tuple(strategies), formula_variant=variant)
+    plan = gcm.select_pairs(ORACLE_GRAPH, ORACLE_CAL, steps, cfg.min_separation)
+    grid = default_gamma_grid(steps)
+    expected = []
+    for index, strategy in enumerate(CANONICAL_STRATEGIES):
+        if strategy.label not in strategies:
+            continue
+        counts = noise.job_counts(plan, grid, [(strategy, strategy)], ORACLE_CAL,
+                                  noise.NoiseModel(scale=cfg.noise_scale), shots, runs,
+                                  [derive_seed(seed, index)])[0]
+        curve = game.analytical_curves(strategy, grid, variant)
+        for i, gamma in enumerate(grid):
+            ana_a, ana_b = curve[i].tolist()
+            for run in range(runs):
+                freqs = counts[i, run] / shots
+                ea, eb = game.payoff_table(freqs, ORACLE_PAYOFF).tolist()
+                expected.append(",".join([strategy.label, repr(gamma), str(run),
+                                          *map(repr, [*freqs.tolist(), ea, eb]),
+                                          repr(ana_a), repr(ana_b)]))
+    assert _sweep_rows(cfg, ORACLE_CAL, plan)[3] == expected
 
 
 @given(st.lists(st.text(alphabet='IHRYrypi(/4) ,"\r\n\t', max_size=12), min_size=1, max_size=4))

@@ -489,15 +489,28 @@ WRAPS = [[[2**62, 2**62, 2**62, 2**62 + 1]]]  # an int64 row sum wraps to 1
     ([[[1, 1, 1, 1]]], (0.0,), 4.0, "shots must be an integer, got 4.0"),
     ([[[1, 0, 0, 0]]], (0.0,), True, "shots must be an integer, got True"),
     ([[[0, 0, 0, 0]]], (0.0,), 0, "need at least one shot"),
+    ([[[2**62, 2**62, 0, 0]]], (0.0,), 2**63, r"shots must be below 2\*\*63"),
     ([[[5, -1, 0, 0]]], (0.0,), 4, "counts must be non-negative"),
     (np.array([[[2**64 - 1, 0, 0, 2]]], np.uint64), (0.0,), 1, "counts must be non-negative"),
     ([[[1, 1, 1, 0]], [[1, 1, 1, 1]]], (0.0, 1.0), 4, "counts must sum to shots"),
     (WRAPS, (0.0,), 1, "counts must sum to shots"),
 ], ids=["last-axis", "grid-length", "2-d", "float", "bool", "float-shots", "bool-shots",
-        "no-shots", "negative", "uint64-wraps-negative", "short-row", "int64-sum-wraps"])
+        "no-shots", "shots-past-int64", "negative", "uint64-wraps-negative", "short-row", "int64-sum-wraps"])
 def test_job_counts_refuses_what_shot_counts_refuses(counts, grid, shots, message):
     with pytest.raises(ValueError, match=message):
         JobCounts(counts, grid, shots)
+
+
+@pytest.mark.parametrize("shots, message", [
+    (2.5, "shots must be an integer, got 2.5"),
+    (True, "shots must be an integer, got True"),
+    (2**63, r"shots must be below 2\*\*63, got 9223372036854775808"),
+    (2**64, r"shots must be below 2\*\*63, got 18446744073709551616"),
+], ids=["float", "bool", "2**63", "2**64"])
+def test_simulate_job_refuses_shots_before_sampling(shots, message):
+    plan = select_pairs(MEMO_GRAPH, MEMO_CAL, k=3)
+    with pytest.raises(ValueError, match=message):
+        simulate_job(plan, spec_for(STRATEGY_I, 3), MEMO_CAL, NoiseModel(), shots, 2, 0)
 
 
 def test_job_counts_keeps_its_own_read_only_copy():

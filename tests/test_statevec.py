@@ -242,6 +242,39 @@ def test_sample_cells_rejects_misshapen_keys():
             sample_cells(probs, 10, np.zeros(shape, dtype=np.uint64))
 
 
+@pytest.mark.parametrize("shots, message", [
+    (2.5, "shots must be an integer, got 2.5"),
+    (True, "shots must be an integer, got True"),
+    (0, "need at least one shot"),
+    (2**63, r"shots must be below 2\*\*63, got 9223372036854775808"),
+    (2**64, r"shots must be below 2\*\*63, got 18446744073709551616"),
+], ids=["float", "bool", "zero", "2**63", "2**64"])
+def test_sample_cells_refuses_shots_up_front(shots, message):
+    # numpy would draw 2 shots for 2.5 and 1 for True, and overflow past int64
+    with pytest.raises(ValueError, match=message):
+        sample_cells(np.full((1, 4), 0.25), shots, np.zeros((1, 1, 2), dtype=np.uint64))
+    with pytest.raises(ValueError, match=message):  # before the arrays are read
+        sample_cells(None, shots, None)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 2)], ids=["no-rows", "no-runs"])
+def test_sample_cells_of_no_cells(shape):
+    drawn = sample_cells(np.full((shape[0], 4), 0.25), 5, np.zeros(shape, dtype=np.uint64))
+    assert drawn.shape == shape[:2] + (4,) and drawn.dtype == np.int64
+
+
+@pytest.mark.parametrize("init, mult", [
+    (statevec._INIT_A, statevec._MULT_A), (statevec._INIT_B, statevec._MULT_B),
+], ids=["entropy-hash", "output-hash"])
+def test_hash_constants_are_a_read_only_table(init, mult):
+    column = statevec._hash_constants(init, mult, 41)
+    assert column.dtype == np.uint32 and column.shape == (41, 1)
+    assert column[:, 0].tolist() == [init * pow(mult, j, 2**32) & 0xFFFFFFFF for j in range(41)]
+    assert statevec._hash_constants(init, mult, 41) is column
+    with pytest.raises(ValueError, match="read-only"):
+        column[0] = 0
+
+
 def test_shot_counts_invariants():
     with pytest.raises(ValueError):
         ShotCounts({"00": 3, "0x": 1}, 4)
@@ -258,8 +291,9 @@ def test_shot_counts_invariants():
     ({"00": 4}, 4.0, "total_shots must be an integer, got 4.0"),
     ({"00": 1}, True, "total_shots must be an integer, got True"),
     ({"00": 4}, np.int64(4), "total_shots must be an integer, got np.int64"),
+    ({"00": 2**63}, 2**63, r"total_shots must be below 2\*\*63, got 9223372036854775808"),
 ], ids=["float-counts", "bool-counts-and-total", "numpy-count", "float-total", "bool-total",
-        "numpy-total"])
+        "numpy-total", "total-past-int64"])
 def test_shot_counts_take_only_int_counts_and_total(counts, total, message):
     # the words of noise.JobCounts' check of a whole job
     with pytest.raises(ValueError, match=message):
