@@ -8,22 +8,27 @@ swap-based local search; optimality is not claimed, but on small instances
 the result is checked against exhaustive search in the test suite.
 
 Separation is decided once per ``select_pairs`` or ``packed_plan`` call, as
-array operations on contiguous rows: a boolean qubit x qubit ``near`` matrix
-(closer than the separation) is the identity plus one scatter of the edges'
-index arrays for the first hop, which at the default separation 2 is the
-whole table; each later hop ORs in its own rows at each slot of a padded
-neighbour table, built only for those hops.  From it a qubit x edge "too
-close" table and then one boolean edge x edge conflict matrix are gathered by
-rows (``near`` is symmetric: its rows are its columns).  Greedy passes OR
-chosen edges' rows into a blocked mask; the swap search counts each edge's
-conflicts with the chosen set and tests a round's chosen pairs in one
-expression.  Temporaries cost N*N, N*E and E*E bytes (0.33, 0.39 and 0.45 MB
-for 575 qubits and 672 heavy-hex edges), with no N*N*degree array.  The
-conflict relation is exactly "some endpoints closer than the separation", so
-plans equal those of pairwise distance checks.  ``verify_separation`` is an
-independent check that uses neither matrix: one breadth-first walk per plan
-qubit, all advanced a hop at a time as array operations over the arcs grouped
-by tail, each reached qubit looked up in a holder array (2 * circuit + position).
+array operations on flat index arrays.  The edges' endpoints are slots (slot t
+is edge t >> 1 at one qubit), grouped by qubit once; the grouping gives each
+qubit's incident edges and, through each slot's other end, its neighbours.
+The (edge, qubit closer than the separation) pairs start as every edge's
+endpoints and take one hop through the neighbours per step: at the default
+separation 2 that one hop also reaches the endpoints, and above it each step
+is deduplicated by one sort.  Each pair fans out to its qubit's incident
+edges, and the (edge, edge) codes are scattered into one boolean edge x edge
+conflict matrix; the scatter is idempotent, so repeats need no dedupe.  For
+575 qubits and 672 heavy-hex edges at separation 2 that is 3,274 pairs and
+7,716 codes, int64 arrays of at most 62 kB beside the 0.45 MB matrix, and no
+qubit x qubit or qubit x edge table at any separation; the pairs grow with
+the separation (21,018 pairs and 49,672 codes at separation 6).  Greedy
+passes OR chosen edges' rows into a blocked mask; the swap search counts each
+edge's conflicts with the chosen set and tests a round's chosen pairs in one
+expression.  The conflict relation is exactly "some endpoints closer than the
+separation", so plans equal those of pairwise distance checks.
+``verify_separation`` is an independent check that uses no conflict matrix:
+one breadth-first walk per plan qubit, all advanced a hop at a time as the
+same fan-out over the same slot grouping, each reached qubit looked up in a
+holder array (2 * circuit + position).
 ``packed_plan``, the crowded baseline, is the same greedy pass at separation
 1, in edge order.
 
@@ -134,52 +139,48 @@ def edge_scores(edges, calib: CalibrationSnapshot) -> np.ndarray:
             + W_COH * (1.0 / t1[:, 0] + 1.0 / t1[:, 1]))
 
 
-def _endpoints(edges) -> tuple[np.ndarray, np.ndarray]:
-    """The index arrays (a, b) of a sequence of qubit pairs, from one np.fromiter."""
-    flat = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges))
-    return flat[0::2], flat[1::2]
+def _slots(edges, n: int):
+    """The endpoints of ``edges`` as slots grouped by qubit: slot t is edge t >> 1
+    at qubit ends[t], and qubit q's slots are order[first[q]:first[q] + degree[q]].
+    Returns (ends, order, first, degree), from one np.fromiter."""
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges))
+    degree = np.bincount(ends, minlength=n)
+    return ends, ends.argsort(kind="stable"), degree.cumsum() - degree, degree
 
 
-def _near(graph: CouplingGraph, min_separation: int) -> np.ndarray:
-    """Boolean qubit x qubit matrix: True where two qubits are closer than
-    ``radius = max(min_separation, 1)`` hops.  Qubits in different components
-    are never near.  The identity, the edges scattered in as the first hop,
-    then one hop per pass."""
-    radius = max(min_separation, 1)
-    near = np.eye(graph.num_qubits, dtype=bool)
-    if radius == 1:
-        return near
-    a, b = _endpoints(graph.edges)
-    near[a, b] = True
-    near[b, a] = True
-    if radius == 2:
-        return near
-    adj = graph.adjacency()
-    # neighbour table padded with the qubit itself, so padding adds nothing
-    width = max(1, max(len(nbrs) for nbrs in adj))
-    nbrs = np.array([nb + [q] * (width - len(nb)) for q, nb in enumerate(adj)],
-                    dtype=np.intp)
-    for _ in range(radius - 2):
-        # within r, or r from a neighbour: near is symmetric, so row q of
-        # near[column] marks the qubits within r of q's neighbour in that slot
-        grown = near.copy()
-        for column in nbrs.T:
-            grown |= near[column]
-        if np.array_equal(grown, near):
-            break  # every component is covered already
-        near = grown
-    return near
+def _fan(first, degree, heads, tag, tail):
+    """(tag, head) for each (tag, tail) pair and each head grouped under its tail:
+    tail t's heads are heads[first[t]:first[t] + degree[t]]."""
+    count = degree[tail]
+    start = (first[tail] - count.cumsum() + count).repeat(count)
+    return tag.repeat(count), heads[np.arange(len(start)) + start]
 
 
-def _conflict_matrix(near: np.ndarray, edges) -> np.ndarray:
-    """Boolean edge x edge matrix over ``edges``, in their order: True where two
-    edges have endpoints that are ``near``, so also where they share a qubit.
-    Every edge conflicts with itself."""
-    a, b = _endpoints(edges)
-    # qubit x edge: qubits too close to the edge, near[:, a] | near[:, b], built
-    # from row gathers and one transposing copy, since near is symmetric
-    close = (near[a] | near[b]).T.copy()
-    return close[a] | close[b]  # row i: edges too close to edge i's endpoints
+def _conflict_matrix(graph: CouplingGraph, edges, min_separation: int) -> np.ndarray:
+    """Boolean edge x edge matrix over ``edges``, the graph's edges in any order
+    and orientation: True where two edges have endpoints closer than
+    ``max(min_separation, 1)`` hops, so also where they share a qubit.  Every
+    edge conflicts with itself.  The (edge, qubit that close) pairs start as
+    the endpoints and take a hop through the arcs per step, deduplicated when
+    there are two steps or more; each fans out to its qubit's incident edges
+    and is scattered in."""
+    n, m = graph.num_qubits, len(edges)
+    ends, order, first, degree = _slots(edges, n)
+    edge, qubit, count = np.arange(2 * m) >> 1, ends, 2 * m  # closer than one hop
+    for _ in range(min_separation - 1):  # then one hop further
+        # the arcs grouped by tail: slot order ^ 1 is the other end of slot order's edge
+        edge, qubit = _fan(first, degree, ends[order ^ 1], edge, qubit)
+        if min_separation > 2:  # distinct pairs fan out; none new: every component is covered
+            code = np.sort(edge * n + qubit)  # not np.unique, whose hash table is slower
+            code = code[code != np.append(-1, code[:-1])]
+            if len(code) == count:
+                break
+            edge, qubit = np.divmod(code, n)
+            count = len(code)
+    i, j = _fan(first, degree, order >> 1, edge, qubit)  # edge j has an endpoint at qubit
+    conflict = np.zeros(m * m, dtype=bool)
+    conflict[i * m + j] = True  # idempotent: repeated pairs need no dedupe
+    return conflict.reshape(m, m)
 
 
 def _greedy(conflict: np.ndarray, order, k: int) -> list[int]:
@@ -226,7 +227,7 @@ def select_pairs(
     edges, ascending, lexicographic = _rank(graph, calib)
     scores = ascending.tolist()
     # rows and columns follow the ranking, so a rank is also an index
-    conflict = _conflict_matrix(_near(graph, min_separation), edges)
+    conflict = _conflict_matrix(graph, edges, min_separation)
 
     # the pure score order can paint itself into a corner, so also restart
     # from each edge as a forced first pick (small graphs) and from plain
@@ -277,9 +278,11 @@ def verify_separation(plan: MappingPlan, graph: CouplingGraph) -> tuple[bool, st
     """
     n, pairs = graph.num_qubits, plan.assignments
     flat = list(chain.from_iterable(pairs))
-    tails, heads = _endpoints(graph.edges)
+    tails, order, first, degree = _slots(graph.edges, n)
+    # the arcs grouped by tail: qubit q's neighbours are heads[first[q]:first[q] + degree[q]];
     # every arc's code tail * n + head, ascending, then n * n, which no arc has
-    arcs = np.append(np.sort(np.concatenate((tails * n + heads, heads * n + tails))), n * n)
+    heads = tails[order ^ 1]
+    arcs = np.append(np.sort(tails[order] * n + heads), n * n)
     ends = np.array(flat if flat and 0 <= min(flat) and max(flat) < n else [], dtype=np.intp)
     codes = ends[0::2] * n + ends[1::2]
     if len(ends) < len(flat) or (arcs[np.searchsorted(arcs, codes)] != codes).any():
@@ -290,19 +293,13 @@ def verify_separation(plan: MappingPlan, graph: CouplingGraph) -> tuple[bool, st
             if pair[0] * n + pair[1] not in arcs:
                 return False, f"pair {pair} is not a coupled edge"
 
-    # the arcs grouped by tail: qubit q's neighbours are heads[first[q]:first[q] + degree[q]]
-    tails, heads = np.divmod(arcs[:-1], n)
-    degree = np.bincount(tails, minlength=n)
-    first = np.cumsum(degree) - degree
     holder = np.full(n, -1, dtype=np.intp)
     holder[ends] = np.arange(len(ends))
     seen = np.zeros(len(ends) * n, dtype=bool)  # walk * n + qubit: reached by an earlier hop
     walk, qubit, hits = np.arange(len(ends)), ends, []
     for hop in range(plan.min_separation):  # anything reachable this close is too close
         if hop:
-            start, count = first[qubit], degree[qubit]
-            walk = np.repeat(walk, count)
-            qubit = heads[np.arange(len(walk)) + np.repeat(start - np.cumsum(count) + count, count)]
+            walk, qubit = _fan(first, degree, heads, walk, qubit)
         code = walk * n + qubit
         if hop > 1:  # hop 1 reaches distinct new qubits: no self-loops or repeated edges
             code = np.sort(code[~seen[code]])
@@ -344,7 +341,7 @@ def packed_plan(graph: CouplingGraph, k: int) -> MappingPlan:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    chosen = _greedy(_conflict_matrix(_near(graph, 1), graph.edges), range(len(graph.edges)), k)
+    chosen = _greedy(_conflict_matrix(graph, graph.edges, 1), range(len(graph.edges)), k)
     if len(chosen) < k:
         raise InfeasibleMappingError(k, len(chosen))
     return MappingPlan(tuple(graph.edges[r] for r in chosen), min_separation=1)

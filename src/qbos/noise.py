@@ -318,6 +318,7 @@ def job_counts(
     if len(plan.assignments) != len(grid):
         raise ValueError(f"plan has {len(plan.assignments)} pairs but the gamma grid has "
                          f"{len(grid)} points")
+    check_shots(shots)  # before any circuit evolves
     two_qubit, readout, _ = calib.figures(plan.assignments)
     distributions = noisy_distributions(grid, players, two_qubit, readout, model,
                                         crosstalk_flags(plan, calib.pairs))

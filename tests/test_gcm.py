@@ -3,8 +3,10 @@
 import functools
 import itertools
 import json
+import re
 import time
 import timeit
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,7 +34,6 @@ from qbos.gcm import (
     InfeasibleMappingError,
     _conflict_matrix,
     _greedy,
-    _near,
     _rank,
     MappingPlan,
     edge_scores,
@@ -130,7 +131,7 @@ def test_conflict_matrix_matches_floyd_warshall(graph_factory):
     g = graph_factory()
     d = floyd_warshall(g)
     for min_sep in range(5):
-        conflict = _conflict_matrix(_near(g, min_sep), g.edges)
+        conflict = _conflict_matrix(g, g.edges, min_sep)
         assert conflict.shape == (len(g.edges), len(g.edges))
         for i, e1 in enumerate(g.edges):
             for j, e2 in enumerate(g.edges):
@@ -141,15 +142,21 @@ def test_conflict_matrix_matches_floyd_warshall(graph_factory):
 @ORACLE_GRAPHS
 @pytest.mark.parametrize("min_sep", range(6))
 def test_near_matches_floyd_warshall(graph_factory, min_sep):
-    # every cell, the diagonal of full-degree qubits included, not only the
-    # cells the edge conflict matrix happens to read
+    # verify_separation's walk judges which qubits are near, closer than the
+    # separation, apart from the conflict matrix: every plan of two disjoint
+    # edges, and the two qubits and the distance a violation names
     g = graph_factory()
     d = floyd_warshall(g)
-    near = _near(g, min_sep)
-    assert near.shape == (g.num_qubits, g.num_qubits)
-    for p in range(g.num_qubits):
-        for q in range(g.num_qubits):
-            assert near[p, q] == (d[p][q] < max(min_sep, 1)), (p, q)
+    reach = max(min_sep, 1)
+    for e1, e2 in itertools.combinations(g.edges, 2):
+        if set(e1) & set(e2):
+            continue
+        ok, message = verify_separation(MappingPlan((e1, e2), reach), g)
+        assert ok == separated(d, e1, e2, min_sep), (e1, e2)
+        if not ok:
+            a, b, hops = map(int, re.search(r"qubits (\d+) and (\d+) are (\d+) apart",
+                                            message).groups())
+            assert a in e1 and b in e2 and d[a][b] == hops < reach, message
 
 
 @st.composite
@@ -179,17 +186,31 @@ HUB_AND_PATH = CouplingGraph(12, tuple((0, q) for q in range(1, 7)) + ((7, 8), (
 @settings(max_examples=150, deadline=None)
 @given(separation_tables())
 @example((HUB_AND_PATH, list(reversed(HUB_AND_PATH.edges)), 3))
-def test_near_and_conflict_match_bfs_on_random_graphs(case):
-    # the row gathers of both kernels rely on near being symmetric, and on the
-    # self-padding of the neighbour table adding nothing at any degree
+def test_conflict_matches_bfs_on_random_graphs(case):
+    # the builder's slot grouping, hop fan-out and deduplication at any degree,
+    # edge order and orientation
     graph, order, min_sep = case
     reach = max(min_sep, 1)
     dist = [bfs_distances(graph, q) for q in range(graph.num_qubits)]
-    near = _near(graph, min_sep)
-    assert near.tolist() == [[0 <= d < reach for d in row] for row in dist]
-    assert _conflict_matrix(near, order).tolist() == [
+    assert _conflict_matrix(graph, order, min_sep).tolist() == [
         [any(0 <= dist[p][q] < reach for p in e1 for q in e2) for e2 in order]
         for e1 in order]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_select_pairs_allocates_no_qubit_tables(seed):
+    # 575 qubits and 672 edges: the edge x edge matrix alone is 441 KiB, and a
+    # qubit x qubit (323 KiB) or qubit x edge (377 KiB) table beside it breaks
+    # the bound
+    graph = heavy_hex_graph(14)
+    calib = synth_calibration(graph, seed=seed)
+    tracemalloc.start()
+    try:
+        select_pairs(graph, calib, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1250 * 1024, peak
 
 
 # --- scoring -------------------------------------------------------------------
@@ -841,7 +862,9 @@ def pair_loop_select(graph, calib, k, min_sep):
     ranked = sorted(zip(edge_scores(graph.edges, calib).tolist(), graph.edges))
     scores = [score for score, _ in ranked]
     edges = [e for _, e in ranked]
-    conflict = _conflict_matrix(_near(graph, min_sep), edges)
+    dist = [bfs_distances(graph, q) for q in range(graph.num_qubits)]
+    conflict = np.array([[any(0 <= dist[p][q] < min_sep for p in e1 for q in e2)
+                          for e2 in edges] for e1 in edges])
     positions = list(range(len(edges)))
     orders = [positions, sorted(positions, key=edges.__getitem__)]
     if len(edges) <= MULTI_START_EDGE_LIMIT:

@@ -4,8 +4,10 @@ The SHA-256 values below are byte-identity gates: the sweep and job digests
 were taken from the per-circuit, per-cell implementation that the batched
 density-matrix evolution and the reset-state sampler replaced, and the map
 digests pin the plans ``qbos map --synth`` writes for seeds 0..9, the
-100-pair plans ``qbos map`` writes from files for a 575-qubit device and one
-200-pair ``select_pairs`` plan on a 1,121-qubit device.  The
+100-pair plans ``qbos map`` writes from files for a 575-qubit device, one
+200-pair ``select_pairs`` plan on a 1,121-qubit device, ``select_pairs`` plans
+at separations 1, 3 and 4 on the 127-qubit device and one 100-pair
+``packed_plan`` on the 575-qubit device.  The
 report digests were taken from the nested-dict report builders that the
 cell-table builder ``stats.report_from_cells`` replaced.  The calibration
 digests were taken from the per-qubit scalar draws that the array draws of
@@ -206,6 +208,44 @@ def test_select_pairs_1121_qubit_plan_digest():
     plan = gcm.select_pairs(graph, device.synth_calibration(graph, seed=4), k=200)
     assert sha256(json.dumps(plan.to_json()).encode()) == (
         "1b6de27379702a09e217de9f62b252da92d5bc3fdb7a3159a61b0ab26a0f04a5")
+
+
+# separation -> (pairs placed: 31, or the most that separation places, and the
+# plan digests of calibration seeds 0..2 on heavy_hex_graph(6)); separations
+# above 2 take the conflict builder's hop steps, separation 1 none
+SEPARATION_PLAN_DIGESTS = {
+    1: (31, ["b3a64d7410e22d9af86846c568f93bb83c90b835a5cf014bf6c897c03d68b426",
+             "a0d4bf784d2cc224b914f0d2ed4ce073af97a643134d2acff23858cc187e38e9",
+             "1d34f500efd26c2bf71c812ff35cc006d58a20705d4d62d3c395bd3e3aa567c9"]),
+    3: (27, ["22b742b28a4e8e4b0073b2204fc564f7f7b951d270eaaf450d4af85fae67608f",
+             "ee2dd6f711f6f68f6201dba03144c3dd024217ae5016805550447c3ca7a4b3d0",
+             "b28b8a318619abf03b88562e272fb015fe8b78816f720d98fd128a1686656458"]),
+    4: (19, ["4e30a76f4fd3b7d1afc5fa1884c574a5fdb12b227c7408694c30c453d920d72b",
+             "1c52bbf283505bd2b100229de68f61cfaf57eb74a6d639cf0232ad278dd74e53",
+             "dee1eb8718bb051b11858e2e7e18f5fa95157d7bd1349508dba40f22600b057f"]),
+}
+
+
+@pytest.mark.parametrize("separation", sorted(SEPARATION_PLAN_DIGESTS))
+def test_select_pairs_plan_digests_at_other_separations(separation):
+    graph = device.heavy_hex_graph(6)
+    k, digests = SEPARATION_PLAN_DIGESTS[separation]
+    written = []
+    for seed in range(3):
+        calib = device.synth_calibration(graph, seed=seed)
+        if k < 31:
+            with pytest.raises(gcm.InfeasibleMappingError) as exc:
+                gcm.select_pairs(graph, calib, 31, separation)
+            assert exc.value.achievable == k
+        plan = gcm.select_pairs(graph, calib, k, separation)
+        written.append(sha256(json.dumps(plan.to_json()).encode()))
+    assert written == digests
+
+
+def test_packed_plan_575_qubit_digest():
+    plan = gcm.packed_plan(device.heavy_hex_graph(14), 100)
+    assert sha256(json.dumps(plan.to_json()).encode()) == (
+        "327483c9fccb723a30a202ed83d88e207b65f6840b41ede9bf42c2a35c0e39bf")
 
 
 # --- synthetic calibrations -----------------------------------------------------------

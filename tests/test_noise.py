@@ -507,10 +507,25 @@ def test_job_counts_refuses_what_shot_counts_refuses(counts, grid, shots, messag
     (2**63, r"shots must be below 2\*\*63, got 9223372036854775808"),
     (2**64, r"shots must be below 2\*\*63, got 18446744073709551616"),
 ], ids=["float", "bool", "2**63", "2**64"])
-def test_simulate_job_refuses_shots_before_sampling(shots, message):
+def test_simulate_job_refuses_shots_before_sampling(shots, message, monkeypatch):
+    # before any circuit evolves, too: no noisy_distributions call
+    evolutions = []
+    evolve = noise.noisy_distributions
+    monkeypatch.setattr(noise, "noisy_distributions",
+                        lambda *args: evolutions.append(args) or evolve(*args))
     plan = select_pairs(MEMO_GRAPH, MEMO_CAL, k=3)
     with pytest.raises(ValueError, match=message):
         simulate_job(plan, spec_for(STRATEGY_I, 3), MEMO_CAL, NoiseModel(), shots, 2, 0)
+    assert evolutions == []
+
+
+def test_job_counts_refuses_shots_before_an_angle_or_a_seed():
+    plan = select_pairs(MEMO_GRAPH, MEMO_CAL, k=1)
+    identity = (STRATEGY_I, STRATEGY_I)
+    with pytest.raises(ValueError, match="shots must be an integer, got 2.5"):
+        job_counts(plan, [4.0], [identity], MEMO_CAL, NoiseModel(), 2.5, 2, [-1])
+    with pytest.raises(ValueError, match=r"gamma = 4.0 outside \[0, pi\]"):
+        job_counts(plan, [4.0], [identity], MEMO_CAL, NoiseModel(), 3, 2, [-1])
 
 
 def test_job_counts_keeps_its_own_read_only_copy():
