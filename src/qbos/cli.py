@@ -40,7 +40,7 @@ import numpy as np
 
 from . import device, game, gcm, noise, stats
 from .device import _FIELD_CHECKS, _is_number, _load
-from .statevec import derive_seed
+from .statevec import check_shots, derive_seed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -101,10 +101,8 @@ class SweepConfig:
             )
         if self.gamma_steps < 2:
             raise ValueError("gamma-steps must be >= 2")
-        # numpy samples int64 shot counts; a run index is one 32-bit seed word
-        if not 1 <= self.shots < 2**63:
-            raise ValueError(f"shots must be in [1, 2**63), got {self.shots}")
-        if not 1 <= self.runs < 2**32:
+        check_shots(self.shots)
+        if not 1 <= self.runs < 2**32:  # a run index is one 32-bit seed word
             raise ValueError(f"runs must be in [1, 2**32), got {self.runs}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +41,9 @@ CURVE_MEMO_SIZE = 32  # curve tables analytical_curves keeps
 
 
 def is_number(value) -> bool:
-    """Is value an int or a float, Python's or numpy's, and not a bool?"""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool))
+    """Is value a float or an int, Python's or numpy's, that float() takes, and not a bool?"""
+    return isinstance(value, (float, np.floating, np.integer)) or (
+        isinstance(value, int) and not isinstance(value, bool) and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,8 @@ def check_shots(shots, name: str = "shots") -> None:
     """Refuse a shot count, called name, that is not an int in numpy's [1, 2**63)."""
     if type(shots) is not int:  # a bool is an int subclass, not an int
         raise ValueError(f"{name} must be an integer, got {shots!r}")
-    if shots < 1:
-        raise ValueError("need at least one shot")
-    if shots >= 2**63:
-        raise ValueError(f"{name} must be below 2**63, got {shots}")
+    if not 1 <= shots < 2**63:
+        raise ValueError(f"{name} must be in [1, 2**63), got {shots}")
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .device import _listed, _texts, _types, _write
-from .game import GameSpec, PayoffMatrix, Strategy, analytical_curves, payoff_table
+from .device import _listed, _texts, _write
+from .game import GameSpec, PayoffMatrix, Strategy, analytical_curves, is_number, payoff_table
 from .noise import JobCounts
 
 # fixed denominators for the best/worst relative-error convention
@@ -138,12 +138,12 @@ def propagate_count_error(freqs, shots, payoff: PayoffMatrix):
     return var(wa), var(wb), var(wm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrategyValidation:
     """One strategy's RMSEs and its per-angle run statistics.
 
-    means, sample_variances and ci_half_widths hold one (alice, bob) pair of
-    floats per angle of gammas, each over the same n runs.
+    means, sample_variances and ci_half_widths are read-only float64 arrays of one
+    (alice, bob) row per angle of gammas over n runs.  Compared by value, unhashable.
     """
 
     strategy: str
@@ -151,20 +151,39 @@ class StrategyValidation:
     rmse_b: float
     gammas: tuple[float, ...]
     n: int
-    means: tuple[tuple[float, float], ...]
-    sample_variances: tuple[tuple[float, float], ...]
-    ci_half_widths: tuple[tuple[float, float], ...]
+    means: np.ndarray
+    sample_variances: np.ndarray
+    ci_half_widths: np.ndarray
 
     def __post_init__(self):
         # what the report file holds, so that every value that can be built saves
         if type(self.n) is not int:
             raise ValueError(f"n must be an integer, got {self.n!r}")
-        for name in ("means", "sample_variances", "ci_half_widths"):
-            column = getattr(self, name)
-            if not (len(column) == len(self.gammas) and _types(column) <= {tuple, list}
-                    and set(map(len, column)) <= {2}):
+        for name in ("rmse_a", "rmse_b", "gammas"):  # NaN and infinities are numbers
+            value = getattr(self, name)
+            if not all(map(is_number, value if name == "gammas" else (value,))):
+                raise ValueError(f"{name} must be numeric, got {value!r}")
+        object.__setattr__(self, "gammas", tuple(map(float, self.gammas)))
+        for name in ("means", "sample_variances", "ci_half_widths"):  # read-only float64 kept
+            try:
+                column = np.asarray(given := getattr(self, name))
+                column = column.reshape(0, 2) if column.shape == (0,) else column  # no pairs
+            except ValueError:  # ragged
+                column = np.asarray(None)
+            if column.dtype.kind not in "fiu" or column.shape != (len(self.gammas), 2):
                 raise ValueError(f"{name} must hold one (alice, bob) pair per gamma, "
-                                 f"{len(self.gammas)} in all, got {column!r}")
+                                 f"{len(self.gammas)} in all, got {given!r}")
+            owner = column.base if isinstance(column.base, np.ndarray) else column  # of the memory
+            if column.dtype != np.float64 or owner.flags.writeable or not owner.flags.owndata:
+                column = column.astype(np.float64)  # a copy, then frozen
+                column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __eq__(self, other):  # by value, as the report file reads
+        return type(other) is StrategyValidation and self.to_json() == other.to_json()
+
+    def __reduce__(self):  # so that a copied or unpickled report is checked and frozen again
+        return StrategyValidation, tuple(vars(self).values())
 
     def to_json(self) -> dict:
         n = self.n
@@ -174,8 +193,8 @@ class StrategyValidation:
                 {"gamma": g,
                  "alice": {"mean": ma, "sample_variance": va, "ci_half_width": ha, "n": n},
                  "bob": {"mean": mb, "sample_variance": vb, "ci_half_width": hb, "n": n}}
-                for g, (ma, mb), (va, vb), (ha, hb) in zip(
-                    self.gammas, self.means, self.sample_variances, self.ci_half_widths)
+                for g, (ma, mb), (va, vb), (ha, hb) in zip(self.gammas, *(
+                    c.tolist() for c in (self.means, self.sample_variances, self.ci_half_widths)))
             ],
         }
 
@@ -186,6 +205,11 @@ class ValidationReport:
     best_relative_error_pct: float
     worst_relative_error_pct: float
     strategies: tuple[StrategyValidation, ...]
+
+    def __post_init__(self):
+        for name in ("best_relative_error_pct", "worst_relative_error_pct"):
+            if not is_number(value := getattr(self, name)):  # NaN and infinities included
+                raise ValueError(f"{name} must be numeric, got {value!r}")
 
     def to_json(self) -> dict:
         """The report as a JSON document: each strategy's per_gamma holds one
@@ -203,10 +227,10 @@ class ValidationReport:
         angle = f'{{"gamma": "%s", "alice": {player}, "bob": {player}}}'
         entries = []
         for sv in self.strategies:
-            m, v, h = (_texts(list(chain.from_iterable(column)))  # alice, bob, alice, ...
+            m, v, h = (_texts(column.ravel().tolist())  # alice, bob, alice, ...
                        for column in (sv.means, sv.sample_variances, sv.ci_half_widths))
             n = repeat(json.dumps(sv.n))
-            rows = zip(_texts(list(sv.gammas)), m[0::2], v[0::2], h[0::2], n,
+            rows = zip(_texts(sv.gammas), m[0::2], v[0::2], h[0::2], n,
                        m[1::2], v[1::2], h[1::2], n)
             entries.append((json.dumps(sv.strategy), *_texts([sv.rmse_a, sv.rmse_b]),
                             _listed(angle, rows, 3)))
@@ -315,11 +339,9 @@ def _report(strategies, table, gammas, variant, payoff, rmse_method) -> Validati
         rmses = rmses.mean(axis=-1)
     rmses = rmses.tolist()
 
-    grid = tuple(gammas)
-    columns = zip(*([tuple(map(tuple, rows)) for rows in a.tolist()]
-                    for a in (means, variances, halves)))
-    validations = tuple(StrategyValidation(label, rmse_a, rmse_b, grid, n, *column)
-                        for label, (rmse_a, rmse_b), column in zip(strategies, rmses, columns))
+    means.flags.writeable = variances.flags.writeable = halves.flags.writeable = False
+    validations = tuple(StrategyValidation(label, *ab, gammas, n, *columns)
+                        for label, ab, *columns in zip(strategies, rmses, means, variances, halves))
     all_rmses = list(chain.from_iterable(rmses))
     best = relative_error_percent(min(all_rmses), PAYOFF_SCALE_MAX)
     worst = relative_error_percent(max(all_rmses), PAYOFF_SCALE_MIN)

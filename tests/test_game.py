@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -555,6 +556,21 @@ def test_game_spec_takes_real_gammas_as_floats(grid):
 def test_payoff_matrix_refuses_payoffs_that_are_not_finite_numbers(payoff):
     with pytest.raises(ValueError, match=r"^cell \(0,1\) must hold two finite payoffs$"):
         PayoffMatrix((((3.0, 2.0), (payoff, 0.0)), ((0.0, 0.0), (2.0, 3.0))))
+
+
+def test_an_int_past_the_float_range_is_not_a_number():
+    # float() of it raises OverflowError, and 10**400 < inf, so each check refuses it
+    huge = 10**400
+    assert not game.is_number(huge) and not game.is_number(-huge)
+    assert game.is_number(int(sys.float_info.max)) and game.is_number(-math.inf)
+    with pytest.raises(ValueError, match="^RY strategy needs a number for its angle"):
+        Strategy("RY", huge)
+    with pytest.raises(ValueError, match="^gamma_grid must hold numbers"):
+        GameSpec(gamma_grid=(0.0, huge))
+    with pytest.raises(ValueError, match=r"^cell \(0,1\) must hold two finite payoffs$"):
+        PayoffMatrix((((3.0, 2.0), (huge, 0.0)), ((0.0, 0.0), (2.0, 3.0))))
+    with pytest.raises(ValueError, match="^scale must be a number"):
+        NoiseModel(huge)
 
 
 @pytest.mark.parametrize("payoff", [0, np.int64(0), np.float32(0.0), np.longdouble(0.0)], ids=repr)

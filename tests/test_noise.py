@@ -488,8 +488,8 @@ WRAPS = [[[2**62, 2**62, 2**62, 2**62 + 1]]]  # an int64 row sum wraps to 1
     (np.ones((1, 1, 4), bool), (0.0,), 4, "counts must be integers, got dtype bool"),
     ([[[1, 1, 1, 1]]], (0.0,), 4.0, "shots must be an integer, got 4.0"),
     ([[[1, 0, 0, 0]]], (0.0,), True, "shots must be an integer, got True"),
-    ([[[0, 0, 0, 0]]], (0.0,), 0, "need at least one shot"),
-    ([[[2**62, 2**62, 0, 0]]], (0.0,), 2**63, r"shots must be below 2\*\*63"),
+    ([[[0, 0, 0, 0]]], (0.0,), 0, r"^shots must be in \[1, 2\*\*63\), got 0$"),
+    ([[[2**62, 2**62, 0, 0]]], (0.0,), 2**63, r"shots must be in \[1, 2\*\*63\)"),
     ([[[5, -1, 0, 0]]], (0.0,), 4, "counts must be non-negative"),
     (np.array([[[2**64 - 1, 0, 0, 2]]], np.uint64), (0.0,), 1, "counts must be non-negative"),
     ([[[1, 1, 1, 0]], [[1, 1, 1, 1]]], (0.0, 1.0), 4, "counts must sum to shots"),
@@ -504,8 +504,8 @@ def test_job_counts_refuses_what_shot_counts_refuses(counts, grid, shots, messag
 @pytest.mark.parametrize("shots, message", [
     (2.5, "shots must be an integer, got 2.5"),
     (True, "shots must be an integer, got True"),
-    (2**63, r"shots must be below 2\*\*63, got 9223372036854775808"),
-    (2**64, r"shots must be below 2\*\*63, got 18446744073709551616"),
+    (2**63, r"shots must be in \[1, 2\*\*63\), got 9223372036854775808"),
+    (2**64, r"shots must be in \[1, 2\*\*63\), got 18446744073709551616"),
 ], ids=["float", "bool", "2**63", "2**64"])
 def test_simulate_job_refuses_shots_before_sampling(shots, message, monkeypatch):
     # before any circuit evolves, too: no noisy_distributions call

@@ -1,11 +1,14 @@
 """Statistics tests: frozen t-table values, coverage and resampling oracles."""
 
+import copy
 import json
 import math
 import os
+import pickle
+import re
 import subprocess
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -441,8 +444,38 @@ def test_report_from_jobs_of_any_run_counts_equals_the_per_cell_gather(jobs, ste
             build_validation_report(results, spec, variant, rmse_method)
         assert (type(raised.value), str(raised.value)) == (type(err), str(err))
     else:
-        assert (repr(build_validation_report(results, spec, variant, rmse_method))
-                == repr(gathered))
+        assert bits(build_validation_report(results, spec, variant, rmse_method)) == bits(gathered)
+
+
+def bits(value):
+    """value as nested lists, field by field, that compare equal only if every
+    float has the same bits: a float array reads as .view(np.uint64) and a float
+    as its 64 bits, so -0.0 and 0.0, and NaN payloads, tell apart.  Each value
+    keeps its type's name, and an array its dtype and shape."""
+    if isinstance(value, np.ndarray):
+        assert value.dtype == np.float64
+        return ["ndarray", value.shape, value.view(np.uint64).tolist()]
+    if isinstance(value, float):
+        return [type(value).__name__, np.array(value, np.float64).view(np.uint64).item()]
+    if is_dataclass(value):
+        return [type(value).__name__, [(f.name, bits(getattr(value, f.name))) for f in fields(value)]]
+    if isinstance(value, (tuple, list)):
+        return [type(value).__name__, [bits(v) for v in value]]
+    return [type(value).__name__, value]
+
+
+def test_bits_tell_every_float_apart():
+    nan, other_nan = np.array([math.nan, math.nan]), np.array([math.nan, math.nan])
+    other_nan.view(np.uint64)[1] ^= 1  # another NaN payload
+    assert bits(nan) == bits(nan.copy()) and bits(nan) != bits(other_nan)
+    assert bits(np.zeros(2)) != bits(-np.zeros(2)) and bits((0.0,)) != bits((-0.0,))
+    assert bits(np.zeros((2, 1))) != bits(np.zeros((1, 2))) and bits(1.0) != bits(np.float64(1.0))
+    sv = stats.StrategyValidation("I", 0.1, 0.2, (0.0,), 2, [[1.0, 2.0]], [[0.0, 0.0]], [[0.0, 0.0]])
+    assert bits(sv) == bits(stats.StrategyValidation(*(getattr(sv, f.name) for f in fields(sv))))
+    nudged = sv.means.copy()
+    nudged.view(np.uint64)[0, 1] += 1  # one last bit
+    assert bits(sv) != bits(stats.StrategyValidation("I", 0.1, 0.2, (0.0,), 2, nudged,
+                                                     sv.sample_variances, sv.ci_half_widths))
 
 
 def per_strategy_report(results, spec, variant, rmse_method):
@@ -462,8 +495,7 @@ def per_strategy_report(results, spec, variant, rmse_method):
             rmse_a = float(np.mean([rmse(cells[:, r, 0], refs[:, 0]) for r in range(runs)]))
             rmse_b = float(np.mean([rmse(cells[:, r, 1], refs[:, 1]) for r in range(runs)]))
         validations.append(stats.StrategyValidation(
-            label, rmse_a, rmse_b, spec.gamma_grid, cells.shape[1],
-            *(tuple(map(tuple, a.tolist())) for a in (mean, var, half))))
+            label, rmse_a, rmse_b, spec.gamma_grid, cells.shape[1], mean, var, half))
         all_rmses.extend((rmse_a, rmse_b))
     return stats.ValidationReport(variant, relative_error_percent(min(all_rmses), PAYOFF_SCALE_MAX),
                                   relative_error_percent(max(all_rmses), PAYOFF_SCALE_MIN),
@@ -484,9 +516,8 @@ def test_one_pass_report_equals_the_per_strategy_loop(labels, gammas, runs, shot
     results = {label: JobCounts(rng.multinomial(shots, rng.dirichlet(np.ones(4), (len(gammas), runs))),
                                 spec.gamma_grid, shots)
                for label in labels}
-    # repr tells every float's bits apart, -0.0 from 0.0 included
-    assert (repr(build_validation_report(results, spec, variant, rmse_method))
-            == repr(per_strategy_report(results, spec, variant, rmse_method)))
+    assert (bits(build_validation_report(results, spec, variant, rmse_method))
+            == bits(per_strategy_report(results, spec, variant, rmse_method)))
 
 
 def test_a_second_report_on_a_grid_evaluates_no_closed_form(monkeypatch):
@@ -732,10 +763,25 @@ ONE_PAIR = ((0.5, 1.0),)
     ({"sample_variances": ONE_PAIR * 4}, r"^sample_variances must hold one .* 3 in all"),
     ({"ci_half_widths": ((0.1, 0.2, 0.3),) * 3}, r"^ci_half_widths must hold one .* 3 in all"),
     ({"means": (0.5, 1.0, 1.5)}, r"^means must hold one .* got \(0\.5, 1\.0, 1\.5\)$"),
-], ids=["n-numpy", "one-pair", "variances-long", "half-widths-triple", "means-flat"])
+    ({"means": ((0.5, 1.0), (0.5,), (0.5, 1.0))}, r"^means must hold one .* 3 in all, got"),
+    ({"sample_variances": (("0.5", "1.0"),) * 3}, r"^sample_variances must hold one .* 3 in all"),
+    ({"ci_half_widths": ((True, False),) * 3}, r"^ci_half_widths must hold one .* 3 in all"),
+    ({"means": ((None, 1.0),) * 3}, r"^means must hold one .* 3 in all"),
+    ({"gammas": ("a, b", 1.0), "means": ONE_PAIR * 2, "sample_variances": ONE_PAIR * 2,
+      "ci_half_widths": ONE_PAIR * 2}, r"^gammas must be numeric, got \('a, b', 1\.0\)$"),
+    ({"gammas": (0.0, True, 2.0)}, r"^gammas must be numeric, got \(0\.0, True, 2\.0\)$"),
+    ({"gammas": (0.0, 10**400, 2.0)}, r"^gammas must be numeric, got \(0\.0, 1000"),
+    ({"rmse_a": "x"}, r"^rmse_a must be numeric, got 'x'$"),
+    ({"rmse_a": -10**400}, r"^rmse_a must be numeric, got -1000"),
+    ({"rmse_b": None}, r"^rmse_b must be numeric, got None$"),
+], ids=["n-numpy", "one-pair", "variances-long", "half-widths-triple", "means-flat",
+        "means-ragged", "variances-text", "half-widths-bool", "means-none", "gammas-text",
+        "gammas-bool", "gammas-past-float", "rmse-text", "rmse-past-float", "rmse-none"])
 def test_strategy_validation_takes_only_what_its_report_file_holds(changes, message):
-    # save writes n as a JSON integer and one alice/bob pair per angle; a value it
-    # could not write, or would write for fewer angles, is refused when built
+    # save writes n as a JSON integer, numbers as numbers and one alice/bob pair per
+    # angle; a value it could not write, or would write for fewer angles, is
+    # refused when built.  gammas ("a, b", 1.0) once saved a file json could not read,
+    # and an int past the float range once raised OverflowError or saved as an integer.
     fields = dict(strategy="I", rmse_a=0.1, rmse_b=0.2, gammas=(0.0, 1.0, 2.0), n=5,
                   means=ONE_PAIR * 3, sample_variances=ONE_PAIR * 3, ci_half_widths=ONE_PAIR * 3)
     stats.StrategyValidation(**fields)
@@ -743,11 +789,94 @@ def test_strategy_validation_takes_only_what_its_report_file_holds(changes, mess
         stats.StrategyValidation(**{**fields, **changes})
 
 
+@pytest.mark.parametrize("field", ["best_relative_error_pct", "worst_relative_error_pct"])
+@pytest.mark.parametrize("value", ["x", None, True, [1.0], 10**400],
+                         ids=["text", "none", "bool", "list", "past-float"])
+def test_report_takes_only_numbers_for_its_relative_errors(field, value):
+    # NaN and infinities are numbers, which the odd report holds
+    values = {"variant": "corrected", "best_relative_error_pct": -math.inf,
+              "worst_relative_error_pct": math.nan, "strategies": ()}
+    stats.ValidationReport(**values)
+    with pytest.raises(ValueError, match=rf"^{field} must be numeric, got {re.escape(repr(value))}$"):
+        stats.ValidationReport(**{**values, field: value})
+
+
+def test_report_columns_are_read_only_float64_arrays():
+    grid = default_gamma_grid(5)
+    from_jobs = build_validation_report(
+        {s.label: JobCounts(np.full((5, 3, 4), 5), grid, 20) for s in CANONICAL_STRATEGIES},
+        GameSpec(gamma_grid=grid))
+    from_cells = report_from_series({"I": exact_series("I", default_gamma_grid(4))})
+    for sv in from_jobs.strategies + from_cells.strategies + ODD_REPORT.strategies:
+        assert type(sv.gammas) is tuple and set(map(type, sv.gammas)) <= {float}
+        for column in (sv.means, sv.sample_variances, sv.ci_half_widths):
+            assert type(column) is np.ndarray and column.dtype == np.float64
+            assert column.shape == (len(sv.gammas), 2) and not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[...] = 0.0
+    assert [sv.means.shape for sv in ODD_REPORT.strategies] == [(2, 2), (0, 2)]
+    # the core's rows are kept, not copied: one frozen array under every strategy's means
+    assert len({id(sv.means.base) for sv in from_jobs.strategies}) == 1
+
+
+def test_strategy_validation_copies_what_it_does_not_keep():
+    gammas = (0.0, 1.0, 2.0)
+    writable = np.array([[0.5, 1.0], [1.5, 2.0], [2.5, 3.0]])
+    frozen = writable.copy()
+    frozen.flags.writeable = False
+    narrow = frozen.astype(np.float32)
+    narrow.flags.writeable = False
+    sv = stats.StrategyValidation("I", 0.1, 0.2, gammas, 5, writable, frozen, narrow)
+    assert sv.sample_variances is frozen  # a read-only float64 column of the right shape is kept
+    assert sv.means is not writable and sv.ci_half_widths.dtype == np.float64
+    writable[0, 0] = 9.0
+    assert sv.means[0, 0] == 0.5 and sv.means.tolist() == frozen.tolist()
+    listed = stats.StrategyValidation("I", 0.1, 0.2, list(gammas), 5, *[writable.tolist()] * 3)
+    assert listed.gammas == (0.0, 1.0, 2.0) and listed.means[0, 0] == 9.0
+    # a read-only view of a writable array is copied too: the array could still change it
+    view = writable[:]
+    view.flags.writeable = False
+    seen = stats.StrategyValidation("I", 0.1, 0.2, gammas, 5, view, view, view)
+    writable[0, 0] = 7.0
+    assert seen.means is not view and seen.means[0, 0] == 9.0
+
+
+@pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy, lambda sv: pickle.loads(pickle.dumps(sv))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copied_strategy_validation_keeps_read_only_columns(copy_of):
+    sv = ODD_REPORT.strategies[0]
+    copied = copy_of(sv)
+    assert bits(copied) == bits(sv)
+    for column in (copied.means, copied.sample_variances, copied.ci_half_widths):
+        assert type(column) is np.ndarray and column.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            column[...] = 0.0
+    assert bits(copy_of(ODD_REPORT)) == bits(ODD_REPORT)
+
+
+def test_strategy_validations_compare_by_value_and_do_not_hash():
+    pairs = ((0.5, 1.0), (1.5, 2.0))
+    as_tuples = stats.StrategyValidation("H", 0.1, 0.2, (0.0, 1.0), 5, pairs, pairs, pairs)
+    as_arrays = stats.StrategyValidation("H", 0.1, 0.2, (0.0, 1.0), 5, *[np.array(pairs)] * 3)
+    assert as_tuples == as_arrays and not as_tuples != as_arrays
+    nudged = np.array(pairs)
+    nudged.view(np.uint64)[1, 1] += 1
+    assert as_tuples != stats.StrategyValidation("H", 0.1, 0.2, (0.0, 1.0), 5, pairs, nudged, pairs)
+    assert as_tuples != stats.StrategyValidation("H", 0.1, 0.2, (0.0, 1.0), 6, pairs, pairs, pairs)
+    assert as_tuples != "H" and as_tuples != asdict(as_tuples)
+    report = stats.ValidationReport("corrected", 1.0, 2.0, (as_tuples,))
+    assert report == stats.ValidationReport("corrected", 1.0, 2.0, (as_arrays,))
+    for value in (as_tuples, report):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+
+
 @settings(max_examples=60, deadline=None)
 @given(reports())
 @example(ODD_REPORT)
 @example(stats.ValidationReport("corrected", 0.0, 0.0, ()))
 def test_report_file_is_the_indented_json_text(tmp_path_factory, report):
+    # ODD_REPORT's NaN, infinities, numpy-float gammas and quoted strings included
     path = tmp_path_factory.getbasetemp() / "indented-report.json"
     report.save(path)
     with open(path, encoding="utf-8", newline="") as fh:
