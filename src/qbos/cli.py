@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import device, game, gcm, noise, stats
-from .device import _FIELD_CHECKS, _is_number, _load
+from .device import _check_column, _load
 from .statevec import check_shots, derive_seed
 
 EXIT_OK = 0
@@ -64,7 +64,7 @@ class CommandError(Exception):
     "error: <message>" and returns code."""
 
 
-# SweepConfig field annotation, " | None" stripped -> its _FIELD_CHECKS description
+# SweepConfig field annotation, " | None" stripped -> its device._CHECKS description
 _FIELD_TYPES = {"int": "an integer", "float": "a number", "bool": "true or false",
                 "str": "a string", "tuple[str, ...]": "a list of strings"}
 
@@ -88,13 +88,10 @@ class SweepConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            expected = _FIELD_TYPES[f.type.removesuffix(" | None")]
             value = getattr(self, f.name)
-            optional = f.type.endswith(" | None")
-            if not (optional and value is None or _FIELD_CHECKS[expected](value)):
-                raise ValueError(
-                    f"{f.name.replace('_', '-')} must be {expected}, got {value!r}"
-                )
+            if not (f.type.endswith(" | None") and value is None):
+                _check_column((value,), _FIELD_TYPES[f.type.removesuffix(" | None")],
+                              f.name.replace("_", "-"))
         if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
             raise ValueError(
                 f"noise-scale must be a finite number >= 0, got {self.noise_scale!r}"
@@ -172,7 +169,7 @@ def _matrix_from_json(doc) -> game.PayoffMatrix:
                 cell = doc[i][j]
             except (LookupError, TypeError) as err:
                 raise ValueError(f"matrix cell ({i},{j}) is malformed: {err}") from err
-            if not (isinstance(cell, list) and len(cell) == 2 and all(map(_is_number, cell))):
+            if not (isinstance(cell, list) and len(cell) == 2 and all(map(game.is_number, cell))):
                 raise ValueError(f"matrix cell ({i},{j}) must be two numbers, got {cell!r}")
             row.append((float(cell[0]), float(cell[1])))
         cells.append(tuple(row))

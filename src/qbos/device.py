@@ -12,9 +12,11 @@ The calibration file is JSON::
 A CalibrationSnapshot holds that file as columns, not one object per entry:
 the qubit ids as a tuple and their readout errors, T1s and T2s in one float
 array; the sorted pairs as a tuple and their two-qubit errors in another.
-Qubit ids are JSON integers of any size, so they stay Python ints.  The loader
-tests each column's JSON types and values at once and walks the entries one by
-one only to name the first bad field of a file that fails.
+Qubit ids are JSON integers of any size, so they stay Python ints.  One table,
+_CHECKS, holds what each field must be as a test of a whole column; a single
+field, of a file or of the sweep config, is tested as a column of one.  The
+loader tests each column at once and walks the entries one by one only to name
+the first bad field of a file that fails, with the same tests.
 CalibrationSnapshot.figures gives the per-edge arrays that gcm and noise read.
 Graphs and snapshots are plain values; crosstalk reads the snapshot's pairs.
 Each takes only what its loader reads: int qubit counts and ids.  Graphs,
@@ -30,11 +32,12 @@ import functools
 import json
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
+
+from .game import is_number
 
 # realistic synthesis ranges; two-qubit errors start at the best figure
 # reported for current heavy-hex processors (~2.5e-3)
@@ -72,13 +75,6 @@ class CouplingGraph:
             dup = sorted({e for e in canon if canon.count(e) > 1})
             raise ValueError(f"duplicate edges {dup}")
         object.__setattr__(self, "edges", tuple(sorted(canon)))
-
-    def adjacency(self) -> list[list[int]]:
-        adj = [[] for _ in range(self.num_qubits)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
 
     def to_json(self) -> dict:
         return {"num_qubits": self.num_qubits, "edges": [list(e) for e in self.edges]}
@@ -140,23 +136,34 @@ def heavy_hex_graph(distance: int) -> CouplingGraph:
     return CouplingGraph(counter, tuple(edges))
 
 
-def _is_number(value) -> bool:
-    """An int or float that converts to a float without overflow; not a bool."""
-    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+def _types(column) -> set:
+    return set(map(type, column))
 
 
-# what a device-file or config field must hold -> its check
-_FIELD_CHECKS = {
-    "an integer": lambda v: type(v) is int,  # a bool is an int subclass, not an int
-    "a number": _is_number,
-    "true or false": lambda v: type(v) is bool,
-    "a string": lambda v: type(v) is str,
-    "a list of strings": lambda v: (type(v) in (list, tuple)
-                                    and all(type(s) is str for s in v)),
-    "a list": lambda v: type(v) is list,
-    "two integer qubit ids": lambda v: (type(v) is list and len(v) == 2
-                                        and type(v[0]) is int and type(v[1]) is int),
+# what a device-file or config field must hold -> its check of a whole column of
+# such values, mostly from the column's set of value types; a bool is an int
+# subclass, not an int
+_CHECKS = {
+    "an integer": lambda c: _types(c) <= {int},
+    "a number": lambda c: (_types(c) <= {float}
+                           or (_types(c) <= {float, int} and all(map(is_number, c)))),
+    "true or false": lambda c: _types(c) <= {bool},
+    "a string": lambda c: _types(c) <= {str},
+    "a list": lambda c: _types(c) <= {list},
+    "a list of strings": lambda c: (_types(c) <= {list, tuple}
+                                    and _types(chain.from_iterable(c)) <= {str}),
+    "two integer qubit ids": lambda c: (_types(c) <= {list, tuple} and set(map(len, c)) <= {2}
+                                        and _types(chain.from_iterable(c)) <= {int}),
 }
+
+
+def _check_column(column, expected: str, where: str) -> None:
+    """_CHECKS[expected] on a column; if it fails, the loader's ValueError for
+    its first bad value, named where.format(index)."""
+    check = _CHECKS[expected]
+    if not check(column):
+        i, value = next((i, v) for i, v in enumerate(column) if not check((v,)))
+        raise ValueError(f"{where.format(i)} must be {expected}, got {value!r}")
 
 
 def _field(entry, key, expected: str, where: str = ""):
@@ -164,8 +171,7 @@ def _field(entry, key, expected: str, where: str = ""):
     the field, as in ``edges[2].pair``.  A missing field, or one of an entry
     that is no JSON object, reads as None."""
     value = entry.get(key) if isinstance(entry, dict) else None
-    if not _FIELD_CHECKS[expected](value):
-        raise ValueError(f"{where}{key} must be {expected}, got {value!r}")
+    _check_column((value,), expected, where + key)
     return value
 
 
@@ -249,29 +255,6 @@ def _check_edge(pair, two_qubit_error) -> None:
         raise ValueError(f"edge {pair}: two_qubit_error outside [0,1]")
 
 
-def _types(column) -> set:
-    return set(map(type, column))
-
-
-# _FIELD_CHECKS for a whole column at once, mostly from its set of value types
-_COLUMN_CHECKS = {
-    "an integer": lambda c: _types(c) <= {int},
-    "a number": lambda c: (_types(c) <= {float}
-                           or (_types(c) <= {float, int} and all(map(_is_number, c)))),
-    "two integer qubit ids": lambda c: (_types(c) <= {list, tuple} and set(map(len, c)) <= {2}
-                                        and _types(chain.from_iterable(c)) <= {int}),
-}
-
-
-def _check_column(column, expected: str, where: str) -> None:
-    """_COLUMN_CHECKS[expected] on a constructor's column; if it fails, the
-    loader's ValueError for its first bad value, named where.format(index)."""
-    check = _COLUMN_CHECKS[expected]
-    if not check(column):
-        i, value = next((i, v) for i, v in enumerate(column) if not check((v,)))
-        raise ValueError(f"{where.format(i)} must be {expected}, got {value!r}")
-
-
 def _gathered(entries, keys) -> tuple | None:
     """The field keys[i] of every entry as column i, if entries is a list of
     JSON objects that all hold the (two or more) keys; else None."""
@@ -288,7 +271,7 @@ def _columns(entries, keys):
     field after the first; else None.  The first field holds ids, which only
     CalibrationSnapshot tests, so that a load tests them once."""
     columns = _gathered(entries, keys)
-    return columns if columns and all(map(_COLUMN_CHECKS["a number"], columns[1:])) else None
+    return columns if columns and all(map(_CHECKS["a number"], columns[1:])) else None
 
 
 def _raise_first_fault(doc) -> None:
@@ -440,9 +423,9 @@ def load_calibration(path) -> CalibrationSnapshot:
 def synth_calibration(graph: CouplingGraph, seed: int, profile: str = "realistic") -> CalibrationSnapshot:
     """Synthesize a deterministic calibration snapshot for a coupling graph.
 
-    'uniform' gives every qubit and edge the same figures; 'realistic' draws
-    log-uniform error rates (positively skewed, like live backends) from the
-    module-level ranges.
+    'uniform' gives every qubit and edge the same figures and reads its seed
+    only for the timestamp; 'realistic' draws log-uniform error rates
+    (positively skewed, like live backends) from the module-level ranges.
     """
     if profile not in ("uniform", "realistic"):
         raise ValueError(f"unknown profile {profile!r}")

@@ -47,8 +47,8 @@ from itertools import chain
 
 import numpy as np
 
-from .device import (_COLUMN_CHECKS, CalibrationSnapshot, CouplingGraph, _check_column,
-                     _check_entry, _field, _gathered, _listed, _load, _write)
+from .device import (_CHECKS, CalibrationSnapshot, CouplingGraph, _check_column, _check_entry,
+                     _field, _gathered, _listed, _load, _write)
 
 # score weights of the two-qubit error, the readout-error sum and the inverse-T1 sum (1/us)
 W_2Q, W_RO, W_COH = 1.0, 0.5, 0.1
@@ -78,8 +78,7 @@ class MappingPlan:
 
     def __post_init__(self):
         # load_plan's types, so that every plan that can be built saves and loads
-        if type(self.min_separation) is not int:
-            raise ValueError(f"min_separation must be an integer, got {self.min_separation!r}")
+        _field(vars(self), "min_separation", "an integer")
         pairs = tuple(self.assignments)
         _check_column(pairs, "two integer qubit ids", "assignments[{}]")
         object.__setattr__(self, "assignments",
@@ -113,7 +112,7 @@ class MappingPlan:
         entries = _field(doc, "assignments", "a list")
         columns = _gathered(entries, [key for key, _ in _PLAN_FIELDS])
         try:
-            if not (columns and _COLUMN_CHECKS["an integer"](columns[0])):
+            if not (columns and _CHECKS["an integer"](columns[0])):
                 raise ValueError("an entry without its JSON types")  # the walk names it
             circuits, pairs = columns
             order = sorted(range(len(circuits)), key=circuits.__getitem__)

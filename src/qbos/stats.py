@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .device import _listed, _texts, _write
+from .device import _field, _listed, _texts, _write
 from .game import GameSpec, PayoffMatrix, Strategy, analytical_curves, is_number, payoff_table
 from .noise import JobCounts
 
@@ -157,8 +157,7 @@ class StrategyValidation:
 
     def __post_init__(self):
         # what the report file holds, so that every value that can be built saves
-        if type(self.n) is not int:
-            raise ValueError(f"n must be an integer, got {self.n!r}")
+        _field(vars(self), "n", "an integer")
         for name in ("rmse_a", "rmse_b", "gammas"):  # NaN and infinities are numbers
             value = getattr(self, name)
             if not all(map(is_number, value if name == "gammas" else (value,))):
@@ -369,7 +368,7 @@ def build_validation_report(
         if len(job.grid) != len(spec.gamma_grid):
             raise SchemaError(f"the {label} job has {len(job.grid)} gamma points, "
                               f"the spec's grid {len(spec.gamma_grid)}")
-    jobs = {label: job for label, job in results.items() if len(job)}
+    jobs = {label: job for label, job in results.items() if job.counts.size}
     _check_cells(rmse_method, len(jobs))
     runs = [job.counts.shape[1] for job in jobs.values()]
     if min(runs) != max(runs):  # job s holds the runs below runs[s] of range(max(runs))

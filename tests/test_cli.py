@@ -638,8 +638,7 @@ def test_sweep_from_files_counts_what_simulate_job_counts(instance, seed, runs, 
                         strategy_b=strategy)
         job = noise.simulate_job(plan, spec, calib, noise.NoiseModel(), shots, runs,
                                  derive_seed(seed, index))
-        want = [[r.counts.counts[label] for label in OUTCOME_LABELS]
-                for r in sorted(job, key=lambda r: (r.circuit_index, r.run_index))]
+        want = job.counts.reshape(-1, 4).tolist()  # gamma-major, then run, as the rows
         got = [[round(float(row[f"p{label}"]) * shots) for label in OUTCOME_LABELS]
                for row in rows if row["strategy"] == strategy.label]
         assert got == want, strategy.label

@@ -2,12 +2,14 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qbos.device import (
+    _CHECKS,
     CalibrationSnapshot,
     CouplingGraph,
     READOUT_ERROR_RANGE,
@@ -23,7 +25,7 @@ from qbos.device import (
 )
 
 from calib_oracles import EdgeCalibration, edge, qubit, records, snapshot
-from graph_oracles import bfs_distances
+from graph_oracles import adjacency, bfs_distances
 
 
 def is_connected(graph) -> bool:
@@ -31,7 +33,7 @@ def is_connected(graph) -> bool:
 
 
 def max_degree(graph) -> int:
-    return max(len(nbrs) for nbrs in graph.adjacency())
+    return max(len(nbrs) for nbrs in adjacency(graph))
 
 
 # --- graph validation ------------------------------------------------------------
@@ -393,3 +395,63 @@ def test_calibration_file_is_the_indented_json_text(tmp_path_factory, calib):
     path = tmp_path_factory.getbasetemp() / "indented-calibration.json"
     assert_saves_indented_json(calib, path)
     assert load_calibration(path) == calib
+
+
+# --- one table of field checks -------------------------------------------------------
+
+@pytest.mark.parametrize("error, message", [
+    (1.5, r"^edge \(2, 3\): two_qubit_error outside \[0,1\]$"),
+    ("x", r"^edges\[3\]\.two_qubit_error must be a number, got 'x'$"),
+], ids=["value", "type"])
+def test_a_tuple_pair_is_not_named_for_a_later_fault(error, message):
+    # the walk that names a failing document's fault takes what the bulk check takes
+    graph = CouplingGraph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+    doc = synth_calibration(graph, seed=0, profile="uniform").to_json()
+    doc["edges"][0]["pair"] = (0, 1)
+    assert CalibrationSnapshot.from_json(doc).pairs == graph.edges
+    doc["edges"][3]["two_qubit_error"] = error
+    with pytest.raises(ValueError, match=message):
+        CalibrationSnapshot.from_json(doc)
+
+
+def old_is_number(value) -> bool:
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
+# what each field once held, checked one value at a time: the oracle of _CHECKS
+# on a column of one, which also takes a tuple for "two integer qubit ids"
+OLD_FIELD_CHECKS = {
+    "an integer": lambda v: type(v) is int,
+    "a number": old_is_number,
+    "true or false": lambda v: type(v) is bool,
+    "a string": lambda v: type(v) is str,
+    "a list of strings": lambda v: type(v) in (list, tuple) and all(type(s) is str for s in v),
+    "a list": lambda v: type(v) is list,
+    "two integer qubit ids": lambda v: (type(v) is list and len(v) == 2
+                                        and type(v[0]) is int and type(v[1]) is int),
+}
+HUGE = int(sys.float_info.max)
+FIELD_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),  # nan and infinities included
+    st.integers(HUGE - 2, 2**1030).map(lambda n: n * (-1) ** (n % 2)),  # past float range
+    st.text(max_size=3),
+    st.sampled_from([np.float64(0.5), np.float32(1.0), np.int64(1), np.uint8(2), np.bool_(True),
+                     np.str_("a"), np.float64("nan")]))
+FIELD_VALUES = st.recursive(
+    FIELD_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+    max_leaves=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(expected=st.sampled_from(sorted(OLD_FIELD_CHECKS)), value=FIELD_VALUES)
+@example(expected="a number", value=HUGE)
+@example(expected="a number", value=-HUGE - 1)
+@example(expected="two integer qubit ids", value=(0, 2**70))
+@example(expected="a list of strings", value=("a", "b"))
+def test_a_field_is_checked_as_a_column_of_one(expected, value):
+    assert _CHECKS.keys() == OLD_FIELD_CHECKS.keys()
+    tuple_pair = expected == "two integer qubit ids" and type(value) is tuple
+    assert _CHECKS[expected]((value,)) == OLD_FIELD_CHECKS[expected](
+        list(value) if tuple_pair else value)

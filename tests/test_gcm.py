@@ -15,7 +15,7 @@ from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from calib_oracles import EdgeCalibration, QubitCalibration, edge, qubit, snapshot
-from graph_oracles import bfs_distances
+from graph_oracles import adjacency, bfs_distances
 from mapping_oracles import SMALL_INSTANCES, milp_optimum
 from qbos.device import (
     CalibrationSnapshot,
@@ -537,7 +537,7 @@ def moved_next_to_another(plan, graph, rng):
     pairs = list(plan.assignments)
     moved, target = rng.choice(len(pairs), size=2, replace=False).tolist()
     used = {q for i, pair in enumerate(pairs) if i != moved for q in pair}
-    adj = graph.adjacency()
+    adj = adjacency(graph)
     spots = sorted({tuple(sorted((u, v))) for t in pairs[target] for u in adj[t]
                     for v in adj[u] if u not in used and v not in used})
     pairs[moved] = spots[rng.integers(len(spots))]
@@ -685,6 +685,16 @@ def test_load_plan_names_the_bad_field(tmp_path, edit, message):
     with pytest.raises(ValueError) as exc:
         load_plan(path)
     assert str(exc.value) == f"{path}: {message}"
+
+
+def test_a_tuple_pair_is_not_named_for_a_later_plan_fault():
+    # the walk that names a failing document's fault takes what the bulk check takes
+    doc = MappingPlan(((1, 2), (5, 6))).to_json()
+    doc["assignments"][0]["pair"] = (1, 2)
+    assert MappingPlan.from_json(doc) == MappingPlan(((1, 2), (5, 6)))
+    doc["assignments"][1]["circuit"] = 2
+    with pytest.raises(ValueError, match=r"^assignment circuit indices must be 0\.\.k-1$"):
+        MappingPlan.from_json(doc)
 
 
 def test_load_plan_names_a_non_utf8_file(tmp_path):

@@ -305,11 +305,11 @@ def job_results(job_setup, scale):
     (2.0, "5afd504d654ad7cd7d5c0589c51f24405b189d6179958fd9011416980d870d4c"),
 ])
 def test_simulate_job_counts_digest(job_setup, scale, digest):
-    cells = [
-        [label, r.circuit_index, r.run_index, r.gamma,
-         [r.counts.counts.get(lbl, 0) for lbl in ("00", "01", "10", "11")]]
-        for label, results in job_results(job_setup, scale).items()
-        for r in results
+    cells = [  # run-major, the cell order the digest was taken in
+        [label, i, run, gamma, job.counts[i, run].tolist()]
+        for label, job in job_results(job_setup, scale).items()
+        for run in range(job.counts.shape[1])
+        for i, gamma in enumerate(job.grid)
     ]
     assert sha256(json.dumps(cells).encode()) == digest
 

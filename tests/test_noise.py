@@ -37,7 +37,6 @@ from qbos.noise import (
     noisy_distributions,
     simulate_job,
 )
-from qbos.statevec import OUTCOME_LABELS
 from qbos.stats import payoff_table, rmse
 
 from calib_oracles import EdgeCalibration, records, snapshot
@@ -438,11 +437,9 @@ def test_simulate_job_shape_and_totals():
     cal = synth_calibration(g, seed=2, profile="realistic")
     plan = select_pairs(g, cal, k=31, min_separation=2)
     spec = spec_for(STRATEGY_I)
-    results = simulate_job(plan, spec, cal, NoiseModel(), shots=2048, runs=5, seed=9)
-    assert len(results) == 31 * 5
-    assert all(r.counts.total_shots == 2048 for r in results)
-    assert {r.run_index for r in results} == set(range(5))
-    assert {r.circuit_index for r in results} == set(range(31))
+    job = simulate_job(plan, spec, cal, NoiseModel(), shots=2048, runs=5, seed=9)
+    assert job.counts.shape == (31, 5, 4) and job.shots == 2048
+    assert (job.counts.sum(axis=-1) == 2048).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -600,17 +597,13 @@ def test_jobs_on_one_snapshot_match_jobs_on_fresh_snapshots(jobs):
                 == simulate_job(plan, spec, fresh, NoiseModel(scale), 256, 2, seed))
 
 
-def rmse_vs_analytic(results, spec, strategy):
+def rmse_vs_analytic(job, spec, strategy):
     """RMSE of run-mean payoffs against the exact corrected curves."""
-    by_circuit = {}
-    for r in results:
-        by_circuit.setdefault(r.circuit_index, []).append(r)
     err_a, err_b = [], []
     for i, gamma in enumerate(spec.gamma_grid):
         eas, ebs = [], []
-        for r in by_circuit[i]:
-            counts = [r.counts.counts[lbl] for lbl in OUTCOME_LABELS]
-            ea, eb = payoff_table(np.array(counts) / r.counts.total_shots, BOS)
+        for counts in job.counts[i]:  # one row per run
+            ea, eb = payoff_table(counts / job.shots, BOS)
             eas.append(ea)
             ebs.append(eb)
         ref_a, ref_b = analytical_payoffs(strategy, gamma, "corrected")

@@ -36,7 +36,7 @@ from qbos.stats import (
     rmse,
 )
 
-from noise_oracles import analytical_payoffs, eager_run_results
+from noise_oracles import analytical_payoffs
 
 BOS = PayoffMatrix.battle_of_sexes()
 
@@ -392,16 +392,15 @@ def test_report_from_cells_flags_duplicate_cells():
 
 
 def gathered_report(results, spec, variant, rmse_method):
-    """build_validation_report before JobCounts: each job's eager RunResults,
+    """build_validation_report before JobCounts: each job's cells, run-major,
     gathered cell by cell into one count array for report_from_cells."""
-    cells = [(label, r) for label, job in results.items()
-             for r in eager_run_results(job.counts, job.grid, job.shots)]
-    counts = np.array([[r.counts.counts.get(lbl, 0) for lbl in OUTCOME_LABELS]
-                       for _, r in cells]).reshape(-1, 4)
-    shots = np.array([r.counts.total_shots for _, r in cells]).reshape(-1, 1)
+    cells = [(label, i, run) for label, job in results.items()
+             for run in range(job.counts.shape[1]) for i in range(len(job.grid))]
+    counts = np.array([results[label].counts[i, run] for label, i, run in cells]).reshape(-1, 4)
+    shots = np.array([results[label].shots for label, _, _ in cells]).reshape(-1, 1)
     return report_from_cells(
-        [label for label, _ in cells], [r.circuit_index for _, r in cells],
-        [r.run_index for _, r in cells], payoff_table(counts / shots, spec.payoff),
+        [label for label, _, _ in cells], [i for _, i, _ in cells], [run for _, _, run in cells],
+        payoff_table(counts / shots, spec.payoff),
         spec.gamma_grid, variant, spec.payoff, rmse_method)
 
 
