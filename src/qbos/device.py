@@ -76,6 +76,25 @@ class CouplingGraph:
             raise ValueError(f"duplicate edges {dup}")
         object.__setattr__(self, "edges", tuple(sorted(canon)))
 
+    @functools.cached_property
+    def _slots(self) -> tuple[np.ndarray, ...]:
+        """The endpoints grouped by qubit, read-only, built on first use: slot t is
+        edge t >> 1 at qubit ends[t]; qubit q's slots are order[first[q]:first[q] +
+        degree[q]], whose other ends are heads[first[q]:first[q] + degree[q]].  arcs,
+        each arc's tail * n + head and then n * n, ascend as the edges are sorted."""
+        n = self.num_qubits
+        ends = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * len(self.edges))
+        order, degree = ends.argsort(kind="stable"), np.bincount(ends, minlength=n)
+        heads = ends[order ^ 1]
+        slots = (ends, order, degree.cumsum() - degree, degree, heads,
+                 np.append(ends[order] * n + heads, n * n))
+        for array in slots:
+            array.flags.writeable = False
+        return slots
+
+    def __getstate__(self):  # copies and pickles leave the slots out, to be built again
+        return {key: value for key, value in vars(self).items() if key != "_slots"}
+
     def to_json(self) -> dict:
         return {"num_qubits": self.num_qubits, "edges": [list(e) for e in self.edges]}
 
@@ -368,8 +387,10 @@ class CalibrationSnapshot:
         return self.two_qubit_errors[rows], readout, t1
 
     def covers(self, graph: CouplingGraph) -> bool:
-        """Whether every qubit and edge of graph has calibration figures."""
-        return (self._qubit_rows.keys() >= set(range(graph.num_qubits))
+        """Whether every qubit and edge of graph has calibration figures.  Fewer
+        calibrated qubits than the graph declares fail before its range is built."""
+        return (len(self._qubit_rows) >= graph.num_qubits
+                and self._qubit_rows.keys() >= set(range(graph.num_qubits))
                 and self._edge_rows.keys() >= set(graph.edges))
 
     def to_json(self) -> dict:

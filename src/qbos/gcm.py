@@ -9,26 +9,31 @@ the result is checked against exhaustive search in the test suite.
 
 Separation is decided once per ``select_pairs`` or ``packed_plan`` call, as
 array operations on flat index arrays.  The edges' endpoints are slots (slot t
-is edge t >> 1 at one qubit), grouped by qubit once; the grouping gives each
+is edge t >> 1 at one qubit), grouped by qubit.  The grouping belongs to the
+graph: ``CouplingGraph._slots`` builds it once, on first use, and the conflict
+builder, ``packed_plan`` and ``verify_separation`` read it.  It gives each
 qubit's incident edges and, through each slot's other end, its neighbours.
 The (edge, qubit closer than the separation) pairs start as every edge's
 endpoints and take one hop through the neighbours per step: at the default
 separation 2 that one hop also reaches the endpoints, and above it each step
 is deduplicated by one sort.  Each pair fans out to its qubit's incident
-edges, and the (edge, edge) codes are scattered into one boolean edge x edge
-conflict matrix; the scatter is idempotent, so repeats need no dedupe.  For
-575 qubits and 672 heavy-hex edges at separation 2 that is 3,274 pairs and
-7,716 codes, int64 arrays of at most 62 kB beside the 0.45 MB matrix, and no
-qubit x qubit or qubit x edge table at any separation; the pairs grow with
-the separation (21,018 pairs and 49,672 codes at separation 6).  Greedy
-passes OR chosen edges' rows into a blocked mask; the swap search counts each
-edge's conflicts with the chosen set and tests a round's chosen pairs in one
-expression.  The conflict relation is exactly "some endpoints closer than the
-separation", so plans equal those of pairwise distance checks.
+edges, and the (edge, edge) pairs are scattered at the two edges' ranks (score
+order in ``select_pairs``, edge order in ``packed_plan``) into one boolean
+edge x edge conflict matrix; the scatter is idempotent, so repeats need no
+dedupe.  For 575 qubits and 672 heavy-hex edges at separation 2 that is
+3,274 pairs and 7,716 codes, int64 arrays of at most 62 kB beside the
+0.45 MB matrix, and no qubit x qubit or qubit x edge table at any separation;
+the pairs grow with the separation (21,018 pairs and 49,672 codes at
+separation 6).  Greedy passes OR chosen edges' rows into a blocked mask; the
+swap search counts each edge's conflicts with the chosen set and tests a
+round's chosen pairs in one expression.  The conflict relation is exactly
+"some endpoints closer than the separation", so plans equal those of pairwise
+distance checks.
 ``verify_separation`` is an independent check that uses no conflict matrix:
 one breadth-first walk per plan qubit, all advanced a hop at a time as the
-same fan-out over the same slot grouping, each reached qubit looked up in a
-holder array (2 * circuit + position).
+same fan-out over the graph's slot grouping, each reached qubit looked up in a
+holder array (2 * circuit + position); a pair is an edge when its code is
+among the graph's ascending arc codes.
 ``packed_plan``, the crowded baseline, is the same greedy pass at separation
 1, in edge order.
 
@@ -138,15 +143,6 @@ def edge_scores(edges, calib: CalibrationSnapshot) -> np.ndarray:
             + W_COH * (1.0 / t1[:, 0] + 1.0 / t1[:, 1]))
 
 
-def _slots(edges, n: int):
-    """The endpoints of ``edges`` as slots grouped by qubit: slot t is edge t >> 1
-    at qubit ends[t], and qubit q's slots are order[first[q]:first[q] + degree[q]].
-    Returns (ends, order, first, degree), from one np.fromiter."""
-    ends = np.fromiter(chain.from_iterable(edges), dtype=np.intp, count=2 * len(edges))
-    degree = np.bincount(ends, minlength=n)
-    return ends, ends.argsort(kind="stable"), degree.cumsum() - degree, degree
-
-
 def _fan(first, degree, heads, tag, tail):
     """(tag, head) for each (tag, tail) pair and each head grouped under its tail:
     tail t's heads are heads[first[t]:first[t] + degree[t]]."""
@@ -155,20 +151,19 @@ def _fan(first, degree, heads, tag, tail):
     return tag.repeat(count), heads[np.arange(len(start)) + start]
 
 
-def _conflict_matrix(graph: CouplingGraph, edges, min_separation: int) -> np.ndarray:
-    """Boolean edge x edge matrix over ``edges``, the graph's edges in any order
-    and orientation: True where two edges have endpoints closer than
+def _conflict_matrix(graph: CouplingGraph, rank: np.ndarray, min_separation: int) -> np.ndarray:
+    """Boolean edge x edge matrix whose row and column rank[e] stand for
+    graph.edges[e]: True where two edges have endpoints closer than
     ``max(min_separation, 1)`` hops, so also where they share a qubit.  Every
     edge conflicts with itself.  The (edge, qubit that close) pairs start as
-    the endpoints and take a hop through the arcs per step, deduplicated when
-    there are two steps or more; each fans out to its qubit's incident edges
-    and is scattered in."""
-    n, m = graph.num_qubits, len(edges)
-    ends, order, first, degree = _slots(edges, n)
+    the endpoints and take a hop through the graph's grouped arcs per step,
+    deduplicated when there are two steps or more; each fans out to its
+    qubit's incident edges and is scattered in at the two edges' ranks."""
+    n, m = graph.num_qubits, len(rank)
+    ends, order, first, degree, heads, _ = graph._slots
     edge, qubit, count = np.arange(2 * m) >> 1, ends, 2 * m  # closer than one hop
     for _ in range(min_separation - 1):  # then one hop further
-        # the arcs grouped by tail: slot order ^ 1 is the other end of slot order's edge
-        edge, qubit = _fan(first, degree, ends[order ^ 1], edge, qubit)
+        edge, qubit = _fan(first, degree, heads, edge, qubit)
         if min_separation > 2:  # distinct pairs fan out; none new: every component is covered
             code = np.sort(edge * n + qubit)  # not np.unique, whose hash table is slower
             code = code[code != np.append(-1, code[:-1])]
@@ -178,7 +173,7 @@ def _conflict_matrix(graph: CouplingGraph, edges, min_separation: int) -> np.nda
             count = len(code)
     i, j = _fan(first, degree, order >> 1, edge, qubit)  # edge j has an endpoint at qubit
     conflict = np.zeros(m * m, dtype=bool)
-    conflict[i * m + j] = True  # idempotent: repeated pairs need no dedupe
+    conflict[rank[i] * m + rank[j]] = True  # idempotent: repeated pairs need no dedupe
     return conflict.reshape(m, m)
 
 
@@ -204,7 +199,7 @@ def _rank(graph: CouplingGraph, calib: CalibrationSnapshot):
     order = np.argsort(scores, kind="stable")
     lexicographic = np.empty_like(order)
     lexicographic[order] = np.arange(len(order))
-    return [graph.edges[i] for i in order.tolist()], scores[order], lexicographic.tolist()
+    return [graph.edges[i] for i in order.tolist()], scores[order], lexicographic
 
 
 def select_pairs(
@@ -226,13 +221,13 @@ def select_pairs(
     edges, ascending, lexicographic = _rank(graph, calib)
     scores = ascending.tolist()
     # rows and columns follow the ranking, so a rank is also an index
-    conflict = _conflict_matrix(graph, edges, min_separation)
+    conflict = _conflict_matrix(graph, lexicographic, min_separation)
 
     # the pure score order can paint itself into a corner, so also restart
     # from each edge as a forced first pick (small graphs) and from plain
     # lexicographic order, keeping the largest then cheapest selection
     positions = list(range(len(edges)))
-    orders = [positions, lexicographic]
+    orders = [positions, lexicographic.tolist()]
     if len(edges) <= MULTI_START_EDGE_LIMIT:
         for r in positions:
             orders.append([r] + positions[:r] + positions[r + 1:])
@@ -277,11 +272,7 @@ def verify_separation(plan: MappingPlan, graph: CouplingGraph) -> tuple[bool, st
     """
     n, pairs = graph.num_qubits, plan.assignments
     flat = list(chain.from_iterable(pairs))
-    tails, order, first, degree = _slots(graph.edges, n)
-    # the arcs grouped by tail: qubit q's neighbours are heads[first[q]:first[q] + degree[q]];
-    # every arc's code tail * n + head, ascending, then n * n, which no arc has
-    heads = tails[order ^ 1]
-    arcs = np.append(np.sort(tails[order] * n + heads), n * n)
+    _, _, first, degree, heads, arcs = graph._slots  # arcs ascend to n * n, which no arc has
     ends = np.array(flat if flat and 0 <= min(flat) and max(flat) < n else [], dtype=np.intp)
     codes = ends[0::2] * n + ends[1::2]
     if len(ends) < len(flat) or (arcs[np.searchsorted(arcs, codes)] != codes).any():
@@ -340,7 +331,8 @@ def packed_plan(graph: CouplingGraph, k: int) -> MappingPlan:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    chosen = _greedy(_conflict_matrix(graph, graph.edges, 1), range(len(graph.edges)), k)
+    m = len(graph.edges)
+    chosen = _greedy(_conflict_matrix(graph, np.arange(m), 1), range(m), k)
     if len(chosen) < k:
         raise InfeasibleMappingError(k, len(chosen))
     return MappingPlan(tuple(graph.edges[r] for r in chosen), min_separation=1)

@@ -45,6 +45,10 @@ CAL_SEED = 0
 SAMPLE_SEED = 11
 SHOTS = 2048
 RUNS = 5
+# criterion 11's realistic calibration seeds, and how many of them must order the
+# plans packed > calibration-blind > GCM in mean RMSE: all 20 did when pinned
+REALISTIC_SEEDS = range(20)
+LADDER_SEEDS = 18
 
 
 def ok(criterion: int, message: str) -> None:
@@ -253,6 +257,52 @@ def test_criterion_10_byte_identical_sweeps(tmp_path):
     assert len(rows) == 31 * 5 * 4
     ok(10, f"three sweep invocations (flags x2, config file) byte-identical; "
            f"{len(rows)} rows")
+
+
+def report_rmse(report) -> float:
+    entries = [v for sv in report.strategies for v in (sv.rmse_a, sv.rmse_b)]
+    return sum(entries) / len(entries)
+
+
+def coordination_kept(report) -> float:
+    """(payoff at pi/2 - 1.25) / (2.5 - 1.25), the least over strategies and
+    players: the share of the equal quantum payoff's lead over uniform outcomes."""
+    at = report.strategies[0].gammas.index(math.pi / 2)
+    return min((float(sv.means[at].min()) - 1.25) / (2.5 - 1.25) for sv in report.strategies)
+
+
+def test_criterion_11_gcm_band_and_plan_ladder_on_realistic_calibrations():
+    # criterion 7's band where GCM reads the calibration, and criterion 8's
+    # ordering with a middle rung: the calibration-blind plan is select_pairs on
+    # the uniform profile, whose tied scores leave separation alone to choose
+    t0 = time.perf_counter()
+    graph = device.heavy_hex_graph(6)
+    model = noise.NoiseModel(scale=TUNED_NOISE_SCALE)
+    blind = gcm.select_pairs(graph, device.synth_calibration(graph, 0, "uniform"), k=31)
+    packed = gcm.packed_plan(graph, 31)
+    best, worst, ladder, separation, kept = [], [], 0, [], []
+    for seed in REALISTIC_SEEDS:
+        cal = device.synth_calibration(graph, seed=seed, profile="realistic")
+        reports = [run_full_job(plan, cal, model, SAMPLE_SEED)
+                   for plan in (gcm.select_pairs(graph, cal, k=31), blind, packed)]
+        best.append(reports[0].best_relative_error_pct)
+        worst.append(reports[0].worst_relative_error_pct)
+        guided, uninformed, crowded = map(report_rmse, reports)
+        ladder += crowded > uninformed > guided
+        separation.append((crowded - uninformed) / (crowded - guided))
+        kept.append(tuple(map(coordination_kept, reports[:2])))
+    elapsed = time.perf_counter() - t0
+    assert all(3.5 / 1.5 <= v <= 3.5 * 1.5 for v in best), best
+    assert all(12.08 / 1.5 <= v <= 12.08 * 1.5 for v in worst), worst
+    assert ladder >= LADDER_SEEDS
+    (gcm_low, blind_low), (gcm_high, blind_high) = np.min(kept, axis=0), np.max(kept, axis=0)
+    ok(11, f"GCM relative errors {min(best):.2f}..{max(worst):.2f}% on realistic seeds "
+           f"{REALISTIC_SEEDS.start}-{REALISTIC_SEEDS.stop - 1}; packed > blind > GCM on "
+           f"{ladder}/{len(REALISTIC_SEEDS)}; of GCM's lead over packing, separation "
+           f"{min(separation):.0%}-{max(separation):.0%} and calibration "
+           f"{1 - max(separation):.0%}-{1 - min(separation):.0%}; coordination kept "
+           f"{gcm_low:.2f}-{gcm_high:.2f} (GCM), {blind_low:.2f}-{blind_high:.2f} (blind) "
+           f"({elapsed:.1f} s)")
 
 
 def test_criterion_12_classical_references_of_the_headline():

@@ -1424,6 +1424,8 @@ def test_deeply_nested_json_is_a_config_error(tmp_path, kind):
          "qubit 0: coherence times must be positive"),
         ("calibration", lambda d: d["qubits"][3].update(id=9),
          "calibration does not cover every qubit and edge"),
+        ("coupling-map", lambda d: d.update(num_qubits=10**12),
+         "calibration does not cover every qubit and edge"),
         ("calibration", lambda d: d.update(timestamp=5), "timestamp must be a string, got 5"),
         # the first bad entry in document order, and its first bad field, is named
         ("calibration", lambda d: (d["qubits"][1].update(readout_error="x"),
@@ -1454,7 +1456,7 @@ def test_deeply_nested_json_is_a_config_error(tmp_path, kind):
     ],
     ids=["num-qubits-float", "num-qubits-bool", "edge-id-string", "edge-id-float",
          "edge-id-bool", "edges-missing", "qubit-id-float", "pair-short", "t1-missing",
-         "readout-string", "t1-nan", "qubit-id-uncovered", "timestamp-int",
+         "readout-string", "t1-nan", "qubit-id-uncovered", "num-qubits-huge", "timestamp-int",
          "first-entry-wins", "first-field-wins", "entry-not-object", "range-before-later-type",
          "qubits-before-edges", "edge-out-of-range-first", "self-loop-first",
          "duplicate-reversed", "extra-self-loop-pair", "extra-negative-qubit"],

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,20 @@ def test_snapshot_covers_graph():
     assert not snapshot(cal.timestamp, qubits, edges[1:]).covers(g)
     assert not snapshot(cal.timestamp, qubits[1:], edges).covers(g)
 
+
+
+def test_covers_refuses_a_huge_declared_qubit_count_without_allocating():
+    # a calibration of 127 qubits cannot cover 10**12; the answer takes no
+    # table of the graph's qubit range
+    cal = synth_calibration(heavy_hex_graph(6), seed=0)
+    graph = CouplingGraph(10**12, ((0, 1),))
+    tracemalloc.start()
+    try:
+        covered = cal.covers(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not covered and peak < 64 * 1024, peak
 
 def test_figures_match_per_entry_lookups():
     g = CouplingGraph(3, ((0, 1), (1, 2)))

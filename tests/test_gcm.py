@@ -1,8 +1,10 @@
 """Pair-selection tests, including an exhaustive oracle on small graphs."""
 
+import copy
 import functools
 import itertools
 import json
+import pickle
 import re
 import time
 import timeit
@@ -131,7 +133,7 @@ def test_conflict_matrix_matches_floyd_warshall(graph_factory):
     g = graph_factory()
     d = floyd_warshall(g)
     for min_sep in range(5):
-        conflict = _conflict_matrix(g, g.edges, min_sep)
+        conflict = _conflict_matrix(g, np.arange(len(g.edges)), min_sep)  # in edge order
         assert conflict.shape == (len(g.edges), len(g.edges))
         for i, e1 in enumerate(g.edges):
             for j, e2 in enumerate(g.edges):
@@ -187,14 +189,70 @@ HUB_AND_PATH = CouplingGraph(12, tuple((0, q) for q in range(1, 7)) + ((7, 8), (
 @given(separation_tables())
 @example((HUB_AND_PATH, list(reversed(HUB_AND_PATH.edges)), 3))
 def test_conflict_matches_bfs_on_random_graphs(case):
-    # the builder's slot grouping, hop fan-out and deduplication at any degree,
-    # edge order and orientation
+    # the graph's slot grouping, the builder's hop fan-out and deduplication at
+    # any degree, and its scatter at the ranks of any edge order and orientation
     graph, order, min_sep = case
     reach = max(min_sep, 1)
     dist = [bfs_distances(graph, q) for q in range(graph.num_qubits)]
-    assert _conflict_matrix(graph, order, min_sep).tolist() == [
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[[graph.edges.index(tuple(sorted(e))) for e in order]] = np.arange(len(order))
+    assert _conflict_matrix(graph, rank, min_sep).tolist() == [
         [any(0 <= dist[p][q] < reach for p in e1 for q in e2) for e2 in order]
         for e1 in order]
+
+
+@settings(max_examples=100, deadline=None)
+@given(separation_tables())
+@example((HUB_AND_PATH, list(reversed(HUB_AND_PATH.edges)), 3))
+def test_graph_slots_are_read_only_and_equal_a_fresh_build(case):
+    # built once per graph, from its sorted edges: the same arrays as a graph
+    # built from the drawn order and orientation, and each qubit's neighbours
+    # and the arc codes ascend with no sort
+    graph, order, _ = case
+    n, slots = graph.num_qubits, graph._slots
+    assert graph._slots is slots
+    for array, fresh in zip(slots, CouplingGraph(n, tuple(order))._slots):
+        assert not array.flags.writeable and array.dtype == np.intp
+        assert np.array_equal(array, fresh)
+    ends, grouped, first, degree, heads, arcs = slots
+    assert ends.tolist() == list(itertools.chain.from_iterable(graph.edges))
+    neighbours = adjacency(graph)
+    for q in range(n):
+        group = grouped[first[q]:first[q] + degree[q]]
+        assert ends[group].tolist() == [q] * len(neighbours[q])
+        assert heads[first[q]:first[q] + degree[q]].tolist() == sorted(neighbours[q])
+    assert arcs.tolist() == [q * n + p for q in range(n) for p in sorted(neighbours[q])] + [n * n]
+
+
+@pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copied_graph_keeps_read_only_slots(copy_of):
+    graph = heavy_hex_graph(3)
+    built = graph._slots
+    copied = copy_of(graph)
+    assert copied == graph and hash(copied) == hash(graph)
+    for array, original in zip(copied._slots, built):
+        assert not array.flags.writeable and np.array_equal(array, original)
+
+
+@pytest.mark.parametrize("graph", [HUB_AND_PATH, heavy_hex_graph(3)], ids=["hub-and-path", "heavy-hex-3"])
+def test_verify_separation_reads_the_same_before_and_after_slots_exist(graph):
+    # plans at every distance from the first edge, packed plans, a pair that is
+    # no edge and a qubit outside the graph; each checked on a graph whose slots
+    # the check builds and on one whose slots were built before
+    n, (a, b) = graph.num_qubits, graph.edges[0]
+    unused = next((p, q) for p in range(n) for q in range(p + 1, n)
+                  if (p, q) not in graph.edges and not {p, q} & {a, b})
+    plans = ([((a, b), e) for e in graph.edges if not {a, b} & set(e)]
+             + [packed_plan(graph, k).assignments for k in (1, 2, 3)]
+             + [((a, b), unused), ((a, b), (n, n + 1))])
+    graph._slots  # built before any check
+    for separation in range(7):
+        for pairs in plans:
+            plan = MappingPlan(pairs, max(separation, 1))
+            fresh = CouplingGraph(n, graph.edges)
+            assert "_slots" not in vars(fresh)
+            assert verify_separation(plan, fresh) == verify_separation(plan, graph), plan
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -416,7 +474,7 @@ def test_rank_equals_sorting_score_edge_tuples(case):
     ranked = sorted(zip(edge_scores(graph.edges, calib).tolist(), graph.edges))
     assert edges == [e for _, e in ranked]
     assert ascending.tolist() == [score for score, _ in ranked]
-    assert lexicographic == sorted(range(len(edges)), key=edges.__getitem__)
+    assert lexicographic.tolist() == sorted(range(len(edges)), key=edges.__getitem__)
 
 
 # --- verification ----------------------------------------------------------------
