@@ -445,9 +445,11 @@ def _plain_columns(data: bytes):
     A file is plain when, after an optional UTF-8 byte-order mark, it is ASCII,
     holds no quote or blank but its line breaks, holds no '_' after its header
     line, has no line longer than csv.field_size_limit(), and every non-empty
-    line after the header holds len(header) - 1 commas.  csv.reader reads the
-    same header and fields (NULs too; an empty first line is the header []), so
-    the sweep's own files, which are plain, are split once at breaks and commas.
+    line after the header holds len(header) fields.  csv.reader reads the same
+    header and fields (NULs too; an empty first line is the header []), so the
+    sweep's own files, which are plain, are split once: the non-empty lines joined
+    with ",\n," split at commas into rows * (len(header) + 1) - 1 fields, every
+    (len(header) + 1)-th the "\n" that no plain line holds.
     """
     data = data.removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
     start = re.match(rb"[^\r\n]*", data).end()  # the header line
@@ -457,32 +459,34 @@ def _plain_columns(data: bytes):
     lines = data.decode("ascii").splitlines() or [""]
     header = lines[0].split(",") if lines[0] else []
     body = list(filter(None, lines[1:]))
-    if (max(map(len, lines)) > csv.field_size_limit()
-            or set(map(str.count, body, itertools.repeat(","))) - {len(header) - 1}):
+    if len(data) > csv.field_size_limit() and max(map(len, lines)) > csv.field_size_limit():
         return None
     if not body:
         return header, {}
-    joined = ",".join(body)
+    rows, width = len(body), len(header) + 1  # a row's fields and the "\n" that ends it
+    joined = ",\n,".join(body)
     del lines, body  # dropped before the split: joined holds every line
     flat = joined.split(",")
     del joined
-    return header, {name: flat[i::len(header)] for i, name in enumerate(header)}
+    if len(flat) != rows * width - 1 or flat[len(header)::width].count("\n") != rows - 1:
+        return None
+    return header, {name: flat[i::width] for i, name in enumerate(header)}
 
 
-def _check_fields(columns, plain: bool) -> None:
+def _check_fields(columns, plain: bool, run_texts) -> None:
     """Reject the first field that is not ASCII or holds a blank or '_', and the
     first run that is not a plain decimal int: int() and float() read them, the
     sweep never writes them.  Unless the file is plain (_plain_columns) and
-    every distinct run text passes, each column's joined text is checked, and
-    only the fields of the columns that fail are scanned one by one."""
+    every distinct run text (run_texts) passes, each column's joined text is
+    checked, and only the fields of the columns that fail are scanned one by one."""
 
     def blank(text):  # not ASCII, or holding a blank or '_'
         return not text.isascii() or any(c in text for c in BLANKS + "_")
 
-    if plain and all(map(PLAIN_RUN.fullmatch, set(columns["run"]))):
+    if plain and all(map(PLAIN_RUN.fullmatch, run_texts)):
         return
     suspect = [column for column, texts in columns.items() if blank("".join(texts))
-               or column == "run" and not all(map(PLAIN_RUN.fullmatch, set(texts)))]
+               or column == "run" and not all(map(PLAIN_RUN.fullmatch, run_texts))]
     for n, row in enumerate(zip(*map(columns.get, suspect)), 1):
         for column, field in zip(suspect, row):
             if blank(field):
@@ -502,9 +506,9 @@ def _check_rows(values) -> None:
     def fail(n, message):
         raise CommandError(EXIT_SCHEMA, f"results row {n + 1}: {message}")
 
-    bad = np.argwhere(~np.isfinite(values))
-    if len(bad):
-        n, c = bad[0]
+    bad = ~np.isfinite(values)  # each 2-D scan is located only when it finds a fault
+    if bad.any():
+        n, c = np.argwhere(bad)[0]
         fail(n, f"{NUMERIC_COLUMNS[c]} = {float(values[n, c])!r} is not finite")
     gamma = values[:, 0]
     bad = np.flatnonzero((gamma < -game.GAMMA_SLACK) | (gamma > math.pi + game.GAMMA_SLACK))
@@ -516,14 +520,14 @@ def _check_rows(values) -> None:
     bad = np.flatnonzero(np.abs(total - 1.0) > ROW_TOL)
     if len(bad):
         fail(bad[0], f"p00..p11 sum to {float(total[bad[0]])!r}, not 1 within {ROW_TOL}")
-    bad = np.argwhere((probs < -ROW_TOL) | (probs > 1.0 + ROW_TOL))
-    if len(bad):
-        n, c = bad[0]
+    bad = (probs < -ROW_TOL) | (probs > 1.0 + ROW_TOL)
+    if bad.any():
+        n, c = np.argwhere(bad)[0]
         fail(n, f"{NUMERIC_COLUMNS[1 + c]} = {float(probs[n, c])!r} is outside [0, 1]")
     derived = game.payoff_table(probs, BOS)
-    bad = np.argwhere(np.abs(derived - paid) > ROW_TOL)
-    if len(bad):
-        n, c = bad[0]
+    bad = np.abs(derived - paid) > ROW_TOL
+    if bad.any():
+        n, c = np.argwhere(bad)[0]
         fail(n, f"{NUMERIC_COLUMNS[5 + c]} = {float(paid[n, c])!r} but p00..p11 give "
                 f"{float(derived[n, c])!r}")
 
@@ -564,19 +568,22 @@ def cmd_validate(args) -> int:
     if ragged:
         raise CommandError(EXIT_SCHEMA, f"unreadable results row: row {ragged[0]} has "
                                         f"{ragged[1]} fields, expected {len(header)}")
-    _check_fields(columns, plain)
-    n = len(columns["run"])
+    gamma_texts, gamma_code = stats.distinct_codes(columns["gamma"])
+    run_texts, run_code = stats.distinct_codes(columns["run"])
+    _check_fields(columns, plain, run_texts)
+    n = len(run_code)
     try:
-        # float() of every field, column by column: the first unreadable text raises
-        texts = itertools.chain.from_iterable(map(columns.get, NUMERIC_COLUMNS))
-        values = np.fromiter(map(float, texts), float, count=len(NUMERIC_COLUMNS) * n)
-        values = values.reshape(len(NUMERIC_COLUMNS), n).T
-        run_of = {text: int(text) for text in set(columns["run"])}  # few distinct texts
-        runs = list(map(run_of.__getitem__, columns["run"]))
+        # distinct gamma texts, every p00..eb field, distinct run texts: the first unreadable raises
+        gamma = np.array(list(map(float, gamma_texts)))[gamma_code]
+        texts = itertools.chain.from_iterable(map(columns.get, NUMERIC_COLUMNS[1:]))
+        values = np.fromiter(map(float, texts), float, count=(len(NUMERIC_COLUMNS) - 1) * n)
+        values = np.vstack((gamma, values.reshape(-1, n))).T
+        runs = np.array(list(map(int, run_texts)))[run_code]
     except ValueError as err:
         raise CommandError(EXIT_SCHEMA, f"unreadable results row: {err}")
     _check_rows(values)
 
+    # over the whole column, so that the angle kept of 0.0 and -0.0 does not move
     gammas, gamma_index = np.unique(values[:, 0], return_inverse=True)
     try:
         report = stats.report_from_cells(

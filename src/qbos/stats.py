@@ -278,6 +278,12 @@ def _check_cells(rmse_method: str, cells: int) -> None:
         raise SchemaError("no cells")
 
 
+def distinct_codes(column):
+    """column's distinct items, in first-appearance order, and each item's index among them."""
+    code = {item: i for i, item in enumerate(dict.fromkeys(column))}
+    return list(code), np.fromiter(map(code.__getitem__, column), np.intp, count=len(column))
+
+
 def report_from_cells(
     labels: Sequence[str],
     gamma_index: Sequence[int],
@@ -290,24 +296,21 @@ def report_from_cells(
 ) -> ValidationReport:
     """Build a report from one (e_a, e_b) row of payoffs per (strategy, gamma, run) cell.
 
-    Cell n is strategy labels[n] at gammas[gamma_index[n]] in run runs[n].
-    Strategies keep the order they first appear in; runs are sorted.  Every
-    strategy must hold every (gamma, run) cell of the union of runs exactly
-    once; missing or duplicate cells raise SchemaError listing them, and so
-    does a table of fewer than 2 runs per cell.
+    Cell n is strategy labels[n] at gammas[gamma_index[n]] in run runs[n].  Each
+    distinct label is coded once; strategies keep the order they first appear
+    in, and runs (ints, in a sequence or an array) are sorted.  Every strategy
+    must hold every (gamma, run) cell of the union of runs exactly once; missing
+    or duplicate cells raise SchemaError listing them, as does under 2 runs a cell.
 
     rmse_method 'rmse_of_means' compares the across-run mean curve with the
     reference; 'mean_of_rmses' averages the per-run RMSEs instead.
     """
     _check_cells(rmse_method, len(labels))
-    strategies = list(dict.fromkeys(labels))
-    position = {label: s for s, label in enumerate(strategies)}
+    strategies, label_code = distinct_codes(labels)
     run_values, run_index = np.unique(np.asarray(runs), return_inverse=True)
     run_values = run_values.tolist()
     shape = (len(strategies), len(gammas), len(run_values))
-    flat = np.ravel_multi_index(
-        ([position[label] for label in labels], gamma_index, run_index), shape
-    )
+    flat = np.ravel_multi_index((label_code, gamma_index, run_index), shape)
     found = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
     _check_complete(found, strategies, gammas, run_values)
     table = np.empty(shape + (2,))

@@ -971,13 +971,15 @@ def test_validate_plain_path_boundary(tmp_path, capsys, edit, code, message):
 
 def csv_columns(data):
     """csv.reader's header and columns of a results file, blank rows dropped, or
-    None when csv cannot read it."""
+    None when csv cannot read it or a row does not hold len(header) fields."""
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
     try:
         reader = csv.reader(text)
         header = next(reader, [])
         rows = [row for row in reader if row]
     except (UnicodeDecodeError, csv.Error):
+        return None
+    if any(len(row) != len(header) for row in rows):
         return None
     return header, dict(zip(header, zip(*rows)))
 
@@ -990,8 +992,10 @@ ODD_TEXTS = ['"', "\r", "\n", "\r\n", " ", "\x1c", "\x00", "_", ",", "\u00e9",
 @st.composite
 def results_bytes(draw):
     """(bytes, plain): a file of equal-length rows in the sweep's alphabet with
-    any line ends, blank lines and a byte-order mark, then with texts from
-    ODD_TEXTS inserted or characters deleted; plain when nothing was."""
+    any line ends, blank lines and a byte-order mark, perhaps with a comma
+    moved from one row to a later one, which keeps the file's field count, then
+    with texts from ODD_TEXTS inserted or characters deleted; plain when no
+    comma was moved and nothing was inserted or deleted."""
     width = draw(st.integers(0, 4))
     names = st.text(SWEEP_ALPHABET + "_", min_size=1, max_size=4)
     fields = st.text(SWEEP_ALPHABET, max_size=4)
@@ -1000,6 +1004,17 @@ def results_bytes(draw):
         blank = draw(st.booleans()) and draw(st.booleans())
         lines.append("" if blank else ",".join(draw(st.lists(fields, min_size=width,
                                                              max_size=width))))
+    rows = [n for n, line in enumerate(lines) if n and line]
+    moved = width > 1 and len(rows) > 1 and draw(st.booleans())
+    if moved:  # fields k and k + 1 of one row joined, a comma put into a later row
+        src, dst = sorted(draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2,
+                                        unique=True)))
+        fields_of = lines[src].split(",")
+        k = draw(st.integers(0, width - 2))
+        fields_of[k:k + 2] = [fields_of[k] + fields_of[k + 1] or "0"]  # never a blank line
+        lines[src] = ",".join(fields_of)
+        at = draw(st.integers(0, len(lines[dst])))
+        lines[dst] = lines[dst][:at] + "," + lines[dst][at:]
     ends = draw(st.lists(st.sampled_from(["\r\n", "\n", "\r"]),
                          min_size=len(lines), max_size=len(lines)))
     text = "".join(map(str.__add__, lines, ends))
@@ -1010,7 +1025,7 @@ def results_bytes(draw):
     for at, odd in edits:
         text = text[:at] + (odd or "") + text[at + (odd is None):]
     bom = b"\xef\xbb\xbf" if draw(st.booleans()) else b""
-    return bom + text.encode(), not edits
+    return bom + text.encode(), not (edits or moved)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1023,6 +1038,45 @@ def test_plain_columns_reads_as_csv_or_declines(sample):
     else:
         header, columns = got  # columns of lists, where csv's are of tuples
         assert (header, {name: tuple(v) for name, v in columns.items()}) == csv_columns(data)
+
+
+def test_a_comma_moved_to_a_later_row_is_not_plain(tmp_path, capsys):
+    # the file keeps its comma count, so only the rows' own widths tell
+    res = sweep_fixture(tmp_path)
+    lines = res.read_bytes().split(b"\r\n")
+    lines[3] = lines[3].replace(b",", b"", 1)  # row 3 of 10 fields
+    lines[6] += b","  # row 6 of 12
+    data = b"\r\n".join(lines)
+    assert data.count(b",") == res.read_bytes().count(b",")
+    assert _plain_columns(data) is None
+    res.write_bytes(data)
+    capsys.readouterr()
+    assert run_cli("validate", str(res)) == EXIT_SCHEMA
+    assert capsys.readouterr() == (
+        "", "error: unreadable results row: row 3 has 10 fields, expected 11\n")
+
+
+@pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_ALL], ids=["plain", "quoted"])
+@pytest.mark.parametrize("column", ["gamma", "run"])
+def test_validate_names_the_first_unreadable_text_in_row_order(tmp_path, capsys, column,
+                                                               quoting):
+    # gamma and run are read once per distinct text, in the order the texts
+    # first appear; an int() of more than 4,300 digits raises
+    res = sweep_fixture(tmp_path)
+    with open(res, newline="") as fh:
+        rows = list(csv.reader(fh))
+    c = rows[0].index(column)
+    texts = {n: f"{n}x" if column == "gamma" else str(n % 9 + 1) * (4_301 + n)
+             for n in (70, 7, 40, 2, 11, 30, 3, 20)}
+    for n, text in texts.items():
+        rows[n][c] = text
+    with open(res, "w", newline="") as fh:
+        csv.writer(fh, quoting=quoting).writerows(rows)
+    with pytest.raises(ValueError) as first:
+        (float if column == "gamma" else int)(texts[2])
+    capsys.readouterr()
+    assert run_cli("validate", str(res)) == EXIT_SCHEMA
+    assert capsys.readouterr() == ("", f"error: unreadable results row: {first.value}\n")
 
 
 # --- validate on mutated results files ---------------------------------------------------

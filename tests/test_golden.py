@@ -9,7 +9,9 @@ digests pin the plans ``qbos map --synth`` writes for seeds 0..9, the
 at separations 1, 3 and 4 on the 127-qubit device and one 100-pair
 ``packed_plan`` on the 575-qubit device.  The
 report digests were taken from the nested-dict report builders that the
-cell-table builder ``stats.report_from_cells`` replaced.  The calibration
+cell-table builder ``stats.report_from_cells`` replaced, and those of a file
+that spells angles two ways from the reader that parsed every gamma field
+rather than each distinct text once.  The calibration
 digests were taken from the per-qubit scalar draws that the array draws of
 ``device.synth_calibration`` replaced; they pin ``t2_us`` too, which no sweep
 or plan digest reads.  A change that moves one of them changes what a sweep,
@@ -26,6 +28,7 @@ bits of a distribution and, rarely, a drawn count.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -137,6 +140,37 @@ def test_validate_report_digests(tmp_path, sweep_csvs, sweep, variant, method, d
         assert cli.main(["validate", str(sweep_csvs[sweep]), "--formula-variant", variant,
                          "--rmse-method", method, "--out", str(report)]) == 0
     assert (sha256(stdout.getvalue().encode()), sha256(report.read_bytes())) == digests
+
+
+def respelled(data: bytes, quoted: bool) -> bytes:
+    """The sweep's rows reversed, so that runs first appear as 2, 1, 0, with
+    its first angle spelled "0.0" and "-0.0" and its second moved to 0.5 and
+    spelled "0.5" and "0.50", row by row in turn; quoted puts the header's
+    first field in quotes, which sends the file through csv.reader."""
+    header, *rows = csv.reader(io.StringIO(data.decode(), newline=""))
+    rows.reverse()
+    first, second = sorted(set(row[1] for row in rows), key=float)[:2]
+    spellings = {first: ("0.0", "-0.0"), second: ("0.5", "0.50")}
+    for n, row in enumerate(rows):
+        row[1] = spellings.get(row[1], (row[1],) * 2)[n % 2]
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    return ('"strategy"' if quoted else "strategy").encode() + text.getvalue().encode()[8:]
+
+
+# an angle spelled two ways is one angle, through either reader: validate keys
+# the gamma and run columns by their distinct texts, and then by value
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "csv-reader"])
+def test_validate_keys_respelled_angles_by_value(tmp_path, sweep_csvs, quoted):
+    res, report = tmp_path / "respelled.csv", tmp_path / "report.json"
+    res.write_bytes(respelled(sweep_csvs["seed5-runs3"].read_bytes(), quoted))
+    assert (cli._plain_columns(res.read_bytes()) is None) == quoted
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["validate", str(res), "--out", str(report)]) == 0
+    assert (sha256(stdout.getvalue().encode()), sha256(report.read_bytes())) == (
+        "dcaad605b2fe05d73791f74c9b765f2c432f4ec20d3747fc4254eefd8306c458",
+        "08759b24839c9c29040d0bf5babf2a85f228a46a2995bf4d922e6f675ebcfc23")
 
 
 # --- map plans ---------------------------------------------------------------------
