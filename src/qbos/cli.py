@@ -56,7 +56,7 @@ CSV_COLUMNS = (
 
 HEAVY_HEX_DISTANCE_127 = 6
 
-BOS = game.PayoffMatrix.battle_of_sexes()
+BOS = game.BATTLE_OF_SEXES
 
 
 class CommandError(Exception):
@@ -578,7 +578,9 @@ def cmd_validate(args) -> int:
         texts = itertools.chain.from_iterable(map(columns.get, NUMERIC_COLUMNS[1:]))
         values = np.fromiter(map(float, texts), float, count=(len(NUMERIC_COLUMNS) - 1) * n)
         values = np.vstack((gamma, values.reshape(-1, n))).T
-        runs = np.array(list(map(int, run_texts)))[run_code]
+        # Python ints past int64: numpy types them float64 beside int64-range ones
+        run_values = list(map(int, run_texts))
+        runs = np.array(run_values, np.int64 if max(run_values) < 2**63 else object)[run_code]
     except ValueError as err:
         raise CommandError(EXIT_SCHEMA, f"unreadable results row: {err}")
     _check_rows(values)

@@ -95,6 +95,10 @@ class PayoffMatrix:
         return weights
 
 
+#: The default matrix, built once: analytical_curves and GameSpec default to it.
+BATTLE_OF_SEXES = PayoffMatrix.battle_of_sexes()
+
+
 def payoff_table(freqs, payoff: PayoffMatrix) -> np.ndarray:
     """(e_a, e_b) of every cell of a (..., 4) outcome-frequency array, shape (..., 2).
 
@@ -183,7 +187,7 @@ def default_gamma_grid(steps: int = GAMMA_POINTS_DEFAULT) -> tuple[float, ...]:
 class GameSpec:
     """A full experiment configuration: matrix, gamma grid and strategy pair."""
 
-    payoff: PayoffMatrix = field(default_factory=PayoffMatrix.battle_of_sexes)
+    payoff: PayoffMatrix = BATTLE_OF_SEXES
     gamma_grid: tuple[float, ...] = field(default_factory=default_gamma_grid)
     strategy_a: Strategy = STRATEGY_I
     strategy_b: Strategy = STRATEGY_I
@@ -285,8 +289,8 @@ def analytical_curves(strategy: Strategy, gammas, variant: str = "corrected",
     """
     if variant not in ("paper", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
-    matrix = payoff if payoff is not None else PayoffMatrix.battle_of_sexes()
-    if variant == "paper" and matrix != PayoffMatrix.battle_of_sexes():
+    matrix = payoff if payoff is not None else BATTLE_OF_SEXES
+    if variant == "paper" and matrix != BATTLE_OF_SEXES:
         raise ValueError("the 'paper' variant is defined for the default matrix only")
     grid, weights = np.asarray(gammas), matrix._weights
     if grid.ndim != 1 or grid.dtype.kind not in "biuf" or weights.dtype.kind not in "biuf":

@@ -44,6 +44,7 @@ sweep, all strategies in one call, meets a miss.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -161,6 +162,7 @@ def _embed_1q(matrix: np.ndarray, qubit: int, other: np.ndarray = np.eye(2)) -> 
 
 # the EWL circuit's CNOT, control qubit 0 and target qubit 1: |q1 q0> = |01> <-> |11>
 _CNOT = np.eye(4)[[0, 3, 2, 1]]
+_HALF_I, _QUARTER_I = np.eye(2) / 2.0, np.eye(4) / 4.0  # the depolarizing channels' targets
 
 
 def _partial_trace(rho: np.ndarray, qubit: int) -> np.ndarray:
@@ -182,12 +184,12 @@ def depolarize_1q(rho: np.ndarray, qubit: int, p) -> np.ndarray:
     rho is one 4x4 density matrix, with p a scalar, or a (G, 4, 4) stack,
     with p a scalar or one probability per matrix.
     """
-    return _mix(rho, p, _embed_1q(np.eye(2) / 2.0, qubit, _partial_trace(rho, qubit)))
+    return _mix(rho, p, _embed_1q(_HALF_I, qubit, _partial_trace(rho, qubit)))
 
 
 def depolarize_2q(rho: np.ndarray, p) -> np.ndarray:
     """Mix towards I/4 with probability p; rho and p as for depolarize_1q."""
-    return _mix(rho, p, np.eye(4) / 4.0)
+    return _mix(rho, p, _QUARTER_I)
 
 
 def confusion_matrix(readout_error) -> np.ndarray:
@@ -196,7 +198,10 @@ def confusion_matrix(readout_error) -> np.ndarray:
     An array of errors gives a stack of matrices, one per error.
     """
     r = np.asarray(readout_error, dtype=float)
-    return np.stack([np.stack([1.0 - r, r], -1), np.stack([r, 1.0 - r], -1)], -2)
+    matrix = np.empty(r.shape + (2, 2))
+    matrix[..., 0, 0] = matrix[..., 1, 1] = 1.0 - r
+    matrix[..., 0, 1] = matrix[..., 1, 0] = r
+    return matrix
 
 
 def _evolve(rho: np.ndarray, u) -> np.ndarray:
@@ -215,7 +220,9 @@ def _prefix(*key: tuple[str, bytes]) -> tuple[np.ndarray, np.ndarray]:
     grid, p1, p2, p_xt, ro_a, ro_b = (np.frombuffer(data, dtype) for dtype, data in key)
     rho = np.zeros((len(grid), 4, 4), dtype=complex)
     rho[:, 0, 0] = 1.0
-    rho = _one_qubit_step(rho, 0, [gate_matrix("RY", gamma) for gamma in grid], p1)
+    # every gate_matrix("RY", gamma), its math.cos and math.sin floats, as one array
+    c, s = np.array([(math.cos(g / 2), math.sin(g / 2)) for g in grid.tolist()]).T
+    rho = _one_qubit_step(rho, 0, np.array([[c, -s], [s, c]], complex).transpose(2, 0, 1), p1)
     # Rz(0) is a real step: its product and its channel set the output bits
     rho = _one_qubit_step(rho, 0, [gate_matrix("RZ", 0.0)], p1)
     rho = depolarize_2q(_evolve(rho, _CNOT), p2)

@@ -173,9 +173,9 @@ def sample_cells(probs, shots: int, keys) -> np.ndarray:
     Every cell is drawn from one Philox/Generator pair whose state is reset
     before the draw to that of a freshly keyed Philox (counter 0, the key,
     an empty buffer, no cached 32-bit half): constructing a Philox costs
-    several draws, as it gathers OS entropy that a keyed generator never
-    uses.  The draws are joined once, after the last, as a store per cell
-    costs about as much as the reset.  shots is refused first, by check_shots.
+    several draws.  Its seed 0 is a placeholder that reads no OS entropy.
+    The draws are joined once, after the last, as a store per cell costs
+    about as much as the reset.  shots is refused first, by check_shots.
     """
     check_shots(shots)
     p = np.asarray(probs, dtype=float)
@@ -193,7 +193,7 @@ def sample_cells(probs, shots: int, keys) -> np.ndarray:
     clipped = np.clip(p, 0.0, None)
     dists = clipped / clipped.sum(axis=1, keepdims=True)  # guard float drift
 
-    bitgen = np.random.Philox()
+    bitgen = np.random.Philox(0)  # a placeholder seed: every draw resets the state
     gen = np.random.Generator(bitgen)
     fresh = {
         "bit_generator": "Philox",

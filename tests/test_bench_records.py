@@ -1,6 +1,7 @@
 """Every BENCH_<n>.json at the repository root, the perf record of one change,
 parses and gives a parent and a change median for every workload and every
-end-to-end metric that BENCHMARK.json declares."""
+end-to-end metric that BENCHMARK.json declares.  A record's A/A block, the
+parent run against itself, gives the same for every workload it names."""
 
 import json
 import re
@@ -18,15 +19,23 @@ def test_bench_records_were_found():
     assert RECORDS
 
 
+def check_workload(name, measured):
+    assert measured["seeds"] and measured["seconds"] >= 1, name
+    for metric in BENCHMARK["end_to_end"]:
+        entry = measured["metrics"][metric["name"]]
+        for side in ("parent", "change"):
+            median = entry[side]["median"]
+            assert type(median) in (int, float), (name, metric["name"], side)
+
+
 @pytest.mark.parametrize("path", RECORDS, ids=[path.name for path in RECORDS])
 def test_bench_record_covers_every_workload_and_metric(path):
     record = json.loads(path.read_text(encoding="utf-8"))
     assert {"nproc", "python", "numpy"} <= record["machine"].keys()
     for workload in BENCHMARK["workloads"]:
-        measured = record["workloads"][workload["name"]]
-        assert measured["seeds"] and measured["seconds"] >= 1
-        for metric in BENCHMARK["end_to_end"]:
-            entry = measured["metrics"][metric["name"]]
-            for side in ("parent", "change"):
-                median = entry[side]["median"]
-                assert type(median) in (int, float), (workload["name"], metric["name"], side)
+        check_workload(workload["name"], record["workloads"][workload["name"]])
+    if "aa" in record:
+        names = {workload["name"] for workload in BENCHMARK["workloads"]}
+        assert record["aa"]["workloads"] and record["aa"]["workloads"].keys() <= names
+        for name, measured in record["aa"]["workloads"].items():
+            check_workload(name, measured)

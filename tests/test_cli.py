@@ -524,6 +524,7 @@ def test_bad_mapping_sizes_exit_config(tmp_path, capsys, argv):
         (("sweep", "--synth", "--gamma-steps", "2", "--runs", "1", "--strategies", "I",
           "--shots", str(2**63)), None, "shots must be in [1, 2**63), got 9223372036854775808"),
         (("sweep", "--synth"), {"formula_variant": "x"}, "unknown formula variant 'x'"),
+        (("sweep", "--synth", "--gamma-steps", "1"), None, "gamma-steps must be >= 2"),
         (("sweep", "--synth", "--strategies", "RY(0.3)"), None,
          "strategies outside the evaluated set: ['RY(0.3)']"),
         (("map", "--coupling-map", "graph.json"), None,
@@ -536,6 +537,7 @@ def test_bad_mapping_sizes_exit_config(tmp_path, capsys, argv):
          "negative-seed-with-files", "sweep-strategies-repeated", "ry-pi-over-huge",
          "noise-scale-huge-int", "sweep-strategies-empty-flag",
          "sweep-strategies-empty-list", "shots-beyond-int64", "formula-variant-unknown",
+         "sweep-gamma-steps-1",
          "strategy-outside-evaluated-set", "coupling-map-without-calibration",
          "config-not-utf8"],
 )
@@ -698,6 +700,29 @@ def test_validate_names_a_one_run_file(tmp_path, capsys):
     assert capsys.readouterr() == (
         "", f"error: {res}: the results hold 1 run per (strategy, gamma) cell; "
             "validation needs at least 2 runs\n")
+
+
+@pytest.mark.parametrize("runs", [(0, 2**63, 2**63 + 1), (2**63, 2**63 + 1, 2**63 + 2),
+                                  (2**64, 2**64 + 1, 2**64 + 2)],
+                         ids=["straddling-int64", "uint64", "past-uint64"])
+def test_validate_keeps_runs_past_int64_apart(tmp_path, capsys, runs):
+    # numpy types a list of int64-range and uint64-range ints float64, where
+    # 2**63 and 2**63 + 1 are one value; the runs are only relabelled in order
+    res, moved = tmp_path / "res.csv", tmp_path / "moved.csv"
+    assert run_cli("sweep", "--synth", "--seed", "5", "--runs", "3", "--out", str(res)) == EXIT_OK
+    with open(res, newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index("run")
+    for row in rows[1:]:
+        row[col] = str(runs[int(row[col])])
+    with open(moved, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    assert run_cli("validate", str(res), "--out", str(tmp_path / "res.json")) == EXIT_OK
+    original = capsys.readouterr()
+    assert run_cli("validate", str(moved), "--out", str(tmp_path / "moved.json")) == EXIT_OK
+    assert capsys.readouterr() == original
+    assert (tmp_path / "moved.json").read_bytes() == (tmp_path / "res.json").read_bytes()
 
 
 def test_validate_bad_columns(tmp_path, capsys):

@@ -207,6 +207,11 @@ def test_uniform_profile_is_flat():
     assert cal.ids == tuple(range(g.num_qubits)) and cal.pairs == g.edges
 
 
+def test_synthesis_refuses_an_unknown_profile():
+    with pytest.raises(ValueError, match="^unknown profile 'flat'$"):
+        synth_calibration(heavy_hex_graph(2), seed=0, profile="flat")
+
+
 def test_synthesis_deterministic_per_seed():
     g = heavy_hex_graph(3)
     a = synth_calibration(g, seed=11, profile="realistic")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qbos import game
+from qbos import cli, game
 from qbos.game import (
     CANONICAL_STRATEGIES,
     CURVE_MEMO_SIZE,
@@ -508,6 +508,14 @@ def test_strategy_angle_range_enforced():
         Strategy("H", 1.0)
 
 
+def test_battle_of_sexes_matrix_is_built_once(monkeypatch):
+    # the curves, GameSpec and the CLI share the one default matrix
+    monkeypatch.setattr(PayoffMatrix, "battle_of_sexes", None)
+    assert GameSpec().payoff is game.BATTLE_OF_SEXES is cli.BOS
+    for variant in ("paper", "corrected"):
+        analytical_curves(STRATEGY_H, default_gamma_grid(5), variant)
+
+
 def test_gamma_grid_validation():
     with pytest.raises(ValueError):
         GameSpec(gamma_grid=(0.0, 0.0, 1.0))
@@ -516,6 +524,8 @@ def test_gamma_grid_validation():
     for grid in ((0.0, float("nan")), (float("nan"),)):
         with pytest.raises(ValueError, match=r"must lie in \[0, pi\]"):
             GameSpec(gamma_grid=grid)
+    with pytest.raises(ValueError, match="^gamma grid needs at least 2 points$"):
+        default_gamma_grid(1)
 
 
 # --- constructor checks: numbers only, the memo's key types -----------------------

@@ -655,6 +655,15 @@ def test_verify_separation_walks_stop_with_their_frontier():
     assert elapsed < 0.05
 
 
+@pytest.mark.parametrize("plan", [
+    lambda graph, k: select_pairs(graph, synth_calibration(graph, seed=0), k),
+    packed_plan,
+], ids=["select_pairs", "packed_plan"])
+def test_planners_refuse_zero_pairs(plan):
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        plan(heavy_hex_graph(2), 0)
+
+
 def test_plan_rejects_qubit_reuse():
     with pytest.raises(ValueError):
         MappingPlan(((0, 1), (1, 2)))

@@ -79,6 +79,8 @@ def test_gate_matrix_takes_strategy_kinds_only(kind):
     # one vocabulary: the gates are named by Strategy kinds, plus 'RZ'
     with pytest.raises(ValueError, match="unknown gate kind"):
         gate_matrix(kind, 0.5)
+    with pytest.raises(ValueError, match=f"^unknown strategy kind '{kind}'$"):
+        Strategy(kind, 0.5)
 
 
 # --- 1q application ------------------------------------------------------------
@@ -228,7 +230,8 @@ def test_sample_rejects_unnormalized():
     ([[0.5, 0.5, 0.0, 0.0], [1.5, -0.5, 0.0, 0.0]], "non-negative"),
     ([[0.5, 0.5, 0.5, 0.0], [1.5, -0.5, 0.0, 0.0]], "sum to 1.5"),
     ([[1.0, 0.0, 0.0, 0.0], [0.25] * 4, [0.0, 0.0, 0.0, 0.5]], "sum to 0.5"),
-], ids=["negative-row-1", "bad-sum-row-0-first", "bad-sum-row-2"])
+    ([[0.5, 0.5, 0.0]] * 2, r"expected 4-outcome distributions, got shape \(2, 3\)"),
+], ids=["negative-row-1", "bad-sum-row-0-first", "bad-sum-row-2", "three-outcomes"])
 def test_sample_cells_names_the_first_bad_row(rows, message):
     keys = np.zeros((len(rows), 2, 2), dtype=np.uint64)
     with pytest.raises(ValueError, match=message):
@@ -292,8 +295,9 @@ def test_shot_counts_invariants():
     ({"00": 1}, True, "total_shots must be an integer, got True"),
     ({"00": 4}, np.int64(4), "total_shots must be an integer, got np.int64"),
     ({"00": 2**63}, 2**63, r"total_shots must be in \[1, 2\*\*63\), got 9223372036854775808"),
+    ({"00": 5, "11": -1}, 4, "counts must be non-negative"),
 ], ids=["float-counts", "bool-counts-and-total", "numpy-count", "float-total", "bool-total",
-        "numpy-total", "total-past-int64"])
+        "numpy-total", "total-past-int64", "negative-count"])
 def test_shot_counts_take_only_int_counts_and_total(counts, total, message):
     # the words of noise.JobCounts' check of a whole job
     with pytest.raises(ValueError, match=message):
