@@ -578,9 +578,7 @@ def cmd_validate(args) -> int:
         texts = itertools.chain.from_iterable(map(columns.get, NUMERIC_COLUMNS[1:]))
         values = np.fromiter(map(float, texts), float, count=(len(NUMERIC_COLUMNS) - 1) * n)
         values = np.vstack((gamma, values.reshape(-1, n))).T
-        # Python ints past int64: numpy types them float64 beside int64-range ones
-        run_values = list(map(int, run_texts))
-        runs = np.array(run_values, np.int64 if max(run_values) < 2**63 else object)[run_code]
+        runs = stats.exact_runs(list(map(int, run_texts)))[run_code]  # each distinct run typed once
     except ValueError as err:
         raise CommandError(EXIT_SCHEMA, f"unreadable results row: {err}")
     _check_rows(values)

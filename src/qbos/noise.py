@@ -38,7 +38,8 @@ The prefix and the readout matrices are kept for one entry, as read-only
 arrays, keyed by the exact bytes of the grid and of the resolved probabilities
 (-0.0 and 0.0 differ): consecutive jobs on one plan, calibration and scale,
 such as simulate_job once per strategy, evolve the prefix once, and a CLI
-sweep, all strategies in one call, meets a miss.
+sweep, all strategies in one call, meets a miss.  Each strategy's gate on
+either qubit is built once, keyed by its kind, the repr of its angle and the qubit.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ class JobCounts(Sequence):
         counts = counts.astype(np.int64)  # a copy, which no caller holds
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
-        if (counts.sum(axis=-1, dtype=object) != shots).any():  # Python ints: no wrap
+        fits = shots < 2**61 and (counts <= shots).all()  # then no int64 row sum wraps
+        if (counts.sum(axis=-1, dtype=None if fits else object) != shots).any():
             raise ValueError("counts must sum to shots")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
@@ -204,12 +206,22 @@ def confusion_matrix(readout_error) -> np.ndarray:
     return matrix
 
 
-def _evolve(rho: np.ndarray, u) -> np.ndarray:
-    return u @ rho @ np.swapaxes(u.conj(), -1, -2)
+def _evolve(rho: np.ndarray, u, conj=None) -> np.ndarray:
+    return u @ rho @ np.swapaxes(u.conj() if conj is None else conj, -1, -2)
 
 
 def _one_qubit_step(rho: np.ndarray, qubit: int, gates, p) -> np.ndarray:
     return depolarize_1q(_evolve(rho, _embed_1q(np.array(gates), qubit)), qubit, p)
+
+
+@functools.lru_cache(maxsize=64)  # a few strategies' gates on either qubit
+def _gate_table(kind: str, angle: str, qubit: int) -> tuple[np.ndarray, np.ndarray]:
+    """A strategy's read-only (1, 1, 4, 4) gate on qubit, as _one_qubit_step embeds it, and
+    its conjugate; angle is the float's repr, so that RY(-0.0) and RY(0.0) key apart."""
+    u = _embed_1q(np.array([[gate_matrix(kind, float(angle) if kind == "RY" else None)]]), qubit)
+    conj = u.conj()
+    u.flags.writeable = conj.flags.writeable = False
+    return u, conj
 
 
 @functools.lru_cache(maxsize=1)
@@ -248,11 +260,11 @@ def noisy_distributions(
     when crosstalk_active[i] is true.  Every pair players[s] = (strategy_a,
     strategy_b) plays every angle.  Ry(gamma), Rz(0), the CNOT and their
     channels evolve once per angle as a (G, 4, 4) stack; the two strategy steps
-    broadcast it with (S, 1, 4, 4) gates.  Stacked products give every circuit
-    the bits it gets alone, and identity gates are applied and depolarized
-    like any other.  The prefix and readout matrices come from _prefix's
-    one-entry memo: a call whose float grid and resolved probabilities match
-    the last call's bit for bit reuses its read-only arrays.
+    broadcast it with (S, 1, 4, 4) gates from _gate_table.  Stacked products
+    give every circuit the bits it gets alone, and identity gates are applied
+    and depolarized like any other.  The prefix and readout matrices come
+    from _prefix's one-entry memo: a call whose float grid and resolved
+    probabilities match the last call's bit for bit reuses its read-only arrays.
 
     Returns an (S, G, 4) array of outcome distributions after readout
     confusion, zeros when grid or players is empty; each row sums to 1 within
@@ -272,8 +284,10 @@ def noisy_distributions(
               *model.resolved(two_qubit_errors, readout_errors, crosstalk_active))
     rho, readout = _prefix(*((a.dtype.str, a.tobytes()) for a in arrays))
     p1 = arrays[1]
-    rho = _one_qubit_step(rho, 0, [[gate_matrix(a.kind, a.angle)] for a, _ in players], p1)
-    rho = _one_qubit_step(rho, 1, [[gate_matrix(b.kind, b.angle)] for _, b in players], p1)
+    for qubit in (0, 1):  # strategy_a on qubit 0, strategy_b on qubit 1
+        gates = (_gate_table(pair[qubit].kind, repr(pair[qubit].angle), qubit) for pair in players)
+        u, conj = map(np.concatenate, zip(*gates))
+        rho = depolarize_1q(_evolve(rho, u, conj), qubit, p1)
     probs = np.diagonal(rho, axis1=-2, axis2=-1).real.copy()
     probs = (readout @ probs[..., None])[..., 0]
     return np.clip(probs, 0.0, None)

@@ -29,8 +29,9 @@ OUTCOME_LABELS = ("00", "01", "10", "11")
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
+_SHIFT = np.uint32(16)  # uint32 scalars like _MIX_L and _MIX_R: no Python int to convert
 
 
 def gate_matrix(kind: str, angle: float | None = None) -> np.ndarray:
@@ -105,13 +106,13 @@ def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
     """SeedSequence's hashmix of len(consts) - 1 uint32 rows, or of one row that
     many times: hash j xors with consts[j] and multiplies by consts[j + 1]."""
     value = (value ^ consts[:-1]) * consts[1:]
-    return value ^ (value >> 16)
+    return value ^ (value >> _SHIFT)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """SeedSequence's mix of pool words x with hashed words y."""
     result = _MIX_L * x - _MIX_R * y
-    return result ^ (result >> 16)
+    return result ^ (result >> _SHIFT)
 
 
 def derive_seeds(seeds, circuits: int, runs: int) -> np.ndarray:
@@ -185,9 +186,10 @@ def sample_cells(probs, shots: int, keys) -> np.ndarray:
     if keys.ndim != 3 or keys.shape[0] != len(p) or keys.shape[2] != 2:
         raise ValueError(f"expected ({len(p)}, runs, 2) key words, got shape {keys.shape}")
     sums = p.sum(axis=1)
-    negative = np.any(p < -1e-12, axis=1)
-    for g in np.flatnonzero(negative | (np.abs(sums - 1.0) > NORM_TOL))[:1]:  # first bad row
-        if negative[g]:
+    negative, off = p < -1e-12, ~(np.abs(sums - 1.0) <= NORM_TOL)  # a NaN sum is off
+    if negative.any() or off.any():
+        g = np.flatnonzero(negative.any(axis=1) | off)[0]  # the first bad row
+        if negative[g].any():
             raise ValueError("probabilities must be non-negative")
         raise ValueError(f"probabilities sum to {float(sums[g])!r}, must be 1 within {NORM_TOL}")
     clipped = np.clip(p, 0.0, None)

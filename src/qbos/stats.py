@@ -95,9 +95,11 @@ def _run_statistics(series: np.ndarray):
     reduction does, so every series gets the bits of its own call.
     """
     n = series.shape[-1]
-    var = series.var(axis=-1, ddof=1)
+    mean = series.mean(axis=-1, keepdims=True)
+    var = series.var(axis=-1, ddof=1, mean=mean)
     half = _t_quantile(n - 1) * np.sqrt(var / n)
-    return series.mean(axis=-1), var, half
+    mean.flags.writeable = False  # the owner of the means, so that no report copies them
+    return mean[..., 0], var, half
 
 
 def rmse(observed: Sequence[float], reference: Sequence[float]) -> float:
@@ -160,7 +162,8 @@ class StrategyValidation:
         _field(vars(self), "n", "an integer")
         for name in ("rmse_a", "rmse_b", "gammas"):  # NaN and infinities are numbers
             value = getattr(self, name)
-            if not all(map(is_number, value if name == "gammas" else (value,))):
+            items = value if name == "gammas" else (value,)
+            if set(map(type, items)) - {float} and not all(map(is_number, items)):
                 raise ValueError(f"{name} must be numeric, got {value!r}")
         object.__setattr__(self, "gammas", tuple(map(float, self.gammas)))
         for name in ("means", "sample_variances", "ci_half_widths"):  # read-only float64 kept
@@ -284,6 +287,14 @@ def distinct_codes(column):
     return list(code), np.fromiter(map(code.__getitem__, column), np.intp, count=len(column))
 
 
+def exact_runs(runs) -> np.ndarray:
+    """Python ints as int64 if all fit, else as objects (numpy types ints across 2**63 float64)."""
+    if not isinstance(runs, np.ndarray) and set(map(type, runs)) <= {int}:
+        fits = -2**63 <= min(runs, default=0) <= max(runs, default=0) < 2**63
+        return np.array(runs, np.int64 if fits else object)
+    return np.asarray(runs)
+
+
 def report_from_cells(
     labels: Sequence[str],
     gamma_index: Sequence[int],
@@ -298,7 +309,7 @@ def report_from_cells(
 
     Cell n is strategy labels[n] at gammas[gamma_index[n]] in run runs[n].  Each
     distinct label is coded once; strategies keep the order they first appear
-    in, and runs (ints, in a sequence or an array) are sorted.  Every strategy
+    in, and runs (ints, typed by exact_runs) are sorted.  Every strategy
     must hold every (gamma, run) cell of the union of runs exactly once; missing
     or duplicate cells raise SchemaError listing them, as does under 2 runs a cell.
 
@@ -307,7 +318,7 @@ def report_from_cells(
     """
     _check_cells(rmse_method, len(labels))
     strategies, label_code = distinct_codes(labels)
-    run_values, run_index = np.unique(np.asarray(runs), return_inverse=True)
+    run_values, run_index = np.unique(exact_runs(runs), return_inverse=True)
     run_values = run_values.tolist()
     shape = (len(strategies), len(gammas), len(run_values))
     flat = np.ravel_multi_index((label_code, gamma_index, run_index), shape)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qbos import noise
+from qbos import game, noise
 from qbos.device import (
     CouplingGraph,
     heavy_hex_graph,
@@ -37,6 +37,7 @@ from qbos.noise import (
     noisy_distributions,
     simulate_job,
 )
+from qbos.statevec import gate_matrix
 from qbos.stats import payoff_table, rmse
 
 from calib_oracles import EdgeCalibration, records, snapshot
@@ -404,6 +405,7 @@ def test_memoised_prefix_gives_the_bits_of_a_fresh_evolution(calls):
     for call in calls:
         kept = memo_call(call)
         noise._prefix.cache_clear()
+        noise._gate_table.cache_clear()
         assert kept.tobytes() == memo_call(call).tobytes()
 
 
@@ -428,6 +430,84 @@ def test_four_strategy_jobs_on_one_plan_and_scale_evolve_the_prefix_once():
         simulate_job(plan, spec_for(strategy, steps=7), MEMO_CAL, NoiseModel(scale=0.5), 64, 2,
                      seed)
     assert noise._prefix.cache_info()[:2] == (3, 1)  # (hits, misses)
+
+
+# --- the strategy gate table --------------------------------------------------------
+
+def spy_on_gates(monkeypatch, gate=gate_matrix):
+    """Route noise's gate_matrix calls through gate, recording each (kind, repr(angle))."""
+    built = []
+
+    def spy(kind, angle=None):
+        built.append((kind, repr(angle)))
+        return gate(kind, angle)
+
+    monkeypatch.setattr(noise, "gate_matrix", spy)
+    return built
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0], ids=["0.0-first", "-0.0-first"])
+def test_signed_zero_angles_get_their_own_gates(first, monkeypatch):
+    # RY(0.0) and RY(-0.0) are equal strategies whose gate_matrix bytes differ; seen
+    # through a gate_matrix that gives RY(-0.0) the Hadamard, a shared gate would show
+    assert Strategy("RY", 0.0) == Strategy("RY", -0.0)
+    assert gate_matrix("RY", 0.0).tobytes() != gate_matrix("RY", -0.0).tobytes()
+    spy_on_gates(monkeypatch, lambda kind, angle: gate_matrix(
+        "H" if kind == "RY" and math.copysign(1.0, angle) < 0 else kind, angle))
+    figures, grid, flags = MEMO_FIGURES[0], MEMO_GRIDS[0], [False] * 7
+
+    def evolve(angle):
+        ry = Strategy("RY", angle)
+        return memo_call((figures, 1.0, grid, flags, [(ry, ry)])).tobytes()
+
+    angles = [first, -first]
+    in_turn = [evolve(angle) for angle in angles]  # the second meets the first's table
+    assert in_turn[0] != in_turn[1]
+    for angle, kept in zip(angles, in_turn):
+        noise._gate_table.cache_clear()
+        assert evolve(angle) == kept
+
+
+def test_strategy_gates_are_built_once_per_strategy_and_qubit(monkeypatch):
+    built = spy_on_gates(monkeypatch)
+    plan = select_pairs(MEMO_GRAPH, MEMO_CAL, k=7)
+    for scale in (0.5, 1.0):
+        for seed, strategy in enumerate(CANONICAL_STRATEGIES):
+            simulate_job(plan, spec_for(strategy, steps=7), MEMO_CAL, NoiseModel(scale=scale),
+                         64, 2, seed)
+    # each strategy plays both qubits; Rz(0) belongs to the prefix, built once per scale
+    assert sorted(b for b in built if b[0] != "RZ") == sorted(
+        (s.kind, repr(s.angle)) for s in CANONICAL_STRATEGIES for _ in range(2))
+
+
+@pytest.mark.parametrize("players", MEMO_PLAYERS, ids=["four-pairs", "H-I", "I-I-and-H-H"])
+def test_strategy_steps_give_the_bits_of_freshly_built_gates(players):
+    # the strategy steps as they were before the gate table: gates stacked and embedded per call
+    figures, grid, flags = MEMO_FIGURES[1], MEMO_GRIDS[0], [True, False] * 3 + [True]
+    arrays = (np.asarray(grid, dtype=float), *NoiseModel(scale=1.0).resolved(*figures, flags))
+    rho, readout = noise._prefix(*((a.dtype.str, a.tobytes()) for a in arrays))
+    for qubit in (0, 1):
+        gates = [[gate_matrix(pair[qubit].kind, pair[qubit].angle)] for pair in players]
+        rho = noise._one_qubit_step(rho, qubit, gates, arrays[1])
+    probs = np.diagonal(rho, axis1=-2, axis2=-1).real.copy()
+    fresh = np.clip((readout @ probs[..., None])[..., 0], 0.0, None)
+    call = (figures, 1.0, grid, flags, players)
+    assert memo_call(call).tobytes() == fresh.tobytes()  # the table built
+    assert memo_call(call).tobytes() == fresh.tobytes()  # and read back
+    for u, conj in (noise._gate_table(s.kind, repr(s.angle), q)
+                    for pair in players for q, s in enumerate(pair)):
+        assert not u.flags.writeable and not conj.flags.writeable
+
+
+@pytest.mark.parametrize("turn", ["fills", "finds-emptied"])
+def test_every_test_starts_with_the_three_caches_empty(turn):
+    # conftest empties the prefix memo, the gate table and the curve memo before each test
+    caches = (noise._prefix, noise._gate_table, game._memoised_curves)
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+    plan = select_pairs(MEMO_GRAPH, MEMO_CAL, k=3)
+    simulate_job(plan, spec_for(STRATEGY_H, steps=3), MEMO_CAL, NoiseModel(), 8, 2, 0)
+    game.analytical_curves(STRATEGY_H, default_gamma_grid(3))
+    assert all(cache.cache_info().currsize for cache in caches)
 
 
 # --- job simulation ------------------------------------------------------------------
@@ -491,8 +571,10 @@ WRAPS = [[[2**62, 2**62, 2**62, 2**62 + 1]]]  # an int64 row sum wraps to 1
     (np.array([[[2**64 - 1, 0, 0, 2]]], np.uint64), (0.0,), 1, "counts must be non-negative"),
     ([[[1, 1, 1, 0]], [[1, 1, 1, 1]]], (0.0, 1.0), 4, "counts must sum to shots"),
     (WRAPS, (0.0,), 1, "counts must sum to shots"),
+    ([[[2**62, 2**62, 2**62, 2**62 + 5]]], (0.0,), 5, "counts must sum to shots"),
 ], ids=["last-axis", "grid-length", "2-d", "float", "bool", "float-shots", "bool-shots",
-        "no-shots", "shots-past-int64", "negative", "uint64-wraps-negative", "short-row", "int64-sum-wraps"])
+        "no-shots", "shots-past-int64", "negative", "uint64-wraps-negative", "short-row", "int64-sum-wraps",
+        "int64-sum-wraps-to-shots"])
 def test_job_counts_refuses_what_shot_counts_refuses(counts, grid, shots, message):
     with pytest.raises(ValueError, match=message):
         JobCounts(counts, grid, shots)
@@ -523,6 +605,13 @@ def test_job_counts_refuses_shots_before_an_angle_or_a_seed():
         job_counts(plan, [4.0], [identity], MEMO_CAL, NoiseModel(), 2.5, 2, [-1])
     with pytest.raises(ValueError, match=r"gamma = 4.0 outside \[0, pi\]"):
         job_counts(plan, [4.0], [identity], MEMO_CAL, NoiseModel(), 3, 2, [-1])
+
+
+@pytest.mark.parametrize("shots", [2**61 - 1, 2**61, 2**63 - 1])
+def test_job_counts_take_counts_near_the_int64_sum_bound(shots):
+    # below 2**61 shots the rows are summed in int64, from 2**61 as Python ints
+    counts = [[[shots - 3, 1, 1, 1]], [[0, 0, 0, shots]]]
+    assert JobCounts(counts, (0.0, 1.0), shots).counts.tolist() == counts
 
 
 def test_job_counts_keeps_its_own_read_only_copy():

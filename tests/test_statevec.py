@@ -231,7 +231,10 @@ def test_sample_rejects_unnormalized():
     ([[0.5, 0.5, 0.5, 0.0], [1.5, -0.5, 0.0, 0.0]], "sum to 1.5"),
     ([[1.0, 0.0, 0.0, 0.0], [0.25] * 4, [0.0, 0.0, 0.0, 0.5]], "sum to 0.5"),
     ([[0.5, 0.5, 0.0]] * 2, r"expected 4-outcome distributions, got shape \(2, 3\)"),
-], ids=["negative-row-1", "bad-sum-row-0-first", "bad-sum-row-2", "three-outcomes"])
+    ([[math.nan, 0.5, 0.25, 0.25]], r"^probabilities sum to nan, must be 1 within 1e-09$"),
+    ([[0.25] * 4, [0.5, math.nan, 0.25, 0.25], [0.0, 0.0, 0.0, 0.5]], "sum to nan,"),
+], ids=["negative-row-1", "bad-sum-row-0-first", "bad-sum-row-2", "three-outcomes", "nan-row",
+        "nan-row-1-first"])
 def test_sample_cells_names_the_first_bad_row(rows, message):
     keys = np.zeros((len(rows), 2, 2), dtype=np.uint64)
     with pytest.raises(ValueError, match=message):

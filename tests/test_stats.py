@@ -391,6 +391,27 @@ def test_report_from_cells_flags_duplicate_cells():
                           default_gamma_grid(2), "corrected", BOS, "rmse_of_means")
 
 
+RUNS_ACROSS_INT64 = [0, 0, 2**63, 2**63, 2**63 + 1, 2**63 + 1]
+
+
+@pytest.mark.parametrize("runs", [
+    RUNS_ACROSS_INT64, tuple(RUNS_ACROSS_INT64), np.array(RUNS_ACROSS_INT64, object),
+    np.array(RUNS_ACROSS_INT64, np.uint64),
+], ids=["list", "tuple", "object-array", "uint64-array"])
+def test_report_from_cells_keeps_runs_past_int64_apart(runs):
+    # numpy types a list of ints on both sides of 2**63 float64, where 2**63 and
+    # 2**63 + 1 are one value; the runs here are 0, 1, 2 relabelled in order
+    gammas, payoffs = default_gamma_grid(2), np.arange(12.0).reshape(6, 2) / 4
+    cells = (["I"] * 6, [0, 1] * 3)
+    report = report_from_cells(*cells, runs, payoffs, gammas, "corrected", BOS, "rmse_of_means")
+    assert report == report_from_cells(*cells, [0, 0, 1, 1, 2, 2], payoffs, gammas,
+                                       "corrected", BOS, "rmse_of_means")
+    missing = r"^missing cells \[\('I', 3.14\d*, 9223372036854775809\)\]$"  # named exactly
+    with pytest.raises(SchemaError, match=missing):
+        report_from_cells(["I"] * 5, [0, 1, 0, 1, 0], runs[:5], payoffs[:5], gammas,
+                          "corrected", BOS, "rmse_of_means")
+
+
 def gathered_report(results, spec, variant, rmse_method):
     """build_validation_report before JobCounts: each job's cells, run-major,
     gathered cell by cell into one count array for report_from_cells."""
