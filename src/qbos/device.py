@@ -20,9 +20,9 @@ the first bad field of a file that fails, with the same tests.
 CalibrationSnapshot.figures gives the per-edge arrays that gcm and noise read.
 Graphs and snapshots are plain values; crosstalk reads the snapshot's pairs.
 Each takes only what its loader reads: int qubit counts and ids.  Graphs,
-snapshots, plans (gcm) and reports (stats) save the text of
-``json.dumps(doc, indent=1)``, formatted directly for their fixed shapes
-without json's pure-Python indent encoder: numbers take json's own texts.
+snapshots and plans (gcm) save the text of ``json.dumps(doc, indent=1)``,
+formatted directly for their fixed shapes without json's pure-Python indent
+encoder: numbers take json's own texts.
 """
 
 from __future__ import annotations

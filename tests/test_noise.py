@@ -405,7 +405,6 @@ def test_memoised_prefix_gives_the_bits_of_a_fresh_evolution(calls):
     for call in calls:
         kept = memo_call(call)
         noise._prefix.cache_clear()
-        noise._gate_table.cache_clear()
         assert kept.tobytes() == memo_call(call).tobytes()
 
 
@@ -432,18 +431,11 @@ def test_four_strategy_jobs_on_one_plan_and_scale_evolve_the_prefix_once():
     assert noise._prefix.cache_info()[:2] == (3, 1)  # (hits, misses)
 
 
-# --- the strategy gate table --------------------------------------------------------
+# --- the strategy steps --------------------------------------------------------------
 
-def spy_on_gates(monkeypatch, gate=gate_matrix):
-    """Route noise's gate_matrix calls through gate, recording each (kind, repr(angle))."""
-    built = []
-
-    def spy(kind, angle=None):
-        built.append((kind, repr(angle)))
-        return gate(kind, angle)
-
-    monkeypatch.setattr(noise, "gate_matrix", spy)
-    return built
+def spy_on_gates(monkeypatch, gate):
+    """Route noise's gate_matrix calls through gate."""
+    monkeypatch.setattr(noise, "gate_matrix", gate)
 
 
 @pytest.mark.parametrize("first", [0.0, -0.0], ids=["0.0-first", "-0.0-first"])
@@ -461,28 +453,15 @@ def test_signed_zero_angles_get_their_own_gates(first, monkeypatch):
         return memo_call((figures, 1.0, grid, flags, [(ry, ry)])).tobytes()
 
     angles = [first, -first]
-    in_turn = [evolve(angle) for angle in angles]  # the second meets the first's table
+    in_turn = [evolve(angle) for angle in angles]  # the second meets the first's prefix
     assert in_turn[0] != in_turn[1]
     for angle, kept in zip(angles, in_turn):
-        noise._gate_table.cache_clear()
         assert evolve(angle) == kept
-
-
-def test_strategy_gates_are_built_once_per_strategy_and_qubit(monkeypatch):
-    built = spy_on_gates(monkeypatch)
-    plan = select_pairs(MEMO_GRAPH, MEMO_CAL, k=7)
-    for scale in (0.5, 1.0):
-        for seed, strategy in enumerate(CANONICAL_STRATEGIES):
-            simulate_job(plan, spec_for(strategy, steps=7), MEMO_CAL, NoiseModel(scale=scale),
-                         64, 2, seed)
-    # each strategy plays both qubits; Rz(0) belongs to the prefix, built once per scale
-    assert sorted(b for b in built if b[0] != "RZ") == sorted(
-        (s.kind, repr(s.angle)) for s in CANONICAL_STRATEGIES for _ in range(2))
 
 
 @pytest.mark.parametrize("players", MEMO_PLAYERS, ids=["four-pairs", "H-I", "I-I-and-H-H"])
 def test_strategy_steps_give_the_bits_of_freshly_built_gates(players):
-    # the strategy steps as they were before the gate table: gates stacked and embedded per call
+    # the strategy steps composed by hand: gates stacked and embedded per call
     figures, grid, flags = MEMO_FIGURES[1], MEMO_GRIDS[0], [True, False] * 3 + [True]
     arrays = (np.asarray(grid, dtype=float), *NoiseModel(scale=1.0).resolved(*figures, flags))
     rho, readout = noise._prefix(*((a.dtype.str, a.tobytes()) for a in arrays))
@@ -492,18 +471,16 @@ def test_strategy_steps_give_the_bits_of_freshly_built_gates(players):
     probs = np.diagonal(rho, axis1=-2, axis2=-1).real.copy()
     fresh = np.clip((readout @ probs[..., None])[..., 0], 0.0, None)
     call = (figures, 1.0, grid, flags, players)
-    assert memo_call(call).tobytes() == fresh.tobytes()  # the table built
-    assert memo_call(call).tobytes() == fresh.tobytes()  # and read back
-    for u, conj in (noise._gate_table(s.kind, repr(s.angle), q)
-                    for pair in players for q, s in enumerate(pair)):
-        assert not u.flags.writeable and not conj.flags.writeable
+    noise._prefix.cache_clear()
+    assert memo_call(call).tobytes() == fresh.tobytes()  # the prefix evolved afresh
+    assert memo_call(call).tobytes() == fresh.tobytes()  # and read back from the memo
 
 
 @pytest.mark.parametrize("turn", ["fills", "finds-emptied"])
 def test_every_test_starts_with_the_three_caches_empty(turn):
-    # conftest empties the prefix memo, the gate table and the curve memo before each test
-    caches = (noise._prefix, noise._gate_table, game._memoised_curves)
-    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+    # conftest empties the prefix memo and the curve memo before each test
+    caches = (noise._prefix, game._memoised_curves)
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
     plan = select_pairs(MEMO_GRAPH, MEMO_CAL, k=3)
     simulate_job(plan, spec_for(STRATEGY_H, steps=3), MEMO_CAL, NoiseModel(), 8, 2, 0)
     game.analytical_curves(STRATEGY_H, default_gamma_grid(3))
